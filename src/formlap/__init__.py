@@ -2,8 +2,8 @@
 Laplacian-like operators on weighted differential forms over Einstein
 manifolds, with flat-torus and simplicial-sphere numerical oracles."""
 
-from .coeffring import (CoefficientError, J, ONE, PolyJ, RatJ, Rational, ZERO, jpow,
-                        parse_ratj, ratj, render_ratj)
+from .coeffring import (CoefficientError, J, ONE, RatJ, Rational, ZERO, jpow, parse_ratj,
+                        ratj, render_ratj)
 from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly,
                     proportionality, to_operator_poly)
 from .tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar, apply_box,

@@ -24,12 +24,9 @@ REPORT_SCHEMA = 1
 @dataclass
 class SweepConfig:
     n_range: range = field(default_factory=lambda: range(3, 13))
-    k_min: int = 1
-    ell_range: range = field(default_factory=lambda: range(1, 7))
     theorems: tuple[str, ...] = ("factorization", "MMstar", "LG", "bezout", "kernel")
     j_value: Fraction = Fraction(1)
     output: Path | None = None
-    fmt: str = "json"
 
 
 def _emit_report(payload: dict, output: Path | None) -> None:
@@ -45,6 +42,11 @@ def _emit_report(payload: dict, output: Path | None) -> None:
         output.write_text(text)
 
 
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def report_payload_bytes(path: Path) -> bytes:
     """The deterministic payload of a written report (for diffing)."""
     doc = json.loads(path.read_text())
@@ -58,15 +60,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
     from .coeffring import render_ratj
     from .factory import build_L_definition, closed_factors
     from .forms import FormAlgebraError, proportionality
+    from .tractor import InternalConsistencyError
 
     try:
         expanded = build_L_definition(args.n, args.k, args.ell)
         factored = closed_factors(args.n, args.k, args.ell)
     except FormAlgebraError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     c = proportionality(factored.product(), expanded)
-    assert c is not None
+    if c is None:
+        raise InternalConsistencyError("factored and definition operators are not proportional")
     if args.format == "text":
         print(f"definition expansion: {expanded.render()}")
         print("factors: [" + ", ".join(f.render() for f in factored.factors) + "]")
@@ -94,14 +97,25 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_sweep
 
+    try:
+        j_value = Fraction(args.j_value)
+    except (ValueError, ZeroDivisionError):
+        return _usage_error(f"--j-value {args.j_value!r} is not a rational number")
+    if args.n_min < 3:
+        return _usage_error(f"--n-min {args.n_min} < 3")
+    if args.n_max < args.n_min:
+        return _usage_error(f"--n-max {args.n_max} < --n-min {args.n_min}: empty sweep")
+    if args.ell_max < 1:
+        return _usage_error(f"--ell-max {args.ell_max} < 1: empty sweep")
     cfg = SweepConfig(
         n_range=range(args.n_min, args.n_max + 1),
-        ell_range=range(1, args.ell_max + 1),
         theorems=tuple(args.theorems),
-        j_value=Fraction(args.j_value),
+        j_value=j_value,
         output=args.output,
     )
     reports = run_sweep(list(cfg.theorems), cfg.n_range, args.ell_max, cfg.j_value)
+    if not reports:
+        return _usage_error("the selected theorems and grid give no checks")
     failures = [r for r in reports if not r.passed]
     payload = {
         "schema": REPORT_SCHEMA,
@@ -169,8 +183,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
             raise MeshError("torus3-grid needs --size m with m >= 3")
         mesh = build_mesh_cached(args.mesh, args.size)
     except MeshError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     if args.subdivide:
         mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
     payload: dict = {

@@ -1,11 +1,14 @@
-"""Exact scalar arithmetic: Q, polynomials in the central scalar J, and the field Q(J).
+"""Exact scalar arithmetic: Q and the graded Laurent monomials c * J**m.
 
-All operator coefficients in this package live in the fraction field
-Q(J) of univariate polynomials in a single formal variable J (the trace
-of the Schouten tensor, which is constant in an Einstein scale).  A
-value is represented as a reduced fraction num/den of ``PolyJ`` values;
-the denominator is monic and coprime to the numerator, so equality is
-structural.
+All operator coefficients in this package are rationals times an
+integer power of a single formal variable J (the trace of the Schouten
+tensor, which is constant in an Einstein scale).  J carries conformal
+weight -2, so the power of J is a weight grading: a value is stored as
+a ``Fraction`` c and an ``int`` m, with zero as (0, 0), and adding two
+nonzero values of different J degree raises ``CoefficientError``.  A
+weight-inhomogeneous coefficient therefore cannot be built.  Products
+and quotients of nonzero values are nonzero monomials again, so the
+nonzero values form a group and equality is structural.
 
 Plain rationals are ``fractions.Fraction`` (re-exported as ``Rational``);
 there is no floating point anywhere in this module.
@@ -14,402 +17,166 @@ there is no floating point anywhere in this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Fraction
 
-Coercible = Union[int, Fraction, "PolyJ", "RatJ"]
+Coercible = Union[int, Fraction, "RatJ"]
 
 
 class CoefficientError(ArithmeticError):
-    """Division by zero in Q(J), or evaluation at a pole."""
+    """Division by zero, evaluation at a pole, or a sum of different J degrees."""
 
 
-def _trim(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+class RatJ:
+    """The graded monomial c * J**m; zero is c = 0, m = 0.
 
-
-@dataclass(frozen=True)
-class PolyJ:
-    """Polynomial in J with rational coefficients, ``coeffs[i] * J**i``.
-
-    The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero.
+    Instances are immutable values: no method changes ``c`` or ``m``.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("c", "m")
 
-    @staticmethod
-    def make(coeffs: Iterable[Fraction | int]) -> PolyJ:
-        return PolyJ(_trim(coeffs))
+    def __init__(self, c: Fraction | int = 0, m: int = 0) -> None:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        self.c = c
+        self.m = m if c else 0
 
-    @staticmethod
-    def const(c: Fraction | int) -> PolyJ:
-        return PolyJ.make([Fraction(c)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise CoefficientError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: PolyJ) -> PolyJ:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyJ.make(out)
-
-    def __neg__(self) -> PolyJ:
-        return PolyJ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: PolyJ) -> PolyJ:
-        return self + (-other)
-
-    def __mul__(self, other: PolyJ) -> PolyJ:
-        if self.is_zero or other.is_zero:
-            return PolyJ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyJ.make(out)
-
-    def scale(self, c: Fraction | int) -> PolyJ:
-        c = Fraction(c)
-        if c == 0:
-            return PolyJ()
-        return PolyJ(tuple(a * c for a in self.coeffs))
-
-    def monic(self) -> PolyJ:
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
-    def divmod(self, other: PolyJ) -> tuple[PolyJ, PolyJ]:
-        if other.is_zero:
-            raise CoefficientError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return PolyJ(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading
-        for i in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + i:
-                continue
-            c = rem[len(other.coeffs) + i - 1] * inv_lead
-            if c == 0:
-                continue
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return PolyJ.make(quo), PolyJ.make(rem)
-
-    def gcd(self, other: PolyJ) -> PolyJ:
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def eval_at(self, j0: Fraction | int) -> Fraction:
-        j0 = Fraction(j0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * j0 + c
-        return acc
-
-    def monomial_degree(self) -> int | None:
-        """If the polynomial is c * J**m with c != 0, return m, else None."""
-        if self.is_zero:
-            return None
-        nz = [i for i, c in enumerate(self.coeffs) if c != 0]
-        return nz[0] if len(nz) == 1 else None
-
-
-def _coerce_poly(x: Coercible) -> PolyJ:
-    if isinstance(x, PolyJ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return PolyJ.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to PolyJ")
-
-
-@dataclass(frozen=True)
-class RatJ:
-    """Element of Q(J), stored as a reduced fraction with monic denominator."""
-
-    num: PolyJ
-    den: PolyJ
-
-    def __post_init__(self) -> None:
-        if self.den.is_zero:
-            raise CoefficientError("zero denominator in Q(J)")
-
-    # -- construction --------------------------------------------------
-
-    @staticmethod
-    def of(num: Coercible, den: Coercible = 1) -> RatJ:
-        if isinstance(num, RatJ):
-            base = num
-        else:
-            base = RatJ._normalized(_coerce_poly(num), PolyJ.const(1))
-        if isinstance(den, RatJ):
-            return base / den
-        d = _coerce_poly(den)
-        if d.is_zero:
-            raise CoefficientError("zero denominator in Q(J)")
-        return RatJ._normalized(base.num, base.den * d)
-
-    @staticmethod
-    def _normalized(num: PolyJ, den: PolyJ) -> RatJ:
-        if den.is_zero:
-            raise CoefficientError("zero denominator in Q(J)")
-        if num.is_zero:
-            return RatJ(PolyJ(), PolyJ.const(1))
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading
-        return RatJ(num.scale(1 / lead), den.scale(1 / lead))
-
-    # -- ring/field operations ------------------------------------------
+    # -- ring operations ------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _lift(self, other: Coercible) -> RatJ:
-        return other if isinstance(other, RatJ) else RatJ.of(other)
+        return not self.c
 
     def __add__(self, other: Coercible) -> RatJ:
-        o = self._lift(other)
-        return RatJ._normalized(self.num * o.den + o.num * self.den, self.den * o.den)
+        o = other if isinstance(other, RatJ) else RatJ(other)
+        if not o.c:
+            return self
+        if not self.c:
+            return o
+        if self.m != o.m:
+            raise CoefficientError(f"sum of different J degrees: {self} + {o}")
+        return RatJ(self.c + o.c, self.m)
 
     __radd__ = __add__
 
     def __neg__(self) -> RatJ:
-        return RatJ(-self.num, self.den)
+        return RatJ(-self.c, self.m)
 
     def __sub__(self, other: Coercible) -> RatJ:
-        return self + (-self._lift(other))
+        o = other if isinstance(other, RatJ) else RatJ(other)
+        return self + (-o)
 
     def __rsub__(self, other: Coercible) -> RatJ:
-        return self._lift(other) - self
+        return RatJ(other) - self
 
     def __mul__(self, other: Coercible) -> RatJ:
-        o = self._lift(other)
-        return RatJ._normalized(self.num * o.num, self.den * o.den)
+        o = other if isinstance(other, RatJ) else RatJ(other)
+        return RatJ(self.c * o.c, self.m + o.m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Coercible) -> RatJ:
-        o = self._lift(other)
-        if o.is_zero:
-            raise CoefficientError("division by zero in Q(J)")
-        return RatJ._normalized(self.num * o.den, self.den * o.num)
+        o = other if isinstance(other, RatJ) else RatJ(other)
+        if not o.c:
+            raise CoefficientError("division by zero")
+        return RatJ(self.c / o.c, self.m - o.m)
 
     def __rtruediv__(self, other: Coercible) -> RatJ:
-        return self._lift(other) / self
+        return RatJ(other) / self
 
     def inv(self) -> RatJ:
-        if self.is_zero:
-            raise CoefficientError("inverse of zero in Q(J)")
-        return RatJ._normalized(self.den, self.num)
+        if not self.c:
+            raise CoefficientError("inverse of zero")
+        return RatJ(1 / self.c, -self.m)
 
     def eval_at(self, j0: Fraction | int) -> Fraction:
-        """Exact substitution J -> j0; raises at a pole."""
-        d = self.den.eval_at(j0)
-        if d == 0:
+        """Exact substitution J -> j0; raises at the pole J = 0 when m < 0."""
+        j0 = Fraction(j0)
+        if self.m < 0 and j0 == 0:
             raise CoefficientError(f"pole at J = {j0}")
-        return self.num.eval_at(j0) / d
+        return self.c * j0 ** self.m
 
-    # -- structure queries ----------------------------------------------
+    # -- value semantics ------------------------------------------------
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a plain rational if J-free, else None."""
-        if self.den.degree == 0 and self.num.degree <= 0:
-            return self.num.eval_at(0) / self.den.eval_at(0)
-        return None
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatJ):
+            return NotImplemented
+        return self.c == other.c and self.m == other.m
 
-    def monomial_degree(self) -> int | None:
-        """If the value is c * J**m (c in Q, c != 0, polynomial), return m."""
-        if self.den.degree != 0:
-            return None
-        return self.num.monomial_degree()
+    def __hash__(self) -> int:
+        return hash((self.c, self.m))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.c)
+
+    def __repr__(self) -> str:
+        return f"RatJ({self.c!r}, {self.m})"
 
     def __str__(self) -> str:
         return render_ratj(self)
 
 
-ZERO = RatJ(PolyJ(), PolyJ.const(1))
-ONE = RatJ(PolyJ.const(1), PolyJ.const(1))
-J = RatJ(PolyJ.make([0, 1]), PolyJ.const(1))
+ZERO = RatJ(0)
+ONE = RatJ(1)
+J = RatJ(1, 1)
 
 
-def ratj(num: Coercible, den: Coercible = 1) -> RatJ:
-    """Build an element of Q(J) from ints, Fractions, PolyJ, or RatJ."""
-    return RatJ.of(num, den)
+def ratj(x: Coercible) -> RatJ:
+    """Coerce an int, Fraction or RatJ to a RatJ."""
+    return x if isinstance(x, RatJ) else RatJ(x)
 
 
 def jpow(m: int, c: Fraction | int = 1) -> RatJ:
-    """c * J**m as an element of Q(J)."""
-    return ratj(PolyJ.make([0] * m + [Fraction(c)]))
+    """c * J**m."""
+    return RatJ(c, m)
 
 
 # -- textual rendering and parsing ---------------------------------------
 #
-# Canonical text is "P" for polynomial values and "(P) / (Q)" otherwise,
-# with fraction coefficients written a/b.  A coefficient-level '/' always
-# sits between two integers, the num/den '/' always between two
-# parenthesised groups, so parsing is unambiguous.
+# Canonical text is "c*J^m" for m >= 0 (the factor 1 and the power 1 are
+# left out: "J", "-J", "3/2*J^2", "5") and "(c) / (J^m)" for m < 0, with
+# fractions written a/b.
 
 
 def _render_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def render_poly(p: PolyJ) -> str:
-    if p.is_zero:
+def _render_mono(c: Fraction, m: int) -> str:
+    if not c:
         return "0"
-    parts: list[str] = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = _render_coeff(mag)
-        else:
-            var = "J" if i == 1 else f"J^{i}"
-            body = var if mag == 1 else f"{_render_coeff(mag)}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    sign = "-" if c < 0 else ""
+    mag = abs(c)
+    if m == 0:
+        return sign + _render_coeff(mag)
+    var = "J" if m == 1 else f"J^{m}"
+    return sign + (var if mag == 1 else f"{_render_coeff(mag)}*{var}")
 
 
 def render_ratj(x: RatJ) -> str:
-    if x.den.degree == 0 and x.den.eval_at(0) == 1:
-        return render_poly(x.num)
-    return f"({render_poly(x.num)}) / ({render_poly(x.den)})"
+    if x.m >= 0:
+        return _render_mono(x.c, x.m)
+    return f"({_render_mono(x.c, 0)}) / ({_render_mono(Fraction(1), -x.m)})"
 
 
-_TOKEN = re.compile(r"\s*(\d+|J|\^|\*|/|\+|-)")
+_MONO = re.compile(r"(-?)(\d+(?:/\d+)?)?(\*?)(J(?:\^(\d+))?)?")
+_QUOTIENT = re.compile(r"\((.*)\)\s*/\s*\((.*)\)")
 
 
-def _parse_poly(text: str) -> PolyJ:
-    pos = 0
-    out = PolyJ()
-    sign = 1
-
-    def flush(coeff: Fraction, power: int) -> None:
-        nonlocal out
-        out = out + PolyJ.make([0] * power + [coeff])
-
-    coeff: Fraction | None = None
-    power = 0
-    seen_var = False
-
-    def end_term() -> None:
-        nonlocal coeff, power, seen_var, sign
-        if coeff is None and not seen_var:
-            raise ValueError(f"empty term in polynomial text: {text!r}")
-        c = coeff if coeff is not None else Fraction(1)
-        flush(sign * c, power if seen_var else 0)
-        coeff, power, seen_var, sign = None, 0, False, 1
-
-    tokens: list[str] = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad polynomial text: {text!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-
-    i = 0
-    started = False
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in "+-":
-            if started:
-                end_term()
-            if tok == "-":
-                sign = -sign
-            i += 1
-            continue
-        started = True
-        if tok == "J":
-            seen_var = True
-            power = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == "^":
-                power = int(tokens[i + 2])
-                i += 2
-            i += 1
-        elif tok.isdigit():
-            c = Fraction(int(tok))
-            if i + 2 < len(tokens) and tokens[i + 1] == "/" and tokens[i + 2].isdigit():
-                c = c / int(tokens[i + 2])
-                i += 2
-            coeff = c if coeff is None else coeff * c
-            i += 1
-        elif tok == "*":
-            i += 1
-        else:
-            raise ValueError(f"unexpected token {tok!r} in {text!r}")
-    if started:
-        end_term()
-    elif text.strip() not in ("", "0"):
-        raise ValueError(f"bad polynomial text: {text!r}")
-    return out
+def _parse_mono(text: str) -> RatJ:
+    m = _MONO.fullmatch(text.strip())
+    if not m or not (m[2] or m[4]) or bool(m[3]) != bool(m[2] and m[4]):
+        raise ValueError(f"bad monomial text: {text!r}")
+    c = Fraction(m[2]) if m[2] else Fraction(1)
+    power = (int(m[5]) if m[5] else 1) if m[4] else 0
+    return RatJ(-c if m[1] else c, power)
 
 
 def parse_ratj(text: str) -> RatJ:
-    """Inverse of :func:`render_ratj` (also accepts unnormalised input)."""
-    s = text.strip()
-    if s.startswith("("):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    rest = s[i + 1 :].strip()
-                    if rest.startswith("/"):
-                        den = rest[1:].strip()
-                        if not (den.startswith("(") and den.endswith(")")):
-                            raise ValueError(f"expected parenthesised denominator in {text!r}")
-                        return RatJ._normalized(_parse_poly(s[1:i]), _parse_poly(den[1:-1]))
-                    if not rest:
-                        return RatJ._normalized(_parse_poly(s[1:i]), PolyJ.const(1))
-                    break
-    return RatJ._normalized(_parse_poly(s), PolyJ.const(1))
+    """Inverse of :func:`render_ratj`; also accepts any "(a) / (b)" of monomials."""
+    q = _QUOTIENT.fullmatch(text.strip())
+    if q:
+        return _parse_mono(q[1]) / _parse_mono(q[2])
+    return _parse_mono(text)

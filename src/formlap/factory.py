@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import RatJ, jpow, ratj
+from .coeffring import jpow, ratj
 from .forms import CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly, to_operator_poly
 from .tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar, apply_box,
                       assert_top_slots_vanish, extract_slots, make_M)
@@ -134,13 +134,12 @@ def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
 
 @dataclass(frozen=True)
 class FactoredOperator:
-    """Ordered commuting second-order factor list with its provenance."""
+    """Ordered commuting second-order factor list."""
 
     n: int
     k: int
     ell: int
     factors: tuple[OperatorPoly, ...]
-    provenance: str  # "definition-engine" | "theorem-main" | "theorem-L1"
 
     def product(self) -> OperatorPoly:
         out = OperatorPoly.make(self.n, self.k, 1)
@@ -156,9 +155,9 @@ class FactoredOperator:
         for f in self.factors:
             if len(f.e_coeffs) > 1 or len(f.f_coeffs) > 1:
                 raise InternalConsistencyError("factor of degree > 1 in E, F")
-            if f.e_coeff(1).as_rational() is None or f.f_coeff(1).as_rational() is None:
+            if f.e_coeff(1).m != 0 or f.f_coeff(1).m != 0:
                 raise InternalConsistencyError("factor E/F coefficient is not rational")
-            if not f.const.is_zero and f.const.monomial_degree() != 1:
+            if not f.const.is_zero and f.const.m != 1:
                 raise InternalConsistencyError("factor constant is not a rational multiple of J")
 
 
@@ -183,7 +182,7 @@ def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
         skip = {int(w), int(w) + 1}
         factors = list(sqyam_factors(n, k))
         factors += [yam_factor(n, k, w, i) for i in phi if i not in skip]
-    out = FactoredOperator(n, k, ell, tuple(factors), "theorem-main")
+    out = FactoredOperator(n, k, ell, tuple(factors))
     out.validate()
     return out
 

@@ -1,22 +1,25 @@
 """Free weighted-form expressions in d and the codifferential, and the ring R.
 
-Expressions are Q(J)-linear combinations of alternating words in the
-exterior derivative ``d`` and the codifferential (written ``c`` inside
-word strings, rendered as a lowercase delta) applied to one abstract
-generator form of fixed degree k and conformal weight w.  Words are
-stored outermost-letter-first, so the word "dc" is the composition
-d(delta(f)).  Repeated letters are identically zero (d d = 0, delta
-delta = 0) and are never stored; applying a letter that would push the
-degree outside [0, n] also yields zero rather than an error.
+Expressions are linear combinations, with coefficients c * J**m, of
+alternating words in the exterior derivative ``d`` and the
+codifferential (written ``c`` inside word strings, rendered as a
+lowercase delta) applied to one abstract generator form of fixed
+degree k and conformal weight w.  Words are stored outermost letter
+first, so the word "dc" is the composition d(delta(f)).  Repeated
+letters are identically zero (d d = 0, delta delta = 0) and are never
+stored; applying a letter that would push the degree outside [0, n]
+also yields zero rather than an error.
 
 Weight bookkeeping: d preserves the conformal weight, the codifferential
 lowers it by 2, and each power of J in a coefficient carries weight -2.
-The declared weight of an expression is redundant bookkeeping used to
-catch slot-mixing bugs early; it is asserted consistent term by term.
+Coefficients are graded monomials c * J**m (see ``coeffring``), so each
+term has one definite weight.  The declared weight of an expression is
+redundant bookkeeping used to catch slot-mixing bugs early; it is
+asserted consistent term by term.
 
 Degree-preserving expressions expand in the commutative quotient ring
-R = Q(J)[E, F] / (EF = FE = 0) with E the word "dc" and F the word "cd".
-Only monomials E^p, F^q and a constant survive in R.
+R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
+"cd".  Only monomials E^p, F^q and a constant survive in R.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffring import ONE, RatJ, ZERO, ratj, render_ratj
+from .coeffring import ONE, RatJ, ZERO, jpow, ratj, render_ratj
 
 D = "d"
 CD = "c"  # codifferential letter inside word strings
@@ -142,18 +145,12 @@ class FormExpr:
 
     def times_J(self, power: int = 1, c: Fraction | int = 1) -> FormExpr:
         """Multiply by c * J**power; J carries conformal weight -2."""
-        from .coeffring import jpow
-
-        scaled = self.scale(jpow(power, c))
-        return FormExpr(self.ctx, self.degree, self.weight - 2 * power, scaled.terms)
+        return self.scale_weighted(jpow(power, c))
 
     def scale_weighted(self, c: RatJ) -> FormExpr:
-        """Scale by c, lowering the declared weight by 2 per power of J when
-        c is a J-monomial (general coefficients scale weight-blind)."""
-        m = c.monomial_degree()
-        if m is None or m == 0:
-            return self.scale(c)
-        return self.times_J(m, c.num.coeffs[m])
+        """Scale by c = c0 * J**m, lowering the declared weight by 2m."""
+        scaled = self.scale(c)
+        return FormExpr(self.ctx, self.degree, self.weight - 2 * c.m, scaled.terms)
 
     def shift_weight(self, p: Fraction | int) -> FormExpr:
         """Multiply by the p-th power of the Einstein scale: weight shifts, values do not."""
@@ -198,10 +195,7 @@ class FormExpr:
                 raise FormAlgebraError(f"invalid stored word {w!r} for k={self.ctx.k}, n={self.ctx.n}")
             if self.ctx.k + word_degree_delta(w) != self.degree:
                 raise FormAlgebraError(f"word {w!r} does not produce degree {self.degree}")
-            mdeg = c.monomial_degree()
-            if mdeg is None:
-                raise FormAlgebraError(f"non-monomial coefficient {c} on word {w!r}")
-            natural = self.ctx.w + word_weight_delta(w) - 2 * mdeg
+            natural = self.ctx.w + word_weight_delta(w) - 2 * c.m
             off = self.weight - natural
             if offset is None:
                 offset = off
@@ -242,7 +236,7 @@ class FormExpr:
 
 @dataclass(frozen=True)
 class OperatorPoly:
-    """Element of R = Q(J)[E, F] / (EF = FE = 0) for operators on k-forms of M^n.
+    """Element of R = Q[J, 1/J][E, F] / (EF = FE = 0) for operators on k-forms of M^n.
 
     ``e_coeffs[p]`` multiplies E**(p+1) and ``f_coeffs[q]`` multiplies
     F**(q+1); mixed monomials vanish identically in R.
@@ -347,22 +341,27 @@ class OperatorPoly:
                 out["F" if q == 1 else f"F^{q}"] = c
         return out
 
-    def to_form_expr(self, ctx: FormContext) -> FormExpr:
-        """The expression obtained by applying the operator to the generator."""
-        if (ctx.n, ctx.k) != (self.n, self.k):
-            raise FormAlgebraError("context mismatch in to_form_expr")
-        gen = FormExpr.generator(ctx)
-        acc = gen.scale_weighted(self.const)
-        word_e = gen
-        for p in range(1, len(self.e_coeffs) + 1):
-            word_e = word_e.apply_word(D + CD)
-            acc = _add_weight_flex(acc, word_e.scale_weighted(self.e_coeff(p)))
-        word_f = gen
-        for q in range(1, len(self.f_coeffs) + 1):
-            word_f = word_f.apply_word(CD + D)
-            acc = _add_weight_flex(acc, word_f.scale_weighted(self.f_coeff(q)))
-        if acc.is_zero:
-            return FormExpr.zero(ctx, ctx.k, ctx.w)
+    def to_form_expr(self, expr: FormExpr) -> FormExpr:
+        """The operator applied wordwise to an expression of degree k.
+
+        Every monomial of a weight-homogeneous operator lowers the weight
+        by the same amount once its J power is counted, so the summands
+        share one declared weight; an inhomogeneous operator raises.
+        """
+        if (expr.ctx.n, expr.degree) != (self.n, self.k):
+            raise FormAlgebraError(
+                f"operator on {self.k}-forms of M^{self.n} applied to a degree-{expr.degree} "
+                f"expression on M^{expr.ctx.n}"
+            )
+        acc = expr.scale_weighted(self.const)
+        cur = expr
+        for c in self.e_coeffs:
+            cur = cur.apply_word(D + CD)
+            acc = acc + cur.scale_weighted(c)
+        cur = expr
+        for c in self.f_coeffs:
+            cur = cur.apply_word(CD + D)
+            acc = acc + cur.scale_weighted(c)
         return acc
 
     def render(self, latex: bool = False) -> str:
@@ -409,22 +408,6 @@ def _trim_coeffs(seq) -> tuple[RatJ, ...]:
     return tuple(out)
 
 
-def _add_weight_flex(a: FormExpr, b: FormExpr) -> FormExpr:
-    """Sum of degree-matching expressions whose declared weights may differ.
-
-    Used when rebuilding an expression from an OperatorPoly, which does not
-    carry weight data: the summands are re-declared at the weight of the
-    deepest word (every monomial of a weight-homogeneous operator has the
-    same total weight once its J power is counted).
-    """
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    wt = min(a.weight, b.weight)
-    return FormExpr(a.ctx, a.degree, wt, dict(a.terms)) + FormExpr(b.ctx, b.degree, wt, dict(b.terms))
-
-
 def to_operator_poly(expr: FormExpr) -> OperatorPoly:
     """Canonicalise a degree-preserving expression into R.
 
@@ -460,7 +443,7 @@ def to_operator_poly(expr: FormExpr) -> OperatorPoly:
 def proportionality(a: OperatorPoly, b: OperatorPoly) -> RatJ | None:
     """The exact constant c with a = c * b, if one exists.
 
-    Returns the zero of Q(J) when a = 0 (a is proportional to anything),
+    Returns the zero coefficient when a = 0 (a is proportional to anything),
     and None when no constant works.  b must be nonzero.
     """
     a._check(b)

@@ -28,6 +28,7 @@ from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_f
                       operator_weight)
 from .forms import CD, FormAlgebraError, FormContext, FormExpr, OperatorPoly, proportionality
 from .spectral import SpectralModel, eval_scalar, factor_kernel_content, kernel_dim
+from .tractor import InternalConsistencyError
 
 
 class BezoutError(ArithmeticError):
@@ -126,7 +127,8 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     L, G = build_L_and_G(n, k, ell)
     ctx = FormContext(n, k, w)
     lhs1 = G.scale(w)
-    rhs1 = -L.to_form_expr(ctx).apply_letter(CD)
+    gen = FormExpr.generator(ctx)
+    rhs1 = -L.to_form_expr(gen).apply_letter(CD)
     ok1 = lhs1.terms == rhs1.terms
     witness: dict[str, Any] = {}
     if not ok1:
@@ -134,8 +136,8 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     ok2 = True
     if k >= 2:
         lower = build_L_definition(n, k - 1, ell)
-        delta_f = FormExpr.generator(ctx).apply_letter(CD).shift_weight(1)
-        rhs2 = _apply_poly(lower, delta_f).scale(lg_second_scalar(n, k, ell)).shift_weight(-1)
+        delta_f = gen.apply_letter(CD).shift_weight(1)
+        rhs2 = lower.to_form_expr(delta_f).scale(lg_second_scalar(n, k, ell)).shift_weight(-1)
         ok2 = G.terms == rhs2.terms and G.weight == rhs2.weight
         if not ok2:
             witness["second"] = _expr_diff_witness(G, rhs2)
@@ -145,26 +147,16 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     return VerificationReport("LG", params, status, witness)
 
 
-def _apply_poly(op: OperatorPoly, expr: FormExpr) -> FormExpr:
-    """Apply an expanded weight-homogeneous operator to an expression wordwise."""
-    from .forms import D as _D
-    acc = expr.scale_weighted(op.const)
-    cur = expr
-    for p in range(1, len(op.e_coeffs) + 1):
-        cur = cur.apply_word(_D + CD)
-        acc = acc + cur.scale_weighted(op.e_coeff(p))
-    cur = expr
-    for q in range(1, len(op.f_coeffs) + 1):
-        cur = cur.apply_word(CD + _D)
-        acc = acc + cur.scale_weighted(op.f_coeff(q))
-    return acc
-
-
 # -- relative invertibility --------------------------------------------------
 
 
 def _linsolve_ratj(rows: list[list[RatJ]], rhs: list[RatJ]) -> list[RatJ] | None:
-    """One solution of A x = b over Q(J) (free variables set to zero), or None."""
+    """One solution of A x = b over Q(J) (free variables set to zero), or None.
+
+    The systems solved here are weight-homogeneous (entry (i, j) has J
+    degree r_i - c_j), and row operations keep that grading, so every
+    entry stays a single monomial c * J**m.
+    """
     m = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
@@ -228,12 +220,8 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
     phi_t = OperatorPoly.make(s.n, s.k, z2, (x2,), (y2,))
     check = phi_s * s + phi_t * t
     if check.monomials() != {"1": ratj(1)}:
-        raise InternalError(f"solver returned a non-witness: {check.render()}")
+        raise InternalConsistencyError(f"solver returned a non-witness: {check.render()}")
     return phi_s, phi_t
-
-
-class InternalError(AssertionError):
-    pass
 
 
 def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -54,6 +55,38 @@ def test_verify_deterministic_payload(tmp_path):
     assert run_cli(args + ["--output", str(a)]) == 0
     assert run_cli(args + ["--output", str(b)]) == 0
     assert report_payload_bytes(a) == report_payload_bytes(b)
+
+
+# sha256 of the deterministic payload of the default-grid `formlap verify`
+# (1330 checks); any drift in rendering or in a verdict changes it
+DEFAULT_VERIFY_PAYLOAD_SHA256 = "a3d48c4363049b0906babddd77e494455eb4f5c883e33963de4d71b3ab6a218f"
+
+
+def test_verify_default_grid_golden_payload(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--output", str(out)]) == 0
+    digest = hashlib.sha256(report_payload_bytes(out)).hexdigest()
+    assert digest == DEFAULT_VERIFY_PAYLOAD_SHA256
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["--n-min", "2"], "--n-min"),
+    (["--j-value", "abc"], "--j-value"),
+    (["--ell-max", "0"], "empty sweep"),
+    (["--n-min", "7", "--n-max", "5"], "empty sweep"),
+], ids=["n-min-below-3", "j-value-not-rational", "ell-max-zero", "n-range-empty"])
+def test_verify_usage_error(capsys, args, needle):
+    assert run_cli(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:") and needle in lines[0]
+    assert captured.out == ""
+
+
+def test_verify_no_checks_is_usage_error(capsys):
+    # bezout needs ell >= 2: this grid selects nothing, which is not a pass
+    assert run_cli(["verify", "--n-max", "4", "--ell-max", "1", "--theorems", "bezout"]) == 2
+    assert "no checks" in capsys.readouterr().err
 
 
 def test_verify_unwritable_output(tmp_path):

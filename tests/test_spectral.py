@@ -51,7 +51,8 @@ point_strategy = st.builds(
 @settings(max_examples=60)
 def test_eval_multiplicative_over_product(points, a, b, c):
     p = OperatorPoly.make(6, 2, ratj(c) * J, (ratj(a),), (ratj(b),))
-    q = OperatorPoly.make(6, 2, ratj(1), (ratj(b),), (ratj(a), ratj(1)))
+    # q is weight-homogeneous: each E^p / F^q coefficient carries J^(2-p)
+    q = OperatorPoly.make(6, 2, J * J, (J * b,), (J * a, ratj(1)))
     prod = p * q
     for point in points:
         lhs = eval_scalar(prod, point, Fraction(2))

@@ -51,7 +51,6 @@ def test_LG_second_scalar_value():
     # the engine-calibrated scalar is 1/(n+w-2k+1); the printed
     # (k-1)/(k(n+w-2k+1)) differs by exactly (k-1)/k, which fails on the
     # whole grid -- documented in the repository notes
-    from formlap.verify import _apply_poly
     from formlap.forms import CD, FormContext, FormExpr
 
     for (n, k, ell) in [(6, 2, 1), (8, 3, 1), (10, 4, 2), (6, 2, 3)]:
@@ -62,7 +61,7 @@ def test_LG_second_scalar_value():
         g = build_G(n, k, ell)
         lower = build_L_definition(n, k - 1, ell)
         delta_f = FormExpr.generator(ctx).apply_letter(CD).shift_weight(1)
-        rhs = _apply_poly(lower, delta_f).shift_weight(-1)
+        rhs = lower.to_form_expr(delta_f).shift_weight(-1)
         scalar = lg_second_scalar(n, k, ell)
         assert g.terms == rhs.scale(scalar).terms
         printed = Fraction(k - 1, k) * scalar
