@@ -4,10 +4,9 @@ manifolds, with flat-torus and simplicial-sphere numerical oracles."""
 
 from .coeffring import (CoefficientError, J, ONE, RatJ, Rational, ZERO, jpow, parse_ratj,
                         ratj, render_ratj)
-from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly,
-                    proportionality, to_operator_poly)
-from .tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar, apply_box,
-                      extract_slots, make_M)
+from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
+                    OperatorPoly, proportionality, to_operator_poly)
+from .tractor import TractorFormExpr, apply_Mstar, apply_box, extract_slots, make_M
 from .factory import (FactoredOperator, build_G, build_L_and_G, build_L_definition,
                       build_tmodbox, closed_factors, closed_G1, closed_L1,
                       closed_tmodbox1, closed_tmodbox2, closed_tmodbox2_w1,

@@ -59,8 +59,7 @@ def report_payload_bytes(path: Path) -> bytes:
 def cmd_expand(args: argparse.Namespace) -> int:
     from .coeffring import render_ratj
     from .factory import build_L_definition, closed_factors
-    from .forms import FormAlgebraError, proportionality
-    from .tractor import InternalConsistencyError
+    from .forms import FormAlgebraError, InternalConsistencyError, proportionality
 
     try:
         expanded = build_L_definition(args.n, args.k, args.ell)
@@ -107,6 +106,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--n-max {args.n_max} < --n-min {args.n_min}: empty sweep")
     if args.ell_max < 1:
         return _usage_error(f"--ell-max {args.ell_max} < 1: empty sweep")
+    if j_value == 0 and "kernel" in args.theorems:
+        return _usage_error("--j-value 0: the kernel decomposition needs J != 0 "
+                            "(a manifold that is not Ricci flat)")
     cfg = SweepConfig(
         n_range=range(args.n_min, args.n_max + 1),
         theorems=tuple(args.theorems),
@@ -144,6 +146,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_torus(args: argparse.Namespace) -> int:
     from .torus import compare_pipelines, random_modes
 
+    if min(args.n) < 3:
+        return _usage_error(f"--n {min(args.n)} < 3")
+    if args.ell_max < 1:
+        return _usage_error(f"--ell-max {args.ell_max} < 1: no cells")
+    if args.modes < 1:
+        return _usage_error(f"--modes {args.modes} < 1: nothing to compare")
     cells = []
     status_ok = True
     for n in args.n:
@@ -175,33 +183,42 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
 def cmd_oracle_dec(args: argparse.Namespace) -> int:
     from .dec import (MeshError, betti_numbers, build_mesh_cached, compare_sphere_spectrum,
-                      dec_import_model, subdivide_barycentric, unit_sphere_edge_scale)
+                      dec_import_model, spectrum, subdivide_barycentric)
     from .spectral import sphere_preset
 
+    if args.promote is not None and args.mesh == "torus3-grid":
+        return _usage_error("--promote needs a sphere mesh: torus3-grid has no sphere reference")
     try:
         if args.mesh == "torus3-grid" and (args.size is None or args.size < 3):
             raise MeshError("torus3-grid needs --size m with m >= 3")
         mesh = build_mesh_cached(args.mesh, args.size)
+        if args.subdivide:
+            mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
     except MeshError as exc:
         return _usage_error(str(exc))
-    if args.subdivide:
-        mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
+    if not 0 <= args.k <= mesh.dim:
+        return _usage_error(f"--k {args.k} outside 0..{mesh.dim}")
+    nk = len(mesh.simplices[args.k])
+    if not 1 <= args.eigs <= nk:
+        return _usage_error(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
+    betti = betti_numbers(mesh)
     payload: dict = {
         "schema": REPORT_SCHEMA,
         "config": {"mesh": args.mesh, "size": args.size, "k": args.k,
                    "eigs": args.eigs, "subdivide": bool(args.subdivide)},
-        "betti": list(betti_numbers(mesh)),
+        "betti": list(betti),
     }
     ok = True
     if args.mesh in ("cell600", "boundary-4-simplex"):
+        spec = spectrum(mesh, args.k, args.eigs, betti_k=betti[args.k])
         ref = sphere_preset(3, args.k, j_max=4)
         reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points
                      if p.kind != "harmonic"]
-        cmp = compare_sphere_spectrum(mesh, args.k, args.eigs, reference)
+        cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
         payload["sphere_comparison"] = cmp
         ok &= cmp["max_rel_error"] <= args.rtol
         if args.promote is not None:
-            model = dec_import_model(mesh, args.k, args.eigs, rtol=args.rtol)
+            model = dec_import_model(mesh, args.k, spec, rtol=args.rtol)
             model.save(args.promote)
             payload["promoted_to"] = str(args.promote)
     try:

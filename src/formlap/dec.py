@@ -2,11 +2,14 @@
 
 Supplies the numerical side of the spectral checks: simplicial meshes
 of the flat 3-torus and of the 3-sphere (the boundary of the 4-simplex
-and the 600-cell), diagonal Hodge stars (circumcentric with a
-barycentric fallback on meshes that are not well-centered), the
-up/down Laplacian pieces, exact Betti numbers by integer rank
-computation, and approximate eigenvalues of the two pieces for
-comparison against the trusted sphere spectrum file.
+and the 600-cell), the up/down Laplacian pieces, exact Betti numbers by
+integer rank computation, and approximate eigenvalues of the two pieces
+for comparison against the trusted sphere spectrum file.
+
+Each mesh takes one of two spectrum paths, decided by a single flag
+pass over its tets: diagonal circumcentric Hodge stars when the mesh
+is well-centered, the Galerkin (Whitney-form) masses of whitney.py
+otherwise.  Both feed the same pencil builder.
 
 Boundary matrices are exact integer matrices; Betti numbers never pass
 through floating point.  Eigenvalues do, and are treated as
@@ -19,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,13 +308,15 @@ def subdivide_barycentric(mesh: SimplicialMesh, project_radius: float | None = N
 # -- Hodge stars ----------------------------------------------------------------
 
 
-def _flag_dual_volumes(mesh: SimplicialMesh, centers: str) -> list[np.ndarray] | None:
-    """Dual volumes per simplex via flags inside each tet.
+def _flag_dual_volumes(mesh: SimplicialMesh) -> list[np.ndarray] | None:
+    """Circumcentric dual volumes per simplex via flags inside each tet.
 
-    centers = "circumcentric" uses the orthogonal-projection property of
-    circumcenters (signed heights); "barycentric" uses plain simplex
-    volumes of the barycenter flags (always positive).  Returns None if
-    a circumcentric accumulation produced a nonpositive total.
+    Uses the orthogonal-projection property of circumcenters (signed
+    heights).  Returns None when the mesh is not well-centered: some
+    accumulated dual volume is nonpositive, or so small against the
+    largest one of its dimension that only rounding separates it from
+    zero (the threshold is relative, so the answer does not depend on
+    units).
     """
     duals = [np.zeros(len(mesh.simplices[d])) for d in range(4)]
     for t_idx in range(len(mesh.simplices[3])):
@@ -319,11 +325,8 @@ def _flag_dual_volumes(mesh: SimplicialMesh, centers: str) -> list[np.ndarray] |
         center_of: dict[int, np.ndarray] = {}
         for local in range(1, 16):
             subset = [i for i in range(4) if local & (1 << i)]
-            sp = pts[subset]
-            center_of[local] = _circumcenter(sp) if centers == "circumcentric" else _barycenter(sp)
+            center_of[local] = _circumcenter(pts[subset])
 
-        full = 15
-        duals[3][t_idx] += 0.0  # dual of a tet is its center point (volume 1 handled in star)
         for d in range(3):
             for subset in itertools.combinations(range(4), d + 1):
                 local = sum(1 << i for i in subset)
@@ -336,38 +339,27 @@ def _flag_dual_volumes(mesh: SimplicialMesh, centers: str) -> list[np.ndarray] |
                         acc |= 1 << v
                         locs.append(acc)
                     cs = [center_of[l] for l in locs]
-                    if centers == "circumcentric":
-                        vol = 1.0
-                        for step in range(len(cs) - 1):
-                            u = cs[step + 1] - cs[step]
-                            opp = [i for i in range(4) if locs[step + 1] & (1 << i) and not locs[step] & (1 << i)][0]
-                            w_vec = pts[opp] - cs[step]
-                            h = np.linalg.norm(u)
-                            sgn = 1.0 if u @ w_vec >= 0 else -1.0
-                            vol *= sgn * h
-                        vol /= math.factorial(3 - d)
-                    else:
-                        vol = _simplex_volume(np.array(cs))
+                    vol = 1.0
+                    for step in range(len(cs) - 1):
+                        u = cs[step + 1] - cs[step]
+                        opp = [i for i in range(4) if locs[step + 1] & (1 << i) and not locs[step] & (1 << i)][0]
+                        w_vec = pts[opp] - cs[step]
+                        h = np.linalg.norm(u)
+                        sgn = 1.0 if u @ w_vec >= 0 else -1.0
+                        vol *= sgn * h
+                    vol /= math.factorial(3 - d)
                     duals[d][s_idx] += vol
     for d in range(3):
-        if np.any(duals[d] <= 1e-14):
-            return None if centers == "circumcentric" else _raise_degenerate(d)
+        if np.any(duals[d] <= 1e-12 * np.abs(duals[d]).max()):
+            return None
     return duals
 
 
-def _raise_degenerate(d: int):
-    raise MeshError(f"degenerate barycentric dual volume at dimension {d}")
-
-
-def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix]:
-    """Diagonal Hodge stars, circumcentric when well-centered else barycentric."""
-    duals = _flag_dual_volumes(mesh, "circumcentric")
+def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix] | None:
+    """Diagonal circumcentric Hodge stars, or None if the mesh is not well-centered."""
+    duals = _flag_dual_volumes(mesh)
     if duals is None:
-        warnings.warn(
-            f"mesh {mesh.name} is not well-centered; falling back to barycentric stars",
-            RuntimeWarning, stacklevel=2)
-        duals = _flag_dual_volumes(mesh, "barycentric")
-        assert duals is not None
+        return None
     stars = []
     for d in range(4):
         primal = np.array([_simplex_volume(pts) for pts in mesh.coords[d]])
@@ -376,33 +368,29 @@ def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix]:
     return stars
 
 
-def hodge_operators(mesh: SimplicialMesh, k: int,
-                    stars: list[scipy.sparse.dia_matrix] | None = None
-                    ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    """(up, down) pieces of the Hodge Laplacian on k-cochains.
+def laplacian_pencil(mesh: SimplicialMesh, k: int, masses: list
+                     ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix,
+                                scipy.sparse.csr_matrix]:
+    """(full Laplacian form, up form, mass) on k-cochains, all sparse.
 
-    up is the codifferential-after-d piece, down the d-after-codifferential
-    piece; both are symmetric in the star inner product and their products
-    vanish because the boundary of a boundary is empty.
+    masses[d] is the mass matrix on d-cochains for d = k-1, k, k+1 (as
+    far as the complex has them): Hodge stars or Whitney masses.  The up
+    form is d^T M_{k+1} d and the down form (M_k d) M_{k-1}^-1 (M_k d)^T,
+    so masses[k-1] must be diagonal.
     """
-    if not 0 <= k <= mesh.dim:
-        raise MeshError(f"degree {k} outside 0..{mesh.dim}")
-    if stars is None:
-        stars = hodge_stars(mesh)
     nk = len(mesh.simplices[k])
-    inv_k = scipy.sparse.diags(1.0 / stars[k].diagonal())
+    mass = masses[k]
+    a_up = scipy.sparse.csr_matrix((nk, nk))
+    a_down = scipy.sparse.csr_matrix((nk, nk))
     if k < mesh.dim:
         d_k = mesh.boundaries[k + 1].T.astype(float)
-        up = inv_k @ d_k.T @ stars[k + 1] @ d_k
-    else:
-        up = scipy.sparse.csr_matrix((nk, nk))
+        a_up = (d_k.T @ masses[k + 1] @ d_k).tocsr()
     if k > 0:
         d_km1 = mesh.boundaries[k].T.astype(float)
-        inv_km1 = scipy.sparse.diags(1.0 / stars[k - 1].diagonal())
-        down = d_km1 @ inv_km1 @ d_km1.T @ stars[k]
-    else:
-        down = scipy.sparse.csr_matrix((nk, nk))
-    return up.tocsr(), down.tocsr()
+        inv_km1 = scipy.sparse.diags(1.0 / masses[k - 1].diagonal())
+        c = (mass @ d_km1).tocsr()
+        a_down = (c @ inv_km1 @ c.T).tocsr()
+    return (a_up + a_down).tocsr(), a_up, scipy.sparse.csr_matrix(mass)
 
 
 # -- exact rank and Betti numbers -------------------------------------------------
@@ -475,24 +463,7 @@ def betti_numbers(mesh: SimplicialMesh) -> tuple[int, int, int, int]:
 
 
 def is_well_centered(mesh: SimplicialMesh) -> bool:
-    return _flag_dual_volumes(mesh, "circumcentric") is not None
-
-
-def _diagonal_pencil(mesh: SimplicialMesh, k: int,
-                     stars: list[scipy.sparse.dia_matrix]) -> tuple:
-    nk = len(mesh.simplices[k])
-    star_k = stars[k]
-    a_up = scipy.sparse.csr_matrix((nk, nk))
-    a_down = scipy.sparse.csr_matrix((nk, nk))
-    if k < mesh.dim:
-        d_k = mesh.boundaries[k + 1].T.astype(float)
-        a_up = (d_k.T @ stars[k + 1] @ d_k).tocsr()
-    if k > 0:
-        d_km1 = mesh.boundaries[k].T.astype(float)
-        inv_km1 = scipy.sparse.diags(1.0 / stars[k - 1].diagonal())
-        c = (star_k @ d_km1).tocsr()
-        a_down = (c @ inv_km1 @ c.T).tocsr()
-    return (a_up + a_down).tocsr(), a_up, scipy.sparse.csr_matrix(star_k)
+    return _flag_dual_volumes(mesh) is not None
 
 
 def _lowest_pairs(a_full, a_up, mass, count: int, b_k: int) -> list[tuple[float, str]]:
@@ -536,21 +507,18 @@ def _lowest_pairs(a_full, a_up, mass, count: int, b_k: int) -> list[tuple[float,
 
 
 def spectrum(mesh: SimplicialMesh, k: int, count: int,
-             stars: list[scipy.sparse.dia_matrix] | None = None,
-             method: str = "auto", betti_k: int | None = None) -> list[tuple[float, str]]:
+             betti_k: int | None = None) -> list[tuple[float, str]]:
     """Lowest eigenvalues of the two Laplacian pieces on k-cochains.
 
     Returns (eigenvalue, kind) pairs sorted by eigenvalue; the harmonic
     entries come from the exact Betti number, never from numerical
     zeros.  Nonzero eigenpairs are classified exact/coexact by the
     Rayleigh quotient of the up piece.  Callers that already know the
-    k-th Betti number (a refined mesh of a verified one, say) can pass
-    it to skip the exact rank computation.
+    k-th Betti number (from their own betti_numbers call, or a refined
+    mesh of a verified one) pass it to skip the exact rank computation.
 
-    method "auto" uses diagonal circumcentric stars on well-centered
-    meshes and the Galerkin (Whitney) matrices otherwise: the diagonal
-    barycentric substitute is measurably inconsistent on skewed
-    elements and is not used for eigenvalues.
+    Well-centered meshes use diagonal circumcentric stars (Hirani 2003);
+    all others the Galerkin (Whitney) matrices (Arnold-Falk-Winther 2006).
     """
     if not 0 <= k <= mesh.dim:
         raise MeshError(f"degree {k} outside 0..{mesh.dim}")
@@ -558,31 +526,14 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int,
     if count > nk:
         raise MeshError(f"requested {count} eigenvalues of a {nk}-dimensional space")
     b_k = betti_numbers(mesh)[k] if betti_k is None else betti_k
-    if method == "auto":
-        if stars is not None or is_well_centered(mesh):
-            method = "circumcentric"
-        else:
-            method = "whitney"
-    if method == "circumcentric":
-        a_full, a_up, mass = _diagonal_pencil(mesh, k, stars if stars is not None else hodge_stars(mesh))
-    elif method == "whitney":
+    stars = hodge_stars(mesh)
+    if stars is not None:
+        a_full, a_up, mass = laplacian_pencil(mesh, k, stars)
+    else:
         from .whitney import galerkin_laplacian
 
-        if k > 1:
-            raise MeshError("galerkin spectra implemented for degrees 0 and 1 only")
         a_full, a_up, mass = galerkin_laplacian(mesh, k)
-    else:
-        raise MeshError(f"unknown spectrum method {method!r}")
     return _lowest_pairs(a_full, a_up, mass, count, b_k)
-
-
-def pl_volume(mesh: SimplicialMesh) -> float:
-    return float(sum(_simplex_volume(pts) for pts in mesh.coords[3]))
-
-
-def sphere_scale_factor(mesh: SimplicialMesh) -> float:
-    """Volume-based eigenvalue scaling onto the unit sphere (2/3 power)."""
-    return (pl_volume(mesh) / (2 * math.pi ** 2)) ** (2.0 / 3.0)
 
 
 def unit_sphere_edge_scale(mesh: SimplicialMesh) -> float:
@@ -622,18 +573,18 @@ def _cluster(values: list[float], rel_gap: float = 0.06) -> list[tuple[float, in
     return clusters
 
 
-def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, count: int,
+def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
                             reference: list[tuple[str, Fraction, int]],
-                            shells_per_kind: int = 1, betti_k: int | None = None) -> dict:
+                            shells_per_kind: int = 1) -> dict:
     """Relative discrepancies of the lowest per-kind eigenvalue shells.
 
-    reference lists (kind, exact eigenvalue, multiplicity) sorted per
-    kind.  Computed eigenvalues are scaled onto the unit sphere by the
-    edge-geodesic factor, clustered into approximate multiplets, and the
-    cluster means are compared to the reference shells.
+    spec is spectrum(mesh, k, ...).  reference lists (kind, exact
+    eigenvalue, multiplicity) sorted per kind.  Computed eigenvalues are
+    scaled onto the unit sphere by the edge-geodesic factor, clustered
+    into approximate multiplets, and the cluster means are compared to
+    the reference shells.
     """
     scale = unit_sphere_edge_scale(mesh)
-    spec = spectrum(mesh, k, count, betti_k=betti_k)
     result: dict = {"mesh": mesh.name, "k": k, "scale": scale, "entries": []}
     for kind in ("exact", "coexact"):
         refs = [(float(v), mult) for kd, v, mult in reference if kd == kind]
@@ -651,22 +602,22 @@ def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, count: int,
     return result
 
 
-def dec_import_model(mesh: SimplicialMesh, k: int, count: int,
+def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
                      rtol: float = 0.10, shells_per_kind: int = 1) -> "SpectralModel":
     """Promote oracle eigenvalues into an exact spectral model.
 
-    The lowest shells_per_kind clusters per kind (unit-sphere scaled) are
-    matched to the nearest trusted reference eigenvalue within rtol and
-    promoted to that exact rational, with the measured cluster sizes as
-    multiplicities.  A shell that matches nothing aborts the import: a
-    model with unexplained spectral content must not feed the kernel
-    checks.  Higher shells are discarded as mesh-unresolved.
+    spec is spectrum(mesh, k, ...).  The lowest shells_per_kind clusters
+    per kind (unit-sphere scaled) are matched to the nearest trusted
+    reference eigenvalue within rtol and promoted to that exact rational,
+    with the measured cluster sizes as multiplicities.  A shell that
+    matches nothing aborts the import: a model with unexplained spectral
+    content must not feed the kernel checks.  Higher shells are discarded
+    as mesh-unresolved.
     """
     from .spectral import SpectralModel, SpectralPoint, sphere_preset
 
     reference = sphere_preset(3, k, j_max=8)
     scale = unit_sphere_edge_scale(mesh)
-    spec = spectrum(mesh, k, count)
     points: list[SpectralPoint] = []
     b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     measured_b = sum(1 for lam, kd in spec if kd == "harmonic")
@@ -706,13 +657,20 @@ def build_mesh_cached(preset: str, m: int | None = None) -> SimplicialMesh:
         return build_mesh(preset, m)
     cdir.mkdir(parents=True, exist_ok=True)
     path = cdir / (mesh_cache_key(preset, m) + ".json")
-    if path.exists():
-        try:
-            return _mesh_from_json(json.loads(path.read_text()))
-        except Exception:
-            path.unlink()
+    try:
+        return _mesh_from_json(json.loads(path.read_text()))
+    except (OSError, KeyError, ValueError):  # missing or unreadable; MeshError is a ValueError
+        pass
     mesh = build_mesh(preset, m)
-    path.write_text(json.dumps(_mesh_to_json(mesh)))
+    # write beside the target and rename, so no reader sees a partial file
+    fd, tmp = tempfile.mkstemp(dir=cdir, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(_mesh_to_json(mesh)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return mesh
 
 

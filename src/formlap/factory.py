@@ -24,9 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import jpow, ratj
-from .forms import CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly, to_operator_poly
-from .tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar, apply_box,
-                      assert_top_slots_vanish, extract_slots, make_M)
+from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
+                    OperatorPoly, to_operator_poly)
+from .tractor import (TractorFormExpr, apply_Mstar, apply_box, assert_top_slots_vanish,
+                      extract_slots, make_M)
 
 
 def operator_weight(n: int, k: int, ell: int) -> Fraction:

@@ -39,6 +39,10 @@ class FormAlgebraError(ValueError):
     """Contract violation in the expression algebra (not a degenerate zero)."""
 
 
+class InternalConsistencyError(AssertionError):
+    """A structural identity the pipeline guarantees failed to hold."""
+
+
 @dataclass(frozen=True)
 class FormContext:
     """Dimension n, generator degree k and generator conformal weight w."""

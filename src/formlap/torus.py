@@ -30,11 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import OperatorPoly
-
-
-class OracleError(AssertionError):
-    """Internal consistency failure in the numeric pipeline."""
+from .forms import InternalConsistencyError, OperatorPoly
 
 
 def _obj(shape) -> np.ndarray:
@@ -279,10 +275,10 @@ def pipeline_L_numeric(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndar
     for name in ("y", "w"):
         rows = blocks[name]
         if rows and (np.any(full.re[rows] != 0) or np.any(full.im[rows] != 0)):
-            raise OracleError(f"nonvanishing {name!r} slot block at xi = {xi}")
+            raise InternalConsistencyError(f"nonvanishing {name!r} slot block at xi = {xi}")
     mid = blocks["z"]
     if np.any(full.im[mid] != 0):
-        raise OracleError(f"residual imaginary part in the middle block at xi = {xi}")
+        raise InternalConsistencyError(f"residual imaginary part in the middle block at xi = {xi}")
     return full.re[mid] * k
 
 
@@ -309,7 +305,7 @@ def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int, xi: tuple[int, ...],
         cur = f_mat @ cur
         acc = acc + cur.scale(op.f_coeff(q).eval_at(j_value))
     if not acc.is_real:
-        raise OracleError("imaginary part in an expanded operator mode matrix")
+        raise InternalConsistencyError("imaginary part in an expanded operator mode matrix")
     return acc.re
 
 

@@ -32,11 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import CD, D, FormAlgebraError, FormContext, FormExpr
-
-
-class InternalConsistencyError(AssertionError):
-    """A structural identity the pipeline guarantees failed to hold."""
+from .forms import CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from typing import Any
 from .coeffring import RatJ, ZERO, ratj, render_ratj
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
-from .forms import CD, FormAlgebraError, FormContext, FormExpr, OperatorPoly, proportionality
+from .forms import (CD, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
+                    OperatorPoly, proportionality)
 from .spectral import SpectralModel, eval_scalar, factor_kernel_content, kernel_dim
-from .tractor import InternalConsistencyError
 
 
 class BezoutError(ArithmeticError):

@@ -1,12 +1,10 @@
 """Galerkin (Whitney-form) mass matrices for simplicial 3-complexes.
 
-Diagonal circumcentric stars are the first choice for spectra, but they
-require a well-centered mesh; the diagonal barycentric substitute is
-inconsistent on skewed elements (measured at tens of percent on a
-barycentrically subdivided 600-cell).  The Whitney-form mass matrices
-below stay consistent on any shape-regular mesh and keep every operator
-sparse: the vertex mass is additionally returned in lumped (diagonal)
-form so the degree-one down-Laplacian piece needs no dense inverse.
+Diagonal circumcentric stars need a well-centered mesh; on every other
+mesh the spectrum uses the Whitney-form mass matrices below, which stay
+consistent on any shape-regular mesh and keep every operator sparse.
+The vertex mass is additionally returned in lumped (diagonal) form so
+the degree-one down-Laplacian piece needs no dense inverse.
 
 All element quantities reduce to barycentric-gradient dot products, so
 the construction works directly with coordinates in any ambient
@@ -21,7 +19,7 @@ import itertools
 import numpy as np
 import scipy.sparse
 
-from .dec import SimplicialMesh, _simplex_volume
+from .dec import MeshError, SimplicialMesh, _simplex_volume, laplacian_pencil
 
 
 def _tet_gradients(pts: np.ndarray) -> tuple[np.ndarray, float]:
@@ -121,18 +119,9 @@ def galerkin_laplacian(mesh: SimplicialMesh, k: int, masses: dict | None = None
     At degree one the down piece uses the lumped vertex mass so its
     inverse stays diagonal; the up piece is the exact Galerkin form.
     """
+    if k not in (0, 1):
+        raise MeshError("galerkin spectra implemented for degrees 0 and 1 only")
     if masses is None:
         masses = whitney_masses(mesh)
-    if k == 0:
-        d0 = mesh.boundaries[1].T.astype(float)
-        a_up = (d0.T @ masses["M1"] @ d0).tocsr()
-        return a_up, a_up, masses["M0"].tocsr()
-    if k == 1:
-        d1 = mesh.boundaries[2].T.astype(float)
-        a_up = (d1.T @ masses["M2"] @ d1).tocsr()
-        d0 = mesh.boundaries[1].T.astype(float)
-        inv_lump = scipy.sparse.diags(1.0 / masses["M0_lumped"].diagonal())
-        c = (masses["M1"] @ d0).tocsr()
-        a_down = (c @ inv_lump @ c.T).tocsr()
-        return (a_up + a_down).tocsr(), a_up, masses["M1"].tocsr()
-    raise ValueError("galerkin path implemented for degrees 0 and 1 only")
+    vertex_mass = masses["M0"] if k == 0 else masses["M0_lumped"]
+    return laplacian_pencil(mesh, k, [vertex_mass, masses["M1"], masses["M2"]])

@@ -15,7 +15,6 @@ corrected form and the defect is pinned by its own assertion.
 """
 
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -154,7 +153,7 @@ def test_criterion_07_relative_inverses(capfd):
 
 
 def test_criterion_08_kernel_decomposition(capfd):
-    from formlap.dec import build_mesh, dec_import_model
+    from formlap.dec import build_mesh, dec_import_model, spectrum
     from formlap.spectral import synthetic_model
 
     failures = []
@@ -172,7 +171,7 @@ def test_criterion_08_kernel_decomposition(capfd):
         distinct_ok &= len(bars) == ell and len(tils) == ell
     # the imported sphere model
     mesh = build_mesh("cell600")
-    sphere = dec_import_model(mesh, 1, 40)
+    sphere = dec_import_model(mesh, 1, spectrum(mesh, 1, 40))
     sphere_ok = all(verify_kernel_decomposition(3, 1, ell, sphere).passed for ell in (1, 2, 3))
     report(capfd, "8 kernel decomposition on synthetic and imported sphere models",
            not failures and distinct_ok and sphere_ok,
@@ -200,7 +199,7 @@ def test_criterion_09_torus_oracle(capfd):
 
 
 def test_criterion_10_dec_oracle(capfd):
-    from formlap.dec import (betti_numbers, build_mesh, compare_sphere_spectrum,
+    from formlap.dec import (betti_numbers, build_mesh, compare_sphere_spectrum, spectrum,
                              subdivide_barycentric)
     from formlap.spectral import sphere_preset
 
@@ -211,13 +210,12 @@ def test_criterion_10_dec_oracle(capfd):
 
     ref = sphere_preset(3, 1, 2)
     reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points]
-    coarse = compare_sphere_spectrum(sphere, 1, 40, reference)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        refined_mesh = subdivide_barycentric(sphere, project_radius=1.0)
-        # subdivision preserves the topology, so the verified Betti number
-        # carries over and the expensive exact rank can be skipped
-        refined = compare_sphere_spectrum(refined_mesh, 1, 12, reference, betti_k=0)
+    coarse = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)
+    refined_mesh = subdivide_barycentric(sphere, project_radius=1.0)
+    # subdivision preserves the topology, so the verified Betti number
+    # carries over and the expensive exact rank can be skipped
+    refined = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12, betti_k=0),
+                                      reference)
     elapsed = time.time() - t0
     ok = (betti_ok and coarse["max_rel_error"] <= 0.10
           and refined["max_rel_error"] < coarse["max_rel_error"]

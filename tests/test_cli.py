@@ -74,7 +74,9 @@ def test_verify_default_grid_golden_payload(tmp_path):
     (["--j-value", "abc"], "--j-value"),
     (["--ell-max", "0"], "empty sweep"),
     (["--n-min", "7", "--n-max", "5"], "empty sweep"),
-], ids=["n-min-below-3", "j-value-not-rational", "ell-max-zero", "n-range-empty"])
+    (["--j-value", "0"], "Ricci flat"),
+], ids=["n-min-below-3", "j-value-not-rational", "ell-max-zero", "n-range-empty",
+        "j-value-zero-with-kernel"])
 def test_verify_usage_error(capsys, args, needle):
     assert run_cli(["verify", *args]) == 2
     captured = capsys.readouterr()
@@ -87,6 +89,14 @@ def test_verify_no_checks_is_usage_error(capsys):
     # bezout needs ell >= 2: this grid selects nothing, which is not a pass
     assert run_cli(["verify", "--n-max", "4", "--ell-max", "1", "--theorems", "bezout"]) == 2
     assert "no checks" in capsys.readouterr().err
+
+
+def test_verify_j_value_zero_without_kernel_runs(tmp_path):
+    # J = 0 lies outside the kernel decomposition only; factorization still holds
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--n-max", "4", "--ell-max", "2", "--theorems", "factorization",
+                    "--j-value", "0", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["summary"]["failed"] == 0
 
 
 def test_verify_unwritable_output(tmp_path):
@@ -108,6 +118,24 @@ def test_oracle_torus_small(tmp_path):
 def test_oracle_dec_usage_error(capsys):
     assert run_cli(["oracle", "dec", "--mesh", "torus3-grid", "--size", "2"]) == 2
     assert "m >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["torus", "--n", "2"], "--n"),
+    (["torus", "--ell-max", "0"], "--ell-max"),
+    (["torus", "--modes", "0"], "--modes"),
+    (["dec", "--mesh", "boundary-4-simplex", "--k", "5"], "--k"),
+    (["dec", "--mesh", "boundary-4-simplex", "--eigs", "500"], "--eigs"),
+    (["dec", "--mesh", "torus3-grid", "--size", "3", "--subdivide"], "subdivision"),
+    (["dec", "--mesh", "torus3-grid", "--size", "3", "--promote", "model.json"], "--promote"),
+], ids=["torus-n-below-3", "torus-ell-max-zero", "torus-modes-zero", "dec-k-above-dim",
+        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus"])
+def test_oracle_usage_error(capsys, args, needle):
+    assert run_cli(["oracle", *args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:") and needle in lines[0]
+    assert captured.out == ""
 
 
 def test_oracle_dec_five_cell(tmp_path):

@@ -1,14 +1,15 @@
-import math
-import warnings
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from formlap.dec import (MeshError, betti_numbers, build_mesh, compare_sphere_spectrum,
-                         dec_import_model, hodge_operators, hodge_stars, integer_rank,
-                         is_well_centered, pl_volume, spectrum, subdivide_barycentric,
+                         dec_import_model, hodge_stars, integer_rank, is_well_centered,
+                         laplacian_pencil, spectrum, subdivide_barycentric,
                          unit_sphere_edge_scale)
+from formlap.whitney import galerkin_laplacian
 
 
 @pytest.fixture(scope="module")
@@ -67,31 +68,45 @@ def test_integer_rank_small():
     assert integer_rank(m2) == 2
 
 
-def test_hodge_operator_structure(five_cell):
-    up, down = hodge_operators(five_cell, 0)
-    assert down.nnz == 0
-    up1, down1 = hodge_operators(five_cell, 1)
-    assert abs((up1 @ down1)).max() < 1e-10
-    assert abs((down1 @ up1)).max() < 1e-10
+def _pencil(mesh, k):
+    """The pencil the spectrum uses: circumcentric stars, else Whitney masses."""
+    stars = hodge_stars(mesh)
+    return laplacian_pencil(mesh, k, stars) if stars is not None else galerkin_laplacian(mesh, k)
 
 
-def test_harmonic_dim_from_full_laplacian(five_cell):
-    up, down = hodge_operators(five_cell, 0)
-    lap = (up + down).toarray()
-    assert int(np.sum(np.abs(np.linalg.eigvalsh(lap)) < 1e-9)) == 1
+def test_hodge_operator_structure(five_cell, torus3):
+    # five_cell takes the circumcentric path, torus3 the Whitney one
+    for mesh in (five_cell, torus3):
+        full0, up0, _ = _pencil(mesh, 0)
+        assert abs(full0 - up0).max() == 0  # no down piece on functions
+        full, up, mass = _pencil(mesh, 1)
+        down = (full - up).toarray()
+        # as operators M^-1 up and M^-1 down; their products vanish since dd = 0
+        inv_mass = np.linalg.inv(mass.toarray())
+        assert abs(up @ inv_mass @ down).max() < 1e-10
+        assert abs(down @ inv_mass @ up).max() < 1e-10
+
+
+def test_harmonic_dim_from_full_laplacian(five_cell, torus3):
+    for mesh, k, harmonic in ((five_cell, 0, 1), (five_cell, 1, 0),
+                              (torus3, 0, 1), (torus3, 1, 3)):
+        full, _, mass = _pencil(mesh, k)
+        vals = scipy.linalg.eigh(full.toarray(), mass.toarray(), eigvals_only=True)
+        assert int(np.sum(np.abs(vals) < 1e-9)) == harmonic
+
+
+def _scaled(mesh, factor):
+    return dataclasses.replace(mesh, coords=[[pts * factor for pts in row] for row in mesh.coords])
 
 
 def test_well_centered_detection(five_cell, torus3, c600):
-    assert is_well_centered(five_cell)
-    assert is_well_centered(c600)
-    assert not is_well_centered(torus3)  # grid tets have boundary circumcenters
-
-
-def test_barycentric_fallback_warns(torus3):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hodge_stars(torus3)
-    assert any("not well-centered" in str(w.message) for w in caught)
+    # the decision is scale-free: only the shape of the mesh matters
+    for factor in (1e-5, 1.0, 1e3):
+        assert is_well_centered(_scaled(five_cell, factor))
+        assert is_well_centered(_scaled(c600, factor))
+        # grid tets have boundary circumcenters: no stars, the Whitney path
+        assert not is_well_centered(_scaled(torus3, factor))
+        assert hodge_stars(_scaled(torus3, factor)) is None
 
 
 def test_sphere_function_spectrum(c600):
@@ -107,7 +122,7 @@ def test_sphere_comparison_within_tolerance(c600):
 
     ref = sphere_preset(3, 1, 2)
     reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points]
-    cmp = compare_sphere_spectrum(c600, 1, 40, reference)
+    cmp = compare_sphere_spectrum(c600, 1, spectrum(c600, 1, 40), reference)
     assert cmp["max_rel_error"] <= 0.10
     kinds = {e["kind"] for e in cmp["entries"]}
     assert kinds == {"exact", "coexact"}
@@ -116,7 +131,7 @@ def test_sphere_comparison_within_tolerance(c600):
 
 
 def test_dec_import_model(c600):
-    model = dec_import_model(c600, 1, 40)
+    model = dec_import_model(c600, 1, spectrum(c600, 1, 40))
     assert model.source == "dec-import"
     assert model.j_value == Fraction(3, 2)
     have = {(p.kind, p.eigenvalue): p.multiplicity for p in model.points}
@@ -129,9 +144,7 @@ def test_torus_function_eigenvalue_converges():
     errs = []
     for m in (3, 5):
         mesh = build_mesh("torus3-grid", m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = spectrum(mesh, 0, 8)
+        spec = spectrum(mesh, 0, 8)
         lam = next(l for l, kind in spec if l > 1e-9)
         errs.append(abs(lam - 1.0))
     assert errs[1] < errs[0]
@@ -152,3 +165,17 @@ def test_mesh_cache_round_trip(tmp_path, monkeypatch):
     b = build_mesh_cached("boundary-4-simplex")
     assert a.counts() == b.counts()
     assert betti_numbers(b) == (1, 0, 0, 1)
+
+
+def test_mesh_cache_rebuilds_truncated_file(tmp_path, monkeypatch):
+    from formlap.dec import build_mesh_cached
+
+    monkeypatch.setenv("FORMLAP_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "mesh-v1-boundary-4-simplex.json"
+    build_mesh_cached("boundary-4-simplex")
+    good = path.read_text()
+    path.write_text(good[: len(good) // 2])  # an interrupted writer's leftovers
+    mesh = build_mesh_cached("boundary-4-simplex")
+    assert mesh.counts() == (5, 10, 10, 5)
+    assert path.read_text() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # no temp file left
