@@ -7,10 +7,10 @@ from .coeffring import (CoefficientError, J, ONE, RatJ, Rational, ZERO, jpow, pa
 from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
                     OperatorPoly, proportionality, to_operator_poly)
 from .tractor import TractorFormExpr, apply_Mstar, apply_box, extract_slots, make_M
-from .factory import (FactoredOperator, build_G, build_L_and_G, build_L_definition,
-                      build_tmodbox, closed_factors, closed_G1, closed_L1,
-                      closed_tmodbox1, closed_tmodbox2, closed_tmodbox2_w1,
-                      operator_weight, run_pipeline, sqyam_factors, yam_factor)
+from .factory import (FactoredOperator, build_L_and_G, build_L_definition, build_tmodbox,
+                      closed_factors, closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
+                      closed_tmodbox2_w1, operator_weight, run_pipeline, sqyam_factors,
+                      yam_factor)
 from .spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
                        factor_kernel_content, kernel_dim, sphere_preset, synthetic_model,
                        torus_preset)

@@ -14,19 +14,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 REPORT_SCHEMA = 1
-
-
-@dataclass
-class SweepConfig:
-    n_range: range = field(default_factory=lambda: range(3, 13))
-    theorems: tuple[str, ...] = ("factorization", "MMstar", "LG", "bezout", "kernel")
-    j_value: Fraction = Fraction(1)
-    output: Path | None = None
 
 
 def _emit_report(payload: dict, output: Path | None) -> None:
@@ -109,29 +100,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if j_value == 0 and "kernel" in args.theorems:
         return _usage_error("--j-value 0: the kernel decomposition needs J != 0 "
                             "(a manifold that is not Ricci flat)")
-    cfg = SweepConfig(
-        n_range=range(args.n_min, args.n_max + 1),
-        theorems=tuple(args.theorems),
-        j_value=j_value,
-        output=args.output,
-    )
-    reports = run_sweep(list(cfg.theorems), cfg.n_range, args.ell_max, cfg.j_value)
+    reports = run_sweep(args.theorems, range(args.n_min, args.n_max + 1), args.ell_max, j_value)
     if not reports:
         return _usage_error("the selected theorems and grid give no checks")
     failures = [r for r in reports if not r.passed]
     payload = {
         "schema": REPORT_SCHEMA,
         "config": {
-            "n_range": [cfg.n_range.start, cfg.n_range.stop - 1],
+            "n_range": [args.n_min, args.n_max],
             "ell_max": args.ell_max,
-            "theorems": sorted(cfg.theorems),
-            "j_value": str(cfg.j_value),
+            "theorems": sorted(args.theorems),
+            "j_value": str(j_value),
         },
         "results": [r.as_json() for r in reports],
         "summary": {"checks": len(reports), "failed": len(failures)},
     }
     try:
-        _emit_report(payload, cfg.output)
+        _emit_report(payload, args.output)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

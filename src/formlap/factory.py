@@ -3,9 +3,12 @@
 The definition engine runs the tractor pipeline: embed the generator
 with the splitting operator, apply the coupled box ell times, read off
 the middle slot (the operator itself) and the bottom slot (its
-companion of one degree lower).  The closed-form builders write down
-the order-one operator, the commuting second-order factor lists, and
-the second-order reductions directly from their explicit formulas.
+companion of one degree lower).  Each box state (n, k, w, p) is built
+once, from state p-1, by `box_iterate`; the operator L, its companion G
+and the second-order reductions M* box**p M are all read from those
+states.  The closed-form builders write down the order-one operator,
+the commuting second-order factor lists, and the second-order
+reductions directly from their explicit formulas.
 The two routes share nothing above the expression algebra, so their
 agreement is evidence rather than tautology.
 
@@ -47,20 +50,28 @@ def _check_params(n: int, k: int, ell: int) -> None:
 # -- definition engine ----------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def box_iterate(n: int, k: int, w: Fraction | int, p: int) -> TractorFormExpr:
+    """Box**p applied to the embedded generator of weight w.
+
+    State p is built from state p-1, so every state of one (n, k, w)
+    chain is built once; the cache holds about one chain.
+    """
+    if p == 0:
+        return make_M(FormContext(n, k, Fraction(w)))
+    return apply_box(box_iterate(n, k, w, p - 1))
+
+
 @lru_cache(maxsize=None)
 def run_pipeline(n: int, k: int, ell: int) -> TractorFormExpr:
     """Box**ell applied to the embedded generator at the operator weight."""
     _check_params(n, k, ell)
-    ctx = FormContext(n, k, operator_weight(n, k, ell))
-    t = make_M(ctx)
-    for _ in range(ell):
-        t = apply_box(t)
-    return t
+    return box_iterate(n, k, operator_weight(n, k, ell), ell)
 
 
 @lru_cache(maxsize=None)
-def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
-    """The order-2*ell operator from the tractor definition.
+def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, FormExpr]:
+    """The order-2*ell operator and its degree-(k-1) companion, from one pipeline.
 
     Asserts the structural identities along the way: the top and second
     slots vanish at this weight, and the middle slot expands into E**p,
@@ -68,23 +79,13 @@ def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
     """
     t = run_pipeline(n, k, ell)
     assert_top_slots_vanish(t)
-    l_expr, _ = extract_slots(t)
-    return to_operator_poly(l_expr.shift_weight(-ell))
-
-
-def build_G(n: int, k: int, ell: int) -> FormExpr:
-    """The degree-(k-1) companion operator from the same pipeline."""
-    t = run_pipeline(n, k, ell)
-    assert_top_slots_vanish(t)
-    _, g_expr = extract_slots(t)
-    return g_expr.shift_weight(-ell)
-
-
-def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, FormExpr]:
-    t = run_pipeline(n, k, ell)
-    assert_top_slots_vanish(t)
     l_expr, g_expr = extract_slots(t)
     return to_operator_poly(l_expr.shift_weight(-ell)), g_expr.shift_weight(-ell)
+
+
+def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
+    """The order-2*ell operator from the tractor definition."""
+    return build_L_and_G(n, k, ell)[0]
 
 
 # -- closed forms ----------------------------------------------------------
@@ -193,14 +194,10 @@ def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
 
 @lru_cache(maxsize=None)
 def build_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
-    """M* box**p M at generator weight w, from the tractor pipeline."""
+    """M* box**p M at generator weight w, read from the shared box iterate."""
     if p < 1:
         raise FormAlgebraError(f"p = {p} < 1")
-    ctx = FormContext(n, k, Fraction(w))
-    t = make_M(ctx)
-    for _ in range(p):
-        t = apply_box(t)
-    return to_operator_poly(apply_Mstar(t))
+    return to_operator_poly(apply_Mstar(box_iterate(n, k, w, p)))
 
 
 def closed_tmodbox1(n: int, k: int, w: Fraction | int) -> OperatorPoly:

@@ -92,16 +92,6 @@ class CMat:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """One operator on a single Fourier mode."""
-
-    n: int
-    k: int
-    xi: tuple[int, ...]
-    matrix: CMat
-
-
 def wedge_basis(dims: int, k: int) -> list[tuple[int, ...]]:
     if k < 0 or k > dims:
         return []
@@ -174,14 +164,13 @@ def derivation_matrix(a: np.ndarray, dims: int, k: int) -> np.ndarray:
     return m
 
 
-def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[ModeOperator, ModeOperator]:
+def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
     """d = i eps(xi) on k-forms and codifferential = -i iota(xi) on k-forms."""
-    xi = tuple(xi)
     d = CMat(_obj((len(wedge_basis(n, k + 1)), len(wedge_basis(n, k)))),
              eps_matrix(n, k, list(xi)))
     delta = CMat(_obj((len(wedge_basis(n, k - 1)), len(wedge_basis(n, k)))),
                  -iota_matrix(n, k, list(xi)))
-    return ModeOperator(n, k + 1, xi, d), ModeOperator(n, k - 1, xi, delta)
+    return d, delta
 
 
 # -- flat tractor pipeline ----------------------------------------------------
@@ -249,7 +238,7 @@ def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> CMat:
     zk = CMat.real(z_embed(n, k))
     zk1 = CMat.real(z_embed(n, k - 1))
     eps_x = CMat.real(eps_matrix(n + 2, k - 1, e_x))
-    return zk.scale(c_m) + (eps_x @ zk1 @ delta.matrix).scale(Fraction(1, k))
+    return zk.scale(c_m) + (eps_x @ zk1 @ delta).scale(Fraction(1, k))
 
 
 def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> CMat:
@@ -292,8 +281,8 @@ def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int, xi: tuple[int, ...],
     d_k, delta_k = mode_matrices(n, k, xi)
     d_km1, _ = mode_matrices(n, k - 1, xi)
     _, delta_kp1 = mode_matrices(n, k + 1, xi)
-    e_mat = d_km1.matrix @ delta_k.matrix
-    f_mat = delta_kp1.matrix @ d_k.matrix
+    e_mat = d_km1 @ delta_k
+    f_mat = delta_kp1 @ d_k
     dim = len(wedge_basis(n, k))
     acc = CMat.eye(dim).scale(op.const.eval_at(j_value))
     cur = CMat.eye(dim)

@@ -107,10 +107,10 @@ class TractorFormExpr:
                 f"[W] {self.slot_w.render()}\n[X] {self.slot_x.render()}")
 
 
-def make_M(ctx: FormContext, source: FormExpr | None = None) -> TractorFormExpr:
+def make_M(ctx: FormContext) -> TractorFormExpr:
     """Splitting operator: f -> ((n+w-2k)/k) Z f + X (delta f), weight w-k."""
     n, k, w = ctx.n, ctx.k, ctx.w
-    f = FormExpr.generator(ctx) if source is None else source
+    f = FormExpr.generator(ctx)
     wt = w - k
     c_m = Fraction(n + w - 2 * k, k)
     return TractorFormExpr(

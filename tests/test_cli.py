@@ -139,12 +139,16 @@ def test_oracle_usage_error(capsys, args, needle):
 
 
 def test_oracle_dec_five_cell(tmp_path):
+    # the 5-vertex sphere is coarse: its spectrum is within 0.9 of the
+    # unit-sphere reference, but not within 0.1
     out = tmp_path / "dec.json"
-    code = run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "0",
-                    "--eigs", "4", "--rtol", "0.9", "--output", str(out)])
-    doc = json.loads(out.read_text())
-    assert doc["report"]["betti"] == [1, 0, 0, 1]
-    assert code in (0, 1)  # the 5-vertex sphere is far too coarse for tight spectra
+    for rtol, expected in (("0.9", 0), ("0.1", 1)):
+        code = run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "0",
+                        "--eigs", "4", "--rtol", rtol, "--output", str(out)])
+        report = json.loads(out.read_text())["report"]
+        assert report["betti"] == [1, 0, 0, 1]
+        assert 0.1 < report["sphere_comparison"]["max_rel_error"] <= 0.9
+        assert code == expected, rtol
 
 
 def test_console_entry_point():

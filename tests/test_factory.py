@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import formlap.factory as factory
 from formlap.coeffring import J, jpow, ratj
-from formlap.factory import (build_G, build_L_definition, build_tmodbox, closed_factors,
+from formlap.factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                              closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
                              closed_tmodbox2_w1, operator_weight, sqyam_factors, yam_factor)
 from formlap.forms import CD, D, FormAlgebraError, FormContext, FormExpr, proportionality
@@ -35,7 +36,7 @@ def test_order_one_equality_grid(n):
 
 
 def test_build_G_examples():
-    g = build_G(4, 1, 1)
+    g = build_L_and_G(4, 1, 1)[1]
     c = FormContext(4, 1, operator_weight(4, 1, 1))
     f = FormExpr.generator(c)
     expected = (f.apply_word(D + CD) + f.times_J(1, 1)).apply_letter(CD).shift_weight(-1)
@@ -45,7 +46,7 @@ def test_build_G_examples():
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3), (5, 1), (9, 4)])
 def test_G_closed_form_order_one(n, k):
-    assert build_G(n, k, 1) == closed_G1(n, k)
+    assert build_L_and_G(n, k, 1)[1] == closed_G1(n, k)
 
 
 def test_closed_factors_examples():
@@ -138,3 +139,25 @@ def test_yam_factor_matches_tmodbox1():
         lhs = yam_factor(n, k, w, i)
         rhs = closed_tmodbox1(n, k, w - i + 1).scale(-k)
         assert lhs.monomials() == rhs.monomials()
+
+
+def test_sweep_builds_each_box_state_once(monkeypatch):
+    # the operators, companions and second-order reductions of a sweep all
+    # read the same box iterates: one apply_box per state (n, k, w, p >= 1)
+    from formlap.verify import default_grid, run_sweep
+
+    for cached in (factory.box_iterate, factory.run_pipeline, factory.build_L_and_G,
+                   factory.build_tmodbox):
+        cached.cache_clear()
+    calls = []
+    apply_box = factory.apply_box
+
+    def counting_apply_box(t):
+        calls.append(t.wt)
+        return apply_box(t)
+
+    monkeypatch.setattr(factory, "apply_box", counting_apply_box)
+    reports = run_sweep(["factorization", "MMstar", "LG", "bezout", "kernel"],
+                        range(3, 6), ell_max=3)
+    assert all(r.passed for r in reports)
+    assert len(calls) == sum(ell for _, _, ell in default_grid(range(3, 6), 3))

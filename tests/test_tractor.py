@@ -22,10 +22,6 @@ def test_make_M_examples():
     assert m2.slot_z.is_zero  # n + w - 2k = 0
     assert not m2.slot_x.is_zero
 
-    z = make_M(FormContext(5, 2, Fraction(1, 2)), FormExpr.zero(
-        FormContext(5, 2, Fraction(1, 2)), 2, Fraction(1, 2)))
-    assert z.is_zero
-
 
 def test_slot_invariants_enforced():
     c = FormContext(6, 2, Fraction(1))

@@ -56,9 +56,9 @@ def test_LG_second_scalar_value():
     for (n, k, ell) in [(6, 2, 1), (8, 3, 1), (10, 4, 2), (6, 2, 3)]:
         w = operator_weight(n, k, ell)
         ctx = FormContext(n, k, w)
-        from formlap.factory import build_G
+        from formlap.factory import build_L_and_G
 
-        g = build_G(n, k, ell)
+        g = build_L_and_G(n, k, ell)[1]
         lower = build_L_definition(n, k - 1, ell)
         delta_f = FormExpr.generator(ctx).apply_letter(CD).shift_weight(1)
         rhs = lower.to_form_expr(delta_f).shift_weight(-1)
