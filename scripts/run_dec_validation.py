@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Simplicial oracle validation run.
 
-Checks exact Betti numbers for the torus grid and both sphere meshes,
-compares the 600-cell spectrum against the trusted sphere data file,
-and writes a promoted dec-import spectral model next to the report.
+Checks the exact Betti numbers of the 3x3x3 torus grid and of the
+600-cell, compares the 600-cell spectrum against the trusted sphere
+data file, and writes a promoted dec-import spectral model next to the
+report.
 """
 
 import sys

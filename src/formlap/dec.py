@@ -6,6 +6,13 @@ and the 600-cell), the up/down Laplacian pieces, exact Betti numbers by
 integer rank computation, and approximate eigenvalues of the two pieces
 for comparison against the trusted sphere spectrum file.
 
+A mesh is stored as arrays over its tets: the coordinates of each tet's
+four vertices, (T, 4, E), and a (T, 16) table that maps each local face
+bitmask of a tet to the global index of that simplex.  Every metric
+quantity (circumcenters, flag dual volumes, primal volumes,
+barycenters, edge chords, Whitney element blocks) is one batched numpy
+pass over the tets, scattered to the simplices through that table.
+
 Each mesh takes one of two spectrum paths, decided by a single flag
 pass over its tets: diagonal circumcentric Hodge stars when the mesh
 is well-centered, the Galerkin (Whitney-form) masses of whitney.py
@@ -36,6 +43,11 @@ import scipy.sparse.linalg
 MESH_SCHEMA = 1
 PHI = (1 + math.sqrt(5)) / 2
 
+# The faces of one tet: its vertex subsets of each dimension d, in
+# itertools.combinations order, and their bitmasks (the tet_faces columns).
+LOCAL_SUBSETS = [list(itertools.combinations(range(4), d + 1)) for d in range(4)]
+LOCAL_MASKS = [[sum(1 << i for i in s) for s in subsets] for subsets in LOCAL_SUBSETS]
+
 
 class MeshError(ValueError):
     pass
@@ -43,22 +55,25 @@ class MeshError(ValueError):
 
 @dataclass
 class SimplicialMesh:
-    """Simplicial 3-complex with per-simplex representative coordinates.
+    """Simplicial 3-complex stored as arrays over its tets.
 
-    ``simplices[d]`` lists sorted vertex-index tuples; ``coords[d][i]``
-    holds one embedding of simplex i of dimension d as a (d+1, E) array
-    (rows aligned with the sorted tuple).  For periodic meshes the
-    representative is unwrapped inside one top simplex, which is enough
-    for all metric quantities.  ``boundaries[d]`` is the integer matrix
-    of the boundary operator from dimension d to d-1 (d >= 1).
+    ``simplices[d]`` lists sorted vertex-index tuples and
+    ``boundaries[d]`` is the integer matrix of the boundary operator
+    from dimension d to d-1 (d >= 1).  Tet t is ``simplices[3][t]``;
+    ``tet_points[t]`` holds its four vertices as a (4, E) array, rows
+    aligned with the sorted tuple.  For periodic meshes the coordinates
+    are unwrapped inside the tet, which is enough for every metric
+    quantity.  ``tet_faces[t, mask]`` is the global index of the face of
+    tet t spanned by the local vertices set in mask, a simplex of
+    dimension popcount(mask) - 1 (column 0 is unused and holds -1).
     """
 
     name: str
     simplices: list[list[tuple[int, ...]]]
-    coords: list[list[np.ndarray]]
     boundaries: list[scipy.sparse.csr_matrix | None]
     embedded: bool
-    tet_sub: list[list[dict[int, int]]]  # per tet, per dim: local subset -> simplex index
+    tet_points: np.ndarray  # (T, 4, E) float
+    tet_faces: np.ndarray  # (T, 16) int
 
     @property
     def dim(self) -> int:
@@ -70,80 +85,81 @@ class SimplicialMesh:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
+    def faces(self, d: int) -> np.ndarray:
+        """Global indices of the d-faces of every tet, (T, C(4, d+1)), in LOCAL_SUBSETS order."""
+        return self.tet_faces[:, LOCAL_MASKS[d]]
 
-def _simplex_volume(pts: np.ndarray) -> float:
-    """Volume of the simplex spanned by the rows of pts (any ambient dim)."""
-    edges = pts[1:] - pts[0]
-    if edges.shape[0] == 0:
-        return 1.0
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    return math.sqrt(max(det, 0.0)) / math.factorial(edges.shape[0])
+    def face_points(self, d: int) -> np.ndarray:
+        """Coordinates of the d-faces of every tet, (T, C(4, d+1), d+1, E)."""
+        return self.tet_points[:, LOCAL_SUBSETS[d]]
 
 
-def _circumcenter(pts: np.ndarray) -> np.ndarray:
-    """Circumcenter of a simplex, inside its affine hull."""
-    if pts.shape[0] == 1:
-        return pts[0]
-    edges = pts[1:] - pts[0]
-    gram = 2.0 * edges @ edges.T
-    rhs = np.einsum("ij,ij->i", edges, edges)
-    sol = np.linalg.solve(gram, rhs)
-    return pts[0] + sol @ edges
+def _per_simplex(mesh: SimplicialMesh, d: int, per_face: np.ndarray) -> np.ndarray:
+    """Per-simplex values of dimension d, each read in the first tet that holds it.
 
-
-def _barycenter(pts: np.ndarray) -> np.ndarray:
-    return pts.mean(axis=0)
-
-
-def _build_from_tets(name: str, tets: list[tuple[tuple[int, ...], np.ndarray]],
-                     embedded: bool) -> SimplicialMesh:
-    """Assemble the full complex from top simplices with explicit coordinates.
-
-    Each tet comes as (sorted vertex ids, coords aligned with the ids).
+    per_face has the (T, C(4, d+1), ...) layout of ``mesh.faces(d)``.
     """
-    index: list[dict[tuple[int, ...], int]] = [dict() for _ in range(4)]
-    simplices: list[list[tuple[int, ...]]] = [[] for _ in range(4)]
-    coords: list[list[np.ndarray]] = [[] for _ in range(4)]
-    tet_sub: list[list[dict[int, int]]] = []
+    _, first = np.unique(mesh.faces(d).ravel(), return_index=True)
+    return per_face.reshape(-1, *per_face.shape[2:])[first]
 
-    # register vertices in ascending id order so vertex simplex indices
-    # coincide with the rank of the id (identity for contiguous ids)
-    seen: dict[int, np.ndarray] = {}
-    for ids, pts in tets:
-        for i, vid in enumerate(ids):
-            seen.setdefault(vid, pts[[i]])
-    for vid in sorted(seen):
-        index[0][(vid,)] = len(simplices[0])
-        simplices[0].append((vid,))
-        coords[0].append(seen[vid])
 
-    for ids, pts in tets:
-        sub_maps: list[dict[int, int]] = [dict() for _ in range(4)]
-        for d in range(4):
-            for subset in itertools.combinations(range(4), d + 1):
-                key = tuple(ids[i] for i in subset)
-                if key not in index[d]:
-                    index[d][key] = len(simplices[d])
-                    simplices[d].append(key)
-                    coords[d].append(pts[list(subset)])
-                local = sum(1 << i for i in subset)
-                sub_maps[d][local] = index[d][key]
-        tet_sub.append(sub_maps)
+def simplex_volumes(pts: np.ndarray) -> np.ndarray:
+    """Volumes of the simplices pts[..., vertex, coordinate] (any ambient dim; 1 for points)."""
+    edges = pts[..., 1:, :] - pts[..., :1, :]
+    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(edges.shape[-2])
 
+
+def _circumcenters(pts: np.ndarray) -> np.ndarray:
+    """Circumcenters of the simplices pts[..., vertex, coordinate], inside their affine hulls."""
+    edges = pts[..., 1:, :] - pts[..., :1, :]
+    gram = 2.0 * edges @ np.swapaxes(edges, -1, -2)
+    rhs = np.einsum("...ij,...ij->...i", edges, edges)
+    sol = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return pts[..., 0, :] + np.einsum("...i,...ij->...j", sol, edges)
+
+
+def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
+                     embedded: bool) -> SimplicialMesh:
+    """Assemble the full complex from tets given as arrays.
+
+    ids is (T, 4), each row increasing; points is (T, 4, E), rows aligned
+    with the ids.  Vertices are numbered in ascending id order, higher
+    simplices in order of first appearance (tet by tet, faces in
+    LOCAL_SUBSETS order).
+    """
+    if np.any(np.diff(ids, axis=1) <= 0):
+        raise MeshError("tet vertex ids must increase along each tet")
+    n_tets = len(ids)
+    tet_faces = np.full((n_tets, 16), -1, dtype=np.int64)
+    simplices: list[list[tuple[int, ...]]] = []
     boundaries: list[scipy.sparse.csr_matrix | None] = [None]
-    for d in range(1, 4):
-        rows, cols, vals = [], [], []
-        for j, simplex in enumerate(simplices[d]):
-            for i in range(d + 1):
-                face = simplex[:i] + simplex[i + 1 :]
-                rows.append(index[d - 1][face])
-                cols.append(j)
-                vals.append((-1) ** i)
+    for d in range(4):
+        keys = ids[:, LOCAL_SUBSETS[d]].reshape(-1, d + 1)
+        unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        if d > 0:
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            unique, first, inverse = unique[order], first[order], rank[inverse.ravel()]
+        tet_faces[:, LOCAL_MASKS[d]] = inverse.reshape(n_tets, -1)
+        simplices.append([tuple(s) for s in unique.tolist()])
+        if d == 0:
+            continue
+        # the faces of each simplex, read in the tet where it first appears:
+        # dropping vertex i of the sorted tuple gives sign (-1)^i
+        tet, local = np.divmod(first, len(LOCAL_SUBSETS[d]))
+        drop = np.array([[mask & ~(1 << v) for v in subset]
+                         for subset, mask in zip(LOCAL_SUBSETS[d], LOCAL_MASKS[d])])
+        rows = tet_faces[tet[:, None], drop[local]]
+        cols = np.broadcast_to(np.arange(len(unique))[:, None], rows.shape)
+        vals = np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)
         boundaries.append(scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(simplices[d - 1]), len(simplices[d])), dtype=np.int64))
-
-    return SimplicialMesh(name, simplices, coords, boundaries, embedded, tet_sub)
+            (vals.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(len(simplices[d - 1]), len(unique)), dtype=np.int64))
+    if len(simplices[3]) != n_tets:
+        raise MeshError("a tet is listed twice")
+    return SimplicialMesh(name, simplices, boundaries, embedded, points, tet_faces)
 
 
 # -- presets -------------------------------------------------------------------
@@ -156,10 +172,8 @@ def _boundary_4_simplex() -> SimplicialMesh:
     q, _ = np.linalg.qr(centered.T)
     verts = centered @ q[:, :4]
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    tets = []
-    for subset in itertools.combinations(range(5), 4):
-        tets.append((tuple(subset), verts[list(subset)]))
-    return _build_from_tets("boundary-4-simplex", tets, embedded=True)
+    ids = np.array(list(itertools.combinations(range(5), 4)))
+    return _build_from_tets("boundary-4-simplex", ids, verts[ids], embedded=True)
 
 
 def _cell600_vertices() -> np.ndarray:
@@ -216,9 +230,9 @@ def _cell600() -> SimplicialMesh:
                 for l in sorted(common_ij & neighbors[k]):
                     if l <= k:
                         continue
-                    ids = (i, j, k, l)
-                    tets.append((ids, verts[list(ids)]))
-    mesh = _build_from_tets("cell600", tets, embedded=True)
+                    tets.append((i, j, k, l))
+    ids = np.array(tets)
+    mesh = _build_from_tets("cell600", ids, verts[ids], embedded=True)
     if mesh.counts() != (120, 720, 1200, 600):
         raise MeshError(f"600-cell f-vector {mesh.counts()}")
     return mesh
@@ -229,28 +243,19 @@ def _torus3_grid(m: int) -> SimplicialMesh:
     if m < 3:
         raise MeshError("torus grid needs m >= 3 (smaller grids identify simplex vertices)")
     h = 2 * math.pi / m
-    tets = []
-    for base in itertools.product(range(m), repeat=3):
-        for perm in itertools.permutations(range(3)):
-            offs = [np.zeros(3, dtype=int)]
-            cur = np.zeros(3, dtype=int)
-            for axis in perm:
-                cur = cur.copy()
-                cur[axis] += 1
-                offs.append(cur)
-            ids = []
-            pts = []
-            for off in offs:
-                lattice = tuple((np.array(base) + off) % m)
-                ids.append(lattice[0] * m * m + lattice[1] * m + lattice[2])
-                pts.append((np.array(base) + off) * h)
-            order = np.argsort(ids)
-            ids_sorted = tuple(int(ids[i]) for i in order)
-            if len(set(ids_sorted)) != 4:
-                raise MeshError("degenerate tet from periodic identification")
-            pts_sorted = np.array([pts[i] for i in order])
-            tets.append((ids_sorted, pts_sorted))
-    return _build_from_tets(f"torus3-grid({m})", tets, embedded=False)
+    # each cube splits along its six monotone lattice paths from corner to corner
+    paths = np.zeros((6, 4, 3), dtype=int)
+    for p, perm in enumerate(itertools.permutations(range(3))):
+        for step, axis in enumerate(perm):
+            paths[p, step + 1:, axis] += 1
+    corners = np.array(list(itertools.product(range(m), repeat=3)))
+    lattice = (corners[:, None, None, :] + paths).reshape(-1, 4, 3)
+    wrapped = lattice % m
+    ids = wrapped[..., 0] * m * m + wrapped[..., 1] * m + wrapped[..., 2]
+    order = np.argsort(ids, axis=1)
+    return _build_from_tets(f"torus3-grid({m})", np.take_along_axis(ids, order, axis=1),
+                            np.take_along_axis(lattice * h, order[..., None], axis=1),
+                            embedded=False)
 
 
 def build_mesh(preset: str, m: int | None = None) -> SimplicialMesh:
@@ -276,33 +281,17 @@ def subdivide_barycentric(mesh: SimplicialMesh, project_radius: float | None = N
     """
     if not mesh.embedded:
         raise MeshError("barycentric subdivision is only supported for embedded meshes")
-    offsets = [0]
-    for d in range(4):
-        offsets.append(offsets[-1] + len(mesh.simplices[d]))
-    bary = [[_barycenter(pts) for pts in mesh.coords[d]] for d in range(4)]
+    # new vertex ids: the old simplices, dimension by dimension
+    offsets = np.cumsum((0,) + mesh.counts()[:3])
+    bary = np.concatenate([_per_simplex(mesh, d, mesh.face_points(d).mean(axis=2))
+                           for d in range(4)])
     if project_radius is not None:
-        bary = [[b * (project_radius / np.linalg.norm(b)) for b in row] for row in bary]
-
-    tets = []
-    for t_idx, tet in enumerate(mesh.simplices[3]):
-        sub = mesh.tet_sub[t_idx]
-        for flag_perm in itertools.permutations(range(4)):
-            locals_ = []
-            acc = 0
-            for v in flag_perm:
-                acc |= 1 << v
-                locals_.append(acc)
-            ids = []
-            pts = []
-            for d, local in enumerate(locals_):
-                s_idx = sub[d][local]
-                ids.append(offsets[d] + s_idx)
-                pts.append(bary[d][s_idx])
-            order = np.argsort(ids)
-            ids_sorted = tuple(int(ids[i]) for i in order)
-            pts_sorted = np.array([pts[i] for i in order])
-            tets.append((ids_sorted, pts_sorted))
-    return _build_from_tets(mesh.name + "+bary", tets, embedded=True)
+        bary *= project_radius / np.linalg.norm(bary, axis=1, keepdims=True)
+    # each flag vertex < edge < face < tet of an old tet spans one new tet
+    # on the barycenters of its four simplices
+    flags = np.cumsum([[1 << v for v in perm] for perm in itertools.permutations(range(4))], axis=1)
+    ids = np.sort((mesh.tet_faces[:, flags] + offsets).reshape(-1, 4), axis=1)
+    return _build_from_tets(mesh.name + "+bary", ids, bary[ids], embedded=True)
 
 
 # -- Hodge stars ----------------------------------------------------------------
@@ -318,37 +307,35 @@ def _flag_dual_volumes(mesh: SimplicialMesh) -> list[np.ndarray] | None:
     zero (the threshold is relative, so the answer does not depend on
     units).
     """
-    duals = [np.zeros(len(mesh.simplices[d])) for d in range(4)]
-    for t_idx in range(len(mesh.simplices[3])):
-        sub = mesh.tet_sub[t_idx]
-        pts = mesh.coords[3][t_idx]
-        center_of: dict[int, np.ndarray] = {}
-        for local in range(1, 16):
-            subset = [i for i in range(4) if local & (1 << i)]
-            center_of[local] = _circumcenter(pts[subset])
+    pts = mesh.tet_points
+    n_tets = len(pts)
+    centers = np.empty((n_tets, 16, pts.shape[2]))
+    centers[:, LOCAL_MASKS[0]] = pts
+    for d in range(1, 4):
+        centers[:, LOCAL_MASKS[d]] = _circumcenters(mesh.face_points(d))
+    # signed height of each step from face mask a to a | 1 << v: the
+    # distance between the two circumcenters, negative when the step
+    # points away from the added vertex v
+    a, v = np.array([(a, v) for a in range(1, 15) for v in range(4) if not a >> v & 1]).T
+    step = centers[:, a | (1 << v)] - centers[:, a]
+    toward = np.einsum("tse,tse->ts", step, pts[:, v] - centers[:, a])
+    heights = np.zeros((n_tets, 16, 4))
+    heights[:, a, v] = np.where(toward >= 0, 1.0, -1.0) * np.linalg.norm(step, axis=2)
 
-        for d in range(3):
-            for subset in itertools.combinations(range(4), d + 1):
-                local = sum(1 << i for i in subset)
-                s_idx = sub[d][local]
-                rest = [i for i in range(4) if i not in subset]
-                for chain in itertools.permutations(rest):
-                    locs = [local]
-                    acc = local
-                    for v in chain:
-                        acc |= 1 << v
-                        locs.append(acc)
-                    cs = [center_of[l] for l in locs]
-                    vol = 1.0
-                    for step in range(len(cs) - 1):
-                        u = cs[step + 1] - cs[step]
-                        opp = [i for i in range(4) if locs[step + 1] & (1 << i) and not locs[step] & (1 << i)][0]
-                        w_vec = pts[opp] - cs[step]
-                        h = np.linalg.norm(u)
-                        sgn = 1.0 if u @ w_vec >= 0 else -1.0
-                        vol *= sgn * h
-                    vol /= math.factorial(3 - d)
-                    duals[d][s_idx] += vol
+    duals = []
+    for d in range(3):
+        # every flag from a d-face up to the tet: the face mask before each
+        # step and the vertex the step adds
+        before, added = [], []
+        for subset, mask in zip(LOCAL_SUBSETS[d], LOCAL_MASKS[d]):
+            for chain in itertools.permutations([u for u in range(4) if u not in subset]):
+                before.append(mask + np.cumsum([0] + [1 << u for u in chain[:-1]]))
+                added.append(chain)
+        flag_vols = heights[:, np.array(before), np.array(added)].prod(axis=2)
+        per_face = flag_vols.reshape(n_tets, len(LOCAL_MASKS[d]), -1).sum(axis=2)
+        per_face /= math.factorial(3 - d)
+        duals.append(np.bincount(mesh.faces(d).ravel(), per_face.ravel(),
+                                 minlength=len(mesh.simplices[d])))
     for d in range(3):
         if np.any(duals[d] <= 1e-12 * np.abs(duals[d]).max()):
             return None
@@ -362,8 +349,8 @@ def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix] | None:
         return None
     stars = []
     for d in range(4):
-        primal = np.array([_simplex_volume(pts) for pts in mesh.coords[d]])
-        dual = duals[d] if d < 3 else np.ones(len(mesh.simplices[3]))
+        primal = _per_simplex(mesh, d, simplex_volumes(mesh.face_points(d)))
+        dual = duals[d] if d < 3 else np.ones(len(primal))
         stars.append(scipy.sparse.diags(dual / primal))
     return stars
 
@@ -488,8 +475,8 @@ def _lowest_pairs(a_full, a_up, mass, count: int, b_k: int) -> list[tuple[float,
                 maxiter=400, tol=1e-6)
     order = np.argsort(vals)
     out: list[tuple[float, str]] = [(0.0, "harmonic")] * b_k
-    top = float(vals[order[-1]]) if len(order) else 1.0
-    tol = max(top, 1.0) * 1e-9
+    # relative to the largest computed eigenvalue, so the cut does not depend on units
+    tol = 1e-9 * float(vals[order[-1]])
     taken = 0
     for idx in order:
         lam = float(vals[idx])
@@ -543,12 +530,10 @@ def unit_sphere_edge_scale(mesh: SimplicialMesh) -> float:
     edge lengths multiplies the metric by (arc/chord)^2, hence the
     eigenvalues by the mean squared chord-to-arc ratio.
     """
-    total = 0.0
-    for pts in mesh.coords[1]:
-        chord = float(np.linalg.norm(pts[1] - pts[0]))
-        arc = 2 * math.asin(min(chord / 2, 1.0))
-        total += (chord / arc) ** 2
-    return total / len(mesh.coords[1])
+    ends = _per_simplex(mesh, 1, mesh.face_points(1))
+    chord = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    arc = 2 * np.arcsin(np.minimum(chord / 2, 1.0))
+    return float(np.mean((chord / arc) ** 2))
 
 
 # -- comparison with the trusted sphere data ----------------------------------------
@@ -679,15 +664,23 @@ def _mesh_to_json(mesh: SimplicialMesh) -> dict:
         "schema": MESH_SCHEMA,
         "name": mesh.name,
         "embedded": mesh.embedded,
-        "tets": [
-            {"ids": list(mesh.simplices[3][i]), "pts": mesh.coords[3][i].tolist()}
-            for i in range(len(mesh.simplices[3]))
-        ],
+        "tets": [{"ids": list(ids), "pts": pts}
+                 for ids, pts in zip(mesh.simplices[3], mesh.tet_points.tolist())],
     }
 
 
-def _mesh_from_json(data: dict) -> SimplicialMesh:
-    if data.get("schema") != MESH_SCHEMA:
+def _mesh_from_json(data: object) -> SimplicialMesh:
+    """Mesh from a parsed cache file; MeshError for any file of the wrong structure."""
+    if not isinstance(data, dict) or data.get("schema") != MESH_SCHEMA:
         raise MeshError("unsupported mesh cache schema")
-    tets = [(tuple(t["ids"]), np.array(t["pts"])) for t in data["tets"]]
-    return _build_from_tets(data["name"], tets, embedded=data["embedded"])
+    tets = data["tets"]
+    if not isinstance(tets, list) or not tets:
+        raise MeshError("mesh cache holds no list of tets")
+    try:
+        ids = np.array([t["ids"] for t in tets], dtype=np.int64)
+        points = np.array([t["pts"] for t in tets], dtype=float)
+    except (TypeError, ValueError):  # a tet that is not a dict, ragged or non-numeric entries
+        raise MeshError("mesh cache tets are not numeric arrays") from None
+    if ids.ndim != 2 or ids.shape[1] != 4 or points.ndim != 3 or points.shape[:2] != ids.shape:
+        raise MeshError("mesh cache tets are not shaped (T, 4) ids and (T, 4, E) points")
+    return _build_from_tets(data["name"], ids, points, embedded=data["embedded"])

@@ -107,11 +107,6 @@ class FormExpr:
     def generator(ctx: FormContext) -> FormExpr:
         return FormExpr(ctx, ctx.k, ctx.w, {"": ONE})
 
-    @staticmethod
-    def from_terms(ctx: FormContext, degree: int, weight: Fraction, terms: dict[str, RatJ]) -> FormExpr:
-        clean = {w: c for w, c in terms.items() if not c.is_zero}
-        return FormExpr(ctx, degree, Fraction(weight), clean)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -9,27 +9,25 @@ the degree-one down-Laplacian piece needs no dense inverse.
 All element quantities reduce to barycentric-gradient dot products, so
 the construction works directly with coordinates in any ambient
 dimension (the sphere meshes live in R^4); cross-product pairings use
-the Lagrange identity and never need an explicit 3-frame.
+the Lagrange identity and never need an explicit 3-frame.  The element
+blocks of all tets are computed at once from the mesh's (T, 4, E) tet
+coordinates and summed into the global matrices through its face table.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse
 
-from .dec import MeshError, SimplicialMesh, _simplex_volume, laplacian_pencil
+from .dec import LOCAL_SUBSETS, MeshError, SimplicialMesh, laplacian_pencil, simplex_volumes
 
 
-def _tet_gradients(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Barycentric gradients (4, E) and volume of one tetrahedron."""
-    edges = pts[1:] - pts[0]           # (3, E)
-    gram = edges @ edges.T
-    h = np.linalg.solve(gram, edges)   # rows: gradients of coords 1..3
-    g = np.vstack([-h.sum(axis=0), h])
-    vol = _simplex_volume(pts)
-    return g, vol
+def _assemble(index: np.ndarray, blocks: np.ndarray, size: int) -> scipy.sparse.csr_matrix:
+    """Sum element blocks (T, k, k) into a sparse matrix; index (T, k) holds their global ids."""
+    rows = np.broadcast_to(index[:, :, None], blocks.shape)
+    cols = np.broadcast_to(index[:, None, :], blocks.shape)
+    return scipy.sparse.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                                   shape=(size, size)).tocsr()
 
 
 def whitney_masses(mesh: SimplicialMesh) -> dict:
@@ -38,76 +36,40 @@ def whitney_masses(mesh: SimplicialMesh) -> dict:
     Local simplex vertex order agrees with the sorted global order, so
     no orientation signs appear beyond the Whitney-form definitions.
     """
+    pts = mesh.tet_points
+    edges = pts[:, 1:] - pts[:, :1]
+    # barycentric gradients: rows 1..3 solve gram @ g = edges, row 0 is minus their sum
+    h = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
+    g = np.concatenate([-h.sum(axis=1, keepdims=True), h], axis=1)
+    gdot = g @ g.transpose(0, 2, 1)
+    vol = simplex_volumes(pts)
+    scale = (vol / 20)[:, None, None]
+
+    m0 = scale * (1 + np.eye(4))
+
+    e = np.array(LOCAL_SUBSETS[1])
+    i, j = e[:, 0, None], e[:, 1, None]
+    k, l = e[None, :, 0], e[None, :, 1]
+    m1 = scale * ((1 + (i == k)) * gdot[:, j, l] - (1 + (i == l)) * gdot[:, j, k]
+                  - (1 + (j == k)) * gdot[:, i, l] + (1 + (j == l)) * gdot[:, i, k])
+
+    # X_a = grad(next) x grad(next2), cyclically within the sorted face;
+    # (x x y).(z x w) = (x.z)(y.w) - (x.w)(y.z)
+    f = np.array(LOCAL_SUBSETS[2])
+    nxt, nxt2 = np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)
+    a, p, q = (x[:, :, None, None] for x in (f, nxt, nxt2))  # row face, position in it
+    b, r, s = (x[None, None] for x in (f, nxt, nxt2))  # column face, position in it
+    cross = gdot[:, p, r] * gdot[:, q, s] - gdot[:, p, s] * gdot[:, q, r]
+    m2 = 4 * scale * ((1 + (a == b)) * cross).sum(axis=(2, 4))
+
     n0, n1, n2 = (len(mesh.simplices[d]) for d in range(3))
-    m0 = scipy.sparse.lil_matrix((n0, n0))
-    m0_lump = np.zeros(n0)
-    m1_rows: dict[tuple[int, int], float] = {}
-    m2_rows: dict[tuple[int, int], float] = {}
-
-    local_edges = list(itertools.combinations(range(4), 2))
-    local_faces = list(itertools.combinations(range(4), 3))
-
-    for t_idx, tet in enumerate(mesh.simplices[3]):
-        pts = mesh.coords[3][t_idx]
-        g, vol = _tet_gradients(pts)
-        gdot = g @ g.T
-        sub = mesh.tet_sub[t_idx]
-        verts = [sub[0][1 << a] for a in range(4)]  # vertex simplex indices
-
-        for a in range(4):
-            m0_lump[verts[a]] += vol / 4
-            for b in range(4):
-                m0[verts[a], verts[b]] += vol * (2 if a == b else 1) / 20
-
-        edge_ids = [sub[1][(1 << a) | (1 << b)] for a, b in local_edges]
-        for (ei, (i, j)), (fi, (k, l)) in itertools.product(
-                zip(edge_ids, local_edges), repeat=2):
-            if fi < ei:
-                continue
-            val = (vol / 20) * (
-                (1 + (i == k)) * gdot[j, l] - (1 + (i == l)) * gdot[j, k]
-                - (1 + (j == k)) * gdot[i, l] + (1 + (j == l)) * gdot[i, k])
-            key = (min(ei, fi), max(ei, fi))
-            m1_rows[key] = m1_rows.get(key, 0.0) + val
-
-        face_ids = [sub[2][(1 << a) | (1 << b) | (1 << c)] for a, b, c in local_faces]
-        # X_a = grad(next) x grad(next2), cyclically within the sorted face
-        def cross_dot(p1, q1, p2, q2):
-            return gdot[p1, p2] * gdot[q1, q2] - gdot[p1, q2] * gdot[q1, p2]
-
-        for (fi_a, fa), (fi_b, fb) in itertools.product(
-                zip(face_ids, local_faces), repeat=2):
-            if fi_b < fi_a:
-                continue
-            val = 0.0
-            for pos_a in range(3):
-                a = fa[pos_a]
-                pa, qa = fa[(pos_a + 1) % 3], fa[(pos_a + 2) % 3]
-                for pos_b in range(3):
-                    b = fb[pos_b]
-                    pb, qb = fb[(pos_b + 1) % 3], fb[(pos_b + 2) % 3]
-                    val += (1 + (a == b)) * cross_dot(pa, qa, pb, qb)
-            val *= 4 * vol / 20
-            key = (fi_a, fi_b)
-            m2_rows[key] = m2_rows.get(key, 0.0) + val
-
-    def sym_csr(entries: dict[tuple[int, int], float], size: int) -> scipy.sparse.csr_matrix:
-        rows, cols, vals = [], [], []
-        for (i, j), v in entries.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
+    verts = mesh.faces(0)
+    lumped = np.bincount(verts.ravel(), np.repeat(vol / 4, 4), minlength=n0)
     return {
-        "M0": m0.tocsr(),
-        "M0_lumped": scipy.sparse.diags(m0_lump).tocsr(),
-        "M1": sym_csr(m1_rows, n1),
-        "M2": sym_csr(m2_rows, n2),
+        "M0": _assemble(verts, m0, n0),
+        "M0_lumped": scipy.sparse.diags(lumped).tocsr(),
+        "M1": _assemble(mesh.faces(1), m1, n1),
+        "M2": _assemble(mesh.faces(2), m2, n2),
     }
 
 

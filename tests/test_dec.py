@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,7 @@ from formlap.dec import (MeshError, betti_numbers, build_mesh, compare_sphere_sp
                          dec_import_model, hodge_stars, integer_rank, is_well_centered,
                          laplacian_pencil, spectrum, subdivide_barycentric,
                          unit_sphere_edge_scale)
-from formlap.whitney import galerkin_laplacian
+from formlap.whitney import galerkin_laplacian, whitney_masses
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +99,7 @@ def test_harmonic_dim_from_full_laplacian(five_cell, torus3):
 
 
 def _scaled(mesh, factor):
-    return dataclasses.replace(mesh, coords=[[pts * factor for pts in row] for row in mesh.coords])
+    return dataclasses.replace(mesh, tet_points=mesh.tet_points * factor)
 
 
 def test_well_centered_detection(five_cell, torus3, c600):
@@ -107,6 +110,72 @@ def test_well_centered_detection(five_cell, torus3, c600):
         # grid tets have boundary circumcenters: no stars, the Whitney path
         assert not is_well_centered(_scaled(torus3, factor))
         assert hodge_stars(_scaled(torus3, factor)) is None
+
+
+def test_spectrum_is_scale_free(five_cell):
+    # eigenvalues scale as f^-2; which of them count as zero must not depend on f
+    def pairs(factor):
+        return [(lam * factor**2, kind) for lam, kind in spectrum(_scaled(five_cell, factor), 0, 4)]
+
+    base = pairs(1.0)
+    assert [kind for _, kind in base] == ["harmonic"] + ["coexact"] * 4
+    for factor in (1e-3, 1e5):
+        got = pairs(factor)
+        assert [kind for _, kind in got] == [kind for _, kind in base]
+        assert [lam for lam, _ in got] == pytest.approx([lam for lam, _ in base], rel=1e-9, abs=0)
+
+
+def _vertex_coords(mesh):
+    """One coordinate row per vertex of an embedded mesh, read off the tets."""
+    coords = np.empty((len(mesh.simplices[0]), mesh.tet_points.shape[2]))
+    for t in range(len(mesh.simplices[3])):
+        for i in range(4):
+            coords[mesh.tet_faces[t, 1 << i]] = mesh.tet_points[t, i]
+    return coords
+
+
+def test_hodge_star_volume_identity(five_cell, c600):
+    # each simplex and its dual span |s| * |*s| / C(3, d) of volume, so
+    # sum |s|^2 * star_d(s) = C(3, d) * Vol(M) in every degree
+    for mesh in (five_cell, c600):
+        coords = _vertex_coords(mesh)
+        primal = []
+        for d in range(4):
+            vols = []
+            for simplex in mesh.simplices[d]:
+                edges = coords[list(simplex[1:])] - coords[simplex[0]]
+                vols.append(math.sqrt(abs(np.linalg.det(edges @ edges.T))) / math.factorial(d))
+            primal.append(np.array(vols))
+        total = primal[3].sum()
+        stars = hodge_stars(mesh)
+        for d in range(4):
+            lhs = float(np.sum(primal[d] ** 2 * stars[d].diagonal()))
+            assert abs(lhs - math.comb(3, d) * total) <= 1e-12 * total
+
+
+def test_whitney_masses_integrate_constant_forms(torus3):
+    # Whitney forms reproduce constant forms, so each mass matrix
+    # integrates the cochain of a unit constant form to Vol = (2 pi)^3
+    vol = (2 * math.pi) ** 3
+    masses = whitney_masses(torus3)
+    ones = np.ones(len(torus3.simplices[0]))
+    assert abs(ones @ masses["M0"] @ ones - vol) <= 1e-12 * vol
+    assert abs(masses["M0_lumped"].sum() - vol) <= 1e-12 * vol
+    # the cochains: integrals over each edge and face, on unwrapped tet coordinates
+    edge_vec = np.empty((len(torus3.simplices[1]), 3))
+    face_vecs = np.empty((len(torus3.simplices[2]), 2, 3))
+    for t, pts in enumerate(torus3.tet_points):
+        for a, b in itertools.combinations(range(4), 2):
+            edge_vec[torus3.tet_faces[t, (1 << a) | (1 << b)]] = pts[b] - pts[a]
+        for a, b, c in itertools.combinations(range(4), 3):
+            face_vecs[torus3.tet_faces[t, (1 << a) | (1 << b) | (1 << c)]] = pts[[b, c]] - pts[a]
+    for i in range(3):
+        cochain = edge_vec[:, i]
+        assert abs(cochain @ masses["M1"] @ cochain - vol) <= 1e-12 * vol
+    u, w = face_vecs[:, 0], face_vecs[:, 1]
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        cochain = (u[:, j] * w[:, k] - u[:, k] * w[:, j]) / 2  # dx_j ^ dx_k over the face
+        assert abs(cochain @ masses["M2"] @ cochain - vol) <= 1e-12 * vol
 
 
 def test_sphere_function_spectrum(c600):
@@ -167,14 +236,34 @@ def test_mesh_cache_round_trip(tmp_path, monkeypatch):
     assert betti_numbers(b) == (1, 0, 0, 1)
 
 
-def test_mesh_cache_rebuilds_truncated_file(tmp_path, monkeypatch):
+def _corrupt(good):
+    """Files that parse as JSON (except the first) but do not hold a mesh."""
+    doc = json.loads(good)
+    three_ids = json.loads(good)
+    three_ids["tets"][0]["ids"] = three_ids["tets"][0]["ids"][:3]
+    flat_points = json.loads(good)
+    for tet in flat_points["tets"]:
+        tet["pts"] = [x for row in tet["pts"] for x in row]
+    return {
+        "truncated": good[: len(good) // 2],  # an interrupted writer's leftovers
+        "json-list": json.dumps(doc["tets"]),
+        "three-ids": json.dumps(three_ids),
+        "tets-string": json.dumps(dict(doc, tets="abc")),
+        "no-tets": json.dumps(dict(doc, tets=[])),
+        "points-shape": json.dumps(flat_points),
+    }
+
+
+@pytest.mark.parametrize("case", ["truncated", "json-list", "three-ids", "tets-string",
+                                  "no-tets", "points-shape"])
+def test_mesh_cache_rebuilds_truncated_file(tmp_path, monkeypatch, case):
     from formlap.dec import build_mesh_cached
 
     monkeypatch.setenv("FORMLAP_CACHE_DIR", str(tmp_path))
     path = tmp_path / "mesh-v1-boundary-4-simplex.json"
     build_mesh_cached("boundary-4-simplex")
     good = path.read_text()
-    path.write_text(good[: len(good) // 2])  # an interrupted writer's leftovers
+    path.write_text(_corrupt(good)[case])
     mesh = build_mesh_cached("boundary-4-simplex")
     assert mesh.counts() == (5, 10, 10, 5)
     assert path.read_text() == good
