@@ -1,32 +1,59 @@
 """Flat-torus matrix oracle for the tractor pipeline, one Fourier mode at a time.
 
 On the flat n-torus (an Einstein space with J = 0) every operator in
-the pipeline acts mode by mode as a finite matrix over the Gaussian
-rationals: d is i times exterior multiplication by the mode vector,
-the codifferential is -i times contraction, and the tractor bundle is
-the rank n+2 space spanned by a null direction e_Y, the middle block
-e_1..e_n and a second null direction e_X, with the flat connection
+the pipeline acts mode by mode as a finite matrix: d is i times
+exterior multiplication by the mode vector xi, the codifferential is -i
+times contraction, and the tractor bundle is the rank n+2 space spanned
+by a null direction e_Y, the middle block e_1..e_n and a second null
+direction e_X, with the flat connection
 
     grad_p e_Y = 0,   grad_p e_b = -delta_pb e_Y,   grad_p e_X = e_p
 
-extended to tractor k-forms as a derivation.  The coupled box is minus
-the mode Laplacian sum_p (i xi_p + Gamma_p)^2; the weight term vanishes
-because J = 0.  None of the slotwise component formulas of the symbolic
-engine enter anywhere here, so exact agreement of the two pipelines is
-independent evidence, not a tautology.
+extended to tractor k-forms as a derivation Gamma_p.  The coupled box
+is minus the mode Laplacian sum_p (i xi_p + Gamma_p)^2; the weight term
+vanishes because J = 0.  None of the slotwise component formulas of
+the symbolic engine enter anywhere here, so exact agreement of the two
+pipelines is independent evidence, not a tautology.
 
-Embeddings and reads use the valence-normalised projector conventions
-(the 1/k and 1/(k(k-1)) below), which drop out of all observable
-comparisons; matrices are numpy object arrays holding exact Python
-integers and Fractions split into real and imaginary parts.
+All matrices are exact integer matrices.  Gamma_p raises the grading
+g(t) = [e_Y in t] - [e_X in t] of a tractor basis k-tuple t by one, so
+the diagonal similarity S = diag(i^g) carries i xi_p + Gamma_p to
+i (xi_p + Gamma_p), and
+
+    S box S^-1 = |xi|^2 + 2 sum_p xi_p Gamma_p + sum_p Gamma_p^2
+
+is a real integer matrix.  The splitting embedding carries the 1/k of
+the valence-normalised projector convention (it drops out of every
+observable comparison), so 2k S split is an integer matrix.  S is the
+identity on the middle block (g = 0), where the rows of
+2k S box^ell split are twice the operator's mode matrix.  On the
+symbolic side E = eps(xi) iota(xi) and F = iota(xi) eps(xi) are integer
+matrices with E^p = |xi|^(2(p-1)) E and F^q = |xi|^(2(q-1)) F, and the
+J = 0 coefficients become integers times their common denominator D.
+The comparison is D times those middle rows against 2 times D times
+the expanded operator, entry by entry.
+
+Products run in int64 only when an a-priori bound keeps every entry
+and partial sum below 2^62; otherwise the same products run on numpy
+object arrays of Python ints, so nothing wraps around.  The matrices
+that do not depend on the mode (the Gamma_p, sum Gamma_p^2, exterior
+and interior multiplication by each coordinate vector, the middle-block
+and bottom-slot embeddings, the slot row blocks) are built once per
+(n, k); S itself is never formed, since it is folded into
+``box_matrix`` and ``splitting_matrix``.
+``CMat`` and ``mode_matrices`` keep the Gaussian-rational form of the
+same operators, against which the tests check the similarity; the
+oracle does not use them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +205,28 @@ def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
 # Tractor directions: 0 is the null direction e_Y, 1..n the middle block
 # (form direction b maps to b+1), n+1 the null direction e_X.
 
+_LIMIT = 1 << 62
+
+
+def _exact(bound: int):
+    """int64 when integers up to ``bound`` (entries and partial sums) fit, else Python ints."""
+    return np.int64 if bound < _LIMIT else object
+
+
+def _absmax(mat: np.ndarray) -> int:
+    return int(np.abs(mat).max(initial=0))
+
+
+def _int(mats) -> np.ndarray:
+    """Read-only int64 array of small exact integer matrices."""
+    out = np.array(mats, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _unit(dims: int, p: int) -> list[int]:
+    return [int(i == p) for i in range(dims)]
+
 
 def tractor_gammas(n: int) -> list[np.ndarray]:
     """Flat standard-tractor connection matrices, one per coordinate direction."""
@@ -190,15 +239,47 @@ def tractor_gammas(n: int) -> list[np.ndarray]:
     return gammas
 
 
-def box_matrix(n: int, k: int, xi: tuple[int, ...]) -> CMat:
-    """Minus the coupled mode Laplacian on tractor k-forms (J = 0)."""
-    dim = len(wedge_basis(n + 2, k))
-    box = CMat.zero(dim, dim)
-    for p, gamma in enumerate(tractor_gammas(n)):
-        nabla = CMat(derivation_matrix(gamma, n + 2, k), _obj((dim, dim)))
-        nabla = nabla + CMat.eye(dim).scale_imag(int(xi[p]))
-        box = box - nabla @ nabla
-    return box
+@lru_cache(maxsize=None)
+def _connection(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gamma_p on tractor k-forms stacked (n, dim, dim), and sum_p Gamma_p^2."""
+    gammas = _int([derivation_matrix(g, n + 2, k) for g in tractor_gammas(n)])
+    return gammas, _int((gammas @ gammas).sum(axis=0))
+
+
+@lru_cache(maxsize=None)
+def _eps_stack(n: int, k: int) -> np.ndarray:
+    """Exterior multiplication by e_p, Lambda^k(R^n) -> Lambda^(k+1), stacked over p."""
+    return _int([eps_matrix(n, k, _unit(n, p)) for p in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _iota_stack(n: int, k: int) -> np.ndarray:
+    """Interior multiplication by e_p, Lambda^k(R^n) -> Lambda^(k-1), stacked over p."""
+    return _int([iota_matrix(n, k, _unit(n, p)) for p in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _embeddings(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z_k and eps(e_X) Z_(k-1): the middle-block and bottom-slot embeddings."""
+    eps_x = eps_matrix(n + 2, k - 1, _unit(n + 2, n + 1))
+    return _int(z_embed(n, k)), _int(eps_x @ z_embed(n, k - 1))
+
+
+def _mode_vector(n: int, xi: tuple[int, ...]) -> np.ndarray:
+    """xi as int64, or as Python ints when the mode-linear blocks might not fit.
+
+    With s = sum |xi_p|, every entry and partial sum of box_matrix, its
+    row sums, E, F and the bottom-slot part of the splitting is at most
+    (s + n)^2 * 2^(n+2).
+    """
+    xi = [int(x) for x in xi]
+    s = sum(abs(x) for x in xi)
+    return np.array(xi, dtype=_exact((s + n) ** 2 << (n + 2)))
+
+
+def _along(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_p x_p stack[p] in the dtype of x."""
+    return np.tensordot(x, stack.astype(x.dtype, copy=False), axes=1)
 
 
 def z_embed(n: int, k: int) -> np.ndarray:
@@ -212,8 +293,9 @@ def z_embed(n: int, k: int) -> np.ndarray:
     return m
 
 
-def _row_blocks(n: int, k: int) -> dict[str, list[int]]:
-    """Partition of the tractor k-form basis into slot row blocks."""
+@lru_cache(maxsize=None)
+def _row_blocks(n: int, k: int) -> dict[str, np.ndarray]:
+    """Partition of the tractor k-form basis into slot row blocks (read-only index arrays)."""
     blocks: dict[str, list[int]] = {"z": [], "y": [], "x": [], "w": []}
     for i, tup in enumerate(wedge_basis(n + 2, k)):
         has_y_dir = 0 in tup
@@ -226,76 +308,98 @@ def _row_blocks(n: int, k: int) -> dict[str, list[int]]:
             blocks["x"].append(i)   # carries the bottom slot
         else:
             blocks["z"].append(i)
-    return blocks
+    return {name: _int(rows) for name, rows in blocks.items()}
 
 
-def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> CMat:
-    """Mode matrix of the splitting operator, k-forms to tractor k-forms."""
-    _, delta = mode_matrices(n, k, xi)
-    c_m = Fraction(n + w - 2 * k, k)
-    e_x = [0] * (n + 2)
-    e_x[n + 1] = 1
-    zk = CMat.real(z_embed(n, k))
-    zk1 = CMat.real(z_embed(n, k - 1))
-    eps_x = CMat.real(eps_matrix(n + 2, k - 1, e_x))
-    return zk.scale(c_m) + (eps_x @ zk1 @ delta).scale(Fraction(1, k))
+def box_matrix(n: int, k: int, xi: tuple[int, ...]) -> np.ndarray:
+    """S (box) S^-1 = |xi|^2 + 2 sum xi_p Gamma_p + sum Gamma_p^2 on tractor k-forms (J = 0)."""
+    x = _mode_vector(n, xi)
+    gammas, gamma_sq = _connection(n, k)
+    box = 2 * _along(x, gammas) + gamma_sq.astype(x.dtype)
+    box[np.diag_indices_from(box)] += int(x @ x)
+    return box
 
 
-def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> CMat:
-    """Box**ell applied to the splitting embedding at the operator weight."""
+def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> np.ndarray:
+    """2k S times the splitting operator's mode matrix, k-forms to tractor k-forms.
+
+    The splitting is (n + w - 2k)/k Z_k + (1/k) eps(e_X) Z_(k-1) delta with
+    delta = -i iota(xi); S is -i on the e_X rows, so the result is
+    2(n + w - 2k) Z_k - 2 eps(e_X) Z_(k-1) iota(xi).
+    """
+    top = 2 * (n + Fraction(w) - 2 * k)
+    if top.denominator != 1:
+        raise InternalConsistencyError(f"weight {w} is not a half-integer")
+    x = _mode_vector(n, xi)
+    z_k, eps_z = _embeddings(n, k)
+    return (z_k.astype(x.dtype) * int(top)
+            - 2 * (eps_z.astype(x.dtype) @ _along(x, _iota_stack(n, k))))
+
+
+def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
+    """2k S box^ell split at the operator weight: the flat pipeline as an integer matrix.
+
+    The ell products run in int64 when ||S box S^-1||_inf^ell * max|entry
+    of the splitting| < 2^62, which bounds every entry and partial sum;
+    otherwise on Python ints.
+    """
     from .factory import operator_weight
 
-    w = operator_weight(n, k, ell)
-    out = splitting_matrix(n, k, w, xi)
+    out = splitting_matrix(n, k, operator_weight(n, k, ell), xi)
     box = box_matrix(n, k, xi)
+    row_norm = int(np.abs(box).sum(axis=1).max(initial=0))
+    if row_norm ** ell * _absmax(out) >= _LIMIT:
+        box, out = box.astype(object), out.astype(object)
     for _ in range(ell):
         out = box @ out
     return out
 
 
-def pipeline_L_numeric(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
-    """Exact mode matrix of the operator from the flat pipeline.
+def pipeline_L_numeric(n: int, k: int, ell: int,
+                       xi: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Exact mode matrix of the operator from the flat pipeline, as (M, 2): it is M / 2.
 
-    Asserts that the top and second slot blocks vanish and that the
-    middle block is real, then returns k times the middle block.
+    M is the middle block of ``pipeline_matrix``, where S is the
+    identity.  Raises unless the top and second slot blocks vanish.
     """
     full = pipeline_matrix(n, k, ell, xi)
     blocks = _row_blocks(n, k)
     for name in ("y", "w"):
-        rows = blocks[name]
-        if rows and (np.any(full.re[rows] != 0) or np.any(full.im[rows] != 0)):
+        if np.any(full[blocks[name]] != 0):
             raise InternalConsistencyError(f"nonvanishing {name!r} slot block at xi = {xi}")
-    mid = blocks["z"]
-    if np.any(full.im[mid] != 0):
-        raise InternalConsistencyError(f"residual imaginary part in the middle block at xi = {xi}")
-    return full.re[mid] * k
+    return full[blocks["z"]], 2
 
 
 def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int, xi: tuple[int, ...],
-                         j_value: Fraction = Fraction(0)) -> np.ndarray:
-    """Mode matrix of an expanded operator with J specialised (real part).
+                         j_value: Fraction = Fraction(0)) -> tuple[np.ndarray, int]:
+    """Mode matrix of an expanded operator with J specialised, as (M, D): it is M / D.
 
-    The composition of equal numbers of d's and codifferentials is real;
-    an imaginary residue raises.
+    D is the common denominator of the coefficients at J = j_value.
+    With E = eps(xi) iota(xi), F = iota(xi) eps(xi), E^p = |xi|^(2(p-1)) E
+    and F^q = |xi|^(2(q-1)) F, M = a I + b E + c F for integers a, b, c.
     """
-    d_k, delta_k = mode_matrices(n, k, xi)
-    d_km1, _ = mode_matrices(n, k - 1, xi)
-    _, delta_kp1 = mode_matrices(n, k + 1, xi)
-    e_mat = d_km1 @ delta_k
-    f_mat = delta_kp1 @ d_k
-    dim = len(wedge_basis(n, k))
-    acc = CMat.eye(dim).scale(op.const.eval_at(j_value))
-    cur = CMat.eye(dim)
-    for p in range(1, len(op.e_coeffs) + 1):
-        cur = e_mat @ cur
-        acc = acc + cur.scale(op.e_coeff(p).eval_at(j_value))
-    cur = CMat.eye(dim)
-    for q in range(1, len(op.f_coeffs) + 1):
-        cur = f_mat @ cur
-        acc = acc + cur.scale(op.f_coeff(q).eval_at(j_value))
-    if not acc.is_real:
-        raise InternalConsistencyError("imaginary part in an expanded operator mode matrix")
-    return acc.re
+    const = op.const.eval_at(j_value)
+    e_vals = [c.eval_at(j_value) for c in op.e_coeffs]
+    f_vals = [c.eval_at(j_value) for c in op.f_coeffs]
+    den = math.lcm(*(v.denominator for v in (const, *e_vals, *f_vals)))
+    x = _mode_vector(n, xi)
+    norm2 = int(x @ x)
+    a = int(const * den)
+    b = int(sum(v * den * norm2 ** p for p, v in enumerate(e_vals)))
+    c = int(sum(v * den * norm2 ** q for q, v in enumerate(f_vals)))
+    e_mat = _along(x, _eps_stack(n, k - 1)) @ _along(x, _iota_stack(n, k))
+    f_mat = _along(x, _iota_stack(n, k + 1)) @ _along(x, _eps_stack(n, k))
+    dtype = _exact(abs(a) + abs(b) * _absmax(e_mat) + abs(c) * _absmax(f_mat))
+    out = e_mat.astype(dtype) * b + f_mat.astype(dtype) * c
+    out[np.diag_indices_from(out)] += a
+    return out, den
+
+
+def _times(mat: np.ndarray, c: int) -> np.ndarray:
+    """mat * c exactly: int64 when the product fits, else Python ints."""
+    if _absmax(mat) * abs(c) >= _LIMIT:
+        mat = mat.astype(object)
+    return mat * c
 
 
 def random_modes(n: int, count: int, seed: int, bound: int = 3) -> list[tuple[int, ...]]:
@@ -315,11 +419,10 @@ def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) ->
     per_mode = []
     worst = 0
     for xi in modes:
-        numeric = pipeline_L_numeric(n, k, ell, xi)
-        symbolic = symbolic_mode_matrix(op, n, k, xi)
-        mismatches = int(np.sum(numeric != symbolic))
+        numeric, two = pipeline_L_numeric(n, k, ell, xi)
+        symbolic, den = symbolic_mode_matrix(op, n, k, xi)
+        mismatches = int(np.sum(_times(numeric, den) != _times(symbolic, two)))
         worst = max(worst, mismatches)
         per_mode.append({"xi": list(xi), "mismatched_entries": mismatches})
     return {"n": n, "k": k, "ell": ell, "modes": per_mode,
             "max_discrepancy": worst, "status": "pass" if worst == 0 else "fail"}
-

@@ -122,8 +122,7 @@ def test_criterion_06_slot_vanishing_numeric(capfd):
                     blocks = _row_blocks(n, k)
                     checked += 1
                     for name in ("y", "w"):
-                        rows = blocks[name]
-                        if rows and (np.any(full.re[rows] != 0) or np.any(full.im[rows] != 0)):
+                        if np.any(full[blocks[name]] != 0):
                             bad += 1
     report(capfd, "6b top/second slot vanishing in the flat matrix oracle",
            bad == 0, f"{checked} mode pipelines, {bad} failures")
@@ -186,16 +185,16 @@ def test_criterion_09_torus_oracle(capfd):
     t0 = time.time()
     worst = 0
     cells = 0
-    for n in (3, 4, 5):
+    for n in range(3, 9):
         for k in range(1, n // 2 + 1):
-            for ell in (1, 2, 3):
-                rep = compare_pipelines(n, k, ell, random_modes(n, 20, seed=1))
+            for ell in range(1, 7):
+                rep = compare_pipelines(n, k, ell, random_modes(n, 50, seed=1))
                 worst = max(worst, rep["max_discrepancy"])
                 cells += 1
     elapsed = time.time() - t0
     report(capfd, "9 flat-torus oracle, exact agreement at J = 0",
            worst == 0 and elapsed < 30,
-           f"{cells} cells x 20 modes, max discrepancy {worst}, {elapsed:.1f}s (< 30s)")
+           f"{cells} cells x 50 modes, max discrepancy {worst}, {elapsed:.1f}s (< 30s)")
 
 
 def test_criterion_10_dec_oracle(capfd):

@@ -2,10 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from formlap.factory import build_L_definition
-from formlap.torus import (CMat, box_matrix, compare_pipelines, mode_matrices,
-                           pipeline_L_numeric, pipeline_matrix, random_modes,
-                           symbolic_mode_matrix, wedge_basis, _row_blocks)
+import pytest
+
+import formlap.factory
+from formlap.cli import main
+from formlap.factory import build_L_definition, operator_weight
+from formlap.forms import OperatorPoly
+from formlap.torus import (CMat, box_matrix, compare_pipelines, derivation_matrix, eps_matrix,
+                           mode_matrices, pipeline_L_numeric, pipeline_matrix, random_modes,
+                           symbolic_mode_matrix, tractor_gammas, wedge_basis, z_embed,
+                           _row_blocks)
 
 
 def compose_EF(n, k, xi):
@@ -52,15 +58,16 @@ def test_squares_vanish():
 
 def test_pipeline_example():
     # order-one operator at (4, 1): twice the delta-d piece
-    got = pipeline_L_numeric(4, 1, 1, (1, 0, 0, 0))
-    want = np.zeros((4, 4), dtype=object)
+    got, scale = pipeline_L_numeric(4, 1, 1, (1, 0, 0, 0))
+    want = np.zeros((4, 4), dtype=np.int64)
     for i in (1, 2, 3):
         want[i, i] = 2
-    assert np.all(got == want)
+    assert scale == 2
+    assert np.array_equal(got, want * scale)
 
 
 def test_pipeline_zero_mode():
-    got = pipeline_L_numeric(4, 1, 1, (0, 0, 0, 0))
+    got, _ = pipeline_L_numeric(4, 1, 1, (0, 0, 0, 0))
     assert not np.any(got != 0)
 
 
@@ -68,9 +75,7 @@ def test_top_slots_vanish_numerically():
     full = pipeline_matrix(5, 2, 2, (1, -2, 0, 3, 1))
     blocks = _row_blocks(5, 2)
     for name in ("y", "w"):
-        rows = blocks[name]
-        assert not np.any(full.re[rows] != 0)
-        assert not np.any(full.im[rows] != 0)
+        assert not np.any(full[blocks[name]] != 0)
 
 
 def test_symbolic_matches_numeric_exactly():
@@ -87,7 +92,6 @@ def test_companion_slot_matches_symbolic():
     n, k, ell = 4, 2, 2
     xi = (1, -1, 2, 0)
     full = pipeline_matrix(n, k, ell, xi)
-    blocks = _row_blocks(n, k)
     tractor_basis = wedge_basis(n + 2, k)
     form_km1 = wedge_basis(n, k - 1)
     # bottom-slot read: rho = k (-1)^(k-1) times the coefficients on tuples (T, n+1)
@@ -96,12 +100,12 @@ def test_companion_slot_matches_symbolic():
         target = tuple(x + 1 for x in t) + (n + 1,)
         rows.append(tractor_basis.index(target))
     sign = k * (-1) ** (k - 1)
-    g_numeric_re = full.re[rows] * sign
-    g_numeric_im = full.im[rows] * sign
+    # pipeline_matrix is 2k S times the pipeline, and S = -i on these rows,
+    # so the bottom slot is i * sign * full[rows] / (2k)
+    g_numeric_im = full[rows] * Fraction(sign, 2 * k)
 
     g_expr = build_L_and_G(n, k, ell)[1]
-    d_mats = {}
-    from formlap.torus import eps_matrix, iota_matrix, _obj
+    from formlap.torus import iota_matrix, _obj
 
     def word_matrix(word):
         deg = k
@@ -121,20 +125,141 @@ def test_companion_slot_matches_symbolic():
     acc = CMat.zero(len(form_km1), len(wedge_basis(n, k)))
     for word, coeff in g_expr.terms.items():
         acc = acc + word_matrix(word).scale(coeff.eval_at(0))
-    assert np.all(acc.re == g_numeric_re) and np.all(acc.im == g_numeric_im)
+    assert not np.any(acc.re != 0) and np.all(acc.im == g_numeric_im)
 
 
 def test_symbolic_mode_matrix_is_real():
-    op = build_L_definition(4, 2, 2)
-    mat = symbolic_mode_matrix(op, 4, 2, (1, 2, -1, 0))
-    assert mat.dtype == object
-    assert mat[0, 0] == mat[0, 0]  # finite exact entries, no floats anywhere
-    assert all(isinstance(v, (int, Fraction)) for v in mat.flat)
+    # an exact integer pair (M, D) equal to the Gaussian-rational expansion
+    # sum c_p E^p + sum d_q F^q with E = d delta, F = delta d
+    n, k, xi = 4, 2, (1, 2, -1, 0)
+    op = build_L_definition(n, k, 2)
+    mat, den = symbolic_mode_matrix(op, n, k, xi)
+    assert mat.dtype == np.int64 and isinstance(den, int) and den > 0
+    e, f = compose_EF(n, k, xi)
+    dim = len(wedge_basis(n, k))
+    acc = CMat.eye(dim).scale(op.const.eval_at(0))
+    for mats, coeffs in ((e, op.e_coeffs), (f, op.f_coeffs)):
+        cur = CMat.eye(dim)
+        for c in coeffs:
+            cur = mats @ cur
+            acc = acc + cur.scale(c.eval_at(0))
+    assert acc.is_real and np.array_equal(acc.re * den, mat)
 
 
 def test_box_mixes_slots_at_zero_mode():
     # the connection part alone is nonzero even for the zero mode ...
     box = box_matrix(4, 1, (0, 0, 0, 0))
-    assert not box.is_zero
+    assert np.any(box != 0)
     # ... yet the composed pipeline still annihilates it (cancellation)
-    assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0)) != 0)
+    assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0))[0] != 0)
+
+
+# -- the i^grading similarity ---------------------------------------------------
+
+
+def _similarity(n, k):
+    """S = diag(i^g) and its inverse on tractor k-forms, g(t) = [e_Y in t] - [e_X in t]."""
+    g = [(0 in t) - (n + 1 in t) for t in wedge_basis(n + 2, k)]
+    re = np.diag([int(x == 0) for x in g]).astype(object)
+    im = np.diag(g).astype(object)
+    return CMat(re, im), CMat(re, -im)
+
+
+def _complex_box(n, k, xi):
+    """-sum_p (i xi_p + Gamma_p)^2 as a Gaussian-rational matrix."""
+    dim = len(wedge_basis(n + 2, k))
+    box = CMat.zero(dim, dim)
+    for p, gamma in enumerate(tractor_gammas(n)):
+        nabla = CMat.real(derivation_matrix(gamma, n + 2, k)) + CMat.eye(dim).scale_imag(xi[p])
+        box = box - nabla @ nabla
+    return box
+
+
+def _complex_pipeline(n, k, ell, xi):
+    """box^ell applied to the splitting (n+w-2k)/k Z_k + (1/k) eps(e_X) Z_(k-1) delta.
+
+    The products run on 2k times the splitting, which has integer
+    entries, and the 1/(2k) is applied at the end.
+    """
+    w = operator_weight(n, k, ell)
+    _, delta = mode_matrices(n, k, xi)
+    eps_x = eps_matrix(n + 2, k - 1, [0] * (n + 1) + [1])
+    out = (CMat.real(z_embed(n, k)).scale(int(2 * (n + w - 2 * k)))
+           + (CMat.real(eps_x @ z_embed(n, k - 1)) @ delta).scale(2))
+    box = _complex_box(n, k, xi)
+    for _ in range(ell):
+        out = box @ out
+    return out.scale(Fraction(1, 2 * k))
+
+
+SIMILARITY_CASES = [(n, xi) for n in range(3, 7)
+                    for xi in [(0,) * n] + random_modes(n, 5, seed=3)]
+
+
+@pytest.mark.parametrize("n,xi", SIMILARITY_CASES)
+def test_similarity_makes_the_box_real(n, xi):
+    for k in range(n + 3):
+        s, s_inv = _similarity(n, k)
+        real = s @ _complex_box(n, k, xi) @ s_inv
+        assert real.is_real, (k, xi)
+        assert np.array_equal(real.re, box_matrix(n, k, xi)), (k, xi)
+
+
+@pytest.mark.parametrize("n,xi", SIMILARITY_CASES)
+def test_integer_pipeline_is_the_complex_pipeline(n, xi):
+    for k in range(1, n // 2 + 1):
+        _, s_inv = _similarity(n, k)
+        for ell in (1, 2):
+            full = CMat.real(pipeline_matrix(n, k, ell, xi).astype(object))
+            unscaled = (s_inv @ full).scale(Fraction(1, 2 * k))
+            assert unscaled == _complex_pipeline(n, k, ell, xi), (k, ell, xi)
+
+
+# -- the oracle can fail, and never wraps around ----------------------------------
+
+
+def _order_below(orig, n, k, ell):
+    return orig(n, k, max(ell - 1, 1))
+
+
+def _top_e_bumped(orig, n, k, ell):
+    return orig(n, k, ell) + OperatorPoly.make(n, k, 0, [0] * (ell - 1) + [1])
+
+
+@pytest.mark.parametrize("wrong", [_order_below, _top_e_bumped], ids=["order-below", "e-bumped"])
+def test_wrong_operator_is_caught(wrong, monkeypatch, tmp_path):
+    orig = formlap.factory.build_L_definition
+    monkeypatch.setattr(formlap.factory, "build_L_definition",
+                        lambda n, k, ell: wrong(orig, n, k, ell))
+    rep = compare_pipelines(3, 1, 2, random_modes(3, 5, seed=7))
+    assert rep["status"] == "fail" and rep["max_discrepancy"] > 0
+    code = main(["oracle", "torus", "--n", "3", "--ell-max", "2", "--modes", "3",
+                 "--output", str(tmp_path / "torus.json")])
+    assert code == 1
+
+
+def test_overflow_falls_back_to_python_ints():
+    n, k, ell, xi = 3, 1, 6, (40, -37, 25)
+    box = box_matrix(n, k, xi)
+    assert box.dtype == np.int64
+    assert int(np.abs(box).sum(axis=1).max()) ** ell > 2 ** 62
+    assert pipeline_matrix(n, k, ell, xi).dtype == object
+    assert compare_pipelines(n, k, ell, [xi])["status"] == "pass"
+    # the int64 power wraps around: an unguarded int64 path would be wrong
+    exact = np.linalg.matrix_power(box.astype(object), ell)
+    assert not np.array_equal(np.linalg.matrix_power(box, ell), exact)
+
+
+def test_comparison_scales_leave_int64_when_needed():
+    from formlap.torus import _times
+
+    big = np.array([[2 ** 61, -3]], dtype=np.int64)
+    scaled = _times(big, 4)
+    assert scaled.dtype == object and scaled.tolist() == [[2 ** 63, -12]]
+    assert _times(big, 1).dtype == np.int64
+
+
+def test_huge_mode_builds_in_python_ints():
+    xi = (2 ** 40, -3, 1)
+    assert box_matrix(3, 1, xi).dtype == object
+    assert compare_pipelines(3, 1, 2, [xi])["status"] == "pass"
