@@ -52,6 +52,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     from .factory import build_L_definition, closed_factors
     from .forms import FormAlgebraError, InternalConsistencyError, proportionality
 
+    if args.output is not None and args.format != "json":
+        return _usage_error(f"--output needs --format json: {args.format} output goes to stdout")
     try:
         expanded = build_L_definition(args.n, args.k, args.ell)
         factored = closed_factors(args.n, args.k, args.ell)
@@ -115,11 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "results": [r.as_json() for r in reports],
         "summary": {"checks": len(reports), "failed": len(failures)},
     }
-    try:
-        _emit_report(payload, args.output)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    _emit_report(payload, args.output)
     for r in failures[:10]:
         print(f"FAIL {r.theorem} {r.params}: {r.witness}", file=sys.stderr)
     return 0 if not failures else 1
@@ -154,11 +152,7 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
         "summary": {"cells": len(cells),
                     "max_discrepancy": max(c["max_discrepancy"] for c in cells)},
     }
-    try:
-        _emit_report(payload, args.output)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    _emit_report(payload, args.output)
     if not status_ok:
         bad = [c for c in cells if c["status"] != "pass"]
         print(f"torus oracle mismatch in {len(bad)} cells, e.g. {bad[0]}", file=sys.stderr)
@@ -167,7 +161,7 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_dec(args: argparse.Namespace) -> int:
-    from .dec import (MeshError, betti_numbers, build_mesh_cached, compare_sphere_spectrum,
+    from .dec import (MeshError, betti_numbers, build_mesh, compare_sphere_spectrum,
                       dec_import_model, spectrum, subdivide_barycentric)
     from .spectral import sphere_preset
 
@@ -176,7 +170,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     try:
         if args.mesh == "torus3-grid" and (args.size is None or args.size < 3):
             raise MeshError("torus3-grid needs --size m with m >= 3")
-        mesh = build_mesh_cached(args.mesh, args.size)
+        mesh = build_mesh(args.mesh, args.size)
         if args.subdivide:
             mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
     except MeshError as exc:
@@ -203,14 +197,15 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         payload["sphere_comparison"] = cmp
         ok &= cmp["max_rel_error"] <= args.rtol
         if args.promote is not None:
-            model = dec_import_model(mesh, args.k, spec, rtol=args.rtol)
-            model.save(args.promote)
-            payload["promoted_to"] = str(args.promote)
-    try:
-        _emit_report(payload, args.output)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+            try:
+                model = dec_import_model(mesh, args.k, spec, rtol=args.rtol)
+            except MeshError as exc:
+                print(f"promotion failed: {exc}", file=sys.stderr)
+                ok = False
+            else:
+                model.save(args.promote)
+                payload["promoted_to"] = str(args.promote)
+    _emit_report(payload, args.output)
     return 0 if ok else 1
 
 
@@ -267,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # every report and model write ends here on a bad path
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ there is no floating point anywhere in this module.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Union
 
@@ -160,23 +159,3 @@ def render_ratj(x: RatJ) -> str:
         return _render_mono(x.c, x.m)
     return f"({_render_mono(x.c, 0)}) / ({_render_mono(Fraction(1), -x.m)})"
 
-
-_MONO = re.compile(r"(-?)(\d+(?:/\d+)?)?(\*?)(J(?:\^(\d+))?)?")
-_QUOTIENT = re.compile(r"\((.*)\)\s*/\s*\((.*)\)")
-
-
-def _parse_mono(text: str) -> RatJ:
-    m = _MONO.fullmatch(text.strip())
-    if not m or not (m[2] or m[4]) or bool(m[3]) != bool(m[2] and m[4]):
-        raise ValueError(f"bad monomial text: {text!r}")
-    c = Fraction(m[2]) if m[2] else Fraction(1)
-    power = (int(m[5]) if m[5] else 1) if m[4] else 0
-    return RatJ(-c if m[1] else c, power)
-
-
-def parse_ratj(text: str) -> RatJ:
-    """Inverse of :func:`render_ratj`; also accepts any "(a) / (b)" of monomials."""
-    q = _QUOTIENT.fullmatch(text.strip())
-    if q:
-        return _parse_mono(q[1]) / _parse_mono(q[2])
-    return _parse_mono(text)

@@ -26,21 +26,16 @@ mesh-limited approximations with an explicit tolerance everywhere.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-MESH_SCHEMA = 1
 PHI = (1 + math.sqrt(5)) / 2
 
 # The faces of one tet: its vertex subsets of each dimension d, in
@@ -622,65 +617,3 @@ def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]]
             points.append(SpectralPoint(kind, best, size))
     return SpectralModel(3, k, reference.j_value, tuple(points), "dec-import", True)
 
-
-# -- mesh cache ----------------------------------------------------------------------
-
-
-def cache_dir() -> Path | None:
-    env = os.environ.get("FORMLAP_CACHE_DIR")
-    return Path(env) if env else None
-
-
-def mesh_cache_key(preset: str, m: int | None) -> str:
-    return f"mesh-v{MESH_SCHEMA}-{preset}" + (f"-{m}" if m is not None else "")
-
-
-def build_mesh_cached(preset: str, m: int | None = None) -> SimplicialMesh:
-    """build_mesh with an optional JSON cache under FORMLAP_CACHE_DIR."""
-    cdir = cache_dir()
-    if cdir is None:
-        return build_mesh(preset, m)
-    cdir.mkdir(parents=True, exist_ok=True)
-    path = cdir / (mesh_cache_key(preset, m) + ".json")
-    try:
-        return _mesh_from_json(json.loads(path.read_text()))
-    except (OSError, KeyError, ValueError):  # missing or unreadable; MeshError is a ValueError
-        pass
-    mesh = build_mesh(preset, m)
-    # write beside the target and rename, so no reader sees a partial file
-    fd, tmp = tempfile.mkstemp(dir=cdir, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(_mesh_to_json(mesh)))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return mesh
-
-
-def _mesh_to_json(mesh: SimplicialMesh) -> dict:
-    return {
-        "schema": MESH_SCHEMA,
-        "name": mesh.name,
-        "embedded": mesh.embedded,
-        "tets": [{"ids": list(ids), "pts": pts}
-                 for ids, pts in zip(mesh.simplices[3], mesh.tet_points.tolist())],
-    }
-
-
-def _mesh_from_json(data: object) -> SimplicialMesh:
-    """Mesh from a parsed cache file; MeshError for any file of the wrong structure."""
-    if not isinstance(data, dict) or data.get("schema") != MESH_SCHEMA:
-        raise MeshError("unsupported mesh cache schema")
-    tets = data["tets"]
-    if not isinstance(tets, list) or not tets:
-        raise MeshError("mesh cache holds no list of tets")
-    try:
-        ids = np.array([t["ids"] for t in tets], dtype=np.int64)
-        points = np.array([t["pts"] for t in tets], dtype=float)
-    except (TypeError, ValueError):  # a tet that is not a dict, ragged or non-numeric entries
-        raise MeshError("mesh cache tets are not numeric arrays") from None
-    if ids.ndim != 2 or ids.shape[1] != 4 or points.ndim != 3 or points.shape[:2] != ids.shape:
-        raise MeshError("mesh cache tets are not shaped (T, 4) ids and (T, 4, E) points")
-    return _build_from_tets(data["name"], ids, points, embedded=data["embedded"])

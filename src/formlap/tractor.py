@@ -1,11 +1,10 @@
-"""Weighted tractor k-forms as four slots and the Einstein-scale operators on them.
+"""Weighted tractor k-forms as three slots and the Einstein-scale operators on them.
 
-A tractor k-form of overall weight wt is stored through its four
-components in a fixed Einstein scale,
+A tractor k-form of overall weight wt is stored through its components
+in a fixed Einstein scale,
 
     slot_y : degree k-1, weight wt+k      (top slot)
     slot_z : degree k,   weight wt+k      (middle, form part)
-    slot_w : degree k-2, weight wt+k-2    (middle, second part; absent for k=1)
     slot_x : degree k-1, weight wt+k-2    (bottom slot)
 
 Everything is computed in the scale itself: the scale function is
@@ -14,12 +13,9 @@ weights by p.  The coupled box operator acts slotwise through the
 modified-Laplacian component formulas below plus a diagonal curvature
 term, and lowers the weight by one.
 
-One component formula needs care: the contribution of the slot_w source
-to the slot_x output must carry a factor of J.  The two slots sit at
-weights differing by 2 and the map W -> X is zeroth order in d and the
-codifferential, so weight homogeneity forces the J (restoring it is also
-confirmed by the slot-vanishing identities, the order-one closed forms,
-and the flat-space matrix oracle, all exercised in the test suite).
+The second middle component (degree k-2) is not stored: every form here
+is an alternating word in d and the codifferential applied to the one
+generator of degree k, so only degrees k-1, k and k+1 are ever nonzero.
 
 The splitting operator M embeds a weighted k-form, its formal adjoint
 M* extracts one; the combinatorial normalisation of the top-slot term
@@ -37,13 +33,12 @@ from .forms import CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsi
 
 @dataclass(frozen=True)
 class TractorFormExpr:
-    """Four-slot weighted tractor form over one generator context."""
+    """Three-slot weighted tractor form over one generator context."""
 
     ctx: FormContext
     wt: Fraction
     slot_y: FormExpr
     slot_z: FormExpr
-    slot_w: FormExpr
     slot_x: FormExpr
 
     def __post_init__(self) -> None:
@@ -62,20 +57,18 @@ class TractorFormExpr:
             ctx, wt,
             FormExpr.zero(ctx, k - 1, wt + k),
             FormExpr.zero(ctx, k, wt + k),
-            FormExpr.zero(ctx, k - 2, wt + k - 2),
             FormExpr.zero(ctx, k - 1, wt + k - 2),
         )
 
     @property
     def is_zero(self) -> bool:
-        return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_w.is_zero and self.slot_x.is_zero
+        return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_x.is_zero
 
     def validate(self) -> None:
         k = self.ctx.k
         expected = {
             "slot_y": (k - 1, self.wt + k),
             "slot_z": (k, self.wt + k),
-            "slot_w": (k - 2, self.wt + k - 2),
             "slot_x": (k - 1, self.wt + k - 2),
         }
         for name, (deg, wt) in expected.items():
@@ -86,25 +79,21 @@ class TractorFormExpr:
                     f"expected ({deg}, {wt})"
                 )
             slot.validate()
-        if k == 1 and not self.slot_w.is_zero:
-            raise InternalConsistencyError("nonzero degree-(-1) slot for valence 1")
 
     def __add__(self, other: TractorFormExpr) -> TractorFormExpr:
         if self.ctx != other.ctx or self.wt != other.wt:
             raise FormAlgebraError("adding tractor forms of different context or weight")
         return TractorFormExpr(
             self.ctx, self.wt,
-            self.slot_y + other.slot_y, self.slot_z + other.slot_z,
-            self.slot_w + other.slot_w, self.slot_x + other.slot_x,
+            self.slot_y + other.slot_y, self.slot_z + other.slot_z, self.slot_x + other.slot_x,
         )
 
     def scale(self, c) -> TractorFormExpr:
         return TractorFormExpr(self.ctx, self.wt, self.slot_y.scale(c), self.slot_z.scale(c),
-                               self.slot_w.scale(c), self.slot_x.scale(c))
+                               self.slot_x.scale(c))
 
     def render(self) -> str:
-        return (f"[Y] {self.slot_y.render()}\n[Z] {self.slot_z.render()}\n"
-                f"[W] {self.slot_w.render()}\n[X] {self.slot_x.render()}")
+        return f"[Y] {self.slot_y.render()}\n[Z] {self.slot_z.render()}\n[X] {self.slot_x.render()}"
 
 
 def make_M(ctx: FormContext) -> TractorFormExpr:
@@ -117,7 +106,6 @@ def make_M(ctx: FormContext) -> TractorFormExpr:
         ctx, wt,
         FormExpr.zero(ctx, k - 1, w),
         f.scale(c_m),
-        FormExpr.zero(ctx, k - 2, w - 2),
         f.apply_letter(CD),
     )
 
@@ -132,7 +120,7 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     ctx = t.ctx
     n, k = ctx.n, ctx.k
     wt = t.wt
-    kappa, mu, nu, rho = t.slot_y, t.slot_z, t.slot_w, t.slot_x
+    kappa, mu, rho = t.slot_y, t.slot_z, t.slot_x
 
     c_dia = Fraction(k - 1) * (n - k + 1)  # recurring combination in the diagonal J terms
     j_y = Fraction(1) - Fraction(2 * c_dia, n)
@@ -140,8 +128,6 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     # top slot output
     out_y = kappa.apply_EF(1, 1) + kappa.times_J(1, j_y)
     out_y = out_y + mu.apply_letter(CD).scale(Fraction(-2 * k))
-    if k >= 2:
-        out_y = out_y + nu.apply_letter(D).scale(Fraction(2, k - 1))
     out_y = out_y + rho.scale(Fraction(n - 2 * k + 2))
 
     # middle form slot
@@ -149,34 +135,19 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     out_z = out_z + kappa.apply_letter(D).times_J(1, Fraction(-2, n * k))
     out_z = out_z + rho.apply_letter(D).scale(Fraction(-2, k))
 
-    # middle second slot (absent for k = 1)
-    if k >= 2:
-        out_w = nu.apply_EF(1, 1) + nu.times_J(1, Fraction(-2 * (k - 3) * (n - k + 2), n))
-        out_w = out_w + kappa.apply_letter(CD).times_J(1, Fraction(2 * (k - 1), n))
-        out_w = out_w + rho.apply_letter(CD).scale(Fraction(-2 * (k - 1)))
-    else:
-        out_w = FormExpr.zero(ctx, k - 2, wt + k - 4)
-
-    # bottom slot; the nu contribution carries J (weight bookkeeping, see module docstring)
+    # bottom slot
     out_x = rho.apply_EF(1, 1) + rho.times_J(1, j_y)
     out_x = out_x + kappa.times_J(2, Fraction(n - 2 * k + 2, n * n))
     out_x = out_x + mu.apply_letter(CD).times_J(1, Fraction(-2 * k, n))
-    if k >= 2:
-        out_x = out_x + nu.apply_letter(D).times_J(1, Fraction(-2, n * k - n))
 
     # diagonal curvature term, then the scale shift
     diag = Fraction(-2) * wt * (n + wt - 1) / n
     out_y = out_y + kappa.times_J(1, diag)
     out_z = out_z + mu.times_J(1, diag)
-    if k >= 2:
-        out_w = out_w + nu.times_J(1, diag)
     out_x = out_x + rho.times_J(1, diag)
 
-    return TractorFormExpr(
-        ctx, wt - 1,
-        out_y.shift_weight(1), out_z.shift_weight(1),
-        out_w.shift_weight(1), out_x.shift_weight(1),
-    )
+    return TractorFormExpr(ctx, wt - 1, out_y.shift_weight(1), out_z.shift_weight(1),
+                           out_x.shift_weight(1))
 
 
 def apply_Mstar(t: TractorFormExpr) -> FormExpr:
@@ -197,7 +168,5 @@ def extract_slots(t: TractorFormExpr) -> tuple[FormExpr, FormExpr]:
 
 
 def assert_top_slots_vanish(t: TractorFormExpr) -> None:
-    if not t.slot_y.is_zero or not t.slot_w.is_zero:
-        raise InternalConsistencyError(
-            "top/second slots expected to vanish:\n" + t.render()
-        )
+    if not t.slot_y.is_zero:
+        raise InternalConsistencyError("top slot expected to vanish:\n" + t.render())

@@ -31,9 +31,25 @@ def test_expand_latex(capsys):
     assert "d\\delta" in capsys.readouterr().out
 
 
-def test_expand_usage_error(capsys):
-    assert run_cli(["expand", "--n", "3", "--k", "2", "--ell", "1"]) == 2
-    assert "usage error" in capsys.readouterr().err
+def test_expand_usage_error(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+    for args, needle in ((["--k", "2"], "k = 2"),
+                         (["--k", "1", "--format", "text", "--output", str(target)], "--output"),
+                         (["--k", "1", "--format", "latex", "--output", str(target)], "--output")):
+        assert run_cli(["expand", "--n", "3", "--ell", "1", *args]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:") and needle in lines[0]
+        assert captured.out == ""
+    assert not target.exists()
+
+
+def test_expand_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "x.json"
+    assert run_cli(["expand", "--n", "6", "--k", "1", "--ell", "2", "--format", "json",
+                    "--output", str(target)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:")
 
 
 def test_verify_small_sweep(tmp_path):
@@ -149,6 +165,28 @@ def test_oracle_dec_five_cell(tmp_path):
         assert report["betti"] == [1, 0, 0, 1]
         assert 0.1 < report["sphere_comparison"]["max_rel_error"] <= 0.9
         assert code == expected, rtol
+
+
+def test_oracle_dec_unwritable_promote(capsys, tmp_path):
+    # the coarse 5-cell matches within rtol 0.9, so the model write is reached
+    out, model = tmp_path / "dec.json", tmp_path / "no-such-dir" / "m.json"
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "0", "--eigs", "4",
+                    "--rtol", "0.9", "--promote", str(model), "--output", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error:")
+
+
+def test_oracle_dec_failed_promotion(capsys, tmp_path):
+    # no computed 1-form shell of the 5-cell lies within 10% of a reference value
+    out, model = tmp_path / "dec.json", tmp_path / "m.json"
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "1", "--eigs", "4",
+                    "--promote", str(model), "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("promotion failed:")
+    assert "matches no reference value" in lines[0]
+    report = json.loads(out.read_text())["report"]
+    assert report["betti"] == [1, 0, 0, 1] and "promoted_to" not in report
+    assert not model.exists()
 
 
 def test_console_entry_point():

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -223,48 +222,3 @@ def test_torus_function_eigenvalue_converges():
 def test_subdivision_requires_embedding(torus3):
     with pytest.raises(MeshError):
         subdivide_barycentric(torus3)
-
-
-def test_mesh_cache_round_trip(tmp_path, monkeypatch):
-    from formlap.dec import build_mesh_cached
-
-    monkeypatch.setenv("FORMLAP_CACHE_DIR", str(tmp_path))
-    a = build_mesh_cached("boundary-4-simplex")
-    assert (tmp_path / "mesh-v1-boundary-4-simplex.json").exists()
-    b = build_mesh_cached("boundary-4-simplex")
-    assert a.counts() == b.counts()
-    assert betti_numbers(b) == (1, 0, 0, 1)
-
-
-def _corrupt(good):
-    """Files that parse as JSON (except the first) but do not hold a mesh."""
-    doc = json.loads(good)
-    three_ids = json.loads(good)
-    three_ids["tets"][0]["ids"] = three_ids["tets"][0]["ids"][:3]
-    flat_points = json.loads(good)
-    for tet in flat_points["tets"]:
-        tet["pts"] = [x for row in tet["pts"] for x in row]
-    return {
-        "truncated": good[: len(good) // 2],  # an interrupted writer's leftovers
-        "json-list": json.dumps(doc["tets"]),
-        "three-ids": json.dumps(three_ids),
-        "tets-string": json.dumps(dict(doc, tets="abc")),
-        "no-tets": json.dumps(dict(doc, tets=[])),
-        "points-shape": json.dumps(flat_points),
-    }
-
-
-@pytest.mark.parametrize("case", ["truncated", "json-list", "three-ids", "tets-string",
-                                  "no-tets", "points-shape"])
-def test_mesh_cache_rebuilds_truncated_file(tmp_path, monkeypatch, case):
-    from formlap.dec import build_mesh_cached
-
-    monkeypatch.setenv("FORMLAP_CACHE_DIR", str(tmp_path))
-    path = tmp_path / "mesh-v1-boundary-4-simplex.json"
-    build_mesh_cached("boundary-4-simplex")
-    good = path.read_text()
-    path.write_text(_corrupt(good)[case])
-    mesh = build_mesh_cached("boundary-4-simplex")
-    assert mesh.counts() == (5, 10, 10, 5)
-    assert path.read_text() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]  # no temp file left

@@ -15,7 +15,7 @@ def test_make_M_examples():
     f = FormExpr.generator(FormContext(6, 2, Fraction(1)))
     assert m.slot_z == f.scale(Fraction(3, 2))
     assert m.slot_x == f.apply_letter(CD)
-    assert m.slot_y.is_zero and m.slot_w.is_zero
+    assert m.slot_y.is_zero
     assert m.wt == -1
 
     m2 = make_M(FormContext(4, 2, Fraction(0)))
@@ -27,24 +27,22 @@ def test_slot_invariants_enforced():
     c = FormContext(6, 2, Fraction(1))
     good = make_M(c)
     with pytest.raises(InternalConsistencyError):
-        TractorFormExpr(c, good.wt, good.slot_z, good.slot_z, good.slot_w, good.slot_x)
+        TractorFormExpr(c, good.wt, good.slot_z, good.slot_z, good.slot_x)
 
 
 def test_box_on_pure_z_slot():
     # four-dimensional valence-one case: output slots
-    # (-2 delta mu, (E + F - J) mu, 0, -(1/2) J delta mu) at weight -1
+    # (-2 delta mu, (E + F - J) mu, -(1/2) J delta mu) at weight -1
     c = FormContext(4, 1, Fraction(1))
     mu = FormExpr.generator(c)
     t = TractorFormExpr(c, Fraction(0),
                         FormExpr.zero(c, 0, Fraction(1)), mu,
-                        FormExpr.zero(c, -1, Fraction(-1)),
                         FormExpr.zero(c, 0, Fraction(-1)))
     out = apply_box(t)
     assert out.wt == -1
     assert out.slot_y == mu.apply_letter(CD).scale(-2).shift_weight(1)
     expected_z = (mu.apply_EF(1, 1) + mu.times_J(1, -1)).shift_weight(1)
     assert out.slot_z == expected_z
-    assert out.slot_w.is_zero
     assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2)).shift_weight(1)
 
 
@@ -59,11 +57,10 @@ def test_Mstar_contractions():
     f = FormExpr.generator(c)
     wt = Fraction(-2)
     pure_z = TractorFormExpr(c, wt, FormExpr.zero(c, 1, wt + 2), f.shift_weight(-1),
-                             FormExpr.zero(c, 0, wt), FormExpr.zero(c, 1, wt))
+                             FormExpr.zero(c, 1, wt))
     assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(wt + 2))
     pure_x = TractorFormExpr(c, wt, FormExpr.zero(c, 1, wt + 2),
-                             FormExpr.zero(c, 2, wt + 2),
-                             FormExpr.zero(c, 0, wt), f.apply_letter(CD).shift_weight(-1))
+                             FormExpr.zero(c, 2, wt + 2), f.apply_letter(CD).shift_weight(-1))
     assert apply_Mstar(pure_x).is_zero
 
 
@@ -90,17 +87,14 @@ def test_box_linearity(a, b):
     s = TractorFormExpr(c, wt,
                         f.apply_letter(CD),
                         f.apply_EF(2, -1) + f.times_J(1, 3),
-                        FormExpr.zero(c, 0, wt),
                         f.apply_letter(CD).times_J(1))
     t = TractorFormExpr(c, wt,
                         f.apply_letter(CD).scale(-5),
                         f.times_J(1),
-                        FormExpr.zero(c, 0, wt),
                         f.apply_EF(0, 1).apply_letter(CD))
     lhs = apply_box(s.scale(a) + t.scale(b))
     rhs = apply_box(s).scale(a) + apply_box(t).scale(b)
-    assert lhs.slot_y == rhs.slot_y and lhs.slot_z == rhs.slot_z
-    assert lhs.slot_w == rhs.slot_w and lhs.slot_x == rhs.slot_x
+    assert lhs.slot_y == rhs.slot_y and lhs.slot_z == rhs.slot_z and lhs.slot_x == rhs.slot_x
 
 
 @pytest.mark.parametrize("n,k,ell", [(4, 1, 1), (6, 2, 2), (5, 1, 2), (8, 3, 3), (12, 6, 2)])
@@ -108,8 +102,21 @@ def test_slot_vanishing_at_operator_weight(n, k, ell):
     from formlap.factory import run_pipeline
 
     t = run_pipeline(n, k, ell)
-    assert t.slot_y.is_zero and t.slot_w.is_zero
+    assert t.slot_y.is_zero
     assert not t.slot_z.is_zero
+
+
+@given(st.sampled_from([(3, 1), (4, 1), (4, 2), (6, 2), (7, 3), (8, 4), (12, 5)]),
+       st.lists(st.sampled_from([D, CD]), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_generator_words_reach_only_three_degrees(nk, letters):
+    # why a tractor form has no degree-(k-2) slot: every word in d and the
+    # codifferential applied to the generator is zero outside degrees k-1..k+1
+    n, k = nk
+    expr = FormExpr.generator(FormContext(n, k, Fraction(1)))
+    for letter in letters:
+        expr = expr.apply_letter(letter)
+    assert expr.is_zero or abs(expr.degree - k) <= 1
 
 
 def test_extract_slots():
