@@ -189,7 +189,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     }
     ok = True
     if args.mesh in ("cell600", "boundary-4-simplex"):
-        spec = spectrum(mesh, args.k, args.eigs, betti_k=betti[args.k])
+        spec = spectrum(mesh, args.k, args.eigs)
         ref = sphere_preset(3, args.k, j_max=4)
         reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points
                      if p.kind != "harmonic"]

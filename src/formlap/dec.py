@@ -3,8 +3,9 @@
 Supplies the numerical side of the spectral checks: simplicial meshes
 of the flat 3-torus and of the 3-sphere (the boundary of the 4-simplex
 and the 600-cell), the up/down Laplacian pieces, exact Betti numbers by
-integer rank computation, and approximate eigenvalues of the two pieces
-for comparison against the trusted sphere spectrum file.
+coreduction to a small Morse complex and integer ranks of its boundary
+matrices, and approximate eigenvalues of the two pieces for comparison
+against the trusted sphere spectrum file.
 
 A mesh is stored as arrays over its tets: the coordinates of each tet's
 four vertices, (T, 4, E), and a (T, 16) table that maps each local face
@@ -25,6 +26,9 @@ mesh-limited approximations with an explicit tolerance everywhere.
 
 from __future__ import annotations
 
+import bisect
+import collections
+import heapq
 import itertools
 import math
 import warnings
@@ -434,11 +438,131 @@ def integer_rank(matrix: scipy.sparse.spmatrix) -> int:
     return rank
 
 
-def betti_numbers(mesh: SimplicialMesh) -> tuple[int, int, int, int]:
-    """Exact Betti numbers from boundary ranks."""
-    ranks = [0] + [integer_rank(mesh.boundaries[d]) for d in range(1, 4)] + [0]
+def _morse_complex(mesh: SimplicialMesh) -> tuple[list[int], list[scipy.sparse.csr_matrix]]:
+    """Critical cells of a coreduction of the mesh and their Morse boundaries.
+
+    Coreduction (Mrozek-Batko 2009): a live cell tau with exactly one
+    live face sigma is paired with it and both are removed; when no
+    such tau is queued, the lowest-dimensional live cell (it has no
+    live faces) becomes critical and is removed.  Each pair is a unit
+    pivot with no fill, so over Q the critical cells with their Morse
+    boundaries have the homology of the mesh.
+
+    The Morse boundary of a critical cell is its boundary pushed along
+    the gradient flow (Harker-Mischaikow-Mrozek-Nanda 2014): the entry
+    removed last, if it was paired with a coface tau, is cleared with
+    the boundary of tau, whose other faces were all removed before it.
+    Clearing only adds cells removed earlier, so popping a heap on
+    removal time, latest first, visits each cell once, with its
+    coefficient final.  Critical entries are kept; the upper cells of
+    lower pairs drop out.  Boundary entries are +-1, so the flow stays
+    in the integers (a coefficient past int64 raises OverflowError
+    when the matrix is built; it never wraps).
+
+    Returns the critical counts c_d and, for d = 1..dim, the integer
+    Morse boundary matrix of shape (c_{d-1}, c_d).
+    """
     counts = mesh.counts()
-    return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(4))  # type: ignore[return-value]
+    # cell i of dimension d is global cell offset[d] + i
+    offset = np.cumsum((0,) + counts).tolist()
+    n_cells = offset[-1]
+    # the faces of a d-cell are its column of the CSC boundary_d, its
+    # cofaces its row of the CSR boundary_{d+1}
+    down = [mesh.boundaries[d].tocsc() for d in range(1, len(counts))]
+    up = [mesh.boundaries[d].tocsr() for d in range(1, len(counts))]
+    n_faces = np.concatenate([np.zeros(counts[0], dtype=np.int64)]
+                             + [np.diff(b.indptr) for b in down])
+    n_cofaces = np.concatenate([np.diff(b.indptr) for b in up]
+                               + [np.zeros(counts[-1], dtype=np.int64)])
+    face_ptr = np.concatenate(([0], np.cumsum(n_faces))).tolist()
+    face_idx = np.concatenate([b.indices + offset[d] for d, b in enumerate(down)]).tolist()
+    face_val = np.concatenate([b.data for b in down]).tolist()
+    coface_ptr = np.concatenate(([0], np.cumsum(n_cofaces))).tolist()
+    coface_idx = np.concatenate([b.indices + offset[d + 1] for d, b in enumerate(up)]).tolist()
+
+    live_faces = n_faces.tolist()
+    removed_at = [-1] * n_cells  # removal time, -1 while live
+    partner = [-1] * n_cells  # sigma -> the coface tau it was paired with
+    partner_val = [0] * n_cells  # the entry of sigma in the boundary of tau
+    critical: list[int] = []
+    queue: collections.deque[int] = collections.deque()
+    clock = cursor = 0
+    while True:
+        if queue:
+            tau = queue.popleft()
+            if removed_at[tau] >= 0 or live_faces[tau] != 1:
+                continue
+            for j in range(face_ptr[tau], face_ptr[tau + 1]):
+                sigma = face_idx[j]
+                if removed_at[sigma] < 0:
+                    partner[sigma], partner_val[sigma] = tau, face_val[j]
+                    break
+            removal: tuple[int, ...] = (sigma, tau)
+        else:
+            # cells are numbered dimension by dimension and only ever
+            # removed, so the first live cell is a lowest-dimensional one
+            while cursor < n_cells and removed_at[cursor] >= 0:
+                cursor += 1
+            if cursor == n_cells:
+                break
+            critical.append(cursor)
+            removal = (cursor,)
+        for cell in removal:
+            removed_at[cell] = clock
+            clock += 1
+            for t in coface_idx[coface_ptr[cell]:coface_ptr[cell + 1]]:
+                live_faces[t] -= 1
+                if live_faces[t] == 1 and removed_at[t] < 0:
+                    queue.append(t)
+
+    by_dim: list[list[int]] = [[] for _ in counts]
+    for cell in critical:
+        by_dim[bisect.bisect_right(offset, cell) - 1].append(cell)
+    position = {cell: i for cells in by_dim for i, cell in enumerate(cells)}
+    morse = []
+    for d in range(1, len(counts)):
+        rows, cols, vals = [], [], []
+        for col, cell in enumerate(by_dim[d]):
+            chain = {face_idx[j]: face_val[j] for j in range(face_ptr[cell], face_ptr[cell + 1])}
+            heap = [(-removed_at[s], s) for s in chain]
+            heapq.heapify(heap)
+            while heap:
+                s = heapq.heappop(heap)[1]
+                x, tau = chain[s], partner[s]
+                if not x:
+                    continue
+                if tau < 0:
+                    if s in position:
+                        rows.append(position[s])
+                        cols.append(col)
+                        vals.append(x)
+                    continue
+                # subtract x / <d tau, s> times d tau; the entry is +-1, its own inverse
+                f = x * partner_val[s]
+                for j in range(face_ptr[tau], face_ptr[tau + 1]):
+                    r = face_idx[j]
+                    if r == s:
+                        continue
+                    if r in chain:
+                        chain[r] -= f * face_val[j]
+                    else:
+                        chain[r] = -f * face_val[j]
+                        heapq.heappush(heap, (-removed_at[r], r))
+        morse.append(scipy.sparse.csr_matrix(
+            (vals, (rows, cols)), shape=(len(by_dim[d - 1]), len(by_dim[d])), dtype=np.int64))
+    return [len(cells) for cells in by_dim], morse
+
+
+def betti_numbers(mesh: SimplicialMesh) -> tuple[int, int, int, int]:
+    """Exact Betti numbers over Q: b_d = c_d - rank M_d - rank M_{d+1}.
+
+    c_d counts the critical d-cells of a coreduction and M_d is their
+    integer Morse boundary matrix (see _morse_complex); only these small
+    matrices go through integer_rank.
+    """
+    crit, morse = _morse_complex(mesh)
+    ranks = [0] + [integer_rank(m) for m in morse] + [0]
+    return tuple(crit[d] - ranks[d] - ranks[d + 1] for d in range(len(crit)))  # type: ignore[return-value]
 
 
 # -- spectra ------------------------------------------------------------------------
@@ -488,16 +612,13 @@ def _lowest_pairs(a_full, a_up, mass, count: int, b_k: int) -> list[tuple[float,
     return sorted(out, key=lambda t: t[0])
 
 
-def spectrum(mesh: SimplicialMesh, k: int, count: int,
-             betti_k: int | None = None) -> list[tuple[float, str]]:
+def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]]:
     """Lowest eigenvalues of the two Laplacian pieces on k-cochains.
 
     Returns (eigenvalue, kind) pairs sorted by eigenvalue; the harmonic
     entries come from the exact Betti number, never from numerical
     zeros.  Nonzero eigenpairs are classified exact/coexact by the
-    Rayleigh quotient of the up piece.  Callers that already know the
-    k-th Betti number (from their own betti_numbers call, or a refined
-    mesh of a verified one) pass it to skip the exact rank computation.
+    Rayleigh quotient of the up piece.
 
     Well-centered meshes use diagonal circumcentric stars (Hirani 2003);
     all others the Galerkin (Whitney) matrices (Arnold-Falk-Winther 2006).
@@ -507,7 +628,7 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int,
     nk = len(mesh.simplices[k])
     if count > nk:
         raise MeshError(f"requested {count} eigenvalues of a {nk}-dimensional space")
-    b_k = betti_numbers(mesh)[k] if betti_k is None else betti_k
+    b_k = betti_numbers(mesh)[k]
     stars = hodge_stars(mesh)
     if stars is not None:
         a_full, a_up, mass = laplacian_pencil(mesh, k, stars)

@@ -205,16 +205,14 @@ def test_criterion_10_dec_oracle(capfd):
     t0 = time.time()
     torus = build_mesh("torus3-grid", 3)
     sphere = build_mesh("cell600")
-    betti_ok = betti_numbers(torus) == (1, 3, 3, 1) and betti_numbers(sphere) == (1, 0, 0, 1)
+    refined_mesh = subdivide_barycentric(sphere, project_radius=1.0)
+    betti_ok = (betti_numbers(torus) == (1, 3, 3, 1) and betti_numbers(sphere) == (1, 0, 0, 1)
+                and betti_numbers(refined_mesh) == (1, 0, 0, 1))
 
     ref = sphere_preset(3, 1, 2)
     reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points]
     coarse = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)
-    refined_mesh = subdivide_barycentric(sphere, project_radius=1.0)
-    # subdivision preserves the topology, so the verified Betti number
-    # carries over and the expensive exact rank can be skipped
-    refined = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12, betti_k=0),
-                                      reference)
+    refined = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12), reference)
     elapsed = time.time() - t0
     ok = (betti_ok and coarse["max_rel_error"] <= 0.10
           and refined["max_rel_error"] < coarse["max_rel_error"]

@@ -167,6 +167,18 @@ def test_oracle_dec_five_cell(tmp_path):
         assert code == expected, rtol
 
 
+def test_oracle_dec_subdivided_sphere(tmp_path):
+    # one barycentric subdivision of the 5-cell, pushed onto the unit sphere:
+    # its Betti numbers are computed on the refined mesh, not carried over
+    out = tmp_path / "dec.json"
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--subdivide", "--k", "1",
+                    "--eigs", "4", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["config"]["subdivide"] is True
+    assert report["betti"] == [1, 0, 0, 1]
+    assert report["sphere_comparison"]["max_rel_error"] <= 0.10
+
+
 def test_oracle_dec_unwritable_promote(capsys, tmp_path):
     # the coarse 5-cell matches within rtol 0.9, so the model write is reached
     out, model = tmp_path / "dec.json", tmp_path / "no-such-dir" / "m.json"

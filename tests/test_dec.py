@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from formlap.dec import (MeshError, betti_numbers, build_mesh, compare_sphere_spectrum,
-                         dec_import_model, hodge_stars, integer_rank, is_well_centered,
-                         laplacian_pencil, spectrum, subdivide_barycentric,
+from formlap.dec import (MeshError, _build_from_tets, _morse_complex, betti_numbers, build_mesh,
+                         compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
+                         is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
                          unit_sphere_edge_scale)
 from formlap.whitney import galerkin_laplacian, whitney_masses
 
@@ -55,10 +55,67 @@ def test_invalid_preset():
         build_mesh("torus3-grid", 2)
 
 
+def _rank_betti(mesh):
+    """Reference Betti numbers: integer_rank of the full boundary matrices."""
+    ranks = [0] + [integer_rank(mesh.boundaries[d]) for d in range(1, 4)] + [0]
+    return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(mesh.counts()))
+
+
 def test_betti_numbers_exact(five_cell, torus3, c600):
     assert betti_numbers(five_cell) == (1, 0, 0, 1)
     assert betti_numbers(c600) == (1, 0, 0, 1)
     assert betti_numbers(torus3) == (1, 3, 3, 1)
+    refined = subdivide_barycentric(five_cell, project_radius=1.0)
+    for mesh in (five_cell, torus3, c600, refined):
+        assert betti_numbers(mesh) == _rank_betti(mesh), mesh.name
+
+
+def test_critical_cells_of_the_presets(five_cell, torus3, c600):
+    # a coreduction of a torus grid leaves a perfect Morse complex, so the
+    # 3x3 Morse boundaries are zero; on the spheres only a vertex and a tet remain
+    spheres = (five_cell, c600, subdivide_barycentric(five_cell, project_radius=1.0),
+               subdivide_barycentric(c600, project_radius=1.0))
+    for meshes, known in (((torus3, build_mesh("torus3-grid", 6)), (1, 3, 3, 1)),
+                          (spheres, (1, 0, 0, 1))):
+        for mesh in meshes:
+            crit, morse = _morse_complex(mesh)
+            assert tuple(crit) == known, mesh.name
+            assert [m.shape for m in morse] == [(crit[d - 1], crit[d]) for d in (1, 2, 3)]
+            assert betti_numbers(mesh) == known, mesh.name
+
+
+def _random_subcomplexes(mesh, count, seed):
+    """Seeded subsets of the tets of a mesh, each a complex of its own.
+
+    On an embedded mesh the tets are first cut to a band of the sphere,
+    which keeps the reference ranks cheap.
+    """
+    rng = np.random.default_rng(seed)
+    ids = np.array(mesh.simplices[3])
+    centres = mesh.tet_points.mean(axis=1)
+    for _ in range(count):
+        pool = np.arange(len(ids))
+        if mesh.embedded:
+            height = centres @ centres[rng.integers(len(ids))]
+            low = rng.uniform(-0.5, 0.3)
+            pool = np.nonzero((height > low) & (height < low + 0.3))[0]
+        keep = pool[rng.random(len(pool)) < rng.uniform(0.2, 0.9)]
+        if len(keep):
+            yield _build_from_tets(mesh.name + "-sub", ids[keep], mesh.tet_points[keep],
+                                   embedded=mesh.embedded)
+
+
+def test_betti_numbers_match_full_ranks_on_random_subcomplexes(torus3, c600):
+    cases = excess = 0
+    for mesh, count in ((torus3, 140), (c600, 70)):
+        for sub in _random_subcomplexes(mesh, count, seed=1):
+            betti = betti_numbers(sub)
+            assert betti == _rank_betti(sub), (sub.counts(), betti)
+            cases += 1
+            excess += sum(_morse_complex(sub)[0]) > sum(betti)
+    assert cases >= 200
+    # a nonzero Morse boundary was needed, not only the critical counts
+    assert excess >= 10
 
 
 def test_integer_rank_small():
