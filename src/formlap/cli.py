@@ -167,6 +167,8 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
 
     if args.promote is not None and args.mesh == "torus3-grid":
         return _usage_error("--promote needs a sphere mesh: torus3-grid has no sphere reference")
+    if not 0 < args.rtol < 1:  # also rejects nan and inf
+        return _usage_error(f"--rtol {args.rtol} is not a number in (0, 1)")
     try:
         if args.mesh == "torus3-grid" and (args.size is None or args.size < 3):
             raise MeshError("torus3-grid needs --size m with m >= 3")
@@ -190,15 +192,13 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     ok = True
     if args.mesh in ("cell600", "boundary-4-simplex"):
         spec = spectrum(mesh, args.k, args.eigs)
-        ref = sphere_preset(3, args.k, j_max=4)
-        reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points
-                     if p.kind != "harmonic"]
+        reference = sphere_preset(3, args.k, j_max=4)
         cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
         payload["sphere_comparison"] = cmp
         ok &= cmp["max_rel_error"] <= args.rtol
         if args.promote is not None:
             try:
-                model = dec_import_model(mesh, args.k, spec, rtol=args.rtol)
+                model = dec_import_model(mesh, args.k, spec, reference, rtol=args.rtol)
             except MeshError as exc:
                 print(f"promotion failed: {exc}", file=sys.stderr)
                 ok = False

@@ -40,6 +40,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .spectral import SpectralModel, SpectralPoint
+
 PHI = (1 + math.sqrt(5)) / 2
 
 # The faces of one tet: its vertex subsets of each dimension d, in
@@ -655,17 +657,17 @@ def unit_sphere_edge_scale(mesh: SimplicialMesh) -> float:
 # -- comparison with the trusted sphere data ----------------------------------------
 
 
-def _cluster(values: list[float], rel_gap: float = 0.06) -> list[tuple[float, int]]:
+def _cluster(values: list[float]) -> list[tuple[float, int]]:
     """Group a sorted eigenvalue list into (mean, size) clusters.
 
     Discretization splits an exact multiplet by a few percent; distinct
     low sphere eigenvalues sit tens of percent apart, so a relative gap
-    threshold separates them cleanly.
+    of 6% separates them cleanly.
     """
     clusters: list[tuple[float, int]] = []
     cur: list[float] = []
     for v in values:
-        if cur and v - cur[-1] > rel_gap * max(cur[-1], 1e-12):
+        if cur and v - cur[-1] > 0.06 * max(cur[-1], 1e-12):
             clusters.append((sum(cur) / len(cur), len(cur)))
             cur = []
         cur.append(v)
@@ -674,67 +676,61 @@ def _cluster(values: list[float], rel_gap: float = 0.06) -> list[tuple[float, in
     return clusters
 
 
-def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
-                            reference: list[tuple[str, Fraction, int]],
-                            shells_per_kind: int = 1) -> dict:
-    """Relative discrepancies of the lowest per-kind eigenvalue shells.
+def _shells(reference: SpectralModel, kind: str) -> list[SpectralPoint]:
+    """The reference points of one kind, lowest eigenvalue first."""
+    return sorted((p for p in reference.points if p.kind == kind), key=lambda p: p.eigenvalue)
 
-    spec is spectrum(mesh, k, ...).  reference lists (kind, exact
-    eigenvalue, multiplicity) sorted per kind.  Computed eigenvalues are
-    scaled onto the unit sphere by the edge-geodesic factor, clustered
-    into approximate multiplets, and the cluster means are compared to
-    the reference shells.
+
+def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
+                            reference: SpectralModel) -> dict:
+    """Relative discrepancy of the lowest eigenvalue shell of each kind.
+
+    spec is spectrum(mesh, k, ...) and reference the trusted sphere model
+    (``sphere_preset``).  Computed eigenvalues are scaled onto the unit
+    sphere by the edge-geodesic factor and clustered into approximate
+    multiplets; the lowest cluster of each kind is paired with the
+    lowest reference shell of that kind.
     """
     scale = unit_sphere_edge_scale(mesh)
     result: dict = {"mesh": mesh.name, "k": k, "scale": scale, "entries": []}
     for kind in ("exact", "coexact"):
-        refs = [(float(v), mult) for kd, v, mult in reference if kd == kind]
-        got = sorted(lam * scale for lam, kd in spec if kd == kind)
-        clusters = _cluster(got)
-        for i, (ref, mult) in enumerate(refs[:shells_per_kind]):
-            if i >= len(clusters):
-                break
-            mean, size = clusters[i]
+        shells = _shells(reference, kind)
+        clusters = _cluster(sorted(lam * scale for lam, kd in spec if kd == kind))
+        if shells and clusters:
+            ref, (mean, size) = float(shells[0].eigenvalue), clusters[0]
             result["entries"].append(
-                {"kind": kind, "shell": i + 1, "reference": ref, "computed": mean,
+                {"kind": kind, "shell": 1, "reference": ref, "computed": mean,
                  "rel_error": abs(mean - ref) / ref,
-                 "multiplicity": mult, "cluster_size": size})
+                 "multiplicity": shells[0].multiplicity, "cluster_size": size})
     result["max_rel_error"] = max((e["rel_error"] for e in result["entries"]), default=math.inf)
     return result
 
 
 def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
-                     rtol: float = 0.10, shells_per_kind: int = 1) -> "SpectralModel":
-    """Promote oracle eigenvalues into an exact spectral model.
+                     reference: SpectralModel, rtol: float = 0.10) -> SpectralModel:
+    """Promote the shells ``compare_sphere_spectrum`` compares into an exact model.
 
-    spec is spectrum(mesh, k, ...).  The lowest shells_per_kind clusters
-    per kind (unit-sphere scaled) are matched to the nearest trusted
-    reference eigenvalue within rtol and promoted to that exact rational,
-    with the measured cluster sizes as multiplicities.  A shell that
-    matches nothing aborts the import: a model with unexplained spectral
-    content must not feed the kernel checks.  Higher shells are discarded
-    as mesh-unresolved.
+    spec is spectrum(mesh, k, ...) and reference the trusted sphere
+    model.  Each compared shell becomes a point at the exact reference
+    eigenvalue and multiplicity, provided the cluster mean lies within
+    rtol of that eigenvalue and the cluster has exactly that many
+    members.  Anything else aborts the import: a model with unexplained
+    spectral content must not feed the kernel checks.  Higher shells are
+    discarded as mesh-unresolved.
     """
-    from .spectral import SpectralModel, SpectralPoint, sphere_preset
-
-    reference = sphere_preset(3, k, j_max=8)
-    scale = unit_sphere_edge_scale(mesh)
-    points: list[SpectralPoint] = []
     b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     measured_b = sum(1 for lam, kd in spec if kd == "harmonic")
     if measured_b != b_k:
         raise MeshError(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
-    if b_k:
-        points.append(SpectralPoint("harmonic", Fraction(0), b_k))
-    for kind in ("exact", "coexact"):
-        refs = sorted(p.eigenvalue for p in reference.points if p.kind == kind)
-        got = sorted(lam * scale for lam, kd in spec if kd == kind)
-        for mean, size in _cluster(got)[:shells_per_kind]:
-            best = min(refs, key=lambda r: abs(mean - float(r)), default=None)
-            if best is None or abs(mean - float(best)) > rtol * float(best):
-                raise MeshError(
-                    f"computed {kind} eigenvalue {mean:.4f} matches no reference value "
-                    f"within {rtol:.0%}")
-            points.append(SpectralPoint(kind, best, size))
+    points = [SpectralPoint("harmonic", Fraction(0), b_k)] if b_k else []
+    for e in compare_sphere_spectrum(mesh, k, spec, reference)["entries"]:
+        kind = e["kind"]
+        if e["rel_error"] > rtol or e["cluster_size"] != e["multiplicity"]:
+            raise MeshError(
+                f"computed {kind} shell {e['computed']:.4f} (x{e['cluster_size']}) matches no "
+                f"reference value within {rtol:.0%}: the lowest {kind} shell is "
+                f"{e['reference']:g} (x{e['multiplicity']})")
+        shell = _shells(reference, kind)[e["shell"] - 1]
+        points.append(SpectralPoint(kind, shell.eigenvalue, shell.multiplicity))
     return SpectralModel(3, k, reference.j_value, tuple(points), "dec-import", True)
 

@@ -19,7 +19,11 @@ asserted consistent term by term.
 
 Degree-preserving expressions expand in the commutative quotient ring
 R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
-"cd".  Only monomials E^p, F^q and a constant survive in R.
+"cd".  Only monomials E^p, F^q and a constant survive in R.  An
+element of R reaches an expression only through
+``OperatorPoly.to_form_expr`` and an eigenspace only through
+``OperatorPoly.at``: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E
+and F^q = lam^(q-1) F, so the element acts there as a + b E + c F.
 """
 
 from __future__ import annotations
@@ -176,10 +180,6 @@ class FormExpr:
         for letter in reversed(word):
             out = out.apply_letter(letter)
         return out
-
-    def apply_EF(self, e_coeff: RatJ | Fraction | int, f_coeff: RatJ | Fraction | int) -> FormExpr:
-        """e * (d after codifferential) + f * (codifferential after d), applied to self."""
-        return self.apply_word(D + CD).scale(e_coeff) + self.apply_word(CD + D).scale(f_coeff)
 
     def validate(self) -> None:
         """Alternation, degree trajectory, and J-weight homogeneity of every term.
@@ -340,19 +340,39 @@ class OperatorPoly:
                 out["F" if q == 1 else f"F^{q}"] = c
         return out
 
+    def at(self, j_value: Fraction, lam: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
+        """(a, b, c) with self = a + b E + c F once J = j_value, E^2 = lam E, F^2 = lam F.
+
+        On an eigenform of eigenvalue lam the operator is the scalar
+        a + b lam (exact), a + c lam (coexact) or a (harmonic).  This is the
+        one place where powers of E and F are reduced.
+        """
+        def reduce(coeffs: tuple[RatJ, ...]) -> Fraction:
+            acc = Fraction(0)
+            for coeff in reversed(coeffs):  # Horner in lam
+                acc = acc * lam + coeff.eval_at(j_value)
+            return acc
+
+        return self.const.eval_at(j_value), reduce(self.e_coeffs), reduce(self.f_coeffs)
+
     def to_form_expr(self, expr: FormExpr) -> FormExpr:
         """The operator applied wordwise to an expression of degree k.
 
-        Every monomial of a weight-homogeneous operator lowers the weight
-        by the same amount once its J power is counted, so the summands
-        share one declared weight; an inhomogeneous operator raises.
+        A monomial c J^m E^p (or F^p) lowers the weight by 2(m + p); in a
+        weight-homogeneous operator all do alike, and the result carries
+        that weight even when it is zero.  Nonzero summands of different
+        weights raise.
         """
         if (expr.ctx.n, expr.degree) != (self.n, self.k):
             raise FormAlgebraError(
                 f"operator on {self.k}-forms of M^{self.n} applied to a degree-{expr.degree} "
                 f"expression on M^{expr.ctx.n}"
             )
-        acc = expr.scale_weighted(self.const)
+        monomials = ((0, self.const), *enumerate(self.e_coeffs, 1), *enumerate(self.f_coeffs, 1))
+        drop = next((2 * (p + c.m) for p, c in monomials if not c.is_zero), 0)
+        acc = FormExpr.zero(expr.ctx, expr.degree, expr.weight - drop)
+        if not self.const.is_zero:
+            acc = acc + expr.scale_weighted(self.const)
         cur = expr
         for c in self.e_coeffs:
             cur = cur.apply_word(D + CD)

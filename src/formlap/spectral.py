@@ -1,9 +1,10 @@
 """Finite spectral models of the Hodge decomposition.
 
-A model is a finite list of (kind, eigenvalue, multiplicity) points; an
-expanded operator acts on a point as a scalar by E -> eigenvalue on
-exact points, F -> eigenvalue on coexact points, both -> 0 on harmonic
-points, and J -> the model's fixed rational value.  Null-space
+A model is a finite list of (kind, eigenvalue, multiplicity) points and
+a fixed rational value of J.  An expanded operator acts on a point as
+the scalar ``OperatorPoly.at`` gives: with (a, b, c) = op.at(J, lam) it
+is a + b lam on exact points (E -> lam, F -> 0), a + c lam on coexact
+points (E -> 0, F -> lam) and a on harmonic points.  Null-space
 dimensions are sums of multiplicities over points where that scalar
 vanishes.
 
@@ -95,14 +96,12 @@ def _frac_str(x: Fraction) -> str:
 
 def eval_scalar(op: OperatorPoly, pt: SpectralPoint, j_value: Fraction) -> Fraction:
     """Scalar action of an expanded operator on one spectral point."""
-    e = pt.eigenvalue if pt.kind == "exact" else Fraction(0)
-    f = pt.eigenvalue if pt.kind == "coexact" else Fraction(0)
-    acc = op.const.eval_at(j_value)
-    for p in range(1, len(op.e_coeffs) + 1):
-        acc += op.e_coeff(p).eval_at(j_value) * e**p
-    for q in range(1, len(op.f_coeffs) + 1):
-        acc += op.f_coeff(q).eval_at(j_value) * f**q
-    return acc
+    a, b, c = op.at(j_value, pt.eigenvalue)
+    if pt.kind == "exact":
+        return a + b * pt.eigenvalue
+    if pt.kind == "coexact":
+        return a + c * pt.eigenvalue
+    return a
 
 
 def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
@@ -117,9 +116,7 @@ def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str,
     Entries (kind, eigenvalue); eigenvalue None means every point of the
     kind (a degenerate factor whose scalar vanishes identically there).
     """
-    a = op.e_coeff(1).eval_at(j_value)
-    b = op.f_coeff(1).eval_at(j_value)
-    c = op.const.eval_at(j_value)
+    c, a, b = op.at(j_value, Fraction(0))
     out: set[tuple[str, Fraction | None]] = set()
     if c == 0:
         out.add(("harmonic", None))
@@ -205,21 +202,20 @@ def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
     return SpectralModel(n, k, Fraction(0), tuple(points), "torus-preset", True)
 
 
-def synthetic_model(n: int, k: int, ell: int, j_value: Fraction,
-                    seed: int = 0, extra_points: int = 3) -> SpectralModel:
+def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralModel:
     """Deterministic synthetic model adapted to one operator's factor list.
 
     Includes every factor kernel eigenvalue that is annihilated by
     exactly one factor (spectral coincidences between factors are
     omitted: the decomposition theorems presume per-kind distinctness,
     and the verifier reports coincidences rather than asserting an
-    outcome), plus harmonic content and off-kernel noise points.
+    outcome), plus harmonic content and three off-kernel noise points.
     """
     import random
 
     from .factory import closed_factors
 
-    rng = random.Random((n * 1009 + k * 101 + ell * 11 + seed) & 0x7FFFFFFF)
+    rng = random.Random((n * 1009 + k * 101 + ell * 11) & 0x7FFFFFFF)
     factors = closed_factors(n, k, ell).factors
 
     def scalar_at(kind: str, lam: Fraction) -> list[int]:
@@ -229,8 +225,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction,
     points: list[SpectralPoint] = []
     seen: set[tuple[str, Fraction]] = set()
 
-    harmonic_killers = [i for i, f in enumerate(factors) if f.const.eval_at(j_value) == 0]
-    if len(harmonic_killers) <= 1:
+    if len(scalar_at("harmonic", Fraction(0))) <= 1:
         points.append(SpectralPoint("harmonic", Fraction(0), rng.randint(1, 4)))
 
     for f in factors:
@@ -244,7 +239,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction,
 
     noise = 0
     step = 0
-    while noise < extra_points and step < 200:
+    while noise < 3 and step < 200:
         step += 1
         kind = rng.choice(("exact", "coexact"))
         lam = j_value * Fraction(rng.randint(1, 60), rng.randint(1, 7)) + step

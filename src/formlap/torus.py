@@ -28,10 +28,11 @@ observable comparison), so 2k S split is an integer matrix.  S is the
 identity on the middle block (g = 0), where the rows of
 2k S box^ell split are twice the operator's mode matrix.  On the
 symbolic side E = eps(xi) iota(xi) and F = iota(xi) eps(xi) are integer
-matrices with E^p = |xi|^(2(p-1)) E and F^q = |xi|^(2(q-1)) F, and the
-J = 0 coefficients become integers times their common denominator D.
-The comparison is D times those middle rows against 2 times D times
-the expanded operator, entry by entry.
+matrices with E^2 = |xi|^2 E and F^2 = |xi|^2 F, so the expanded
+operator is a + b E + c F with (a, b, c) = ``OperatorPoly.at(0, |xi|^2)``,
+and D times it is an integer matrix for D the common denominator of
+a, b and c.  The comparison is D times those middle rows against 2 times
+D times the expanded operator, entry by entry.
 
 Products run in int64 only when an a-priori bound keeps every entry
 and partial sum below 2^62; otherwise the same products run on numpy
@@ -370,23 +371,19 @@ def pipeline_L_numeric(n: int, k: int, ell: int,
     return full[blocks["z"]], 2
 
 
-def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int, xi: tuple[int, ...],
-                         j_value: Fraction = Fraction(0)) -> tuple[np.ndarray, int]:
-    """Mode matrix of an expanded operator with J specialised, as (M, D): it is M / D.
+def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int,
+                         xi: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Mode matrix of an expanded operator at J = 0, as (M, D): it is M / D.
 
-    D is the common denominator of the coefficients at J = j_value.
-    With E = eps(xi) iota(xi), F = iota(xi) eps(xi), E^p = |xi|^(2(p-1)) E
-    and F^q = |xi|^(2(q-1)) F, M = a I + b E + c F for integers a, b, c.
+    With E = eps(xi) iota(xi), F = iota(xi) eps(xi) and
+    (a, b, c) = op.at(0, |xi|^2), the matrix is a I + b E + c F; D is the
+    common denominator of a, b and c, so M = D (a I + b E + c F) is an
+    integer matrix.
     """
-    const = op.const.eval_at(j_value)
-    e_vals = [c.eval_at(j_value) for c in op.e_coeffs]
-    f_vals = [c.eval_at(j_value) for c in op.f_coeffs]
-    den = math.lcm(*(v.denominator for v in (const, *e_vals, *f_vals)))
     x = _mode_vector(n, xi)
-    norm2 = int(x @ x)
-    a = int(const * den)
-    b = int(sum(v * den * norm2 ** p for p, v in enumerate(e_vals)))
-    c = int(sum(v * den * norm2 ** q for q, v in enumerate(f_vals)))
+    coeffs = op.at(Fraction(0), int(x @ x))
+    den = math.lcm(*(v.denominator for v in coeffs))
+    a, b, c = (int(v * den) for v in coeffs)
     e_mat = _along(x, _eps_stack(n, k - 1)) @ _along(x, _iota_stack(n, k))
     f_mat = _along(x, _iota_stack(n, k + 1)) @ _along(x, _eps_stack(n, k))
     dtype = _exact(abs(a) + abs(b) * _absmax(e_mat) + abs(c) * _absmax(f_mat))
@@ -402,9 +399,10 @@ def _times(mat: np.ndarray, c: int) -> np.ndarray:
     return mat * c
 
 
-def random_modes(n: int, count: int, seed: int, bound: int = 3) -> list[tuple[int, ...]]:
+def random_modes(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """count seeded modes with entries in -3..3."""
     rng = random.Random(seed * 7919 + n)
-    return [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(count)]
+    return [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(count)]
 
 
 def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) -> dict:

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError
+from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
+                    OperatorPoly)
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class TractorFormExpr:
     def __post_init__(self) -> None:
         object.__setattr__(self, "wt", Fraction(self.wt))
         self.validate()
-
-    @property
-    def valence(self) -> int:
-        return self.ctx.k
 
     @staticmethod
     def zero(ctx: FormContext, wt: Fraction) -> TractorFormExpr:
@@ -124,19 +121,22 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
 
     c_dia = Fraction(k - 1) * (n - k + 1)  # recurring combination in the diagonal J terms
     j_y = Fraction(1) - Fraction(2 * c_dia, n)
+    # the form Laplacian d delta + delta d on the degree-(k-1) and degree-k slots
+    lap_low = OperatorPoly.linear(n, k - 1, 1, 1).to_form_expr
+    lap = OperatorPoly.linear(n, k, 1, 1).to_form_expr
 
     # top slot output
-    out_y = kappa.apply_EF(1, 1) + kappa.times_J(1, j_y)
+    out_y = lap_low(kappa) + kappa.times_J(1, j_y)
     out_y = out_y + mu.apply_letter(CD).scale(Fraction(-2 * k))
     out_y = out_y + rho.scale(Fraction(n - 2 * k + 2))
 
     # middle form slot
-    out_z = mu.apply_EF(1, 1) + mu.times_J(1, Fraction(-2 * k * (n - k - 1), n))
+    out_z = lap(mu) + mu.times_J(1, Fraction(-2 * k * (n - k - 1), n))
     out_z = out_z + kappa.apply_letter(D).times_J(1, Fraction(-2, n * k))
     out_z = out_z + rho.apply_letter(D).scale(Fraction(-2, k))
 
     # bottom slot
-    out_x = rho.apply_EF(1, 1) + rho.times_J(1, j_y)
+    out_x = lap_low(rho) + rho.times_J(1, j_y)
     out_x = out_x + kappa.times_J(2, Fraction(n - 2 * k + 2, n * n))
     out_x = out_x + mu.apply_letter(CD).times_J(1, Fraction(-2 * k, n))
 

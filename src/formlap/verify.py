@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .coeffring import RatJ, ZERO, ratj, render_ratj
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
 from .forms import (CD, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
-                    OperatorPoly, proportionality)
-from .spectral import SpectralModel, eval_scalar, factor_kernel_content, kernel_dim
+                    OperatorPoly, proportionality, render_word)
+from .spectral import SpectralModel, eval_scalar
 
 
 class BezoutError(ArithmeticError):
@@ -51,22 +51,14 @@ class VerificationReport:
                 "status": self.status, "witness": self.witness}
 
 
-def _diff_witness(a: OperatorPoly, b: OperatorPoly) -> dict[str, str]:
-    ma, mb = a.monomials(), b.monomials()
-    for mono in sorted(set(ma) | set(mb)):
-        ca, cb = ma.get(mono, ZERO), mb.get(mono, ZERO)
+def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
+                  render: Callable[[str], str] = str) -> dict[str, str]:
+    """First differing key of two monomial maps or two ``FormExpr.terms`` maps."""
+    for key in sorted(set(lhs) | set(rhs)):
+        ca, cb = lhs.get(key, ZERO), rhs.get(key, ZERO)
         if ca != cb:
-            return {"monomial": mono, "lhs": render_ratj(ca), "rhs": render_ratj(cb)}
-    raise AssertionError("no differing monomial between equal operators")
-
-
-def _expr_diff_witness(a: FormExpr, b: FormExpr) -> dict[str, str]:
-    from .forms import render_word
-    for word in sorted(set(a.terms) | set(b.terms)):
-        ca, cb = a.terms.get(word, ZERO), b.terms.get(word, ZERO)
-        if ca != cb:
-            return {"monomial": render_word(word), "lhs": render_ratj(ca), "rhs": render_ratj(cb)}
-    raise AssertionError("no differing word between equal expressions")
+            return {"monomial": render(key), "lhs": render_ratj(ca), "rhs": render_ratj(cb)}
+    raise InternalConsistencyError("no differing monomial between the sides of a failed check")
 
 
 # -- factorization ----------------------------------------------------------
@@ -79,8 +71,9 @@ def verify_factorization(n: int, k: int, ell: int) -> VerificationReport:
     right = build_L_definition(n, k, ell)
     c = proportionality(left, right)
     if c is None or c.is_zero:
-        return VerificationReport("factorization", params, "fail",
-                                  _diff_witness(left, right) if c is None else {"constant": "0"})
+        witness = ({"constant": "0"} if c is not None
+                   else _diff_witness(left.monomials(), right.monomials()))
+        return VerificationReport("factorization", params, "fail", witness)
     return VerificationReport("factorization", params, "pass", {"constant": render_ratj(c)})
 
 
@@ -103,7 +96,8 @@ def verify_MMstar(n: int, k: int, ell: int, p: int) -> VerificationReport:
     rhs = build_L_definition(n, k, ell - p) * build_tmodbox(n, k, w, p)
     if lhs.monomials() == rhs.monomials():
         return VerificationReport("MMstar", params, "pass", {"scalar": str(scalar)})
-    return VerificationReport("MMstar", params, "fail", _diff_witness(lhs, rhs))
+    return VerificationReport("MMstar", params, "fail",
+                              _diff_witness(lhs.monomials(), rhs.monomials()))
 
 
 # -- companion operator ------------------------------------------------------
@@ -132,7 +126,7 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     ok1 = lhs1.terms == rhs1.terms
     witness: dict[str, Any] = {}
     if not ok1:
-        witness["first"] = _expr_diff_witness(lhs1, rhs1)
+        witness["first"] = _diff_witness(lhs1.terms, rhs1.terms, render_word)
     ok2 = True
     if k >= 2:
         lower = build_L_definition(n, k - 1, ell)
@@ -140,7 +134,7 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
         rhs2 = lower.to_form_expr(delta_f).scale(lg_second_scalar(n, k, ell)).shift_weight(-1)
         ok2 = G.terms == rhs2.terms and G.weight == rhs2.weight
         if not ok2:
-            witness["second"] = _expr_diff_witness(G, rhs2)
+            witness["second"] = _diff_witness(G.terms, rhs2.terms, render_word)
     status = "pass" if ok1 and ok2 else "fail"
     if status == "pass":
         witness = {"second": "skipped (k = 1)"} if k == 1 else {"second_scalar": str(lg_second_scalar(n, k, ell))}
@@ -359,27 +353,23 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     if model.j_value == 0:
         return VerificationReport("kernel-decomposition", params, "fail",
                                   {"reason": "J = 0 model outside the decomposition hypotheses"})
-    factors = closed_factors(n, k, ell).factors
-    L = factors[0]
-    for f in factors[1:]:
-        L = L * f
-    dim_l = kernel_dim(L, model)
-    dims = [kernel_dim(f, model) for f in factors]
-    coincidences = []
-    for pt in model.points:
-        killers = [idx for idx, f in enumerate(factors)
-                   if eval_scalar(f, pt, model.j_value) == 0]
-        if len(killers) > 1:
-            coincidences.append({"point": [pt.kind, str(pt.eigenvalue)],
-                                 "factors": [i + 1 for i in killers]})
+    factored = closed_factors(n, k, ell)
+    ops = (factored.product(), *factored.factors)
+    # zeros[i][0]: L kills point i; zeros[i][f]: factor f (1-based) kills it
+    zeros = [[eval_scalar(op, pt, model.j_value) == 0 for op in ops] for pt in model.points]
+    dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])
+                    for col in range(len(ops)))
     predicted = predicted_kernel_content(n, k, ell, model.j_value)
+    coincidences = []
     mismatch = []
-    for pt in model.points:
-        in_kernel = eval_scalar(L, pt, model.j_value) == 0
-        lam = pt.eigenvalue
-        pred = _content_covers(predicted, pt.kind, lam)
+    for pt, (in_kernel, *killed) in zip(model.points, zeros):
+        killers = [f for f, z in enumerate(killed, start=1) if z]
+        if len(killers) > 1:
+            coincidences.append({"point": [pt.kind, str(pt.eigenvalue)], "factors": killers})
+        pred = _content_covers(predicted, pt.kind, pt.eigenvalue)
         if in_kernel != pred:
-            mismatch.append({"point": [pt.kind, str(lam)], "in_kernel": in_kernel, "predicted": pred})
+            mismatch.append({"point": [pt.kind, str(pt.eigenvalue)], "in_kernel": in_kernel,
+                             "predicted": pred})
     ok = dim_l == sum(dims) and not coincidences and not mismatch
     witness: dict[str, Any] = {"dim_null_L": dim_l, "factor_dims": dims}
     if coincidences:

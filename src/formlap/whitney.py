@@ -73,7 +73,7 @@ def whitney_masses(mesh: SimplicialMesh) -> dict:
     }
 
 
-def galerkin_laplacian(mesh: SimplicialMesh, k: int, masses: dict | None = None
+def galerkin_laplacian(mesh: SimplicialMesh, k: int
                        ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix,
                                   scipy.sparse.csr_matrix]:
     """(full Laplacian form, up form, mass) for k in {0, 1}, all sparse.
@@ -83,7 +83,6 @@ def galerkin_laplacian(mesh: SimplicialMesh, k: int, masses: dict | None = None
     """
     if k not in (0, 1):
         raise MeshError("galerkin spectra implemented for degrees 0 and 1 only")
-    if masses is None:
-        masses = whitney_masses(mesh)
+    masses = whitney_masses(mesh)
     vertex_mass = masses["M0"] if k == 0 else masses["M0_lumped"]
     return laplacian_pencil(mesh, k, [vertex_mass, masses["M1"], masses["M2"]])

@@ -153,7 +153,7 @@ def test_criterion_07_relative_inverses(capfd):
 
 def test_criterion_08_kernel_decomposition(capfd):
     from formlap.dec import build_mesh, dec_import_model, spectrum
-    from formlap.spectral import synthetic_model
+    from formlap.spectral import sphere_preset, synthetic_model
 
     failures = []
     for n, k, ell in GRID:
@@ -170,7 +170,7 @@ def test_criterion_08_kernel_decomposition(capfd):
         distinct_ok &= len(bars) == ell and len(tils) == ell
     # the imported sphere model
     mesh = build_mesh("cell600")
-    sphere = dec_import_model(mesh, 1, spectrum(mesh, 1, 40))
+    sphere = dec_import_model(mesh, 1, spectrum(mesh, 1, 40), sphere_preset(3, 1, 4))
     sphere_ok = all(verify_kernel_decomposition(3, 1, ell, sphere).passed for ell in (1, 2, 3))
     report(capfd, "8 kernel decomposition on synthetic and imported sphere models",
            not failures and distinct_ok and sphere_ok,
@@ -209,8 +209,7 @@ def test_criterion_10_dec_oracle(capfd):
     betti_ok = (betti_numbers(torus) == (1, 3, 3, 1) and betti_numbers(sphere) == (1, 0, 0, 1)
                 and betti_numbers(refined_mesh) == (1, 0, 0, 1))
 
-    ref = sphere_preset(3, 1, 2)
-    reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points]
+    reference = sphere_preset(3, 1, 2)
     coarse = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)
     refined = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12), reference)
     elapsed = time.time() - t0

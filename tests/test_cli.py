@@ -144,8 +144,14 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "boundary-4-simplex", "--eigs", "500"], "--eigs"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--subdivide"], "subdivision"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--promote", "model.json"], "--promote"),
+    (["dec", "--mesh", "boundary-4-simplex", "--rtol", "nan"], "--rtol"),
+    (["dec", "--mesh", "boundary-4-simplex", "--rtol", "inf"], "--rtol"),
+    (["dec", "--mesh", "boundary-4-simplex", "--rtol", "0"], "--rtol"),
+    (["dec", "--mesh", "boundary-4-simplex", "--rtol", "-1"], "--rtol"),
+    (["dec", "--mesh", "boundary-4-simplex", "--rtol", "1.5"], "--rtol"),
 ], ids=["torus-n-below-3", "torus-ell-max-zero", "torus-modes-zero", "dec-k-above-dim",
-        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus"])
+        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-rtol-nan",
+        "dec-rtol-inf", "dec-rtol-zero", "dec-rtol-negative", "dec-rtol-above-one"])
 def test_oracle_usage_error(capsys, args, needle):
     assert run_cli(["oracle", *args]) == 2
     captured = capsys.readouterr()
@@ -188,17 +194,29 @@ def test_oracle_dec_unwritable_promote(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("i/o error:")
 
 
-def test_oracle_dec_failed_promotion(capsys, tmp_path):
-    # no computed 1-form shell of the 5-cell lies within 10% of a reference value
+def _assert_failed_promotion(capsys, tmp_path, k):
     out, model = tmp_path / "dec.json", tmp_path / "m.json"
-    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "1", "--eigs", "4",
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", str(k), "--eigs", "4",
                     "--promote", str(model), "--output", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("promotion failed:")
     assert "matches no reference value" in lines[0]
     report = json.loads(out.read_text())["report"]
     assert report["betti"] == [1, 0, 0, 1] and "promoted_to" not in report
+    assert report["sphere_comparison"]["max_rel_error"] > 0.1
     assert not model.exists()
+
+
+def test_oracle_dec_failed_promotion(capsys, tmp_path):
+    # no computed 1-form shell of the 5-cell lies within 10% of a reference value
+    _assert_failed_promotion(capsys, tmp_path, 1)
+
+
+def test_oracle_dec_failed_promotion_higher_shell(capsys, tmp_path):
+    # the lowest computed 3-form cluster of the 5-cell is compared with the
+    # lowest shell (3) and fails; it lies within 10% of the third (15), which
+    # must not make it promotable
+    _assert_failed_promotion(capsys, tmp_path, 3)
 
 
 def test_console_entry_point():

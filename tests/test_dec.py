@@ -245,9 +245,7 @@ def test_sphere_function_spectrum(c600):
 def test_sphere_comparison_within_tolerance(c600):
     from formlap.spectral import sphere_preset
 
-    ref = sphere_preset(3, 1, 2)
-    reference = [(p.kind, p.eigenvalue, p.multiplicity) for p in ref.points]
-    cmp = compare_sphere_spectrum(c600, 1, spectrum(c600, 1, 40), reference)
+    cmp = compare_sphere_spectrum(c600, 1, spectrum(c600, 1, 40), sphere_preset(3, 1, 2))
     assert cmp["max_rel_error"] <= 0.10
     kinds = {e["kind"] for e in cmp["entries"]}
     assert kinds == {"exact", "coexact"}
@@ -256,12 +254,34 @@ def test_sphere_comparison_within_tolerance(c600):
 
 
 def test_dec_import_model(c600):
-    model = dec_import_model(c600, 1, spectrum(c600, 1, 40))
+    from formlap.spectral import sphere_preset
+
+    model = dec_import_model(c600, 1, spectrum(c600, 1, 40), sphere_preset(3, 1, 4))
     assert model.source == "dec-import"
     assert model.j_value == Fraction(3, 2)
     have = {(p.kind, p.eigenvalue): p.multiplicity for p in model.points}
-    assert have[("exact", Fraction(3))] == 4
-    assert have[("coexact", Fraction(4))] == 6
+    assert have == {("exact", Fraction(3)): 4, ("coexact", Fraction(4)): 6}
+
+
+@pytest.mark.parametrize("exact_shell, needle", [
+    ((8, 9), "8.0000 (x9)"),   # the lowest exact cluster sits at the second shell
+    ((3, 3), "3.0000 (x3)"),   # at the first shell, one eigenvalue short
+], ids=["second-shell", "short-cluster"])
+def test_dec_import_promotes_only_compared_shells(c600, exact_shell, needle):
+    # hand-built spectra, already on the unit sphere once scaled: the
+    # coexact shell matches, the exact one is not the shell it is compared with
+    from formlap.spectral import sphere_preset
+
+    reference = sphere_preset(3, 1, 4)
+    scale = unit_sphere_edge_scale(c600)
+    lam, size = exact_shell
+    spec = sorted([(lam / scale, "exact")] * size + [(4 / scale, "coexact")] * 6)
+    cmp = compare_sphere_spectrum(c600, 1, spec, reference)
+    assert [(e["kind"], e["cluster_size"]) for e in cmp["entries"]] == [("exact", size),
+                                                                        ("coexact", 6)]
+    with pytest.raises(MeshError, match="matches no reference value") as info:
+        dec_import_model(c600, 1, spec, reference)
+    assert needle in str(info.value) and "the lowest exact shell is 3 (x4)" in str(info.value)
 
 
 def test_torus_function_eigenvalue_converges():

@@ -116,3 +116,14 @@ def test_render():
     p = OperatorPoly.make(6, 2, J * Fraction(3, 2), (ratj(1),), (ratj(3),))
     assert p.render() == "E + 3F + (3/2*J)"
     assert "d\\delta" in p.render(latex=True)
+
+
+def test_to_form_expr_keeps_the_weight_of_a_zero_input():
+    # c J^m E^p lowers the weight by 2(m + p), on the zero form as on any other
+    c = ctx(5, 2, 1)
+    gen, zero = FormExpr.generator(c), FormExpr.zero(c, 2, Fraction(1))
+    lap = OperatorPoly.linear(5, 2, 1, 1)
+    assert lap.to_form_expr(gen).weight == lap.to_form_expr(zero).weight == -1
+    j_e = OperatorPoly.make(5, 2, 0, (J,), ())
+    assert j_e.to_form_expr(gen).weight == j_e.to_form_expr(zero).weight == -3
+    assert OperatorPoly.zero(5, 2).to_form_expr(zero).weight == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import J, ratj
+from formlap.coeffring import J, RatJ, ratj
 from formlap.forms import OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
                               kernel_dim, sphere_preset, synthetic_model, torus_preset)
@@ -26,6 +26,29 @@ def test_eval_scalar_pole():
     op = OperatorPoly.make(4, 2, 1 / J, (), ())
     with pytest.raises(Exception):
         eval_scalar(op, pt("exact", 1), Fraction(0))
+
+
+coeff_strategy = st.builds(RatJ, st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                           st.integers(min_value=-2, max_value=2))
+
+
+@given(coeff_strategy, st.lists(coeff_strategy, max_size=4), st.lists(coeff_strategy, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+       st.fractions(min_value=0, max_value=10, max_denominator=5))
+@settings(max_examples=80)
+def test_at_matches_direct_power_sums(const, e, f, j, lam):
+    # op.at reduces E^p to lam^(p-1) E: on an exact point it acts as
+    # const + sum e_p lam^p, on a coexact one as const + sum f_q lam^q,
+    # on a harmonic one as const
+    op = OperatorPoly.make(6, 2, const, e, f)
+    a, b, c = op.at(j, lam)
+    base = const.eval_at(j)
+    exact = base + sum(x.eval_at(j) * lam ** p for p, x in enumerate(e, start=1))
+    coexact = base + sum(x.eval_at(j) * lam ** q for q, x in enumerate(f, start=1))
+    assert (a, a + b * lam, a + c * lam) == (base, exact, coexact)
+    assert eval_scalar(op, pt("exact", lam), j) == exact
+    assert eval_scalar(op, pt("coexact", lam), j) == coexact
+    assert eval_scalar(op, pt("harmonic", 0), j) == base
 
 
 def test_kernel_dim_examples():

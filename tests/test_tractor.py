@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import J, ratj
-from formlap.forms import CD, D, FormContext, FormExpr
+from formlap.forms import CD, D, FormContext, FormExpr, OperatorPoly
 from formlap.tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar,
                              apply_box, extract_slots, make_M)
 
@@ -41,7 +41,8 @@ def test_box_on_pure_z_slot():
     out = apply_box(t)
     assert out.wt == -1
     assert out.slot_y == mu.apply_letter(CD).scale(-2).shift_weight(1)
-    expected_z = (mu.apply_EF(1, 1) + mu.times_J(1, -1)).shift_weight(1)
+    lap = OperatorPoly.linear(4, 1, 1, 1)
+    expected_z = (lap.to_form_expr(mu) + mu.times_J(1, -1)).shift_weight(1)
     assert out.slot_z == expected_z
     assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2)).shift_weight(1)
 
@@ -86,12 +87,12 @@ def test_box_linearity(a, b):
     wt = c.w - c.k - 2
     s = TractorFormExpr(c, wt,
                         f.apply_letter(CD),
-                        f.apply_EF(2, -1) + f.times_J(1, 3),
+                        OperatorPoly.linear(6, 2, 2, -1).to_form_expr(f) + f.times_J(1, 3),
                         f.apply_letter(CD).times_J(1))
     t = TractorFormExpr(c, wt,
                         f.apply_letter(CD).scale(-5),
                         f.times_J(1),
-                        f.apply_EF(0, 1).apply_letter(CD))
+                        OperatorPoly.linear(6, 2, 0, 1).to_form_expr(f).apply_letter(CD))
     lhs = apply_box(s.scale(a) + t.scale(b))
     rhs = apply_box(s).scale(a) + apply_box(t).scale(b)
     assert lhs.slot_y == rhs.slot_y and lhs.slot_z == rhs.slot_z and lhs.slot_x == rhs.slot_x

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from formlap.coeffring import J, ratj, render_ratj
 from formlap.factory import build_L_definition, closed_factors, operator_weight
 from formlap.forms import OperatorPoly
-from formlap.spectral import SpectralModel, SpectralPoint, synthetic_model
+from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
+                              synthetic_model)
 from formlap.verify import (BezoutError, bezout, lg_second_scalar, predicted_kernel_content,
                             verify_LG, verify_MMstar, verify_bezout_pairs,
                             verify_factorization, verify_kernel_decomposition)
@@ -155,6 +157,54 @@ def test_synthetic_models_pass():
         model = synthetic_model(n, k, ell, Fraction(1))
         r = verify_kernel_decomposition(n, k, ell, model)
         assert r.passed, (n, k, ell, r.witness)
+
+
+def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch):
+    import formlap.spectral as spectral
+    import formlap.verify as verify
+
+    model = synthetic_model(6, 2, 3, Fraction(1))
+    real, calls = spectral.eval_scalar, []
+
+    def counting(op, point, j_value):
+        calls.append(point)
+        return real(op, point, j_value)
+
+    # both modules: spectral helpers such as kernel_dim call it too
+    monkeypatch.setattr(spectral, "eval_scalar", counting)
+    monkeypatch.setattr(verify, "eval_scalar", counting)
+    assert verify_kernel_decomposition(6, 2, 3, model).passed
+    factors = closed_factors(6, 2, 3).factors
+    assert len(calls) == (len(factors) + 1) * len(model.points) == 32
+
+
+def test_kernel_decomposition_reports_coincidences():
+    # at w = 0 the leading factor -(n-2k) F kills every exact point, so an
+    # exact point in the second factor's kernel is killed twice
+    assert operator_weight(6, 1, 2) == 0
+    model = SpectralModel(6, 1, Fraction(-1), (SpectralPoint("exact", Fraction(2), 3),))
+    r = verify_kernel_decomposition(6, 1, 2, model)
+    assert not r.passed
+    assert r.witness == {"dim_null_L": 3, "factor_dims": [3, 3],
+                         "coincidences": [{"point": ["exact", "2"], "factors": [1, 2]}]}
+
+
+def test_kernel_decomposition_reports_content_mismatch(monkeypatch):
+    # a factor list that lost its last factor: L no longer kills that
+    # factor's kernel point, which the case table still predicts
+    import formlap.verify as verify
+
+    full = closed_factors(5, 1, 2)
+    [(kind, lam)] = [c for c in factor_kernel_content(full.factors[-1], Fraction(1))
+                     if c[0] == "exact"]
+    monkeypatch.setattr(verify, "closed_factors",
+                        lambda n, k, ell: dataclasses.replace(full, factors=full.factors[:-1]))
+    model = SpectralModel(5, 1, Fraction(1), (SpectralPoint(kind, lam, 2),))
+    r = verify_kernel_decomposition(5, 1, 2, model)
+    assert not r.passed
+    assert r.witness == {"dim_null_L": 0, "factor_dims": [0],
+                         "content_mismatch": [{"point": [kind, str(lam)], "in_kernel": False,
+                                               "predicted": True}]}
 
 
 def test_predicted_content_cases():
