@@ -167,6 +167,8 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
 
     if args.promote is not None and args.mesh == "torus3-grid":
         return _usage_error("--promote needs a sphere mesh: torus3-grid has no sphere reference")
+    if args.size is not None and args.mesh != "torus3-grid":
+        return _usage_error(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
     if not 0 < args.rtol < 1:  # also rejects nan and inf
         return _usage_error(f"--rtol {args.rtol} is not a number in (0, 1)")
     try:

@@ -1,14 +1,14 @@
 """Exact scalar arithmetic: Q and the graded Laurent monomials c * J**m.
 
-All operator coefficients in this package are rationals times an
-integer power of a single formal variable J (the trace of the Schouten
-tensor, which is constant in an Einstein scale).  J carries conformal
-weight -2, so the power of J is a weight grading: a value is stored as
-a ``Fraction`` c and an ``int`` m, with zero as (0, 0), and adding two
-nonzero values of different J degree raises ``CoefficientError``.  A
-weight-inhomogeneous coefficient therefore cannot be built.  Products
-and quotients of nonzero values are nonzero monomials again, so the
-nonzero values form a group and equality is structural.
+J is the trace of the Schouten tensor, constant in an Einstein scale,
+and carries conformal weight -2.  Operators and expressions store
+rational coefficients and one J power per container (see ``forms``), so
+weight homogeneity holds by construction there.  ``RatJ`` is the value
+type where one coefficient c * J**m is read out, evaluated or printed:
+a ``Fraction`` c and an ``int`` m, with zero as (0, 0).  Adding two
+nonzero values of different J degree raises ``CoefficientError``.
+Products and quotients of nonzero values are nonzero monomials again,
+so the nonzero values form a group and equality is structural.
 
 Plain rationals are ``fractions.Fraction`` (re-exported as ``Rational``);
 there is no floating point anywhere in this module.
@@ -92,10 +92,9 @@ class RatJ:
 
     def eval_at(self, j0: Fraction | int) -> Fraction:
         """Exact substitution J -> j0; raises at the pole J = 0 when m < 0."""
-        j0 = Fraction(j0)
         if self.m < 0 and j0 == 0:
             raise CoefficientError(f"pole at J = {j0}")
-        return self.c * j0 ** self.m
+        return self.c * Fraction(j0) ** self.m if self.m else self.c
 
     # -- value semantics ------------------------------------------------
 

@@ -80,7 +80,7 @@ def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, FormExpr]:
     t = run_pipeline(n, k, ell)
     assert_top_slots_vanish(t)
     l_expr, g_expr = extract_slots(t)
-    return to_operator_poly(l_expr.shift_weight(-ell)), g_expr.shift_weight(-ell)
+    return to_operator_poly(l_expr), g_expr
 
 
 def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
@@ -157,10 +157,8 @@ class FactoredOperator:
         for f in self.factors:
             if len(f.e_coeffs) > 1 or len(f.f_coeffs) > 1:
                 raise InternalConsistencyError("factor of degree > 1 in E, F")
-            if f.e_coeff(1).m != 0 or f.f_coeff(1).m != 0:
-                raise InternalConsistencyError("factor E/F coefficient is not rational")
-            if not f.const.is_zero and f.const.m != 1:
-                raise InternalConsistencyError("factor constant is not a rational multiple of J")
+            if f.order != 1:
+                raise InternalConsistencyError(f"factor lowers the weight by {2 * f.order}, not 2")
 
 
 def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:

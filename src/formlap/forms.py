@@ -1,6 +1,6 @@
 """Free weighted-form expressions in d and the codifferential, and the ring R.
 
-Expressions are linear combinations, with coefficients c * J**m, of
+Expressions are linear combinations, with rational coefficients, of
 alternating words in the exterior derivative ``d`` and the
 codifferential (written ``c`` inside word strings, rendered as a
 lowercase delta) applied to one abstract generator form of fixed
@@ -10,18 +10,21 @@ letters are identically zero (d d = 0, delta delta = 0) and are never
 stored; applying a letter that would push the degree outside [0, n]
 also yields zero rather than an error.
 
-Weight bookkeeping: d preserves the conformal weight, the codifferential
-lowers it by 2, and each power of J in a coefficient carries weight -2.
-Coefficients are graded monomials c * J**m (see ``coeffring``), so each
-term has one definite weight.  The declared weight of an expression is
-redundant bookkeeping used to catch slot-mixing bugs early; it is
-asserted consistent term by term.
+Weight: d preserves the conformal weight, the codifferential lowers it
+by 2, and each power of J (the trace of the Schouten tensor) carries
+weight -2.  An expression stores its weight once, and the J power of
+every term follows from it: (w - weight)/2 minus the number of
+codifferentials in the word.  A term of another weight cannot be
+written down, so weight homogeneity holds by construction; ``coefficient``
+reads one term back as c * J**m.
 
 Degree-preserving expressions expand in the commutative quotient ring
 R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
-"cd".  Only monomials E^p, F^q and a constant survive in R.  An
-element of R reaches an expression only through
-``OperatorPoly.to_form_expr`` and an eigenspace only through
+"cd".  Only monomials E^p, F^q and a constant survive in R, and a
+weight-homogeneous element is fixed by its order m (it lowers weights
+by 2m) and rational coefficients: const J^m + sum e_p J^(m-p) E^p +
+sum f_q J^(m-q) F^q.  An element of R reaches an expression only
+through ``OperatorPoly.to_form_expr`` and an eigenspace only through
 ``OperatorPoly.at``: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E
 and F^q = lam^(q-1) F, so the element acts there as a + b E + c F.
 """
@@ -30,13 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
-from .coeffring import ONE, RatJ, ZERO, jpow, ratj, render_ratj
+from .coeffring import RatJ, ratj, render_ratj
 
 D = "d"
 CD = "c"  # codifferential letter inside word strings
 
 _PRETTY = {D: "d", CD: "δ"}
+
+_ZERO = Fraction(0)
 
 
 class FormAlgebraError(ValueError):
@@ -63,31 +69,6 @@ class FormContext:
         object.__setattr__(self, "w", Fraction(self.w))
 
 
-def word_degree_delta(word: str) -> int:
-    """Net degree change of a word (each d: +1, each codifferential: -1)."""
-    return word.count(D) - word.count(CD)
-
-
-def word_weight_delta(word: str) -> Fraction:
-    return Fraction(-2 * word.count(CD))
-
-
-def word_is_valid(word: str, k: int, n: int) -> bool:
-    """Alternating letters and a degree trajectory that stays inside [0, n]."""
-    deg = k
-    prev = ""
-    for letter in reversed(word):
-        if letter not in (D, CD):
-            return False
-        if letter == prev:
-            return False
-        deg += 1 if letter == D else -1
-        if not 0 <= deg <= n:
-            return False
-        prev = letter
-    return True
-
-
 def render_word(word: str) -> str:
     if not word:
         return "1"
@@ -96,12 +77,16 @@ def render_word(word: str) -> str:
 
 @dataclass(frozen=True)
 class FormExpr:
-    """Homogeneous expression: all terms share one output degree and weight."""
+    """Homogeneous expression: all terms share one output degree and weight.
+
+    ``terms`` maps each word to its rational coefficient; the J power of
+    the term is implied by the weight (see the module docstring).
+    """
 
     ctx: FormContext
     degree: int
     weight: Fraction
-    terms: dict[str, RatJ] = field(default_factory=dict)
+    terms: dict[str, Fraction] = field(default_factory=dict)
 
     @staticmethod
     def zero(ctx: FormContext, degree: int, weight: Fraction) -> FormExpr:
@@ -109,29 +94,44 @@ class FormExpr:
 
     @staticmethod
     def generator(ctx: FormContext) -> FormExpr:
-        return FormExpr(ctx, ctx.k, ctx.w, {"": ONE})
+        return FormExpr(ctx, ctx.k, ctx.w, {"": Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def order(self) -> int:
+        """(w - weight)/2: the J power of a term is this minus its codifferential count."""
+        half = (self.ctx.w - self.weight) / 2
+        if half.denominator != 1:
+            raise InternalConsistencyError(
+                f"weight {self.weight} is not the generator weight {self.ctx.w} "
+                "minus an even integer"
+            )
+        return int(half)
+
+    def coefficient(self, word: str) -> RatJ:
+        """The coefficient c * J**m of a word (zero when the word is absent)."""
+        return RatJ(self.terms.get(word, 0), self.order - word.count(CD))
+
     def __add__(self, other: FormExpr) -> FormExpr:
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
         if self.ctx != other.ctx or self.degree != other.degree or self.weight != other.weight:
             raise FormAlgebraError(
                 f"adding inhomogeneous expressions: deg {self.degree}/{other.degree}, "
                 f"wt {self.weight}/{other.weight}"
             )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, ZERO) + c
-            if s.is_zero:
-                terms.pop(w, None)
-            else:
+            s = terms.get(w, _ZERO) + c
+            if s:
                 terms[w] = s
+            else:
+                terms.pop(w, None)
         return FormExpr(self.ctx, self.degree, self.weight, terms)
 
     def __neg__(self) -> FormExpr:
@@ -140,24 +140,16 @@ class FormExpr:
     def __sub__(self, other: FormExpr) -> FormExpr:
         return self + (-other)
 
-    def scale(self, c: RatJ | Fraction | int) -> FormExpr:
-        c = ratj(c)
-        if c.is_zero:
-            return FormExpr.zero(self.ctx, self.degree, self.weight)
-        return FormExpr(self.ctx, self.degree, self.weight, {w: co * c for w, co in self.terms.items()})
+    def scale(self, c: Fraction | int) -> FormExpr:
+        """Multiply by the rational c; the weight is unchanged."""
+        return self.times_J(0, c)
 
     def times_J(self, power: int = 1, c: Fraction | int = 1) -> FormExpr:
         """Multiply by c * J**power; J carries conformal weight -2."""
-        return self.scale_weighted(jpow(power, c))
-
-    def scale_weighted(self, c: RatJ) -> FormExpr:
-        """Scale by c = c0 * J**m, lowering the declared weight by 2m."""
-        scaled = self.scale(c)
-        return FormExpr(self.ctx, self.degree, self.weight - 2 * c.m, scaled.terms)
-
-    def shift_weight(self, p: Fraction | int) -> FormExpr:
-        """Multiply by the p-th power of the Einstein scale: weight shifts, values do not."""
-        return FormExpr(self.ctx, self.degree, self.weight + Fraction(p), self.terms)
+        weight = self.weight - 2 * power
+        if not c:
+            return FormExpr.zero(self.ctx, self.degree, weight)
+        return FormExpr(self.ctx, self.degree, weight, {w: co * c for w, co in self.terms.items()})
 
     def apply_letter(self, letter: str) -> FormExpr:
         """Prefix every word with the letter; degenerate degrees yield zero."""
@@ -168,7 +160,7 @@ class FormExpr:
         new_wt = self.weight + (0 if letter == D else -2)
         if not 0 <= new_deg <= self.ctx.n:
             return FormExpr.zero(self.ctx, new_deg, new_wt)
-        terms: dict[str, RatJ] = {}
+        terms: dict[str, Fraction] = {}
         for w, c in self.terms.items():
             if w.startswith(letter):
                 continue  # dd = 0 and (codifferential)^2 = 0
@@ -180,28 +172,6 @@ class FormExpr:
         for letter in reversed(word):
             out = out.apply_letter(letter)
         return out
-
-    def validate(self) -> None:
-        """Alternation, degree trajectory, and J-weight homogeneity of every term.
-
-        The declared weight may differ from the natural term weight by a
-        common integer (powers of the Einstein scale); the offset must be
-        identical for all terms.
-        """
-        offset: Fraction | None = None
-        for w, c in self.terms.items():
-            if not word_is_valid(w, self.ctx.k, self.ctx.n):
-                raise FormAlgebraError(f"invalid stored word {w!r} for k={self.ctx.k}, n={self.ctx.n}")
-            if self.ctx.k + word_degree_delta(w) != self.degree:
-                raise FormAlgebraError(f"word {w!r} does not produce degree {self.degree}")
-            natural = self.ctx.w + word_weight_delta(w) - 2 * c.m
-            off = self.weight - natural
-            if offset is None:
-                offset = off
-            elif off != offset:
-                raise FormAlgebraError(
-                    f"weight-inhomogeneous expression: offsets {offset} and {off}"
-                )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormExpr):
@@ -218,8 +188,7 @@ class FormExpr:
             return "0"
         parts = []
         for w in sorted(self.terms, key=lambda s: (len(s), s)):
-            c = self.terms[w]
-            cs = render_ratj(c)
+            cs = render_ratj(self.coefficient(w))
             if w == "":
                 parts.append(cs)
             elif cs == "1":
@@ -235,38 +204,53 @@ class FormExpr:
 
 @dataclass(frozen=True)
 class OperatorPoly:
-    """Element of R = Q[J, 1/J][E, F] / (EF = FE = 0) for operators on k-forms of M^n.
+    """Weight-homogeneous element of R = Q[J, 1/J][E, F] / (EF = FE = 0) on k-forms of M^n.
 
-    ``e_coeffs[p]`` multiplies E**(p+1) and ``f_coeffs[q]`` multiplies
-    F**(q+1); mixed monomials vanish identically in R.
+    The operator lowers weights by 2 * order: ``const`` multiplies
+    J**order, ``e_coeffs[p-1]`` multiplies J**(order-p) E**p and
+    ``f_coeffs[q-1]`` multiplies J**(order-q) F**q; mixed monomials
+    vanish identically in R.  Coefficients are rationals.
     """
 
     n: int
     k: int
-    const: RatJ
-    e_coeffs: tuple[RatJ, ...] = ()
-    f_coeffs: tuple[RatJ, ...] = ()
+    order: int
+    const: Fraction
+    e_coeffs: tuple[Fraction, ...] = ()
+    f_coeffs: tuple[Fraction, ...] = ()
 
     @staticmethod
     def make(n: int, k: int, const: RatJ | Fraction | int = 0,
              e_coeffs: tuple | list = (), f_coeffs: tuple | list = ()) -> OperatorPoly:
-        e = _trim_coeffs(e_coeffs)
-        f = _trim_coeffs(f_coeffs)
-        return OperatorPoly(n, k, ratj(const), e, f)
+        """From the coefficients c * J**m of 1, E, E^2, ... and F, F^2, ...
+
+        The order is the J power plus the power of E or F of any nonzero
+        coefficient; coefficients of different orders raise.
+        """
+        const = ratj(const)
+        e = [ratj(c) for c in e_coeffs]
+        f = [ratj(c) for c in f_coeffs]
+        orders = {c.m + p for p, c in ((0, const), *enumerate(e, 1), *enumerate(f, 1)) if c}
+        if len(orders) > 1:
+            raise FormAlgebraError(f"weight-inhomogeneous operator: orders {sorted(orders)}")
+        return OperatorPoly.graded(n, k, orders.pop() if orders else 0,
+                                   const.c, [c.c for c in e], [c.c for c in f])
 
     @staticmethod
-    def zero(n: int, k: int) -> OperatorPoly:
-        return OperatorPoly(n, k, ZERO)
+    def graded(n: int, k: int, order: int, const: Fraction,
+               e_coeffs: list[Fraction], f_coeffs: list[Fraction]) -> OperatorPoly:
+        """From the order and the rational coefficients; trailing zeros are dropped."""
+        return OperatorPoly(n, k, order, const, _trim(e_coeffs), _trim(f_coeffs))
 
     @staticmethod
     def linear(n: int, k: int, e: RatJ | Fraction | int, f: RatJ | Fraction | int,
                c: RatJ | Fraction | int = 0) -> OperatorPoly:
         """a*E + b*F + c."""
-        return OperatorPoly.make(n, k, c, (ratj(e),), (ratj(f),))
+        return OperatorPoly.make(n, k, c, (e,), (f,))
 
     @property
     def is_zero(self) -> bool:
-        return self.const.is_zero and not self.e_coeffs and not self.f_coeffs
+        return not self.const and not self.e_coeffs and not self.f_coeffs
 
     def _check(self, other: OperatorPoly) -> None:
         if (self.n, self.k) != (other.n, other.k):
@@ -274,71 +258,55 @@ class OperatorPoly:
                 f"operator context mismatch: (n,k)=({self.n},{self.k}) vs ({other.n},{other.k})"
             )
 
-    def e_coeff(self, p: int) -> RatJ:
-        """Coefficient of E**p (p >= 1)."""
-        return self.e_coeffs[p - 1] if 1 <= p <= len(self.e_coeffs) else ZERO
+    def e_coeff(self, p: int) -> Fraction:
+        """Rational coefficient of J**(order-p) E**p (p >= 1)."""
+        return self.e_coeffs[p - 1] if 1 <= p <= len(self.e_coeffs) else _ZERO
 
-    def f_coeff(self, q: int) -> RatJ:
-        return self.f_coeffs[q - 1] if 1 <= q <= len(self.f_coeffs) else ZERO
+    def f_coeff(self, q: int) -> Fraction:
+        return self.f_coeffs[q - 1] if 1 <= q <= len(self.f_coeffs) else _ZERO
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
         self._check(other)
-        ne = max(len(self.e_coeffs), len(other.e_coeffs))
-        nf = max(len(self.f_coeffs), len(other.f_coeffs))
-        return OperatorPoly.make(
-            self.n, self.k, self.const + other.const,
-            [self.e_coeff(p) + other.e_coeff(p) for p in range(1, ne + 1)],
-            [self.f_coeff(q) + other.f_coeff(q) for q in range(1, nf + 1)],
+        if self.order != other.order:
+            raise FormAlgebraError(f"adding operators of orders {self.order} and {other.order}")
+        return OperatorPoly.graded(
+            self.n, self.k, self.order, self.const + other.const,
+            [a + b for a, b in zip_longest(self.e_coeffs, other.e_coeffs, fillvalue=_ZERO)],
+            [a + b for a, b in zip_longest(self.f_coeffs, other.f_coeffs, fillvalue=_ZERO)],
         )
 
     def __neg__(self) -> OperatorPoly:
-        return OperatorPoly(self.n, self.k, -self.const,
+        return OperatorPoly(self.n, self.k, self.order, -self.const,
                             tuple(-c for c in self.e_coeffs), tuple(-c for c in self.f_coeffs))
 
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
         return self + (-other)
 
     def scale(self, c: RatJ | Fraction | int) -> OperatorPoly:
+        """Multiply by c = c0 * J**m; the order rises by m."""
         c = ratj(c)
-        return OperatorPoly.make(self.n, self.k, self.const * c,
-                                 [a * c for a in self.e_coeffs], [b * c for b in self.f_coeffs])
+        return OperatorPoly.graded(self.n, self.k, self.order + c.m, self.const * c.c,
+                                   [a * c.c for a in self.e_coeffs],
+                                   [b * c.c for b in self.f_coeffs])
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
-        """Ring product in R; E^p F^q cross terms are annihilated."""
+        """Ring product in R: orders add, and E^p F^q cross terms are annihilated."""
         self._check(other)
-        const = self.const * other.const
-        ne = len(self.e_coeffs) + len(other.e_coeffs)
-        nf = len(self.f_coeffs) + len(other.f_coeffs)
-        e = [ZERO] * ne
-        f = [ZERO] * nf
-        for p in range(1, len(self.e_coeffs) + 1):
-            for p2 in range(1, len(other.e_coeffs) + 1):
-                e[p + p2 - 1] = e[p + p2 - 1] + self.e_coeff(p) * other.e_coeff(p2)
-        for q in range(1, len(self.f_coeffs) + 1):
-            for q2 in range(1, len(other.f_coeffs) + 1):
-                f[q + q2 - 1] = f[q + q2 - 1] + self.f_coeff(q) * other.f_coeff(q2)
-        for p in range(1, len(self.e_coeffs) + 1):
-            e[p - 1] = e[p - 1] + self.e_coeff(p) * other.const
-        for p in range(1, len(other.e_coeffs) + 1):
-            e[p - 1] = e[p - 1] + other.e_coeff(p) * self.const
-        for q in range(1, len(self.f_coeffs) + 1):
-            f[q - 1] = f[q - 1] + self.f_coeff(q) * other.const
-        for q in range(1, len(other.f_coeffs) + 1):
-            f[q - 1] = f[q - 1] + other.f_coeff(q) * self.const
-        return OperatorPoly.make(self.n, self.k, const, e, f)
+        e = _convolve((self.const, *self.e_coeffs), (other.const, *other.e_coeffs))
+        f = _convolve((self.const, *self.f_coeffs), (other.const, *other.f_coeffs))
+        return OperatorPoly.graded(self.n, self.k, self.order + other.order, e[0], e[1:], f[1:])
+
+    def _terms(self) -> list[tuple[str, int, Fraction]]:
+        """(name, J power, rational coefficient) of each nonzero monomial."""
+        out = [("1", self.order, self.const)] if self.const else []
+        for letter, coeffs in (("E", self.e_coeffs), ("F", self.f_coeffs)):
+            out += [(letter if p == 1 else f"{letter}^{p}", self.order - p, c)
+                    for p, c in enumerate(coeffs, start=1) if c]
+        return out
 
     def monomials(self) -> dict[str, RatJ]:
         """Nonzero monomials keyed "1", "E^p", "F^q" (exponent 1 written E/F)."""
-        out: dict[str, RatJ] = {}
-        if not self.const.is_zero:
-            out["1"] = self.const
-        for p, c in enumerate(self.e_coeffs, start=1):
-            if not c.is_zero:
-                out["E" if p == 1 else f"E^{p}"] = c
-        for q, c in enumerate(self.f_coeffs, start=1):
-            if not c.is_zero:
-                out["F" if q == 1 else f"F^{q}"] = c
-        return out
+        return {name: RatJ(c, m) for name, m, c in self._terms()}
 
     def at(self, j_value: Fraction, lam: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
         """(a, b, c) with self = a + b E + c F once J = j_value, E^2 = lam E, F^2 = lam F.
@@ -347,40 +315,31 @@ class OperatorPoly:
         a + b lam (exact), a + c lam (coexact) or a (harmonic).  This is the
         one place where powers of E and F are reduced.
         """
-        def reduce(coeffs: tuple[RatJ, ...]) -> Fraction:
-            acc = Fraction(0)
-            for coeff in reversed(coeffs):  # Horner in lam
-                acc = acc * lam + coeff.eval_at(j_value)
+        def reduce(coeffs: tuple[Fraction, ...]) -> Fraction:
+            acc = _ZERO
+            for p in range(len(coeffs), 0, -1):  # Horner in lam
+                acc = acc * lam + RatJ(coeffs[p - 1], self.order - p).eval_at(j_value)
             return acc
 
-        return self.const.eval_at(j_value), reduce(self.e_coeffs), reduce(self.f_coeffs)
+        return (RatJ(self.const, self.order).eval_at(j_value),
+                reduce(self.e_coeffs), reduce(self.f_coeffs))
 
     def to_form_expr(self, expr: FormExpr) -> FormExpr:
         """The operator applied wordwise to an expression of degree k.
 
-        A monomial c J^m E^p (or F^p) lowers the weight by 2(m + p); in a
-        weight-homogeneous operator all do alike, and the result carries
-        that weight even when it is zero.  Nonzero summands of different
-        weights raise.
+        The result is 2 * order below the input's weight, also when it is zero.
         """
         if (expr.ctx.n, expr.degree) != (self.n, self.k):
             raise FormAlgebraError(
                 f"operator on {self.k}-forms of M^{self.n} applied to a degree-{expr.degree} "
                 f"expression on M^{expr.ctx.n}"
             )
-        monomials = ((0, self.const), *enumerate(self.e_coeffs, 1), *enumerate(self.f_coeffs, 1))
-        drop = next((2 * (p + c.m) for p, c in monomials if not c.is_zero), 0)
-        acc = FormExpr.zero(expr.ctx, expr.degree, expr.weight - drop)
-        if not self.const.is_zero:
-            acc = acc + expr.scale_weighted(self.const)
-        cur = expr
-        for c in self.e_coeffs:
-            cur = cur.apply_word(D + CD)
-            acc = acc + cur.scale_weighted(c)
-        cur = expr
-        for c in self.f_coeffs:
-            cur = cur.apply_word(CD + D)
-            acc = acc + cur.scale_weighted(c)
+        acc = expr.times_J(self.order, self.const)
+        for word, coeffs in ((D + CD, self.e_coeffs), (CD + D, self.f_coeffs)):
+            cur = expr
+            for p, c in enumerate(coeffs, start=1):
+                cur = cur.apply_word(word)
+                acc = acc + cur.times_J(self.order - p, c)
         return acc
 
     def render(self, latex: bool = False) -> str:
@@ -420,17 +379,27 @@ def _wrap(c: str) -> str:
     return c
 
 
-def _trim_coeffs(seq) -> tuple[RatJ, ...]:
-    out = [ratj(c) for c in seq]
-    while out and out[-1].is_zero:
-        out.pop()
-    return tuple(out)
+def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+def _convolve(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> list[Fraction]:
+    """Product of two polynomials, coefficients listed lowest degree first."""
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def to_operator_poly(expr: FormExpr) -> OperatorPoly:
     """Canonicalise a degree-preserving expression into R.
 
-    Raises FormAlgebraError when the expression is not an endomorphism
+    The operator's order is the expression's (w - weight)/2.  Raises
+    FormAlgebraError when the expression is not an endomorphism
     expression (output degree differs from the generator degree).
     """
     ctx = expr.ctx
@@ -438,24 +407,23 @@ def to_operator_poly(expr: FormExpr) -> OperatorPoly:
         raise FormAlgebraError(
             f"not an endomorphism expression: degree {expr.degree} != k = {ctx.k}"
         )
-    const = ZERO
-    e: dict[int, RatJ] = {}
-    f: dict[int, RatJ] = {}
+    const = _ZERO
+    e: dict[int, Fraction] = {}
+    f: dict[int, Fraction] = {}
     for w, c in expr.terms.items():
+        half = len(w) // 2
         if w == "":
-            const = const + c
-        elif w == (D + CD) * (len(w) // 2) and len(w) % 2 == 0:
-            e[len(w) // 2] = e.get(len(w) // 2, ZERO) + c
-        elif w == (CD + D) * (len(w) // 2) and len(w) % 2 == 0:
-            f[len(w) // 2] = f.get(len(w) // 2, ZERO) + c
+            const = c
+        elif w == (D + CD) * half:
+            e[half] = c
+        elif w == (CD + D) * half:
+            f[half] = c
         else:
             raise FormAlgebraError(f"word {w!r} is not a power of E or F")
-    ne = max(e) if e else 0
-    nf = max(f) if f else 0
-    return OperatorPoly.make(
-        ctx.n, ctx.k, const,
-        [e.get(p, ZERO) for p in range(1, ne + 1)],
-        [f.get(q, ZERO) for q in range(1, nf + 1)],
+    return OperatorPoly.graded(
+        ctx.n, ctx.k, expr.order, const,
+        [e.get(p, _ZERO) for p in range(1, max(e, default=0) + 1)],
+        [f.get(q, _ZERO) for q in range(1, max(f, default=0) + 1)],
     )
 
 
@@ -469,13 +437,13 @@ def proportionality(a: OperatorPoly, b: OperatorPoly) -> RatJ | None:
     if b.is_zero:
         raise FormAlgebraError("proportionality against the zero operator")
     if a.is_zero:
-        return ZERO
-    mono_a, mono_b = a.monomials(), b.monomials()
-    if set(mono_a) != set(mono_b):
+        return RatJ(0)
+    coeffs_a = {name: c for name, _, c in a._terms()}
+    coeffs_b = {name: c for name, _, c in b._terms()}
+    if set(coeffs_a) != set(coeffs_b):
         return None
-    first = next(iter(sorted(mono_b)))
-    c = mono_a[first] / mono_b[first]
-    for m, cb in mono_b.items():
-        if mono_a[m] != cb * c:
-            return None
-    return c
+    first = min(coeffs_b)
+    c = coeffs_a[first] / coeffs_b[first]
+    if any(coeffs_a[name] != cb * c for name, cb in coeffs_b.items()):
+        return None
+    return RatJ(c, a.order - b.order)

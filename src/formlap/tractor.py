@@ -1,17 +1,20 @@
 """Weighted tractor k-forms as three slots and the Einstein-scale operators on them.
 
-A tractor k-form of overall weight wt is stored through its components
-in a fixed Einstein scale,
+A tractor k-form is stored through its components in a fixed Einstein
+scale, together with the number p of boxes applied since the splitting
+operator embedded the generator of weight w.  Its overall weight is
+wt = w - k - p, and its slots carry
 
-    slot_y : degree k-1, weight wt+k      (top slot)
-    slot_z : degree k,   weight wt+k      (middle, form part)
-    slot_x : degree k-1, weight wt+k-2    (bottom slot)
+    slot_y : degree k-1, weight w-2p      (top slot)
+    slot_z : degree k,   weight w-2p      (middle, form part)
+    slot_x : degree k-1, weight w-2p-2    (bottom slot)
 
 Everything is computed in the scale itself: the scale function is
-numerically 1 and multiplying by its p-th power only shifts declared
-weights by p.  The coupled box operator acts slotwise through the
-modified-Laplacian component formulas below plus a diagonal curvature
-term, and lowers the weight by one.
+numerically 1, and the p-th power of it that each slot carries is the
+gap between the slot's weight above and its weight as a tractor
+component (wt+k, wt+k, wt+k-2).  The coupled box operator acts
+slotwise through the modified-Laplacian component formulas below plus
+a diagonal curvature term, and lowers the weight by one.
 
 The second middle component (degree k-2) is not stored: every form here
 is an alternating word in d and the codifferential applied to the one
@@ -34,59 +37,44 @@ from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalCons
 
 @dataclass(frozen=True)
 class TractorFormExpr:
-    """Three-slot weighted tractor form over one generator context."""
+    """Three-slot weighted tractor form, p boxes above the embedded generator."""
 
     ctx: FormContext
-    wt: Fraction
+    p: int
     slot_y: FormExpr
     slot_z: FormExpr
     slot_x: FormExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wt", Fraction(self.wt))
-        self.validate()
+        k, top = self.ctx.k, self.ctx.w - 2 * self.p
+        expected = {"slot_y": (k - 1, top), "slot_z": (k, top), "slot_x": (k - 1, top - 2)}
+        for name, (deg, weight) in expected.items():
+            slot: FormExpr = getattr(self, name)
+            if slot.degree != deg or slot.weight != weight:
+                raise InternalConsistencyError(
+                    f"{name} carries (deg, wt) = ({slot.degree}, {slot.weight}), "
+                    f"expected ({deg}, {weight})"
+                )
 
-    @staticmethod
-    def zero(ctx: FormContext, wt: Fraction) -> TractorFormExpr:
-        k = ctx.k
-        wt = Fraction(wt)
-        return TractorFormExpr(
-            ctx, wt,
-            FormExpr.zero(ctx, k - 1, wt + k),
-            FormExpr.zero(ctx, k, wt + k),
-            FormExpr.zero(ctx, k - 1, wt + k - 2),
-        )
+    @property
+    def wt(self) -> Fraction:
+        """Overall tractor weight w - k - p."""
+        return self.ctx.w - self.ctx.k - self.p
 
     @property
     def is_zero(self) -> bool:
         return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_x.is_zero
 
-    def validate(self) -> None:
-        k = self.ctx.k
-        expected = {
-            "slot_y": (k - 1, self.wt + k),
-            "slot_z": (k, self.wt + k),
-            "slot_x": (k - 1, self.wt + k - 2),
-        }
-        for name, (deg, wt) in expected.items():
-            slot: FormExpr = getattr(self, name)
-            if slot.degree != deg or slot.weight != wt:
-                raise InternalConsistencyError(
-                    f"{name} carries (deg, wt) = ({slot.degree}, {slot.weight}), "
-                    f"expected ({deg}, {wt})"
-                )
-            slot.validate()
-
     def __add__(self, other: TractorFormExpr) -> TractorFormExpr:
-        if self.ctx != other.ctx or self.wt != other.wt:
+        if self.ctx != other.ctx or self.p != other.p:
             raise FormAlgebraError("adding tractor forms of different context or weight")
         return TractorFormExpr(
-            self.ctx, self.wt,
+            self.ctx, self.p,
             self.slot_y + other.slot_y, self.slot_z + other.slot_z, self.slot_x + other.slot_x,
         )
 
     def scale(self, c) -> TractorFormExpr:
-        return TractorFormExpr(self.ctx, self.wt, self.slot_y.scale(c), self.slot_z.scale(c),
+        return TractorFormExpr(self.ctx, self.p, self.slot_y.scale(c), self.slot_z.scale(c),
                                self.slot_x.scale(c))
 
     def render(self) -> str:
@@ -97,10 +85,9 @@ def make_M(ctx: FormContext) -> TractorFormExpr:
     """Splitting operator: f -> ((n+w-2k)/k) Z f + X (delta f), weight w-k."""
     n, k, w = ctx.n, ctx.k, ctx.w
     f = FormExpr.generator(ctx)
-    wt = w - k
     c_m = Fraction(n + w - 2 * k, k)
     return TractorFormExpr(
-        ctx, wt,
+        ctx, 0,
         FormExpr.zero(ctx, k - 1, w),
         f.scale(c_m),
         f.apply_letter(CD),
@@ -112,7 +99,7 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
 
     The output is (component formulas of the modified Laplacian, with the
     overall sign folded in) minus the diagonal term 2 (wt/n)(n+wt-1) J,
-    then a single weight shift for the scale factor.
+    with the box count raised by one.
     """
     ctx = t.ctx
     n, k = ctx.n, ctx.k
@@ -140,14 +127,13 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     out_x = out_x + kappa.times_J(2, Fraction(n - 2 * k + 2, n * n))
     out_x = out_x + mu.apply_letter(CD).times_J(1, Fraction(-2 * k, n))
 
-    # diagonal curvature term, then the scale shift
+    # diagonal curvature term
     diag = Fraction(-2) * wt * (n + wt - 1) / n
     out_y = out_y + kappa.times_J(1, diag)
     out_z = out_z + mu.times_J(1, diag)
     out_x = out_x + rho.times_J(1, diag)
 
-    return TractorFormExpr(ctx, wt - 1, out_y.shift_weight(1), out_z.shift_weight(1),
-                           out_x.shift_weight(1))
+    return TractorFormExpr(ctx, t.p + 1, out_y, out_z, out_x)
 
 
 def apply_Mstar(t: TractorFormExpr) -> FormExpr:

@@ -53,12 +53,18 @@ class VerificationReport:
 
 def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
                   render: Callable[[str], str] = str) -> dict[str, str]:
-    """First differing key of two monomial maps or two ``FormExpr.terms`` maps."""
+    """First differing key of two monomial maps or two word maps."""
     for key in sorted(set(lhs) | set(rhs)):
         ca, cb = lhs.get(key, ZERO), rhs.get(key, ZERO)
         if ca != cb:
             return {"monomial": render(key), "lhs": render_ratj(ca), "rhs": render_ratj(cb)}
     raise InternalConsistencyError("no differing monomial between the sides of a failed check")
+
+
+def _expr_witness(lhs: FormExpr, rhs: FormExpr) -> dict[str, str]:
+    words = set(lhs.terms) | set(rhs.terms)
+    return _diff_witness({w: lhs.coefficient(w) for w in words},
+                         {w: rhs.coefficient(w) for w in words}, render_word)
 
 
 # -- factorization ----------------------------------------------------------
@@ -123,18 +129,17 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     lhs1 = G.scale(w)
     gen = FormExpr.generator(ctx)
     rhs1 = -L.to_form_expr(gen).apply_letter(CD)
-    ok1 = lhs1.terms == rhs1.terms
+    ok1 = lhs1 == rhs1
     witness: dict[str, Any] = {}
     if not ok1:
-        witness["first"] = _diff_witness(lhs1.terms, rhs1.terms, render_word)
+        witness["first"] = _expr_witness(lhs1, rhs1)
     ok2 = True
     if k >= 2:
         lower = build_L_definition(n, k - 1, ell)
-        delta_f = gen.apply_letter(CD).shift_weight(1)
-        rhs2 = lower.to_form_expr(delta_f).scale(lg_second_scalar(n, k, ell)).shift_weight(-1)
-        ok2 = G.terms == rhs2.terms and G.weight == rhs2.weight
+        rhs2 = lower.to_form_expr(gen.apply_letter(CD)).scale(lg_second_scalar(n, k, ell))
+        ok2 = G == rhs2
         if not ok2:
-            witness["second"] = _diff_witness(G.terms, rhs2.terms, render_word)
+            witness["second"] = _expr_witness(G, rhs2)
     status = "pass" if ok1 and ok2 else "fail"
     if status == "pass":
         witness = {"second": "skipped (k = 1)"} if k == 1 else {"second_scalar": str(lg_second_scalar(n, k, ell))}
@@ -144,27 +149,22 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
 # -- relative invertibility --------------------------------------------------
 
 
-def _linsolve_ratj(rows: list[list[RatJ]], rhs: list[RatJ]) -> list[RatJ] | None:
-    """One solution of A x = b over Q(J) (free variables set to zero), or None.
-
-    The systems solved here are weight-homogeneous (entry (i, j) has J
-    degree r_i - c_j), and row operations keep that grading, so every
-    entry stays a single monomial c * J**m.
-    """
+def _linsolve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """One solution of A x = b over Q (free variables set to zero), or None."""
     m = len(rows)
     cols = len(rows[0]) if rows else 0
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, m) if not aug[i][c].is_zero), None)
+        pivot = next((i for i in range(r, m) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inv()
+        inv = 1 / aug[r][c]
         aug[r] = [v * inv for v in aug[r]]
         for i in range(m):
-            if i != r and not aug[i][c].is_zero:
+            if i != r and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
         pivots.append((r, c))
@@ -172,9 +172,9 @@ def _linsolve_ratj(rows: list[list[RatJ]], rhs: list[RatJ]) -> list[RatJ] | None
         if r == m:
             break
     for i in range(r, m):
-        if not aug[i][cols].is_zero:
+        if aug[i][cols]:
             return None  # inconsistent
-    x = [ZERO] * cols
+    x = [Fraction(0)] * cols
     for row, col in pivots:
         x[col] = aug[row][cols]
     return x
@@ -186,9 +186,12 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
 
     Solved as a linear system in six unknowns against the five monomial
     equations E^2, F^2, E, F, 1; any solution of the underdetermined
-    system is accepted.  Raises BezoutError when the system is
-    inconsistent (no pair of any polynomial degree exists then, since a
-    degree-one obstruction in this ring is an ideal obstruction).
+    system is accepted.  The system is weight-graded (phi_s has order
+    -s.order and phi_t order -t.order), so its J = 1 specialisation has
+    the same solutions and it is solved over Q on the rational
+    coefficients.  Raises BezoutError when the system is inconsistent
+    (no pair of any polynomial degree exists then, since a degree-one
+    obstruction in this ring is an ideal obstruction).
     """
     if (s.n, s.k) != (t.n, t.k):
         raise FormAlgebraError("factor pair from different contexts")
@@ -196,7 +199,7 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
         raise BezoutError("identical factors admit no relative-inverse pair")
     a1, b1, c1 = s.e_coeff(1), s.f_coeff(1), s.const
     a2, b2, c2 = t.e_coeff(1), t.f_coeff(1), t.const
-    z = ZERO
+    z = Fraction(0)
     # unknowns: x1, y1, z1 (phi_s), x2, y2, z2 (phi_t)
     rows = [
         [a1, z, z, a2, z, z],          # E^2
@@ -205,13 +208,13 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
         [z, c1, b1, z, c2, b2],        # F
         [z, z, c1, z, z, c2],          # 1
     ]
-    rhs = [z, z, z, z, ratj(1)]
-    sol = _linsolve_ratj(rows, rhs)
+    rhs = [z, z, z, z, Fraction(1)]
+    sol = _linsolve(rows, rhs)
     if sol is None:
         raise BezoutError("no relative-inverse pair: monomial system is inconsistent")
     x1, y1, z1, x2, y2, z2 = sol
-    phi_s = OperatorPoly.make(s.n, s.k, z1, (x1,), (y1,))
-    phi_t = OperatorPoly.make(s.n, s.k, z2, (x2,), (y2,))
+    phi_s = OperatorPoly.graded(s.n, s.k, -s.order, z1, [x1], [y1])
+    phi_t = OperatorPoly.graded(s.n, s.k, -t.order, z2, [x2], [y2])
     check = phi_s * s + phi_t * t
     if check.monomials() != {"1": ratj(1)}:
         raise InternalConsistencyError(f"solver returned a non-witness: {check.render()}")
@@ -228,17 +231,17 @@ def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:
     other variable, where the second factor generates a proper ideal.
     """
     def pure_f(op: OperatorPoly) -> bool:
-        return op.const.is_zero and not op.e_coeffs and bool(op.f_coeffs)
+        return not op.const and not op.e_coeffs and bool(op.f_coeffs)
 
     def pure_e(op: OperatorPoly) -> bool:
-        return op.const.is_zero and not op.f_coeffs and bool(op.e_coeffs)
+        return not op.const and not op.f_coeffs and bool(op.e_coeffs)
 
     for a, b in ((s, t), (t, s)):
-        if pure_f(a) and not b.e_coeff(1).is_zero:
+        if pure_f(a) and b.e_coeff(1):
             return True
-        if pure_e(a) and not b.f_coeff(1).is_zero:
+        if pure_e(a) and b.f_coeff(1):
             return True
-    return s.const.is_zero and t.const.is_zero
+    return not s.const and not t.const
 
 
 def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:

@@ -1,0 +1,15 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import strategies as st
+
+from formlap.forms import OperatorPoly
+
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def operators(draw, n=6, k=2):
+    """A weight-homogeneous operator on k-forms of M^n: order -2..3, small rational coefficients."""
+    coeffs = st.lists(small_fracs, max_size=4)
+    return OperatorPoly.graded(n, k, draw(st.integers(min_value=-2, max_value=3)),
+                               draw(small_fracs), draw(coeffs), draw(coeffs))

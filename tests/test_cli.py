@@ -85,6 +85,36 @@ def test_verify_default_grid_golden_payload(tmp_path):
     assert digest == DEFAULT_VERIFY_PAYLOAD_SHA256
 
 
+# sha256 of `formlap expand --format json` payloads: the degenerate weight
+# w = 1 (8, 2, 3), the middle degree k = n/2 (6, 3, 2), odd n (7, 2, 4) and
+# w = 0 (10, 2, 3); they pin the rendered coefficients and J powers
+EXPAND_PAYLOAD_SHA256 = {
+    (8, 2, 3): "2c0966c118dc1c8ffa091e5b47e49596f1678ded5c38ed74530eef5c4b4d38d9",
+    (6, 3, 2): "e05098ba0324042ee72878966f4768f5682724d72780b5c56f0c47235b486c7e",
+    (7, 2, 4): "48736f695e67187494dbd7a099b766d933873ad82f24a4ee5542bdc32c4381d5",
+    (10, 2, 3): "832aecb273f5cf214173a353fd6327924629fd07aaf21eb59e4a8bcafb2dc538",
+}
+
+
+@pytest.mark.parametrize("nkl", sorted(EXPAND_PAYLOAD_SHA256), ids=str)
+def test_expand_golden_payload(tmp_path, nkl):
+    out = tmp_path / "expand.json"
+    n, k, ell = nkl
+    assert run_cli(["expand", "--n", str(n), "--k", str(k), "--ell", str(ell),
+                    "--format", "json", "--output", str(out)]) == 0
+    assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == EXPAND_PAYLOAD_SHA256[nkl]
+
+
+# sha256 of the default `formlap oracle torus` payload (seed 1)
+DEFAULT_TORUS_PAYLOAD_SHA256 = "fd2c3361e31729b9dd31b7bb504a2a2de9430aa2f1dd17b41bb256a0cb3f2403"
+
+
+def test_oracle_torus_default_golden_payload(tmp_path):
+    out = tmp_path / "torus.json"
+    assert run_cli(["oracle", "torus", "--output", str(out)]) == 0
+    assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == DEFAULT_TORUS_PAYLOAD_SHA256
+
+
 @pytest.mark.parametrize("args, needle", [
     (["--n-min", "2"], "--n-min"),
     (["--j-value", "abc"], "--j-value"),
@@ -144,13 +174,15 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "boundary-4-simplex", "--eigs", "500"], "--eigs"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--subdivide"], "subdivision"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--promote", "model.json"], "--promote"),
+    (["dec", "--mesh", "cell600", "--size", "7", "--k", "1", "--eigs", "4"], "--size"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "nan"], "--rtol"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "inf"], "--rtol"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "0"], "--rtol"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "-1"], "--rtol"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "1.5"], "--rtol"),
 ], ids=["torus-n-below-3", "torus-ell-max-zero", "torus-modes-zero", "dec-k-above-dim",
-        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-rtol-nan",
+        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-size-sphere",
+        "dec-rtol-nan",
         "dec-rtol-inf", "dec-rtol-zero", "dec-rtol-negative", "dec-rtol-above-one"])
 def test_oracle_usage_error(capsys, args, needle):
     assert run_cli(["oracle", *args]) == 2

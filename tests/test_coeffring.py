@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError, J, ONE, RatJ, ZERO, jpow, ratj, render_ratj
-from formlap.forms import OperatorPoly
+from formlap.forms import FormAlgebraError, OperatorPoly
 
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 degrees = st.integers(min_value=-3, max_value=3)
@@ -37,6 +37,8 @@ def test_eval_examples():
     assert (J * 3).eval_at(2) == 6
     assert (ratj(4) / (J * J)).eval_at(Fraction(1, 2)) == 16
     assert jpow(2, 5).eval_at(0) == 0
+    assert jpow(-2, 3).eval_at(2) == Fraction(3, 4)  # exact at an int J, no float power
+    assert type(jpow(-2, 3).eval_at(2)) is Fraction
     assert ONE.eval_at(0) == 1
     with pytest.raises(CoefficientError):
         (1 / J).eval_at(0)
@@ -67,11 +69,12 @@ def test_sum_of_different_degrees_raises():
 
 def test_operator_sum_of_different_degrees_raises():
     a = OperatorPoly.make(6, 2, J * 2, (ratj(1),), (ratj(3),))
-    b = OperatorPoly.make(6, 2, ratj(1), (ratj(1),), (ratj(3),))
-    with pytest.raises(CoefficientError):
-        a + b
+    # a constant of J degree 0 next to E and F of J degree 0: no single order
+    with pytest.raises(FormAlgebraError):
+        OperatorPoly.make(6, 2, ratj(1), (ratj(1),), (ratj(3),))
     c = OperatorPoly.make(6, 2, 0, (J,), ())
-    with pytest.raises(CoefficientError):
+    assert (a.order, c.order) == (1, 2)
+    with pytest.raises(FormAlgebraError):
         a - c
     assert (a + a).monomials() == {"1": J * 4, "E": ratj(2), "F": ratj(6)}
 

@@ -39,8 +39,8 @@ def test_build_G_examples():
     g = build_L_and_G(4, 1, 1)[1]
     c = FormContext(4, 1, operator_weight(4, 1, 1))
     f = FormExpr.generator(c)
-    expected = (f.apply_word(D + CD) + f.times_J(1, 1)).apply_letter(CD).shift_weight(-1)
-    assert g.terms == expected.terms
+    expected = (f.apply_word(D + CD) + f.times_J(1, 1)).apply_letter(CD)
+    assert g == expected
     assert g == closed_G1(4, 1)
 
 
@@ -73,7 +73,7 @@ def test_closed_factors_case_selection():
     odd = closed_factors(7, 2, 4)
     assert len(odd.factors) == 4
     for f in odd.factors:
-        assert not f.const.is_zero
+        assert f.const != 0
     # nonpositive weight (even n): generic factors only
     w0 = closed_factors(8, 2, 2)
     assert operator_weight(8, 2, 2) == 0 and len(w0.factors) == 2

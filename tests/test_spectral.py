@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import J, RatJ, ratj
+from formlap.coeffring import J, ratj
 from formlap.forms import OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
                               kernel_dim, sphere_preset, synthetic_model, torus_preset)
+from strategies import operators
 
 
 def pt(kind, lam, mult=1):
@@ -28,23 +29,19 @@ def test_eval_scalar_pole():
         eval_scalar(op, pt("exact", 1), Fraction(0))
 
 
-coeff_strategy = st.builds(RatJ, st.fractions(min_value=-5, max_value=5, max_denominator=4),
-                           st.integers(min_value=-2, max_value=2))
-
-
-@given(coeff_strategy, st.lists(coeff_strategy, max_size=4), st.lists(coeff_strategy, max_size=4),
+@given(operators(),
        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
        st.fractions(min_value=0, max_value=10, max_denominator=5))
 @settings(max_examples=80)
-def test_at_matches_direct_power_sums(const, e, f, j, lam):
+def test_at_matches_direct_power_sums(op, j, lam):
     # op.at reduces E^p to lam^(p-1) E: on an exact point it acts as
-    # const + sum e_p lam^p, on a coexact one as const + sum f_q lam^q,
-    # on a harmonic one as const
-    op = OperatorPoly.make(6, 2, const, e, f)
+    # const J^m + sum e_p J^(m-p) lam^p, on a coexact one as
+    # const J^m + sum f_q J^(m-q) lam^q, on a harmonic one as const J^m
+    m = op.order
     a, b, c = op.at(j, lam)
-    base = const.eval_at(j)
-    exact = base + sum(x.eval_at(j) * lam ** p for p, x in enumerate(e, start=1))
-    coexact = base + sum(x.eval_at(j) * lam ** q for q, x in enumerate(f, start=1))
+    base = op.const * j ** m
+    exact = base + sum(x * j ** (m - p) * lam ** p for p, x in enumerate(op.e_coeffs, start=1))
+    coexact = base + sum(x * j ** (m - q) * lam ** q for q, x in enumerate(op.f_coeffs, start=1))
     assert (a, a + b * lam, a + c * lam) == (base, exact, coexact)
     assert eval_scalar(op, pt("exact", lam), j) == exact
     assert eval_scalar(op, pt("coexact", lam), j) == coexact

@@ -6,6 +6,7 @@ import pytest
 
 import formlap.factory
 from formlap.cli import main
+from formlap.coeffring import ZERO
 from formlap.factory import build_L_definition, operator_weight
 from formlap.forms import OperatorPoly
 from formlap.torus import (CMat, box_matrix, compare_pipelines, derivation_matrix, eps_matrix,
@@ -123,8 +124,8 @@ def test_companion_slot_matches_symbolic():
         return out
 
     acc = CMat.zero(len(form_km1), len(wedge_basis(n, k)))
-    for word, coeff in g_expr.terms.items():
-        acc = acc + word_matrix(word).scale(coeff.eval_at(0))
+    for word in g_expr.terms:
+        acc = acc + word_matrix(word).scale(g_expr.coefficient(word).eval_at(0))
     assert not np.any(acc.re != 0) and np.all(acc.im == g_numeric_im)
 
 
@@ -137,12 +138,13 @@ def test_symbolic_mode_matrix_is_real():
     assert mat.dtype == np.int64 and isinstance(den, int) and den > 0
     e, f = compose_EF(n, k, xi)
     dim = len(wedge_basis(n, k))
-    acc = CMat.eye(dim).scale(op.const.eval_at(0))
-    for mats, coeffs in ((e, op.e_coeffs), (f, op.f_coeffs)):
+    mono = op.monomials()
+    acc = CMat.eye(dim).scale(mono.get("1", ZERO).eval_at(0))
+    for mats, letter, top in ((e, "E", len(op.e_coeffs)), (f, "F", len(op.f_coeffs))):
         cur = CMat.eye(dim)
-        for c in coeffs:
+        for p in range(1, top + 1):
             cur = mats @ cur
-            acc = acc + cur.scale(c.eval_at(0))
+            acc = acc + cur.scale(mono.get(letter if p == 1 else f"{letter}^{p}", ZERO).eval_at(0))
     assert acc.is_real and np.array_equal(acc.re * den, mat)
 
 

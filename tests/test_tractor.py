@@ -16,7 +16,7 @@ def test_make_M_examples():
     assert m.slot_z == f.scale(Fraction(3, 2))
     assert m.slot_x == f.apply_letter(CD)
     assert m.slot_y.is_zero
-    assert m.wt == -1
+    assert m.p == 0 and m.wt == -1
 
     m2 = make_M(FormContext(4, 2, Fraction(0)))
     assert m2.slot_z.is_zero  # n + w - 2k = 0
@@ -27,7 +27,9 @@ def test_slot_invariants_enforced():
     c = FormContext(6, 2, Fraction(1))
     good = make_M(c)
     with pytest.raises(InternalConsistencyError):
-        TractorFormExpr(c, good.wt, good.slot_z, good.slot_z, good.slot_x)
+        TractorFormExpr(c, good.p, good.slot_z, good.slot_z, good.slot_x)
+    with pytest.raises(InternalConsistencyError):
+        TractorFormExpr(c, good.p + 1, good.slot_y, good.slot_z, good.slot_x)
 
 
 def test_box_on_pure_z_slot():
@@ -35,33 +37,35 @@ def test_box_on_pure_z_slot():
     # (-2 delta mu, (E + F - J) mu, -(1/2) J delta mu) at weight -1
     c = FormContext(4, 1, Fraction(1))
     mu = FormExpr.generator(c)
-    t = TractorFormExpr(c, Fraction(0),
+    t = TractorFormExpr(c, 0,
                         FormExpr.zero(c, 0, Fraction(1)), mu,
                         FormExpr.zero(c, 0, Fraction(-1)))
+    assert t.wt == 0
     out = apply_box(t)
     assert out.wt == -1
-    assert out.slot_y == mu.apply_letter(CD).scale(-2).shift_weight(1)
+    assert out.slot_y == mu.apply_letter(CD).scale(-2)
     lap = OperatorPoly.linear(4, 1, 1, 1)
-    expected_z = (lap.to_form_expr(mu) + mu.times_J(1, -1)).shift_weight(1)
-    assert out.slot_z == expected_z
-    assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2)).shift_weight(1)
+    assert out.slot_z == lap.to_form_expr(mu) + mu.times_J(1, -1)
+    assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2))
 
 
 def test_box_zero_tractor():
     c = FormContext(5, 2, Fraction(1, 2))
-    z = TractorFormExpr.zero(c, Fraction(3))
-    assert apply_box(z).is_zero
+    z = make_M(c).scale(0)
+    assert z.is_zero
+    assert apply_box(z).is_zero and apply_box(apply_box(z)).is_zero
 
 
 def test_Mstar_contractions():
     c = FormContext(6, 2, Fraction(1))
     f = FormExpr.generator(c)
-    wt = Fraction(-2)
-    pure_z = TractorFormExpr(c, wt, FormExpr.zero(c, 1, wt + 2), f.shift_weight(-1),
-                             FormExpr.zero(c, 1, wt))
-    assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(wt + 2))
-    pure_x = TractorFormExpr(c, wt, FormExpr.zero(c, 1, wt + 2),
-                             FormExpr.zero(c, 2, wt + 2), f.apply_letter(CD).shift_weight(-1))
+    # one box above the generator: tractor weight -2, slot weights -1, -1, -3
+    pure_z = TractorFormExpr(c, 1, FormExpr.zero(c, 1, Fraction(-1)), f.times_J(1),
+                             FormExpr.zero(c, 1, Fraction(-3)))
+    assert pure_z.wt == -2
+    assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(pure_z.wt + 2))
+    pure_x = TractorFormExpr(c, 1, FormExpr.zero(c, 1, Fraction(-1)),
+                             FormExpr.zero(c, 2, Fraction(-1)), f.apply_letter(CD).times_J(1))
     assert apply_Mstar(pure_x).is_zero
 
 
@@ -84,12 +88,11 @@ def test_calibration_identity_grid(n):
 def test_box_linearity(a, b):
     c = FormContext(6, 2, Fraction(1))
     f = FormExpr.generator(c)
-    wt = c.w - c.k - 2
-    s = TractorFormExpr(c, wt,
+    s = TractorFormExpr(c, 1,
                         f.apply_letter(CD),
                         OperatorPoly.linear(6, 2, 2, -1).to_form_expr(f) + f.times_J(1, 3),
                         f.apply_letter(CD).times_J(1))
-    t = TractorFormExpr(c, wt,
+    t = TractorFormExpr(c, 1,
                         f.apply_letter(CD).scale(-5),
                         f.times_J(1),
                         OperatorPoly.linear(6, 2, 0, 1).to_form_expr(f).apply_letter(CD))
@@ -127,6 +130,5 @@ def test_extract_slots():
     f = FormExpr.generator(c)
     assert l_part == f.scale(3)            # k * (n+w-2k)/k * f
     assert g_part == f.apply_letter(CD)
-    z = TractorFormExpr.zero(c, Fraction(-1))
-    zl, zg = extract_slots(z)
+    zl, zg = extract_slots(m.scale(0))
     assert zl.is_zero and zg.is_zero
