@@ -2,9 +2,9 @@
 
 Supplies the numerical side of the spectral checks: simplicial meshes
 of the flat 3-torus and of the 3-sphere (the boundary of the 4-simplex
-and the 600-cell), the up/down Laplacian pieces, exact Betti numbers by
+and the 600-cell), the up Laplacian pencils, exact Betti numbers by
 coreduction to a small Morse complex and integer ranks of its boundary
-matrices, and approximate eigenvalues of the two pieces for comparison
+matrices, and approximate exact and coexact eigenvalues for comparison
 against the trusted sphere spectrum file.
 
 A mesh is stored as arrays over its tets: the coordinates of each tet's
@@ -19,6 +19,12 @@ pass over its tets: diagonal circumcentric Hodge stars when the mesh
 is well-centered, the Galerkin (Whitney-form) masses of whitney.py
 otherwise.  Both feed the same pencil builder.
 
+The coexact spectrum on j-cochains is the nonzero spectrum of the up
+pencil there, the exact one on k-cochains the coexact one on
+(k-1)-cochains: each eigenvalue's kind is the pencil it came from, and
+each kernel dimension follows from the Betti numbers, so no eigenvalue
+is ever tested against zero.
+
 Boundary matrices are exact integer matrices; Betti numbers never pass
 through floating point.  Eigenvalues do, and are treated as
 mesh-limited approximations with an explicit tolerance everywhere.
@@ -28,21 +34,23 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import heapq
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .spectral import SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
+DENSE_MAX = 2500  # rows of the largest pencil solved by dense eigh
 
 # The faces of one tet: its vertex subsets of each dimension d, in
 # itertools.combinations order, and their bitmasks (the tet_faces columns).
@@ -356,29 +364,14 @@ def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix] | None:
     return stars
 
 
-def laplacian_pencil(mesh: SimplicialMesh, k: int, masses: list
-                     ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix,
-                                scipy.sparse.csr_matrix]:
-    """(full Laplacian form, up form, mass) on k-cochains, all sparse.
+def laplacian_pencil(mesh: SimplicialMesh, j: int, masses: list
+                     ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """The up pencil (d_j^T M_{j+1} d_j, M_j) on j-cochains (j < dim), sparse.
 
-    masses[d] is the mass matrix on d-cochains for d = k-1, k, k+1 (as
-    far as the complex has them): Hodge stars or Whitney masses.  The up
-    form is d^T M_{k+1} d and the down form (M_k d) M_{k-1}^-1 (M_k d)^T,
-    so masses[k-1] must be diagonal.
+    masses[d] is the mass matrix on d-cochains: Hodge stars or Whitney masses.
     """
-    nk = len(mesh.simplices[k])
-    mass = masses[k]
-    a_up = scipy.sparse.csr_matrix((nk, nk))
-    a_down = scipy.sparse.csr_matrix((nk, nk))
-    if k < mesh.dim:
-        d_k = mesh.boundaries[k + 1].T.astype(float)
-        a_up = (d_k.T @ masses[k + 1] @ d_k).tocsr()
-    if k > 0:
-        d_km1 = mesh.boundaries[k].T.astype(float)
-        inv_km1 = scipy.sparse.diags(1.0 / masses[k - 1].diagonal())
-        c = (mass @ d_km1).tocsr()
-        a_down = (c @ inv_km1 @ c.T).tocsr()
-    return (a_up + a_down).tocsr(), a_up, scipy.sparse.csr_matrix(mass)
+    d_j = mesh.boundaries[j + 1].T.astype(float)
+    return (d_j.T @ masses[j + 1] @ d_j).tocsr(), scipy.sparse.csr_matrix(masses[j])
 
 
 # -- exact rank and Betti numbers -------------------------------------------------
@@ -574,54 +567,76 @@ def is_well_centered(mesh: SimplicialMesh) -> bool:
     return _flag_dual_volumes(mesh) is not None
 
 
-def _lowest_pairs(a_full, a_up, mass, count: int, b_k: int) -> list[tuple[float, str]]:
-    """Lowest nonzero eigenpairs classified exact/coexact, plus exact harmonics."""
-    nk = a_full.shape[0]
-    if nk <= 2500:
-        vals, vecs = scipy.linalg.eigh(a_full.toarray(), mass.toarray())
-    elif nk <= 6000:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            a_full, k=min(count + b_k + 8, nk - 1), M=mass.tocsc(),
-            sigma=-1e-3, which="LM")
+def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
+    """The count lowest nonzero eigenvalues of the pencil (a, m), by shift-invert Lanczos.
+
+    a + shift*m is factored once.  With gradients = d_0, each solve is
+    followed by the m-orthogonal projection off im d_0 (Arbenz-Geus 2005),
+    so only the harmonic part of the kernel is left, and dropped.  ARPACK
+    non-convergence raises.
+    """
+    # symmetric orderings: SuperLU's default COLAMD fills in badly on these pencils
+    splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True})
+    shift = 1e-3 * a.diagonal().sum() / m.diagonal().sum()  # scales with the pencil
+    lu = splu((a + shift * m).tocsc())
+    solve = lu.solve
+    if gradients is not None:
+        lap = (gradients.T @ m @ gradients).tocsr()
+        _, component = scipy.sparse.csgraph.connected_components(lap)
+        free = np.ones(lap.shape[0], dtype=bool)
+        free[np.unique(component, return_index=True)[1]] = False  # one grounded vertex each
+        grounded = splu(lap[free][:, free].tocsc())
+
+        def solve(x):
+            y = lu.solve(x)
+            potential = np.zeros(lap.shape[0])
+            potential[free] = grounded.solve((gradients.T @ (m @ y))[free])
+            return y - gradients @ potential
+
+    vals = scipy.sparse.linalg.eigsh(
+        a, k=count + harmonic, M=m, sigma=-shift, return_eigenvectors=False,
+        OPinv=scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=float),
+        v0=np.random.default_rng(0).standard_normal(a.shape[0]))
+    return np.sort(vals)[harmonic:]
+
+
+def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int,
+                     betti: tuple[int, ...]) -> np.ndarray:
+    """The coexact spectrum on j-cochains: the lowest count nonzero eigenvalues of the up pencil.
+
+    Its kernel has dimension b_j + rank d_{j-1} (ranks from the Betti
+    numbers and the f-vector), which dense eigh skips by index; pencils
+    of more than DENSE_MAX rows go to _sparse_lowest.
+    """
+    gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
+    if j == 2:
+        # the star-dual pencil (d_2 M_2^-1 d_2^T, M_3^-1) on tets has the same nonzero
+        # eigenvalues (substitute z = M_3 d_2 x) and only b_3 zeros; M_2 is diagonal
+        d_2 = mesh.boundaries[3].T.astype(float)
+        a = (d_2 @ scipy.sparse.diags(1.0 / masses[2].diagonal()) @ d_2.T).tocsr()
+        m = scipy.sparse.diags(1.0 / masses[3].diagonal()).tocsr()
+        kernel = harmonic = betti[3]
     else:
-        # shift-invert factorisations fill in badly here; a preconditioned
-        # block solver finds the lowest modes in seconds instead
-        rng = np.random.default_rng(0)
-        x0 = rng.standard_normal((nk, count + b_k + 4))
-        prec = scipy.sparse.diags(1.0 / np.maximum(a_full.diagonal(), 1e-12)).tocsr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = scipy.sparse.linalg.lobpcg(
-                a_full, x0, B=mass.tocsr(), M=prec, largest=False,
-                maxiter=400, tol=1e-6)
-    order = np.argsort(vals)
-    out: list[tuple[float, str]] = [(0.0, "harmonic")] * b_k
-    # relative to the largest computed eigenvalue, so the cut does not depend on units
-    tol = 1e-9 * float(vals[order[-1]])
-    taken = 0
-    for idx in order:
-        lam = float(vals[idx])
-        if lam <= tol:
-            continue  # numerically-zero directions are counted exactly via b_k
-        v = vecs[:, idx]
-        up_part = float(v @ (a_up @ v))
-        total = float(v @ (a_full @ v))
-        kind = "coexact" if up_part > total / 2 else "exact"
-        out.append((lam, kind))
-        taken += 1
-        if taken >= count:
-            break
-    return sorted(out, key=lambda t: t[0])
+        a, m = laplacian_pencil(mesh, j, masses)
+        harmonic = betti[j]
+        kernel = harmonic + (mesh.counts()[0] - betti[0] if j == 1 else 0)  # + rank d_{j-1}
+    count = min(count, a.shape[0] - kernel)
+    if count == 0:
+        return np.empty(0)
+    if a.shape[0] <= DENSE_MAX:
+        return scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True,
+                                 subset_by_index=[kernel, kernel + count - 1])
+    return _sparse_lowest(a, m, harmonic, count, gradients)
 
 
 def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]]:
-    """Lowest eigenvalues of the two Laplacian pieces on k-cochains.
+    """The b_k harmonics and the lowest count nonzero eigenvalues on k-cochains.
 
-    Returns (eigenvalue, kind) pairs sorted by eigenvalue; the harmonic
-    entries come from the exact Betti number, never from numerical
-    zeros.  Nonzero eigenpairs are classified exact/coexact by the
-    Rayleigh quotient of the up piece.
-
+    Returns (eigenvalue, kind) pairs sorted by eigenvalue, each kind by
+    construction: b_k harmonics from the exact Betti number, coexact
+    values from the up pencil on k-cochains, exact ones from the up
+    pencil on (k-1)-cochains (exact k-forms are d of coexact (k-1)-forms).
     Well-centered meshes use diagonal circumcentric stars (Hirani 2003);
     all others the Galerkin (Whitney) matrices (Arnold-Falk-Winther 2006).
     """
@@ -630,15 +645,15 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]
     nk = len(mesh.simplices[k])
     if count > nk:
         raise MeshError(f"requested {count} eigenvalues of a {nk}-dimensional space")
-    b_k = betti_numbers(mesh)[k]
-    stars = hodge_stars(mesh)
-    if stars is not None:
-        a_full, a_up, mass = laplacian_pencil(mesh, k, stars)
-    else:
+    betti = betti_numbers(mesh)
+    masses = hodge_stars(mesh)
+    if masses is None:
         from .whitney import galerkin_laplacian
 
-        a_full, a_up, mass = galerkin_laplacian(mesh, k)
-    return _lowest_pairs(a_full, a_up, mass, count, b_k)
+        masses = galerkin_laplacian(mesh, k)
+    pairs = [(float(lam), kind) for j, kind in ((k, "coexact"), (k - 1, "exact"))
+             if 0 <= j < mesh.dim for lam in coexact_spectrum(mesh, j, masses, count, betti)]
+    return [(0.0, "harmonic")] * betti[k] + sorted(pairs)[:count]
 
 
 def unit_sphere_edge_scale(mesh: SimplicialMesh) -> float:

@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
-                    OperatorPoly)
+from .forms import CD, D, FormContext, FormExpr, InternalConsistencyError, OperatorPoly
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,6 @@ class TractorFormExpr:
     @property
     def is_zero(self) -> bool:
         return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_x.is_zero
-
-    def __add__(self, other: TractorFormExpr) -> TractorFormExpr:
-        if self.ctx != other.ctx or self.p != other.p:
-            raise FormAlgebraError("adding tractor forms of different context or weight")
-        return TractorFormExpr(
-            self.ctx, self.p,
-            self.slot_y + other.slot_y, self.slot_z + other.slot_z, self.slot_x + other.slot_x,
-        )
-
-    def scale(self, c) -> TractorFormExpr:
-        return TractorFormExpr(self.ctx, self.p, self.slot_y.scale(c), self.slot_z.scale(c),
-                               self.slot_x.scale(c))
 
     def render(self) -> str:
         return f"[Y] {self.slot_y.render()}\n[Z] {self.slot_z.render()}\n[X] {self.slot_x.render()}"

@@ -3,8 +3,8 @@
 Diagonal circumcentric stars need a well-centered mesh; on every other
 mesh the spectrum uses the Whitney-form mass matrices below, which stay
 consistent on any shape-regular mesh and keep every operator sparse.
-The vertex mass is additionally returned in lumped (diagonal) form so
-the degree-one down-Laplacian piece needs no dense inverse.
+The vertex mass is also returned lumped (diagonal): the mass of the
+vertex pencil that gives the exact part of the degree-one spectrum.
 
 All element quantities reduce to barycentric-gradient dot products, so
 the construction works directly with coordinates in any ambient
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .dec import LOCAL_SUBSETS, MeshError, SimplicialMesh, laplacian_pencil, simplex_volumes
+from .dec import LOCAL_SUBSETS, MeshError, SimplicialMesh, simplex_volumes
 
 
 def _assemble(index: np.ndarray, blocks: np.ndarray, size: int) -> scipy.sparse.csr_matrix:
@@ -73,16 +73,12 @@ def whitney_masses(mesh: SimplicialMesh) -> dict:
     }
 
 
-def galerkin_laplacian(mesh: SimplicialMesh, k: int
-                       ) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix,
-                                  scipy.sparse.csr_matrix]:
-    """(full Laplacian form, up form, mass) for k in {0, 1}, all sparse.
+def galerkin_laplacian(mesh: SimplicialMesh, k: int) -> list[scipy.sparse.csr_matrix]:
+    """The Whitney masses [M0, M1, M2] of the degree-k pencils, for k in {0, 1}.
 
-    At degree one the down piece uses the lumped vertex mass so its
-    inverse stays diagonal; the up piece is the exact Galerkin form.
+    At degree one M0 is lumped, the mass of the exact part (d0^T M1 d0, M0).
     """
     if k not in (0, 1):
         raise MeshError("galerkin spectra implemented for degrees 0 and 1 only")
     masses = whitney_masses(mesh)
-    vertex_mass = masses["M0"] if k == 0 else masses["M0_lumped"]
-    return laplacian_pencil(mesh, k, [vertex_mass, masses["M1"], masses["M2"]])
+    return [masses["M0"] if k == 0 else masses["M0_lumped"], masses["M1"], masses["M2"]]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from formlap import dec
 from formlap.dec import (MeshError, _build_from_tets, _morse_complex, betti_numbers, build_mesh,
-                         compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
-                         is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
-                         unit_sphere_edge_scale)
+                         coexact_spectrum, compare_sphere_spectrum, dec_import_model, hodge_stars,
+                         integer_rank, is_well_centered, laplacian_pencil, spectrum,
+                         subdivide_barycentric, unit_sphere_edge_scale)
 from formlap.whitney import galerkin_laplacian, whitney_masses
 
 
@@ -127,31 +128,54 @@ def test_integer_rank_small():
     assert integer_rank(m2) == 2
 
 
-def _pencil(mesh, k):
-    """The pencil the spectrum uses: circumcentric stars, else Whitney masses."""
+def _masses(mesh, k):
+    """The masses the degree-k spectrum uses: circumcentric stars, else Whitney masses."""
     stars = hodge_stars(mesh)
-    return laplacian_pencil(mesh, k, stars) if stars is not None else galerkin_laplacian(mesh, k)
+    return stars if stars is not None else galerkin_laplacian(mesh, k)
 
 
 def test_hodge_operator_structure(five_cell, torus3):
-    # five_cell takes the circumcentric path, torus3 the Whitney one
-    for mesh in (five_cell, torus3):
-        full0, up0, _ = _pencil(mesh, 0)
-        assert abs(full0 - up0).max() == 0  # no down piece on functions
-        full, up, mass = _pencil(mesh, 1)
-        down = (full - up).toarray()
-        # as operators M^-1 up and M^-1 down; their products vanish since dd = 0
-        inv_mass = np.linalg.inv(mass.toarray())
-        assert abs(up @ inv_mass @ down).max() < 1e-10
-        assert abs(down @ inv_mass @ up).max() < 1e-10
+    # each up pencil annihilates im d_{j-1}, since d_j d_{j-1} = 0; five_cell
+    # takes the circumcentric path, torus3 the Whitney one (masses up to M2)
+    for mesh, degrees in ((five_cell, (1, 2)), (torus3, (1,))):
+        for j in degrees:
+            up, _ = laplacian_pencil(mesh, j, _masses(mesh, j))
+            assert abs(up @ mesh.boundaries[j].T).max() <= 1e-12 * abs(up).max()
 
 
-def test_harmonic_dim_from_full_laplacian(five_cell, torus3):
-    for mesh, k, harmonic in ((five_cell, 0, 1), (five_cell, 1, 0),
-                              (torus3, 0, 1), (torus3, 1, 3)):
-        full, _, mass = _pencil(mesh, k)
-        vals = scipy.linalg.eigh(full.toarray(), mass.toarray(), eigvals_only=True)
-        assert int(np.sum(np.abs(vals) < 1e-9)) == harmonic
+def test_up_pencil_nullity(five_cell, torus3):
+    # the dense nullity of each up pencil is b_j + rank d_{j-1}: the kernel
+    # the dense solve skips by index, without testing any eigenvalue against zero
+    for mesh, j in ((five_cell, 0), (five_cell, 1), (torus3, 0), (torus3, 1)):
+        up, mass = laplacian_pencil(mesh, j, _masses(mesh, j))
+        vals = scipy.linalg.eigh(up.toarray(), mass.toarray(), eigvals_only=True)
+        kernel = betti_numbers(mesh)[j] + (integer_rank(mesh.boundaries[j]) if j else 0)
+        assert int(np.sum(np.abs(vals) < 1e-9 * vals.max())) == kernel
+
+
+def test_sparse_solve_matches_dense(monkeypatch):
+    c600, grid = build_mesh("cell600"), build_mesh("torus3-grid", 5)
+    fine = subdivide_barycentric(build_mesh("boundary-4-simplex"), project_radius=1.0)
+    for mesh, degrees in ((c600, (0, 1, 2)), (grid, (0, 1)), (fine, (0, 1, 2))):
+        betti = betti_numbers(mesh)
+        for j in degrees:
+            masses = _masses(mesh, j)
+            dense = coexact_spectrum(mesh, j, masses, 10, betti)
+            with monkeypatch.context() as patch:
+                patch.setattr(dec, "DENSE_MAX", 0)  # every pencil takes the sparse solve
+                sparse = coexact_spectrum(mesh, j, masses, 10, betti)
+            assert sparse == pytest.approx(dense, rel=1e-9, abs=0), (mesh.name, j)
+
+
+def test_refined_sphere_two_form_multiplets():
+    # coexact and exact 2-form shells interleave; each comes out of its own
+    # pencil, degenerate to rounding by the symmetry of the mesh
+    mesh = subdivide_barycentric(build_mesh("cell600"), project_radius=1.0)
+    spec = spectrum(mesh, 2, 12)
+    assert [kind for _, kind in spec] == ["coexact"] * 4 + ["exact"] * 6 + ["coexact"] * 2
+    for shell in (spec[:4], spec[4:10], spec[10:]):
+        vals = [lam for lam, _ in shell]
+        assert max(vals) - min(vals) < 1e-8 * min(vals)
 
 
 def _scaled(mesh, factor):
@@ -175,6 +199,9 @@ def test_spectrum_is_scale_free(five_cell):
 
     base = pairs(1.0)
     assert [kind for _, kind in base] == ["harmonic"] + ["coexact"] * 4
+    # no nonzero eigenvalue is asked for: the harmonics alone
+    assert spectrum(five_cell, 0, 0) == [(0.0, "harmonic")]
+    assert spectrum(five_cell, 1, 0) == []
     for factor in (1e-3, 1e5):
         got = pairs(factor)
         assert [kind for _, kind in got] == [kind for _, kind in base]

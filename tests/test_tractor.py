@@ -49,9 +49,17 @@ def test_box_on_pure_z_slot():
     assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2))
 
 
+def _slots(t):
+    return [t.slot_y, t.slot_z, t.slot_x]
+
+
+def _zero_like(t):
+    return TractorFormExpr(t.ctx, t.p, *(slot.scale(0) for slot in _slots(t)))
+
+
 def test_box_zero_tractor():
     c = FormContext(5, 2, Fraction(1, 2))
-    z = make_M(c).scale(0)
+    z = _zero_like(make_M(c))
     assert z.is_zero
     assert apply_box(z).is_zero and apply_box(apply_box(z)).is_zero
 
@@ -96,9 +104,12 @@ def test_box_linearity(a, b):
                         f.apply_letter(CD).scale(-5),
                         f.times_J(1),
                         OperatorPoly.linear(6, 2, 0, 1).to_form_expr(f).apply_letter(CD))
-    lhs = apply_box(s.scale(a) + t.scale(b))
-    rhs = apply_box(s).scale(a) + apply_box(t).scale(b)
-    assert lhs.slot_y == rhs.slot_y and lhs.slot_z == rhs.slot_z and lhs.slot_x == rhs.slot_x
+
+    def combine(u, v):  # the slots of a*u + b*v
+        return [x.scale(a) + y.scale(b) for x, y in zip(_slots(u), _slots(v))]
+
+    lhs = apply_box(TractorFormExpr(c, 1, *combine(s, t)))
+    assert _slots(lhs) == combine(apply_box(s), apply_box(t))
 
 
 @pytest.mark.parametrize("n,k,ell", [(4, 1, 1), (6, 2, 2), (5, 1, 2), (8, 3, 3), (12, 6, 2)])
@@ -130,5 +141,5 @@ def test_extract_slots():
     f = FormExpr.generator(c)
     assert l_part == f.scale(3)            # k * (n+w-2k)/k * f
     assert g_part == f.apply_letter(CD)
-    zl, zg = extract_slots(m.scale(0))
+    zl, zg = extract_slots(_zero_like(m))
     assert zl.is_zero and zg.is_zero
