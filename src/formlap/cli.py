@@ -1,8 +1,9 @@
 """Command-line front end: expansion, verification sweeps, and the oracles.
 
-Report files are split into a metadata envelope (timestamps, versions)
-and a deterministic report payload: identical configurations produce
-byte-identical payloads, so reports can be diffed across runs.
+Report files are split into a metadata envelope (timestamps, versions;
+for ``verify`` also each theorem's wall seconds and check count under
+``stages``) and a deterministic report payload: identical configurations
+produce byte-identical payloads, so reports can be diffed across runs.
 
 Exit codes: 0 all checks passed, 1 a verification or oracle comparison
 failed, 2 configuration or I/O error.
@@ -20,12 +21,12 @@ from pathlib import Path
 REPORT_SCHEMA = 1
 
 
-def _emit_report(payload: dict, output: Path | None) -> None:
-    doc = {
-        "meta": {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                 "tool": "formlap"},
-        "report": payload,
-    }
+def _emit_report(payload: dict, output: Path | None, stages: dict | None = None) -> None:
+    meta: dict = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                  "tool": "formlap"}
+    if stages is not None:
+        meta["stages"] = stages
+    doc = {"meta": meta, "report": payload}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -117,7 +118,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "results": [r.as_json() for r in reports],
         "summary": {"checks": len(reports), "failed": len(failures)},
     }
-    _emit_report(payload, args.output)
+    stages: dict[str, dict] = {}
+    for r in reports:
+        stage = stages.setdefault(r.theorem, {"checks": 0, "seconds": 0.0})
+        stage["checks"] += 1
+        stage["seconds"] += r.seconds
+    for stage in stages.values():
+        stage["seconds"] = round(stage["seconds"], 6)
+    _emit_report(payload, args.output, stages)
     for r in failures[:10]:
         print(f"FAIL {r.theorem} {r.params}: {r.witness}", file=sys.stderr)
     return 0 if not failures else 1

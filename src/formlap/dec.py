@@ -91,6 +91,13 @@ class SimplicialMesh:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.simplices)
 
+    @functools.cached_property
+    def betti(self) -> tuple[int, int, int, int]:
+        """Exact Betti numbers, computed once per mesh; see ``betti_numbers``."""
+        crit, morse = _morse_complex(self)
+        ranks = [0] + [integer_rank(m) for m in morse] + [0]
+        return tuple(crit[d] - ranks[d] - ranks[d + 1] for d in range(len(crit)))  # type: ignore[return-value]
+
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
@@ -553,11 +560,10 @@ def betti_numbers(mesh: SimplicialMesh) -> tuple[int, int, int, int]:
 
     c_d counts the critical d-cells of a coreduction and M_d is their
     integer Morse boundary matrix (see _morse_complex); only these small
-    matrices go through integer_rank.
+    matrices go through integer_rank.  The mesh computes them once and
+    keeps them (``SimplicialMesh.betti``).
     """
-    crit, morse = _morse_complex(mesh)
-    ranks = [0] + [integer_rank(m) for m in morse] + [0]
-    return tuple(crit[d] - ranks[d] - ranks[d + 1] for d in range(len(crit)))  # type: ignore[return-value]
+    return mesh.betti
 
 
 # -- spectra ------------------------------------------------------------------------

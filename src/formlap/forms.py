@@ -24,9 +24,13 @@ R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
 weight-homogeneous element is fixed by its order m (it lowers weights
 by 2m) and rational coefficients: const J^m + sum e_p J^(m-p) E^p +
 sum f_q J^(m-q) F^q.  An element of R reaches an expression only
-through ``OperatorPoly.to_form_expr`` and an eigenspace only through
-``OperatorPoly.at``: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E
-and F^q = lam^(q-1) F, so the element acts there as a + b E + c F.
+through ``OperatorPoly.to_form_expr`` and an eigenspace only through one
+reducer, a Horner sum over the rational coefficients with one J power
+per call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and
+F^q = lam^(q-1) F, so the element acts there as a + b E + c F
+(``OperatorPoly.at``), and on an exact, coexact or harmonic eigenform
+as the scalar a + b lam, a + c lam or a (``OperatorPoly.on_eigenspace``,
+which reduces only the side it needs).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 
-from .coeffring import RatJ, ratj, render_ratj
+from .coeffring import CoefficientError, RatJ, ratj, render_ratj
 
 D = "d"
 CD = "c"  # codifferential letter inside word strings
@@ -312,17 +316,27 @@ class OperatorPoly:
         """(a, b, c) with self = a + b E + c F once J = j_value, E^2 = lam E, F^2 = lam F.
 
         On an eigenform of eigenvalue lam the operator is the scalar
-        a + b lam (exact), a + c lam (coexact) or a (harmonic).  This is the
-        one place where powers of E and F are reduced.
+        a + b lam (exact), a + c lam (coexact) or a (harmonic); use
+        ``on_eigenspace`` for that scalar alone.
         """
-        def reduce(coeffs: tuple[Fraction, ...]) -> Fraction:
-            acc = _ZERO
-            for p in range(len(coeffs), 0, -1):  # Horner in lam
-                acc = acc * lam + RatJ(coeffs[p - 1], self.order - p).eval_at(j_value)
-            return acc
+        return (_reduce((self.const,), self.order, j_value, lam),
+                _reduce(self.e_coeffs, self.order - 1, j_value, lam),
+                _reduce(self.f_coeffs, self.order - 1, j_value, lam))
 
-        return (RatJ(self.const, self.order).eval_at(j_value),
-                reduce(self.e_coeffs), reduce(self.f_coeffs))
+    def on_eigenspace(self, kind: str, j_value: Fraction, lam: Fraction | int) -> Fraction:
+        """The scalar by which the operator acts on a kind eigenform of eigenvalue lam.
+
+        Only the side the kind needs is reduced: const J^m + sum e_p J^(m-p) lam^p
+        on exact forms (E -> lam, F -> 0), the same with the f_q on coexact
+        forms, and const J^m on harmonic forms.
+        """
+        if kind == "exact":
+            return _reduce((self.const, *self.e_coeffs), self.order, j_value, lam)
+        if kind == "coexact":
+            return _reduce((self.const, *self.f_coeffs), self.order, j_value, lam)
+        if kind == "harmonic":
+            return _reduce((self.const,), self.order, j_value, lam)
+        raise FormAlgebraError(f"unknown eigenspace kind {kind!r}")
 
     def to_form_expr(self, expr: FormExpr) -> FormExpr:
         """The operator applied wordwise to an expression of degree k.
@@ -377,6 +391,28 @@ def _wrap(c: str) -> str:
     if any(op in c[1:] for op in "+-*/ ") or c.startswith("("):
         return f"({c})"
     return c
+
+
+def _reduce(coeffs: tuple[Fraction, ...], top: int, j_value: Fraction,
+            lam: Fraction | int) -> Fraction:
+    """sum_i coeffs[i] * J**(top - i) * lam**i at J = j_value.
+
+    The one place where powers of E and F meet an eigenvalue.  For J != 0
+    this is J**top times a Horner sum in lam/J, so one J power per call;
+    at J = 0 only the term of J power 0 survives, and a nonzero
+    coefficient of negative J power is a pole (CoefficientError).
+    """
+    if j_value:
+        if type(j_value) is not Fraction:
+            j_value = Fraction(j_value)
+        x = lam / j_value
+        acc = _ZERO
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc * j_value ** top if top else acc
+    if any(coeffs[max(top + 1, 0):]):
+        raise CoefficientError("pole at J = 0")
+    return coeffs[top] * lam ** top if 0 <= top < len(coeffs) else _ZERO
 
 
 def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:

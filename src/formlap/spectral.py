@@ -2,11 +2,12 @@
 
 A model is a finite list of (kind, eigenvalue, multiplicity) points and
 a fixed rational value of J.  An expanded operator acts on a point as
-the scalar ``OperatorPoly.at`` gives: with (a, b, c) = op.at(J, lam) it
-is a + b lam on exact points (E -> lam, F -> 0), a + c lam on coexact
-points (E -> 0, F -> lam) and a on harmonic points.  Null-space
-dimensions are sums of multiplicities over points where that scalar
-vanishes.
+the scalar ``OperatorPoly.on_eigenspace`` gives, which reduces only the
+side the point's kind needs: E -> lam on exact points, F -> lam on
+coexact points, neither on harmonic points.  ``factor_kernel_content``
+reads a degree-one factor's (a, b, c) from ``OperatorPoly.at``.  Both
+come from the one reducer in ``forms``.  Null-space dimensions are sums
+of multiplicities over points where the scalar vanishes.
 
 Presets: the unit round 3-sphere (loaded from a versioned data file
 with provenance, never hardcoded in the code path) and the flat torus
@@ -96,12 +97,7 @@ def _frac_str(x: Fraction) -> str:
 
 def eval_scalar(op: OperatorPoly, pt: SpectralPoint, j_value: Fraction) -> Fraction:
     """Scalar action of an expanded operator on one spectral point."""
-    a, b, c = op.at(j_value, pt.eigenvalue)
-    if pt.kind == "exact":
-        return a + b * pt.eigenvalue
-    if pt.kind == "coexact":
-        return a + c * pt.eigenvalue
-    return a
+    return op.on_eigenspace(pt.kind, j_value, pt.eigenvalue)
 
 
 def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:

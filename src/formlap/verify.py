@@ -19,11 +19,12 @@ the order-one closed form and recorded in the repository notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .coeffring import RatJ, ZERO, ratj, render_ratj
+from .coeffring import RatJ, ZERO, render_ratj
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
 from .forms import (CD, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
@@ -41,6 +42,7 @@ class VerificationReport:
     params: dict[str, Any]
     status: str  # "pass" | "fail"
     witness: Any = None
+    seconds: float = field(default=0.0, compare=False)  # wall time; not in as_json
 
     @property
     def passed(self) -> bool:
@@ -149,75 +151,62 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
 # -- relative invertibility --------------------------------------------------
 
 
-def _linsolve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b over Q (free variables set to zero), or None."""
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][cols]:
-            return None  # inconsistent
-    x = [Fraction(0)] * cols
-    for row, col in pivots:
-        x[col] = aug[row][cols]
-    return x
-
-
 def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly]:
     """Operators (phi_s, phi_t), each a E + b F + c over Q(J), with
     phi_s s + phi_t t = 1 exactly in R.
 
-    Solved as a linear system in six unknowns against the five monomial
-    equations E^2, F^2, E, F, 1; any solution of the underdetermined
-    system is accepted.  The system is weight-graded (phi_s has order
-    -s.order and phi_t order -t.order), so its J = 1 specialisation has
-    the same solutions and it is solved over Q on the rational
-    coefficients.  Raises BezoutError when the system is inconsistent
-    (no pair of any polynomial degree exists then, since a degree-one
-    obstruction in this ring is an ideal obstruction).
+    The pair is weight-graded (phi_s has order -s.order and phi_t order
+    -t.order), so it is found over Q on the rational coefficients of
+    s = a1 E + b1 F + c1 and t = a2 E + b2 F + c2 and holds for every J.
+
+    Since EF = 0, R embeds in Q[E] x Q[F] (an element goes to its E side,
+    F -> 0, and its F side, E -> 0), and evaluating at a point of either
+    axis, (E, F) = (e, 0) or (0, f), is a ring map R -> Q.  A pair exists
+    exactly when all three of these hold:
+
+    * (c1, c2) != 0;
+    * r_E = a2 c1 - a1 c2 != 0, unless a1 = a2 = 0;
+    * r_F = b2 c1 - b1 c2 != 0, unless b1 = b2 = 0.
+
+    No pair when one fails: then s and t share a zero on an axis, namely
+    E = F = 0 when c1 = c2 = 0; E = e, F = 0 when (c1, c2) = -e (a1, a2)
+    is parallel to a nonzero (a1, a2); likewise on the F axis.  Every
+    phi_s s + phi_t t vanishes there, so none is 1, whatever its degree.
+    A pair when all hold: phi_s = x1 E + y1 F + z1, phi_t = x2 E + y2 F + z2
+    with z = (c1, c2)/(c1^2 + c2^2), x = mu (a2, -a1), y = nu (b2, -b1),
+    mu = -(a.z)/r_E and nu = -(b.z)/r_F (zero on a constant side).  It
+    solves the five monomial equations: 1 because c.z = 1, E^2 and F^2
+    because x is orthogonal to a and y to b, E and F by the choice of mu
+    and nu.  The pair is still re-verified by ring multiplication.
+    Identical factors raise BezoutError.
     """
     if (s.n, s.k) != (t.n, t.k):
         raise FormAlgebraError("factor pair from different contexts")
-    if s.monomials() == t.monomials():
+    if s == t:
         raise BezoutError("identical factors admit no relative-inverse pair")
     a1, b1, c1 = s.e_coeff(1), s.f_coeff(1), s.const
     a2, b2, c2 = t.e_coeff(1), t.f_coeff(1), t.const
-    z = Fraction(0)
-    # unknowns: x1, y1, z1 (phi_s), x2, y2, z2 (phi_t)
-    rows = [
-        [a1, z, z, a2, z, z],          # E^2
-        [z, b1, z, z, b2, z],          # F^2
-        [c1, z, a1, c2, z, a2],        # E
-        [z, c1, b1, z, c2, b2],        # F
-        [z, z, c1, z, z, c2],          # 1
-    ]
-    rhs = [z, z, z, z, Fraction(1)]
-    sol = _linsolve(rows, rhs)
-    if sol is None:
-        raise BezoutError("no relative-inverse pair: monomial system is inconsistent")
-    x1, y1, z1, x2, y2, z2 = sol
+    norm = c1 * c1 + c2 * c2
+    if not norm:
+        raise BezoutError("no relative-inverse pair: both factors vanish at E = F = 0")
+    z1, z2 = c1 / norm, c2 / norm
+
+    def side(u1: Fraction, u2: Fraction, axis: str) -> tuple[Fraction, Fraction]:
+        if not u1 and not u2:
+            return Fraction(0), Fraction(0)
+        r = u2 * c1 - u1 * c2
+        if not r:
+            raise BezoutError(f"no relative-inverse pair: common zero on the {axis} axis")
+        m = -(u1 * z1 + u2 * z2) / r
+        return m * u2, -m * u1
+
+    x1, x2 = side(a1, a2, "E")
+    y1, y2 = side(b1, b2, "F")
     phi_s = OperatorPoly.graded(s.n, s.k, -s.order, z1, [x1], [y1])
     phi_t = OperatorPoly.graded(s.n, s.k, -t.order, z2, [x2], [y2])
     check = phi_s * s + phi_t * t
-    if check.monomials() != {"1": ratj(1)}:
-        raise InternalConsistencyError(f"solver returned a non-witness: {check.render()}")
+    if check != OperatorPoly(s.n, s.k, 0, Fraction(1)):
+        raise InternalConsistencyError(f"closed form returned a non-witness: {check.render()}")
     return phi_s, phi_t
 
 
@@ -394,21 +383,32 @@ def default_grid(n_range=range(3, 13), ell_max: int = 6):
 
 def run_sweep(theorems: list[str], n_range=range(3, 13), ell_max: int = 6,
               j_value: Fraction = Fraction(1)) -> list[VerificationReport]:
-    """All selected verifications over the grid, in deterministic order."""
+    """All selected verifications over the grid, in deterministic order.
+
+    Each report carries its check's wall seconds; a kernel check's include
+    building its synthetic model.
+    """
     from .spectral import synthetic_model
 
     reports: list[VerificationReport] = []
+
+    def timed(check: Callable[[], VerificationReport]) -> None:
+        start = time.perf_counter()
+        report = check()
+        report.seconds = time.perf_counter() - start
+        reports.append(report)
+
     for n, k, ell in default_grid(n_range, ell_max):
         if "factorization" in theorems:
-            reports.append(verify_factorization(n, k, ell))
+            timed(lambda: verify_factorization(n, k, ell))
         if "MMstar" in theorems:
             for p in range(1, ell):
-                reports.append(verify_MMstar(n, k, ell, p))
+                timed(lambda: verify_MMstar(n, k, ell, p))
         if "LG" in theorems:
-            reports.append(verify_LG(n, k, ell))
+            timed(lambda: verify_LG(n, k, ell))
         if "bezout" in theorems and ell >= 2:
-            reports.append(verify_bezout_pairs(n, k, ell))
+            timed(lambda: verify_bezout_pairs(n, k, ell))
         if "kernel" in theorems:
-            model = synthetic_model(n, k, ell, j_value)
-            reports.append(verify_kernel_decomposition(n, k, ell, model))
+            timed(lambda: verify_kernel_decomposition(
+                n, k, ell, synthetic_model(n, k, ell, j_value)))
     return reports

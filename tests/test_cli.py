@@ -83,6 +83,24 @@ def test_verify_default_grid_golden_payload(tmp_path):
     assert run_cli(["verify", "--output", str(out)]) == 0
     digest = hashlib.sha256(report_payload_bytes(out)).hexdigest()
     assert digest == DEFAULT_VERIFY_PAYLOAD_SHA256
+    # the envelope, outside the payload, times each theorem and counts its checks
+    stages = json.loads(out.read_text())["meta"]["stages"]
+    assert {name: stage["checks"] for name, stage in stages.items()} == {
+        "factorization": 210, "MMstar": 525, "LG": 210, "bezout": 175,
+        "kernel-decomposition": 210}
+    assert all(stage["seconds"] > 0 for stage in stages.values())
+
+
+# sha256 of the kernel-decomposition payload at J = -2/3 (210 checks): a
+# negative, non-integer J reaches every J power of the eigenspace scalars
+KERNEL_J_PAYLOAD_SHA256 = "af38e2310b85c9a5a46c7214c000d2648c6283dd435f7d639afedf8670f6f320"
+
+
+def test_verify_kernel_at_negative_j_golden_payload(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--theorems", "kernel", "--j-value=-2/3",
+                    "--output", str(out)]) == 0
+    assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == KERNEL_J_PAYLOAD_SHA256
 
 
 # sha256 of `formlap expand --format json` payloads: the degenerate weight
@@ -203,6 +221,26 @@ def test_oracle_dec_five_cell(tmp_path):
         assert report["betti"] == [1, 0, 0, 1]
         assert 0.1 < report["sphere_comparison"]["max_rel_error"] <= 0.9
         assert code == expected, rtol
+
+
+@pytest.mark.parametrize("args", [
+    ["--mesh", "boundary-4-simplex", "--k", "1", "--eigs", "4", "--rtol", "0.9"],
+    ["--mesh", "torus3-grid", "--size", "3"],
+], ids=["sphere", "torus"])
+def test_oracle_dec_one_coreduction_per_run(monkeypatch, tmp_path, args):
+    # the report's Betti numbers and the spectrum's kernel dimensions share
+    # one coreduction of the mesh
+    import formlap.dec as dec
+
+    real, calls = dec._morse_complex, []
+
+    def counting(mesh):
+        calls.append(mesh.name)
+        return real(mesh)
+
+    monkeypatch.setattr(dec, "_morse_complex", counting)
+    assert run_cli(["oracle", "dec", *args, "--output", str(tmp_path / "dec.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_oracle_dec_subdivided_sphere(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import J, ratj
-from formlap.forms import OperatorPoly
+from formlap.coeffring import CoefficientError, J, ratj
+from formlap.forms import FormAlgebraError, OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
                               kernel_dim, sphere_preset, synthetic_model, torus_preset)
 from strategies import operators
@@ -46,6 +46,39 @@ def test_at_matches_direct_power_sums(op, j, lam):
     assert eval_scalar(op, pt("exact", lam), j) == exact
     assert eval_scalar(op, pt("coexact", lam), j) == coexact
     assert eval_scalar(op, pt("harmonic", 0), j) == base
+
+
+@given(operators(), st.integers(min_value=-3, max_value=3),
+       st.fractions(min_value=0, max_value=10, max_denominator=5))
+@settings(max_examples=150)
+def test_on_eigenspace_matches_at(op, j, lam):
+    # the one-sided scalar equals a, a + b lam or a + c lam from at, read
+    # off an operator that keeps only the constant and the side the kind
+    # uses; at J = 0 a nonzero coefficient of negative J power on that
+    # side is a pole, and the other side is never read
+    j = Fraction(j)
+    kept = {"exact": (op.e_coeffs, ()), "coexact": ((), op.f_coeffs), "harmonic": ((), ())}
+    for kind, (e, f) in kept.items():
+        side = OperatorPoly.graded(op.n, op.k, op.order, op.const, list(e), list(f))
+        read = (op.const, *e, *f)
+        powers = (op.order, *(op.order - p for p in range(1, len(e + f) + 1)))
+        if j == 0 and any(c and m < 0 for c, m in zip(read, powers)):
+            with pytest.raises(CoefficientError):
+                op.on_eigenspace(kind, j, lam)
+            with pytest.raises(CoefficientError):
+                side.at(j, lam)
+            continue
+        a, b, c = side.at(j, lam)
+        expected = {"exact": a + b * lam, "coexact": a + c * lam, "harmonic": a}[kind]
+        assert expected == sum(x * j ** m * lam ** p
+                               for p, (x, m) in enumerate(zip(read, powers)) if x)
+        point = SpectralPoint(kind, Fraction(0) if kind == "harmonic" else lam, 1)
+        assert op.on_eigenspace(kind, j, lam) == eval_scalar(op, point, j) == expected
+
+
+def test_on_eigenspace_rejects_unknown_kind():
+    with pytest.raises(FormAlgebraError):
+        OperatorPoly.linear(4, 2, 1, 1).on_eigenspace("closed", Fraction(1), Fraction(1))
 
 
 def test_kernel_dim_examples():

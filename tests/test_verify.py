@@ -2,15 +2,18 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlap.coeffring import J, ratj, render_ratj
 from formlap.factory import build_L_definition, closed_factors, operator_weight
 from formlap.forms import OperatorPoly
 from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
                               synthetic_model)
-from formlap.verify import (BezoutError, bezout, lg_second_scalar, predicted_kernel_content,
-                            verify_LG, verify_MMstar, verify_bezout_pairs,
-                            verify_factorization, verify_kernel_decomposition)
+from formlap.verify import (BezoutError, bezout, default_grid, lg_second_scalar,
+                            predicted_kernel_content, pure_f_obstruction, verify_LG,
+                            verify_MMstar, verify_bezout_pairs, verify_factorization,
+                            verify_kernel_decomposition)
 
 
 def test_factorization_examples():
@@ -82,10 +85,107 @@ def test_bezout_weight_two_pair():
     assert phi_t.monomials() == {"E": 4 / (J * J), "F": -4 / (J * J)}
 
 
+def _linsolve(rows, rhs):
+    """Reference: one solution of A x = b over Q by Gaussian elimination, or None."""
+    m = len(rows)
+    cols = len(rows[0]) if rows else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, m) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][cols]:
+            return None  # inconsistent
+    x = [Fraction(0)] * cols
+    for row, col in pivots:
+        x[col] = aug[row][cols]
+    return x
+
+
+def _monomial_system_consistent(s, t):
+    """Whether phi_s s + phi_t t = 1 has a degree-one solution: the five
+    monomial equations E^2, F^2, E, F, 1 in the six unknowns of phi_s, phi_t."""
+    a1, b1, c1 = s.e_coeff(1), s.f_coeff(1), s.const
+    a2, b2, c2 = t.e_coeff(1), t.f_coeff(1), t.const
+    z = Fraction(0)
+    rows = [
+        [a1, z, z, a2, z, z],          # E^2
+        [z, b1, z, z, b2, z],          # F^2
+        [c1, z, a1, c2, z, a2],        # E
+        [z, c1, b1, z, c2, b2],        # F
+        [z, z, c1, z, z, c2],          # 1
+    ]
+    return _linsolve(rows, [z, z, z, z, Fraction(1)]) is not None
+
+
+# mostly zeros, so that every degenerate case (constant sides, vanishing
+# constants, parallel coefficient vectors) is drawn often
+sparse_coeffs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@given(st.lists(sparse_coeffs, min_size=6, max_size=6),
+       st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+@settings(max_examples=300)
+def test_bezout_matches_gaussian_elimination(coeffs, order_s, order_t):
+    a1, b1, c1, a2, b2, c2 = coeffs
+    s = OperatorPoly.graded(5, 2, order_s, c1, [a1], [b1])
+    t = OperatorPoly.graded(5, 2, order_t, c2, [a2], [b2])
+    if s == t:
+        with pytest.raises(BezoutError):
+            bezout(s, t)
+        return
+    consistent = _monomial_system_consistent(s, t)
+    try:
+        phi_s, phi_t = bezout(s, t)
+    except BezoutError:
+        assert not consistent, (s.render(), t.render())
+        return
+    assert consistent, (s.render(), t.render())
+    assert (phi_s.order, phi_t.order) == (-order_s, -order_t)
+    assert (phi_s * s + phi_t * t).monomials() == {"1": ratj(1)}
+
+
+def test_bezout_default_grid_raises_only_at_weight_zero():
+    # 1,225 factor pairs over the default grid; the 20 without a pair are
+    # all pure-F obstructions at w = 0
+    pairs = raised = 0
+    for n, k, ell in default_grid():
+        factors = closed_factors(n, k, ell).factors
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                s, t = factors[i], factors[j]
+                pairs += 1
+                try:
+                    bezout(s, t)
+                except BezoutError:
+                    raised += 1
+                    assert operator_weight(n, k, ell) == 0 and pure_f_obstruction(s, t)
+                    assert not _monomial_system_consistent(s, t)
+    assert (pairs, raised) == (1225, 20)
+
+
 def test_bezout_singular_cases():
     s = OperatorPoly.make(4, 2, J / 2, (ratj(1),), (ratj(1),))
     with pytest.raises(BezoutError):
         bezout(s, s)
+    unit = OperatorPoly.make(4, 2, J)
+    with pytest.raises(BezoutError):
+        bezout(unit, unit)  # identical factors raise, even a unit
     # specialising J to zero removes the constants and the system turns
     # inconsistent
     s0 = OperatorPoly.linear(4, 2, 1, 1)
