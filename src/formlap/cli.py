@@ -1,8 +1,10 @@
 """Command-line front end: expansion, verification sweeps, and the oracles.
 
 Report files are split into a metadata envelope (timestamps, versions;
-for ``verify`` also each theorem's wall seconds and check count under
-``stages``) and a deterministic report payload: identical configurations
+under ``stages``, for ``verify`` each theorem's wall seconds and check
+count, for ``oracle dec`` the wall seconds of the mesh (build plus
+subdivision), the Betti numbers and the spectrum, and the mesh
+f-vector) and a deterministic report payload: identical configurations
 produce byte-identical payloads, so reports can be diffed across runs.
 
 Exit codes: 0 all checks passed, 1 a verification or oracle comparison
@@ -32,6 +34,11 @@ def _emit_report(payload: dict, output: Path | None, stages: dict | None = None)
         sys.stdout.write(text)
     else:
         output.write_text(text)
+
+
+def _since(start: float) -> float:
+    """Wall seconds since a perf_counter reading, rounded as every stage time is."""
+    return round(time.perf_counter() - start, 6)
 
 
 def _usage_error(message: str) -> int:
@@ -179,6 +186,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         return _usage_error(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
     if not 0 < args.rtol < 1:  # also rejects nan and inf
         return _usage_error(f"--rtol {args.rtol} is not a number in (0, 1)")
+    start = time.perf_counter()
     try:
         if args.mesh == "torus3-grid" and (args.size is None or args.size < 3):
             raise MeshError("torus3-grid needs --size m with m >= 3")
@@ -187,12 +195,15 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
             mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
     except MeshError as exc:
         return _usage_error(str(exc))
+    stages: dict[str, dict] = {"mesh": {"seconds": _since(start), "f_vector": list(mesh.counts())}}
     if not 0 <= args.k <= mesh.dim:
         return _usage_error(f"--k {args.k} outside 0..{mesh.dim}")
     nk = len(mesh.simplices[args.k])
     if not 1 <= args.eigs <= nk:
         return _usage_error(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
+    start = time.perf_counter()
     betti = betti_numbers(mesh)
+    stages["betti"] = {"seconds": _since(start)}
     payload: dict = {
         "schema": REPORT_SCHEMA,
         "config": {"mesh": args.mesh, "size": args.size, "k": args.k,
@@ -201,7 +212,9 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     }
     ok = True
     if args.mesh in ("cell600", "boundary-4-simplex"):
+        start = time.perf_counter()
         spec = spectrum(mesh, args.k, args.eigs)
+        stages["spectrum"] = {"seconds": _since(start)}
         reference = sphere_preset(3, args.k, j_max=4)
         cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
         payload["sphere_comparison"] = cmp
@@ -215,7 +228,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
             else:
                 model.save(args.promote)
                 payload["promoted_to"] = str(args.promote)
-    _emit_report(payload, args.output)
+    _emit_report(payload, args.output, stages)
     return 0 if ok else 1
 
 

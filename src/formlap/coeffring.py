@@ -2,9 +2,10 @@
 
 J is the trace of the Schouten tensor, constant in an Einstein scale,
 and carries conformal weight -2.  Operators and expressions store
-rational coefficients and one J power per container (see ``forms``), so
-weight homogeneity holds by construction there.  ``RatJ`` is the value
-type where one coefficient c * J**m is read out, evaluated or printed:
+integer numerators over one denominator and one J order per container
+(see ``forms``), so weight homogeneity holds by construction there.
+``RatJ`` is the value type where one coefficient c * J**m is read out,
+evaluated or printed:
 a ``Fraction`` c and an ``int`` m, with zero as (0, 0).  Adding two
 nonzero values of different J degree raises ``CoefficientError``.
 Products and quotients of nonzero values are nonzero monomials again,

@@ -155,7 +155,7 @@ class FactoredOperator:
                 f"{len(self.factors)} factors for order parameter {self.ell}"
             )
         for f in self.factors:
-            if len(f.e_coeffs) > 1 or len(f.f_coeffs) > 1:
+            if len(f.e_nums) > 1 or len(f.f_nums) > 1:
                 raise InternalConsistencyError("factor of degree > 1 in E, F")
             if f.order != 1:
                 raise InternalConsistencyError(f"factor lowers the weight by {2 * f.order}, not 2")

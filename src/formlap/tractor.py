@@ -9,6 +9,9 @@ wt = w - k - p, and its slots carry
     slot_z : degree k,   weight w-2p      (middle, form part)
     slot_x : degree k-1, weight w-2p-2    (bottom slot)
 
+that is, expression orders p, p and p+1 (``FormExpr.order``, the J
+power of the empty word), which is what the slot check compares.
+
 Everything is computed in the scale itself: the scale function is
 numerically 1, and the p-th power of it that each slot carries is the
 gap between the slot's weight above and its weight as a tractor
@@ -45,14 +48,14 @@ class TractorFormExpr:
     slot_x: FormExpr
 
     def __post_init__(self) -> None:
-        k, top = self.ctx.k, self.ctx.w - 2 * self.p
-        expected = {"slot_y": (k - 1, top), "slot_z": (k, top), "slot_x": (k - 1, top - 2)}
-        for name, (deg, weight) in expected.items():
+        k, p = self.ctx.k, self.p
+        expected = {"slot_y": (k - 1, p), "slot_z": (k, p), "slot_x": (k - 1, p + 1)}
+        for name, (deg, order) in expected.items():
             slot: FormExpr = getattr(self, name)
-            if slot.degree != deg or slot.weight != weight:
+            if slot.degree != deg or slot.order != order:
                 raise InternalConsistencyError(
-                    f"{name} carries (deg, wt) = ({slot.degree}, {slot.weight}), "
-                    f"expected ({deg}, {weight})"
+                    f"{name} carries (deg, order) = ({slot.degree}, {slot.order}), "
+                    f"expected ({deg}, {order})"
                 )
 
     @property

@@ -102,7 +102,7 @@ def verify_MMstar(n: int, k: int, ell: int, p: int) -> VerificationReport:
     scalar = Fraction(1, k) * (k + (ell - p) - Fraction(n, 2)) * (k - (ell - p) - Fraction(n, 2))
     lhs = build_L_definition(n, k, ell).scale(scalar)
     rhs = build_L_definition(n, k, ell - p) * build_tmodbox(n, k, w, p)
-    if lhs.monomials() == rhs.monomials():
+    if lhs == rhs:
         return VerificationReport("MMstar", params, "pass", {"scalar": str(scalar)})
     return VerificationReport("MMstar", params, "fail",
                               _diff_witness(lhs.monomials(), rhs.monomials()))
@@ -156,8 +156,10 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
     phi_s s + phi_t t = 1 exactly in R.
 
     The pair is weight-graded (phi_s has order -s.order and phi_t order
-    -t.order), so it is found over Q on the rational coefficients of
+    -t.order), so it is found over Q on the coefficients of
     s = a1 E + b1 F + c1 and t = a2 E + b2 F + c2 and holds for every J.
+    It is computed on the integer numerators: scaling s and t by their
+    denominators scales phi_s and phi_t inversely.
 
     Since EF = 0, R embeds in Q[E] x Q[F] (an element goes to its E side,
     F -> 0, and its F side, E -> 0), and evaluating at a point of either
@@ -184,30 +186,41 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
         raise FormAlgebraError("factor pair from different contexts")
     if s == t:
         raise BezoutError("identical factors admit no relative-inverse pair")
-    a1, b1, c1 = s.e_coeff(1), s.f_coeff(1), s.const
-    a2, b2, c2 = t.e_coeff(1), t.f_coeff(1), t.const
+    a1, b1, c1 = _linear_numerators(s)
+    a2, b2, c2 = _linear_numerators(t)
     norm = c1 * c1 + c2 * c2
     if not norm:
         raise BezoutError("no relative-inverse pair: both factors vanish at E = F = 0")
-    z1, z2 = c1 / norm, c2 / norm
 
-    def side(u1: Fraction, u2: Fraction, axis: str) -> tuple[Fraction, Fraction]:
+    def side(u1: int, u2: int, axis: str) -> tuple[int, int, int]:
+        """mu (u2, -u1) as numerators over norm * r, with r = 1 on a constant side."""
         if not u1 and not u2:
-            return Fraction(0), Fraction(0)
+            return 0, 0, 1
         r = u2 * c1 - u1 * c2
         if not r:
             raise BezoutError(f"no relative-inverse pair: common zero on the {axis} axis")
-        m = -(u1 * z1 + u2 * z2) / r
-        return m * u2, -m * u1
+        dot = u1 * c1 + u2 * c2
+        return -dot * u2, dot * u1, r
 
-    x1, x2 = side(a1, a2, "E")
-    y1, y2 = side(b1, b2, "F")
-    phi_s = OperatorPoly.graded(s.n, s.k, -s.order, z1, [x1], [y1])
-    phi_t = OperatorPoly.graded(s.n, s.k, -t.order, z2, [x2], [y2])
+    x1, x2, r_e = side(a1, a2, "E")
+    y1, y2, r_f = side(b1, b2, "F")
+    # over norm r_E r_F: z = c r_E r_F, x = (x1, x2) r_F, y = (y1, y2) r_E.  This
+    # pair serves the numerator factors s.den s and t.den t, so phi_s and
+    # phi_t take the factors' denominators back as multipliers
+    den = norm * r_e * r_f
+    phi_s = OperatorPoly.from_numerators(s.n, s.k, -s.order, s.den * c1 * r_e * r_f,
+                                         [s.den * x1 * r_f], [s.den * y1 * r_e], den)
+    phi_t = OperatorPoly.from_numerators(s.n, s.k, -t.order, t.den * c2 * r_e * r_f,
+                                         [t.den * x2 * r_f], [t.den * y2 * r_e], den)
     check = phi_s * s + phi_t * t
-    if check != OperatorPoly(s.n, s.k, 0, Fraction(1)):
+    if check != OperatorPoly(s.n, s.k, 0, 1):
         raise InternalConsistencyError(f"closed form returned a non-witness: {check.render()}")
     return phi_s, phi_t
+
+
+def _linear_numerators(op: OperatorPoly) -> tuple[int, int, int]:
+    """Numerators of the E, F and constant coefficients of a degree-one factor."""
+    return op.e_nums[0] if op.e_nums else 0, op.f_nums[0] if op.f_nums else 0, op.c_num
 
 
 def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:
@@ -220,17 +233,17 @@ def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:
     other variable, where the second factor generates a proper ideal.
     """
     def pure_f(op: OperatorPoly) -> bool:
-        return not op.const and not op.e_coeffs and bool(op.f_coeffs)
+        return not op.c_num and not op.e_nums and bool(op.f_nums)
 
     def pure_e(op: OperatorPoly) -> bool:
-        return not op.const and not op.f_coeffs and bool(op.e_coeffs)
+        return not op.c_num and not op.f_nums and bool(op.e_nums)
 
     for a, b in ((s, t), (t, s)):
         if pure_f(a) and b.e_coeff(1):
             return True
         if pure_e(a) and b.f_coeff(1):
             return True
-    return not s.const and not t.const
+    return not s.c_num and not t.c_num
 
 
 def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:

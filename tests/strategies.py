@@ -8,8 +8,9 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def operators(draw, n=6, k=2):
-    """A weight-homogeneous operator on k-forms of M^n: order -2..3, small rational coefficients."""
+def operators(draw, n=6, k=2, order=None):
+    """A weight-homogeneous operator on k-forms of M^n: order -2..3 unless given, small rational coefficients."""
     coeffs = st.lists(small_fracs, max_size=4)
-    return OperatorPoly.graded(n, k, draw(st.integers(min_value=-2, max_value=3)),
-                               draw(small_fracs), draw(coeffs), draw(coeffs))
+    if order is None:
+        order = draw(st.integers(min_value=-2, max_value=3))
+    return OperatorPoly.graded(n, k, order, draw(small_fracs), draw(coeffs), draw(coeffs))

@@ -243,6 +243,35 @@ def test_oracle_dec_one_coreduction_per_run(monkeypatch, tmp_path, args):
     assert len(calls) == 1
 
 
+# sha256 of the `formlap oracle dec` payloads of the 3x3x3 torus grid and
+# of the 600-cell with a promoted model (written to the relative path
+# model.json), and of that model file
+ORACLE_DEC_SHA256 = {
+    "torus": "d107b1a108f46639cd58a48159407c561ada81e07a40372a077efde826f37785",
+    "cell600": "ef85f676721fd677d45509de36bf4c41f18df7ef158b5ec65c8e193af6b2ecdf",
+    "model": "ead1c7d4064be3dc31e42f24e7a3ae8dd46448e3ce00a02580c9fc9dbf68794f",
+}
+
+
+def test_oracle_dec_stages_and_golden_payloads(monkeypatch, tmp_path):
+    # stage times and the mesh f-vector go to meta.stages, outside the
+    # payload, which stays byte-identical
+    monkeypatch.chdir(tmp_path)
+    runs = {"torus": (["--mesh", "torus3-grid", "--size", "3"], [27, 189, 324, 162]),
+            "cell600": (["--mesh", "cell600", "--k", "1", "--eigs", "40",
+                         "--promote", "model.json"], [120, 720, 1200, 600])}
+    for name, (args, f_vector) in runs.items():
+        assert run_cli(["oracle", "dec", *args, "--output", f"{name}.json"]) == 0
+        digest = hashlib.sha256(report_payload_bytes(Path(f"{name}.json"))).hexdigest()
+        assert digest == ORACLE_DEC_SHA256[name]
+        stages = json.loads(Path(f"{name}.json").read_text())["meta"]["stages"]
+        expected = {"mesh", "betti"} | ({"spectrum"} if name == "cell600" else set())
+        assert set(stages) == expected
+        assert all(stage["seconds"] > 0 for stage in stages.values())
+        assert stages["mesh"]["f_vector"] == f_vector
+    assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == ORACLE_DEC_SHA256["model"]
+
+
 def test_oracle_dec_subdivided_sphere(tmp_path):
     # one barycentric subdivision of the 5-cell, pushed onto the unit sphere:
     # its Betti numbers are computed on the refined mesh, not carried over

@@ -29,34 +29,53 @@ def test_eval_scalar_pole():
         eval_scalar(op, pt("exact", 1), Fraction(0))
 
 
-@given(operators(),
-       st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
-       st.fractions(min_value=0, max_value=10, max_denominator=5))
+# J off 1, zero included, and eigenvalues of either sign with non-unit
+# denominators: the reducer takes both apart into numerators and denominators
+j_values = st.sampled_from([Fraction(-3), Fraction(-2, 3), Fraction(-1, 2), Fraction(0),
+                            Fraction(1, 3), Fraction(3)])
+eigenvalues = st.fractions(min_value=-10, max_value=10, max_denominator=5)
+
+
+def _power_sum(terms, j, lam):
+    """sum x J^m lam^p over the nonzero (x, m, p); ZeroDivisionError at a pole J = 0."""
+    return sum((x * j ** m * lam ** p for x, m, p in terms if x), Fraction(0))
+
+
+@given(operators(), j_values, eigenvalues)
 @settings(max_examples=80)
 def test_at_matches_direct_power_sums(op, j, lam):
     # op.at reduces E^p to lam^(p-1) E: on an exact point it acts as
     # const J^m + sum e_p J^(m-p) lam^p, on a coexact one as
     # const J^m + sum f_q J^(m-q) lam^q, on a harmonic one as const J^m
     m = op.order
+    sums = {}
+    for kind, side in (("harmonic", ()), ("exact", op.e_coeffs), ("coexact", op.f_coeffs)):
+        terms = [(op.const, m, 0), *((x, m - p, p) for p, x in enumerate(side, start=1))]
+        try:
+            sums[kind] = _power_sum(terms, j, lam)
+        except ZeroDivisionError:
+            point = SpectralPoint(kind, Fraction(0) if kind == "harmonic" else lam, 1)
+            with pytest.raises(CoefficientError):
+                eval_scalar(op, point, j)
+    if len(sums) < 3:
+        with pytest.raises(CoefficientError):
+            op.at(j, lam)
+        return
     a, b, c = op.at(j, lam)
-    base = op.const * j ** m
-    exact = base + sum(x * j ** (m - p) * lam ** p for p, x in enumerate(op.e_coeffs, start=1))
-    coexact = base + sum(x * j ** (m - q) * lam ** q for q, x in enumerate(op.f_coeffs, start=1))
+    base, exact, coexact = sums["harmonic"], sums["exact"], sums["coexact"]
     assert (a, a + b * lam, a + c * lam) == (base, exact, coexact)
     assert eval_scalar(op, pt("exact", lam), j) == exact
     assert eval_scalar(op, pt("coexact", lam), j) == coexact
     assert eval_scalar(op, pt("harmonic", 0), j) == base
 
 
-@given(operators(), st.integers(min_value=-3, max_value=3),
-       st.fractions(min_value=0, max_value=10, max_denominator=5))
+@given(operators(), j_values, eigenvalues)
 @settings(max_examples=150)
 def test_on_eigenspace_matches_at(op, j, lam):
     # the one-sided scalar equals a, a + b lam or a + c lam from at, read
     # off an operator that keeps only the constant and the side the kind
     # uses; at J = 0 a nonzero coefficient of negative J power on that
     # side is a pole, and the other side is never read
-    j = Fraction(j)
     kept = {"exact": (op.e_coeffs, ()), "coexact": ((), op.f_coeffs), "harmonic": ((), ())}
     for kind, (e, f) in kept.items():
         side = OperatorPoly.graded(op.n, op.k, op.order, op.const, list(e), list(f))
