@@ -2,8 +2,7 @@
 Laplacian-like operators on weighted differential forms over Einstein
 manifolds, with flat-torus and simplicial-sphere numerical oracles."""
 
-from .coeffring import (CoefficientError, J, ONE, RatJ, Rational, ZERO, jpow, ratj,
-                        render_ratj)
+from .coeffring import CoefficientError, RatJ, ZERO
 from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
                     OperatorPoly, proportionality, to_operator_poly)
 from .tractor import TractorFormExpr, apply_Mstar, apply_box, extract_slots, make_M

@@ -56,7 +56,6 @@ def report_payload_bytes(path: Path) -> bytes:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    from .coeffring import render_ratj
     from .factory import build_L_definition, closed_factors
     from .forms import FormAlgebraError, InternalConsistencyError, proportionality
 
@@ -73,7 +72,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(f"definition expansion: {expanded.render()}")
         print("factors: [" + ", ".join(f.render() for f in factored.factors) + "]")
-        print(f"factored = ({render_ratj(c)}) * definition")
+        print(f"factored = ({c}) * definition")
     elif args.format == "latex":
         print(expanded.render(latex=True))
         print(" \\cdot ".join("\\left(" + f.render(latex=True) + "\\right)"
@@ -85,7 +84,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
             "definition": {m: str(v) for m, v in expanded.monomials().items()},
             "factors": [{m: str(v) for m, v in f.monomials().items()}
                         for f in factored.factors],
-            "proportionality": render_ratj(c),
+            "proportionality": str(c),
         }
         _emit_report(payload, args.output)
     return 0

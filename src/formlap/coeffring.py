@@ -1,26 +1,25 @@
-"""Exact scalar arithmetic: Q and the graded Laurent monomials c * J**m.
+"""The graded Laurent monomials c * J**m in which symbolic coefficients are read out.
 
 J is the trace of the Schouten tensor, constant in an Einstein scale,
 and carries conformal weight -2.  Operators and expressions store
 integer numerators over one denominator and one J order per container
 (see ``forms``), so weight homogeneity holds by construction there.
-``RatJ`` is the value type where one coefficient c * J**m is read out,
-evaluated or printed:
-a ``Fraction`` c and an ``int`` m, with zero as (0, 0).  Adding two
-nonzero values of different J degree raises ``CoefficientError``.
-Products and quotients of nonzero values are nonzero monomials again,
-so the nonzero values form a group and equality is structural.
+``RatJ`` is the read-out type: one coefficient c * J**m of an operator
+or an expression, as a payload, a witness or text, with ``c`` a
+``Fraction`` and ``m`` an ``int``, and zero as (0, 0).  ``eval_at``
+substitutes a value for J.  The symbolic core does no arithmetic in
+``RatJ``; its ring operations stay because the benchmark tracer patches
+them by name.  Adding two nonzero values of different J degree raises
+``CoefficientError``; products and quotients of nonzero values are
+nonzero monomials again, so equality is structural.
 
-Plain rationals are ``fractions.Fraction`` (re-exported as ``Rational``);
-there is no floating point anywhere in this module.
+There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 Coercible = Union[int, Fraction, "RatJ"]
 
@@ -114,33 +113,14 @@ class RatJ:
         return f"RatJ({self.c!r}, {self.m})"
 
     def __str__(self) -> str:
-        return render_ratj(self)
+        """Canonical text: "c*J^m" for m >= 0, leaving out the factor 1 and
+        the power 1 ("J", "-J", "3/2*J^2", "5"), and "(c) / (J^m)" for m < 0."""
+        if self.m >= 0:
+            return _render_mono(self.c, self.m)
+        return f"({_render_mono(self.c, 0)}) / ({_render_mono(Fraction(1), -self.m)})"
 
 
 ZERO = RatJ(0)
-ONE = RatJ(1)
-J = RatJ(1, 1)
-
-
-def ratj(x: Coercible) -> RatJ:
-    """Coerce an int, Fraction or RatJ to a RatJ."""
-    return x if isinstance(x, RatJ) else RatJ(x)
-
-
-def jpow(m: int, c: Fraction | int = 1) -> RatJ:
-    """c * J**m."""
-    return RatJ(c, m)
-
-
-# -- textual rendering and parsing ---------------------------------------
-#
-# Canonical text is "c*J^m" for m >= 0 (the factor 1 and the power 1 are
-# left out: "J", "-J", "3/2*J^2", "5") and "(c) / (J^m)" for m < 0, with
-# fractions written a/b.
-
-
-def _render_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _render_mono(c: Fraction, m: int) -> str:
@@ -149,13 +129,6 @@ def _render_mono(c: Fraction, m: int) -> str:
     sign = "-" if c < 0 else ""
     mag = abs(c)
     if m == 0:
-        return sign + _render_coeff(mag)
+        return sign + str(mag)
     var = "J" if m == 1 else f"J^{m}"
-    return sign + (var if mag == 1 else f"{_render_coeff(mag)}*{var}")
-
-
-def render_ratj(x: RatJ) -> str:
-    if x.m >= 0:
-        return _render_mono(x.c, x.m)
-    return f"({_render_mono(x.c, 0)}) / ({_render_mono(Fraction(1), -x.m)})"
-
+    return sign + (var if mag == 1 else f"{mag}*{var}")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffring import jpow, ratj
 from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
                     OperatorPoly, to_operator_poly)
 from .tractor import (TractorFormExpr, apply_Mstar, apply_box, assert_top_slots_vanish,
@@ -98,11 +97,7 @@ def closed_L1(n: int, k: int) -> OperatorPoly:
     """
     _check_params(n, k, 1)
     h = Fraction(n, 2) - k
-    return OperatorPoly.make(
-        n, k,
-        jpow(1, Fraction(2, n) * (h - 1) * (h + 1) * h),
-        (ratj(h - 1),), (ratj(h + 1),),
-    )
+    return OperatorPoly.graded(n, k, 1, Fraction(2, n) * (h - 1) * (h + 1) * h, [h - 1], [h + 1])
 
 
 def closed_G1(n: int, k: int) -> FormExpr:
@@ -120,7 +115,7 @@ def yam_factor(n: int, k: int, w: Fraction, i: int) -> OperatorPoly:
     a = (w - i + 1) * (w - i + n - 2 * k)
     b = (w - i) * (w - i + n - 2 * k + 1)
     c = Fraction(-2, n) * a * b
-    return OperatorPoly.make(n, k, jpow(1, c), (ratj(a),), (ratj(b),))
+    return OperatorPoly.graded(n, k, 1, c, [a], [b])
 
 
 def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
@@ -129,14 +124,17 @@ def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
     [(n/2-k-1/2) E + (n/2-k+1/2) F] and [E - F + (4/n)(n/2-k) J].
     """
     h = Fraction(n, 2) - k
-    first = OperatorPoly.linear(n, k, ratj(h - Fraction(1, 2)), ratj(h + Fraction(1, 2)))
-    second = OperatorPoly.make(n, k, jpow(1, Fraction(4, n) * h), (ratj(1),), (ratj(-1),))
+    first = OperatorPoly.graded(n, k, 1, 0, [h - Fraction(1, 2)], [h + Fraction(1, 2)])
+    second = OperatorPoly.graded(n, k, 1, Fraction(4, n) * h, [1], [-1])
     return first, second
 
 
 @dataclass(frozen=True)
 class FactoredOperator:
-    """Ordered commuting second-order factor list."""
+    """Ordered commuting second-order factor list.
+
+    Every factor is built at order 1 with one E and one F coefficient.
+    """
 
     n: int
     k: int
@@ -144,23 +142,13 @@ class FactoredOperator:
     factors: tuple[OperatorPoly, ...]
 
     def product(self) -> OperatorPoly:
-        out = OperatorPoly.make(self.n, self.k, 1)
+        out = OperatorPoly(self.n, self.k, 0, 1)
         for f in self.factors:
             out = out * f
         return out
 
-    def validate(self) -> None:
-        if len(self.factors) != self.ell:
-            raise InternalConsistencyError(
-                f"{len(self.factors)} factors for order parameter {self.ell}"
-            )
-        for f in self.factors:
-            if len(f.e_nums) > 1 or len(f.f_nums) > 1:
-                raise InternalConsistencyError("factor of degree > 1 in E, F")
-            if f.order != 1:
-                raise InternalConsistencyError(f"factor lowers the weight by {2 * f.order}, not 2")
 
-
+@lru_cache(maxsize=None)
 def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
     """Factor list of the order-2*ell operator, by the four-case closed form.
 
@@ -174,7 +162,7 @@ def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
     w = operator_weight(n, k, ell)
     phi = range(1, ell + 1)
     if n % 2 == 0 and 2 * k == n:
-        factors = [OperatorPoly.linear(n, k, 1, -1)]
+        factors = [OperatorPoly.graded(n, k, 1, 0, [1], [-1])]
         factors += [yam_factor(n, k, w, i) for i in phi if i != ell]
     elif n % 2 == 1 or w <= 0:
         factors = [yam_factor(n, k, w, i) for i in phi]
@@ -182,9 +170,9 @@ def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
         skip = {int(w), int(w) + 1}
         factors = list(sqyam_factors(n, k))
         factors += [yam_factor(n, k, w, i) for i in phi if i not in skip]
-    out = FactoredOperator(n, k, ell, tuple(factors))
-    out.validate()
-    return out
+    if len(factors) != ell:
+        raise InternalConsistencyError(f"{len(factors)} factors for order parameter {ell}")
+    return FactoredOperator(n, k, ell, tuple(factors))
 
 
 # -- second-order reductions ------------------------------------------------
@@ -209,7 +197,7 @@ def closed_tmodbox1(n: int, k: int, w: Fraction | int) -> OperatorPoly:
     a = w * (n + w - 2 * k - 1)
     b = (w - 1) * (n + w - 2 * k)
     c = Fraction(-2, n) * w * (w - 1) * (n + w - 2 * k) * (n + w - 2 * k - 1)
-    return OperatorPoly.make(n, k, jpow(1, s * c), (ratj(s * a),), (ratj(s * b),))
+    return OperatorPoly.graded(n, k, 1, s * c, [s * a], [s * b])
 
 
 def closed_tmodbox2(n: int, k: int, w: Fraction | int) -> OperatorPoly:
@@ -222,11 +210,7 @@ def closed_tmodbox2(n: int, k: int, w: Fraction | int) -> OperatorPoly:
     e1 = Fraction(-2, n) * w * (m - 2) * ((w - 1) * m + (w - 2) * (m - 1))
     f1 = Fraction(-2, n) * (w - 2) * m * ((w - 1) * (m - 2) + w * (m - 1))
     c0 = Fraction(4, n * n) * w * (w - 1) * (w - 2) * m * (m - 1) * (m - 2)
-    return OperatorPoly.make(
-        n, k, jpow(2, s * c0),
-        (jpow(1, s * e1), ratj(s * e2)),
-        (jpow(1, s * f1), ratj(s * f2)),
-    )
+    return OperatorPoly.graded(n, k, 2, s * c0, [s * e1, s * e2], [s * f1, s * f2])
 
 
 def closed_tmodbox2_w1(n: int, k: int) -> OperatorPoly:

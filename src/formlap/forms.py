@@ -14,8 +14,8 @@ Weight: d preserves the conformal weight, the codifferential lowers it
 by 2, and each power of J (the trace of the Schouten tensor) carries
 weight -2.  An expression stores one integer ``order``, the J power of
 the empty word, and the J power of every term follows from it: the
-order minus the number of codifferentials in the word.  Its weight
-w - 2 order is only read out.  A term of another weight cannot be
+order minus the number of codifferentials in the word, and its weight
+is w - 2 order.  A term of another weight cannot be
 written down, so weight homogeneity holds by construction;
 ``coefficient`` reads one term back as c * J**m.
 
@@ -24,12 +24,13 @@ positive denominator ``den``, in canonical form (gcd(den, numerators)
 = 1, no zero numerator stored, zero has den 1), so structural equality
 is value equality.  A sum takes one lcm of the denominators, a product
 one integer convolution over den1 * den2, and every result is
-normalised by one gcd.  ``Fraction`` appears only at the edges: where
-values enter (``OperatorPoly.make`` and ``graded``, a rational factor
-in ``times_J`` and ``scale``, the weight of ``FormExpr.zero``) and
-where they are read out (``terms``, ``coefficient``, ``const``,
-``e_coeffs``, ``f_coeffs``, ``monomials``, ``at``, ``on_eigenspace``,
-``proportionality``).
+normalised by one gcd.  ``Fraction`` appears only at the edges.  Values
+enter one way: ``OperatorPoly.graded`` takes an order and rational
+coefficients (``from_numerators`` is the integer normaliser beneath
+it), and ``times_J`` and ``scale`` take a rational factor.  They leave
+as ``RatJ`` coefficients (``monomials``, ``FormExpr.coefficient``,
+``proportionality``), as scalars (``at``, ``on_eigenspace``) or as text
+(``render``).
 
 Degree-preserving expressions expand in the commutative quotient ring
 R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
@@ -53,7 +54,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .coeffring import CoefficientError, RatJ, ratj, render_ratj
+from .coeffring import CoefficientError, RatJ
 
 D = "d"
 CD = "c"  # codifferential letter inside word strings
@@ -120,32 +121,12 @@ class FormExpr:
     den: int = 1
 
     @staticmethod
-    def zero(ctx: FormContext, degree: int, weight: Fraction | int) -> FormExpr:
-        """The zero expression of a weight w - 2 * order; any other weight is an internal error."""
-        half = (ctx.w - weight) / 2
-        if half.denominator != 1:
-            raise InternalConsistencyError(
-                f"weight {weight} is not the generator weight {ctx.w} minus an even integer"
-            )
-        return FormExpr(ctx, degree, int(half))
-
-    @staticmethod
     def generator(ctx: FormContext) -> FormExpr:
         return FormExpr(ctx, ctx.k, 0, {"": 1})
 
     @property
     def is_zero(self) -> bool:
         return not self.nums
-
-    @property
-    def weight(self) -> Fraction:
-        """w - 2 * order."""
-        return self.ctx.w - 2 * self.order
-
-    @property
-    def terms(self) -> dict[str, Fraction]:
-        """Each word's rational coefficient; its J power follows from ``order``."""
-        return {w: Fraction(x, self.den) for w, x in self.nums.items()}
 
     def coefficient(self, word: str) -> RatJ:
         """The coefficient c * J**m of a word (zero when the word is absent)."""
@@ -224,7 +205,7 @@ class FormExpr:
             return "0"
         parts = []
         for w in sorted(self.nums, key=lambda s: (len(s), s)):
-            cs = render_ratj(self.coefficient(w))
+            cs = str(self.coefficient(w))
             if w == "":
                 parts.append(cs)
             elif cs == "1":
@@ -258,31 +239,17 @@ class OperatorPoly:
     den: int = 1
 
     @staticmethod
-    def make(n: int, k: int, const: RatJ | Fraction | int = 0,
-             e_coeffs: tuple | list = (), f_coeffs: tuple | list = ()) -> OperatorPoly:
-        """From the coefficients c * J**m of 1, E, E^2, ... and F, F^2, ...
-
-        The order is the J power plus the power of E or F of any nonzero
-        coefficient; coefficients of different orders raise.
-        """
-        const = ratj(const)
-        e = [ratj(c) for c in e_coeffs]
-        f = [ratj(c) for c in f_coeffs]
-        orders = {c.m + p for p, c in ((0, const), *enumerate(e, 1), *enumerate(f, 1)) if c}
-        if len(orders) > 1:
-            raise FormAlgebraError(f"weight-inhomogeneous operator: orders {sorted(orders)}")
-        return OperatorPoly.graded(n, k, orders.pop() if orders else 0,
-                                   const.c, [c.c for c in e], [c.c for c in f])
-
-    @staticmethod
     def graded(n: int, k: int, order: int, const: Fraction | int,
-               e_coeffs: list, f_coeffs: list) -> OperatorPoly:
-        """From the order and the rational coefficients, over their common denominator."""
-        values = (const, *e_coeffs, *f_coeffs)
+               e: list, f: list) -> OperatorPoly:
+        """The operator const J^order + sum e_p J^(order-p) E^p + sum f_q J^(order-q) F^q.
+
+        The one rational entry: the coefficients go over their common
+        denominator.
+        """
+        values = (const, *e, *f)
         den = lcm(*(v.denominator for v in values))
         c, *nums = (v.numerator * (den // v.denominator) for v in values)
-        return OperatorPoly.from_numerators(n, k, order, c, nums[:len(e_coeffs)],
-                                            nums[len(e_coeffs):], den)
+        return OperatorPoly.from_numerators(n, k, order, c, nums[:len(e)], nums[len(e):], den)
 
     @staticmethod
     def from_numerators(n: int, k: int, order: int, c: int, e: list[int] | tuple[int, ...],
@@ -304,42 +271,15 @@ class OperatorPoly:
             den //= g
         return OperatorPoly(n, k, order, c, e, f, den)
 
-    @staticmethod
-    def linear(n: int, k: int, e: RatJ | Fraction | int, f: RatJ | Fraction | int,
-               c: RatJ | Fraction | int = 0) -> OperatorPoly:
-        """a*E + b*F + c."""
-        return OperatorPoly.make(n, k, c, (e,), (f,))
-
     @property
     def is_zero(self) -> bool:
         return not self.c_num and not self.e_nums and not self.f_nums
-
-    @property
-    def const(self) -> Fraction:
-        """Rational coefficient of J**order."""
-        return Fraction(self.c_num, self.den)
-
-    @property
-    def e_coeffs(self) -> tuple[Fraction, ...]:
-        """Rational coefficients of J**(order-p) E**p, p = 1, 2, ..."""
-        return tuple(Fraction(x, self.den) for x in self.e_nums)
-
-    @property
-    def f_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.f_nums)
 
     def _check(self, other: OperatorPoly) -> None:
         if (self.n, self.k) != (other.n, other.k):
             raise FormAlgebraError(
                 f"operator context mismatch: (n,k)=({self.n},{self.k}) vs ({other.n},{other.k})"
             )
-
-    def e_coeff(self, p: int) -> Fraction:
-        """Rational coefficient of J**(order-p) E**p (p >= 1)."""
-        return Fraction(self.e_nums[p - 1], self.den) if 1 <= p <= len(self.e_nums) else _ZERO
-
-    def f_coeff(self, q: int) -> Fraction:
-        return Fraction(self.f_nums[q - 1], self.den) if 1 <= q <= len(self.f_nums) else _ZERO
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
         self._check(other)
@@ -363,14 +303,13 @@ class OperatorPoly:
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
         return self + (-other)
 
-    def scale(self, c: RatJ | Fraction | int) -> OperatorPoly:
-        """Multiply by c = c0 * J**m; the order rises by m."""
-        c0, m = (c.c, c.m) if isinstance(c, RatJ) else (c, 0)
-        p = c0.numerator
-        return OperatorPoly.from_numerators(self.n, self.k, self.order + m, self.c_num * p,
+    def scale(self, c: Fraction | int) -> OperatorPoly:
+        """Multiply by the rational c; the order is unchanged."""
+        p = c.numerator
+        return OperatorPoly.from_numerators(self.n, self.k, self.order, self.c_num * p,
                                             [x * p for x in self.e_nums],
                                             [x * p for x in self.f_nums],
-                                            self.den * c0.denominator)
+                                            self.den * c.denominator)
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         """Ring product in R: orders add, and E^p F^q cross terms are annihilated."""
@@ -461,7 +400,7 @@ class OperatorPoly:
             return (0 if m[0] == "E" else 1, power)
         parts = []
         for m in sorted(mono, key=key):
-            c = render_ratj(mono[m])
+            c = str(mono[m])
             if latex:
                 c = c.replace("*", r"\,")
             body = m

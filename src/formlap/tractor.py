@@ -78,7 +78,7 @@ def make_M(ctx: FormContext) -> TractorFormExpr:
     c_m = Fraction(n + w - 2 * k, k)
     return TractorFormExpr(
         ctx, 0,
-        FormExpr.zero(ctx, k - 1, w),
+        FormExpr(ctx, k - 1, 0),
         f.scale(c_m),
         f.apply_letter(CD),
     )
@@ -99,8 +99,8 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     c_dia = Fraction(k - 1) * (n - k + 1)  # recurring combination in the diagonal J terms
     j_y = Fraction(1) - Fraction(2 * c_dia, n)
     # the form Laplacian d delta + delta d on the degree-(k-1) and degree-k slots
-    lap_low = OperatorPoly.linear(n, k - 1, 1, 1).to_form_expr
-    lap = OperatorPoly.linear(n, k, 1, 1).to_form_expr
+    lap_low = OperatorPoly.graded(n, k - 1, 1, 0, [1], [1]).to_form_expr
+    lap = OperatorPoly.graded(n, k, 1, 0, [1], [1]).to_form_expr
 
     # top slot output
     out_y = lap_low(kappa) + kappa.times_J(1, j_y)

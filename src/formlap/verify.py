@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .coeffring import RatJ, ZERO, render_ratj
+from .coeffring import RatJ, ZERO
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
 from .forms import (CD, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
@@ -59,12 +59,12 @@ def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
     for key in sorted(set(lhs) | set(rhs)):
         ca, cb = lhs.get(key, ZERO), rhs.get(key, ZERO)
         if ca != cb:
-            return {"monomial": render(key), "lhs": render_ratj(ca), "rhs": render_ratj(cb)}
+            return {"monomial": render(key), "lhs": str(ca), "rhs": str(cb)}
     raise InternalConsistencyError("no differing monomial between the sides of a failed check")
 
 
 def _expr_witness(lhs: FormExpr, rhs: FormExpr) -> dict[str, str]:
-    words = set(lhs.terms) | set(rhs.terms)
+    words = set(lhs.nums) | set(rhs.nums)
     return _diff_witness({w: lhs.coefficient(w) for w in words},
                          {w: rhs.coefficient(w) for w in words}, render_word)
 
@@ -82,7 +82,7 @@ def verify_factorization(n: int, k: int, ell: int) -> VerificationReport:
         witness = ({"constant": "0"} if c is not None
                    else _diff_witness(left.monomials(), right.monomials()))
         return VerificationReport("factorization", params, "fail", witness)
-    return VerificationReport("factorization", params, "pass", {"constant": render_ratj(c)})
+    return VerificationReport("factorization", params, "pass", {"constant": str(c)})
 
 
 # -- order reduction --------------------------------------------------------
@@ -239,9 +239,10 @@ def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:
         return not op.c_num and not op.f_nums and bool(op.e_nums)
 
     for a, b in ((s, t), (t, s)):
-        if pure_f(a) and b.e_coeff(1):
+        e, f, _ = _linear_numerators(b)
+        if pure_f(a) and e:
             return True
-        if pure_e(a) and b.f_coeff(1):
+        if pure_e(a) and f:
             return True
     return not s.c_num and not t.c_num
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formlap.coeffring import ratj
 from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_L1,
                              closed_tmodbox1, closed_tmodbox2_w1, operator_weight,
                              run_pipeline)

@@ -1,32 +1,29 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import formlap.factory as factory
-from formlap.coeffring import J, jpow, ratj
+from formlap.coeffring import RatJ
 from formlap.factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                              closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
                              closed_tmodbox2_w1, operator_weight, sqyam_factors, yam_factor)
-from formlap.forms import CD, D, FormAlgebraError, FormContext, FormExpr, proportionality
+from formlap.forms import (CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly,
+                           proportionality)
+from formlap.verify import default_grid
 
 
 def test_closed_L1_examples():
-    assert closed_L1(8, 2).monomials() == {"E": ratj(1), "F": ratj(3), "1": jpow(1, Fraction(3, 2))}
-    assert closed_L1(4, 2).monomials() == {"E": ratj(-1), "F": ratj(1)}
-    assert closed_L1(6, 1).monomials() == {"E": ratj(1), "F": ratj(3), "1": jpow(1, 2)}
+    assert closed_L1(8, 2).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(Fraction(3, 2), 1)}
+    assert closed_L1(4, 2).monomials() == {"E": RatJ(-1), "F": RatJ(1)}
+    assert closed_L1(6, 1).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(2, 1)}
 
 
 def test_definition_examples():
     assert proportionality(build_L_definition(4, 2, 1),
-                           OperatorPoly_EF(4, 2, 1, -1)) is not None
+                           OperatorPoly.graded(4, 2, 1, 0, [1], [-1])) is not None
     assert build_L_definition(8, 2, 1).monomials() == closed_L1(8, 2).monomials()
-    assert build_L_definition(4, 1, 1).monomials() == {"F": ratj(2)}
-
-
-def OperatorPoly_EF(n, k, e, f):
-    from formlap.forms import OperatorPoly
-
-    return OperatorPoly.linear(n, k, e, f)
+    assert build_L_definition(4, 1, 1).monomials() == {"F": RatJ(2)}
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -52,35 +49,67 @@ def test_G_closed_form_order_one(n, k):
 def test_closed_factors_examples():
     f1 = closed_factors(8, 2, 1)
     assert [f.monomials() for f in f1.factors] == [
-        {"E": ratj(-2), "F": ratj(-6), "1": jpow(1, -3)}]
+        {"E": RatJ(-2), "F": RatJ(-6), "1": RatJ(-3, 1)}]
     f2 = closed_factors(4, 2, 2)
     assert [f.monomials() for f in f2.factors] == [
-        {"E": ratj(1), "F": ratj(-1)},
-        {"E": ratj(2), "F": ratj(2), "1": jpow(1, -2)}]
+        {"E": RatJ(1), "F": RatJ(-1)},
+        {"E": RatJ(2), "F": RatJ(2), "1": RatJ(-2, 1)}]
     f3 = closed_factors(6, 1, 3)
     assert [f.monomials() for f in f3.factors] == [
-        {"E": ratj(Fraction(3, 2)), "F": ratj(Fraction(5, 2))},
-        {"E": ratj(1), "F": ratj(-1), "1": jpow(1, Fraction(4, 3))},
-        {"E": ratj(-2), "F": ratj(-6), "1": jpow(1, -4)}]
+        {"E": RatJ(Fraction(3, 2)), "F": RatJ(Fraction(5, 2))},
+        {"E": RatJ(1), "F": RatJ(-1), "1": RatJ(Fraction(4, 3), 1)},
+        {"E": RatJ(-2), "F": RatJ(-6), "1": RatJ(-4, 1)}]
+
+
+def _closed_form_lines():
+    """The rendering of every closed form on the default grid, one line each."""
+    for n, k, ell in default_grid():
+        w = operator_weight(n, k, ell)
+        if ell == 1:
+            yield f"L1 {n} {k}: {closed_L1(n, k).render()}"
+            yield f"G1 {n} {k}: {closed_G1(n, k).render()}"
+        yield (f"factors {n} {k} {ell}: "
+               + "; ".join(f.render() for f in closed_factors(n, k, ell).factors))
+        yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox1(n, k, w).render()}"
+        yield f"tmodbox2 {n} {k} {w}: {closed_tmodbox2(n, k, w).render()}"
+        if w == 1 and 2 * k < n:
+            yield f"tmodbox2_w1 {n} {k}: {closed_tmodbox2_w1(n, k).render()}"
+
+
+# sha256 of the rendered closed forms on the default grid (715 lines): each
+# factor, order-one form and second-order reduction with its coefficients
+# and J powers, so the order each closed form states is pinned
+CLOSED_FORMS_SHA256 = "e521a2fe00db2bb5e88f51d7d2941ccd540d83953c6e2d7acac640f74a495237"
+
+
+def test_closed_forms_golden_digest():
+    lines = list(_closed_form_lines())
+    assert len(lines) == 715
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLOSED_FORMS_SHA256
+
+
+def test_closed_factors_are_cached():
+    # the sweep asks for each factor list several times; one frozen value serves them
+    assert closed_factors(7, 2, 4) is closed_factors(7, 2, 4)
 
 
 def test_closed_factors_case_selection():
     # top degree (even n): leading antisymmetric factor
     top = closed_factors(6, 3, 2)
-    assert top.factors[0].monomials() == {"E": ratj(1), "F": ratj(-1)}
+    assert top.factors[0].monomials() == {"E": RatJ(1), "F": RatJ(-1)}
     assert len(top.factors) == 2
     # odd dimension: generic factors only
     odd = closed_factors(7, 2, 4)
     assert len(odd.factors) == 4
     for f in odd.factors:
-        assert f.const != 0
+        assert "1" in f.monomials()
     # nonpositive weight (even n): generic factors only
     w0 = closed_factors(8, 2, 2)
     assert operator_weight(8, 2, 2) == 0 and len(w0.factors) == 2
     # positive weight below top degree: degenerate-weight pair first
     pos = closed_factors(6, 2, 2)
-    assert pos.factors[0].monomials() == {"E": ratj(Fraction(1, 2)), "F": ratj(Fraction(3, 2))}
-    assert pos.factors[1].monomials() == {"E": ratj(1), "F": ratj(-1), "1": jpow(1, Fraction(2, 3))}
+    assert pos.factors[0].monomials() == {"E": RatJ(Fraction(1, 2)), "F": RatJ(Fraction(3, 2))}
+    assert pos.factors[1].monomials() == {"E": RatJ(1), "F": RatJ(-1), "1": RatJ(Fraction(2, 3), 1)}
 
 
 def test_factor_count_invariant():
@@ -96,10 +125,10 @@ def test_param_validation():
 
 
 def test_tmodbox_examples():
-    assert build_tmodbox(6, 2, 1, 1).monomials() == {"E": ratj(-1)}
+    assert build_tmodbox(6, 2, 1, 1).monomials() == {"E": RatJ(-1)}
     # weight zero: ((n-2k)/k) F
-    assert build_tmodbox(6, 1, 0, 1).monomials() == {"F": ratj(4)}
-    assert build_tmodbox(8, 2, 0, 1).monomials() == {"F": ratj(2)}
+    assert build_tmodbox(6, 1, 0, 1).monomials() == {"F": RatJ(4)}
+    assert build_tmodbox(8, 2, 0, 1).monomials() == {"F": RatJ(2)}
     got = build_tmodbox(6, 1, 1, 2)
     want = closed_tmodbox2_w1(6, 1)
     assert got.monomials() == want.monomials()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import CoefficientError, J, ratj
+from formlap.coeffring import CoefficientError
 from formlap.forms import FormAlgebraError, OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
                               kernel_dim, sphere_preset, synthetic_model, torus_preset)
@@ -16,15 +16,16 @@ def pt(kind, lam, mult=1):
 
 
 def test_eval_scalar_examples():
-    op = OperatorPoly.make(4, 2, J * -2, (ratj(2),), (ratj(2),))
+    op = OperatorPoly.graded(4, 2, 1, -2, [2], [2])
     assert eval_scalar(op, pt("coexact", 1), Fraction(1)) == 0
-    assert eval_scalar(OperatorPoly.linear(4, 2, 1, -1), pt("harmonic", 0), Fraction(1)) == 0
-    e2 = OperatorPoly.make(4, 2, 0, (ratj(0), ratj(1)), ())
+    assert eval_scalar(OperatorPoly.graded(4, 2, 1, 0, [1], [-1]), pt("harmonic", 0),
+                       Fraction(1)) == 0
+    e2 = OperatorPoly.graded(4, 2, 2, 0, [0, 1], [])
     assert eval_scalar(e2, pt("exact", 3), Fraction(1)) == 9
 
 
 def test_eval_scalar_pole():
-    op = OperatorPoly.make(4, 2, 1 / J, (), ())
+    op = OperatorPoly(4, 2, -1, 1)  # 1/J
     with pytest.raises(Exception):
         eval_scalar(op, pt("exact", 1), Fraction(0))
 
@@ -34,6 +35,17 @@ def test_eval_scalar_pole():
 j_values = st.sampled_from([Fraction(-3), Fraction(-2, 3), Fraction(-1, 2), Fraction(0),
                             Fraction(1, 3), Fraction(3)])
 eigenvalues = st.fractions(min_value=-10, max_value=10, max_denominator=5)
+
+
+def _coeffs(op):
+    """The rational coefficients of 1, of E, E^2, ... and of F, F^2, ..., read from monomials()."""
+    mono = {name: c.c for name, c in op.monomials().items()}
+
+    def side(letter, top):
+        return tuple(mono.get(letter if p == 1 else f"{letter}^{p}", Fraction(0))
+                     for p in range(1, top + 1))
+
+    return mono.get("1", Fraction(0)), side("E", len(op.e_nums)), side("F", len(op.f_nums))
 
 
 def _power_sum(terms, j, lam):
@@ -49,8 +61,9 @@ def test_at_matches_direct_power_sums(op, j, lam):
     # const J^m + sum f_q J^(m-q) lam^q, on a harmonic one as const J^m
     m = op.order
     sums = {}
-    for kind, side in (("harmonic", ()), ("exact", op.e_coeffs), ("coexact", op.f_coeffs)):
-        terms = [(op.const, m, 0), *((x, m - p, p) for p, x in enumerate(side, start=1))]
+    const, e, f = _coeffs(op)
+    for kind, side in (("harmonic", ()), ("exact", e), ("coexact", f)):
+        terms = [(const, m, 0), *((x, m - p, p) for p, x in enumerate(side, start=1))]
         try:
             sums[kind] = _power_sum(terms, j, lam)
         except ZeroDivisionError:
@@ -76,10 +89,11 @@ def test_on_eigenspace_matches_at(op, j, lam):
     # off an operator that keeps only the constant and the side the kind
     # uses; at J = 0 a nonzero coefficient of negative J power on that
     # side is a pole, and the other side is never read
-    kept = {"exact": (op.e_coeffs, ()), "coexact": ((), op.f_coeffs), "harmonic": ((), ())}
+    const, e_all, f_all = _coeffs(op)
+    kept = {"exact": (e_all, ()), "coexact": ((), f_all), "harmonic": ((), ())}
     for kind, (e, f) in kept.items():
-        side = OperatorPoly.graded(op.n, op.k, op.order, op.const, list(e), list(f))
-        read = (op.const, *e, *f)
+        side = OperatorPoly.graded(op.n, op.k, op.order, const, list(e), list(f))
+        read = (const, *e, *f)
         powers = (op.order, *(op.order - p for p in range(1, len(e + f) + 1)))
         if j == 0 and any(c and m < 0 for c, m in zip(read, powers)):
             with pytest.raises(CoefficientError):
@@ -97,14 +111,14 @@ def test_on_eigenspace_matches_at(op, j, lam):
 
 def test_on_eigenspace_rejects_unknown_kind():
     with pytest.raises(FormAlgebraError):
-        OperatorPoly.linear(4, 2, 1, 1).on_eigenspace("closed", Fraction(1), Fraction(1))
+        OperatorPoly.graded(4, 2, 1, 0, [1], [1]).on_eigenspace("closed", Fraction(1), Fraction(1))
 
 
 def test_kernel_dim_examples():
-    op = OperatorPoly.make(4, 2, J * -2, (ratj(2),), (ratj(2),))
+    op = OperatorPoly.graded(4, 2, 1, -2, [2], [2])
     model = SpectralModel(4, 2, Fraction(1), (pt("coexact", 1, 5),))
     assert kernel_dim(op, model) == 5
-    assert kernel_dim(OperatorPoly.linear(4, 2, 1, -1),
+    assert kernel_dim(OperatorPoly.graded(4, 2, 1, 0, [1], [-1]),
                       SpectralModel(4, 2, Fraction(1), (pt("harmonic", 0, 7),))) == 7
     assert kernel_dim(op, SpectralModel(4, 2, Fraction(1), ())) == 0
 
@@ -122,9 +136,9 @@ point_strategy = st.builds(
        st.fractions(min_value=-2, max_value=2, max_denominator=3))
 @settings(max_examples=60)
 def test_eval_multiplicative_over_product(points, a, b, c):
-    p = OperatorPoly.make(6, 2, ratj(c) * J, (ratj(a),), (ratj(b),))
-    # q is weight-homogeneous: each E^p / F^q coefficient carries J^(2-p)
-    q = OperatorPoly.make(6, 2, J * J, (J * b,), (J * a, ratj(1)))
+    p = OperatorPoly.graded(6, 2, 1, c, [a], [b])
+    # q = J^2 + b J E + a J F + F^2, of order 2
+    q = OperatorPoly.graded(6, 2, 2, 1, [b], [a, 1])
     prod = p * q
     for point in points:
         lhs = eval_scalar(prod, point, Fraction(2))
@@ -136,15 +150,15 @@ def test_eval_multiplicative_over_product(points, a, b, c):
 @settings(max_examples=40)
 def test_kernel_dim_subadditive(points):
     model = SpectralModel(6, 2, Fraction(1), tuple(points))
-    p = OperatorPoly.make(6, 2, J * -1, (ratj(1),), (ratj(1),))
-    q = OperatorPoly.make(6, 2, J * -4, (ratj(1),), (ratj(2),))
+    p = OperatorPoly.graded(6, 2, 1, -1, [1], [1])
+    q = OperatorPoly.graded(6, 2, 1, -4, [1], [2])
     assert kernel_dim(p * q, model) <= kernel_dim(p, model) + kernel_dim(q, model)
 
 
 def test_kernel_dim_additive_when_distinct():
     # factor kernel eigenvalues pairwise distinct per kind: equality holds
-    p = OperatorPoly.make(6, 2, J * -1, (ratj(1),), (ratj(1),))
-    q = OperatorPoly.make(6, 2, J * -4, (ratj(1),), (ratj(2),))
+    p = OperatorPoly.graded(6, 2, 1, -1, [1], [1])
+    q = OperatorPoly.graded(6, 2, 1, -4, [1], [2])
     model = SpectralModel(6, 2, Fraction(1), (
         pt("exact", 1, 2), pt("coexact", 1, 3), pt("exact", 4, 5), pt("coexact", 2, 7),
         pt("exact", 9, 1), pt("coexact", 5, 1)))

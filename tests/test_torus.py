@@ -124,7 +124,7 @@ def test_companion_slot_matches_symbolic():
         return out
 
     acc = CMat.zero(len(form_km1), len(wedge_basis(n, k)))
-    for word in g_expr.terms:
+    for word in g_expr.nums:
         acc = acc + word_matrix(word).scale(g_expr.coefficient(word).eval_at(0))
     assert not np.any(acc.re != 0) and np.all(acc.im == g_numeric_im)
 
@@ -140,7 +140,7 @@ def test_symbolic_mode_matrix_is_real():
     dim = len(wedge_basis(n, k))
     mono = op.monomials()
     acc = CMat.eye(dim).scale(mono.get("1", ZERO).eval_at(0))
-    for mats, letter, top in ((e, "E", len(op.e_coeffs)), (f, "F", len(op.f_coeffs))):
+    for mats, letter, top in ((e, "E", len(op.e_nums)), (f, "F", len(op.f_nums))):
         cur = CMat.eye(dim)
         for p in range(1, top + 1):
             cur = mats @ cur
@@ -225,7 +225,7 @@ def _order_below(orig, n, k, ell):
 
 
 def _top_e_bumped(orig, n, k, ell):
-    return orig(n, k, ell) + OperatorPoly.make(n, k, 0, [0] * (ell - 1) + [1])
+    return orig(n, k, ell) + OperatorPoly.graded(n, k, ell, 0, [0] * (ell - 1) + [1], [])
 
 
 @pytest.mark.parametrize("wrong", [_order_below, _top_e_bumped], ids=["order-below", "e-bumped"])

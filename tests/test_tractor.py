@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import J, ratj
 from formlap.forms import CD, D, FormContext, FormExpr, OperatorPoly
 from formlap.tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar,
                              apply_box, extract_slots, make_M)
@@ -37,14 +36,12 @@ def test_box_on_pure_z_slot():
     # (-2 delta mu, (E + F - J) mu, -(1/2) J delta mu) at weight -1
     c = FormContext(4, 1, Fraction(1))
     mu = FormExpr.generator(c)
-    t = TractorFormExpr(c, 0,
-                        FormExpr.zero(c, 0, Fraction(1)), mu,
-                        FormExpr.zero(c, 0, Fraction(-1)))
+    t = TractorFormExpr(c, 0, FormExpr(c, 0, 0), mu, FormExpr(c, 0, 1))
     assert t.wt == 0
     out = apply_box(t)
     assert out.wt == -1
     assert out.slot_y == mu.apply_letter(CD).scale(-2)
-    lap = OperatorPoly.linear(4, 1, 1, 1)
+    lap = OperatorPoly.graded(4, 1, 1, 0, [1], [1])
     assert out.slot_z == lap.to_form_expr(mu) + mu.times_J(1, -1)
     assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2))
 
@@ -67,13 +64,12 @@ def test_box_zero_tractor():
 def test_Mstar_contractions():
     c = FormContext(6, 2, Fraction(1))
     f = FormExpr.generator(c)
-    # one box above the generator: tractor weight -2, slot weights -1, -1, -3
-    pure_z = TractorFormExpr(c, 1, FormExpr.zero(c, 1, Fraction(-1)), f.times_J(1),
-                             FormExpr.zero(c, 1, Fraction(-3)))
+    # one box above the generator: tractor weight -2, slot orders 1, 1, 2 (weights -1, -1, -3)
+    pure_z = TractorFormExpr(c, 1, FormExpr(c, 1, 1), f.times_J(1), FormExpr(c, 1, 2))
     assert pure_z.wt == -2
     assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(pure_z.wt + 2))
-    pure_x = TractorFormExpr(c, 1, FormExpr.zero(c, 1, Fraction(-1)),
-                             FormExpr.zero(c, 2, Fraction(-1)), f.apply_letter(CD).times_J(1))
+    pure_x = TractorFormExpr(c, 1, FormExpr(c, 1, 1), FormExpr(c, 2, 1),
+                             f.apply_letter(CD).times_J(1))
     assert apply_Mstar(pure_x).is_zero
 
 
@@ -98,12 +94,12 @@ def test_box_linearity(a, b):
     f = FormExpr.generator(c)
     s = TractorFormExpr(c, 1,
                         f.apply_letter(CD),
-                        OperatorPoly.linear(6, 2, 2, -1).to_form_expr(f) + f.times_J(1, 3),
+                        OperatorPoly.graded(6, 2, 1, 0, [2], [-1]).to_form_expr(f) + f.times_J(1, 3),
                         f.apply_letter(CD).times_J(1))
     t = TractorFormExpr(c, 1,
                         f.apply_letter(CD).scale(-5),
                         f.times_J(1),
-                        OperatorPoly.linear(6, 2, 0, 1).to_form_expr(f).apply_letter(CD))
+                        OperatorPoly.graded(6, 2, 1, 0, [], [1]).to_form_expr(f).apply_letter(CD))
 
     def combine(u, v):  # the slots of a*u + b*v
         return [x.scale(a) + y.scale(b) for x, y in zip(_slots(u), _slots(v))]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import J, ratj, render_ratj
+from formlap.coeffring import RatJ, ZERO
 from formlap.factory import build_L_definition, closed_factors, operator_weight
 from formlap.forms import OperatorPoly
 from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
@@ -75,14 +75,14 @@ def test_LG_second_scalar_value():
 
 
 def test_bezout_weight_two_pair():
-    s = OperatorPoly.make(4, 2, J / 2, (ratj(1),), (ratj(1),))
-    t = OperatorPoly.make(4, 2, 0, (ratj(1),), (ratj(-1),))
+    s = OperatorPoly.graded(4, 2, 1, Fraction(1, 2), [1], [1])
+    t = OperatorPoly.graded(4, 2, 1, 0, [1], [-1])
     phi_s, phi_t = bezout(s, t)
     combined = phi_s * s + phi_t * t
-    assert combined.monomials() == {"1": ratj(1)}
+    assert combined.monomials() == {"1": RatJ(1)}
     # the solver's free-variable choice reproduces the hand-computed pair
-    assert phi_s.monomials() == {"E": -4 / (J * J), "F": -4 / (J * J), "1": 2 / J}
-    assert phi_t.monomials() == {"E": 4 / (J * J), "F": -4 / (J * J)}
+    assert phi_s.monomials() == {"E": RatJ(-4, -2), "F": RatJ(-4, -2), "1": RatJ(2, -1)}
+    assert phi_t.monomials() == {"E": RatJ(4, -2), "F": RatJ(-4, -2)}
 
 
 def _linsolve(rows, rhs):
@@ -119,8 +119,11 @@ def _linsolve(rows, rhs):
 def _monomial_system_consistent(s, t):
     """Whether phi_s s + phi_t t = 1 has a degree-one solution: the five
     monomial equations E^2, F^2, E, F, 1 in the six unknowns of phi_s, phi_t."""
-    a1, b1, c1 = s.e_coeff(1), s.f_coeff(1), s.const
-    a2, b2, c2 = t.e_coeff(1), t.f_coeff(1), t.const
+    def coeffs(op):  # rational coefficients of E, F and 1; the J powers follow from the order
+        mono = op.monomials()
+        return tuple(mono.get(name, ZERO).c for name in ("E", "F", "1"))
+
+    (a1, b1, c1), (a2, b2, c2) = coeffs(s), coeffs(t)
     z = Fraction(0)
     rows = [
         [a1, z, z, a2, z, z],          # E^2
@@ -157,7 +160,7 @@ def test_bezout_matches_gaussian_elimination(coeffs, order_s, order_t):
         return
     assert consistent, (s.render(), t.render())
     assert (phi_s.order, phi_t.order) == (-order_s, -order_t)
-    assert (phi_s * s + phi_t * t).monomials() == {"1": ratj(1)}
+    assert (phi_s * s + phi_t * t).monomials() == {"1": RatJ(1)}
 
 
 def test_bezout_default_grid_raises_only_at_weight_zero():
@@ -180,16 +183,16 @@ def test_bezout_default_grid_raises_only_at_weight_zero():
 
 
 def test_bezout_singular_cases():
-    s = OperatorPoly.make(4, 2, J / 2, (ratj(1),), (ratj(1),))
+    s = OperatorPoly.graded(4, 2, 1, Fraction(1, 2), [1], [1])
     with pytest.raises(BezoutError):
         bezout(s, s)
-    unit = OperatorPoly.make(4, 2, J)
+    unit = OperatorPoly(4, 2, 1, 1)  # J
     with pytest.raises(BezoutError):
         bezout(unit, unit)  # identical factors raise, even a unit
     # specialising J to zero removes the constants and the system turns
     # inconsistent
-    s0 = OperatorPoly.linear(4, 2, 1, 1)
-    t0 = OperatorPoly.linear(4, 2, 1, -1)
+    s0 = OperatorPoly.graded(4, 2, 1, 0, [1], [1])
+    t0 = OperatorPoly.graded(4, 2, 1, 0, [1], [-1])
     with pytest.raises(BezoutError):
         bezout(s0, t0)
 
@@ -200,7 +203,7 @@ def test_bezout_weight_zero_obstruction():
     # is a polynomial ring in E where the second factor stays proper
     factors = closed_factors(6, 1, 2).factors
     assert operator_weight(6, 1, 2) == 0
-    assert factors[0].monomials() == {"F": ratj(-4)}
+    assert factors[0].monomials() == {"F": RatJ(-4)}
     with pytest.raises(BezoutError):
         bezout(factors[0], factors[1])
     r = verify_bezout_pairs(6, 1, 2)
@@ -227,7 +230,7 @@ def test_kernel_decomposition_example():
 
 def test_kernel_constant_obstructs_harmonics():
     # a factor with nonzero constant contributes nothing on harmonic points
-    op = OperatorPoly.make(6, 2, J * 2, (ratj(1),), (ratj(1),))
+    op = OperatorPoly.graded(6, 2, 1, 2, [1], [1])
     from formlap.spectral import eval_scalar
 
     pt = SpectralPoint("harmonic", Fraction(0), 11)
