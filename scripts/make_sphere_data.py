@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the unit-3-sphere spectral data file.
 
-Writes src/formlap/data/sphere_s3.json from the closed-form spectrum of
-the Hodge Laplacian pieces on the unit round 3-sphere:
+Usage: make_sphere_data.py OUTPUT
+
+Writes OUTPUT from the closed-form spectrum of the Hodge Laplacian
+pieces on the unit round 3-sphere:
 
     coexact k-eigenforms:  lambda_j = (j+k)(j+2-k),   j >= 1
     exact   k-eigenforms:  the coexact (k-1) spectrum moved up by d
@@ -12,13 +14,16 @@ with multiplicities (j+1)^2 on the function-derived families and
 representation-theoretic counts; see any treatment of form spectra on
 round spheres).  Harmonic dimensions are the Betti numbers 1,0,0,1.
 
-The file ships marked trusted only because the simplicial oracle
-validates its lowest shells on the 600-cell; rerun
-`formlap oracle dec --mesh cell600 --k 1` after editing anything here.
+The shipped copy is src/formlap/data/sphere_s3.json, and this script
+reproduces it byte for byte.  The file ships marked trusted only
+because the simplicial oracle validates its lowest shells on the
+600-cell; rerun `formlap oracle dec --mesh cell600 --k 1` after editing
+anything here.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -33,7 +38,10 @@ def shells(eigenvalue, multiplicity):
     ]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("output", type=Path, help="path of the JSON file to write")
+    out = ap.parse_args(argv).output
     func_eval = lambda j: j * (j + 2)          # function-derived shells
     func_mult = lambda j: (j + 1) ** 2
     co1_eval = lambda j: (j + 1) ** 2          # coexact 1-form shells
@@ -66,7 +74,6 @@ def main() -> int:
         "trusted": True,
         "families": families,
     }
-    out = Path(__file__).resolve().parents[1] / "src" / "formlap" / "data" / "sphere_s3.json"
     out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -3,8 +3,8 @@ Laplacian-like operators on weighted differential forms over Einstein
 manifolds, with flat-torus and simplicial-sphere numerical oracles."""
 
 from .coeffring import CoefficientError, RatJ, ZERO
-from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
-                    OperatorPoly, proportionality, to_operator_poly)
+from .forms import (FormAlgebraError, FormContext, InternalConsistencyError, OperatorPoly,
+                    proportionality, to_operator_poly)
 from .tractor import TractorFormExpr, apply_Mstar, apply_box, extract_slots, make_M
 from .factory import (FactoredOperator, build_L_and_G, build_L_definition, build_tmodbox,
                       closed_factors, closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,

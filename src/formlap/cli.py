@@ -209,7 +209,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
                    "eigs": args.eigs, "subdivide": bool(args.subdivide)},
         "betti": list(betti),
     }
-    ok = True
+    failure = None  # the one stderr line of a failed run
     if args.mesh in ("cell600", "boundary-4-simplex"):
         start = time.perf_counter()
         spec = spectrum(mesh, args.k, args.eigs)
@@ -217,18 +217,22 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         reference = sphere_preset(3, args.k, j_max=4)
         cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
         payload["sphere_comparison"] = cmp
-        ok &= cmp["max_rel_error"] <= args.rtol
+        if cmp["max_rel_error"] > args.rtol:
+            failure = (f"sphere spectrum mismatch: max relative error "
+                       f"{cmp['max_rel_error']:.4g} > --rtol {args.rtol}")
         if args.promote is not None:
             try:
                 model = dec_import_model(mesh, args.k, spec, reference, rtol=args.rtol)
             except MeshError as exc:
-                print(f"promotion failed: {exc}", file=sys.stderr)
-                ok = False
+                failure = f"promotion failed: {exc}"
             else:
                 model.save(args.promote)
                 payload["promoted_to"] = str(args.promote)
     _emit_report(payload, args.output, stages)
-    return 0 if ok else 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 # -- entry point -------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The graded Laurent monomials c * J**m in which symbolic coefficients are read out.
 
 J is the trace of the Schouten tensor, constant in an Einstein scale,
-and carries conformal weight -2.  Operators and expressions store
-integer numerators over one denominator and one J order per container
-(see ``forms``), so weight homogeneity holds by construction there.
-``RatJ`` is the read-out type: one coefficient c * J**m of an operator
-or an expression, as a payload, a witness or text, with ``c`` a
+and carries conformal weight -2.  Operators store integer numerators
+over one denominator and one J order each (see ``forms``), so weight
+homogeneity holds by construction there.  ``RatJ`` is the read-out
+type: one coefficient c * J**m of an operator, as a payload, a witness
+or text, with ``c`` a
 ``Fraction`` and ``m`` an ``int``, and zero as (0, 0).  ``eval_at``
 substitutes a value for J.  The symbolic core does no arithmetic in
 ``RatJ``; its ring operations stay because the benchmark tracer patches

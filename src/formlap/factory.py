@@ -6,10 +6,12 @@ the middle slot (the operator itself) and the bottom slot (its
 companion of one degree lower).  Each box state (n, k, w, p) is built
 once, from state p-1, by `box_iterate`; the operator L, its companion G
 and the second-order reductions M* box**p M are all read from those
-states.  The closed-form builders write down the order-one operator,
-the commuting second-order factor lists, and the second-order
-reductions directly from their explicit formulas.
-The two routes share nothing above the expression algebra, so their
+states.  Every slot is an element of R or the codifferential of one
+(see ``tractor``), so L, the companion's X with G = delta X, and the
+reductions are all elements of R.  The closed-form builders write down
+the order-one operator, the commuting second-order factor lists, and
+the second-order reductions directly from their explicit formulas.
+The two routes share nothing but the ring R (``forms``), so their
 agreement is evidence rather than tautology.
 
 Conventions: the operator of order 2*ell acts on k-forms of weight
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import (CD, D, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
-                    OperatorPoly, to_operator_poly)
+from .forms import FormAlgebraError, FormContext, InternalConsistencyError, OperatorPoly
 from .tractor import (TractorFormExpr, apply_Mstar, apply_box, assert_top_slots_vanish,
                       extract_slots, make_M)
 
@@ -69,17 +70,14 @@ def run_pipeline(n: int, k: int, ell: int) -> TractorFormExpr:
 
 
 @lru_cache(maxsize=None)
-def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, FormExpr]:
-    """The order-2*ell operator and its degree-(k-1) companion, from one pipeline.
+def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, OperatorPoly]:
+    """The order-2*ell operator L and the X of its companion G = delta X, from one pipeline.
 
-    Asserts the structural identities along the way: the top and second
-    slots vanish at this weight, and the middle slot expands into E**p,
-    F**q and constant monomials only.
+    Asserts along the way that the top slot vanishes at this weight.
     """
     t = run_pipeline(n, k, ell)
     assert_top_slots_vanish(t)
-    l_expr, g_expr = extract_slots(t)
-    return to_operator_poly(l_expr), g_expr
+    return extract_slots(t)
 
 
 def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
@@ -100,14 +98,11 @@ def closed_L1(n: int, k: int) -> OperatorPoly:
     return OperatorPoly.graded(n, k, 1, Fraction(2, n) * (h - 1) * (h + 1) * h, [h - 1], [h + 1])
 
 
-def closed_G1(n: int, k: int) -> FormExpr:
-    """Order-one closed form of the companion: delta [E + (2/n)(n/2-k+1)(n/2-k) J]."""
+def closed_G1(n: int, k: int) -> OperatorPoly:
+    """Order-one closed form of the companion G = delta X: X = E + (2/n)(n/2-k+1)(n/2-k) J."""
     _check_params(n, k, 1)
-    ctx = FormContext(n, k, operator_weight(n, k, 1))
     h = Fraction(n, 2) - k
-    f = FormExpr.generator(ctx)
-    inner = f.apply_word(D + CD) + f.times_J(1, Fraction(2, n) * (h + 1) * h)
-    return inner.apply_letter(CD)
+    return OperatorPoly.graded(n, k, 1, Fraction(2, n) * (h + 1) * h, [1], [])
 
 
 def yam_factor(n: int, k: int, w: Fraction, i: int) -> OperatorPoly:
@@ -183,7 +178,7 @@ def build_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
     """M* box**p M at generator weight w, read from the shared box iterate."""
     if p < 1:
         raise FormAlgebraError(f"p = {p} < 1")
-    return to_operator_poly(apply_Mstar(box_iterate(n, k, w, p)))
+    return apply_Mstar(box_iterate(n, k, w, p))
 
 
 def closed_tmodbox1(n: int, k: int, w: Fraction | int) -> OperatorPoly:

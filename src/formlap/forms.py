@@ -1,71 +1,58 @@
-"""Free weighted-form expressions in d and the codifferential, and the ring R.
+"""The ring R of operators polynomial in d delta and delta d, on weighted k-forms.
 
-Expressions are linear combinations, with rational coefficients, of
-alternating words in the exterior derivative ``d`` and the
-codifferential (written ``c`` inside word strings, rendered as a
-lowercase delta) applied to one abstract generator form of fixed
-degree k and conformal weight w.  Words are stored outermost letter
-first, so the word "dc" is the composition d(delta(f)).  Repeated
-letters are identically zero (d d = 0, delta delta = 0) and are never
-stored; applying a letter that would push the degree outside [0, n]
-also yields zero rather than an error.
+An operator on k-forms of M^n built from the exterior derivative d, the
+codifferential delta and J (the trace of the Schouten tensor) is a
+polynomial in E = d delta and F = delta d, and since delta delta = 0
+and d d = 0 these satisfy EF = FE = 0.  Such operators form the
+commutative quotient ring R = Q[J, 1/J][E, F] / (EF = FE = 0) (class
+``OperatorPoly``): only monomials E^p, F^q and a constant survive.
 
 Weight: d preserves the conformal weight, the codifferential lowers it
-by 2, and each power of J (the trace of the Schouten tensor) carries
-weight -2.  An expression stores one integer ``order``, the J power of
-the empty word, and the J power of every term follows from it: the
-order minus the number of codifferentials in the word, and its weight
-is w - 2 order.  A term of another weight cannot be
-written down, so weight homogeneity holds by construction;
-``coefficient`` reads one term back as c * J**m.
+by 2, and each power of J carries weight -2, so E, F and J all lower
+weights by 2.  An operator stores one integer ``order`` m (it lowers
+weights by 2m) and rational coefficients: const J^m + sum e_p J^(m-p)
+E^p + sum f_q J^(m-q) F^q.  A monomial of another weight cannot be
+written down, so weight homogeneity holds by construction.
 
-Storage is integral: each container keeps integer numerators over one
+Storage is integral: each operator keeps integer numerators over one
 positive denominator ``den``, in canonical form (gcd(den, numerators)
-= 1, no zero numerator stored, zero has den 1), so structural equality
+= 1, trailing zeros trimmed, zero has den 1), so structural equality
 is value equality.  A sum takes one lcm of the denominators, a product
 one integer convolution over den1 * den2, and every result is
 normalised by one gcd.  ``Fraction`` appears only at the edges.  Values
 enter one way: ``OperatorPoly.graded`` takes an order and rational
 coefficients (``from_numerators`` is the integer normaliser beneath
 it), and ``times_J`` and ``scale`` take a rational factor.  They leave
-as ``RatJ`` coefficients (``monomials``, ``FormExpr.coefficient``,
-``proportionality``), as scalars (``at``, ``on_eigenspace``) or as text
-(``render``).
+as ``RatJ`` coefficients (``monomials``, ``proportionality``), as
+scalars (``at``, ``on_eigenspace``) or as text (``render``).
 
-Degree-preserving expressions expand in the commutative quotient ring
-R = Q[J, 1/J][E, F] / (EF = FE = 0) with E the word "dc" and F the word
-"cd".  Only monomials E^p, F^q and a constant survive in R, and a
-weight-homogeneous element is fixed by its order m (it lowers weights
-by 2m) and rational coefficients: const J^m + sum e_p J^(m-p) E^p +
-sum f_q J^(m-q) F^q.  An element of R reaches an expression only
-through ``OperatorPoly.to_form_expr`` and an eigenspace only through one
-reducer, an integer Horner sum over the numerators with one Fraction
-built per call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and
-F^q = lam^(q-1) F, so the element acts there as a + b E + c F
+An element of R reaches an eigenspace only through one reducer, an
+integer Horner sum over the numerators with one Fraction built per
+call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and F^q =
+lam^(q-1) F, so the element acts there as a + b E + c F
 (``OperatorPoly.at``), and on an exact, coexact or harmonic eigenform
 as the scalar a + b lam, a + c lam or a (``OperatorPoly.on_eigenspace``,
 which reduces only the side it needs).
+
+Forms of degree k - 1 built from a generator of degree k are all delta
+of an operator with no F part (delta F = delta delta d = 0), and
+``e_part`` drops the F part for them; see ``tractor``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
 from .coeffring import CoefficientError, RatJ
 
-D = "d"
-CD = "c"  # codifferential letter inside word strings
-
-_PRETTY = {D: "d", CD: "δ"}
-
 _ZERO = Fraction(0)
 
 
 class FormAlgebraError(ValueError):
-    """Contract violation in the expression algebra (not a degenerate zero)."""
+    """Contract violation in the operator algebra (not a degenerate zero)."""
 
 
 class InternalConsistencyError(AssertionError):
@@ -86,137 +73,6 @@ class FormContext:
         if not 1 <= self.k <= self.n // 2:
             raise FormAlgebraError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
         object.__setattr__(self, "w", Fraction(self.w))
-
-
-def render_word(word: str) -> str:
-    if not word:
-        return "1"
-    return "".join(_PRETTY[letter] for letter in word)
-
-
-def _canonical(nums: dict[str, int], den: int) -> tuple[dict[str, int], int]:
-    """Numerators without zeros over a positive den, divided by their common gcd."""
-    if not nums:
-        return nums, 1
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            return {w: x // g for w, x in nums.items()}, den // g
-    return nums, den
-
-
-@dataclass(frozen=True)
-class FormExpr:
-    """Homogeneous expression: all terms share one output degree and weight.
-
-    ``nums`` maps each word to its integer numerator over ``den``; the
-    J power of the term is ``order`` minus the word's codifferential
-    count (see the module docstring).
-    """
-
-    ctx: FormContext
-    degree: int
-    order: int
-    nums: dict[str, int] = field(default_factory=dict)
-    den: int = 1
-
-    @staticmethod
-    def generator(ctx: FormContext) -> FormExpr:
-        return FormExpr(ctx, ctx.k, 0, {"": 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def coefficient(self, word: str) -> RatJ:
-        """The coefficient c * J**m of a word (zero when the word is absent)."""
-        return RatJ(Fraction(self.nums.get(word, 0), self.den), self.order - word.count(CD))
-
-    def __add__(self, other: FormExpr) -> FormExpr:
-        if ((self.ctx is not other.ctx and self.ctx != other.ctx)
-                or self.degree != other.degree or self.order != other.order):
-            raise FormAlgebraError(
-                f"adding inhomogeneous expressions: deg {self.degree}/{other.degree}, "
-                f"order {self.order}/{other.order}"
-            )
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        da, db = self.den, other.den
-        if da == db:
-            den, nums, mb = da, dict(self.nums), 1
-        else:
-            den = lcm(da, db)
-            ma, mb = den // da, den // db
-            nums = {w: x * ma for w, x in self.nums.items()}
-        for w, x in other.nums.items():
-            s = nums.get(w, 0) + x * mb
-            if s:
-                nums[w] = s
-            else:
-                del nums[w]
-        return FormExpr(self.ctx, self.degree, self.order, *_canonical(nums, den))
-
-    def __neg__(self) -> FormExpr:
-        return FormExpr(self.ctx, self.degree, self.order,
-                        {w: -x for w, x in self.nums.items()}, self.den)
-
-    def __sub__(self, other: FormExpr) -> FormExpr:
-        return self + (-other)
-
-    def scale(self, c: Fraction | int) -> FormExpr:
-        """Multiply by the rational c; the weight is unchanged."""
-        return self.times_J(0, c)
-
-    def times_J(self, power: int = 1, c: Fraction | int = 1) -> FormExpr:
-        """Multiply by c * J**power; J carries conformal weight -2."""
-        p, q = c.numerator, c.denominator
-        if not p or not self.nums:
-            return FormExpr(self.ctx, self.degree, self.order + power)
-        nums = {w: x * p for w, x in self.nums.items()} if p != 1 else self.nums
-        return FormExpr(self.ctx, self.degree, self.order + power,
-                        *_canonical(nums, self.den * q))
-
-    def apply_letter(self, letter: str) -> FormExpr:
-        """Prefix every word with the letter; degenerate degrees yield zero."""
-        if letter == D:
-            new_deg, order = self.degree + 1, self.order
-        elif letter == CD:
-            new_deg, order = self.degree - 1, self.order + 1
-        else:
-            raise FormAlgebraError(f"unknown letter {letter!r}")
-        if not 0 <= new_deg <= self.ctx.n:
-            return FormExpr(self.ctx, new_deg, order)
-        # dd = 0 and (codifferential)^2 = 0
-        nums = {letter + w: x for w, x in self.nums.items() if not w.startswith(letter)}
-        if len(nums) == len(self.nums):
-            return FormExpr(self.ctx, new_deg, order, nums, self.den)
-        return FormExpr(self.ctx, new_deg, order, *_canonical(nums, self.den))
-
-    def apply_word(self, word: str) -> FormExpr:
-        out = self
-        for letter in reversed(word):
-            out = out.apply_letter(letter)
-        return out
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for w in sorted(self.nums, key=lambda s: (len(s), s)):
-            cs = str(self.coefficient(w))
-            if w == "":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(render_word(w))
-            elif cs == "-1":
-                parts.append(f"-{render_word(w)}")
-            else:
-                parts.append(f"({cs})*{render_word(w)}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -305,11 +161,20 @@ class OperatorPoly:
 
     def scale(self, c: Fraction | int) -> OperatorPoly:
         """Multiply by the rational c; the order is unchanged."""
+        return self.times_J(0, c)
+
+    def times_J(self, power: int, c: Fraction | int = 1) -> OperatorPoly:
+        """Multiply by c * J**power; the order rises by power."""
         p = c.numerator
-        return OperatorPoly.from_numerators(self.n, self.k, self.order, self.c_num * p,
+        return OperatorPoly.from_numerators(self.n, self.k, self.order + power, self.c_num * p,
                                             [x * p for x in self.e_nums],
                                             [x * p for x in self.f_nums],
                                             self.den * c.denominator)
+
+    def e_part(self) -> OperatorPoly:
+        """The constant and E terms: the operator with its F part dropped."""
+        return OperatorPoly.from_numerators(self.n, self.k, self.order, self.c_num,
+                                            self.e_nums, (), self.den)
 
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         """Ring product in R: orders add, and E^p F^q cross terms are annihilated."""
@@ -356,38 +221,6 @@ class OperatorPoly:
         if kind == "harmonic":
             return _reduce((self.c_num,), self.den, self.order, j_value, lam)
         raise FormAlgebraError(f"unknown eigenspace kind {kind!r}")
-
-    def to_form_expr(self, expr: FormExpr) -> FormExpr:
-        """The operator applied wordwise to an expression of degree k.
-
-        The result is 2 * order below the input's weight, also when it is zero.
-        E^p prefixes each word with (dc)^p and kills the words that start
-        with c; F^q likewise with (cd)^q and d.  No other degree bound
-        can bite: every word of a 0-form starts with c and every word of
-        an n-form with d.  The numerators multiply over den * expr.den.
-        """
-        if (expr.ctx.n, expr.degree) != (self.n, self.k):
-            raise FormAlgebraError(
-                f"operator on {self.k}-forms of M^{self.n} applied to a degree-{expr.degree} "
-                f"expression on M^{expr.ctx.n}"
-            )
-        c = self.c_num
-        acc = {w: x * c for w, x in expr.nums.items()} if c else {}
-        for word, nums in ((D + CD, self.e_nums), (CD + D, self.f_nums)):
-            base = [(w, x) for w, x in expr.nums.items() if not w.startswith(word[1])]
-            for p, y in enumerate(nums, start=1):
-                if not y:
-                    continue
-                prefix = word * p
-                for w, x in base:
-                    key = prefix + w
-                    s = acc.get(key, 0) + y * x
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-        return FormExpr(expr.ctx, expr.degree, expr.order + self.order,
-                        *_canonical(acc, self.den * expr.den))
 
     def render(self, latex: bool = False) -> str:
         mono = self.monomials()
@@ -477,39 +310,14 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-def to_operator_poly(expr: FormExpr) -> OperatorPoly:
-    """Canonicalise a degree-preserving expression into R.
+def to_operator_poly(op: OperatorPoly) -> OperatorPoly:
+    """The identity on R.
 
-    The operator's order and denominator are the expression's, and its
-    numerators are copied.  Raises FormAlgebraError when the expression
-    is not an endomorphism expression (output degree differs from the
-    generator degree).
+    Operators are read from the tractor slots as elements of R directly,
+    and nothing in the package calls this; the benchmark tracer spans it
+    by name.
     """
-    ctx = expr.ctx
-    if not expr.is_zero and expr.degree != ctx.k:
-        raise FormAlgebraError(
-            f"not an endomorphism expression: degree {expr.degree} != k = {ctx.k}"
-        )
-    const = 0
-    e: dict[int, int] = {}
-    f: dict[int, int] = {}
-    for w, x in expr.nums.items():
-        half = len(w) // 2
-        if w == "":
-            const = x
-        elif w == (D + CD) * half:
-            e[half] = x
-        elif w == (CD + D) * half:
-            f[half] = x
-        else:
-            raise FormAlgebraError(f"word {w!r} is not a power of E or F")
-    # the expression is canonical and its highest powers are nonzero, so this is too
-    return OperatorPoly(
-        ctx.n, ctx.k, expr.order, const,
-        tuple(e.get(p, 0) for p in range(1, max(e, default=0) + 1)),
-        tuple(f.get(q, 0) for q in range(1, max(f, default=0) + 1)),
-        expr.den,
-    )
+    return op
 
 
 def proportionality(a: OperatorPoly, b: OperatorPoly) -> RatJ | None:

@@ -2,15 +2,30 @@
 
 A tractor k-form is stored through its components in a fixed Einstein
 scale, together with the number p of boxes applied since the splitting
-operator embedded the generator of weight w.  Its overall weight is
+operator embedded the generator f of weight w.  Its overall weight is
 wt = w - k - p, and its slots carry
 
-    slot_y : degree k-1, weight w-2p      (top slot)
-    slot_z : degree k,   weight w-2p      (middle, form part)
-    slot_x : degree k-1, weight w-2p-2    (bottom slot)
+    slot_y : delta Y f, degree k-1, weight w-2p      (top slot)
+    slot_z : Z f,       degree k,   weight w-2p      (middle, form part)
+    slot_x : delta X f, degree k-1, weight w-2p-2    (bottom slot)
 
-that is, expression orders p, p and p+1 (``FormExpr.order``, the J
-power of the empty word), which is what the slot check compares.
+with Y, Z and X elements of R (``forms.OperatorPoly`` on k-forms) of
+orders p-1, p and p, and Y and X without F part; the slot check
+compares exactly this.
+
+Why three elements of R suffice (the two-shapes lemma): every form here
+is an alternating word in d and delta applied to f, since d d = 0 and
+delta delta = 0.  A word of degree k is 1, (d delta)^p or (delta d)^q,
+an element of R; a word of degree k-1 is delta (d delta)^p, delta of an
+element of R with no F part.  The box and the splitting operators map
+these two shapes to each other, so the words of degree k+1, d (delta
+d)^q, never reach a slot, and no slot of degree k-2 is needed.  The box
+then acts through four rules, each a few products in R:
+
+    d (delta Y) = E Y,           Laplacian (delta Y) = delta (E Y),
+    Laplacian Z = (E + F) Z,     delta Z = delta (Z without its F part),
+
+the last because delta F = delta delta d = 0.
 
 Everything is computed in the scale itself: the scale function is
 numerically 1, and the p-th power of it that each slot carries is the
@@ -18,10 +33,6 @@ gap between the slot's weight above and its weight as a tractor
 component (wt+k, wt+k, wt+k-2).  The coupled box operator acts
 slotwise through the modified-Laplacian component formulas below plus
 a diagonal curvature term, and lowers the weight by one.
-
-The second middle component (degree k-2) is not stored: every form here
-is an alternating word in d and the codifferential applied to the one
-generator of degree k, so only degrees k-1, k and k+1 are ever nonzero.
 
 The splitting operator M embeds a weighted k-form, its formal adjoint
 M* extracts one; the combinatorial normalisation of the top-slot term
@@ -34,29 +45,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import CD, D, FormContext, FormExpr, InternalConsistencyError, OperatorPoly
+from .forms import FormContext, InternalConsistencyError, OperatorPoly
 
 
 @dataclass(frozen=True)
 class TractorFormExpr:
-    """Three-slot weighted tractor form, p boxes above the embedded generator."""
+    """Three-slot weighted tractor form, p boxes above the embedded generator.
+
+    ``slot_y`` and ``slot_x`` hold the Y and X of delta Y and delta X.
+    """
 
     ctx: FormContext
     p: int
-    slot_y: FormExpr
-    slot_z: FormExpr
-    slot_x: FormExpr
+    slot_y: OperatorPoly
+    slot_z: OperatorPoly
+    slot_x: OperatorPoly
 
     def __post_init__(self) -> None:
-        k, p = self.ctx.k, self.p
-        expected = {"slot_y": (k - 1, p), "slot_z": (k, p), "slot_x": (k - 1, p + 1)}
-        for name, (deg, order) in expected.items():
-            slot: FormExpr = getattr(self, name)
-            if slot.degree != deg or slot.order != order:
+        p = self.p
+        expected = {"slot_y": p - 1, "slot_z": p, "slot_x": p}
+        for name, order in expected.items():
+            slot: OperatorPoly = getattr(self, name)
+            if (slot.n, slot.k, slot.order) != (self.ctx.n, self.ctx.k, order):
                 raise InternalConsistencyError(
-                    f"{name} carries (deg, order) = ({slot.degree}, {slot.order}), "
-                    f"expected ({deg}, {order})"
+                    f"{name} carries (n, k, order) = ({slot.n}, {slot.k}, {slot.order}), "
+                    f"expected ({self.ctx.n}, {self.ctx.k}, {order})"
                 )
+            if name != "slot_z" and slot.f_nums:
+                raise InternalConsistencyError(f"{name} = delta of an operator with an F part")
 
     @property
     def wt(self) -> Fraction:
@@ -68,19 +84,18 @@ class TractorFormExpr:
         return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_x.is_zero
 
     def render(self) -> str:
-        return f"[Y] {self.slot_y.render()}\n[Z] {self.slot_z.render()}\n[X] {self.slot_x.render()}"
+        return (f"[Y] δ({self.slot_y.render()})\n[Z] {self.slot_z.render()}\n"
+                f"[X] δ({self.slot_x.render()})")
 
 
 def make_M(ctx: FormContext) -> TractorFormExpr:
     """Splitting operator: f -> ((n+w-2k)/k) Z f + X (delta f), weight w-k."""
     n, k, w = ctx.n, ctx.k, ctx.w
-    f = FormExpr.generator(ctx)
-    c_m = Fraction(n + w - 2 * k, k)
     return TractorFormExpr(
         ctx, 0,
-        FormExpr(ctx, k - 1, 0),
-        f.scale(c_m),
-        f.apply_letter(CD),
+        OperatorPoly(n, k, -1),
+        OperatorPoly.graded(n, k, 0, Fraction(n + w - 2 * k, k), [], []),
+        OperatorPoly(n, k, 0, 1),
     )
 
 
@@ -89,52 +104,47 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
 
     The output is (component formulas of the modified Laplacian, with the
     overall sign folded in) minus the diagonal term 2 (wt/n)(n+wt-1) J,
-    with the box count raised by one.
+    with the box count raised by one.  In the slots' terms (see the
+    module docstring), with e(Z) the constant and E terms of Z and
+    D = -2 (wt/n)(n+wt-1) the diagonal coefficient:
+
+        Y' = E Y + (j_y + D) J Y - 2k e(Z) + (n-2k+2) X
+        Z' = (E + F) Z + (D - 2k(n-k-1)/n) J Z - (2/(nk)) J E Y - (2/k) E X
+        X' = E X + (j_y + D) J X + ((n-2k+2)/n^2) J^2 Y - (2k/n) J e(Z)
+
+    where j_y = 1 - 2(k-1)(n-k+1)/n.
     """
     ctx = t.ctx
     n, k = ctx.n, ctx.k
     wt = t.wt
-    kappa, mu, rho = t.slot_y, t.slot_z, t.slot_x
+    y, z, x = t.slot_y, t.slot_z, t.slot_x
 
-    c_dia = Fraction(k - 1) * (n - k + 1)  # recurring combination in the diagonal J terms
-    j_y = Fraction(1) - Fraction(2 * c_dia, n)
-    # the form Laplacian d delta + delta d on the degree-(k-1) and degree-k slots
-    lap_low = OperatorPoly.graded(n, k - 1, 1, 0, [1], [1]).to_form_expr
-    lap = OperatorPoly.graded(n, k, 1, 0, [1], [1]).to_form_expr
-
-    # top slot output
-    out_y = lap_low(kappa) + kappa.times_J(1, j_y)
-    out_y = out_y + mu.apply_letter(CD).scale(Fraction(-2 * k))
-    out_y = out_y + rho.scale(Fraction(n - 2 * k + 2))
-
-    # middle form slot
-    out_z = lap(mu) + mu.times_J(1, Fraction(-2 * k * (n - k - 1), n))
-    out_z = out_z + kappa.apply_letter(D).times_J(1, Fraction(-2, n * k))
-    out_z = out_z + rho.apply_letter(D).scale(Fraction(-2, k))
-
-    # bottom slot
-    out_x = lap_low(rho) + rho.times_J(1, j_y)
-    out_x = out_x + kappa.times_J(2, Fraction(n - 2 * k + 2, n * n))
-    out_x = out_x + mu.apply_letter(CD).times_J(1, Fraction(-2 * k, n))
-
-    # diagonal curvature term
+    e = OperatorPoly.graded(n, k, 1, 0, [1], [])
     diag = Fraction(-2) * wt * (n + wt - 1) / n
-    out_y = out_y + kappa.times_J(1, diag)
-    out_z = out_z + mu.times_J(1, diag)
-    out_x = out_x + rho.times_J(1, diag)
+    j_y = 1 - Fraction(2 * (k - 1) * (n - k + 1), n) + diag
+    ey, ex, ez = e * y, e * x, z.e_part()
 
+    out_y = ey + y.times_J(1, j_y) + ez.scale(-2 * k) + x.scale(n - 2 * k + 2)
+    out_z = (OperatorPoly.graded(n, k, 1, 0, [1], [1]) * z
+             + z.times_J(1, diag - Fraction(2 * k * (n - k - 1), n))
+             + ey.times_J(1, Fraction(-2, n * k)) + ex.scale(Fraction(-2, k)))
+    out_x = (ex + x.times_J(1, j_y) + y.times_J(2, Fraction(n - 2 * k + 2, n * n))
+             + ez.times_J(1, Fraction(-2 * k, n)))
     return TractorFormExpr(ctx, t.p + 1, out_y, out_z, out_x)
 
 
-def apply_Mstar(t: TractorFormExpr) -> FormExpr:
-    """Formal adjoint of the splitting operator: -(wt+k) slot_z + (1/k) d slot_y."""
+def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
+    """Formal adjoint of the splitting operator: -(wt+k) slot_z + (1/k) d slot_y.
+
+    Here d slot_y = d delta Y = E Y, so the result is an element of R.
+    """
     k = t.ctx.k
-    out = t.slot_z.scale(-(t.wt + k))
-    return out + t.slot_y.apply_letter(D).scale(Fraction(1, k))
+    e = OperatorPoly.graded(t.ctx.n, k, 1, 0, [1], [])
+    return t.slot_z.scale(-(t.wt + k)) + (e * t.slot_y).scale(Fraction(1, k))
 
 
-def extract_slots(t: TractorFormExpr) -> tuple[FormExpr, FormExpr]:
-    """Operator-normalised middle and bottom reads: (k * slot_z, slot_x).
+def extract_slots(t: TractorFormExpr) -> tuple[OperatorPoly, OperatorPoly]:
+    """Operator-normalised middle and bottom reads: (k * Z, X), with slot_x = delta X.
 
     These are the reads under which the order-one operator equals its
     closed form with constant exactly 1 (the acceptance calibration); the

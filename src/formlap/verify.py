@@ -27,8 +27,7 @@ from typing import Any, Callable
 from .coeffring import RatJ, ZERO
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
-from .forms import (CD, FormAlgebraError, FormContext, FormExpr, InternalConsistencyError,
-                    OperatorPoly, proportionality, render_word)
+from .forms import FormAlgebraError, InternalConsistencyError, OperatorPoly, proportionality
 from .spectral import SpectralModel, eval_scalar
 
 
@@ -55,18 +54,12 @@ class VerificationReport:
 
 def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
                   render: Callable[[str], str] = str) -> dict[str, str]:
-    """First differing key of two monomial maps or two word maps."""
+    """First differing key of two monomial maps."""
     for key in sorted(set(lhs) | set(rhs)):
         ca, cb = lhs.get(key, ZERO), rhs.get(key, ZERO)
         if ca != cb:
             return {"monomial": render(key), "lhs": str(ca), "rhs": str(cb)}
     raise InternalConsistencyError("no differing monomial between the sides of a failed check")
-
-
-def _expr_witness(lhs: FormExpr, rhs: FormExpr) -> dict[str, str]:
-    words = set(lhs.nums) | set(rhs.nums)
-    return _diff_witness({w: lhs.coefficient(w) for w in words},
-                         {w: rhs.coefficient(w) for w in words}, render_word)
 
 
 # -- factorization ----------------------------------------------------------
@@ -117,31 +110,46 @@ def lg_second_scalar(n: int, k: int, ell: int) -> Fraction:
     return 1 / Fraction(n + w - 2 * k + 1)
 
 
-def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
-    """Both companion relations.
+def through_codifferential(q: OperatorPoly, k: int) -> OperatorPoly:
+    """sigma(Q) on k-forms with Q (delta f) = delta (sigma(Q) f), for Q on (k-1)-forms.
 
-    First: w G = -(codifferential) L, as expressions on the generator.
+    E^p delta = (d delta)^p delta vanishes for p >= 1 and F^q delta =
+    (delta d)^q delta = delta E^q, so sigma keeps the constant, moves the
+    F^q coefficients to E^q and drops the E terms.
+    """
+    return OperatorPoly.from_numerators(q.n, k, q.order, q.c_num, q.f_nums, (), q.den)
+
+
+def _delta_witness(lhs: OperatorPoly, rhs: OperatorPoly) -> dict[str, str]:
+    """First differing monomial of delta lhs and delta rhs."""
+    return _diff_witness(lhs.monomials(), rhs.monomials(), lambda m: f"δ∘{m}")
+
+
+def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
+    """Both companion relations, for the companion G = delta X.
+
+    First: w G = -(codifferential) L on the generator; since delta F = 0,
+    this is w X = -(the constant and E terms of L).
     Second (k >= 2): G equals 1/(n+w-2k+1) times the operator one degree
-    down, built at generator weight w-1, applied after the codifferential.
+    down, built at generator weight w-1, applied after the codifferential;
+    that is, X = sigma(lower) / (n+w-2k+1) (``through_codifferential``).
     """
     params = {"n": n, "k": k, "ell": ell}
     w = operator_weight(n, k, ell)
-    L, G = build_L_and_G(n, k, ell)
-    ctx = FormContext(n, k, w)
-    lhs1 = G.scale(w)
-    gen = FormExpr.generator(ctx)
-    rhs1 = -L.to_form_expr(gen).apply_letter(CD)
+    L, X = build_L_and_G(n, k, ell)
+    lhs1 = X.scale(w)
+    rhs1 = -L.e_part()
     ok1 = lhs1 == rhs1
     witness: dict[str, Any] = {}
     if not ok1:
-        witness["first"] = _expr_witness(lhs1, rhs1)
+        witness["first"] = _delta_witness(lhs1, rhs1)
     ok2 = True
     if k >= 2:
         lower = build_L_definition(n, k - 1, ell)
-        rhs2 = lower.to_form_expr(gen.apply_letter(CD)).scale(lg_second_scalar(n, k, ell))
-        ok2 = G == rhs2
+        rhs2 = through_codifferential(lower, k).scale(lg_second_scalar(n, k, ell))
+        ok2 = X == rhs2
         if not ok2:
-            witness["second"] = _expr_witness(G, rhs2)
+            witness["second"] = _delta_witness(X, rhs2)
     status = "pass" if ok1 and ok2 else "fail"
     if status == "pass":
         witness = {"second": "skipped (k = 1)"} if k == 1 else {"second_scalar": str(lg_second_scalar(n, k, ell))}

@@ -223,6 +223,18 @@ def test_oracle_dec_five_cell(tmp_path):
         assert code == expected, rtol
 
 
+def test_oracle_dec_spectrum_mismatch_prints_one_line(capsys, tmp_path):
+    # the 5-cell's 0-form spectrum is off by more than the default 10%
+    out = tmp_path / "dec.json"
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "0", "--eigs", "4",
+                    "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sphere spectrum mismatch:")
+    assert "> --rtol 0.1" in lines[0]
+    error = json.loads(out.read_text())["report"]["sphere_comparison"]["max_rel_error"]
+    assert f"{error:.4g}" in lines[0]
+
+
 @pytest.mark.parametrize("args", [
     ["--mesh", "boundary-4-simplex", "--k", "1", "--eigs", "4", "--rtol", "0.9"],
     ["--mesh", "torus3-grid", "--size", "3"],

@@ -8,8 +8,7 @@ from formlap.coeffring import RatJ
 from formlap.factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                              closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
                              closed_tmodbox2_w1, operator_weight, sqyam_factors, yam_factor)
-from formlap.forms import (CD, D, FormAlgebraError, FormContext, FormExpr, OperatorPoly,
-                           proportionality)
+from formlap.forms import FormAlgebraError, OperatorPoly, proportionality
 from formlap.verify import default_grid
 
 
@@ -33,12 +32,10 @@ def test_order_one_equality_grid(n):
 
 
 def test_build_G_examples():
-    g = build_L_and_G(4, 1, 1)[1]
-    c = FormContext(4, 1, operator_weight(4, 1, 1))
-    f = FormExpr.generator(c)
-    expected = (f.apply_word(D + CD) + f.times_J(1, 1)).apply_letter(CD)
-    assert g == expected
-    assert g == closed_G1(4, 1)
+    # G = delta X with X = E + J at (n, k) = (4, 1)
+    x = build_L_and_G(4, 1, 1)[1]
+    assert x.monomials() == {"E": RatJ(1), "1": RatJ(1, 1)}
+    assert x == closed_G1(4, 1)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3), (5, 1), (9, 4)])
@@ -61,13 +58,23 @@ def test_closed_factors_examples():
         {"E": RatJ(-2), "F": RatJ(-6), "1": RatJ(-4, 1)}]
 
 
+def _render_delta(x):
+    """delta X as the words delta (d delta)^p on the generator, shortest first."""
+    parts = []
+    for name, c in x.monomials().items():  # "1", then E^p by rising p; X has no F part
+        word = "δ" + "dδ" * (0 if name == "1" else 1 if len(name) == 1 else int(name[2:]))
+        cs = str(c)
+        parts.append(word if cs == "1" else f"-{word}" if cs == "-1" else f"({cs})*{word}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def _closed_form_lines():
     """The rendering of every closed form on the default grid, one line each."""
     for n, k, ell in default_grid():
         w = operator_weight(n, k, ell)
         if ell == 1:
             yield f"L1 {n} {k}: {closed_L1(n, k).render()}"
-            yield f"G1 {n} {k}: {closed_G1(n, k).render()}"
+            yield f"G1 {n} {k}: {_render_delta(closed_G1(n, k))}"
         yield (f"factors {n} {k} {ell}: "
                + "; ".join(f.render() for f in closed_factors(n, k, ell).factors))
         yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox1(n, k, w).render()}"

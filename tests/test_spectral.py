@@ -228,3 +228,22 @@ def test_harmonic_point_validation():
         SpectralPoint("harmonic", Fraction(2), 1)
     with pytest.raises(SpectralDataError):
         SpectralPoint("mystery", Fraction(0), 1)
+
+
+def test_sphere_data_script_reproduces_the_shipped_file(tmp_path):
+    # the script writes only where it is told, and its output is the shipped file
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "make_sphere_data.py"
+    for args in ([], ["--help"]):
+        proc = subprocess.run([sys.executable, str(script), *args], cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == (0 if args else 2) and "wrote" not in proc.stdout
+    out = tmp_path / "sphere.json"
+    subprocess.run([sys.executable, str(script), str(out)], check=True, capture_output=True)
+    shipped = root / "src" / "formlap" / "data" / "sphere_s3.json"
+    assert out.read_bytes() == shipped.read_bytes()
+    assert list(tmp_path.iterdir()) == [out]

@@ -88,7 +88,6 @@ def test_symbolic_matches_numeric_exactly():
 def test_companion_slot_matches_symbolic():
     # the bottom slot of the numeric pipeline carries the companion operator
     from formlap.factory import build_L_and_G
-    from formlap.forms import CD, D
 
     n, k, ell = 4, 2, 2
     xi = (1, -1, 2, 0)
@@ -105,14 +104,14 @@ def test_companion_slot_matches_symbolic():
     # so the bottom slot is i * sign * full[rows] / (2k)
     g_numeric_im = full[rows] * Fraction(sign, 2 * k)
 
-    g_expr = build_L_and_G(n, k, ell)[1]
+    x_op = build_L_and_G(n, k, ell)[1]  # G = delta X: the words delta (d delta)^p
     from formlap.torus import iota_matrix, _obj
 
     def word_matrix(word):
         deg = k
         out = CMat.eye(len(wedge_basis(n, k)))
         for letter in reversed(word):
-            if letter == D:
+            if letter == "d":
                 m = CMat(_obj((len(wedge_basis(n, deg + 1)), len(wedge_basis(n, deg)))),
                          eps_matrix(n, deg, list(xi)))
                 deg += 1
@@ -124,8 +123,9 @@ def test_companion_slot_matches_symbolic():
         return out
 
     acc = CMat.zero(len(form_km1), len(wedge_basis(n, k)))
-    for word in g_expr.nums:
-        acc = acc + word_matrix(word).scale(g_expr.coefficient(word).eval_at(0))
+    for name, c in x_op.monomials().items():
+        power = 0 if name == "1" else 1 if len(name) == 1 else int(name[2:])
+        acc = acc + word_matrix("c" + "dc" * power).scale(c.eval_at(0))
     assert not np.any(acc.re != 0) and np.all(acc.im == g_numeric_im)
 
 

@@ -4,17 +4,161 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlap.forms import CD, D, FormContext, FormExpr, OperatorPoly
+from formlap.forms import FormContext, OperatorPoly
 from formlap.tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar,
                              apply_box, extract_slots, make_M)
+from formlap.verify import through_codifferential
+from strategies import operators, small_fracs
+
+CONTEXTS_NK = [(3, 1), (4, 1), (4, 2), (6, 2), (7, 3), (8, 4), (12, 5)]
+
+
+def unit(n, k):
+    return OperatorPoly(n, k, 0, 1)
+
+
+# -- word-level reference ---------------------------------------------------------
+# A form built from the generator f is a dict {(word, J power): Fraction}.  A word
+# lists its letters outermost first, "d" for d and "c" for the codifferential;
+# applying a letter prefixes it, and dd = cc = 0 drops the words that already
+# start with it.  Letters carry no J.
+
+
+def power(name):
+    """The exponent of a monomial named "1", "E", "F", "E^p" or "F^q"."""
+    return 0 if name == "1" else 1 if len(name) == 1 else int(name[2:])
+
+
+def w_add(*forms):
+    out = {}
+    for form in forms:
+        for key, c in form.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def w_apply(form, letter):
+    return {(letter + w, m): c for (w, m), c in form.items() if not w.startswith(letter)}
+
+
+def w_J(form, j_power, c):
+    """The form times c J**j_power."""
+    return {(w, m + j_power): x * c for (w, m), x in form.items() if x * c}
+
+
+def w_lap(form):
+    """The form Laplacian d delta + delta d."""
+    return w_add(w_apply(w_apply(form, "c"), "d"), w_apply(w_apply(form, "d"), "c"))
+
+
+def w_act(op, form):
+    """An operator applied to a form: each monomial E^p or F^q is a word of 2p letters."""
+    out = []
+    for name, c in op.monomials().items():
+        moved = form
+        for letter in reversed(("dc" if name[0] == "E" else "cd") * power(name)):
+            moved = w_apply(moved, letter)
+        out.append(w_J(moved, c.m, c.c))
+    return w_add(*out)
+
+
+def w_of(op):
+    """op f as words."""
+    return w_act(op, {("", 0): Fraction(1)})
+
+
+def w_delta(op):
+    """delta op f as words c (dc)^p, for an op without F part."""
+    assert not op.f_nums
+    return {("c" + "dc" * power(name), c.m): c.c for name, c in op.monomials().items()}
+
+
+def w_slots(t):
+    return w_delta(t.slot_y), w_of(t.slot_z), w_delta(t.slot_x)
+
+
+def w_box(t):
+    """The coupled box on word slots, component formula by component formula."""
+    n, k, wt = t.ctx.n, t.ctx.k, t.wt
+    kappa, mu, rho = w_slots(t)
+    j_y = 1 - Fraction(2 * (k - 1) * (n - k + 1), n)
+    diag = Fraction(-2) * wt * (n + wt - 1) / n
+    return (w_add(w_lap(kappa), w_J(kappa, 1, j_y + diag), w_J(w_apply(mu, "c"), 0, -2 * k),
+                  w_J(rho, 0, n - 2 * k + 2)),
+            w_add(w_lap(mu), w_J(mu, 1, Fraction(-2 * k * (n - k - 1), n) + diag),
+                  w_J(w_apply(kappa, "d"), 1, Fraction(-2, n * k)),
+                  w_J(w_apply(rho, "d"), 0, Fraction(-2, k))),
+            w_add(w_lap(rho), w_J(rho, 1, j_y + diag),
+                  w_J(kappa, 2, Fraction(n - 2 * k + 2, n * n)),
+                  w_J(w_apply(mu, "c"), 1, Fraction(-2 * k, n))))
+
+
+@st.composite
+def tractors(draw):
+    """A tractor with random slots of the orders and shapes the slot check demands."""
+    n, k = draw(st.sampled_from(CONTEXTS_NK))
+    p = draw(st.integers(0, 2))
+    y, z, x = (draw(operators(n, k, order=m)) for m in (p - 1, p, p))
+    return TractorFormExpr(FormContext(n, k, draw(small_fracs)), p, y.e_part(), z, x.e_part())
+
+
+@given(st.sampled_from(CONTEXTS_NK), st.lists(st.sampled_from("dc"), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_generator_words_have_two_shapes(nk, letters):
+    # the two-shapes lemma: a nonzero word in d and the codifferential applied
+    # to the generator has degree k, k-1 or k+1; of degree k it is 1, E^p or
+    # F^q (an element of R), of degree k-1 delta E^p (delta of an element
+    # without F part); the degree-(k+1) words d F^q reach no tractor slot
+    n, k = nk
+    word = ""
+    for letter in letters:
+        if word.startswith(letter):
+            return
+        word = letter + word
+    degree = k + word.count("d") - word.count("c")
+    assert 0 <= degree <= n
+    half = len(word) // 2
+    shapes = {k: {"dc" * half, "cd" * half}, k - 1: {"c" + "dc" * half},
+              k + 1: {"d" + "cd" * half}}
+    assert word in shapes[degree]
+
+
+@given(st.sampled_from(CONTEXTS_NK), st.data())
+@settings(max_examples=60, deadline=None)
+def test_box_rules_match_words(nk, data):
+    n, k = nk
+    e = OperatorPoly.graded(n, k, 1, 0, [1], [])
+    lap = OperatorPoly.graded(n, k, 1, 0, [1], [1])
+    y, z = data.draw(operators(n, k)).e_part(), data.draw(operators(n, k))
+    assert w_apply(w_delta(y), "d") == w_of(e * y)           # d (delta Y) = E Y
+    assert w_lap(w_delta(y)) == w_delta(e * y)              # Laplacian (delta Y) = delta (E Y)
+    assert w_lap(w_of(z)) == w_of(lap * z)                  # Laplacian Z = (E + F) Z
+    assert w_apply(w_of(z), "c") == w_delta(z.e_part())     # delta Z = delta e(Z)
+    # sigma: an operator Q on (k-1)-forms acts on delta f as delta sigma(Q)
+    q = data.draw(operators(n, k - 1))
+    assert w_act(q, w_delta(unit(n, k))) == w_delta(through_codifferential(q, k))
+
+
+@given(tractors())
+@settings(max_examples=60, deadline=None)
+def test_box_and_Mstar_match_words(t):
+    out = apply_box(t)
+    assert out.p == t.p + 1 and out.wt == t.wt - 1
+    assert w_slots(out) == w_box(t)
+    # M* = -(wt+k) slot_z + (1/k) d slot_y
+    kappa, mu, _ = w_slots(t)
+    expect = w_add(w_J(mu, 0, -(t.wt + t.ctx.k)), w_J(w_apply(kappa, "d"), 0, Fraction(1, t.ctx.k)))
+    assert w_of(apply_Mstar(t)) == expect
+
+
+# -- the slots as elements of R ----------------------------------------------------
 
 
 def test_make_M_examples():
     m = make_M(FormContext(6, 2, Fraction(1)))
-    f = FormExpr.generator(FormContext(6, 2, Fraction(1)))
-    assert m.slot_z == f.scale(Fraction(3, 2))
-    assert m.slot_x == f.apply_letter(CD)
-    assert m.slot_y.is_zero
+    assert m.slot_z == unit(6, 2).scale(Fraction(3, 2))
+    assert m.slot_x == unit(6, 2)                            # delta f
+    assert m.slot_y.is_zero and m.slot_y.order == -1
     assert m.p == 0 and m.wt == -1
 
     m2 = make_M(FormContext(4, 2, Fraction(0)))
@@ -29,21 +173,25 @@ def test_slot_invariants_enforced():
         TractorFormExpr(c, good.p, good.slot_z, good.slot_z, good.slot_x)
     with pytest.raises(InternalConsistencyError):
         TractorFormExpr(c, good.p + 1, good.slot_y, good.slot_z, good.slot_x)
+    with pytest.raises(InternalConsistencyError):  # delta F = 0 is never stored
+        TractorFormExpr(c, 0, good.slot_y, good.slot_z, OperatorPoly.graded(6, 2, 0, 1, [], [1]))
+    with pytest.raises(InternalConsistencyError):
+        TractorFormExpr(c, 0, good.slot_y, unit(6, 1), good.slot_x)
 
 
 def test_box_on_pure_z_slot():
     # four-dimensional valence-one case: output slots
     # (-2 delta mu, (E + F - J) mu, -(1/2) J delta mu) at weight -1
     c = FormContext(4, 1, Fraction(1))
-    mu = FormExpr.generator(c)
-    t = TractorFormExpr(c, 0, FormExpr(c, 0, 0), mu, FormExpr(c, 0, 1))
+    mu = unit(4, 1)
+    t = TractorFormExpr(c, 0, OperatorPoly(4, 1, -1), mu, OperatorPoly(4, 1, 0))
     assert t.wt == 0
     out = apply_box(t)
     assert out.wt == -1
-    assert out.slot_y == mu.apply_letter(CD).scale(-2)
+    assert out.slot_y == mu.scale(-2)
     lap = OperatorPoly.graded(4, 1, 1, 0, [1], [1])
-    assert out.slot_z == lap.to_form_expr(mu) + mu.times_J(1, -1)
-    assert out.slot_x == mu.apply_letter(CD).times_J(1, Fraction(-1, 2))
+    assert out.slot_z == lap * mu + mu.times_J(1, -1)
+    assert out.slot_x == mu.times_J(1, Fraction(-1, 2))
 
 
 def _slots(t):
@@ -63,14 +211,16 @@ def test_box_zero_tractor():
 
 def test_Mstar_contractions():
     c = FormContext(6, 2, Fraction(1))
-    f = FormExpr.generator(c)
-    # one box above the generator: tractor weight -2, slot orders 1, 1, 2 (weights -1, -1, -3)
-    pure_z = TractorFormExpr(c, 1, FormExpr(c, 1, 1), f.times_J(1), FormExpr(c, 1, 2))
+    f = unit(6, 2)
+    # one box above the generator: tractor weight -2, slot orders 0, 1, 1
+    pure_z = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), f.times_J(1), OperatorPoly(6, 2, 1))
     assert pure_z.wt == -2
     assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(pure_z.wt + 2))
-    pure_x = TractorFormExpr(c, 1, FormExpr(c, 1, 1), FormExpr(c, 2, 1),
-                             f.apply_letter(CD).times_J(1))
+    pure_x = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), OperatorPoly(6, 2, 1), f.times_J(1))
     assert apply_Mstar(pure_x).is_zero
+    # d (delta f) = E f, over k
+    pure_y = TractorFormExpr(c, 1, f, OperatorPoly(6, 2, 1), OperatorPoly(6, 2, 1))
+    assert apply_Mstar(pure_y) == OperatorPoly.graded(6, 2, 1, 0, [Fraction(1, 2)], [])
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -80,10 +230,8 @@ def test_calibration_identity_grid(n):
     for k in range(1, n // 2 + 1):
         for ell in range(1, 5):
             w = Fraction(k) + ell - Fraction(n, 2)
-            c = FormContext(n, k, w)
-            got = apply_Mstar(make_M(c))
-            expect = FormExpr.generator(c).scale(Fraction(-1, k) * w * (n + w - 2 * k))
-            assert got == expect, (n, k, ell)
+            got = apply_Mstar(make_M(FormContext(n, k, w)))
+            assert got == unit(n, k).scale(Fraction(-1, k) * w * (n + w - 2 * k)), (n, k, ell)
 
 
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=2),
@@ -91,15 +239,9 @@ def test_calibration_identity_grid(n):
 @settings(max_examples=25, deadline=None)
 def test_box_linearity(a, b):
     c = FormContext(6, 2, Fraction(1))
-    f = FormExpr.generator(c)
-    s = TractorFormExpr(c, 1,
-                        f.apply_letter(CD),
-                        OperatorPoly.graded(6, 2, 1, 0, [2], [-1]).to_form_expr(f) + f.times_J(1, 3),
-                        f.apply_letter(CD).times_J(1))
-    t = TractorFormExpr(c, 1,
-                        f.apply_letter(CD).scale(-5),
-                        f.times_J(1),
-                        OperatorPoly.graded(6, 2, 1, 0, [], [1]).to_form_expr(f).apply_letter(CD))
+    f = unit(6, 2)
+    s = TractorFormExpr(c, 1, f, OperatorPoly.graded(6, 2, 1, 3, [2], [-1]), f.times_J(1))
+    t = TractorFormExpr(c, 1, f.scale(-5), f.times_J(1), OperatorPoly.graded(6, 2, 1, 1, [1], []))
 
     def combine(u, v):  # the slots of a*u + b*v
         return [x.scale(a) + y.scale(b) for x, y in zip(_slots(u), _slots(v))]
@@ -117,25 +259,11 @@ def test_slot_vanishing_at_operator_weight(n, k, ell):
     assert not t.slot_z.is_zero
 
 
-@given(st.sampled_from([(3, 1), (4, 1), (4, 2), (6, 2), (7, 3), (8, 4), (12, 5)]),
-       st.lists(st.sampled_from([D, CD]), max_size=8))
-@settings(max_examples=80, deadline=None)
-def test_generator_words_reach_only_three_degrees(nk, letters):
-    # why a tractor form has no degree-(k-2) slot: every word in d and the
-    # codifferential applied to the generator is zero outside degrees k-1..k+1
-    n, k = nk
-    expr = FormExpr.generator(FormContext(n, k, Fraction(1)))
-    for letter in letters:
-        expr = expr.apply_letter(letter)
-    assert expr.is_zero or abs(expr.degree - k) <= 1
-
-
 def test_extract_slots():
     c = FormContext(6, 2, Fraction(1))
     m = make_M(c)
-    l_part, g_part = extract_slots(m)
-    f = FormExpr.generator(c)
-    assert l_part == f.scale(3)            # k * (n+w-2k)/k * f
-    assert g_part == f.apply_letter(CD)
-    zl, zg = extract_slots(_zero_like(m))
-    assert zl.is_zero and zg.is_zero
+    l_part, x_part = extract_slots(m)
+    assert l_part == unit(6, 2).scale(3)     # k * (n+w-2k)/k * f
+    assert x_part == unit(6, 2)              # the companion delta f
+    zl, zx = extract_slots(_zero_like(m))
+    assert zl.is_zero and zx.is_zero
