@@ -145,6 +145,8 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
     if min(args.n) < 3:
         return _usage_error(f"--n {min(args.n)} < 3")
+    if max(args.n) > 12:  # dense matrices of C(n+2, k)^2 entries, past the symbolic grid
+        return _usage_error(f"--n {max(args.n)} > 12: the oracle's dense matrices would not fit")
     if args.ell_max < 1:
         return _usage_error(f"--ell-max {args.ell_max} < 1: no cells")
     if args.modes < 1:

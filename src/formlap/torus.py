@@ -15,6 +15,18 @@ vanishes because J = 0.  None of the slotwise component formulas of
 the symbolic engine enter anywhere here, so exact agreement of the two
 pipelines is independent evidence, not a tautology.
 
+Every matrix comes from one primitive, the signed insertion t -> e_a ^ t
+on the basis of Lambda^k(R^m): one target row and one sign per direction
+a and column t.  eps(e_a) is one scatter of it, iota(e_a) = eps(e_a)^T,
+and a rank-one map u v^T acts on forms as the derivation eps(u) iota(v),
+so
+
+    Gamma_p = eps(e_p) iota(e_X) - eps(e_Y) iota(e_p)
+
+sends each basis form to at most one basis form, found by two index
+maps (e_X -> e_p, then e_p -> -e_Y).  The middle-block embedding Z_k is
+a column selection and eps(e_X) Z_(k-1) a row scatter.
+
 All matrices are exact integer matrices.  Gamma_p raises the grading
 g(t) = [e_Y in t] - [e_X in t] of a tractor basis k-tuple t by one, so
 the diagonal similarity S = diag(i^g) carries i xi_p + Gamma_p to
@@ -36,15 +48,12 @@ D times the expanded operator, entry by entry.
 
 Products run in int64 only when an a-priori bound keeps every entry
 and partial sum below 2^62; otherwise the same products run on numpy
-object arrays of Python ints, so nothing wraps around.  The matrices
-that do not depend on the mode (the Gamma_p, sum Gamma_p^2, exterior
-and interior multiplication by each coordinate vector, the middle-block
-and bottom-slot embeddings, the slot row blocks) are built once per
-(n, k); S itself is never formed, since it is folded into
-``box_matrix`` and ``splitting_matrix``.
-``CMat`` and ``mode_matrices`` keep the Gaussian-rational form of the
-same operators, against which the tests check the similarity; the
-oracle does not use them.
+object arrays of Python ints, so nothing wraps around.  The insertion
+tables, the Gamma_p index maps, sum Gamma_p^2 and the slot row blocks
+are built once per (n, k); S itself is never formed, since it is
+folded into ``box_matrix`` and ``splitting_matrix``.  ``CMat`` and
+``mode_matrices`` give the Gaussian-rational form of d and the
+codifferential for the tests; the oracle does not use them.
 """
 
 from __future__ import annotations
@@ -126,79 +135,45 @@ def wedge_basis(dims: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(dims), k))
 
 
-def _insert(direction: int, tup: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sorted insertion with sign, or None when the direction is present."""
-    if direction in tup:
-        return None
-    pos = sum(1 for t in tup if t < direction)
-    out = tuple(sorted(tup + (direction,)))
-    return (-1) ** pos, out
+def _int(mats) -> np.ndarray:
+    """Read-only int64 array of small exact integer matrices."""
+    out = np.array(mats, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
-def eps_matrix(dims: int, k: int, vector: list) -> np.ndarray:
-    """Exterior multiplication by a vector with exact entries, Lambda^k -> Lambda^(k+1)."""
-    bin_, bout = wedge_basis(dims, k), wedge_basis(dims, k + 1)
-    idx = {t: i for i, t in enumerate(bout)}
-    m = _obj((len(bout), len(bin_)))
-    for col, tup in enumerate(bin_):
-        for direction, v in enumerate(vector):
-            if v == 0:
-                continue
-            ins = _insert(direction, tup)
-            if ins:
-                sign, out = ins
-                m[idx[out], col] += sign * v
-    return m
+@lru_cache(maxsize=None)
+def _insertion(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_a ^ t on the basis of Lambda^k(R^m): target rows and signs, each (m, C(m, k)).
 
-
-def iota_matrix(dims: int, k: int, vector: list) -> np.ndarray:
-    """Interior multiplication (first-slot contraction), Lambda^k -> Lambda^(k-1)."""
-    bin_, bout = wedge_basis(dims, k), wedge_basis(dims, k - 1)
-    idx = {t: i for i, t in enumerate(bout)}
-    m = _obj((len(bout), len(bin_)))
-    for col, tup in enumerate(bin_):
-        for pos, direction in enumerate(tup):
-            v = vector[direction]
-            if v == 0:
-                continue
-            rest = tup[:pos] + tup[pos + 1 :]
-            m[idx[rest], col] += (-1) ** pos * v
-    return m
-
-
-def derivation_matrix(a: np.ndarray, dims: int, k: int) -> np.ndarray:
-    """Extension of a matrix on R^dims to Lambda^k as a derivation.
-
-    Replacing the vector in slot j by e_t and resorting costs the sign
-    (-1)**j times the sorted-insertion sign of t into the other slots.
+    The sign is (-1)^(entries of t below a), and 0 (row 0) when a is in t.
     """
-    basis = wedge_basis(dims, k)
-    idx = {t: i for i, t in enumerate(basis)}
-    m = _obj((len(basis), len(basis)))
+    idx = {t: i for i, t in enumerate(wedge_basis(m, k + 1))}
+    basis = wedge_basis(m, k)
+    rows = np.zeros((m, len(basis)), dtype=np.int64)
+    signs = np.zeros((m, len(basis)), dtype=np.int64)
     for col, tup in enumerate(basis):
-        for pos, s in enumerate(tup):
-            for t in range(dims):
-                c = a[t, s]
-                if c == 0:
-                    continue
-                if t == s:
-                    m[col, col] += c
-                    continue
-                if t in tup:
-                    continue
-                rest = tup[:pos] + tup[pos + 1 :]
-                sign, out = _insert(t, rest)
-                m[idx[out], col] += c * sign * (-1) ** pos
-    return m
+        for a in range(m):
+            if a not in tup:
+                rows[a, col] = idx[tuple(sorted(tup + (a,)))]
+                signs[a, col] = (-1) ** sum(t < a for t in tup)
+    return _int(rows), _int(signs)
+
+
+def _eps(x: np.ndarray, k: int) -> np.ndarray:
+    """eps(x) = sum_a x_a eps(e_a), Lambda^k(R^m) -> Lambda^(k+1), m = len(x), in x's dtype."""
+    rows, signs = _insertion(len(x), k)
+    out = np.zeros((math.comb(len(x), k + 1), rows.shape[1]), dtype=x.dtype)
+    a, col = np.nonzero(signs)
+    out[rows[a, col], col] = x[a] * signs[a, col]
+    return out
 
 
 def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
     """d = i eps(xi) on k-forms and codifferential = -i iota(xi) on k-forms."""
-    d = CMat(_obj((len(wedge_basis(n, k + 1)), len(wedge_basis(n, k)))),
-             eps_matrix(n, k, list(xi)))
-    delta = CMat(_obj((len(wedge_basis(n, k - 1)), len(wedge_basis(n, k)))),
-                 -iota_matrix(n, k, list(xi)))
-    return d, delta
+    x = np.array([int(v) for v in xi], dtype=object)
+    d, lower = _eps(x, k), _eps(x, k - 1)
+    return CMat(_obj(d.shape), d), CMat(_obj(lower.T.shape), -lower.T)
 
 
 # -- flat tractor pipeline ----------------------------------------------------
@@ -218,52 +193,28 @@ def _absmax(mat: np.ndarray) -> int:
     return int(np.abs(mat).max(initial=0))
 
 
-def _int(mats) -> np.ndarray:
-    """Read-only int64 array of small exact integer matrices."""
-    out = np.array(mats, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+@lru_cache(maxsize=None)
+def _connection(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma_p on tractor k-forms as index maps, and sum_p Gamma_p^2.
 
-
-def _unit(dims: int, p: int) -> list[int]:
-    return [int(i == p) for i in range(dims)]
-
-
-def tractor_gammas(n: int) -> list[np.ndarray]:
-    """Flat standard-tractor connection matrices, one per coordinate direction."""
-    gammas = []
+    Gamma_p e_t = signs[p, t] e_rows[p, t] (rows and signs are (n, dim)).
+    eps(e_a) iota(e_b) sends e_b ^ s to e_a ^ s for each (k-1)-form s
+    lacking e_a and e_b; the two terms of Gamma_p, (a, b) = (p, X) and
+    -(Y, p), act on disjoint columns (with e_X but not e_p; with e_p).
+    """
+    ins_rows, ins_signs = _insertion(n + 2, k - 1)
+    dim = math.comb(n + 2, k)
+    rows = np.zeros((n, dim), dtype=np.int64)
+    signs = np.zeros((n, dim), dtype=np.int64)
     for p in range(n):
-        g = _obj((n + 2, n + 2))
-        g[0, p + 1] = -1      # e_b -> -delta_pb e_Y
-        g[p + 1, n + 1] = 1   # e_X -> e_p
-        gammas.append(g)
-    return gammas
-
-
-@lru_cache(maxsize=None)
-def _connection(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gamma_p on tractor k-forms stacked (n, dim, dim), and sum_p Gamma_p^2."""
-    gammas = _int([derivation_matrix(g, n + 2, k) for g in tractor_gammas(n)])
-    return gammas, _int((gammas @ gammas).sum(axis=0))
-
-
-@lru_cache(maxsize=None)
-def _eps_stack(n: int, k: int) -> np.ndarray:
-    """Exterior multiplication by e_p, Lambda^k(R^n) -> Lambda^(k+1), stacked over p."""
-    return _int([eps_matrix(n, k, _unit(n, p)) for p in range(n)])
-
-
-@lru_cache(maxsize=None)
-def _iota_stack(n: int, k: int) -> np.ndarray:
-    """Interior multiplication by e_p, Lambda^k(R^n) -> Lambda^(k-1), stacked over p."""
-    return _int([iota_matrix(n, k, _unit(n, p)) for p in range(n)])
-
-
-@lru_cache(maxsize=None)
-def _embeddings(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z_k and eps(e_X) Z_(k-1): the middle-block and bottom-slot embeddings."""
-    eps_x = eps_matrix(n + 2, k - 1, _unit(n + 2, n + 1))
-    return _int(z_embed(n, k)), _int(eps_x @ z_embed(n, k - 1))
+        for a, b, sign in ((p + 1, n + 1, 1), (0, p + 1, -1)):
+            s = np.flatnonzero(ins_signs[a] * ins_signs[b])
+            rows[p, ins_rows[b, s]] = ins_rows[a, s]
+            signs[p, ins_rows[b, s]] = sign * ins_signs[a, s] * ins_signs[b, s]
+    square = np.zeros((dim, dim), dtype=np.int64)
+    np.add.at(square, (np.take_along_axis(rows, rows, axis=1), np.arange(dim)),
+              signs * np.take_along_axis(signs, rows, axis=1))
+    return _int(rows), _int(signs), _int(square)
 
 
 def _mode_vector(n: int, xi: tuple[int, ...]) -> np.ndarray:
@@ -276,22 +227,6 @@ def _mode_vector(n: int, xi: tuple[int, ...]) -> np.ndarray:
     xi = [int(x) for x in xi]
     s = sum(abs(x) for x in xi)
     return np.array(xi, dtype=_exact((s + n) ** 2 << (n + 2)))
-
-
-def _along(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_p x_p stack[p] in the dtype of x."""
-    return np.tensordot(x, stack.astype(x.dtype, copy=False), axes=1)
-
-
-def z_embed(n: int, k: int) -> np.ndarray:
-    """Middle-block embedding of k-forms into tractor k-forms."""
-    fb = wedge_basis(n, k)
-    tb = wedge_basis(n + 2, k)
-    idx = {t: i for i, t in enumerate(tb)}
-    m = _obj((len(tb), len(fb)))
-    for col, tup in enumerate(fb):
-        m[idx[tuple(t + 1 for t in tup)], col] = 1
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +250,9 @@ def _row_blocks(n: int, k: int) -> dict[str, np.ndarray]:
 def box_matrix(n: int, k: int, xi: tuple[int, ...]) -> np.ndarray:
     """S (box) S^-1 = |xi|^2 + 2 sum xi_p Gamma_p + sum Gamma_p^2 on tractor k-forms (J = 0)."""
     x = _mode_vector(n, xi)
-    gammas, gamma_sq = _connection(n, k)
-    box = 2 * _along(x, gammas) + gamma_sq.astype(x.dtype)
+    rows, signs, square = _connection(n, k)
+    box = square.astype(x.dtype)
+    np.add.at(box, (rows, np.arange(box.shape[1])), 2 * x[:, None] * signs)
     box[np.diag_indices_from(box)] += int(x @ x)
     return box
 
@@ -326,15 +262,20 @@ def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> np.nda
 
     The splitting is (n + w - 2k)/k Z_k + (1/k) eps(e_X) Z_(k-1) delta with
     delta = -i iota(xi); S is -i on the e_X rows, so the result is
-    2(n + w - 2k) Z_k - 2 eps(e_X) Z_(k-1) iota(xi).
+    2(n + w - 2k) Z_k - 2 eps(e_X) Z_(k-1) iota(xi).  Z_k puts the form
+    basis on the middle row block; eps(e_X) Z_(k-1) sends row i of
+    iota(xi) to the row of e_X ^ (the i-th middle (k-1)-form), with its sign.
     """
     top = 2 * (n + Fraction(w) - 2 * k)
     if top.denominator != 1:
         raise InternalConsistencyError(f"weight {w} is not a half-integer")
     x = _mode_vector(n, xi)
-    z_k, eps_z = _embeddings(n, k)
-    return (z_k.astype(x.dtype) * int(top)
-            - 2 * (eps_z.astype(x.dtype) @ _along(x, _iota_stack(n, k))))
+    middle, lower = _row_blocks(n, k)["z"], _row_blocks(n, k - 1)["z"]
+    rows, signs = _insertion(n + 2, k - 1)
+    out = np.zeros((math.comb(n + 2, k), len(middle)), dtype=x.dtype)
+    out[middle, np.arange(len(middle))] = int(top)
+    out[rows[n + 1, lower]] = -2 * signs[n + 1, lower, None] * _eps(x, k - 1).T
+    return out
 
 
 def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
@@ -384,8 +325,8 @@ def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int,
     coeffs = op.at(Fraction(0), int(x @ x))
     den = math.lcm(*(v.denominator for v in coeffs))
     a, b, c = (int(v * den) for v in coeffs)
-    e_mat = _along(x, _eps_stack(n, k - 1)) @ _along(x, _iota_stack(n, k))
-    f_mat = _along(x, _iota_stack(n, k + 1)) @ _along(x, _eps_stack(n, k))
+    lower, upper = _eps(x, k - 1), _eps(x, k)
+    e_mat, f_mat = lower @ lower.T, upper.T @ upper
     dtype = _exact(abs(a) + abs(b) * _absmax(e_mat) + abs(c) * _absmax(f_mat))
     out = e_mat.astype(dtype) * b + f_mat.astype(dtype) * c
     out[np.diag_indices_from(out)] += a

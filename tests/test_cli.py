@@ -210,6 +210,21 @@ def test_oracle_usage_error(capsys, args, needle):
     assert captured.out == ""
 
 
+def test_oracle_torus_rejects_n_above_the_grid_before_computing(capsys, monkeypatch):
+    # the dense mode matrices have C(n+2, k)^2 entries: n = 14 would need gigabytes
+    import formlap.torus
+
+    def refuse(*args):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(formlap.torus, "compare_pipelines", refuse)
+    assert run_cli(["oracle", "torus", "--n", "3", "14"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:") and "--n 14" in lines[0]
+    assert captured.out == ""
+
+
 def test_oracle_dec_five_cell(tmp_path):
     # the 5-vertex sphere is coarse: its spectrum is within 0.9 of the
     # unit-sphere reference, but not within 0.1

@@ -9,10 +9,10 @@ from formlap.cli import main
 from formlap.coeffring import ZERO
 from formlap.factory import build_L_definition, operator_weight
 from formlap.forms import OperatorPoly
-from formlap.torus import (CMat, box_matrix, compare_pipelines, derivation_matrix, eps_matrix,
-                           mode_matrices, pipeline_L_numeric, pipeline_matrix, random_modes,
-                           symbolic_mode_matrix, tractor_gammas, wedge_basis, z_embed,
-                           _row_blocks)
+from formlap.torus import (CMat, box_matrix, compare_pipelines, mode_matrices, pipeline_L_numeric,
+                           pipeline_matrix, random_modes, symbolic_mode_matrix, wedge_basis,
+                           _connection, _eps, _row_blocks)
+from exterior_reference import derivation_matrix, eps_matrix, iota_matrix, tractor_gammas, z_embed
 
 
 def compose_EF(n, k, xi):
@@ -105,19 +105,16 @@ def test_companion_slot_matches_symbolic():
     g_numeric_im = full[rows] * Fraction(sign, 2 * k)
 
     x_op = build_L_and_G(n, k, ell)[1]  # G = delta X: the words delta (d delta)^p
-    from formlap.torus import iota_matrix, _obj
 
     def word_matrix(word):
         deg = k
         out = CMat.eye(len(wedge_basis(n, k)))
         for letter in reversed(word):
             if letter == "d":
-                m = CMat(_obj((len(wedge_basis(n, deg + 1)), len(wedge_basis(n, deg)))),
-                         eps_matrix(n, deg, list(xi)))
+                m = CMat.real(eps_matrix(n, deg, list(xi))).scale_imag(1)
                 deg += 1
             else:
-                m = CMat(_obj((len(wedge_basis(n, deg - 1)), len(wedge_basis(n, deg)))),
-                         -iota_matrix(n, deg, list(xi)))
+                m = CMat.real(iota_matrix(n, deg, list(xi))).scale_imag(-1)
                 deg -= 1
             out = m @ out
         return out
@@ -156,6 +153,39 @@ def test_box_mixes_slots_at_zero_mode():
     assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0))[0] != 0)
 
 
+# -- the signed insertion primitive ----------------------------------------------
+
+
+def _unit_eps(m, a, k):
+    """eps(e_a) on Lambda^k(R^m), from the oracle's insertion table."""
+    return _eps(np.eye(m, dtype=np.int64)[a], k)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_insertion_satisfies_the_exterior_relations(m):
+    # eps_a eps_b = -eps_b eps_a and iota_a eps_b + eps_b iota_a = delta_ab, iota_a = eps_a^T
+    for k in range(m + 1):
+        eye = np.eye(len(wedge_basis(m, k)), dtype=np.int64)
+        for a in range(m):
+            for b in range(m):
+                assert np.array_equal(_unit_eps(m, a, k + 1) @ _unit_eps(m, b, k),
+                                      -(_unit_eps(m, b, k + 1) @ _unit_eps(m, a, k))), (k, a, b)
+                car = (_unit_eps(m, a, k).T @ _unit_eps(m, b, k)
+                       + _unit_eps(m, b, k - 1) @ _unit_eps(m, a, k - 1).T)
+                assert np.array_equal(car, eye * (a == b)), (k, a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_connection_is_the_derivation_of_the_tractor_gammas(n):
+    for k in range(n + 3):
+        rows, signs, _ = _connection(n, k)
+        dim = rows.shape[1]
+        for p, gamma in enumerate(tractor_gammas(n)):
+            mat = np.zeros((dim, dim), dtype=object)
+            np.add.at(mat, (rows[p], np.arange(dim)), signs[p])
+            assert np.array_equal(mat, derivation_matrix(gamma, n + 2, k)), (k, p)
+
+
 # -- the i^grading similarity ---------------------------------------------------
 
 
@@ -184,7 +214,7 @@ def _complex_pipeline(n, k, ell, xi):
     entries, and the 1/(2k) is applied at the end.
     """
     w = operator_weight(n, k, ell)
-    _, delta = mode_matrices(n, k, xi)
+    delta = CMat.real(iota_matrix(n, k, list(xi))).scale_imag(-1)
     eps_x = eps_matrix(n + 2, k - 1, [0] * (n + 1) + [1])
     out = (CMat.real(z_embed(n, k)).scale(int(2 * (n + w - 2 * k)))
            + (CMat.real(eps_x @ z_embed(n, k - 1)) @ delta).scale(2))
