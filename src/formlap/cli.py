@@ -241,6 +241,8 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .verify import THEOREMS
+
     ap = argparse.ArgumentParser(prog="formlap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -256,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--ell-max", type=int, default=6)
-    p.add_argument("--theorems", nargs="+", default=["factorization", "MMstar", "LG", "bezout", "kernel"],
-                   choices=["factorization", "MMstar", "LG", "bezout", "kernel"])
+    p.add_argument("--theorems", nargs="+", default=list(THEOREMS), choices=THEOREMS)
     p.add_argument("--j-value", default="1")
     p.add_argument("--output", type=Path, default=None)
     p.set_defaults(func=cmd_verify)

@@ -9,6 +9,10 @@ reads a degree-one factor's (a, b, c) from ``OperatorPoly.at``.  Both
 come from the one reducer in ``forms``.  Null-space dimensions are sums
 of multiplicities over points where the scalar vanishes.
 
+``content_covers`` is the one rule for whether a kernel content (a set
+of (kind, eigenvalue), None for every point of the kind) holds a point;
+a degree-one factor kills exactly the points its content covers.
+
 Presets: the unit round 3-sphere (loaded from a versioned data file
 with provenance, never hardcoded in the code path) and the flat torus
 (computed from lattice modes, J = 0).  Models are also importable from
@@ -126,6 +130,15 @@ def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str,
     return out
 
 
+def content_covers(content: set[tuple[str, Fraction | None]], kind: str, lam: Fraction) -> bool:
+    """Whether a kernel content holds the point (kind, lam).
+
+    Harmonic points need no case of their own: their eigenvalue is 0 and
+    a content holds them only as ("harmonic", None).
+    """
+    return (kind, None) in content or (kind, lam) in content
+
+
 # -- presets -----------------------------------------------------------------
 
 
@@ -206,30 +219,30 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     omitted: the decomposition theorems presume per-kind distinctness,
     and the verifier reports coincidences rather than asserting an
     outcome), plus harmonic content and three off-kernel noise points.
+    Which factors kill a point is read from their kernel contents by
+    ``content_covers``; no operator is evaluated.
     """
     import random
 
     from .factory import closed_factors
 
     rng = random.Random((n * 1009 + k * 101 + ell * 11) & 0x7FFFFFFF)
-    factors = closed_factors(n, k, ell).factors
+    contents = [factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell).factors]
 
-    def scalar_at(kind: str, lam: Fraction) -> list[int]:
-        pt = SpectralPoint(kind, lam, 1)
-        return [i for i, f in enumerate(factors) if eval_scalar(f, pt, j_value) == 0]
+    def killers(kind: str, lam: Fraction) -> int:
+        return sum(content_covers(c, kind, lam) for c in contents)
 
     points: list[SpectralPoint] = []
     seen: set[tuple[str, Fraction]] = set()
 
-    if len(scalar_at("harmonic", Fraction(0))) <= 1:
+    if killers("harmonic", Fraction(0)) <= 1:
         points.append(SpectralPoint("harmonic", Fraction(0), rng.randint(1, 4)))
 
-    for f in factors:
-        for kind, lam in sorted(factor_kernel_content(f, j_value),
-                                key=lambda t: (t[0], str(t[1]))):
+    for content in contents:
+        for kind, lam in sorted(content, key=lambda t: (t[0], str(t[1]))):
             if lam is None or lam == 0 or (kind, lam) in seen:
                 continue
-            if len(scalar_at(kind, lam)) == 1:
+            if killers(kind, lam) == 1:
                 points.append(SpectralPoint(kind, lam, rng.randint(1, 5)))
                 seen.add((kind, lam))
 
@@ -241,7 +254,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
         lam = j_value * Fraction(rng.randint(1, 60), rng.randint(1, 7)) + step
         if lam == 0 or (kind, lam) in seen:
             continue
-        if len(scalar_at(kind, lam)) <= 1:
+        if killers(kind, lam) <= 1:
             points.append(SpectralPoint(kind, lam, rng.randint(1, 3)))
             seen.add((kind, lam))
             noise += 1

@@ -10,11 +10,12 @@ the order-one closed form and recorded in the repository notes:
 * the scalar relating the degree-lowering companion to the operator one
   degree down is 1/(n+w-2k+1); the printed (k-1)/(k(n+w-2k+1)) misses a
   factor k/(k-1) (checked symbolically on the whole grid here);
-* at w = 0 the factor list contains the pure-F factor -(n-2k) F, and no
+* at w = 0 the leading factor is the pure-F factor -(n-2k) F, and no
   relative-inverse pair exists against any factor with a nonzero E part:
-  in R/(F) ~ Q(J)[E] the second factor generates a proper ideal.  The
-  sweep asserts solvability away from w = 0 and certifies the
-  obstruction at w = 0 instead of silently skipping it.
+  in R/(F) ~ Q(J)[E] the second factor generates a proper ideal.  Every
+  other factor has one, so the sweep expects ``bezout`` to raise on
+  exactly the pairs (1, j) at w = 0 and on none elsewhere, and fails on
+  any other outcome instead of silently skipping the obstruction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .coeffring import RatJ, ZERO
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
 from .forms import FormAlgebraError, InternalConsistencyError, OperatorPoly, proportionality
-from .spectral import SpectralModel, eval_scalar
+from .spectral import SpectralModel, content_covers, eval_scalar
+
+THEOREMS = ("factorization", "MMstar", "LG", "bezout", "kernel")
 
 
 class BezoutError(ArithmeticError):
@@ -231,68 +234,34 @@ def _linear_numerators(op: OperatorPoly) -> tuple[int, int, int]:
     return op.e_nums[0] if op.e_nums else 0, op.f_nums[0] if op.f_nums else 0, op.c_num
 
 
-def pure_f_obstruction(s: OperatorPoly, t: OperatorPoly) -> bool:
-    """True when the pair provably admits no relative-inverse pair.
-
-    This happens exactly when one factor is a multiple of F alone (zero E
-    part and zero constant) while the other has a nonzero E part, or
-    symmetrically with E and F exchanged, or when both constants vanish.
-    In R the quotient by the pure factor is a polynomial ring in the
-    other variable, where the second factor generates a proper ideal.
-    """
-    def pure_f(op: OperatorPoly) -> bool:
-        return not op.c_num and not op.e_nums and bool(op.f_nums)
-
-    def pure_e(op: OperatorPoly) -> bool:
-        return not op.c_num and not op.f_nums and bool(op.e_nums)
-
-    for a, b in ((s, t), (t, s)):
-        e, f, _ = _linear_numerators(b)
-        if pure_f(a) and e:
-            return True
-        if pure_e(a) and f:
-            return True
-    return not s.c_num and not t.c_num
-
-
 def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
     """Relative-inverse pairs for every factor pair of one decomposition.
 
-    Away from w = 0 a pair must exist and re-verify by ring
-    multiplication.  At w = 0 the pure-F factor makes the listed pairs
-    provably unsolvable; those are certified as such and reported in the
-    witness instead of counted as failures.
+    ``bezout`` is called once per pair, and the pairs on which it raises
+    must be exactly the expected ones: at w = 0 the pairs (1, j) of the
+    pure-F leading factor with the others, whose E coefficients
+    (1-i)(n-2k-i), i = 2..ell = (n-2k)/2, are nonzero; elsewhere none.
+    Every other pair is solved and re-verified by ring multiplication.
+    The obstructed pairs are reported in the witness.
     """
     params = {"n": n, "k": k, "ell": ell}
     factors = closed_factors(n, k, ell).factors
-    w = operator_weight(n, k, ell)
-    obstructed: list[str] = []
-    solved = 0
+    raised: dict[tuple[int, int], str] = {}
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            s, t = factors[i], factors[j]
-            if pure_f_obstruction(s, t):
-                if w != 0:
-                    return VerificationReport("bezout", params, "fail",
-                                              {"pair": [i + 1, j + 1],
-                                               "reason": "unexpected obstruction away from w = 0"})
-                try:
-                    bezout(s, t)
-                except BezoutError:
-                    obstructed.append(f"({i + 1},{j + 1})")
-                    continue
-                return VerificationReport("bezout", params, "fail",
-                                          {"pair": [i + 1, j + 1],
-                                           "reason": "solver succeeded where obstruction predicted"})
             try:
-                phi_s, phi_t = bezout(s, t)
+                bezout(factors[i], factors[j])
             except BezoutError as exc:
-                return VerificationReport("bezout", params, "fail",
-                                          {"pair": [i + 1, j + 1], "reason": str(exc)})
-            solved += 1
-    witness: dict[str, Any] = {"pairs_solved": solved}
-    if obstructed:
-        witness["obstructed_at_w0"] = obstructed
+                raised[i + 1, j + 1] = str(exc)
+    expected = ({(1, j) for j in range(2, len(factors) + 1)}
+                if operator_weight(n, k, ell) == 0 else set())
+    wrong = min(set(raised) ^ expected, default=None)
+    if wrong is not None:
+        reason = raised.get(wrong, "solver succeeded where obstruction predicted")
+        return VerificationReport("bezout", params, "fail", {"pair": list(wrong), "reason": reason})
+    witness: dict[str, Any] = {"pairs_solved": len(factors) * (len(factors) - 1) // 2 - len(raised)}
+    if raised:
+        witness["obstructed_at_w0"] = [f"({i},{j})" for i, j in raised]
     return VerificationReport("bezout", params, "pass", witness)
 
 
@@ -348,18 +317,14 @@ def predicted_kernel_content(n: int, k: int, ell: int, j_value: Fraction) -> set
     return out
 
 
-def _content_covers(content: set[tuple[str, Fraction | None]], kind: str, lam: Fraction) -> bool:
-    if kind == "harmonic":
-        return ("harmonic", None) in content
-    return (kind, None) in content or (kind, lam) in content
-
-
 def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) -> VerificationReport:
     """Null-space dimension additivity and eigenvalue content on a model.
 
-    Checks (1) dim N(L) equals the sum of the factor kernel dimensions,
-    (2) the set of kernel-carrying model points matches the case-table
-    prediction, and (3) reports any point killed by two different
+    L is the definition engine's operator, not the product of the closed
+    factors, so the check ties the two together.  Checks (1) dim N(L)
+    equals the sum of the factor kernel dimensions, (2) the set of
+    kernel-carrying model points matches the case-table prediction under
+    ``content_covers``, and (3) reports any point killed by two different
     factors (a spectral coincidence; additivity is then not expected and
     the report fails with that witness).
     """
@@ -367,8 +332,7 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     if model.j_value == 0:
         return VerificationReport("kernel-decomposition", params, "fail",
                                   {"reason": "J = 0 model outside the decomposition hypotheses"})
-    factored = closed_factors(n, k, ell)
-    ops = (factored.product(), *factored.factors)
+    ops = (build_L_definition(n, k, ell), *closed_factors(n, k, ell).factors)
     # zeros[i][0]: L kills point i; zeros[i][f]: factor f (1-based) kills it
     zeros = [[eval_scalar(op, pt, model.j_value) == 0 for op in ops] for pt in model.points]
     dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])
@@ -380,7 +344,7 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
         killers = [f for f, z in enumerate(killed, start=1) if z]
         if len(killers) > 1:
             coincidences.append({"point": [pt.kind, str(pt.eigenvalue)], "factors": killers})
-        pred = _content_covers(predicted, pt.kind, pt.eigenvalue)
+        pred = content_covers(predicted, pt.kind, pt.eigenvalue)
         if in_kernel != pred:
             mismatch.append({"point": [pt.kind, str(pt.eigenvalue)], "in_kernel": in_kernel,
                              "predicted": pred})

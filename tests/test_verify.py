@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from formlap.forms import OperatorPoly
 from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
                               synthetic_model)
 from formlap.verify import (BezoutError, bezout, default_grid, lg_second_scalar,
-                            predicted_kernel_content, pure_f_obstruction, verify_LG,
+                            predicted_kernel_content, verify_LG,
                             verify_MMstar, verify_bezout_pairs, verify_factorization,
                             verify_kernel_decomposition)
 
@@ -174,7 +173,8 @@ def test_bezout_matches_gaussian_elimination(coeffs, order_s, order_t):
 
 def test_bezout_default_grid_raises_only_at_weight_zero():
     # 1,225 factor pairs over the default grid; the 20 without a pair are
-    # all pure-F obstructions at w = 0
+    # exactly those of the pure-F leading factor at w = 0 with a factor
+    # that has an E part
     pairs = raised = 0
     for n, k, ell in default_grid():
         factors = closed_factors(n, k, ell).factors
@@ -182,12 +182,16 @@ def test_bezout_default_grid_raises_only_at_weight_zero():
             for j in range(i + 1, len(factors)):
                 s, t = factors[i], factors[j]
                 pairs += 1
+                first_at_w0 = operator_weight(n, k, ell) == 0 and i == 0
                 try:
                     bezout(s, t)
                 except BezoutError:
                     raised += 1
-                    assert operator_weight(n, k, ell) == 0 and pure_f_obstruction(s, t)
+                    assert first_at_w0, (n, k, ell, i + 1, j + 1)
+                    assert set(s.monomials()) == {"F"} and "E" in t.monomials()
                     assert not _monomial_system_consistent(s, t)
+                else:
+                    assert not first_at_w0, (n, k, ell, i + 1, j + 1)
     assert (pairs, raised) == (1225, 20)
 
 
@@ -217,6 +221,46 @@ def test_bezout_weight_zero_obstruction():
         bezout(factors[0], factors[1])
     r = verify_bezout_pairs(6, 1, 2)
     assert r.passed and r.witness["obstructed_at_w0"] == ["(1,2)"]
+
+
+def test_bezout_pairs_fail_on_an_unexpected_obstruction(monkeypatch):
+    import formlap.verify as verify
+
+    # w = 1: every pair must solve; a solver that raises on the second
+    # pair, (1, 3), fails the theorem there
+    assert operator_weight(8, 2, 3) != 0
+    real, calls = verify.bezout, []
+
+    def raising_once(s, t):
+        calls.append((s, t))
+        if len(calls) == 2:
+            raise BezoutError("mutated solver")
+        return real(s, t)
+
+    monkeypatch.setattr(verify, "bezout", raising_once)
+    r = verify_bezout_pairs(8, 2, 3)
+    assert not r.passed
+    assert r.witness == {"pair": [1, 3], "reason": "mutated solver"}
+
+
+def test_bezout_pairs_fail_when_a_weight_zero_obstruction_solves(monkeypatch):
+    import formlap.verify as verify
+
+    # w = 0 with four factors: (1, 2), (1, 3) and (1, 4) must raise; a
+    # solver that returns a pair for (1, 3) fails the theorem there
+    assert operator_weight(10, 1, 4) == 0
+    factors = closed_factors(10, 1, 4).factors
+    real = verify.bezout
+
+    def solving_one(s, t):
+        if (s, t) == (factors[0], factors[2]):
+            return s, t
+        return real(s, t)
+
+    monkeypatch.setattr(verify, "bezout", solving_one)
+    r = verify_bezout_pairs(10, 1, 4)
+    assert not r.passed
+    assert r.witness == {"pair": [1, 3], "reason": "solver succeeded where obstruction predicted"}
 
 
 def test_bezout_sweep_samples():
@@ -274,7 +318,6 @@ def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch
     import formlap.spectral as spectral
     import formlap.verify as verify
 
-    model = synthetic_model(6, 2, 3, Fraction(1))
     real, calls = spectral.eval_scalar, []
 
     def counting(op, point, j_value):
@@ -284,6 +327,9 @@ def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch
     # both modules: spectral helpers such as kernel_dim call it too
     monkeypatch.setattr(spectral, "eval_scalar", counting)
     monkeypatch.setattr(verify, "eval_scalar", counting)
+    # the model is read from the factors' kernel contents, not evaluated
+    model = synthetic_model(6, 2, 3, Fraction(1))
+    assert calls == []
     assert verify_kernel_decomposition(6, 2, 3, model).passed
     factors = closed_factors(6, 2, 3).factors
     assert len(calls) == (len(factors) + 1) * len(model.points) == 32
@@ -301,21 +347,33 @@ def test_kernel_decomposition_reports_coincidences():
 
 
 def test_kernel_decomposition_reports_content_mismatch(monkeypatch):
-    # a factor list that lost its last factor: L no longer kills that
-    # factor's kernel point, which the case table still predicts
+    # an engine L that lost the last factor: it no longer kills that
+    # factor's kernel point, which the factor and the case table still do
     import formlap.verify as verify
 
     full = closed_factors(5, 1, 2)
     [(kind, lam)] = [c for c in factor_kernel_content(full.factors[-1], Fraction(1))
                      if c[0] == "exact"]
-    monkeypatch.setattr(verify, "closed_factors",
-                        lambda n, k, ell: dataclasses.replace(full, factors=full.factors[:-1]))
+    monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: full.factors[0])
     model = SpectralModel(5, 1, Fraction(1), (SpectralPoint(kind, lam, 2),))
     r = verify_kernel_decomposition(5, 1, 2, model)
     assert not r.passed
-    assert r.witness == {"dim_null_L": 0, "factor_dims": [0],
+    assert r.witness == {"dim_null_L": 0, "factor_dims": [0, 2],
                          "content_mismatch": [{"point": [kind, str(lam)], "in_kernel": False,
                                                "predicted": True}]}
+
+
+def test_kernel_decomposition_fails_on_a_wrong_engine_operator(monkeypatch):
+    # L must come from the definition engine: an engine that returns the
+    # order ell-1 operator fails the theorem on the synthetic models
+    import formlap.verify as verify
+
+    real = verify.build_L_definition
+    monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: real(n, k, ell - 1))
+    for (n, k, ell) in [(5, 1, 2), (6, 1, 3), (6, 2, 2), (8, 2, 2), (12, 4, 6)]:
+        model = synthetic_model(n, k, ell, Fraction(1))
+        r = verify_kernel_decomposition(n, k, ell, model)
+        assert not r.passed and "coincidences" not in r.witness, (n, k, ell, r.witness)
 
 
 def test_predicted_content_cases():
