@@ -14,7 +14,9 @@ failed, 2 configuration or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -63,27 +65,25 @@ def cmd_expand(args: argparse.Namespace) -> int:
         return _usage_error(f"--output needs --format json: {args.format} output goes to stdout")
     try:
         expanded = build_L_definition(args.n, args.k, args.ell)
-        factored = closed_factors(args.n, args.k, args.ell)
+        factors = closed_factors(args.n, args.k, args.ell)
     except FormAlgebraError as exc:
         return _usage_error(str(exc))
-    c = proportionality(factored.product(), expanded)
+    c = proportionality(functools.reduce(operator.mul, factors), expanded)
     if c is None:
         raise InternalConsistencyError("factored and definition operators are not proportional")
     if args.format == "text":
         print(f"definition expansion: {expanded.render()}")
-        print("factors: [" + ", ".join(f.render() for f in factored.factors) + "]")
+        print("factors: [" + ", ".join(f.render() for f in factors) + "]")
         print(f"factored = ({c}) * definition")
     elif args.format == "latex":
         print(expanded.render(latex=True))
-        print(" \\cdot ".join("\\left(" + f.render(latex=True) + "\\right)"
-                              for f in factored.factors))
+        print(" \\cdot ".join("\\left(" + f.render(latex=True) + "\\right)" for f in factors))
     else:
         payload = {
             "schema": REPORT_SCHEMA,
             "params": {"n": args.n, "k": args.k, "ell": args.ell},
             "definition": {m: str(v) for m, v in expanded.monomials().items()},
-            "factors": [{m: str(v) for m, v in f.monomials().items()}
-                        for f in factored.factors],
+            "factors": [{m: str(v) for m, v in f.monomials().items()} for f in factors],
             "proportionality": str(c),
         }
         _emit_report(payload, args.output)
@@ -224,7 +224,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
                        f"{cmp['max_rel_error']:.4g} > --rtol {args.rtol}")
         if args.promote is not None:
             try:
-                model = dec_import_model(mesh, args.k, spec, reference, rtol=args.rtol)
+                model = dec_import_model(cmp, spec, reference, rtol=args.rtol)
             except MeshError as exc:
                 failure = f"promotion failed: {exc}"
             else:

@@ -47,6 +47,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
+from .forms import InternalConsistencyError
 from .spectral import SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -66,19 +67,20 @@ class MeshError(ValueError):
 class SimplicialMesh:
     """Simplicial 3-complex stored as arrays over its tets.
 
-    ``simplices[d]`` lists sorted vertex-index tuples and
-    ``boundaries[d]`` is the integer matrix of the boundary operator
-    from dimension d to d-1 (d >= 1).  Tet t is ``simplices[3][t]``;
-    ``tet_points[t]`` holds its four vertices as a (4, E) array, rows
-    aligned with the sorted tuple.  For periodic meshes the coordinates
-    are unwrapped inside the tet, which is enough for every metric
-    quantity.  ``tet_faces[t, mask]`` is the global index of the face of
-    tet t spanned by the local vertices set in mask, a simplex of
-    dimension popcount(mask) - 1 (column 0 is unused and holds -1).
+    ``simplices[d]`` is an (N_d, d+1) integer array, one increasing
+    row of vertex indices per d-simplex, and ``boundaries[d]`` is the
+    integer matrix of the boundary operator from dimension d to d-1
+    (d >= 1).  Tet t is ``simplices[3][t]``; ``tet_points[t]`` holds its
+    four vertices as a (4, E) array, rows aligned with that row.  For
+    periodic meshes the coordinates are unwrapped inside the tet, which
+    is enough for every metric quantity.  ``tet_faces[t, mask]`` is the
+    global index of the face of tet t spanned by the local vertices set
+    in mask, a simplex of dimension popcount(mask) - 1 (column 0 is
+    unused and holds -1).
     """
 
     name: str
-    simplices: list[list[tuple[int, ...]]]
+    simplices: list[np.ndarray]  # (N_d, d+1) int
     boundaries: list[scipy.sparse.csr_matrix | None]
     embedded: bool
     tet_points: np.ndarray  # (T, 4, E) float
@@ -148,31 +150,38 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
         raise MeshError("tet vertex ids must increase along each tet")
     n_tets = len(ids)
     tet_faces = np.full((n_tets, 16), -1, dtype=np.int64)
-    simplices: list[list[tuple[int, ...]]] = []
+    simplices: list[np.ndarray] = []
     boundaries: list[scipy.sparse.csr_matrix | None] = [None]
     for d in range(4):
         keys = ids[:, LOCAL_SUBSETS[d]].reshape(-1, d + 1)
-        unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        # one stable sort of the rows: each run of equal rows starts at
+        # the row's first appearance and numbers it in sorted order
+        order = np.lexsort(keys.T[::-1])
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+        first = order[start]
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(start) - 1
         if d > 0:
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            unique, first, inverse = unique[order], first[order], rank[inverse.ravel()]
+            by_appearance = np.argsort(first)
+            rank = np.empty_like(by_appearance)
+            rank[by_appearance] = np.arange(len(first))
+            first, inverse = first[by_appearance], rank[inverse]
         tet_faces[:, LOCAL_MASKS[d]] = inverse.reshape(n_tets, -1)
-        simplices.append([tuple(s) for s in unique.tolist()])
+        simplices.append(keys[first])
         if d == 0:
             continue
         # the faces of each simplex, read in the tet where it first appears:
-        # dropping vertex i of the sorted tuple gives sign (-1)^i
+        # dropping vertex i of the sorted row gives sign (-1)^i
         tet, local = np.divmod(first, len(LOCAL_SUBSETS[d]))
         drop = np.array([[mask & ~(1 << v) for v in subset]
                          for subset, mask in zip(LOCAL_SUBSETS[d], LOCAL_MASKS[d])])
         rows = tet_faces[tet[:, None], drop[local]]
-        cols = np.broadcast_to(np.arange(len(unique))[:, None], rows.shape)
+        cols = np.broadcast_to(np.arange(len(first))[:, None], rows.shape)
         vals = np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)
         boundaries.append(scipy.sparse.csr_matrix(
             (vals.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(len(simplices[d - 1]), len(unique)), dtype=np.int64))
+            shape=(len(simplices[d - 1]), len(first)), dtype=np.int64))
     if len(simplices[3]) != n_tets:
         raise MeshError("a tet is listed twice")
     return SimplicialMesh(name, simplices, boundaries, embedded, points, tet_faces)
@@ -215,7 +224,7 @@ def _cell600_vertices() -> np.ndarray:
     unique = sorted({tuple(v) for v in np.round(np.array(verts), 12).tolist()})
     out = np.array(unique)
     if out.shape != (120, 4):
-        raise MeshError(f"600-cell vertex generation produced {out.shape}")
+        raise InternalConsistencyError(f"600-cell vertex generation produced {out.shape}")
     return out
 
 
@@ -233,9 +242,9 @@ def _cell600() -> SimplicialMesh:
     verts = _cell600_vertices()
     gram = verts @ verts.T
     adj = np.abs(gram - PHI / 2) < 1e-9
-    neighbors = [set(np.nonzero(adj[i])[0].tolist()) for i in range(120)]
+    neighbors = [set(np.nonzero(row)[0].tolist()) for row in adj]
     tets = []
-    for i in range(120):
+    for i in range(len(verts)):
         for j in sorted(neighbors[i]):
             if j <= i:
                 continue
@@ -250,7 +259,7 @@ def _cell600() -> SimplicialMesh:
     ids = np.array(tets)
     mesh = _build_from_tets("cell600", ids, verts[ids], embedded=True)
     if mesh.counts() != (120, 720, 1200, 600):
-        raise MeshError(f"600-cell f-vector {mesh.counts()}")
+        raise InternalConsistencyError(f"600-cell f-vector {mesh.counts()}")
     return mesh
 
 
@@ -727,12 +736,13 @@ def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float
     return result
 
 
-def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
+def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
                      reference: SpectralModel, rtol: float = 0.10) -> SpectralModel:
-    """Promote the shells ``compare_sphere_spectrum`` compares into an exact model.
+    """Promote the shells a sphere comparison compared into an exact model.
 
-    spec is spectrum(mesh, k, ...) and reference the trusted sphere
-    model.  Each compared shell becomes a point at the exact reference
+    comparison is compare_sphere_spectrum(mesh, k, spec, reference), spec
+    is spectrum(mesh, k, ...) and reference the trusted sphere model.
+    Each compared shell becomes a point at the exact reference
     eigenvalue and multiplicity, provided the cluster mean lies within
     rtol of that eigenvalue and the cluster has exactly that many
     members.  Anything else aborts the import: a model with unexplained
@@ -744,7 +754,7 @@ def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]]
     if measured_b != b_k:
         raise MeshError(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
     points = [SpectralPoint("harmonic", Fraction(0), b_k)] if b_k else []
-    for e in compare_sphere_spectrum(mesh, k, spec, reference)["entries"]:
+    for e in comparison["entries"]:
         kind = e["kind"]
         if e["rel_error"] > rtol or e["cluster_size"] != e["multiplicity"]:
             raise MeshError(
@@ -753,5 +763,5 @@ def dec_import_model(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]]
                 f"{e['reference']:g} (x{e['multiplicity']})")
         shell = _shells(reference, kind)[e["shell"] - 1]
         points.append(SpectralPoint(kind, shell.eigenvalue, shell.multiplicity))
-    return SpectralModel(3, k, reference.j_value, tuple(points), "dec-import", True)
+    return SpectralModel(3, comparison["k"], reference.j_value, tuple(points), "dec-import", True)
 

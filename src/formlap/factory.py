@@ -9,13 +9,14 @@ and the second-order reductions M* box**p M are all read from those
 states.  Every slot is an element of R or the codifferential of one
 (see ``tractor``), so L, the companion's X with G = delta X, and the
 reductions are all elements of R.  The closed-form builders write down
-the order-one operator, the commuting second-order factor lists, and
-the second-order reductions directly from their explicit formulas.
+the order-one operator, the tuple of commuting second-order factors
+whose product is the operator, and the second-order reductions
+directly from their explicit formulas.
 The two routes share nothing but the ring R (``forms``), so their
 agreement is evidence rather than tautology.
 
 Conventions: the operator of order 2*ell acts on k-forms of weight
-w = k + ell - n/2, its factor list multiplies left to right, and the
+w = k + ell - n/2, its factor tuple multiplies left to right, and the
 generic second-order factor with index i is
 
     (w-i+1)(w-i+n-2k) E + (w-i)(w-i+n-2k+1) F
@@ -24,7 +25,6 @@ generic second-order factor with index i is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -124,28 +124,11 @@ def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
     return first, second
 
 
-@dataclass(frozen=True)
-class FactoredOperator:
-    """Ordered commuting second-order factor list.
+@lru_cache(maxsize=None)
+def closed_factors(n: int, k: int, ell: int) -> tuple[OperatorPoly, ...]:
+    """Factor tuple of the order-2*ell operator, by the four-case closed form.
 
     Every factor is built at order 1 with one E and one F coefficient.
-    """
-
-    n: int
-    k: int
-    ell: int
-    factors: tuple[OperatorPoly, ...]
-
-    def product(self) -> OperatorPoly:
-        out = OperatorPoly(self.n, self.k, 0, 1)
-        for f in self.factors:
-            out = out * f
-        return out
-
-
-@lru_cache(maxsize=None)
-def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
-    """Factor list of the order-2*ell operator, by the four-case closed form.
 
     Even n, k = n/2:        (E - F) then generic factors i = 1..ell-1.
     Even n, w <= 0, k<n/2:  generic factors i = 1..ell.
@@ -167,7 +150,7 @@ def closed_factors(n: int, k: int, ell: int) -> FactoredOperator:
         factors += [yam_factor(n, k, w, i) for i in phi if i not in skip]
     if len(factors) != ell:
         raise InternalConsistencyError(f"{len(factors)} factors for order parameter {ell}")
-    return FactoredOperator(n, k, ell, tuple(factors))
+    return tuple(factors)
 
 
 # -- second-order reductions ------------------------------------------------

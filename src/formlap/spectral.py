@@ -227,7 +227,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     from .factory import closed_factors
 
     rng = random.Random((n * 1009 + k * 101 + ell * 11) & 0x7FFFFFFF)
-    contents = [factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell).factors]
+    contents = [factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)]
 
     def killers(kind: str, lam: Fraction) -> int:
         return sum(content_covers(c, kind, lam) for c in contents)

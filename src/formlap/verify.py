@@ -20,6 +20,8 @@ the order-one closed form and recorded in the repository notes:
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,7 +73,7 @@ def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
 def verify_factorization(n: int, k: int, ell: int) -> VerificationReport:
     """Factored closed form against the definition engine: proportional, nonzero constant."""
     params = {"n": n, "k": k, "ell": ell}
-    left = closed_factors(n, k, ell).product()
+    left = functools.reduce(operator.mul, closed_factors(n, k, ell))
     right = build_L_definition(n, k, ell)
     c = proportionality(left, right)
     if c is None or c.is_zero:
@@ -245,7 +247,7 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
     The obstructed pairs are reported in the witness.
     """
     params = {"n": n, "k": k, "ell": ell}
-    factors = closed_factors(n, k, ell).factors
+    factors = closed_factors(n, k, ell)
     raised: dict[tuple[int, int], str] = {}
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -332,7 +334,7 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     if model.j_value == 0:
         return VerificationReport("kernel-decomposition", params, "fail",
                                   {"reason": "J = 0 model outside the decomposition hypotheses"})
-    ops = (build_L_definition(n, k, ell), *closed_factors(n, k, ell).factors)
+    ops = (build_L_definition(n, k, ell), *closed_factors(n, k, ell))
     # zeros[i][0]: L kills point i; zeros[i][f]: factor f (1-based) kills it
     zeros = [[eval_scalar(op, pt, model.j_value) == 0 for op in ops] for pt in model.points]
     dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])

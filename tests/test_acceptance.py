@@ -151,7 +151,7 @@ def test_criterion_07_relative_inverses(capfd):
 
 
 def test_criterion_08_kernel_decomposition(capfd):
-    from formlap.dec import build_mesh, dec_import_model, spectrum
+    from formlap.dec import build_mesh, compare_sphere_spectrum, dec_import_model, spectrum
     from formlap.spectral import sphere_preset, synthetic_model
 
     failures = []
@@ -169,7 +169,8 @@ def test_criterion_08_kernel_decomposition(capfd):
         distinct_ok &= len(bars) == ell and len(tils) == ell
     # the imported sphere model
     mesh = build_mesh("cell600")
-    sphere = dec_import_model(mesh, 1, spectrum(mesh, 1, 40), sphere_preset(3, 1, 4))
+    reference, spec = sphere_preset(3, 1, 4), spectrum(mesh, 1, 40)
+    sphere = dec_import_model(compare_sphere_spectrum(mesh, 1, spec, reference), spec, reference)
     sphere_ok = all(verify_kernel_decomposition(3, 1, ell, sphere).passed for ell in (1, 2, 3))
     report(capfd, "8 kernel decomposition on synthetic and imported sphere models",
            not failures and distinct_ok and sphere_ok,

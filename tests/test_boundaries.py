@@ -8,6 +8,9 @@ engine and an oracle is evidence rather than a shared computation.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,15 @@ def test_oracles_never_import_tractor(oracle):
 
 def test_tractor_imports_only_forms():
     assert package_imports("tractor") == {"forms"}
+
+
+def test_importing_the_oracles_loads_neither_engine_module():
+    # the AST reader above cannot see names reached through the package,
+    # so a fresh interpreter shows what importing the oracles really loads
+    code = ("import sys, formlap.torus, formlap.dec, formlap.whitney, formlap.spectral; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('formlap'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    loaded = set(proc.stdout.split())
+    assert {"formlap.torus", "formlap.dec", "formlap.whitney", "formlap.spectral"} <= loaded
+    assert not loaded & {"formlap.tractor", "formlap.factory"}

@@ -270,6 +270,38 @@ def test_oracle_dec_one_coreduction_per_run(monkeypatch, tmp_path, args):
     assert len(calls) == 1
 
 
+def test_oracle_dec_promotion_compares_once(monkeypatch, tmp_path):
+    # the promoted model is read from the comparison the report holds
+    import formlap.dec as dec
+
+    real, calls = dec.compare_sphere_spectrum, []
+
+    def counting(*args):
+        calls.append(args[0].name)
+        return real(*args)
+
+    monkeypatch.setattr(dec, "compare_sphere_spectrum", counting)
+    assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", "0", "--eigs", "4",
+                    "--rtol", "0.9", "--promote", str(tmp_path / "m.json"),
+                    "--output", str(tmp_path / "dec.json")]) == 0
+    assert calls == ["boundary-4-simplex"]
+
+
+@pytest.mark.parametrize("patch", ["vertex-set", "f-vector"])
+def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_path, patch):
+    # a wrong 600-cell is a fault of the mesh code, not of the command line
+    import formlap.dec as dec
+    from formlap.forms import InternalConsistencyError
+
+    if patch == "vertex-set":
+        monkeypatch.setattr(dec, "PHI", 1.0)  # collapses the even-permutation orbit
+    else:
+        real = dec._cell600_vertices
+        monkeypatch.setattr(dec, "_cell600_vertices", lambda: real()[:-1])  # (119, 4)
+    with pytest.raises(InternalConsistencyError, match="600-cell"):
+        run_cli(["oracle", "dec", "--mesh", "cell600", "--output", str(tmp_path / "dec.json")])
+
+
 # sha256 of the `formlap oracle dec` payloads of the 3x3x3 torus grid and
 # of the 600-cell with a promoted model (written to the relative path
 # model.json), and of that model file

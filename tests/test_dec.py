@@ -49,6 +49,18 @@ def test_boundary_of_boundary(five_cell, torus3, c600):
             assert prod.nnz == 0 or not np.any(prod.toarray())
 
 
+def test_simplex_numbering(five_cell, torus3, c600):
+    # vertices in ascending order, higher simplices in order of first
+    # appearance tet by tet; tet_faces points at the matching rows
+    for mesh in (five_cell, torus3, c600, subdivide_barycentric(five_cell)):
+        for d in range(4):
+            keys = mesh.simplices[3][:, dec.LOCAL_SUBSETS[d]]
+            unique, first = np.unique(keys.reshape(-1, d + 1), axis=0, return_index=True)
+            expected = unique if d == 0 else keys.reshape(-1, d + 1)[np.sort(first)]
+            assert np.array_equal(mesh.simplices[d], expected)
+            assert np.array_equal(mesh.simplices[d][mesh.faces(d)], keys)
+
+
 def test_invalid_preset():
     with pytest.raises(MeshError):
         build_mesh("dodecaplex")
@@ -283,7 +295,8 @@ def test_sphere_comparison_within_tolerance(c600):
 def test_dec_import_model(c600):
     from formlap.spectral import sphere_preset
 
-    model = dec_import_model(c600, 1, spectrum(c600, 1, 40), sphere_preset(3, 1, 4))
+    reference, spec = sphere_preset(3, 1, 4), spectrum(c600, 1, 40)
+    model = dec_import_model(compare_sphere_spectrum(c600, 1, spec, reference), spec, reference)
     assert model.source == "dec-import"
     assert model.j_value == Fraction(3, 2)
     have = {(p.kind, p.eigenvalue): p.multiplicity for p in model.points}
@@ -307,7 +320,7 @@ def test_dec_import_promotes_only_compared_shells(c600, exact_shell, needle):
     assert [(e["kind"], e["cluster_size"]) for e in cmp["entries"]] == [("exact", size),
                                                                         ("coexact", 6)]
     with pytest.raises(MeshError, match="matches no reference value") as info:
-        dec_import_model(c600, 1, spec, reference)
+        dec_import_model(cmp, spec, reference)
     assert needle in str(info.value) and "the lowest exact shell is 3 (x4)" in str(info.value)
 
 

@@ -45,14 +45,14 @@ def test_G_closed_form_order_one(n, k):
 
 def test_closed_factors_examples():
     f1 = closed_factors(8, 2, 1)
-    assert [f.monomials() for f in f1.factors] == [
+    assert [f.monomials() for f in f1] == [
         {"E": RatJ(-2), "F": RatJ(-6), "1": RatJ(-3, 1)}]
     f2 = closed_factors(4, 2, 2)
-    assert [f.monomials() for f in f2.factors] == [
+    assert [f.monomials() for f in f2] == [
         {"E": RatJ(1), "F": RatJ(-1)},
         {"E": RatJ(2), "F": RatJ(2), "1": RatJ(-2, 1)}]
     f3 = closed_factors(6, 1, 3)
-    assert [f.monomials() for f in f3.factors] == [
+    assert [f.monomials() for f in f3] == [
         {"E": RatJ(Fraction(3, 2)), "F": RatJ(Fraction(5, 2))},
         {"E": RatJ(1), "F": RatJ(-1), "1": RatJ(Fraction(4, 3), 1)},
         {"E": RatJ(-2), "F": RatJ(-6), "1": RatJ(-4, 1)}]
@@ -76,7 +76,7 @@ def _closed_form_lines():
             yield f"L1 {n} {k}: {closed_L1(n, k).render()}"
             yield f"G1 {n} {k}: {_render_delta(closed_G1(n, k))}"
         yield (f"factors {n} {k} {ell}: "
-               + "; ".join(f.render() for f in closed_factors(n, k, ell).factors))
+               + "; ".join(f.render() for f in closed_factors(n, k, ell)))
         yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox1(n, k, w).render()}"
         yield f"tmodbox2 {n} {k} {w}: {closed_tmodbox2(n, k, w).render()}"
         if w == 1 and 2 * k < n:
@@ -103,25 +103,25 @@ def test_closed_factors_are_cached():
 def test_closed_factors_case_selection():
     # top degree (even n): leading antisymmetric factor
     top = closed_factors(6, 3, 2)
-    assert top.factors[0].monomials() == {"E": RatJ(1), "F": RatJ(-1)}
-    assert len(top.factors) == 2
+    assert top[0].monomials() == {"E": RatJ(1), "F": RatJ(-1)}
+    assert len(top) == 2
     # odd dimension: generic factors only
     odd = closed_factors(7, 2, 4)
-    assert len(odd.factors) == 4
-    for f in odd.factors:
+    assert len(odd) == 4
+    for f in odd:
         assert "1" in f.monomials()
     # nonpositive weight (even n): generic factors only
     w0 = closed_factors(8, 2, 2)
-    assert operator_weight(8, 2, 2) == 0 and len(w0.factors) == 2
+    assert operator_weight(8, 2, 2) == 0 and len(w0) == 2
     # positive weight below top degree: degenerate-weight pair first
     pos = closed_factors(6, 2, 2)
-    assert pos.factors[0].monomials() == {"E": RatJ(Fraction(1, 2)), "F": RatJ(Fraction(3, 2))}
-    assert pos.factors[1].monomials() == {"E": RatJ(1), "F": RatJ(-1), "1": RatJ(Fraction(2, 3), 1)}
+    assert pos[0].monomials() == {"E": RatJ(Fraction(1, 2)), "F": RatJ(Fraction(3, 2))}
+    assert pos[1].monomials() == {"E": RatJ(1), "F": RatJ(-1), "1": RatJ(Fraction(2, 3), 1)}
 
 
 def test_factor_count_invariant():
     for (n, k, ell) in [(4, 2, 5), (10, 3, 6), (11, 5, 4), (12, 6, 3)]:
-        assert len(closed_factors(n, k, ell).factors) == ell
+        assert len(closed_factors(n, k, ell)) == ell
 
 
 def test_param_validation():

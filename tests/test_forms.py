@@ -144,7 +144,7 @@ def test_product_monomials_match_ratj_expansion(a, b):
 def test_coefficients_are_plain_fractions(n, k, ell):
     L, X = build_L_and_G(n, k, ell)
     t = run_pipeline(n, k, ell)
-    factors = closed_factors(n, k, ell).factors
+    factors = closed_factors(n, k, ell)
     ops = [L, L * L, L + L, L * OperatorPoly(n, k, 1, 1), L.scale(Fraction(2, 3)), -L, *factors,
            X, L.e_part(), t.slot_y, t.slot_z, t.slot_x, X.scale(3), X.times_J(2, 3)]
     for op in ops:

@@ -177,7 +177,7 @@ def test_bezout_default_grid_raises_only_at_weight_zero():
     # that has an E part
     pairs = raised = 0
     for n, k, ell in default_grid():
-        factors = closed_factors(n, k, ell).factors
+        factors = closed_factors(n, k, ell)
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
                 s, t = factors[i], factors[j]
@@ -214,7 +214,7 @@ def test_bezout_weight_zero_obstruction():
     # at weight zero the leading factor is a pure F multiple and no pair
     # exists against a factor with nonzero E part: the quotient of R by F
     # is a polynomial ring in E where the second factor stays proper
-    factors = closed_factors(6, 1, 2).factors
+    factors = closed_factors(6, 1, 2)
     assert operator_weight(6, 1, 2) == 0
     assert factors[0].monomials() == {"F": RatJ(-4)}
     with pytest.raises(BezoutError):
@@ -249,7 +249,7 @@ def test_bezout_pairs_fail_when_a_weight_zero_obstruction_solves(monkeypatch):
     # w = 0 with four factors: (1, 2), (1, 3) and (1, 4) must raise; a
     # solver that returns a pair for (1, 3) fails the theorem there
     assert operator_weight(10, 1, 4) == 0
-    factors = closed_factors(10, 1, 4).factors
+    factors = closed_factors(10, 1, 4)
     real = verify.bezout
 
     def solving_one(s, t):
@@ -331,7 +331,7 @@ def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch
     model = synthetic_model(6, 2, 3, Fraction(1))
     assert calls == []
     assert verify_kernel_decomposition(6, 2, 3, model).passed
-    factors = closed_factors(6, 2, 3).factors
+    factors = closed_factors(6, 2, 3)
     assert len(calls) == (len(factors) + 1) * len(model.points) == 32
 
 
@@ -352,9 +352,9 @@ def test_kernel_decomposition_reports_content_mismatch(monkeypatch):
     import formlap.verify as verify
 
     full = closed_factors(5, 1, 2)
-    [(kind, lam)] = [c for c in factor_kernel_content(full.factors[-1], Fraction(1))
+    [(kind, lam)] = [c for c in factor_kernel_content(full[-1], Fraction(1))
                      if c[0] == "exact"]
-    monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: full.factors[0])
+    monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: full[0])
     model = SpectralModel(5, 1, Fraction(1), (SpectralPoint(kind, lam, 2),))
     r = verify_kernel_decomposition(5, 1, 2, model)
     assert not r.passed
