@@ -6,6 +6,8 @@ count, for ``oracle dec`` the wall seconds of the mesh (build plus
 subdivision), the Betti numbers and the spectrum, and the mesh
 f-vector) and a deterministic report payload: identical configurations
 produce byte-identical payloads, so reports can be diffed across runs.
+The float fields of ``oracle dec``'s sphere comparison are written to
+10 significant digits: their last bits follow the BLAS thread count.
 
 Exit codes: 0 all checks passed, 1 a verification or oracle comparison
 failed, 2 configuration or I/O error.
@@ -41,6 +43,10 @@ def _emit_report(payload: dict, output: Path | None, stages: dict | None = None)
 def _since(start: float) -> float:
     """Wall seconds since a perf_counter reading, rounded as every stage time is."""
     return round(time.perf_counter() - start, 6)
+
+
+def _sig10(x: float) -> float:
+    return float(f"{x:.10g}")
 
 
 def _usage_error(message: str) -> int:
@@ -218,7 +224,10 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         stages["spectrum"] = {"seconds": _since(start)}
         reference = sphere_preset(3, args.k, j_max=4)
         cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
-        payload["sphere_comparison"] = cmp
+        payload["sphere_comparison"] = {
+            **cmp, "scale": _sig10(cmp["scale"]), "max_rel_error": _sig10(cmp["max_rel_error"]),
+            "entries": [{**e, "computed": _sig10(e["computed"]), "rel_error": _sig10(e["rel_error"])}
+                        for e in cmp["entries"]]}
         if cmp["max_rel_error"] > args.rtol:
             failure = (f"sphere spectrum mismatch: max relative error "
                        f"{cmp['max_rel_error']:.4g} > --rtol {args.rtol}")

@@ -51,7 +51,21 @@ from .forms import InternalConsistencyError
 from .spectral import SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
-DENSE_MAX = 2500  # rows of the largest pencil solved by dense eigh
+# Rows of the largest pencil solved by dense eigh; larger ones go to
+# _sparse_lowest.  Both paths timed on the package's pencils (best of 3,
+# one BLAS thread, 2-core x86-64 Xeon; they agree to a relative 1.3e-14):
+#     pencil                  rows  eigs    dense   sparse
+#     cell600, j = 1           720    40    61 ms   217 ms
+#     torus3-grid(4), j = 1    448     6    18 ms    52 ms
+#     torus3-grid(5), j = 1    875     6   118 ms   114 ms
+#     torus3-grid(6), j = 1   1512     6   542 ms   199 ms
+#     torus3-grid(7), j = 1   2401     6  2102 ms   424 ms
+# The crossover lies between 720 and 875 rows.
+DENSE_MAX = 800
+# ARPACK restarts allowed per sparse solve: ten times the 28 that the
+# slowest tested or benchmarked pencil takes (the refined 600-cell's
+# 17,040-row j = 1 pencil, 12 eigenvalues)
+ARPACK_MAXITER = 300
 
 # The faces of one tet: its vertex subsets of each dimension d, in
 # itertools.combinations order, and their bitmasks (the tet_faces columns).
@@ -588,7 +602,7 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
     a + shift*m is factored once.  With gradients = d_0, each solve is
     followed by the m-orthogonal projection off im d_0 (Arbenz-Geus 2005),
     so only the harmonic part of the kernel is left, and dropped.  ARPACK
-    non-convergence raises.
+    gets ARPACK_MAXITER restarts; non-convergence raises.
     """
     # symmetric orderings: SuperLU's default COLAMD fills in badly on these pencils
     splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
@@ -609,10 +623,16 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
             potential[free] = grounded.solve((gradients.T @ (m @ y))[free])
             return y - gradients @ potential
 
-    vals = scipy.sparse.linalg.eigsh(
-        a, k=count + harmonic, M=m, sigma=-shift, return_eigenvectors=False,
-        OPinv=scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=float),
-        v0=np.random.default_rng(0).standard_normal(a.shape[0]))
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            a, k=count + harmonic, M=m, sigma=-shift, return_eigenvectors=False,
+            OPinv=scipy.sparse.linalg.LinearOperator(a.shape, matvec=solve, dtype=float),
+            v0=np.random.default_rng(0).standard_normal(a.shape[0]), maxiter=ARPACK_MAXITER)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise InternalConsistencyError(
+            f"shift-invert Lanczos on a {a.shape[0]}-row pencil: {len(exc.eigenvalues)} of "
+            f"{count + harmonic} eigenvalues converged within {ARPACK_MAXITER} ARPACK "
+            f"iterations") from exc
     return np.sort(vals)[harmonic:]
 
 
@@ -622,7 +642,8 @@ def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int,
 
     Its kernel has dimension b_j + rank d_{j-1} (ranks from the Betti
     numbers and the f-vector), which dense eigh skips by index; pencils
-    of more than DENSE_MAX rows go to _sparse_lowest.
+    of more than DENSE_MAX = 800 rows go to _sparse_lowest, which
+    overtakes dense eigh between 720 and 875 rows (the table at DENSE_MAX).
     """
     gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
     if j == 2:

@@ -99,15 +99,10 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def eval_scalar(op: OperatorPoly, pt: SpectralPoint, j_value: Fraction) -> Fraction:
-    """Scalar action of an expanded operator on one spectral point."""
-    return op.on_eigenspace(pt.kind, j_value, pt.eigenvalue)
-
-
 def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
     """Sum of multiplicities over model points annihilated by the operator."""
     return sum(pt.multiplicity for pt in model.points
-               if eval_scalar(op, pt, model.j_value) == 0)
+               if op.on_eigenspace(pt.kind, model.j_value, pt.eigenvalue) == 0)
 
 
 def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str, Fraction | None]]:

@@ -31,7 +31,7 @@ from .coeffring import RatJ, ZERO
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
 from .forms import FormAlgebraError, InternalConsistencyError, OperatorPoly, proportionality
-from .spectral import SpectralModel, content_covers, eval_scalar
+from .spectral import SpectralModel, content_covers
 
 THEOREMS = ("factorization", "MMstar", "LG", "bezout", "kernel")
 
@@ -336,7 +336,8 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
                                   {"reason": "J = 0 model outside the decomposition hypotheses"})
     ops = (build_L_definition(n, k, ell), *closed_factors(n, k, ell))
     # zeros[i][0]: L kills point i; zeros[i][f]: factor f (1-based) kills it
-    zeros = [[eval_scalar(op, pt, model.j_value) == 0 for op in ops] for pt in model.points]
+    zeros = [[op.on_eigenspace(pt.kind, model.j_value, pt.eigenvalue) == 0 for op in ops]
+             for pt in model.points]
     dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])
                     for col in range(len(ops)))
     predicted = predicted_kernel_content(n, k, ell, model.j_value)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from formlap.cli import main, report_payload_bytes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -307,7 +310,7 @@ def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_pa
 # model.json), and of that model file
 ORACLE_DEC_SHA256 = {
     "torus": "d107b1a108f46639cd58a48159407c561ada81e07a40372a077efde826f37785",
-    "cell600": "ef85f676721fd677d45509de36bf4c41f18df7ef158b5ec65c8e193af6b2ecdf",
+    "cell600": "19809b7ccb4b1cf7cf734edbf1c0244670e158e9e46624fde5bf511d361347cd",
     "model": "ead1c7d4064be3dc31e42f24e7a3ae8dd46448e3ce00a02580c9fc9dbf68794f",
 }
 
@@ -329,6 +332,19 @@ def test_oracle_dec_stages_and_golden_payloads(monkeypatch, tmp_path):
         assert all(stage["seconds"] > 0 for stage in stages.values())
         assert stages["mesh"]["f_vector"] == f_vector
     assert hashlib.sha256(Path("model.json").read_bytes()).hexdigest() == ORACLE_DEC_SHA256["model"]
+
+
+def test_oracle_dec_payload_independent_of_blas_threads(tmp_path):
+    # the last bits of the dense eigensolve follow the BLAS thread count;
+    # the payload, written to 10 significant digits, must not
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"dec{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-m", "formlap.cli", "oracle", "dec", "--mesh", "cell600",
+                        "--k", "1", "--eigs", "40", "--output", str(out)], env=env, check=True)
+        payloads.append(report_payload_bytes(out))
+    assert payloads[0] == payloads[1]
 
 
 def test_oracle_dec_subdivided_sphere(tmp_path):

@@ -12,6 +12,7 @@ from formlap.dec import (MeshError, _build_from_tets, _morse_complex, betti_numb
                          coexact_spectrum, compare_sphere_spectrum, dec_import_model, hodge_stars,
                          integer_rank, is_well_centered, laplacian_pencil, spectrum,
                          subdivide_barycentric, unit_sphere_edge_scale)
+from formlap.forms import InternalConsistencyError
 from formlap.whitney import galerkin_laplacian, whitney_masses
 
 
@@ -28,6 +29,11 @@ def torus3():
 @pytest.fixture(scope="module")
 def c600():
     return build_mesh("cell600")
+
+
+@pytest.fixture(scope="module")
+def grid5():
+    return build_mesh("torus3-grid", 5)
 
 
 def test_f_vectors(five_cell, torus3, c600):
@@ -165,18 +171,51 @@ def test_up_pencil_nullity(five_cell, torus3):
         assert int(np.sum(np.abs(vals) < 1e-9 * vals.max())) == kernel
 
 
-def test_sparse_solve_matches_dense(monkeypatch):
-    c600, grid = build_mesh("cell600"), build_mesh("torus3-grid", 5)
+def _count_sparse_solves(monkeypatch) -> list[int]:
+    """The row counts of the pencils that reach _sparse_lowest from here on."""
+    real, rows = dec._sparse_lowest, []
+
+    def counting(a, *rest):
+        rows.append(a.shape[0])
+        return real(a, *rest)
+
+    monkeypatch.setattr(dec, "_sparse_lowest", counting)
+    return rows
+
+
+def test_sparse_solve_matches_dense(monkeypatch, c600, grid5):
     fine = subdivide_barycentric(build_mesh("boundary-4-simplex"), project_radius=1.0)
-    for mesh, degrees in ((c600, (0, 1, 2)), (grid, (0, 1)), (fine, (0, 1, 2))):
+    sparse_rows = _count_sparse_solves(monkeypatch)
+    for mesh, degrees in ((c600, (0, 1, 2)), (grid5, (0, 1)), (fine, (0, 1, 2))):
         betti = betti_numbers(mesh)
         for j in degrees:
             masses = _masses(mesh, j)
-            dense = coexact_spectrum(mesh, j, masses, 10, betti)
-            with monkeypatch.context() as patch:
-                patch.setattr(dec, "DENSE_MAX", 0)  # every pencil takes the sparse solve
-                sparse = coexact_spectrum(mesh, j, masses, 10, betti)
-            assert sparse == pytest.approx(dense, rel=1e-9, abs=0), (mesh.name, j)
+            solved = {}
+            for path, limit in (("dense", 10**9), ("sparse", 0)):  # above / below every pencil
+                with monkeypatch.context() as patch:
+                    patch.setattr(dec, "DENSE_MAX", limit)
+                    solved[path] = coexact_spectrum(mesh, j, masses, 10, betti)
+                assert len(sparse_rows) == (path == "sparse"), (mesh.name, j, path)
+            sparse_rows.clear()
+            assert solved["sparse"] == pytest.approx(solved["dense"], rel=1e-9, abs=0), (mesh.name, j)
+
+
+def test_dense_max_dispatch(monkeypatch, c600, grid5):
+    # at the module threshold the 720-row 600-cell pencil is solved dense
+    # and the 875-row Whitney pencil of the 5x5x5 grid sparse
+    sparse_rows = _count_sparse_solves(monkeypatch)
+    for mesh in (c600, grid5):
+        assert len(coexact_spectrum(mesh, 1, _masses(mesh, 1), 6, betti_numbers(mesh))) == 6
+    assert (c600.counts()[1], grid5.counts()[1]) == (720, 875)
+    assert sparse_rows == [875]
+
+
+def test_stalled_lanczos_raises_with_its_limit(monkeypatch, grid5):
+    # 6 eigenvalues above the 3 harmonics: 9 requested of ARPACK
+    monkeypatch.setattr(dec, "ARPACK_MAXITER", 1)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"875-row pencil: \d of 9 eigenvalues converged within 1 ARPACK"):
+        coexact_spectrum(grid5, 1, _masses(grid5, 1), 6, betti_numbers(grid5))
 
 
 def test_refined_sphere_two_form_multiplets():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
 from formlap.forms import FormAlgebraError, OperatorPoly
-from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, eval_scalar,
-                              kernel_dim, sphere_preset, synthetic_model, torus_preset)
+from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, kernel_dim,
+                              sphere_preset, synthetic_model, torus_preset)
 from strategies import operators
 
 
@@ -15,19 +15,19 @@ def pt(kind, lam, mult=1):
     return SpectralPoint(kind, Fraction(lam), mult)
 
 
-def test_eval_scalar_examples():
+def test_on_eigenspace_examples():
     op = OperatorPoly.graded(4, 2, 1, -2, [2], [2])
-    assert eval_scalar(op, pt("coexact", 1), Fraction(1)) == 0
-    assert eval_scalar(OperatorPoly.graded(4, 2, 1, 0, [1], [-1]), pt("harmonic", 0),
-                       Fraction(1)) == 0
+    assert op.on_eigenspace("coexact", Fraction(1), Fraction(1)) == 0
+    assert OperatorPoly.graded(4, 2, 1, 0, [1], [-1]).on_eigenspace(
+        "harmonic", Fraction(1), Fraction(0)) == 0
     e2 = OperatorPoly.graded(4, 2, 2, 0, [0, 1], [])
-    assert eval_scalar(e2, pt("exact", 3), Fraction(1)) == 9
+    assert e2.on_eigenspace("exact", Fraction(1), Fraction(3)) == 9
 
 
-def test_eval_scalar_pole():
+def test_on_eigenspace_pole():
     op = OperatorPoly(4, 2, -1, 1)  # 1/J
     with pytest.raises(Exception):
-        eval_scalar(op, pt("exact", 1), Fraction(0))
+        op.on_eigenspace("exact", Fraction(0), Fraction(1))
 
 
 # J off 1, zero included, and eigenvalues of either sign with non-unit
@@ -67,9 +67,8 @@ def test_at_matches_direct_power_sums(op, j, lam):
         try:
             sums[kind] = _power_sum(terms, j, lam)
         except ZeroDivisionError:
-            point = SpectralPoint(kind, Fraction(0) if kind == "harmonic" else lam, 1)
             with pytest.raises(CoefficientError):
-                eval_scalar(op, point, j)
+                op.on_eigenspace(kind, j, Fraction(0) if kind == "harmonic" else lam)
     if len(sums) < 3:
         with pytest.raises(CoefficientError):
             op.at(j, lam)
@@ -77,9 +76,9 @@ def test_at_matches_direct_power_sums(op, j, lam):
     a, b, c = op.at(j, lam)
     base, exact, coexact = sums["harmonic"], sums["exact"], sums["coexact"]
     assert (a, a + b * lam, a + c * lam) == (base, exact, coexact)
-    assert eval_scalar(op, pt("exact", lam), j) == exact
-    assert eval_scalar(op, pt("coexact", lam), j) == coexact
-    assert eval_scalar(op, pt("harmonic", 0), j) == base
+    assert op.on_eigenspace("exact", j, lam) == exact
+    assert op.on_eigenspace("coexact", j, lam) == coexact
+    assert op.on_eigenspace("harmonic", j, Fraction(0)) == base
 
 
 @given(operators(), j_values, eigenvalues)
@@ -105,8 +104,9 @@ def test_on_eigenspace_matches_at(op, j, lam):
         expected = {"exact": a + b * lam, "coexact": a + c * lam, "harmonic": a}[kind]
         assert expected == sum(x * j ** m * lam ** p
                                for p, (x, m) in enumerate(zip(read, powers)) if x)
-        point = SpectralPoint(kind, Fraction(0) if kind == "harmonic" else lam, 1)
-        assert op.on_eigenspace(kind, j, lam) == eval_scalar(op, point, j) == expected
+        # a harmonic point's eigenvalue is 0, and the scalar ignores lam there
+        point_lam = Fraction(0) if kind == "harmonic" else lam
+        assert op.on_eigenspace(kind, j, lam) == op.on_eigenspace(kind, j, point_lam) == expected
 
 
 def test_on_eigenspace_rejects_unknown_kind():
@@ -141,9 +141,9 @@ def test_eval_multiplicative_over_product(points, a, b, c):
     q = OperatorPoly.graded(6, 2, 2, 1, [b], [a, 1])
     prod = p * q
     for point in points:
-        lhs = eval_scalar(prod, point, Fraction(2))
-        rhs = eval_scalar(p, point, Fraction(2)) * eval_scalar(q, point, Fraction(2))
-        assert lhs == rhs
+        p_at, q_at, prod_at = (op.on_eigenspace(point.kind, Fraction(2), point.eigenvalue)
+                               for op in (p, q, prod))
+        assert prod_at == p_at * q_at
 
 
 @given(st.lists(point_strategy, max_size=6))

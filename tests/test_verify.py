@@ -284,10 +284,7 @@ def test_kernel_decomposition_example():
 def test_kernel_constant_obstructs_harmonics():
     # a factor with nonzero constant contributes nothing on harmonic points
     op = OperatorPoly.graded(6, 2, 1, 2, [1], [1])
-    from formlap.spectral import eval_scalar
-
-    pt = SpectralPoint("harmonic", Fraction(0), 11)
-    assert eval_scalar(op, pt, Fraction(1)) != 0
+    assert op.on_eigenspace("harmonic", Fraction(1), Fraction(0)) != 0
 
 
 def test_kernel_rejects_j_zero_model():
@@ -315,18 +312,14 @@ def test_synthetic_models_pass():
 
 
 def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch):
-    import formlap.spectral as spectral
-    import formlap.verify as verify
+    real, calls = OperatorPoly.on_eigenspace, []
 
-    real, calls = spectral.eval_scalar, []
+    def counting(op, kind, j_value, lam):
+        calls.append((kind, lam))
+        return real(op, kind, j_value, lam)
 
-    def counting(op, point, j_value):
-        calls.append(point)
-        return real(op, point, j_value)
-
-    # both modules: spectral helpers such as kernel_dim call it too
-    monkeypatch.setattr(spectral, "eval_scalar", counting)
-    monkeypatch.setattr(verify, "eval_scalar", counting)
+    # on the class: every caller, spectral helpers such as kernel_dim too
+    monkeypatch.setattr(OperatorPoly, "on_eigenspace", counting)
     # the model is read from the factors' kernel contents, not evaluated
     model = synthetic_model(6, 2, 3, Fraction(1))
     assert calls == []
