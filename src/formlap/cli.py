@@ -183,8 +183,8 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_dec(args: argparse.Namespace) -> int:
-    from .dec import (MeshError, betti_numbers, build_mesh, compare_sphere_spectrum,
-                      dec_import_model, spectrum, subdivide_barycentric)
+    from .dec import (MeshError, build_mesh, compare_sphere_spectrum, dec_import_model,
+                      spectrum, subdivide_barycentric)
     from .spectral import sphere_preset
 
     if args.promote is not None and args.mesh == "torus3-grid":
@@ -195,11 +195,9 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         return _usage_error(f"--rtol {args.rtol} is not a number in (0, 1)")
     start = time.perf_counter()
     try:
-        if args.mesh == "torus3-grid" and (args.size is None or args.size < 3):
-            raise MeshError("torus3-grid needs --size m with m >= 3")
         mesh = build_mesh(args.mesh, args.size)
         if args.subdivide:
-            mesh = subdivide_barycentric(mesh, project_radius=1.0 if args.mesh != "torus3-grid" else None)
+            mesh = subdivide_barycentric(mesh, project_radius=1.0)
     except MeshError as exc:
         return _usage_error(str(exc))
     stages: dict[str, dict] = {"mesh": {"seconds": _since(start), "f_vector": list(mesh.counts())}}
@@ -209,7 +207,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     if not 1 <= args.eigs <= nk:
         return _usage_error(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
     start = time.perf_counter()
-    betti = betti_numbers(mesh)
+    betti = mesh.betti
     stages["betti"] = {"seconds": _since(start)}
     payload: dict = {
         "schema": REPORT_SCHEMA,
@@ -218,7 +216,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         "betti": list(betti),
     }
     failure = None  # the one stderr line of a failed run
-    if args.mesh in ("cell600", "boundary-4-simplex"):
+    if mesh.embedded:
         start = time.perf_counter()
         spec = spectrum(mesh, args.k, args.eigs)
         stages["spectrum"] = {"seconds": _since(start)}

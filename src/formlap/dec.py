@@ -109,7 +109,12 @@ class SimplicialMesh:
 
     @functools.cached_property
     def betti(self) -> tuple[int, int, int, int]:
-        """Exact Betti numbers, computed once per mesh; see ``betti_numbers``."""
+        """Exact Betti numbers over Q: b_d = c_d - rank M_d - rank M_{d+1}, computed once.
+
+        c_d counts the critical d-cells of a coreduction and M_d is their
+        integer Morse boundary matrix (see _morse_complex); only these
+        small matrices go through integer_rank.
+        """
         crit, morse = _morse_complex(self)
         ranks = [0] + [integer_rank(m) for m in morse] + [0]
         return tuple(crit[d] - ranks[d] - ranks[d + 1] for d in range(len(crit)))  # type: ignore[return-value]
@@ -578,17 +583,6 @@ def _morse_complex(mesh: SimplicialMesh) -> tuple[list[int], list[scipy.sparse.c
     return [len(cells) for cells in by_dim], morse
 
 
-def betti_numbers(mesh: SimplicialMesh) -> tuple[int, int, int, int]:
-    """Exact Betti numbers over Q: b_d = c_d - rank M_d - rank M_{d+1}.
-
-    c_d counts the critical d-cells of a coreduction and M_d is their
-    integer Morse boundary matrix (see _morse_complex); only these small
-    matrices go through integer_rank.  The mesh computes them once and
-    keeps them (``SimplicialMesh.betti``).
-    """
-    return mesh.betti
-
-
 # -- spectra ------------------------------------------------------------------------
 
 
@@ -681,7 +675,7 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]
     nk = len(mesh.simplices[k])
     if count > nk:
         raise MeshError(f"requested {count} eigenvalues of a {nk}-dimensional space")
-    betti = betti_numbers(mesh)
+    betti = mesh.betti
     masses = hodge_stars(mesh)
     if masses is None:
         from .whitney import galerkin_laplacian

@@ -39,10 +39,8 @@ def operator_weight(n: int, k: int, ell: int) -> Fraction:
 
 
 def _check_params(n: int, k: int, ell: int) -> None:
-    if n < 3:
-        raise FormAlgebraError(f"n = {n} < 3")
-    if not 1 <= k <= n // 2:
-        raise FormAlgebraError(f"k = {k} outside 1..floor(n/2) for n = {n}")
+    """The (n, k) rule of ``FormContext``, and ell >= 1."""
+    FormContext(n, k, operator_weight(n, k, ell))
     if ell < 1:
         raise FormAlgebraError(f"ell = {ell} < 1")
 
@@ -165,17 +163,12 @@ def build_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
 
 
 def closed_tmodbox1(n: int, k: int, w: Fraction | int) -> OperatorPoly:
-    """Closed form of the p = 1 reduction:
+    """Closed form of the p = 1 reduction, -(1/k) times the generic factor with index 1:
 
     -(1/k) [ w(n+w-2k-1) E + (w-1)(n+w-2k) F
              - (2/n) w(w-1)(n+w-2k)(n+w-2k-1) J ].
     """
-    w = Fraction(w)
-    s = Fraction(-1, k)
-    a = w * (n + w - 2 * k - 1)
-    b = (w - 1) * (n + w - 2 * k)
-    c = Fraction(-2, n) * w * (w - 1) * (n + w - 2 * k) * (n + w - 2 * k - 1)
-    return OperatorPoly.graded(n, k, 1, s * c, [s * a], [s * b])
+    return yam_factor(n, k, Fraction(w), 1).scale(Fraction(-1, k))
 
 
 def closed_tmodbox2(n: int, k: int, w: Fraction | int) -> OperatorPoly:

@@ -67,9 +67,9 @@ class SpectralModel:
             "schema": 1,
             "n": self.n,
             "k": self.k,
-            "j_value": _frac_str(self.j_value),
+            "j_value": str(self.j_value),
             "points": [
-                {"kind": p.kind, "eigenvalue": _frac_str(p.eigenvalue), "multiplicity": p.multiplicity}
+                {"kind": p.kind, "eigenvalue": str(p.eigenvalue), "multiplicity": p.multiplicity}
                 for p in self.points
             ],
             "source": self.source,
@@ -93,10 +93,6 @@ class SpectralModel:
     @staticmethod
     def load(path: str | Path) -> SpectralModel:
         return SpectralModel.from_json(json.loads(Path(path).read_text()))
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
@@ -178,7 +174,6 @@ def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
     dimension C(n-1, k-1) and a coexact part of dimension C(n-1, k);
     harmonic forms are the constants, C(n, k) of them.  J = 0.
     """
-    counts: dict[int, int] = {}
     bound = math.isqrt(max_norm_sq)
 
     def count_modes(dim: int, remaining: int) -> dict[int, int]:

@@ -280,42 +280,26 @@ def predicted_kernel_content(n: int, k: int, ell: int, j_value: Fraction) -> set
     printed case table swaps the mu labels; the factor computation above
     fixes the orientation, see the repository notes.)  At w = 0 the
     leading factor is the pure-F one, whose null space is the whole
-    closed-plus-harmonic part.
+    closed-plus-harmonic part.  Each case gives its special content and
+    the generic indices i whose lam_bar_i and lam_til_i it carries.
     """
     w = operator_weight(n, k, ell)
-    lam_bar = lambda i: Fraction(2, n) * (w - i) * (w - i + n - 2 * k + 1) * j_value
-    lam_til = lambda i: Fraction(2, n) * (w - i + 1) * (w - i + n - 2 * k) * j_value
-    out: set[tuple[str, Fraction | None]] = set()
+    at_zero = {("harmonic", None), ("exact", Fraction(0)), ("coexact", Fraction(0))}
     if n % 2 == 0 and 2 * k == n:
-        out.add(("harmonic", None))
-        out.add(("exact", Fraction(0)))
-        out.add(("coexact", Fraction(0)))
-        for i in range(1, ell):
-            out.add(("exact", lam_bar(i)))
-            out.add(("coexact", lam_til(i)))
+        special, generic = at_zero, range(1, ell)
     elif n % 2 == 1 or w < 0:
-        for i in range(1, ell + 1):
-            out.add(("exact", lam_bar(i)))
-            out.add(("coexact", lam_til(i)))
-    elif w == 0:
-        out.add(("harmonic", None))
-        out.add(("exact", None))       # every exact point: the factor is pure F
-        out.add(("coexact", Fraction(0)))
-        for i in range(2, ell + 1):
-            out.add(("exact", lam_bar(i)))
-            out.add(("coexact", lam_til(i)))
+        special, generic = set(), range(1, ell + 1)
+    elif w == 0:  # every exact point: the factor is pure F
+        special = {("harmonic", None), ("exact", None), ("coexact", Fraction(0))}
+        generic = range(2, ell + 1)
     else:
         mu = Fraction(4, n) * (Fraction(n, 2) - k) * j_value
-        out.add(("harmonic", None))
-        out.add(("exact", Fraction(0)))
-        out.add(("coexact", Fraction(0)))
-        out.add(("exact", -mu))
-        out.add(("coexact", mu))
-        for i in range(1, ell + 1):
-            if i in (int(w), int(w) + 1):
-                continue
-            out.add(("exact", lam_bar(i)))
-            out.add(("coexact", lam_til(i)))
+        special = at_zero | {("exact", -mu), ("coexact", mu)}
+        generic = [i for i in range(1, ell + 1) if i not in (w, w + 1)]
+    out = set(special)
+    for i in generic:
+        out.add(("exact", Fraction(2, n) * (w - i) * (w - i + n - 2 * k + 1) * j_value))
+        out.add(("coexact", Fraction(2, n) * (w - i + 1) * (w - i + n - 2 * k) * j_value))
     return out
 
 

@@ -198,16 +198,15 @@ def test_criterion_09_torus_oracle(capfd):
 
 
 def test_criterion_10_dec_oracle(capfd):
-    from formlap.dec import (betti_numbers, build_mesh, compare_sphere_spectrum, spectrum,
-                             subdivide_barycentric)
+    from formlap.dec import build_mesh, compare_sphere_spectrum, spectrum, subdivide_barycentric
     from formlap.spectral import sphere_preset
 
     t0 = time.time()
     torus = build_mesh("torus3-grid", 3)
     sphere = build_mesh("cell600")
     refined_mesh = subdivide_barycentric(sphere, project_radius=1.0)
-    betti_ok = (betti_numbers(torus) == (1, 3, 3, 1) and betti_numbers(sphere) == (1, 0, 0, 1)
-                and betti_numbers(refined_mesh) == (1, 0, 0, 1))
+    betti_ok = (torus.betti == (1, 3, 3, 1) and sphere.betti == (1, 0, 0, 1)
+                and refined_mesh.betti == (1, 0, 0, 1))
 
     reference = sphere_preset(3, 1, 2)
     coarse = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)

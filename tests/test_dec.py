@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from formlap import dec
-from formlap.dec import (MeshError, _build_from_tets, _morse_complex, betti_numbers, build_mesh,
+from formlap.dec import (MeshError, _build_from_tets, _morse_complex, build_mesh,
                          coexact_spectrum, compare_sphere_spectrum, dec_import_model, hodge_stars,
                          integer_rank, is_well_centered, laplacian_pencil, spectrum,
                          subdivide_barycentric, unit_sphere_edge_scale)
@@ -81,12 +81,12 @@ def _rank_betti(mesh):
 
 
 def test_betti_numbers_exact(five_cell, torus3, c600):
-    assert betti_numbers(five_cell) == (1, 0, 0, 1)
-    assert betti_numbers(c600) == (1, 0, 0, 1)
-    assert betti_numbers(torus3) == (1, 3, 3, 1)
+    assert five_cell.betti == (1, 0, 0, 1)
+    assert c600.betti == (1, 0, 0, 1)
+    assert torus3.betti == (1, 3, 3, 1)
     refined = subdivide_barycentric(five_cell, project_radius=1.0)
     for mesh in (five_cell, torus3, c600, refined):
-        assert betti_numbers(mesh) == _rank_betti(mesh), mesh.name
+        assert mesh.betti == _rank_betti(mesh), mesh.name
 
 
 def test_critical_cells_of_the_presets(five_cell, torus3, c600):
@@ -100,7 +100,7 @@ def test_critical_cells_of_the_presets(five_cell, torus3, c600):
             crit, morse = _morse_complex(mesh)
             assert tuple(crit) == known, mesh.name
             assert [m.shape for m in morse] == [(crit[d - 1], crit[d]) for d in (1, 2, 3)]
-            assert betti_numbers(mesh) == known, mesh.name
+            assert mesh.betti == known, mesh.name
 
 
 def _random_subcomplexes(mesh, count, seed):
@@ -128,7 +128,7 @@ def test_betti_numbers_match_full_ranks_on_random_subcomplexes(torus3, c600):
     cases = excess = 0
     for mesh, count in ((torus3, 140), (c600, 70)):
         for sub in _random_subcomplexes(mesh, count, seed=1):
-            betti = betti_numbers(sub)
+            betti = sub.betti
             assert betti == _rank_betti(sub), (sub.counts(), betti)
             cases += 1
             excess += sum(_morse_complex(sub)[0]) > sum(betti)
@@ -167,7 +167,7 @@ def test_up_pencil_nullity(five_cell, torus3):
     for mesh, j in ((five_cell, 0), (five_cell, 1), (torus3, 0), (torus3, 1)):
         up, mass = laplacian_pencil(mesh, j, _masses(mesh, j))
         vals = scipy.linalg.eigh(up.toarray(), mass.toarray(), eigvals_only=True)
-        kernel = betti_numbers(mesh)[j] + (integer_rank(mesh.boundaries[j]) if j else 0)
+        kernel = mesh.betti[j] + (integer_rank(mesh.boundaries[j]) if j else 0)
         assert int(np.sum(np.abs(vals) < 1e-9 * vals.max())) == kernel
 
 
@@ -187,7 +187,7 @@ def test_sparse_solve_matches_dense(monkeypatch, c600, grid5):
     fine = subdivide_barycentric(build_mesh("boundary-4-simplex"), project_radius=1.0)
     sparse_rows = _count_sparse_solves(monkeypatch)
     for mesh, degrees in ((c600, (0, 1, 2)), (grid5, (0, 1)), (fine, (0, 1, 2))):
-        betti = betti_numbers(mesh)
+        betti = mesh.betti
         for j in degrees:
             masses = _masses(mesh, j)
             solved = {}
@@ -205,7 +205,7 @@ def test_dense_max_dispatch(monkeypatch, c600, grid5):
     # and the 875-row Whitney pencil of the 5x5x5 grid sparse
     sparse_rows = _count_sparse_solves(monkeypatch)
     for mesh in (c600, grid5):
-        assert len(coexact_spectrum(mesh, 1, _masses(mesh, 1), 6, betti_numbers(mesh))) == 6
+        assert len(coexact_spectrum(mesh, 1, _masses(mesh, 1), 6, mesh.betti)) == 6
     assert (c600.counts()[1], grid5.counts()[1]) == (720, 875)
     assert sparse_rows == [875]
 
@@ -215,7 +215,7 @@ def test_stalled_lanczos_raises_with_its_limit(monkeypatch, grid5):
     monkeypatch.setattr(dec, "ARPACK_MAXITER", 1)
     with pytest.raises(InternalConsistencyError,
                        match=r"875-row pencil: \d of 9 eigenvalues converged within 1 ARPACK"):
-        coexact_spectrum(grid5, 1, _masses(grid5, 1), 6, betti_numbers(grid5))
+        coexact_spectrum(grid5, 1, _masses(grid5, 1), 6, grid5.betti)
 
 
 def test_refined_sphere_two_form_multiplets():

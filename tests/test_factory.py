@@ -156,6 +156,18 @@ def test_tmodbox_p2_closed_form(n, k, w):
     assert build_tmodbox(n, k, w, 2).monomials() == closed_tmodbox2(n, k, w).monomials()
 
 
+@pytest.mark.parametrize("p, closed", [(1, closed_tmodbox1), (2, closed_tmodbox2)],
+                         ids=["p1", "p2"])
+def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p, closed):
+    # the reductions at generator weights off the operator grid too:
+    # every w in {-8, -15/2, ..., 8} for every (n, k) with n = 3..12
+    cases = [(n, k, Fraction(h, 2)) for n in range(3, 13) for k in range(1, n // 2 + 1)
+             for h in range(-16, 17)]
+    assert len(cases) == 1155
+    for n, k, w in cases:
+        assert build_tmodbox(n, k, w, p).monomials() == closed(n, k, w).monomials(), (n, k, w)
+
+
 @pytest.mark.parametrize("n,k,w", [(6, 2, 1), (8, 2, 2), (5, 2, Fraction(1, 2)), (9, 3, -1)])
 def test_square_relation(n, k, w):
     # composing the order-one reduction at weights w and w-1 equals

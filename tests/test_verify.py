@@ -383,3 +383,14 @@ def test_predicted_content_cases():
     mu = Fraction(4, 6) * (3 - 2) * 1
     content1 = predicted_kernel_content(6, 2, 2, Fraction(1))
     assert ("exact", -mu) in content1 and ("coexact", mu) in content1
+
+
+@pytest.mark.parametrize("j_value", [Fraction(1), Fraction(-2, 3)], ids=str)
+def test_predicted_content_is_the_union_of_factor_contents(j_value):
+    # the case table against the factors it summarises, past the default
+    # grid: n = 3..20, ell <= 10, 990 cells per J
+    cells = list(default_grid(range(3, 21), 10))
+    assert len(cells) == 990
+    for n, k, ell in cells:
+        union = set().union(*(factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)))
+        assert predicted_kernel_content(n, k, ell, j_value) == union, (n, k, ell)
