@@ -9,8 +9,9 @@ produce byte-identical payloads, so reports can be diffed across runs.
 The float fields of ``oracle dec``'s sphere comparison are written to
 10 significant digits: their last bits follow the BLAS thread count.
 
-Exit codes: 0 all checks passed, 1 a verification or oracle comparison
-failed, 2 configuration or I/O error.
+Exit codes: 0 all checks passed; 1 a check, comparison or promotion
+failed; 2 bad input, one ``usage error:`` line, or an I/O error.  A
+broken invariant raises ``InternalConsistencyError`` and never exits 2.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ def _sig10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-def _usage_error(message: str) -> int:
-    print(f"usage error: {message}", file=sys.stderr)
-    return 2
-
-
 def report_payload_bytes(path: Path) -> bytes:
     """The deterministic payload of a written report (for diffing)."""
     doc = json.loads(path.read_text())
@@ -65,15 +61,12 @@ def report_payload_bytes(path: Path) -> bytes:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     from .factory import build_L_definition, closed_factors
-    from .forms import FormAlgebraError, InternalConsistencyError, proportionality
+    from .forms import InternalConsistencyError, UsageError, proportionality
 
     if args.output is not None and args.format != "json":
-        return _usage_error(f"--output needs --format json: {args.format} output goes to stdout")
-    try:
-        expanded = build_L_definition(args.n, args.k, args.ell)
-        factors = closed_factors(args.n, args.k, args.ell)
-    except FormAlgebraError as exc:
-        return _usage_error(str(exc))
+        raise UsageError(f"--output needs --format json: {args.format} output goes to stdout")
+    expanded = build_L_definition(args.n, args.k, args.ell)
+    factors = closed_factors(args.n, args.k, args.ell)
     c = proportionality(functools.reduce(operator.mul, factors), expanded)
     if c is None:
         raise InternalConsistencyError("factored and definition operators are not proportional")
@@ -100,24 +93,19 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .forms import UsageError
     from .verify import run_sweep
 
     try:
         j_value = Fraction(args.j_value)
     except (ValueError, ZeroDivisionError):
-        return _usage_error(f"--j-value {args.j_value!r} is not a rational number")
-    if args.n_min < 3:
-        return _usage_error(f"--n-min {args.n_min} < 3")
-    if args.n_max < args.n_min:
-        return _usage_error(f"--n-max {args.n_max} < --n-min {args.n_min}: empty sweep")
-    if args.ell_max < 1:
-        return _usage_error(f"--ell-max {args.ell_max} < 1: empty sweep")
+        raise UsageError(f"--j-value {args.j_value!r} is not a rational number") from None
     if j_value == 0 and "kernel" in args.theorems:
-        return _usage_error("--j-value 0: the kernel decomposition needs J != 0 "
-                            "(a manifold that is not Ricci flat)")
+        raise UsageError("--j-value 0: the kernel decomposition needs J != 0 "
+                         "(a manifold that is not Ricci flat)")
     reports = run_sweep(args.theorems, range(args.n_min, args.n_max + 1), args.ell_max, j_value)
     if not reports:
-        return _usage_error("the selected theorems and grid give no checks")
+        raise UsageError("the selected theorems and grid give no checks")
     failures = [r for r in reports if not r.passed]
     payload = {
         "schema": REPORT_SCHEMA,
@@ -147,16 +135,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_torus(args: argparse.Namespace) -> int:
+    from .forms import UsageError
     from .torus import compare_pipelines, random_modes
 
     if min(args.n) < 3:
-        return _usage_error(f"--n {min(args.n)} < 3")
+        raise UsageError(f"--n {min(args.n)} < 3")
     if max(args.n) > 12:  # dense matrices of C(n+2, k)^2 entries, past the symbolic grid
-        return _usage_error(f"--n {max(args.n)} > 12: the oracle's dense matrices would not fit")
+        raise UsageError(f"--n {max(args.n)} > 12: the oracle's dense matrices would not fit")
     if args.ell_max < 1:
-        return _usage_error(f"--ell-max {args.ell_max} < 1: no cells")
+        raise UsageError(f"--ell-max {args.ell_max} < 1: no cells")
     if args.modes < 1:
-        return _usage_error(f"--modes {args.modes} < 1: nothing to compare")
+        raise UsageError(f"--modes {args.modes} < 1: nothing to compare")
     cells = []
     status_ok = True
     for n in args.n:
@@ -183,29 +172,27 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_dec(args: argparse.Namespace) -> int:
-    from .dec import (MeshError, build_mesh, compare_sphere_spectrum, dec_import_model,
-                      spectrum, subdivide_barycentric)
-    from .spectral import sphere_preset
+    from .dec import (build_mesh, compare_sphere_spectrum, dec_import_model, spectrum,
+                      subdivide_barycentric)
+    from .forms import UsageError
+    from .spectral import SpectralDataError, sphere_preset
 
     if args.promote is not None and args.mesh == "torus3-grid":
-        return _usage_error("--promote needs a sphere mesh: torus3-grid has no sphere reference")
+        raise UsageError("--promote needs a sphere mesh: torus3-grid has no sphere reference")
     if args.size is not None and args.mesh != "torus3-grid":
-        return _usage_error(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
+        raise UsageError(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
     if not 0 < args.rtol < 1:  # also rejects nan and inf
-        return _usage_error(f"--rtol {args.rtol} is not a number in (0, 1)")
+        raise UsageError(f"--rtol {args.rtol} is not a number in (0, 1)")
     start = time.perf_counter()
-    try:
-        mesh = build_mesh(args.mesh, args.size)
-        if args.subdivide:
-            mesh = subdivide_barycentric(mesh, project_radius=1.0)
-    except MeshError as exc:
-        return _usage_error(str(exc))
+    mesh = build_mesh(args.mesh, args.size)
+    if args.subdivide:
+        mesh = subdivide_barycentric(mesh, project_radius=1.0)
     stages: dict[str, dict] = {"mesh": {"seconds": _since(start), "f_vector": list(mesh.counts())}}
     if not 0 <= args.k <= mesh.dim:
-        return _usage_error(f"--k {args.k} outside 0..{mesh.dim}")
+        raise UsageError(f"--k {args.k} outside 0..{mesh.dim}")
     nk = len(mesh.simplices[args.k])
     if not 1 <= args.eigs <= nk:
-        return _usage_error(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
+        raise UsageError(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
     start = time.perf_counter()
     betti = mesh.betti
     stages["betti"] = {"seconds": _since(start)}
@@ -220,7 +207,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         spec = spectrum(mesh, args.k, args.eigs)
         stages["spectrum"] = {"seconds": _since(start)}
-        reference = sphere_preset(3, args.k, j_max=4)
+        reference = sphere_preset(mesh.dim, args.k, j_max=4)
         cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
         payload["sphere_comparison"] = {
             **cmp, "scale": _sig10(cmp["scale"]), "max_rel_error": _sig10(cmp["max_rel_error"]),
@@ -232,7 +219,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         if args.promote is not None:
             try:
                 model = dec_import_model(cmp, spec, reference, rtol=args.rtol)
-            except MeshError as exc:
+            except SpectralDataError as exc:
                 failure = f"promotion failed: {exc}"
             else:
                 model.save(args.promote)
@@ -297,9 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .forms import UsageError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:  # each input rule raises it where it lives
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:  # every report and model write ends here on a bad path
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -47,8 +47,8 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .forms import InternalConsistencyError
-from .spectral import SpectralModel, SpectralPoint
+from .forms import InternalConsistencyError, UsageError
+from .spectral import SpectralDataError, SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
 # Rows of the largest pencil solved by dense eigh; larger ones go to
@@ -71,10 +71,6 @@ ARPACK_MAXITER = 300
 # itertools.combinations order, and their bitmasks (the tet_faces columns).
 LOCAL_SUBSETS = [list(itertools.combinations(range(4), d + 1)) for d in range(4)]
 LOCAL_MASKS = [[sum(1 << i for i in s) for s in subsets] for subsets in LOCAL_SUBSETS]
-
-
-class MeshError(ValueError):
-    pass
 
 
 @dataclass
@@ -163,10 +159,10 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
     ids is (T, 4), each row increasing; points is (T, 4, E), rows aligned
     with the ids.  Vertices are numbered in ascending id order, higher
     simplices in order of first appearance (tet by tet, faces in
-    LOCAL_SUBSETS order).
+    LOCAL_SUBSETS order).  Only the presets and subdivision call it.
     """
     if np.any(np.diff(ids, axis=1) <= 0):
-        raise MeshError("tet vertex ids must increase along each tet")
+        raise InternalConsistencyError("tet vertex ids must increase along each tet")
     n_tets = len(ids)
     tet_faces = np.full((n_tets, 16), -1, dtype=np.int64)
     simplices: list[np.ndarray] = []
@@ -202,7 +198,7 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
             (vals.ravel(), (rows.ravel(), cols.ravel())),
             shape=(len(simplices[d - 1]), len(first)), dtype=np.int64))
     if len(simplices[3]) != n_tets:
-        raise MeshError("a tet is listed twice")
+        raise InternalConsistencyError("a tet is listed twice")
     return SimplicialMesh(name, simplices, boundaries, embedded, points, tet_faces)
 
 
@@ -285,7 +281,7 @@ def _cell600() -> SimplicialMesh:
 def _torus3_grid(m: int) -> SimplicialMesh:
     """Flat 3-torus, side 2*pi, m^3 cubes each cut into 6 tetrahedra."""
     if m < 3:
-        raise MeshError("torus grid needs m >= 3 (smaller grids identify simplex vertices)")
+        raise UsageError("torus grid needs m >= 3 (smaller grids identify simplex vertices)")
     h = 2 * math.pi / m
     # each cube splits along its six monotone lattice paths from corner to corner
     paths = np.zeros((6, 4, 3), dtype=int)
@@ -310,9 +306,9 @@ def build_mesh(preset: str, m: int | None = None) -> SimplicialMesh:
         return _cell600()
     if preset == "torus3-grid":
         if m is None:
-            raise MeshError("torus3-grid needs a grid size m")
+            raise UsageError("torus3-grid needs a grid size m")
         return _torus3_grid(m)
-    raise MeshError(f"unknown mesh preset {preset!r}")
+    raise UsageError(f"unknown mesh preset {preset!r}")
 
 
 def subdivide_barycentric(mesh: SimplicialMesh, project_radius: float | None = None) -> SimplicialMesh:
@@ -324,7 +320,7 @@ def subdivide_barycentric(mesh: SimplicialMesh, project_radius: float | None = N
     inscribed polytope's and not to the round one.
     """
     if not mesh.embedded:
-        raise MeshError("barycentric subdivision is only supported for embedded meshes")
+        raise UsageError("barycentric subdivision is only supported for embedded meshes")
     # new vertex ids: the old simplices, dimension by dimension
     offsets = np.cumsum((0,) + mesh.counts()[:3])
     bary = np.concatenate([_per_simplex(mesh, d, mesh.face_points(d).mean(axis=2))
@@ -671,10 +667,10 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]
     all others the Galerkin (Whitney) matrices (Arnold-Falk-Winther 2006).
     """
     if not 0 <= k <= mesh.dim:
-        raise MeshError(f"degree {k} outside 0..{mesh.dim}")
+        raise UsageError(f"degree {k} outside 0..{mesh.dim}")
     nk = len(mesh.simplices[k])
     if count > nk:
-        raise MeshError(f"requested {count} eigenvalues of a {nk}-dimensional space")
+        raise UsageError(f"requested {count} eigenvalues of a {nk}-dimensional space")
     betti = mesh.betti
     masses = hodge_stars(mesh)
     if masses is None:
@@ -760,23 +756,23 @@ def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
     Each compared shell becomes a point at the exact reference
     eigenvalue and multiplicity, provided the cluster mean lies within
     rtol of that eigenvalue and the cluster has exactly that many
-    members.  Anything else aborts the import: a model with unexplained
-    spectral content must not feed the kernel checks.  Higher shells are
-    discarded as mesh-unresolved.
+    members.  Anything else aborts the import (SpectralDataError): a
+    model with unexplained spectral content must not feed the kernel
+    checks.  Higher shells are discarded as mesh-unresolved.
     """
     b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     measured_b = sum(1 for lam, kd in spec if kd == "harmonic")
     if measured_b != b_k:
-        raise MeshError(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
+        raise SpectralDataError(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
     points = [SpectralPoint("harmonic", Fraction(0), b_k)] if b_k else []
     for e in comparison["entries"]:
         kind = e["kind"]
         if e["rel_error"] > rtol or e["cluster_size"] != e["multiplicity"]:
-            raise MeshError(
+            raise SpectralDataError(
                 f"computed {kind} shell {e['computed']:.4f} (x{e['cluster_size']}) matches no "
                 f"reference value within {rtol:.0%}: the lowest {kind} shell is "
                 f"{e['reference']:g} (x{e['multiplicity']})")
         shell = _shells(reference, kind)[e["shell"] - 1]
         points.append(SpectralPoint(kind, shell.eigenvalue, shell.multiplicity))
-    return SpectralModel(3, comparison["k"], reference.j_value, tuple(points), "dec-import", True)
+    return SpectralModel(reference.n, comparison["k"], reference.j_value, tuple(points), "dec-import", True)
 

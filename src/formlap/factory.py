@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .forms import FormAlgebraError, FormContext, InternalConsistencyError, OperatorPoly
+from .forms import FormContext, InternalConsistencyError, OperatorPoly, UsageError
 from .tractor import (TractorFormExpr, apply_Mstar, apply_box, assert_top_slots_vanish,
                       extract_slots, make_M)
 
@@ -42,7 +42,7 @@ def _check_params(n: int, k: int, ell: int) -> None:
     """The (n, k) rule of ``FormContext``, and ell >= 1."""
     FormContext(n, k, operator_weight(n, k, ell))
     if ell < 1:
-        raise FormAlgebraError(f"ell = {ell} < 1")
+        raise UsageError(f"ell = {ell} < 1")
 
 
 # -- definition engine ----------------------------------------------------
@@ -158,7 +158,7 @@ def closed_factors(n: int, k: int, ell: int) -> tuple[OperatorPoly, ...]:
 def build_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
     """M* box**p M at generator weight w, read from the shared box iterate."""
     if p < 1:
-        raise FormAlgebraError(f"p = {p} < 1")
+        raise UsageError(f"p = {p} < 1")
     return apply_Mstar(box_iterate(n, k, w, p))
 
 

@@ -51,12 +51,12 @@ from .coeffring import CoefficientError, RatJ
 _ZERO = Fraction(0)
 
 
-class FormAlgebraError(ValueError):
-    """Contract violation in the operator algebra (not a degenerate zero)."""
+class UsageError(ValueError):
+    """Bad input: a parameter outside the package's domain (n >= 3, 1 <= k <= n/2, ell >= 1, ...)."""
 
 
 class InternalConsistencyError(AssertionError):
-    """A structural identity the pipeline guarantees failed to hold."""
+    """A structural identity the pipeline guarantees failed to hold: a fault, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class FormContext:
 
     def __post_init__(self) -> None:
         if self.n < 3:
-            raise FormAlgebraError(f"dimension n = {self.n} < 3")
+            raise UsageError(f"dimension n = {self.n} < 3")
         if not 1 <= self.k <= self.n // 2:
-            raise FormAlgebraError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
+            raise UsageError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
         object.__setattr__(self, "w", Fraction(self.w))
 
 
@@ -133,14 +133,14 @@ class OperatorPoly:
 
     def _check(self, other: OperatorPoly) -> None:
         if (self.n, self.k) != (other.n, other.k):
-            raise FormAlgebraError(
+            raise InternalConsistencyError(
                 f"operator context mismatch: (n,k)=({self.n},{self.k}) vs ({other.n},{other.k})"
             )
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
         self._check(other)
         if self.order != other.order:
-            raise FormAlgebraError(f"adding operators of orders {self.order} and {other.order}")
+            raise InternalConsistencyError(f"adding operators of orders {self.order} and {other.order}")
         da, db = self.den, other.den
         den = da if da == db else lcm(da, db)
         ma, mb = den // da, den // db
@@ -220,20 +220,17 @@ class OperatorPoly:
             return _reduce((self.c_num, *self.f_nums), self.den, self.order, j_value, lam)
         if kind == "harmonic":
             return _reduce((self.c_num,), self.den, self.order, j_value, lam)
-        raise FormAlgebraError(f"unknown eigenspace kind {kind!r}")
+        raise InternalConsistencyError(f"unknown eigenspace kind {kind!r}")
 
     def render(self, latex: bool = False) -> str:
         mono = self.monomials()
         if not mono:
             return "0"
-        def key(m: str) -> tuple:
-            if m == "1":
-                return (2, 0)
-            power = 1 if len(m) == 1 else int(m.split("^")[1])
-            return (0 if m[0] == "E" else 1, power)
+        if "1" in mono:  # _terms() order (constant, E^p, F^q), the constant moved last
+            mono["1"] = mono.pop("1")
         parts = []
-        for m in sorted(mono, key=key):
-            c = str(mono[m])
+        for m, v in mono.items():
+            c = str(v)
             if latex:
                 c = c.replace("*", r"\,")
             body = m
@@ -328,7 +325,7 @@ def proportionality(a: OperatorPoly, b: OperatorPoly) -> RatJ | None:
     """
     a._check(b)
     if b.is_zero:
-        raise FormAlgebraError("proportionality against the zero operator")
+        raise InternalConsistencyError("proportionality against the zero operator")
     if a.is_zero:
         return RatJ(0)
     nums_a = {name: x for name, _, x in a._terms()}

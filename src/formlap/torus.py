@@ -231,8 +231,8 @@ def _mode_vector(n: int, xi: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _row_blocks(n: int, k: int) -> dict[str, np.ndarray]:
-    """Partition of the tractor k-form basis into slot row blocks (read-only index arrays)."""
-    blocks: dict[str, list[int]] = {"z": [], "y": [], "x": [], "w": []}
+    """The z, y and w slot row blocks of the tractor k-form basis (read-only index arrays)."""
+    blocks: dict[str, list[int]] = {"z": [], "y": [], "w": []}
     for i, tup in enumerate(wedge_basis(n + 2, k)):
         has_y_dir = 0 in tup
         has_x_dir = (n + 1) in tup
@@ -240,9 +240,7 @@ def _row_blocks(n: int, k: int) -> dict[str, np.ndarray]:
             blocks["w"].append(i)
         elif has_y_dir:
             blocks["y"].append(i)   # carries the top slot (coefficient 1/k)
-        elif has_x_dir:
-            blocks["x"].append(i)   # carries the bottom slot
-        else:
+        elif not has_x_dir:  # the x rows (the bottom slot) go unread
             blocks["z"].append(i)
     return {name: _int(rows) for name, rows in blocks.items()}
 

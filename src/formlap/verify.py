@@ -30,7 +30,7 @@ from typing import Any, Callable
 from .coeffring import RatJ, ZERO
 from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                       operator_weight)
-from .forms import FormAlgebraError, InternalConsistencyError, OperatorPoly, proportionality
+from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
 from .spectral import SpectralModel, content_covers
 
 THEOREMS = ("factorization", "MMstar", "LG", "bezout", "kernel")
@@ -95,7 +95,7 @@ def verify_MMstar(n: int, k: int, ell: int, p: int) -> VerificationReport:
     """
     params = {"n": n, "k": k, "ell": ell, "p": p}
     if not 1 <= p <= ell - 1:
-        raise FormAlgebraError(f"p = {p} outside 1..ell-1 = 1..{ell - 1}")
+        raise UsageError(f"p = {p} outside 1..ell-1 = 1..{ell - 1}")
     w = operator_weight(n, k, ell)
     scalar = Fraction(1, k) * (k + (ell - p) - Fraction(n, 2)) * (k - (ell - p) - Fraction(n, 2))
     lhs = build_L_definition(n, k, ell).scale(scalar)
@@ -196,7 +196,7 @@ def bezout(s: OperatorPoly, t: OperatorPoly) -> tuple[OperatorPoly, OperatorPoly
     Identical factors raise BezoutError.
     """
     if (s.n, s.k) != (t.n, t.k):
-        raise FormAlgebraError("factor pair from different contexts")
+        raise InternalConsistencyError("factor pair from different contexts")
     if s == t:
         raise BezoutError("identical factors admit no relative-inverse pair")
     a1, b1, c1 = _linear_numerators(s)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .dec import LOCAL_SUBSETS, MeshError, SimplicialMesh, simplex_volumes
+from .dec import LOCAL_SUBSETS, SimplicialMesh, simplex_volumes
+from .forms import UsageError
 
 
 def _assemble(index: np.ndarray, blocks: np.ndarray, size: int) -> scipy.sparse.csr_matrix:
@@ -79,6 +80,6 @@ def galerkin_laplacian(mesh: SimplicialMesh, k: int) -> list[scipy.sparse.csr_ma
     At degree one M0 is lumped, the mass of the exact part (d0^T M1 d0, M0).
     """
     if k not in (0, 1):
-        raise MeshError("galerkin spectra implemented for degrees 0 and 1 only")
+        raise UsageError("galerkin spectra implemented for degrees 0 and 1 only")
     masses = whitney_masses(mesh)
     return [masses["M0"] if k == 0 else masses["M0_lumped"], masses["M1"], masses["M2"]]

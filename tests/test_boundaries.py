@@ -1,13 +1,18 @@
-"""Import boundaries that keep the oracles independent of the definition engine.
+"""Import boundaries that keep the oracles independent of the definition engine,
+and the boundary between bad input and faults.
 
 The oracles (torus, dec, whitney, spectral) compute their side of each
 comparison themselves: they may ask ``factory`` for the operator under
 test, but never import the slotwise formulas of ``tractor``.  And
 ``tractor`` builds on the ring R alone.  So agreement between the
 engine and an oracle is evidence rather than a shared computation.
+
+Every error the package raises is one of its own classes, and only
+``cli.main`` catches ``UsageError``, so no fault can pass as bad input.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -36,7 +41,7 @@ def package_imports(module):
 
 
 def test_the_import_reader_sees_imports():
-    assert package_imports("whitney") == {"dec"}
+    assert package_imports("whitney") == {"dec", "forms"}
     assert package_imports("factory") == {"forms", "tractor"}
     assert package_imports("torus") == {"forms", "factory"}  # factory at function level
 
@@ -60,3 +65,45 @@ def test_importing_the_oracles_loads_neither_engine_module():
     loaded = set(proc.stdout.split())
     assert {"formlap.torus", "formlap.dec", "formlap.whitney", "formlap.spectral"} <= loaded
     assert not loaded & {"formlap.tractor", "formlap.factory"}
+
+
+def test_raises_name_package_errors_and_only_main_catches_usage_errors():
+    from formlap.forms import UsageError
+
+    errors = set()  # the exception classes the package defines
+    for path in SRC.glob("[!_]*.py"):
+        module = importlib.import_module(f"formlap.{path.stem}")
+        errors |= {name for name, obj in vars(module).items() if isinstance(obj, type)
+                   and issubclass(obj, Exception) and obj.__module__ == module.__name__}
+    assert {"UsageError", "InternalConsistencyError"} <= errors
+    # a handler of any of these would also catch a UsageError
+    usage_catchers = {cls.__name__ for cls in UsageError.__mro__}
+    main_catches = False
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        outside = {a.asname or a.name for node in tree.body  # names imported from other packages
+                   if isinstance(node, ast.ImportFrom) and node.level == 0
+                   and node.module.split(".")[0] != "formlap" for a in node.names}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Raise):
+                exc = node.exc
+                assert isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in errors, where
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+            if node.type is not None and not names & usage_catchers:
+                continue
+            function = parents[node]
+            while not isinstance(function, ast.FunctionDef):
+                function = parents[function]
+            if path.stem == "cli" and function.name == "main":
+                main_catches |= "UsageError" in names
+                continue
+            # elsewhere such a handler may only guard calls into other packages (parsing)
+            calls = {getattr(c.func, "id", None) for s in parents[node].body
+                     for c in ast.walk(s) if isinstance(c, ast.Call)}
+            assert "UsageError" not in names and calls <= outside, where
+    assert main_catches

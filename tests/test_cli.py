@@ -36,15 +36,37 @@ def test_expand_latex(capsys):
 
 def test_expand_usage_error(capsys, tmp_path):
     target = tmp_path / "out.txt"
-    for args, needle in ((["--k", "2"], "k = 2"),
-                         (["--k", "1", "--format", "text", "--output", str(target)], "--output"),
-                         (["--k", "1", "--format", "latex", "--output", str(target)], "--output")):
-        assert run_cli(["expand", "--n", "3", "--ell", "1", *args]) == 2
+    for args, needle in ((["--n", "3", "--k", "2", "--ell", "1"], "k = 2"),
+                         (["--n", "2", "--k", "1", "--ell", "1"], "n = 2"),
+                         (["--n", "3", "--k", "1", "--ell", "0"], "ell = 0"),
+                         (["--n", "3", "--k", "1", "--ell", "1", "--format", "text",
+                           "--output", str(target)], "--output"),
+                         (["--n", "3", "--k", "1", "--ell", "1", "--format", "latex",
+                           "--output", str(target)], "--output")):
+        assert run_cli(["expand", *args]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:") and needle in lines[0]
         assert captured.out == ""
     assert not target.exists()
+
+
+def test_expand_ring_fault_is_not_a_usage_error(monkeypatch):
+    # a product of the wrong order breaks an identity of R: a fault, not bad input
+    from formlap import factory
+    from formlap.forms import InternalConsistencyError, OperatorPoly
+
+    real = OperatorPoly.__mul__
+    monkeypatch.setattr(OperatorPoly, "__mul__", lambda a, b: real(a, b).times_J(1))
+    caches = (factory.box_iterate, factory.run_pipeline, factory.build_L_and_G)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="adding operators of orders"):
+            run_cli(["expand", "--n", "8", "--k", "2", "--ell", "3"])
+    finally:
+        for cached in caches:  # they now hold states built with the wrong product
+            cached.cache_clear()
 
 
 def test_expand_unwritable_output(capsys, tmp_path):
@@ -137,10 +159,10 @@ def test_oracle_torus_default_golden_payload(tmp_path):
 
 
 @pytest.mark.parametrize("args, needle", [
-    (["--n-min", "2"], "--n-min"),
+    (["--n-min", "2"], "n = 2"),
     (["--j-value", "abc"], "--j-value"),
-    (["--ell-max", "0"], "empty sweep"),
-    (["--n-min", "7", "--n-max", "5"], "empty sweep"),
+    (["--ell-max", "0"], "no checks"),
+    (["--n-min", "7", "--n-max", "5"], "no checks"),
     (["--j-value", "0"], "Ricci flat"),
 ], ids=["n-min-below-3", "j-value-not-rational", "ell-max-zero", "n-range-empty",
         "j-value-zero-with-kernel"])
@@ -291,7 +313,7 @@ def test_oracle_dec_promotion_compares_once(monkeypatch, tmp_path):
     assert calls == ["boundary-4-simplex"]
 
 
-@pytest.mark.parametrize("patch", ["vertex-set", "f-vector"])
+@pytest.mark.parametrize("patch", ["vertex-set", "f-vector", "repeated-tet"])
 def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_path, patch):
     # a wrong 600-cell is a fault of the mesh code, not of the command line
     import formlap.dec as dec
@@ -299,10 +321,19 @@ def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_pa
 
     if patch == "vertex-set":
         monkeypatch.setattr(dec, "PHI", 1.0)  # collapses the even-permutation orbit
-    else:
+    elif patch == "f-vector":
         real = dec._cell600_vertices
         monkeypatch.setattr(dec, "_cell600_vertices", lambda: real()[:-1])  # (119, 4)
-    with pytest.raises(InternalConsistencyError, match="600-cell"):
+    else:
+        build = dec._build_from_tets
+
+        def with_first_tet_twice(name, ids, points, embedded):
+            again = [*range(len(ids)), 0]
+            return build(name, ids[again], points[again], embedded)
+
+        monkeypatch.setattr(dec, "_build_from_tets", with_first_tet_twice)
+    match = "listed twice" if patch == "repeated-tet" else "600-cell"
+    with pytest.raises(InternalConsistencyError, match=match):
         run_cli(["oracle", "dec", "--mesh", "cell600", "--output", str(tmp_path / "dec.json")])
 
 

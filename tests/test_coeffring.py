@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError, RatJ, ZERO
-from formlap.forms import FormAlgebraError, OperatorPoly
+from formlap.forms import InternalConsistencyError, OperatorPoly
 
 J = RatJ(1, 1)
 ONE = RatJ(1)
@@ -80,7 +80,7 @@ def test_operator_sum_of_different_degrees_raises():
     a = OperatorPoly.graded(6, 2, 1, 2, [1], [3])   # 2J + E + 3F
     c = OperatorPoly.graded(6, 2, 2, 0, [1], [])    # J E
     assert (a.order, c.order) == (1, 2)
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         a - c
     assert (a + a).monomials() == {"1": J * 4, "E": RatJ(2), "F": RatJ(6)}
 

@@ -8,11 +8,12 @@ import pytest
 import scipy.linalg
 
 from formlap import dec
-from formlap.dec import (MeshError, _build_from_tets, _morse_complex, build_mesh,
-                         coexact_spectrum, compare_sphere_spectrum, dec_import_model, hodge_stars,
-                         integer_rank, is_well_centered, laplacian_pencil, spectrum,
-                         subdivide_barycentric, unit_sphere_edge_scale)
-from formlap.forms import InternalConsistencyError
+from formlap.dec import (_build_from_tets, _morse_complex, build_mesh, coexact_spectrum,
+                         compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
+                         is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
+                         unit_sphere_edge_scale)
+from formlap.forms import InternalConsistencyError, UsageError
+from formlap.spectral import SpectralDataError
 from formlap.whitney import galerkin_laplacian, whitney_masses
 
 
@@ -68,9 +69,9 @@ def test_simplex_numbering(five_cell, torus3, c600):
 
 
 def test_invalid_preset():
-    with pytest.raises(MeshError):
+    with pytest.raises(UsageError):
         build_mesh("dodecaplex")
-    with pytest.raises(MeshError):
+    with pytest.raises(UsageError):
         build_mesh("torus3-grid", 2)
 
 
@@ -358,7 +359,7 @@ def test_dec_import_promotes_only_compared_shells(c600, exact_shell, needle):
     cmp = compare_sphere_spectrum(c600, 1, spec, reference)
     assert [(e["kind"], e["cluster_size"]) for e in cmp["entries"]] == [("exact", size),
                                                                         ("coexact", 6)]
-    with pytest.raises(MeshError, match="matches no reference value") as info:
+    with pytest.raises(SpectralDataError, match="matches no reference value") as info:
         dec_import_model(cmp, spec, reference)
     assert needle in str(info.value) and "the lowest exact shell is 3 (x4)" in str(info.value)
 
@@ -376,5 +377,5 @@ def test_torus_function_eigenvalue_converges():
 
 
 def test_subdivision_requires_embedding(torus3):
-    with pytest.raises(MeshError):
+    with pytest.raises(UsageError):
         subdivide_barycentric(torus3)

@@ -8,7 +8,7 @@ from formlap.coeffring import RatJ
 from formlap.factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
                              closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
                              closed_tmodbox2_w1, operator_weight, sqyam_factors, yam_factor)
-from formlap.forms import FormAlgebraError, OperatorPoly, proportionality
+from formlap.forms import OperatorPoly, UsageError, proportionality
 from formlap.verify import default_grid
 
 
@@ -125,9 +125,9 @@ def test_factor_count_invariant():
 
 
 def test_param_validation():
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(UsageError):
         closed_factors(6, 4, 2)
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(UsageError):
         build_L_definition(6, 1, 0)
 
 

@@ -6,24 +6,24 @@ from hypothesis import strategies as st
 
 from formlap.coeffring import RatJ, ZERO
 from formlap.factory import build_L_and_G, closed_factors, run_pipeline
-from formlap.forms import (FormAlgebraError, FormContext, OperatorPoly, proportionality,
-                           to_operator_poly)
+from formlap.forms import (FormContext, InternalConsistencyError, OperatorPoly, UsageError,
+                           proportionality, to_operator_poly)
 from strategies import operators
 
 J = RatJ(1, 1)
 
 
 def test_context_validation():
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(UsageError):
         FormContext(2, 1, Fraction(0))
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(UsageError):
         FormContext(6, 4, Fraction(0))  # k > n/2
 
 
 def test_homogeneity_add_error():
     # E and J f lower weights by 2, f itself does not
     f, e = OperatorPoly(6, 2, 0, 1), OperatorPoly.graded(6, 2, 1, 0, [1], [])
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         f + e
     assert (f.times_J(1) + e).monomials() == {"E": RatJ(1), "1": J}
 
@@ -31,9 +31,9 @@ def test_homogeneity_add_error():
 def test_zero_summand_of_another_weight_raises():
     f = OperatorPoly(6, 2, 0, 1)
     for zero in (OperatorPoly(6, 2, 1), OperatorPoly(6, 1, 0)):
-        with pytest.raises(FormAlgebraError):
+        with pytest.raises(InternalConsistencyError):
             f + zero
-        with pytest.raises(FormAlgebraError):
+        with pytest.raises(InternalConsistencyError):
             zero + f
     assert f + OperatorPoly(6, 2, 0) == f
 
@@ -71,7 +71,7 @@ def test_ring_relations_exhaustive(p, q):
 
 
 def test_context_mismatch():
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         OperatorPoly.graded(6, 2, 1, 0, [1], []) * OperatorPoly.graded(6, 1, 1, 0, [1], [])
 
 
@@ -83,7 +83,7 @@ def test_proportionality_examples():
                   OperatorPoly(6, 2, 0))
     assert proportionality(e, f) is None
     assert proportionality(zero, e) == RatJ(0)
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         proportionality(e, zero)
 
 
@@ -104,9 +104,9 @@ def test_render():
 @given(operators(), operators())
 def test_sum_of_different_orders_raises(a, b):
     assume(a.order != b.order)
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         a + b
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         a - b
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
-from formlap.forms import FormAlgebraError, OperatorPoly
+from formlap.forms import InternalConsistencyError, OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, kernel_dim,
                               sphere_preset, synthetic_model, torus_preset)
 from strategies import operators
@@ -26,7 +26,7 @@ def test_on_eigenspace_examples():
 
 def test_on_eigenspace_pole():
     op = OperatorPoly(4, 2, -1, 1)  # 1/J
-    with pytest.raises(Exception):
+    with pytest.raises(CoefficientError):
         op.on_eigenspace("exact", Fraction(0), Fraction(1))
 
 
@@ -110,7 +110,7 @@ def test_on_eigenspace_matches_at(op, j, lam):
 
 
 def test_on_eigenspace_rejects_unknown_kind():
-    with pytest.raises(FormAlgebraError):
+    with pytest.raises(InternalConsistencyError):
         OperatorPoly.graded(4, 2, 1, 0, [1], [1]).on_eigenspace("closed", Fraction(1), Fraction(1))
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from formlap.coeffring import RatJ, ZERO
 from formlap.factory import build_L_definition, closed_factors, operator_weight
-from formlap.forms import OperatorPoly
+from formlap.forms import OperatorPoly, UsageError
 from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
                               synthetic_model)
 from formlap.verify import (BezoutError, bezout, default_grid, lg_second_scalar,
@@ -27,7 +27,7 @@ def test_factorization_examples():
 def test_MMstar_examples():
     assert verify_MMstar(5, 1, 2, 1).passed
     assert verify_MMstar(6, 1, 3, 2).passed
-    with pytest.raises(Exception):
+    with pytest.raises(UsageError, match="p = 2 outside"):
         verify_MMstar(5, 1, 2, 2)  # p = ell violates the precondition
 
 
