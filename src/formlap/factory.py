@@ -105,8 +105,14 @@ def closed_G1(n: int, k: int) -> OperatorPoly:
 
 def yam_factor(n: int, k: int, w: Fraction, i: int) -> OperatorPoly:
     """Generic second-order factor with index i at operator weight w."""
-    a = (w - i + 1) * (w - i + n - 2 * k)
-    b = (w - i) * (w - i + n - 2 * k + 1)
+    return _generic_factor(n, k, w - i)
+
+
+@lru_cache(maxsize=None)
+def _generic_factor(n: int, k: int, s: Fraction) -> OperatorPoly:
+    """The generic factor through s = w - i, the one shift it depends on; built once per key."""
+    a = (s + 1) * (s + n - 2 * k)
+    b = s * (s + n - 2 * k + 1)
     c = Fraction(-2, n) * a * b
     return OperatorPoly.graded(n, k, 1, c, [a], [b])
 

@@ -14,17 +14,21 @@ weights by 2m) and rational coefficients: const J^m + sum e_p J^(m-p)
 E^p + sum f_q J^(m-q) F^q.  A monomial of another weight cannot be
 written down, so weight homogeneity holds by construction.
 
-Storage is integral: each operator keeps integer numerators over one
-positive denominator ``den``, in canonical form (gcd(den, numerators)
-= 1, trailing zeros trimmed, zero has den 1), so structural equality
-is value equality.  A sum takes one lcm of the denominators, a product
-one integer convolution over den1 * den2, and every result is
-normalised by one gcd.  ``Fraction`` appears only at the edges.  Values
-enter one way: ``OperatorPoly.graded`` takes an order and rational
-coefficients (``from_numerators`` is the integer normaliser beneath
-it), and ``times_J`` and ``scale`` take a rational factor.  They leave
-as ``RatJ`` coefficients (``monomials``, ``proportionality``), as
-scalars (``at``, ``on_eigenspace``) or as text (``render``).
+Storage is integral: each operator is a slotted value holding integer
+numerators over one positive denominator ``den``, in canonical form
+(gcd(den, numerators) = 1, trailing zeros trimmed, zero has den 1), so
+structural equality is value equality.  Only the constructor writes
+the fields; that is kept by the source, not checked at run time.  Every
+sum and scaling is one multiply-accumulate, ``OperatorPoly.combine``:
+sum_i c_i J^(a_i) x_i over one lcm of the denominators, with integer
+accumulation and one gcd (``+``, ``-``, ``scale`` and ``times_J`` are
+its one- and two-term cases).  A product is one integer convolution
+over den1 * den2 and one gcd.  ``Fraction`` appears only at the edges.
+Values enter one way: ``OperatorPoly.graded`` takes an order and
+rational coefficients (``from_numerators`` is the integer normaliser
+beneath it and beneath ``combine``).  They leave as ``RatJ``
+coefficients (``monomials``, ``proportionality``), as scalars (``at``,
+``on_eigenspace``) or as text (``render``).
 
 An element of R reaches an eigenspace only through one reducer, an
 integer Horner sum over the numerators with one Fraction built per
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 from .coeffring import CoefficientError, RatJ
@@ -75,7 +78,6 @@ class FormContext:
         object.__setattr__(self, "w", Fraction(self.w))
 
 
-@dataclass(frozen=True)
 class OperatorPoly:
     """Weight-homogeneous element of R = Q[J, 1/J][E, F] / (EF = FE = 0) on k-forms of M^n.
 
@@ -84,15 +86,35 @@ class OperatorPoly:
     ``f_nums[q-1] / den`` multiplies J**(order-q) F**q; mixed monomials
     vanish identically in R.  Numerators are integers in canonical form
     (see the module docstring), with trailing zeros trimmed.
+
+    A value: only ``__init__`` assigns the seven slots, equality
+    compares them, and instances are unhashable.
     """
 
-    n: int
-    k: int
-    order: int
-    c_num: int = 0
-    e_nums: tuple[int, ...] = ()
-    f_nums: tuple[int, ...] = ()
-    den: int = 1
+    __slots__ = ("n", "k", "order", "c_num", "e_nums", "f_nums", "den")
+
+    def __init__(self, n: int, k: int, order: int, c_num: int = 0,
+                 e_nums: tuple[int, ...] = (), f_nums: tuple[int, ...] = (), den: int = 1) -> None:
+        self.n = n
+        self.k = k
+        self.order = order
+        self.c_num = c_num
+        self.e_nums = e_nums
+        self.f_nums = f_nums
+        self.den = den
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OperatorPoly):
+            return NotImplemented
+        return (self.order == other.order and self.den == other.den and self.c_num == other.c_num
+                and self.e_nums == other.e_nums and self.f_nums == other.f_nums
+                and self.n == other.n and self.k == other.k)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"OperatorPoly(n={self.n}, k={self.k}, order={self.order}, c_num={self.c_num}, "
+                f"e_nums={self.e_nums}, f_nums={self.f_nums}, den={self.den})")
 
     @staticmethod
     def graded(n: int, k: int, order: int, const: Fraction | int,
@@ -127,6 +149,36 @@ class OperatorPoly:
             den //= g
         return OperatorPoly(n, k, order, c, e, f, den)
 
+    @staticmethod
+    def combine(terms: list | tuple) -> OperatorPoly:
+        """sum_i c_i J**a_i x_i over a nonempty sequence of terms (c_i, a_i, x_i), normalised once.
+
+        The one path for sums and scalings in R.  Each c_i is an int or a
+        Fraction, read through its numerator and denominator; every
+        x_i.order + a_i must agree, and that is the result's order.  The
+        numerators are accumulated over one lcm of the term denominators.
+        """
+        _, a0, x0 = terms[0]
+        order = x0.order + a0
+        den = 1
+        for c, a, x in terms:
+            x0._check(x)
+            if x.order + a != order:
+                raise InternalConsistencyError(f"adding operators of orders {order} and {x.order + a}")
+            d = x.den * c.denominator
+            if den % d:
+                den = lcm(den, d)
+        acc_c, acc_e, acc_f = 0, [], []
+        for c, _, x in terms:
+            m = c.numerator * (den // (x.den * c.denominator))
+            acc_c += x.c_num * m
+            for acc, nums in ((acc_e, x.e_nums), (acc_f, x.f_nums)):
+                if len(acc) < len(nums):
+                    acc += [0] * (len(nums) - len(acc))
+                for i, v in enumerate(nums):
+                    acc[i] += v * m
+        return OperatorPoly.from_numerators(x0.n, x0.k, order, acc_c, acc_e, acc_f, den)
+
     @property
     def is_zero(self) -> bool:
         return not self.c_num and not self.e_nums and not self.f_nums
@@ -138,18 +190,7 @@ class OperatorPoly:
             )
 
     def __add__(self, other: OperatorPoly) -> OperatorPoly:
-        self._check(other)
-        if self.order != other.order:
-            raise InternalConsistencyError(f"adding operators of orders {self.order} and {other.order}")
-        da, db = self.den, other.den
-        den = da if da == db else lcm(da, db)
-        ma, mb = den // da, den // db
-        return OperatorPoly.from_numerators(
-            self.n, self.k, self.order, self.c_num * ma + other.c_num * mb,
-            [a * ma + b * mb for a, b in zip_longest(self.e_nums, other.e_nums, fillvalue=0)],
-            [a * ma + b * mb for a, b in zip_longest(self.f_nums, other.f_nums, fillvalue=0)],
-            den,
-        )
+        return OperatorPoly.combine(((1, 0, self), (1, 0, other)))
 
     def __neg__(self) -> OperatorPoly:
         return OperatorPoly(self.n, self.k, self.order, -self.c_num,
@@ -157,19 +198,15 @@ class OperatorPoly:
                             self.den)
 
     def __sub__(self, other: OperatorPoly) -> OperatorPoly:
-        return self + (-other)
+        return OperatorPoly.combine(((1, 0, self), (-1, 0, other)))
 
     def scale(self, c: Fraction | int) -> OperatorPoly:
         """Multiply by the rational c; the order is unchanged."""
-        return self.times_J(0, c)
+        return OperatorPoly.combine(((c, 0, self),))
 
     def times_J(self, power: int, c: Fraction | int = 1) -> OperatorPoly:
         """Multiply by c * J**power; the order rises by power."""
-        p = c.numerator
-        return OperatorPoly.from_numerators(self.n, self.k, self.order + power, self.c_num * p,
-                                            [x * p for x in self.e_nums],
-                                            [x * p for x in self.f_nums],
-                                            self.den * c.denominator)
+        return OperatorPoly.combine(((c, power, self),))
 
     def e_part(self) -> OperatorPoly:
         """The constant and E terms: the operator with its F part dropped."""
@@ -246,8 +283,6 @@ class OperatorPoly:
             else:
                 parts.append(f"{_wrap(c)}{body}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _wrap(c: str) -> str:

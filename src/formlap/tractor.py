@@ -112,24 +112,27 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
         Z' = (E + F) Z + (D - 2k(n-k-1)/n) J Z - (2/(nk)) J E Y - (2/k) E X
         X' = E X + (j_y + D) J X + ((n-2k+2)/n^2) J^2 Y - (2k/n) J e(Z)
 
-    where j_y = 1 - 2(k-1)(n-k+1)/n.
+    where j_y = 1 - 2(k-1)(n-k+1)/n.  The ring products E Y, E X and
+    (E + F) Z are taken once, and each output slot is one
+    multiply-accumulate (``OperatorPoly.combine``).
     """
     ctx = t.ctx
     n, k = ctx.n, ctx.k
     wt = t.wt
     y, z, x = t.slot_y, t.slot_z, t.slot_x
 
-    e = OperatorPoly.graded(n, k, 1, 0, [1], [])
+    e = OperatorPoly(n, k, 1, 0, (1,))
     diag = Fraction(-2) * wt * (n + wt - 1) / n
     j_y = 1 - Fraction(2 * (k - 1) * (n - k + 1), n) + diag
     ey, ex, ez = e * y, e * x, z.e_part()
 
-    out_y = ey + y.times_J(1, j_y) + ez.scale(-2 * k) + x.scale(n - 2 * k + 2)
-    out_z = (OperatorPoly.graded(n, k, 1, 0, [1], [1]) * z
-             + z.times_J(1, diag - Fraction(2 * k * (n - k - 1), n))
-             + ey.times_J(1, Fraction(-2, n * k)) + ex.scale(Fraction(-2, k)))
-    out_x = (ex + x.times_J(1, j_y) + y.times_J(2, Fraction(n - 2 * k + 2, n * n))
-             + ez.times_J(1, Fraction(-2 * k, n)))
+    combine = OperatorPoly.combine
+    out_y = combine(((1, 0, ey), (j_y, 1, y), (-2 * k, 0, ez), (n - 2 * k + 2, 0, x)))
+    out_z = combine(((1, 0, OperatorPoly(n, k, 1, 0, (1,), (1,)) * z),
+                     (diag - Fraction(2 * k * (n - k - 1), n), 1, z),
+                     (Fraction(-2, n * k), 1, ey), (Fraction(-2, k), 0, ex)))
+    out_x = combine(((1, 0, ex), (j_y, 1, x), (Fraction(n - 2 * k + 2, n * n), 2, y),
+                     (Fraction(-2 * k, n), 1, ez)))
     return TractorFormExpr(ctx, t.p + 1, out_y, out_z, out_x)
 
 
@@ -139,8 +142,8 @@ def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
     Here d slot_y = d delta Y = E Y, so the result is an element of R.
     """
     k = t.ctx.k
-    e = OperatorPoly.graded(t.ctx.n, k, 1, 0, [1], [])
-    return t.slot_z.scale(-(t.wt + k)) + (e * t.slot_y).scale(Fraction(1, k))
+    e = OperatorPoly(t.ctx.n, k, 1, 0, (1,))
+    return OperatorPoly.combine(((-(t.wt + k), 0, t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
 
 
 def extract_slots(t: TractorFormExpr) -> tuple[OperatorPoly, OperatorPoly]:

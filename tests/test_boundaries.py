@@ -9,6 +9,10 @@ engine and an oracle is evidence rather than a shared computation.
 
 Every error the package raises is one of its own classes, and only
 ``cli.main`` catches ``UsageError``, so no fault can pass as bad input.
+
+Operators are values: ``OperatorPoly`` is a slotted class whose
+immutability is kept by its source, not enforced at run time, so the
+source is read for writes to its fields.
 """
 
 import ast
@@ -107,3 +111,34 @@ def test_raises_name_package_errors_and_only_main_catches_usage_errors():
                      for c in ast.walk(s) if isinstance(c, ast.Call)}
             assert "UsageError" not in names and calls <= outside, where
     assert main_catches
+
+
+def _attribute_writes(tree):
+    """(node, attribute name) of each attribute store or delete, and each setattr/delattr by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            yield node, node.attr
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in {"setattr", "delattr", "__setattr__", "__delattr__"}
+              and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            yield node, node.args[1].value
+
+
+def test_operator_fields_are_written_only_by_the_constructor():
+    from formlap.forms import OperatorPoly
+
+    op = OperatorPoly(6, 2, 1, 0, (1,))
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(TypeError):
+        hash(op)
+    fields = set(OperatorPoly.__slots__)
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    (init,) = [f for c in trees["forms.py"].body
+               if isinstance(c, ast.ClassDef) and c.name == "OperatorPoly"
+               for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+    inside = set(ast.walk(init))
+    assert {name for node, name in _attribute_writes(init)} == fields  # the reader sees them
+    writes = [f"{name}:{node.lineno} {attr}" for name, tree in trees.items()
+              for node, attr in _attribute_writes(tree) if attr in fields and node not in inside]
+    assert writes == []

@@ -149,3 +149,12 @@ def test_coefficients_are_plain_fractions(n, k, ell):
            X, L.e_part(), t.slot_y, t.slot_z, t.slot_x, X.scale(3), X.times_J(2, 3)]
     for op in ops:
         assert all(type(c.c) is Fraction for c in op.monomials().values())
+
+
+def test_combine_checks_order_and_context():
+    f, e = OperatorPoly(6, 2, 0, 1), OperatorPoly(6, 2, 1, 0, (1,))
+    assert OperatorPoly.combine(((2, 1, f), (Fraction(1, 2), 0, e))) == OperatorPoly(6, 2, 1, 4, (1,), (), 2)
+    with pytest.raises(InternalConsistencyError, match="adding operators of orders 1 and 0"):
+        OperatorPoly.combine(((1, 0, e), (1, 0, f)))
+    with pytest.raises(InternalConsistencyError, match="context mismatch"):
+        OperatorPoly.combine(((1, 0, e), (1, 1, OperatorPoly(6, 1, 0, 1))))

@@ -7,7 +7,9 @@ the gcd normalisation or the integer Horner sums under test.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,23 @@ def test_operator_arithmetic_matches_reference(a, b, data):
                                                      if key == "1" or key[0] == "E"}))):
         assert_canonical(result)
         assert ref_op(result) == expected
+
+
+@given(st.integers(-2, 3), st.data())
+@settings(max_examples=60)
+def test_combine_matches_chained_arithmetic(order, data):
+    # sum_i c_i J^a_i x_i in one multiply-accumulate, against the pairwise chain
+    # of times_J and + and against the per-coefficient reference
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        c = data.draw(small_fracs | st.integers(-6, 6))
+        power = data.draw(st.integers(-2, 2))
+        terms.append((c, power, data.draw(operators(order=order - power))))
+    result = OperatorPoly.combine(terms)
+    assert_canonical(result)
+    assert result == reduce(add, (x.times_J(power, c) for c, power, x in terms))
+    assert ref_op(result) == reduce(ref_add, (ref_scale(ref_op(x), Fraction(c), power)
+                                              for c, power, x in terms))
 
 
 @given(operators(), operators(), st.data())

@@ -267,3 +267,24 @@ def test_extract_slots():
     assert x_part == unit(6, 2)              # the companion delta f
     zl, zx = extract_slots(_zero_like(m))
     assert zl.is_zero and zx.is_zero
+
+
+def test_each_box_step_normalises_seven_times(monkeypatch):
+    # three ring products, the e(Z) read and one multiply-accumulate per output slot;
+    # a box that summed its slots pairwise would normalise 24 times per step
+    real = OperatorPoly.from_numerators
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    t = make_M(FormContext(8, 2, Fraction(1)))
+    monkeypatch.setattr(OperatorPoly, "from_numerators", staticmethod(counted))
+    for p in range(1, 5):
+        calls.clear()
+        t = apply_box(t)
+        assert (t.p, len(calls)) == (p, 7)
+        calls.clear()
+        apply_Mstar(t)
+        assert len(calls) == 2  # the product E Y and one multiply-accumulate
