@@ -177,9 +177,12 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     from .forms import UsageError
     from .spectral import SpectralDataError, sphere_preset
 
-    if args.promote is not None and args.mesh == "torus3-grid":
-        raise UsageError("--promote needs a sphere mesh: torus3-grid has no sphere reference")
-    if args.size is not None and args.mesh != "torus3-grid":
+    sphere = args.mesh != "torus3-grid"
+    if not sphere:  # the torus grid reports Betti numbers only
+        for flag, value in (("--k", args.k), ("--eigs", args.eigs), ("--promote", args.promote)):
+            if value is not None:
+                raise UsageError(f"{flag} needs a sphere mesh: torus3-grid computes no spectrum")
+    if sphere and args.size is not None:
         raise UsageError(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
     if not 0 < args.rtol < 1:  # also rejects nan and inf
         raise UsageError(f"--rtol {args.rtol} is not a number in (0, 1)")
@@ -188,27 +191,26 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     if args.subdivide:
         mesh = subdivide_barycentric(mesh, project_radius=1.0)
     stages: dict[str, dict] = {"mesh": {"seconds": _since(start), "f_vector": list(mesh.counts())}}
-    if not 0 <= args.k <= mesh.dim:
-        raise UsageError(f"--k {args.k} outside 0..{mesh.dim}")
-    nk = len(mesh.simplices[args.k])
-    if not 1 <= args.eigs <= nk:
-        raise UsageError(f"--eigs {args.eigs} outside 1..{nk}, the {args.k}-cochain dimension")
+    config = {"mesh": args.mesh, "size": args.size, "subdivide": bool(args.subdivide)}
+    if sphere:
+        k = config["k"] = 1 if args.k is None else args.k
+        eigs = config["eigs"] = 40 if args.eigs is None else args.eigs
+        if not 0 <= k <= mesh.dim:
+            raise UsageError(f"--k {k} outside 0..{mesh.dim}")
+        nk = len(mesh.simplices[k])
+        if not 1 <= eigs <= nk:
+            raise UsageError(f"--eigs {eigs} outside 1..{nk}, the {k}-cochain dimension")
     start = time.perf_counter()
     betti = mesh.betti
     stages["betti"] = {"seconds": _since(start)}
-    payload: dict = {
-        "schema": REPORT_SCHEMA,
-        "config": {"mesh": args.mesh, "size": args.size, "k": args.k,
-                   "eigs": args.eigs, "subdivide": bool(args.subdivide)},
-        "betti": list(betti),
-    }
+    payload: dict = {"schema": REPORT_SCHEMA, "config": config, "betti": list(betti)}
     failure = None  # the one stderr line of a failed run
-    if mesh.embedded:
+    if sphere:
         start = time.perf_counter()
-        spec = spectrum(mesh, args.k, args.eigs)
+        spec = spectrum(mesh, k, eigs)
         stages["spectrum"] = {"seconds": _since(start)}
-        reference = sphere_preset(mesh.dim, args.k, j_max=4)
-        cmp = compare_sphere_spectrum(mesh, args.k, spec, reference)
+        reference = sphere_preset(mesh.dim, k, j_max=4)
+        cmp = compare_sphere_spectrum(mesh, k, spec, reference)
         payload["sphere_comparison"] = {
             **cmp, "scale": _sig10(cmp["scale"]), "max_rel_error": _sig10(cmp["max_rel_error"]),
             "entries": [{**e, "computed": _sig10(e["computed"]), "rel_error": _sig10(e["rel_error"])}
@@ -272,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", choices=("cell600", "boundary-4-simplex", "torus3-grid"),
                    required=True)
     p.add_argument("--size", type=int, default=None, help="grid size for torus3-grid")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eigs", type=int, default=40)
+    p.add_argument("--k", type=int, default=None, help="form degree, sphere meshes (default 1)")
+    p.add_argument("--eigs", type=int, default=None,
+                   help="nonzero eigenvalues, sphere meshes (default 40)")
     p.add_argument("--rtol", type=float, default=0.10)
     p.add_argument("--subdivide", action="store_true")
     p.add_argument("--promote", type=Path, default=None,

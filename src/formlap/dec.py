@@ -626,8 +626,7 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
     return np.sort(vals)[harmonic:]
 
 
-def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int,
-                     betti: tuple[int, ...]) -> np.ndarray:
+def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int) -> np.ndarray:
     """The coexact spectrum on j-cochains: the lowest count nonzero eigenvalues of the up pencil.
 
     Its kernel has dimension b_j + rank d_{j-1} (ranks from the Betti
@@ -635,6 +634,7 @@ def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int,
     of more than DENSE_MAX = 800 rows go to _sparse_lowest, which
     overtakes dense eigh between 720 and 875 rows (the table at DENSE_MAX).
     """
+    betti = mesh.betti
     gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
     if j == 2:
         # the star-dual pencil (d_2 M_2^-1 d_2^T, M_3^-1) on tets has the same nonzero
@@ -678,7 +678,7 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]
 
         masses = galerkin_laplacian(mesh, k)
     pairs = [(float(lam), kind) for j, kind in ((k, "coexact"), (k - 1, "exact"))
-             if 0 <= j < mesh.dim for lam in coexact_spectrum(mesh, j, masses, count, betti)]
+             if 0 <= j < mesh.dim for lam in coexact_spectrum(mesh, j, masses, count)]
     return [(0.0, "harmonic")] * betti[k] + sorted(pairs)[:count]
 
 

@@ -4,14 +4,16 @@ The definition engine runs the tractor pipeline: embed the generator
 with the splitting operator, apply the coupled box ell times, read off
 the middle slot (the operator itself) and the bottom slot (its
 companion of one degree lower).  Each box state (n, k, w, p) is built
-once, from state p-1, by `box_iterate`; the operator L, its companion G
-and the second-order reductions M* box**p M are all read from those
-states.  Every slot is an element of R or the codifferential of one
-(see ``tractor``), so L, the companion's X with G = delta X, and the
-reductions are all elements of R.  The closed-form builders write down
-the order-one operator, the tuple of commuting second-order factors
-whose product is the operator, and the second-order reductions
-directly from their explicit formulas.
+once, from state p-1, by `box_iterate`, which keeps the states of one
+(n, k) at a time: a sweep visits each (n, k) once.  `run_pipeline`
+memoises what is read at the operator weight, L and the X of its
+companion G = delta X, so operators of other (n, k) come from there;
+`build_tmodbox` memoises the second-order reductions M* box**p M.
+Every slot is an element of R or the codifferential of one (see
+``tractor``), so L, X and the reductions are all elements of R.  The
+closed-form builders write down the order-one operator, the tuple of
+commuting second-order factors whose product is the operator, and the
+second-order reductions directly from their explicit formulas.
 The two routes share nothing but the ring R (``forms``), so their
 agreement is evidence rather than tautology.
 
@@ -29,8 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .forms import FormContext, InternalConsistencyError, OperatorPoly, UsageError
-from .tractor import (TractorFormExpr, apply_Mstar, apply_box, assert_top_slots_vanish,
-                      extract_slots, make_M)
+from .tractor import TractorFormExpr, apply_Mstar, apply_box, make_M
 
 
 def operator_weight(n: int, k: int, ell: int) -> Fraction:
@@ -48,39 +49,45 @@ def _check_params(n: int, k: int, ell: int) -> None:
 # -- definition engine ----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
+def box_chains(n: int, k: int) -> dict[Fraction, list[TractorFormExpr]]:
+    """The box states of one (n, k): generator weight w -> [box**0 M, box**1 M, ...]."""
+    return {}
+
+
 def box_iterate(n: int, k: int, w: Fraction | int, p: int) -> TractorFormExpr:
     """Box**p applied to the embedded generator of weight w.
 
-    State p is built from state p-1, so every state of one (n, k, w)
-    chain is built once; the cache holds about one chain.
+    The chain of weight w is extended on demand, state p from state p-1,
+    so every state of the current (n, k) is built once.
     """
-    if p == 0:
-        return make_M(FormContext(n, k, Fraction(w)))
-    return apply_box(box_iterate(n, k, w, p - 1))
+    chain = box_chains(n, k).setdefault(w, [])
+    if not chain:
+        chain.append(make_M(FormContext(n, k, Fraction(w))))
+    while len(chain) <= p:
+        chain.append(apply_box(chain[-1]))
+    return chain[p]
 
 
 @lru_cache(maxsize=None)
-def run_pipeline(n: int, k: int, ell: int) -> TractorFormExpr:
-    """Box**ell applied to the embedded generator at the operator weight."""
-    _check_params(n, k, ell)
-    return box_iterate(n, k, operator_weight(n, k, ell), ell)
-
-
-@lru_cache(maxsize=None)
-def build_L_and_G(n: int, k: int, ell: int) -> tuple[OperatorPoly, OperatorPoly]:
+def run_pipeline(n: int, k: int, ell: int) -> tuple[OperatorPoly, OperatorPoly]:
     """The order-2*ell operator L and the X of its companion G = delta X, from one pipeline.
 
-    Asserts along the way that the top slot vanishes at this weight.
+    Box**ell at the operator weight, read as (k * Z, X): under these reads
+    the order-one operator equals its closed form with constant exactly 1.
+    Raises unless the top slot vanishes there.
     """
-    t = run_pipeline(n, k, ell)
-    assert_top_slots_vanish(t)
-    return extract_slots(t)
+    _check_params(n, k, ell)
+    t = box_iterate(n, k, operator_weight(n, k, ell), ell)
+    if not t.slot_y.is_zero:
+        raise InternalConsistencyError(
+            f"top slot expected to vanish at (n, k, ell) = ({n}, {k}, {ell}):\n" + t.render())
+    return t.slot_z.scale(k), t.slot_x
 
 
 def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
     """The order-2*ell operator from the tractor definition."""
-    return build_L_and_G(n, k, ell)[0]
+    return run_pipeline(n, k, ell)[0]
 
 
 # -- closed forms ----------------------------------------------------------

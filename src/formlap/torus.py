@@ -295,11 +295,10 @@ def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray
     return out
 
 
-def pipeline_L_numeric(n: int, k: int, ell: int,
-                       xi: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Exact mode matrix of the operator from the flat pipeline, as (M, 2): it is M / 2.
+def pipeline_L_numeric(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
+    """Twice the exact mode matrix of the operator, from the flat pipeline.
 
-    M is the middle block of ``pipeline_matrix``, where S is the
+    It is the middle block of ``pipeline_matrix``, where S is the
     identity.  Raises unless the top and second slot blocks vanish.
     """
     full = pipeline_matrix(n, k, ell, xi)
@@ -307,7 +306,7 @@ def pipeline_L_numeric(n: int, k: int, ell: int,
     for name in ("y", "w"):
         if np.any(full[blocks[name]] != 0):
             raise InternalConsistencyError(f"nonvanishing {name!r} slot block at xi = {xi}")
-    return full[blocks["z"]], 2
+    return full[blocks["z"]]
 
 
 def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int,
@@ -356,9 +355,9 @@ def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) ->
     per_mode = []
     worst = 0
     for xi in modes:
-        numeric, two = pipeline_L_numeric(n, k, ell, xi)
+        numeric = pipeline_L_numeric(n, k, ell, xi)  # twice the operator's mode matrix
         symbolic, den = symbolic_mode_matrix(op, n, k, xi)
-        mismatches = int(np.sum(_times(numeric, den) != _times(symbolic, two)))
+        mismatches = int(np.sum(_times(numeric, den) != _times(symbolic, 2)))
         worst = max(worst, mismatches)
         per_mode.append({"xi": list(xi), "mismatched_entries": mismatches})
     return {"n": n, "k": k, "ell": ell, "modes": per_mode,

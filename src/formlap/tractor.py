@@ -79,10 +79,6 @@ class TractorFormExpr:
         """Overall tractor weight w - k - p."""
         return self.ctx.w - self.ctx.k - self.p
 
-    @property
-    def is_zero(self) -> bool:
-        return self.slot_y.is_zero and self.slot_z.is_zero and self.slot_x.is_zero
-
     def render(self) -> str:
         return (f"[Y] δ({self.slot_y.render()})\n[Z] {self.slot_z.render()}\n"
                 f"[X] δ({self.slot_x.render()})")
@@ -145,17 +141,3 @@ def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
     e = OperatorPoly(t.ctx.n, k, 1, 0, (1,))
     return OperatorPoly.combine(((-(t.wt + k), 0, t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
 
-
-def extract_slots(t: TractorFormExpr) -> tuple[OperatorPoly, OperatorPoly]:
-    """Operator-normalised middle and bottom reads: (k * Z, X), with slot_x = delta X.
-
-    These are the reads under which the order-one operator equals its
-    closed form with constant exactly 1 (the acceptance calibration); the
-    raw slots remain available as attributes.
-    """
-    return t.slot_z.scale(t.ctx.k), t.slot_x
-
-
-def assert_top_slots_vanish(t: TractorFormExpr) -> None:
-    if not t.slot_y.is_zero:
-        raise InternalConsistencyError("top slot expected to vanish:\n" + t.render())

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .coeffring import RatJ, ZERO
-from .factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
-                      operator_weight)
+from .factory import (build_L_definition, build_tmodbox, closed_factors, operator_weight,
+                      run_pipeline)
 from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
 from .spectral import SpectralModel, content_covers
 
@@ -141,7 +141,7 @@ def verify_LG(n: int, k: int, ell: int) -> VerificationReport:
     """
     params = {"n": n, "k": k, "ell": ell}
     w = operator_weight(n, k, ell)
-    L, X = build_L_and_G(n, k, ell)
+    L, X = run_pipeline(n, k, ell)
     lhs1 = X.scale(w)
     rhs1 = -L.e_part()
     ok1 = lhs1 == rhs1

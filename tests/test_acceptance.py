@@ -20,9 +20,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_L1,
-                             closed_tmodbox1, closed_tmodbox2_w1, operator_weight,
-                             run_pipeline)
+from formlap.factory import (box_iterate, build_L_definition, build_tmodbox, closed_factors,
+                             closed_L1, closed_tmodbox1, closed_tmodbox2_w1, operator_weight)
 from formlap.forms import proportionality
 from formlap.verify import (default_grid, verify_LG, verify_MMstar, verify_bezout_pairs,
                             verify_factorization, verify_kernel_decomposition)
@@ -101,7 +100,7 @@ def test_criterion_05_companion_relations(capfd):
 def test_criterion_06_slot_vanishing_symbolic(capfd):
     bad = []
     for n, k, ell in GRID:
-        t = run_pipeline(n, k, ell)
+        t = box_iterate(n, k, operator_weight(n, k, ell), ell)
         if not t.slot_y.is_zero:
             bad.append((n, k, ell))
     report(capfd, "6a top/second slot vanishing at the operator weight (symbolic)",

@@ -58,7 +58,7 @@ def test_expand_ring_fault_is_not_a_usage_error(monkeypatch):
 
     real = OperatorPoly.__mul__
     monkeypatch.setattr(OperatorPoly, "__mul__", lambda a, b: real(a, b).times_J(1))
-    caches = (factory.box_iterate, factory.run_pipeline, factory.build_L_and_G)
+    caches = (factory.box_chains, factory.run_pipeline)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -217,6 +217,8 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "boundary-4-simplex", "--eigs", "500"], "--eigs"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--subdivide"], "subdivision"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--promote", "model.json"], "--promote"),
+    (["dec", "--mesh", "torus3-grid", "--size", "3", "--k", "1"], "--k"),
+    (["dec", "--mesh", "torus3-grid", "--size", "3", "--eigs", "40"], "--eigs"),
     (["dec", "--mesh", "cell600", "--size", "7", "--k", "1", "--eigs", "4"], "--size"),
     (["dec", "--mesh", "torus3-grid"], "grid size"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "nan"], "--rtol"),
@@ -225,7 +227,8 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "-1"], "--rtol"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "1.5"], "--rtol"),
 ], ids=["torus-n-below-3", "torus-ell-max-zero", "torus-modes-zero", "dec-k-above-dim",
-        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-size-sphere",
+        "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-k-torus",
+        "dec-eigs-torus", "dec-size-sphere",
         "dec-torus-without-size", "dec-rtol-nan",
         "dec-rtol-inf", "dec-rtol-zero", "dec-rtol-negative", "dec-rtol-above-one"])
 def test_oracle_usage_error(capsys, args, needle):
@@ -341,7 +344,7 @@ def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_pa
 # of the 600-cell with a promoted model (written to the relative path
 # model.json), and of that model file
 ORACLE_DEC_SHA256 = {
-    "torus": "d107b1a108f46639cd58a48159407c561ada81e07a40372a077efde826f37785",
+    "torus": "553ad1a4cb0cc204445ebbe1cc7e3555c2c20c2940da03c3f52e0cab4cb2293c",
     "cell600": "19809b7ccb4b1cf7cf734edbf1c0244670e158e9e46624fde5bf511d361347cd",
     "model": "ead1c7d4064be3dc31e42f24e7a3ae8dd46448e3ce00a02580c9fc9dbf68794f",
 }

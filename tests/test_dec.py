@@ -188,14 +188,13 @@ def test_sparse_solve_matches_dense(monkeypatch, c600, grid5):
     fine = subdivide_barycentric(build_mesh("boundary-4-simplex"), project_radius=1.0)
     sparse_rows = _count_sparse_solves(monkeypatch)
     for mesh, degrees in ((c600, (0, 1, 2)), (grid5, (0, 1)), (fine, (0, 1, 2))):
-        betti = mesh.betti
         for j in degrees:
             masses = _masses(mesh, j)
             solved = {}
             for path, limit in (("dense", 10**9), ("sparse", 0)):  # above / below every pencil
                 with monkeypatch.context() as patch:
                     patch.setattr(dec, "DENSE_MAX", limit)
-                    solved[path] = coexact_spectrum(mesh, j, masses, 10, betti)
+                    solved[path] = coexact_spectrum(mesh, j, masses, 10)
                 assert len(sparse_rows) == (path == "sparse"), (mesh.name, j, path)
             sparse_rows.clear()
             assert solved["sparse"] == pytest.approx(solved["dense"], rel=1e-9, abs=0), (mesh.name, j)
@@ -206,7 +205,7 @@ def test_dense_max_dispatch(monkeypatch, c600, grid5):
     # and the 875-row Whitney pencil of the 5x5x5 grid sparse
     sparse_rows = _count_sparse_solves(monkeypatch)
     for mesh in (c600, grid5):
-        assert len(coexact_spectrum(mesh, 1, _masses(mesh, 1), 6, mesh.betti)) == 6
+        assert len(coexact_spectrum(mesh, 1, _masses(mesh, 1), 6)) == 6
     assert (c600.counts()[1], grid5.counts()[1]) == (720, 875)
     assert sparse_rows == [875]
 
@@ -216,7 +215,7 @@ def test_stalled_lanczos_raises_with_its_limit(monkeypatch, grid5):
     monkeypatch.setattr(dec, "ARPACK_MAXITER", 1)
     with pytest.raises(InternalConsistencyError,
                        match=r"875-row pencil: \d of 9 eigenvalues converged within 1 ARPACK"):
-        coexact_spectrum(grid5, 1, _masses(grid5, 1), 6, grid5.betti)
+        coexact_spectrum(grid5, 1, _masses(grid5, 1), 6)
 
 
 def test_refined_sphere_two_form_multiplets():

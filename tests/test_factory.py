@@ -5,9 +5,9 @@ import pytest
 
 import formlap.factory as factory
 from formlap.coeffring import RatJ
-from formlap.factory import (build_L_and_G, build_L_definition, build_tmodbox, closed_factors,
-                             closed_G1, closed_L1, closed_tmodbox1, closed_tmodbox2,
-                             closed_tmodbox2_w1, operator_weight, sqyam_factors, yam_factor)
+from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_G1,
+                             closed_L1, closed_tmodbox1, closed_tmodbox2, closed_tmodbox2_w1,
+                             operator_weight, run_pipeline, sqyam_factors, yam_factor)
 from formlap.forms import OperatorPoly, UsageError, proportionality
 from formlap.verify import default_grid
 
@@ -33,14 +33,14 @@ def test_order_one_equality_grid(n):
 
 def test_build_G_examples():
     # G = delta X with X = E + J at (n, k) = (4, 1)
-    x = build_L_and_G(4, 1, 1)[1]
+    x = run_pipeline(4, 1, 1)[1]
     assert x.monomials() == {"E": RatJ(1), "1": RatJ(1, 1)}
     assert x == closed_G1(4, 1)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3), (5, 1), (9, 4)])
 def test_G_closed_form_order_one(n, k):
-    assert build_L_and_G(n, k, 1)[1] == closed_G1(n, k)
+    assert run_pipeline(n, k, 1)[1] == closed_G1(n, k)
 
 
 def test_closed_factors_examples():
@@ -191,12 +191,11 @@ def test_yam_factor_matches_tmodbox1():
 
 def test_sweep_builds_each_box_state_once(monkeypatch):
     # the operators, companions and second-order reductions of a sweep all
-    # read the same box iterates: one apply_box per state (n, k, w, p >= 1)
-    from formlap.verify import default_grid, run_sweep
+    # read the same box states: one apply_box per state (n, k, w, p >= 1),
+    # for each theorem alone and for all together.  At ell = 10 one chain
+    # holds 11 states.  The relative inverses read only the closed forms.
+    from formlap.verify import THEOREMS, default_grid, run_sweep
 
-    for cached in (factory.box_iterate, factory.run_pipeline, factory.build_L_and_G,
-                   factory.build_tmodbox):
-        cached.cache_clear()
     calls = []
     apply_box = factory.apply_box
 
@@ -205,7 +204,36 @@ def test_sweep_builds_each_box_state_once(monkeypatch):
         return apply_box(t)
 
     monkeypatch.setattr(factory, "apply_box", counting_apply_box)
-    reports = run_sweep(["factorization", "MMstar", "LG", "bezout", "kernel"],
-                        range(3, 6), ell_max=3)
-    assert all(r.passed for r in reports)
-    assert len(calls) == sum(ell for _, _, ell in default_grid(range(3, 6), 3))
+    states = sum(ell for _, _, ell in default_grid(range(3, 6), 10))
+    for theorems in [[name] for name in THEOREMS] + [list(THEOREMS)]:
+        for cached in (factory.box_chains, factory.run_pipeline, factory.build_tmodbox):
+            cached.cache_clear()
+        calls.clear()
+        reports = run_sweep(theorems, range(3, 6), ell_max=10)
+        assert reports and all(r.passed for r in reports), theorems
+        assert len(calls) == (0 if theorems == ["bezout"] else states), theorems
+
+
+def test_pipeline_raises_unless_the_top_slot_vanishes(monkeypatch):
+    # a box that leaves delta Y f in the top slot breaks the definition: a fault
+    from formlap.forms import InternalConsistencyError
+    from formlap.tractor import TractorFormExpr
+
+    apply_box = factory.apply_box
+
+    def leaky_apply_box(t):
+        out = apply_box(t)
+        y = out.slot_y + OperatorPoly(t.ctx.n, t.ctx.k, out.p - 1, 1)
+        return TractorFormExpr(out.ctx, out.p, y, out.slot_z, out.slot_x)
+
+    caches = (factory.box_chains, factory.run_pipeline)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(factory, "apply_box", leaky_apply_box)
+    try:
+        with pytest.raises(InternalConsistencyError, match=r"top slot expected to vanish at "
+                                                           r"\(n, k, ell\) = \(6, 2, 2\)"):
+            run_pipeline(6, 2, 2)
+    finally:
+        for cached in caches:  # they now hold states built with the leaky box
+            cached.cache_clear()

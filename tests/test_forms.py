@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import RatJ, ZERO
-from formlap.factory import build_L_and_G, closed_factors, run_pipeline
+from formlap.factory import box_iterate, closed_factors, operator_weight, run_pipeline
 from formlap.forms import (FormContext, InternalConsistencyError, OperatorPoly, UsageError,
                            proportionality, to_operator_poly)
 from strategies import operators
@@ -40,7 +40,7 @@ def test_zero_summand_of_another_weight_raises():
 
 def test_to_operator_poly_examples():
     # operators leave the tractor slots as elements of R: the read-out is the identity
-    L = build_L_and_G(6, 2, 2)[0]
+    L = run_pipeline(6, 2, 2)[0]
     assert to_operator_poly(L) is L
 
 
@@ -142,8 +142,8 @@ def test_product_monomials_match_ratj_expansion(a, b):
 
 @pytest.mark.parametrize("n,k,ell", [(8, 2, 3), (6, 3, 2), (7, 2, 4), (10, 2, 3)])
 def test_coefficients_are_plain_fractions(n, k, ell):
-    L, X = build_L_and_G(n, k, ell)
-    t = run_pipeline(n, k, ell)
+    L, X = run_pipeline(n, k, ell)
+    t = box_iterate(n, k, operator_weight(n, k, ell), ell)
     factors = closed_factors(n, k, ell)
     ops = [L, L * L, L + L, L * OperatorPoly(n, k, 1, 1), L.scale(Fraction(2, 3)), -L, *factors,
            X, L.e_part(), t.slot_y, t.slot_z, t.slot_x, X.scale(3), X.times_J(2, 3)]

@@ -59,16 +59,15 @@ def test_squares_vanish():
 
 def test_pipeline_example():
     # order-one operator at (4, 1): twice the delta-d piece
-    got, scale = pipeline_L_numeric(4, 1, 1, (1, 0, 0, 0))
+    got = pipeline_L_numeric(4, 1, 1, (1, 0, 0, 0))
     want = np.zeros((4, 4), dtype=np.int64)
     for i in (1, 2, 3):
         want[i, i] = 2
-    assert scale == 2
-    assert np.array_equal(got, want * scale)
+    assert np.array_equal(got, want * 2)  # the pipeline reads twice the operator
 
 
 def test_pipeline_zero_mode():
-    got, _ = pipeline_L_numeric(4, 1, 1, (0, 0, 0, 0))
+    got = pipeline_L_numeric(4, 1, 1, (0, 0, 0, 0))
     assert not np.any(got != 0)
 
 
@@ -87,7 +86,7 @@ def test_symbolic_matches_numeric_exactly():
 
 def test_companion_slot_matches_symbolic():
     # the bottom slot of the numeric pipeline carries the companion operator
-    from formlap.factory import build_L_and_G
+    from formlap.factory import run_pipeline
 
     n, k, ell = 4, 2, 2
     xi = (1, -1, 2, 0)
@@ -104,7 +103,7 @@ def test_companion_slot_matches_symbolic():
     # so the bottom slot is i * sign * full[rows] / (2k)
     g_numeric_im = full[rows] * Fraction(sign, 2 * k)
 
-    x_op = build_L_and_G(n, k, ell)[1]  # G = delta X: the words delta (d delta)^p
+    x_op = run_pipeline(n, k, ell)[1]  # G = delta X: the words delta (d delta)^p
 
     def word_matrix(word):
         deg = k
@@ -150,7 +149,7 @@ def test_box_mixes_slots_at_zero_mode():
     box = box_matrix(4, 1, (0, 0, 0, 0))
     assert np.any(box != 0)
     # ... yet the composed pipeline still annihilates it (cancellation)
-    assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0))[0] != 0)
+    assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0)) != 0)
 
 
 # -- the signed insertion primitive ----------------------------------------------

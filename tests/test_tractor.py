@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from formlap.forms import FormContext, OperatorPoly
 from formlap.tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar,
-                             apply_box, extract_slots, make_M)
+                             apply_box, make_M)
 from formlap.verify import through_codifferential
 from strategies import operators, small_fracs
 
@@ -205,8 +205,8 @@ def _zero_like(t):
 def test_box_zero_tractor():
     c = FormContext(5, 2, Fraction(1, 2))
     z = _zero_like(make_M(c))
-    assert z.is_zero
-    assert apply_box(z).is_zero and apply_box(apply_box(z)).is_zero
+    for t in (z, apply_box(z), apply_box(apply_box(z))):
+        assert all(slot.is_zero for slot in _slots(t))
 
 
 def test_Mstar_contractions():
@@ -252,21 +252,11 @@ def test_box_linearity(a, b):
 
 @pytest.mark.parametrize("n,k,ell", [(4, 1, 1), (6, 2, 2), (5, 1, 2), (8, 3, 3), (12, 6, 2)])
 def test_slot_vanishing_at_operator_weight(n, k, ell):
-    from formlap.factory import run_pipeline
+    from formlap.factory import box_iterate, operator_weight
 
-    t = run_pipeline(n, k, ell)
+    t = box_iterate(n, k, operator_weight(n, k, ell), ell)
     assert t.slot_y.is_zero
     assert not t.slot_z.is_zero
-
-
-def test_extract_slots():
-    c = FormContext(6, 2, Fraction(1))
-    m = make_M(c)
-    l_part, x_part = extract_slots(m)
-    assert l_part == unit(6, 2).scale(3)     # k * (n+w-2k)/k * f
-    assert x_part == unit(6, 2)              # the companion delta f
-    zl, zx = extract_slots(_zero_like(m))
-    assert zl.is_zero and zx.is_zero
 
 
 def test_each_box_step_normalises_seven_times(monkeypatch):

@@ -55,8 +55,8 @@ def test_LG_failure_names_a_codifferential_word(monkeypatch):
     # a wrong companion fails both relations, each with a delta-word witness
     import formlap.verify as verify
 
-    L, X = verify.build_L_and_G(8, 3, 2)  # w = 1
-    monkeypatch.setattr(verify, "build_L_and_G", lambda n, k, ell: (L, X.scale(2)))
+    L, X = verify.run_pipeline(8, 3, 2)  # w = 1
+    monkeypatch.setattr(verify, "run_pipeline", lambda n, k, ell: (L, X.scale(2)))
     r = verify.verify_LG(8, 3, 2)
     assert not r.passed and set(r.witness) == {"first", "second"}
     assert r.witness["first"]["monomial"] in ("δ∘1", "δ∘E", "δ∘E^2")
@@ -68,11 +68,11 @@ def test_LG_second_scalar_value():
     # (k-1)/(k(n+w-2k+1)) differs by exactly (k-1)/k, which fails on the
     # whole grid -- documented in the repository notes.  With G = delta X,
     # the lower operator after the codifferential is delta sigma(lower).
-    from formlap.factory import build_L_and_G
+    from formlap.factory import run_pipeline
     from formlap.verify import through_codifferential
 
     for (n, k, ell) in [(6, 2, 1), (8, 3, 1), (10, 4, 2), (6, 2, 3)]:
-        x = build_L_and_G(n, k, ell)[1]
+        x = run_pipeline(n, k, ell)[1]
         rhs = through_codifferential(build_L_definition(n, k - 1, ell), k)
         scalar = lg_second_scalar(n, k, ell)
         assert x == rhs.scale(scalar)
