@@ -17,9 +17,7 @@ broken invariant raises ``InternalConsistencyError`` and never exits 2.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import operator
 import sys
 import time
 from fractions import Fraction
@@ -61,15 +59,18 @@ def report_payload_bytes(path: Path) -> bytes:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     from .factory import build_L_definition, closed_factors
-    from .forms import InternalConsistencyError, UsageError, proportionality
+    from .forms import InternalConsistencyError, UsageError
+    from .verify import verify_factorization
 
     if args.output is not None and args.format != "json":
         raise UsageError(f"--output needs --format json: {args.format} output goes to stdout")
     expanded = build_L_definition(args.n, args.k, args.ell)
     factors = closed_factors(args.n, args.k, args.ell)
-    c = proportionality(functools.reduce(operator.mul, factors), expanded)
-    if c is None:
-        raise InternalConsistencyError("factored and definition operators are not proportional")
+    check = verify_factorization(args.n, args.k, args.ell)
+    if not check.passed:
+        raise InternalConsistencyError(
+            f"factored and definition operators disagree: {check.witness}")
+    c = check.witness["constant"]
     if args.format == "text":
         print(f"definition expansion: {expanded.render()}")
         print("factors: [" + ", ".join(f.render() for f in factors) + "]")
@@ -179,12 +180,13 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
 
     sphere = args.mesh != "torus3-grid"
     if not sphere:  # the torus grid reports Betti numbers only
-        for flag, value in (("--k", args.k), ("--eigs", args.eigs), ("--promote", args.promote)):
+        for flag, value in (("--k", args.k), ("--eigs", args.eigs), ("--rtol", args.rtol),
+                            ("--promote", args.promote)):
             if value is not None:
                 raise UsageError(f"{flag} needs a sphere mesh: torus3-grid computes no spectrum")
     if sphere and args.size is not None:
         raise UsageError(f"--size is the torus3-grid size: {args.mesh} has one fixed size")
-    if not 0 < args.rtol < 1:  # also rejects nan and inf
+    if args.rtol is not None and not 0 < args.rtol < 1:  # also rejects nan and inf
         raise UsageError(f"--rtol {args.rtol} is not a number in (0, 1)")
     start = time.perf_counter()
     mesh = build_mesh(args.mesh, args.size)
@@ -195,6 +197,7 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
     if sphere:
         k = config["k"] = 1 if args.k is None else args.k
         eigs = config["eigs"] = 40 if args.eigs is None else args.eigs
+        rtol = 0.10 if args.rtol is None else args.rtol
         if not 0 <= k <= mesh.dim:
             raise UsageError(f"--k {k} outside 0..{mesh.dim}")
         nk = len(mesh.simplices[k])
@@ -215,12 +218,12 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
             **cmp, "scale": _sig10(cmp["scale"]), "max_rel_error": _sig10(cmp["max_rel_error"]),
             "entries": [{**e, "computed": _sig10(e["computed"]), "rel_error": _sig10(e["rel_error"])}
                         for e in cmp["entries"]]}
-        if cmp["max_rel_error"] > args.rtol:
+        if cmp["max_rel_error"] > rtol:
             failure = (f"sphere spectrum mismatch: max relative error "
-                       f"{cmp['max_rel_error']:.4g} > --rtol {args.rtol}")
+                       f"{cmp['max_rel_error']:.4g} > --rtol {rtol}")
         if args.promote is not None:
             try:
-                model = dec_import_model(cmp, spec, reference, rtol=args.rtol)
+                model = dec_import_model(cmp, spec, reference, rtol=rtol)
             except SpectralDataError as exc:
                 failure = f"promotion failed: {exc}"
             else:
@@ -277,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="form degree, sphere meshes (default 1)")
     p.add_argument("--eigs", type=int, default=None,
                    help="nonzero eigenvalues, sphere meshes (default 40)")
-    p.add_argument("--rtol", type=float, default=0.10)
+    p.add_argument("--rtol", type=float, default=None,
+                   help="relative tolerance of the comparison and promotion, "
+                        "sphere meshes (default 0.10)")
     p.add_argument("--subdivide", action="store_true")
     p.add_argument("--promote", type=Path, default=None,
                    help="write a dec-import spectral model file after matching")

@@ -1,11 +1,13 @@
 """Discrete exterior calculus on triangulated 3-manifolds.
 
 Supplies the numerical side of the spectral checks: simplicial meshes
-of the flat 3-torus and of the 3-sphere (the boundary of the 4-simplex
-and the 600-cell), the up Laplacian pencils, exact Betti numbers by
-coreduction to a small Morse complex and integer ranks of its boundary
-matrices, and approximate exact and coexact eigenvalues for comparison
-against the trusted sphere spectrum file.
+of the flat 3-torus and of the 3-sphere, the up Laplacian pencils,
+exact Betti numbers by coreduction to a small Morse complex and integer
+ranks of its boundary matrices, and approximate exact and coexact
+eigenvalues for comparison against the trusted sphere spectrum file.
+The two sphere meshes (the boundary of the 4-simplex and the 600-cell)
+have unit vertices, and their tets are the 4-cliques of an edge rule:
+every pair for the first, inner product phi/2 for the second.
 
 A mesh is stored as arrays over its tets: the coordinates of each tet's
 four vertices, (T, 4, E), and a (T, 16) table that maps each local face
@@ -205,73 +207,47 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
 # -- presets -------------------------------------------------------------------
 
 
+def _clique_tets(adj: np.ndarray) -> np.ndarray:
+    """The 4-cliques of a graph (boolean adjacency, no loops) as increasing rows, lexicographic."""
+    later = np.triu(adj, 1)
+    cliques = np.arange(len(adj))[:, None]
+    for _ in range(3):  # extend each clique by every later vertex adjacent to all of it
+        rows, nxt = np.nonzero(np.logical_and.reduce(later[cliques], axis=1))
+        cliques = np.column_stack([cliques[rows], nxt])
+    return cliques
+
+
 def _boundary_4_simplex() -> SimplicialMesh:
-    """The 5-vertex triangulation of the 3-sphere (boundary of the 4-simplex)."""
+    """The 5-cell, the boundary of the 4-simplex: 5 unit vectors, every pair an edge."""
     basis = np.eye(5)
     centered = basis - basis.mean(axis=0)
     q, _ = np.linalg.qr(centered.T)
     verts = centered @ q[:, :4]
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    ids = np.array(list(itertools.combinations(range(5), 4)))
+    ids = _clique_tets(~np.eye(5, dtype=bool))
     return _build_from_tets("boundary-4-simplex", ids, verts[ids], embedded=True)
 
 
 def _cell600_vertices() -> np.ndarray:
-    verts: list[tuple[float, ...]] = []
-    for i in range(4):
-        for s in (1.0, -1.0):
-            v = [0.0] * 4
-            v[i] = s
-            verts.append(tuple(v))
-    for signs in itertools.product((0.5, -0.5), repeat=4):
-        verts.append(signs)
-    even_perms = [p for p in itertools.permutations(range(4))
-                  if _perm_sign(p) == 1]
-    base = (PHI / 2, 0.5, 1 / (2 * PHI), 0.0)
-    for p in even_perms:
-        arranged = [base[p.index(i)] for i in range(4)]
-        nz = [i for i in range(4) if arranged[i] != 0.0]
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            v = list(arranged)
-            for slot, s in zip(nz, signs):
-                v[slot] = s * abs(v[slot])
-            verts.append(tuple(v))
-    unique = sorted({tuple(v) for v in np.round(np.array(verts), 12).tolist()})
-    out = np.array(unique)
+    """The 120 unit quaternions of the 600-cell, rows in ascending order: the 8
+    permutations of (+-1, 0, 0, 0), the 16 of (+-1/2)^4 and the 96 even
+    permutations of (+-phi/2, +-1/2, +-1/(2 phi), 0)."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    perms = np.array(list(itertools.permutations(range(4))))
+    even = perms[np.linalg.det(np.eye(4)[perms]) > 0]
+    golden = np.array([PHI / 2, 0.5, 1 / (2 * PHI), 0.0])[even]
+    verts = np.concatenate([np.eye(4), -np.eye(4), 0.5 * signs,
+                            (signs[:, None] * golden).reshape(-1, 4)])
+    out = np.unique(np.round(verts + 0.0, 12), axis=0)  # + 0.0 turns -0.0 into 0.0
     if out.shape != (120, 4):
         raise InternalConsistencyError(f"600-cell vertex generation produced {out.shape}")
     return out
 
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 def _cell600() -> SimplicialMesh:
     """The 600-cell: 120 unit quaternions, edges at inner product phi/2."""
     verts = _cell600_vertices()
-    gram = verts @ verts.T
-    adj = np.abs(gram - PHI / 2) < 1e-9
-    neighbors = [set(np.nonzero(row)[0].tolist()) for row in adj]
-    tets = []
-    for i in range(len(verts)):
-        for j in sorted(neighbors[i]):
-            if j <= i:
-                continue
-            common_ij = neighbors[i] & neighbors[j]
-            for k in sorted(common_ij):
-                if k <= j:
-                    continue
-                for l in sorted(common_ij & neighbors[k]):
-                    if l <= k:
-                        continue
-                    tets.append((i, j, k, l))
-    ids = np.array(tets)
+    ids = _clique_tets(np.abs(verts @ verts.T - PHI / 2) < 1e-9)
     mesh = _build_from_tets("cell600", ids, verts[ids], embedded=True)
     if mesh.counts() != (120, 720, 1200, 600):
         raise InternalConsistencyError(f"600-cell f-vector {mesh.counts()}")
@@ -669,8 +645,8 @@ def spectrum(mesh: SimplicialMesh, k: int, count: int) -> list[tuple[float, str]
     if not 0 <= k <= mesh.dim:
         raise UsageError(f"degree {k} outside 0..{mesh.dim}")
     nk = len(mesh.simplices[k])
-    if count > nk:
-        raise UsageError(f"requested {count} eigenvalues of a {nk}-dimensional space")
+    if not 1 <= count <= nk:
+        raise UsageError(f"eigenvalue count {count} outside 1..{nk}, the {k}-cochain dimension")
     betti = mesh.betti
     masses = hodge_stars(mesh)
     if masses is None:

@@ -22,6 +22,8 @@ the trusted data file.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -170,30 +172,16 @@ def sphere_preset(n: int, k: int, j_max: int, data_path: str | Path | None = Non
 def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
     """Flat torus model (2*pi-periodic): eigenvalues |xi|^2 up to a cutoff.
 
-    Per nonzero lattice mode, a k-form space splits into an exact part of
-    dimension C(n-1, k-1) and a coexact part of dimension C(n-1, k);
-    harmonic forms are the constants, C(n, k) of them.  J = 0.
+    The lattice modes xi in Z^n with 0 < |xi|^2 <= max_norm_sq are counted
+    by norm in one pass over a cube.  Per mode, a k-form space splits into
+    an exact part of dimension C(n-1, k-1) and a coexact part of dimension
+    C(n-1, k); harmonic forms are the constants, C(n, k) of them.  J = 0.
     """
     bound = math.isqrt(max_norm_sq)
-
-    def count_modes(dim: int, remaining: int) -> dict[int, int]:
-        if dim == 0:
-            return {0: 1}
-        sub = count_modes(dim - 1, remaining)
-        out: dict[int, int] = {}
-        for x in range(-bound, bound + 1):
-            for m, c in sub.items():
-                t = m + x * x
-                if t <= remaining:
-                    out[t] = out.get(t, 0) + c
-        return out
-
-    counts = count_modes(n, max_norm_sq)
+    norms = (sum(x * x for x in xi) for xi in itertools.product(range(-bound, bound + 1), repeat=n))
+    counts = collections.Counter(m for m in norms if 0 < m <= max_norm_sq)
     points = [SpectralPoint("harmonic", Fraction(0), math.comb(n, k))]
-    for m in sorted(counts):
-        if m == 0:
-            continue
-        r = counts[m]
+    for m, r in sorted(counts.items()):
         if k >= 1:
             points.append(SpectralPoint("exact", Fraction(m), r * math.comb(n - 1, k - 1)))
         if k <= n - 1:

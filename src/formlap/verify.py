@@ -318,6 +318,10 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     if model.j_value == 0:
         return VerificationReport("kernel-decomposition", params, "fail",
                                   {"reason": "J = 0 model outside the decomposition hypotheses"})
+    if (model.n, model.k) != (n, k):
+        return VerificationReport("kernel-decomposition", params, "fail",
+                                  {"reason": f"model for (n, k) = ({model.n}, {model.k}), "
+                                             f"operator at ({n}, {k})"})
     ops = (build_L_definition(n, k, ell), *closed_factors(n, k, ell))
     # zeros[i][0]: L kills point i; zeros[i][f]: factor f (1-based) kills it
     zeros = [[op.on_eigenspace(pt.kind, model.j_value, pt.eigenvalue) == 0 for op in ops]

@@ -219,6 +219,7 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--promote", "model.json"], "--promote"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--k", "1"], "--k"),
     (["dec", "--mesh", "torus3-grid", "--size", "3", "--eigs", "40"], "--eigs"),
+    (["dec", "--mesh", "torus3-grid", "--size", "3", "--rtol", "0.5"], "--rtol"),
     (["dec", "--mesh", "cell600", "--size", "7", "--k", "1", "--eigs", "4"], "--size"),
     (["dec", "--mesh", "torus3-grid"], "grid size"),
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "nan"], "--rtol"),
@@ -228,7 +229,7 @@ def test_oracle_dec_usage_error(capsys):
     (["dec", "--mesh", "boundary-4-simplex", "--rtol", "1.5"], "--rtol"),
 ], ids=["torus-n-below-3", "torus-ell-max-zero", "torus-modes-zero", "dec-k-above-dim",
         "dec-eigs-above-cochains", "dec-subdivide-torus", "dec-promote-torus", "dec-k-torus",
-        "dec-eigs-torus", "dec-size-sphere",
+        "dec-eigs-torus", "dec-rtol-torus", "dec-size-sphere",
         "dec-torus-without-size", "dec-rtol-nan",
         "dec-rtol-inf", "dec-rtol-zero", "dec-rtol-negative", "dec-rtol-above-one"])
 def test_oracle_usage_error(capsys, args, needle):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -66,6 +67,28 @@ def test_simplex_numbering(five_cell, torus3, c600):
             expected = unique if d == 0 else keys.reshape(-1, d + 1)[np.sort(first)]
             assert np.array_equal(mesh.simplices[d], expected)
             assert np.array_equal(mesh.simplices[d][mesh.faces(d)], keys)
+
+
+# sha256 over every array of a mesh: simplices, tet_points, tet_faces and
+# each boundary's CSR indptr, indices and data, in that order
+MESH_SHA256 = {
+    "boundary-4-simplex": "baf48dfd126fbdd560b5ac6b8aacc21fb1156e81c71f129fd7654def3a623f0f",
+    "cell600": "a51627937b5139573a510914f99a41279b078c8a3c4bfd7474e5fa2b10754167",
+    "torus3-grid(3)": "4d428634bb744fd734cfe410ac980bf20c1ebb860b293aa34e7f69a1c2b4188d",
+    "cell600+bary": "01b121ffecc62721f0d6f9400901727e24ebfacaede0bfc0bec7bed313ec804c",
+}
+
+
+def _mesh_digest(mesh):
+    arrays = [*mesh.simplices, mesh.tet_points, mesh.tet_faces]
+    arrays += [a for b in mesh.boundaries[1:] for a in (b.indptr, b.indices, b.data)]
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_preset_meshes_are_pinned(five_cell, torus3, c600):
+    meshes = {"boundary-4-simplex": five_cell, "cell600": c600, "torus3-grid(3)": torus3,
+              "cell600+bary": subdivide_barycentric(c600, project_radius=1.0)}
+    assert {name: _mesh_digest(mesh) for name, mesh in meshes.items()} == MESH_SHA256
 
 
 def test_invalid_preset():
@@ -250,13 +273,18 @@ def test_spectrum_is_scale_free(five_cell):
 
     base = pairs(1.0)
     assert [kind for _, kind in base] == ["harmonic"] + ["coexact"] * 4
-    # no nonzero eigenvalue is asked for: the harmonics alone
-    assert spectrum(five_cell, 0, 0) == [(0.0, "harmonic")]
-    assert spectrum(five_cell, 1, 0) == []
     for factor in (1e-3, 1e5):
         got = pairs(factor)
         assert [kind for _, kind in got] == [kind for _, kind in base]
         assert [lam for lam, _ in got] == pytest.approx([lam for lam, _ in base], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_spectrum_needs_at_least_one_eigenvalue(five_cell, c600, count):
+    # a count below 1 asks for nothing: no quiet harmonics-only answer, no scipy error
+    for mesh, k in ((five_cell, 0), (five_cell, 1), (c600, 1)):
+        with pytest.raises(UsageError, match="outside 1.."):
+            spectrum(mesh, k, count)
 
 
 def _vertex_coords(mesh):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -215,6 +217,18 @@ def test_torus_preset():
     # |xi|^2 = 1 has 6 lattice modes; exact part C(2,0) = 1, coexact C(2,1) = 2 each
     assert have[("exact", Fraction(1))] == 6
     assert have[("coexact", Fraction(1))] == 12
+
+
+# sha256 of the JSON list of torus_preset(n, k, N).as_json() over
+# n = 3..5, k = 0..n, N in (0, 1, 2, 5), in that loop order
+TORUS_PRESETS_SHA256 = "0f5eaaee942855a3dc820d6d03aba6f2d2970f72a363efba3eaf5fe1b227e8bd"
+
+
+def test_torus_presets_are_pinned():
+    models = [torus_preset(n, k, cutoff).as_json()
+              for n in range(3, 6) for k in range(n + 1) for cutoff in (0, 1, 2, 5)]
+    digest = hashlib.sha256(json.dumps(models, sort_keys=True).encode()).hexdigest()
+    assert digest == TORUS_PRESETS_SHA256
 
 
 def test_synthetic_model_deterministic():

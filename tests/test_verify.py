@@ -293,6 +293,13 @@ def test_kernel_rejects_j_zero_model():
     assert not r.passed
 
 
+def test_kernel_rejects_a_model_of_another_n_k():
+    # the operator kills no point of another degree's model: dim_null_L 0 would pass vacuously
+    r = verify_kernel_decomposition(3, 1, 2, synthetic_model(5, 2, 2, Fraction(1)))
+    assert not r.passed
+    assert "(5, 2)" in r.witness["reason"] and "(3, 1)" in r.witness["reason"]
+
+
 def test_lambda_bar_distinctness():
     # the exact-side kernel eigenvalues are pairwise distinct across the
     # factor index: i + j = 2 ell + 1 has no solution with i, j <= ell
