@@ -138,6 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_torus(args: argparse.Namespace) -> int:
     from .forms import UsageError
     from .torus import compare_pipelines, random_modes
+    from .verify import default_grid
 
     if min(args.n) < 3:
         raise UsageError(f"--n {min(args.n)} < 3")
@@ -147,15 +148,8 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
         raise UsageError(f"--ell-max {args.ell_max} < 1: no cells")
     if args.modes < 1:
         raise UsageError(f"--modes {args.modes} < 1: nothing to compare")
-    cells = []
-    status_ok = True
-    for n in args.n:
-        for k in range(1, n // 2 + 1):
-            for ell in range(1, args.ell_max + 1):
-                modes = random_modes(n, args.modes, args.seed)
-                rep = compare_pipelines(n, k, ell, modes)
-                cells.append(rep)
-                status_ok &= rep["status"] == "pass"
+    cells = [compare_pipelines(n, k, ell, random_modes(n, args.modes, args.seed))
+             for n, k, ell in default_grid(args.n, args.ell_max)]
     payload = {
         "schema": REPORT_SCHEMA,
         "config": {"n": list(args.n), "ell_max": args.ell_max,
@@ -165,8 +159,8 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
                     "max_discrepancy": max(c["max_discrepancy"] for c in cells)},
     }
     _emit_report(payload, args.output)
-    if not status_ok:
-        bad = [c for c in cells if c["status"] != "pass"]
+    bad = [c for c in cells if c["status"] != "pass"]
+    if bad:
         print(f"torus oracle mismatch in {len(bad)} cells, e.g. {bad[0]}", file=sys.stderr)
         return 1
     return 0

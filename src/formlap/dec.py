@@ -2,9 +2,10 @@
 
 Supplies the numerical side of the spectral checks: simplicial meshes
 of the flat 3-torus and of the 3-sphere, the up Laplacian pencils,
-exact Betti numbers by coreduction to a small Morse complex and integer
-ranks of its boundary matrices, and approximate exact and coexact
-eigenvalues for comparison against the trusted sphere spectrum file.
+exact Betti numbers by one column reduction of the integer coboundary
+matrices, lowest degree first with clearing, and approximate exact and
+coexact eigenvalues for comparison against the trusted sphere spectrum
+file.
 The two sphere meshes (the boundary of the 4-simplex and the 600-cell)
 have unit vertices, and their tets are the 4-cliques of an edge rule:
 every pair for the first, inner product phi/2 for the second.
@@ -34,10 +35,7 @@ mesh-limited approximations with an explicit tolerance everywhere.
 
 from __future__ import annotations
 
-import bisect
-import collections
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,15 +105,24 @@ class SimplicialMesh:
 
     @functools.cached_property
     def betti(self) -> tuple[int, int, int, int]:
-        """Exact Betti numbers over Q: b_d = c_d - rank M_d - rank M_{d+1}, computed once.
+        """Exact Betti numbers over Q: b_d = N_d - rank B_d - rank B_{d+1}, computed once.
 
-        c_d counts the critical d-cells of a coreduction and M_d is their
-        integer Morse boundary matrix (see _morse_complex); only these
-        small matrices go through integer_rank.
+        B_d is ``boundaries[d]`` (B_0 = B_4 = 0).  The coboundary matrices
+        B_d^T are reduced lowest degree first (see _reduce), with clearing
+        (Chen-Kerber 2011): a column of B_{d+1}^T whose index is a low of
+        the reduced B_d^T is skipped.  This is exact.  Say a reduced
+        column R = B_d^T v has low i; then B_{d+1}^T R = 0, so column i of
+        B_{d+1}^T is a combination of the columns before it and would
+        reduce to zero.  The argument needs lows to be the largest row,
+        columns to be taken in increasing index, and both matrices to
+        number the d-cells alike, as the rows of ``simplices[d]``.
         """
-        crit, morse = _morse_complex(self)
-        ranks = [0] + [integer_rank(m) for m in morse] + [0]
-        return tuple(crit[d] - ranks[d] - ranks[d + 1] for d in range(len(crit)))  # type: ignore[return-value]
+        ranks, lows = [0], set()
+        for boundary in self.boundaries[1:]:
+            lows = _reduce(boundary.T, lows)
+            ranks.append(len(lows))
+        ranks.append(0)
+        return tuple(n - ranks[d] - ranks[d + 1] for d, n in enumerate(self.counts()))  # type: ignore[return-value]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
@@ -384,175 +391,51 @@ def laplacian_pencil(mesh: SimplicialMesh, j: int, masses: list
 # -- exact rank and Betti numbers -------------------------------------------------
 
 
-def integer_rank(matrix: scipy.sparse.spmatrix) -> int:
-    """Exact rank of an integer matrix over Q.
+def _reduce(matrix: scipy.sparse.spmatrix, cleared: set[int]) -> set[int]:
+    """The pivot rows of an exact column reduction of an integer matrix over Q.
 
-    Sparse elimination preferring unit pivots (no fractions appear then);
-    falls back to exact fraction pivoting when no unit entry remains.
+    Columns are reduced left to right, skipping those in cleared.  The
+    low of a column is its largest nonzero row; while an earlier reduced
+    column has the same low, a multiple of it is subtracted.  A +-1 pivot
+    keeps the entries integers, any other one divides as a Fraction;
+    entries are Python ints, so nothing overflows.  Returns the set of
+    lows, one per nonzero reduced column: their number is the rank of
+    the columns not cleared.
     """
-    coo = matrix.tocoo()
-    rows: dict[int, dict[int, Fraction | int]] = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if v:
-            rows.setdefault(int(r), {})[int(c)] = int(v)
-    col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    rank = 0
-    while rows:
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    fill = (len(row) - 1) * (len(col_rows[c]) - 1)
-                    if best is None or fill < best[0]:
-                        best = (fill, r, c)
-                        if fill == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            r = next(iter(rows))
-            c = next(iter(rows[r]))
-            best = (0, r, c)
-        _, pr, pc = best
-        pivot_row = rows.pop(pr)
-        pv = pivot_row[pc]
-        for c in pivot_row:
-            col_rows[c].discard(pr)
-        for r in list(col_rows.get(pc, ())):
-            row = rows[r]
-            factor = row[pc] * pv if pv in (1, -1) else Fraction(row[pc], pv)
-            for c, v in pivot_row.items():
-                nv = row.get(c, 0) - factor * v
+    csc = matrix.tocsc().sorted_indices()
+    csc.eliminate_zeros()
+    ptr, rows, vals = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    # low -> (the entry there, rows, values) of a reduced column; a column
+    # nothing was subtracted from stays a slice of the input
+    by_low: dict[int, tuple] = {}
+    for j in range(csc.shape[1]):
+        a, b = ptr[j], ptr[j + 1]
+        if a == b or j in cleared:
+            continue
+        low, col = rows[b - 1], None
+        while low in by_low:
+            if col is None:
+                col = dict(zip(rows[a:b], vals[a:b]))
+            p, p_rows, p_vals = by_low[low]
+            f = col[low] * p if p in (1, -1) else Fraction(col[low], p)
+            for r, v in zip(p_rows, p_vals):
+                nv = col.get(r, 0) - f * v
                 if nv:
-                    row[c] = nv
-                    col_rows.setdefault(c, set()).add(r)
+                    col[r] = nv
                 else:
-                    if c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
-            if not row:
-                del rows[r]
-        col_rows.pop(pc, None)
-        rank += 1
-    return rank
-
-
-def _morse_complex(mesh: SimplicialMesh) -> tuple[list[int], list[scipy.sparse.csr_matrix]]:
-    """Critical cells of a coreduction of the mesh and their Morse boundaries.
-
-    Coreduction (Mrozek-Batko 2009): a live cell tau with exactly one
-    live face sigma is paired with it and both are removed; when no
-    such tau is queued, the lowest-dimensional live cell (it has no
-    live faces) becomes critical and is removed.  Each pair is a unit
-    pivot with no fill, so over Q the critical cells with their Morse
-    boundaries have the homology of the mesh.
-
-    The Morse boundary of a critical cell is its boundary pushed along
-    the gradient flow (Harker-Mischaikow-Mrozek-Nanda 2014): the entry
-    removed last, if it was paired with a coface tau, is cleared with
-    the boundary of tau, whose other faces were all removed before it.
-    Clearing only adds cells removed earlier, so popping a heap on
-    removal time, latest first, visits each cell once, with its
-    coefficient final.  Critical entries are kept; the upper cells of
-    lower pairs drop out.  Boundary entries are +-1, so the flow stays
-    in the integers (a coefficient past int64 raises OverflowError
-    when the matrix is built; it never wraps).
-
-    Returns the critical counts c_d and, for d = 1..dim, the integer
-    Morse boundary matrix of shape (c_{d-1}, c_d).
-    """
-    counts = mesh.counts()
-    # cell i of dimension d is global cell offset[d] + i
-    offset = np.cumsum((0,) + counts).tolist()
-    n_cells = offset[-1]
-    # the faces of a d-cell are its column of the CSC boundary_d, its
-    # cofaces its row of the CSR boundary_{d+1}
-    down = [mesh.boundaries[d].tocsc() for d in range(1, len(counts))]
-    up = [mesh.boundaries[d].tocsr() for d in range(1, len(counts))]
-    n_faces = np.concatenate([np.zeros(counts[0], dtype=np.int64)]
-                             + [np.diff(b.indptr) for b in down])
-    n_cofaces = np.concatenate([np.diff(b.indptr) for b in up]
-                               + [np.zeros(counts[-1], dtype=np.int64)])
-    face_ptr = np.concatenate(([0], np.cumsum(n_faces))).tolist()
-    face_idx = np.concatenate([b.indices + offset[d] for d, b in enumerate(down)]).tolist()
-    face_val = np.concatenate([b.data for b in down]).tolist()
-    coface_ptr = np.concatenate(([0], np.cumsum(n_cofaces))).tolist()
-    coface_idx = np.concatenate([b.indices + offset[d + 1] for d, b in enumerate(up)]).tolist()
-
-    live_faces = n_faces.tolist()
-    removed_at = [-1] * n_cells  # removal time, -1 while live
-    partner = [-1] * n_cells  # sigma -> the coface tau it was paired with
-    partner_val = [0] * n_cells  # the entry of sigma in the boundary of tau
-    critical: list[int] = []
-    queue: collections.deque[int] = collections.deque()
-    clock = cursor = 0
-    while True:
-        if queue:
-            tau = queue.popleft()
-            if removed_at[tau] >= 0 or live_faces[tau] != 1:
-                continue
-            for j in range(face_ptr[tau], face_ptr[tau + 1]):
-                sigma = face_idx[j]
-                if removed_at[sigma] < 0:
-                    partner[sigma], partner_val[sigma] = tau, face_val[j]
-                    break
-            removal: tuple[int, ...] = (sigma, tau)
-        else:
-            # cells are numbered dimension by dimension and only ever
-            # removed, so the first live cell is a lowest-dimensional one
-            while cursor < n_cells and removed_at[cursor] >= 0:
-                cursor += 1
-            if cursor == n_cells:
+                    del col[r]
+            if not col:
                 break
-            critical.append(cursor)
-            removal = (cursor,)
-        for cell in removal:
-            removed_at[cell] = clock
-            clock += 1
-            for t in coface_idx[coface_ptr[cell]:coface_ptr[cell + 1]]:
-                live_faces[t] -= 1
-                if live_faces[t] == 1 and removed_at[t] < 0:
-                    queue.append(t)
+            low = max(col)
+        else:
+            by_low[low] = ((vals[b - 1], rows[a:b], vals[a:b]) if col is None
+                           else (col[low], col.keys(), col.values()))
+    return set(by_low)
 
-    by_dim: list[list[int]] = [[] for _ in counts]
-    for cell in critical:
-        by_dim[bisect.bisect_right(offset, cell) - 1].append(cell)
-    position = {cell: i for cells in by_dim for i, cell in enumerate(cells)}
-    morse = []
-    for d in range(1, len(counts)):
-        rows, cols, vals = [], [], []
-        for col, cell in enumerate(by_dim[d]):
-            chain = {face_idx[j]: face_val[j] for j in range(face_ptr[cell], face_ptr[cell + 1])}
-            heap = [(-removed_at[s], s) for s in chain]
-            heapq.heapify(heap)
-            while heap:
-                s = heapq.heappop(heap)[1]
-                x, tau = chain[s], partner[s]
-                if not x:
-                    continue
-                if tau < 0:
-                    if s in position:
-                        rows.append(position[s])
-                        cols.append(col)
-                        vals.append(x)
-                    continue
-                # subtract x / <d tau, s> times d tau; the entry is +-1, its own inverse
-                f = x * partner_val[s]
-                for j in range(face_ptr[tau], face_ptr[tau + 1]):
-                    r = face_idx[j]
-                    if r == s:
-                        continue
-                    if r in chain:
-                        chain[r] -= f * face_val[j]
-                    else:
-                        chain[r] = -f * face_val[j]
-                        heapq.heappush(heap, (-removed_at[r], r))
-        morse.append(scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(by_dim[d - 1]), len(by_dim[d])), dtype=np.int64))
-    return [len(cells) for cells in by_dim], morse
+
+def integer_rank(matrix: scipy.sparse.spmatrix) -> int:
+    """Exact rank of an integer matrix over Q, by column reduction (see _reduce)."""
+    return len(_reduce(matrix, set()))
 
 
 # -- spectra ------------------------------------------------------------------------

@@ -284,20 +284,20 @@ def test_oracle_dec_spectrum_mismatch_prints_one_line(capsys, tmp_path):
     ["--mesh", "boundary-4-simplex", "--k", "1", "--eigs", "4", "--rtol", "0.9"],
     ["--mesh", "torus3-grid", "--size", "3"],
 ], ids=["sphere", "torus"])
-def test_oracle_dec_one_coreduction_per_run(monkeypatch, tmp_path, args):
+def test_oracle_dec_one_betti_computation_per_run(monkeypatch, tmp_path, args):
     # the report's Betti numbers and the spectrum's kernel dimensions share
-    # one coreduction of the mesh
+    # one Betti computation: one reduction per boundary matrix of the mesh
     import formlap.dec as dec
 
-    real, calls = dec._morse_complex, []
+    real, calls = dec._reduce, []
 
-    def counting(mesh):
-        calls.append(mesh.name)
-        return real(mesh)
+    def counting(matrix, cleared):
+        calls.append(matrix.shape)
+        return real(matrix, cleared)
 
-    monkeypatch.setattr(dec, "_morse_complex", counting)
+    monkeypatch.setattr(dec, "_reduce", counting)
     assert run_cli(["oracle", "dec", *args, "--output", str(tmp_path / "dec.json")]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_oracle_dec_promotion_compares_once(monkeypatch, tmp_path):

@@ -7,15 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from formlap import dec
-from formlap.dec import (_build_from_tets, _morse_complex, build_mesh, coexact_spectrum,
+from formlap.dec import (_build_from_tets, build_mesh, coexact_spectrum,
                          compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
                          is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
                          unit_sphere_edge_scale)
 from formlap.forms import InternalConsistencyError, UsageError
 from formlap.spectral import SpectralDataError
 from formlap.whitney import galerkin_laplacian, whitney_masses
+from rank_reference import reference_rank
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +101,8 @@ def test_invalid_preset():
 
 
 def _rank_betti(mesh):
-    """Reference Betti numbers: integer_rank of the full boundary matrices."""
-    ranks = [0] + [integer_rank(mesh.boundaries[d]) for d in range(1, 4)] + [0]
+    """Reference Betti numbers: reference_rank of the full boundary matrices."""
+    ranks = [0] + [reference_rank(mesh.boundaries[d]) for d in range(1, 4)] + [0]
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(mesh.counts()))
 
 
@@ -113,18 +115,12 @@ def test_betti_numbers_exact(five_cell, torus3, c600):
         assert mesh.betti == _rank_betti(mesh), mesh.name
 
 
-def test_critical_cells_of_the_presets(five_cell, torus3, c600):
-    # a coreduction of a torus grid leaves a perfect Morse complex, so the
-    # 3x3 Morse boundaries are zero; on the spheres only a vertex and a tet remain
-    spheres = (five_cell, c600, subdivide_barycentric(five_cell, project_radius=1.0),
-               subdivide_barycentric(c600, project_radius=1.0))
-    for meshes, known in (((torus3, build_mesh("torus3-grid", 6)), (1, 3, 3, 1)),
-                          (spheres, (1, 0, 0, 1))):
-        for mesh in meshes:
-            crit, morse = _morse_complex(mesh)
-            assert tuple(crit) == known, mesh.name
-            assert [m.shape for m in morse] == [(crit[d - 1], crit[d]) for d in (1, 2, 3)]
-            assert mesh.betti == known, mesh.name
+def test_betti_numbers_of_larger_meshes(five_cell, c600):
+    # too slow for the reference ranks: a finer torus grid and both
+    # projected sphere subdivisions
+    assert build_mesh("torus3-grid", 6).betti == (1, 3, 3, 1)
+    for sphere in (five_cell, c600):
+        assert subdivide_barycentric(sphere, project_radius=1.0).betti == (1, 0, 0, 1)
 
 
 def _random_subcomplexes(mesh, count, seed):
@@ -149,25 +145,34 @@ def _random_subcomplexes(mesh, count, seed):
 
 
 def test_betti_numbers_match_full_ranks_on_random_subcomplexes(torus3, c600):
-    cases = excess = 0
+    cases = 0
     for mesh, count in ((torus3, 140), (c600, 70)):
         for sub in _random_subcomplexes(mesh, count, seed=1):
             betti = sub.betti
             assert betti == _rank_betti(sub), (sub.counts(), betti)
             cases += 1
-            excess += sum(_morse_complex(sub)[0]) > sum(betti)
     assert cases >= 200
-    # a nonzero Morse boundary was needed, not only the critical counts
-    assert excess >= 10
 
 
 def test_integer_rank_small():
-    import scipy.sparse
-
     m = scipy.sparse.csr_matrix(np.array([[1, 2], [2, 4]]))
     assert integer_rank(m) == 1
     m2 = scipy.sparse.csr_matrix(np.array([[2, 0], [0, 3]]))  # no unit pivots
     assert integer_rank(m2) == 2
+
+
+def test_integer_rank_matches_the_reference():
+    # every third matrix gets a last column combined from two others, every
+    # third has no unit entry, so its first pivot divides as a Fraction
+    rng = np.random.default_rng(3)
+    for case in range(300):
+        m = rng.integers(-3, 4, size=rng.integers(1, 9, size=2))
+        if case % 3 == 1 and m.shape[1] >= 3:
+            m[:, -1] = rng.integers(-2, 3) * m[:, 0] + rng.integers(-2, 3) * m[:, 1]
+        elif case % 3 == 2:
+            m[np.abs(m) == 1] = 0
+        sparse = scipy.sparse.csr_matrix(m)
+        assert integer_rank(sparse) == reference_rank(sparse) == np.linalg.matrix_rank(m), m
 
 
 def _masses(mesh, k):
