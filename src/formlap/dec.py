@@ -4,8 +4,8 @@ Supplies the numerical side of the spectral checks: simplicial meshes
 of the flat 3-torus and of the 3-sphere, the up Laplacian pencils,
 exact Betti numbers by one column reduction of the integer coboundary
 matrices, lowest degree first with clearing, and approximate exact and
-coexact eigenvalues for comparison against the trusted sphere spectrum
-file.
+coexact eigenvalues for comparison against the closed-form sphere
+spectrum (``spectral.sphere_preset``).
 The two sphere meshes (the boundary of the 4-simplex and the 600-cell)
 have unit vertices, and their tets are the 4-cliques of an edge rule:
 every pair for the first, inner product phi/2 for the second.
@@ -554,7 +554,7 @@ def unit_sphere_edge_scale(mesh: SimplicialMesh) -> float:
     return float(np.mean((chord / arc) ** 2))
 
 
-# -- comparison with the trusted sphere data ----------------------------------------
+# -- comparison with the sphere spectrum -------------------------------------------
 
 
 def _cluster(values: list[float]) -> list[tuple[float, int]]:
@@ -585,8 +585,8 @@ def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float
                             reference: SpectralModel) -> dict:
     """Relative discrepancy of the lowest eigenvalue shell of each kind.
 
-    spec is spectrum(mesh, k, ...) and reference the trusted sphere model
-    (``sphere_preset``).  Computed eigenvalues are scaled onto the unit
+    spec is spectrum(mesh, k, ...) and reference the closed-form sphere
+    model (``sphere_preset``).  Computed eigenvalues are scaled onto the unit
     sphere by the edge-geodesic factor and clustered into approximate
     multiplets; the lowest cluster of each kind is paired with the
     lowest reference shell of that kind.
@@ -611,7 +611,7 @@ def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
     """Promote the shells a sphere comparison compared into an exact model.
 
     comparison is compare_sphere_spectrum(mesh, k, spec, reference), spec
-    is spectrum(mesh, k, ...) and reference the trusted sphere model.
+    is spectrum(mesh, k, ...) and reference the closed-form sphere model.
     Each compared shell becomes a point at the exact reference
     eigenvalue and multiplicity, provided the cluster mean lies within
     rtol of that eigenvalue and the cluster has exactly that many

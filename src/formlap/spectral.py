@@ -13,11 +13,10 @@ of multiplicities over points where the scalar vanishes.
 of (kind, eigenvalue), None for every point of the kind) holds a point;
 a degree-one factor kills exactly the points its content covers.
 
-Presets: the unit round 3-sphere (loaded from a versioned data file
-with provenance, never hardcoded in the code path) and the flat torus
-(computed from lattice modes, J = 0).  Models are also importable from
-the simplicial oracle after its eigenvalues have been matched against
-the trusted data file.
+Presets: the unit round n-sphere (from its closed-form spectrum, J =
+n/2) and the flat torus (computed from lattice modes, J = 0).  Models
+are also importable from the simplicial oracle after its eigenvalues
+have been matched against the sphere preset.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .forms import OperatorPoly
@@ -37,7 +35,7 @@ KINDS = ("exact", "coexact", "harmonic")
 
 
 class SpectralDataError(ValueError):
-    """Missing, untrusted, or malformed spectral data."""
+    """Malformed spectral data, or a sphere model asked for outside its range."""
 
 
 @dataclass(frozen=True)
@@ -135,38 +133,35 @@ def content_covers(content: set[tuple[str, Fraction | None]], kind: str, lam: Fr
 # -- presets -----------------------------------------------------------------
 
 
-def _sphere_data_path() -> Path:
-    return Path(str(resources.files("formlap").joinpath("data/sphere_s3.json")))
+def _coexact_multiplicity(n: int, k: int, j: int) -> int:
+    """Dimension of the level-j coexact k-eigenforms on S^n (Weyl dimension formula)."""
+    return (math.factorial(j + n - 1) * (2 * j + n - 1)
+            // (math.factorial(k) * math.factorial(n - k - 1) * math.factorial(j - 1)
+                * (j + k) * (j + n - k - 1)))
 
 
-def sphere_preset(n: int, k: int, j_max: int, data_path: str | Path | None = None) -> SpectralModel:
-    """Unit round sphere model from the versioned data file, shells 1..j_max.
+def sphere_preset(n: int, k: int, j_max: int) -> SpectralModel:
+    """Unit round S^n model on k-forms, shells 1..j_max, J = n/2.
 
-    The file must be marked trusted (it is shipped after validation by
-    the simplicial oracle; see the data file's provenance block).
+    Ikeda and Taniguchi (Osaka J. Math. 15, 1978): coexact k-forms at
+    level j >= 1 have eigenvalue (j+k)(j+n-k-1); exact k-forms are d of
+    the coexact (k-1)-forms, with eigenvalue (j+k-1)(j+n-k) and the same
+    multiplicity.  One harmonic form at k = 0 and one at k = n.  Points
+    come harmonic first, then the exact shells, then the coexact shells,
+    each lowest level first.
     """
-    path = Path(data_path) if data_path is not None else _sphere_data_path()
-    if not path.exists():
-        raise SpectralDataError(f"sphere spectral data file not found: {path}")
-    data = json.loads(path.read_text())
-    if data.get("schema") != 1:
-        raise SpectralDataError("unsupported sphere data schema")
-    if not data.get("trusted", False):
-        raise SpectralDataError("sphere spectral data file is not marked trusted")
-    if data.get("n") != n:
-        raise SpectralDataError(f"no sphere data for n = {n}")
-    fam = next((f for f in data["families"] if f["k"] == k), None)
-    if fam is None:
-        raise SpectralDataError(f"no sphere data for k = {k}")
-    points: list[SpectralPoint] = []
-    if fam["harmonic"] > 0:
-        points.append(SpectralPoint("harmonic", Fraction(0), fam["harmonic"]))
-    for kind in ("exact", "coexact"):
-        for shell in fam[kind]:
-            if shell["shell"] <= j_max:
-                points.append(SpectralPoint(kind, Fraction(shell["eigenvalue"]),
-                                            int(shell["multiplicity"])))
-    return SpectralModel(n, k, Fraction(data["j_value"]), tuple(points), "sphere-preset", True)
+    if n < 2 or not 0 <= k <= n:
+        raise SpectralDataError(f"no sphere model for n = {n}, k = {k}: "
+                                "needs n >= 2 and 0 <= k <= n")
+    levels = range(1, j_max + 1)
+    points = [SpectralPoint("harmonic", Fraction(0), 1)] if k in (0, n) else []
+    if k >= 1:
+        points += [SpectralPoint("exact", Fraction((j + k - 1) * (j + n - k)),
+                                 _coexact_multiplicity(n, k - 1, j)) for j in levels]
+    if k <= n - 1:
+        points += [SpectralPoint("coexact", Fraction((j + k) * (j + n - k - 1)),
+                                 _coexact_multiplicity(n, k, j)) for j in levels]
+    return SpectralModel(n, k, Fraction(n, 2), tuple(points), "sphere-preset", True)
 
 
 def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:

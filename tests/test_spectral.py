@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
+from formlap.factory import build_L_definition
 from formlap.forms import InternalConsistencyError, OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, kernel_dim,
                               sphere_preset, synthetic_model, torus_preset)
+from formlap.verify import default_grid
 from strategies import operators
+from weyl_reference import casimir, harmonic_polynomials, weyl_dimension
 
 
 def pt(kind, lam, mult=1):
@@ -197,16 +201,108 @@ def test_sphere_preset_function_case():
     assert [p.kind for p in m0.points] == ["harmonic"]
 
 
-def test_sphere_preset_errors(tmp_path):
-    with pytest.raises(SpectralDataError):
-        sphere_preset(4, 1, 2)
-    missing = tmp_path / "absent.json"
-    with pytest.raises(SpectralDataError):
-        sphere_preset(3, 1, 2, data_path=missing)
-    untrusted = tmp_path / "untrusted.json"
-    untrusted.write_text('{"schema": 1, "trusted": false, "n": 3, "families": []}')
-    with pytest.raises(SpectralDataError):
-        sphere_preset(3, 1, 2, data_path=untrusted)
+def test_sphere_preset_errors():
+    for n, k in ((3, 4), (3, -1), (1, 0), (0, 0)):
+        with pytest.raises(SpectralDataError, match="needs n >= 2 and 0 <= k <= n"):
+            sphere_preset(n, k, 2)
+
+
+# sha256 of the JSON list of sphere_preset(3, k, 8).as_json() over k = 0..3:
+# the S^3 models that the simplicial oracle compares with and promotes from
+SPHERE_S3_PRESETS_SHA256 = "b0df512de4e7c21c3a390842e32d4efc8f5bb322bbda200f0af636472d7efe49"
+
+
+def test_sphere_presets_on_s3_are_pinned():
+    models = [sphere_preset(3, k, 8).as_json() for k in range(4)]
+    digest = hashlib.sha256(json.dumps(models, sort_keys=True).encode()).hexdigest()
+    assert digest == SPHERE_S3_PRESETS_SHA256
+
+
+def _levels(model, kind):
+    """{level j: point} for the points of one kind, which come lowest level first."""
+    return dict(enumerate((p for p in model.points if p.kind == kind), start=1))
+
+
+def test_sphere_preset_matches_representation_theory():
+    # multiplicities are Weyl dimensions of SO(n+1), eigenvalues Casimirs;
+    # exact k-forms are d of the coexact (k-1)-forms, and the Hodge star
+    # maps coexact k-forms onto coexact (n-1-k)-forms
+    for n in range(2, 13):
+        models = [sphere_preset(n, k, 11) for k in range(n + 1)]
+        for k, model in enumerate(models):
+            assert model.j_value == Fraction(n, 2)
+            harmonic = [p.multiplicity for p in model.points if p.kind == "harmonic"]
+            assert harmonic == ([1] if k in (0, n) else [])
+            coexact, exact = _levels(model, "coexact"), _levels(model, "exact")
+            assert len(coexact) == (11 if k < n else 0) and len(exact) == (11 if k else 0)
+            for j, p in coexact.items():
+                assert p.multiplicity == weyl_dimension(n, k, j)
+                assert p.eigenvalue == casimir(n, k, j)
+                mirror = _levels(models[n - 1 - k], "coexact")[j]
+                assert p.multiplicity == mirror.multiplicity
+                if k == 0:
+                    assert p.multiplicity == harmonic_polynomials(n, j)
+            for j, p in exact.items():
+                below = _levels(models[k - 1], "coexact")[j]
+                assert (p.eigenvalue, p.multiplicity) == (below.eigenvalue, below.multiplicity)
+
+
+def test_sphere_preset_s4_literals():
+    functions = {(p.kind, p.eigenvalue): p.multiplicity for p in sphere_preset(4, 0, 2).points}
+    assert functions == {("harmonic", 0): 1, ("coexact", 4): 5, ("coexact", 10): 14}
+    one_forms = {(p.kind, p.eigenvalue): p.multiplicity for p in sphere_preset(4, 1, 2).points}
+    assert one_forms == {("exact", 4): 5, ("exact", 10): 14,
+                         ("coexact", 6): 10, ("coexact", 12): 35}
+
+
+def _branson_cells(j_value=None, swap=False):
+    """Whether L is Branson's intertwinor on each cell of the default grid, at J = n/2.
+
+    Per (n, k, ell) and kind: on the level-j points of that kind of
+    sphere_preset(n, k, 11), with B = j + (n-1)/2, L from the definition
+    engine must act as one constant times prod_i (B^2 - (ell-i+1/2)^2),
+    i = 1..ell, and vanish where the product does.  j_value replaces J,
+    and swap evaluates L as if each point were of the other kind: the
+    negative controls.  Returns {(n, k, ell, kind): (holds, constant or
+    None, zeros of the product)}.
+    """
+    cells = {}
+    for n, k, ell in default_grid():
+        L = build_L_definition(n, k, ell)
+        model = sphere_preset(n, k, 11)
+        for kind in ("exact", "coexact"):
+            read_as = {"exact": "coexact", "coexact": "exact"}[kind] if swap else kind
+            holds, constants, zeros = True, set(), 0
+            for j, p in _levels(model, kind).items():
+                b = Fraction(2 * j + n - 1, 2)
+                product = math.prod(b * b - Fraction(2 * (ell - i) + 1, 2) ** 2
+                                    for i in range(1, ell + 1))
+                value = L.on_eigenspace(read_as, model.j_value if j_value is None else j_value,
+                                        p.eigenvalue)
+                if product == 0:
+                    zeros += 1
+                    holds = holds and value == 0
+                else:
+                    constants.add(value / product)
+            holds = holds and len(constants) == 1
+            cells[n, k, ell, kind] = (holds, constants.pop() if holds else None, zeros)
+    return cells
+
+
+def test_sphere_spectrum_of_L_is_bransons():
+    cells = _branson_cells()
+    assert len(cells) == 420 and all(holds for holds, _, _ in cells.values())
+    # L vanishes on every exact form at weight w = k + ell - n/2 = 0, so for even n only
+    assert {cell for cell, (_, constant, _) in cells.items() if constant == 0} == {
+        (n, k, ell, "exact") for n, k, ell in default_grid() if 2 * (k + ell) == n}
+    assert sum(zeros for _, _, zeros in cells.values()) == 110
+
+
+@pytest.mark.parametrize("control, failing", [({"j_value": Fraction(1)}, 390),
+                                              ({"swap": True}, 345)],
+                         ids=["J=1", "kinds-swapped"])
+def test_bransons_spectrum_fails_its_negative_controls(control, failing):
+    assert sum(not holds for holds, _, _ in _branson_cells(**control).values()) == failing
 
 
 def test_torus_preset():
@@ -242,22 +338,3 @@ def test_harmonic_point_validation():
         SpectralPoint("harmonic", Fraction(2), 1)
     with pytest.raises(SpectralDataError):
         SpectralPoint("mystery", Fraction(0), 1)
-
-
-def test_sphere_data_script_reproduces_the_shipped_file(tmp_path):
-    # the script writes only where it is told, and its output is the shipped file
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "make_sphere_data.py"
-    for args in ([], ["--help"]):
-        proc = subprocess.run([sys.executable, str(script), *args], cwd=tmp_path,
-                              capture_output=True, text=True)
-        assert proc.returncode == (0 if args else 2) and "wrote" not in proc.stdout
-    out = tmp_path / "sphere.json"
-    subprocess.run([sys.executable, str(script), str(out)], check=True, capture_output=True)
-    shipped = root / "src" / "formlap" / "data" / "sphere_s3.json"
-    assert out.read_bytes() == shipped.read_bytes()
-    assert list(tmp_path.iterdir()) == [out]
