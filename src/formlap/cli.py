@@ -101,9 +101,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         j_value = Fraction(args.j_value)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--j-value {args.j_value!r} is not a rational number") from None
-    if j_value == 0 and "kernel" in args.theorems:
-        raise UsageError("--j-value 0: the kernel decomposition needs J != 0 "
-                         "(a manifold that is not Ricci flat)")
     reports = run_sweep(args.theorems, range(args.n_min, args.n_max + 1), args.ell_max, j_value)
     if not reports:
         raise UsageError("the selected theorems and grid give no checks")
@@ -113,7 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "config": {
             "n_range": [args.n_min, args.n_max],
             "ell_max": args.ell_max,
-            "theorems": sorted(args.theorems),
+            "theorems": sorted(set(args.theorems)),
             "j_value": str(j_value),
         },
         "results": [r.as_json() for r in reports],

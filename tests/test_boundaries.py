@@ -113,6 +113,15 @@ def test_raises_name_package_errors_and_only_main_catches_usage_errors():
     assert main_catches
 
 
+def test_cli_names_no_theorem():
+    # what a theorem is, its grid and its input rules, lives in verify.THEOREMS
+    from formlap.verify import THEOREMS
+
+    constants = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                 if isinstance(node, ast.Constant) and node.value in THEOREMS]
+    assert [f"cli.py:{node.lineno} {node.value!r}" for node in constants] == []
+
+
 def _attribute_writes(tree):
     """(node, attribute name) of each attribute store or delete, and each setattr/delattr by name."""
     for node in ast.walk(tree):

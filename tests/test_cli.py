@@ -188,6 +188,37 @@ def test_verify_j_value_zero_without_kernel_runs(tmp_path):
     assert json.loads(out.read_text())["report"]["summary"]["failed"] == 0
 
 
+def test_verify_duplicate_theorem_names_count_once(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--n-max", "3", "--ell-max", "1", "--theorems", "LG", "LG",
+                    "--output", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["config"]["theorems"] == ["LG"]
+    assert report["summary"]["checks"] == 1
+
+
+def test_verify_a_new_theorem_is_one_table_entry(monkeypatch, tmp_path):
+    # one entry in verify.THEOREMS, and no edit to the sweep or the parser,
+    # makes a selectable theorem; each cell runs its checks in table order
+    from formlap import verify
+
+    def trivial(n, k, ell, j):
+        return [lambda: verify.VerificationReport("trivial", {"n": n, "k": k, "ell": ell}, "pass")]
+
+    monkeypatch.setitem(verify.THEOREMS, "trivial", trivial)
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--n-max", "4", "--ell-max", "2",
+                    "--theorems", "trivial", "factorization", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    results = doc["report"]["results"]
+    cells = [{"n": n, "k": k, "ell": ell} for n in (3, 4) for k in range(1, n // 2 + 1)
+             for ell in (1, 2)]
+    assert [r["theorem"] for r in results] == ["factorization", "trivial"] * len(cells)
+    assert [r["params"] for r in results[1::2]] == cells
+    assert doc["report"]["config"]["theorems"] == ["factorization", "trivial"]
+    assert doc["meta"]["stages"]["trivial"]["checks"] == len(cells)
+
+
 def test_verify_unwritable_output(tmp_path):
     target = tmp_path / "no-such-dir" / "report.json"
     code = run_cli(["verify", "--n-min", "4", "--n-max", "4", "--ell-max", "1",

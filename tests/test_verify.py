@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formlap import verify
 from formlap.coeffring import RatJ, ZERO
 from formlap.factory import build_L_definition, closed_factors, operator_weight
 from formlap.forms import OperatorPoly, UsageError
@@ -401,3 +402,37 @@ def test_predicted_content_is_the_union_of_factor_contents(j_value):
     for n, k, ell in cells:
         union = set().union(*(factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)))
         assert predicted_kernel_content(n, k, ell, j_value) == union, (n, k, ell)
+
+
+# the checks of one sweep on n = 4..5, ell <= 2: 8 cells, MMstar and
+# bezout only at ell = 2
+SWEEP_CHECKS = {"verify_factorization": 8, "verify_MMstar": 4, "verify_LG": 8,
+                "verify_bezout_pairs": 4, "verify_kernel_decomposition": 8}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CHECKS))
+def test_sweep_runs_the_patched_check(monkeypatch, name):
+    # the table looks each check up when it runs: the benchmark's tracer
+    # and mutants replace these module attributes
+    monkeypatch.setattr(verify, name,
+                        lambda *args: verify.VerificationReport(name, {}, "fail", "stub"))
+    reports = verify.run_sweep(list(verify.THEOREMS), range(4, 6), ell_max=2)
+    failed = [r for r in reports if not r.passed]
+    assert len(failed) == SWEEP_CHECKS[name]
+    assert {(r.theorem, r.witness) for r in failed} == {(name, "stub")}
+
+
+def test_sweep_builds_models_through_the_patched_name(monkeypatch):
+    calls = []
+    real = verify.synthetic_model
+    monkeypatch.setattr(verify, "synthetic_model", lambda *args: calls.append(args) or real(*args))
+    assert all(r.passed for r in verify.run_sweep(["kernel"], range(4, 5), 2, Fraction(3)))
+    assert calls == [(4, k, ell, Fraction(3)) for k in (1, 2) for ell in (1, 2)]
+
+
+def test_sweep_rejects_j_zero_for_the_kernel_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "verify_factorization", lambda *args: ran.append(args))
+    with pytest.raises(UsageError, match="Ricci flat"):
+        verify.run_sweep(list(verify.THEOREMS), j_value=Fraction(0))
+    assert ran == []
