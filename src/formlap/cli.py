@@ -139,7 +139,7 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
     if min(args.n) < 3:
         raise UsageError(f"--n {min(args.n)} < 3")
-    if max(args.n) > 12:  # dense matrices of C(n+2, k)^2 entries, past the symbolic grid
+    if max(args.n) > 12:  # dense C(n+2, k) x C(n, k) blocks per mode, past the symbolic grid
         raise UsageError(f"--n {max(args.n)} > 12: the oracle's dense matrices would not fit")
     if args.ell_max < 1:
         raise UsageError(f"--ell-max {args.ell_max} < 1: no cells")

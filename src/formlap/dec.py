@@ -20,7 +20,9 @@ pass over the tets, scattered to the simplices through that table.
 Each mesh takes one of two spectrum paths, decided by a single flag
 pass over its tets: diagonal circumcentric Hodge stars when the mesh
 is well-centered, the Galerkin (Whitney-form) masses of whitney.py
-otherwise.  Both feed the same pencil builder.
+otherwise.  Both feed the same pencil builder; a dense solve turns a
+diagonal mass into a standard eigenproblem and keeps a Galerkin one
+generalized.
 
 The coexact spectrum on j-cochains is the nonzero spectrum of the up
 pencil there, the exact one on k-cochains the coexact one on
@@ -52,15 +54,19 @@ from .spectral import SpectralDataError, SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
 # Rows of the largest pencil solved by dense eigh; larger ones go to
-# _sparse_lowest.  Both paths timed on the package's pencils (best of 3,
-# one BLAS thread, 2-core x86-64 Xeon; they agree to a relative 1.3e-14):
-#     pencil                  rows  eigs    dense   sparse
-#     cell600, j = 1           720    40    61 ms   217 ms
-#     torus3-grid(4), j = 1    448     6    18 ms    52 ms
-#     torus3-grid(5), j = 1    875     6   118 ms   114 ms
-#     torus3-grid(6), j = 1   1512     6   542 ms   199 ms
-#     torus3-grid(7), j = 1   2401     6  2102 ms   424 ms
-# The crossover lies between 720 and 875 rows.
+# _sparse_lowest.  Dense eigh solves a pencil with a diagonal mass as a
+# standard problem and any other as a generalized one.  Both paths timed
+# on the package's pencils (best of 3, one BLAS thread, 2-core x86-64
+# Xeon; they agree to a relative 1.3e-14):
+#     pencil                  rows  mass      eigs    dense   sparse
+#     cell600, j = 1           720  diagonal    40    41 ms   223 ms
+#     torus3-grid(4), j = 1    448  Galerkin     6    16 ms    51 ms
+#     torus3-grid(5), j = 1    875  Galerkin     6   104 ms   101 ms
+#     torus3-grid(6), j = 1   1512  Galerkin     6   401 ms   120 ms
+#     torus3-grid(7), j = 1   2401  Galerkin     6  1793 ms   405 ms
+# The crossover lies between 720 and 875 rows on Galerkin pencils.  No
+# diagonal-mass pencil of the package lies between 720 and 17,040 rows,
+# so its crossover, above 720, is not measured.
 DENSE_MAX = 800
 # ARPACK restarts allowed per sparse solve: ten times the 28 that the
 # slowest tested or benchmarked pencil takes (the refined 600-cell's
@@ -485,33 +491,65 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
     return np.sort(vals)[harmonic:]
 
 
-def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int) -> np.ndarray:
-    """The coexact spectrum on j-cochains: the lowest count nonzero eigenvalues of the up pencil.
+def _coexact_pencil(mesh: SimplicialMesh, j: int, masses: list) -> tuple:
+    """The pencil whose nonzero spectrum is the coexact one on j-cochains: (a, m, kernel, harmonic).
 
-    Its kernel has dimension b_j + rank d_{j-1} (ranks from the Betti
-    numbers and the f-vector), which dense eigh skips by index; pencils
-    of more than DENSE_MAX = 800 rows go to _sparse_lowest, which
-    overtakes dense eigh between 720 and 875 rows (the table at DENSE_MAX).
+    kernel is the dimension of the pencil's kernel, b_j + rank d_{j-1}
+    (ranks from the Betti numbers and the f-vector), and harmonic its
+    harmonic part.
     """
     betti = mesh.betti
-    gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
     if j == 2:
         # the star-dual pencil (d_2 M_2^-1 d_2^T, M_3^-1) on tets has the same nonzero
         # eigenvalues (substitute z = M_3 d_2 x) and only b_3 zeros; M_2 is diagonal
         d_2 = mesh.boundaries[3].T.astype(float)
         a = (d_2 @ scipy.sparse.diags(1.0 / masses[2].diagonal()) @ d_2.T).tocsr()
         m = scipy.sparse.diags(1.0 / masses[3].diagonal()).tocsr()
-        kernel = harmonic = betti[3]
-    else:
-        a, m = laplacian_pencil(mesh, j, masses)
-        harmonic = betti[j]
-        kernel = harmonic + (mesh.counts()[0] - betti[0] if j == 1 else 0)  # + rank d_{j-1}
+        return a, m, betti[3], betti[3]
+    a, m = laplacian_pencil(mesh, j, masses)
+    kernel = betti[j] + (mesh.counts()[0] - betti[0] if j == 1 else 0)  # + rank d_{j-1}
+    return a, m, kernel, betti[j]
+
+
+def _diagonal_mass(m: scipy.sparse.spmatrix) -> np.ndarray | None:
+    """The diagonal of a mass matrix that stores no off-diagonal entry and is positive, else None."""
+    coo = m.tocoo()
+    diag = m.diagonal()
+    return diag if np.all(coo.row == coo.col) and np.all(diag > 0) else None
+
+
+def _dense_lowest(a, m, first: int, count: int) -> np.ndarray:
+    """Eigenvalues first .. first + count - 1 (ascending) of the pencil (a, m), dense.
+
+    A diagonal mass D is folded in as the standard problem D^-1/2 a D^-1/2;
+    any other mass keeps the generalized problem.
+    """
+    diag, index = _diagonal_mass(m), [first, first + count - 1]
+    if diag is None:
+        return scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True, subset_by_index=index)
+    scale = scipy.sparse.diags(1.0 / np.sqrt(diag))
+    return scipy.linalg.eigh((scale @ a @ scale).toarray(), eigvals_only=True, subset_by_index=index)
+
+
+def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int) -> np.ndarray:
+    """The coexact spectrum on j-cochains: the lowest count nonzero eigenvalues of the up pencil.
+
+    Dense eigh skips the pencil's kernel (``_coexact_pencil``) by index.
+    The mass matrix decides the dense problem: one that stores no
+    off-diagonal entry (circumcentric stars, the lumped vertex mass) is
+    folded in as the standard problem D^-1/2 A D^-1/2, with no dense mass;
+    any other (a Whitney-Galerkin mass) keeps the generalized problem.
+    Pencils of more than DENSE_MAX = 800 rows go to _sparse_lowest, which
+    overtakes dense eigh on Galerkin pencils between 720 and 875 rows (the
+    table at DENSE_MAX).
+    """
+    a, m, kernel, harmonic = _coexact_pencil(mesh, j, masses)
     count = min(count, a.shape[0] - kernel)
     if count == 0:
         return np.empty(0)
     if a.shape[0] <= DENSE_MAX:
-        return scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True,
-                                 subset_by_index=[kernel, kernel + count - 1])
+        return _dense_lowest(a, m, kernel, count)
+    gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
     return _sparse_lowest(a, m, harmonic, count, gradients)
 
 

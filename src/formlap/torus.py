@@ -1,4 +1,4 @@
-"""Flat-torus matrix oracle for the tractor pipeline, one Fourier mode at a time.
+"""Flat-torus matrix oracle for the tractor pipeline, all Fourier modes of a cell at once.
 
 On the flat n-torus (an Einstein space with J = 0) every operator in
 the pipeline acts mode by mode as a finite matrix: d is i times
@@ -23,9 +23,12 @@ so
 
     Gamma_p = eps(e_p) iota(e_X) - eps(e_Y) iota(e_p)
 
-sends each basis form to at most one basis form, found by two index
-maps (e_X -> e_p, then e_p -> -e_Y).  The middle-block embedding Z_k is
-a column selection and eps(e_X) Z_(k-1) a row scatter.
+sends each basis form to at most one basis form, and no two to the same
+one: a signed index map, found by two index maps (e_X -> e_p, then
+e_p -> -e_Y).  Both routes of Gamma_p^2 replace e_X by e_Y, whatever p,
+so Q = sum_p Gamma_p^2 is one signed index map too, its coefficient the
+sum over p.  The middle-block embedding Z_k is a column selection and
+eps(e_X) Z_(k-1) a row scatter.
 
 All matrices are exact integer matrices.  Gamma_p raises the grading
 g(t) = [e_Y in t] - [e_X in t] of a tractor basis k-tuple t by one, so
@@ -46,14 +49,29 @@ and D times it is an integer matrix for D the common denominator of
 a, b and c.  The comparison is D times those middle rows against 2 times
 D times the expanded operator, entry by entry.
 
-Products run in int64 only when an a-priori bound keeps every entry
-and partial sum below 2^62; otherwise the same products run on numpy
-object arrays of Python ints, so nothing wraps around.  The insertion
-tables, the Gamma_p index maps, sum Gamma_p^2 and the slot row blocks
-are built once per (n, k); S itself is never formed, since it is
-folded into ``box_matrix`` and ``splitting_matrix``.  ``CMat`` and
-``mode_matrices`` give the Gaussian-rational form of d and the
-codifferential for the tests; the oracle does not use them.
+The oracle never forms a dense box.  A cell's modes run as one
+(modes, rows, columns) integer block, and each box step multiplies it
+by the block-diagonal sparse matrix of the cell's boxes
+|xi|^2 + 2 sum_p xi_p Gamma_p + Q, assembled from the index maps: at
+most n + 2 products per entry where a dense product takes C(n+2, k).
+E and F are Gram products of eps(xi), so each is a sum of
+sign * xi_a * xi_b over the pairs of insertions that share their source
+(E) or their target (F); those pairs are tabulated once per (n, k) and
+evaluated for all modes together.
+
+Each row of Gamma_p and of Q holds at most one entry, so the box's
+absolute row sums are at most |xi|^2 + 2 sum |xi_p| + max |Q| for every
+mode.  A cell's products run in int64 only when that bound, taken over
+all its modes, to the power ell times the largest splitting entry is
+below 2^62, which bounds every entry and partial sum; otherwise the
+whole cell runs on numpy object arrays of Python ints (the sparse
+product then runs as row sums of gathered rows), so nothing wraps
+around.  The insertion tables, the Gamma_p and Q maps, the box's sparse
+pattern, the E and F pair tables and the slot row blocks are built once
+per (n, k); the similarity S is never formed, since it is folded into
+the box and the splitting.  ``box_matrix`` (the dense box of one mode),
+``CMat`` and ``mode_matrices`` are references for the tests; the oracle
+does not use them.
 """
 
 from __future__ import annotations
@@ -66,6 +84,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from .forms import InternalConsistencyError, OperatorPoly
 
@@ -161,11 +180,15 @@ def _insertion(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eps(x: np.ndarray, k: int) -> np.ndarray:
-    """eps(x) = sum_a x_a eps(e_a), Lambda^k(R^m) -> Lambda^(k+1), m = len(x), in x's dtype."""
-    rows, signs = _insertion(len(x), k)
-    out = np.zeros((math.comb(len(x), k + 1), rows.shape[1]), dtype=x.dtype)
+    """eps(x) = sum_a x_a eps(e_a), Lambda^k(R^m) -> Lambda^(k+1), for each row x of (..., m).
+
+    The result has shape (..., C(m, k+1), C(m, k)) and x's dtype.
+    """
+    m = x.shape[-1]
+    rows, signs = _insertion(m, k)
+    out = np.zeros(x.shape[:-1] + (math.comb(m, k + 1), rows.shape[1]), dtype=x.dtype)
     a, col = np.nonzero(signs)
-    out[rows[a, col], col] = x[a] * signs[a, col]
+    out[..., rows[a, col], col] = x[..., a] * signs[a, col]
     return out
 
 
@@ -174,6 +197,45 @@ def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
     x = np.array([int(v) for v in xi], dtype=object)
     d, lower = _eps(x, k), _eps(x, k - 1)
     return CMat(_obj(d.shape), d), CMat(_obj(lower.T.shape), -lower.T)
+
+
+@lru_cache(maxsize=None)
+def _gram_pairs(m: int, k: int, shared: str) -> tuple[np.ndarray, ...]:
+    """Where a Gram product of eps(x): Lambda^k(R^m) -> Lambda^(k+1) picks up x_a x_b.
+
+    eps(x) has the entry x_a * sign at (rows[a, t], t) for each insertion
+    (a, t) of ``_insertion(m, k)``.  So eps(x) iota(x) on (k+1)-forms
+    (shared="source") sums x_a x_b sign_1 sign_2 at (row_1, row_2) over
+    the pairs of insertions with the same source t, and iota(x) eps(x) on
+    k-forms (shared="target") at (t_1, t_2) over the pairs with the same
+    target row.  Returns (positions, starts, a, b, signs): the flat
+    positions each pair adds to, without repeats, where each position's
+    run of pairs starts, and the pairs sorted by position.
+    """
+    rows, signs = _insertion(m, k)
+    a, t = np.nonzero(signs)
+    target, sign = rows[a, t], signs[a, t]
+    key, end, side, size = ((t, target, math.comb(m, k + 1), m - k) if shared == "source"
+                            else (target, t, math.comb(m, k), k + 1))
+    group = np.argsort(key, kind="stable").reshape(-1, size)  # every key has size insertions
+    one, two = (pair.ravel() for pair in np.broadcast_arrays(group[:, :, None], group[:, None, :]))
+    flat = end[one] * side + end[two]
+    order = np.argsort(flat, kind="stable")
+    one, two = one[order], two[order]
+    positions, starts = np.unique(flat[order], return_index=True)
+    return (_int(positions), _int(starts), _int(a[one]), _int(a[two]), _int(sign[one] * sign[two]))
+
+
+def _gram(x: np.ndarray, k: int, shared: str) -> np.ndarray:
+    """eps(xi) iota(xi) on (k+1)-forms or iota(xi) eps(xi) on k-forms for each row xi of x.
+
+    x is a (modes, m) block; the result is (modes, side, side), in x's dtype.
+    """
+    positions, starts, a, b, signs = _gram_pairs(x.shape[1], k, shared)
+    side = math.comb(x.shape[1], k + 1 if shared == "source" else k)
+    out = np.zeros((len(x), side * side), dtype=x.dtype)
+    out[:, positions] = np.add.reduceat(x[:, a] * x[:, b] * signs, starts, axis=1)
+    return out.reshape(len(x), side, side)
 
 
 # -- flat tractor pipeline ----------------------------------------------------
@@ -193,14 +255,24 @@ def _absmax(mat: np.ndarray) -> int:
     return int(np.abs(mat).max(initial=0))
 
 
-@lru_cache(maxsize=None)
-def _connection(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gamma_p on tractor k-forms as index maps, and sum_p Gamma_p^2.
+def _index_map(src: np.ndarray, dst: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The signed index map e_src[i] -> sign[i] e_dst[i], entries with sign 0 dropped."""
+    keep = sign != 0
+    return _int(src[keep]), _int(dst[keep]), _int(sign[keep])
 
-    Gamma_p e_t = signs[p, t] e_rows[p, t] (rows and signs are (n, dim)).
-    eps(e_a) iota(e_b) sends e_b ^ s to e_a ^ s for each (k-1)-form s
-    lacking e_a and e_b; the two terms of Gamma_p, (a, b) = (p, X) and
-    -(Y, p), act on disjoint columns (with e_X but not e_p; with e_p).
+
+@lru_cache(maxsize=None)
+def _connection(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]:
+    """Gamma_p (one map per p) and Q = sum_p Gamma_p^2 on tractor k-forms, as signed index maps.
+
+    Each map is a triple (src, dst, sign) that sends e_src[i] to
+    sign[i] e_dst[i] and every other basis form to 0; dst has no
+    repeats.  eps(e_a) iota(e_b) sends e_b ^ s to e_a ^ s for each
+    (k-1)-form s lacking e_a and e_b; the two terms of Gamma_p,
+    (a, b) = (p, X) and -(Y, p), act on disjoint columns (with e_X but
+    not e_p; with e_p) and land on disjoint rows (with e_p; without).
+    Gamma_p^2 replaces e_X by e_Y, whatever p: checked here, so that Q is
+    one map whose sign is the sum over p.
     """
     ins_rows, ins_signs = _insertion(n + 2, k - 1)
     dim = math.comb(n + 2, k)
@@ -211,22 +283,26 @@ def _connection(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             s = np.flatnonzero(ins_signs[a] * ins_signs[b])
             rows[p, ins_rows[b, s]] = ins_rows[a, s]
             signs[p, ins_rows[b, s]] = sign * ins_signs[a, s] * ins_signs[b, s]
-    square = np.zeros((dim, dim), dtype=np.int64)
-    np.add.at(square, (np.take_along_axis(rows, rows, axis=1), np.arange(dim)),
-              signs * np.take_along_axis(signs, rows, axis=1))
-    return _int(rows), _int(signs), _int(square)
+    twice = np.take_along_axis(rows, rows, axis=1)
+    twice_signs = signs * np.take_along_axis(signs, rows, axis=1)
+    square = np.where(twice_signs != 0, twice, -1).max(axis=0, initial=-1)
+    if np.any((twice_signs != 0) & (twice != square)):
+        raise InternalConsistencyError(f"sum_p Gamma_p^2 on tractor {k}-forms is not one index map")
+    cols = np.arange(dim)
+    return (tuple(_index_map(cols, rows[p], signs[p]) for p in range(n)),
+            _index_map(cols, square, twice_signs.sum(axis=0)))
 
 
-def _mode_vector(n: int, xi: tuple[int, ...]) -> np.ndarray:
-    """xi as int64, or as Python ints when the mode-linear blocks might not fit.
+def _mode_block(n: int, modes: list[tuple[int, ...]]) -> np.ndarray:
+    """The modes as a (modes, n) block: int64, or Python ints when the mode-linear blocks might not fit.
 
-    With s = sum |xi_p|, every entry and partial sum of box_matrix, its
-    row sums, E, F and the bottom-slot part of the splitting is at most
-    (s + n)^2 * 2^(n+2).
+    With s the largest sum |xi_p| of a mode, every entry and partial sum
+    of the box's mode-linear part, its row sums, E, F and the
+    bottom-slot part of the splitting is at most (s + n)^2 * 2^(n+2).
     """
-    xi = [int(x) for x in xi]
-    s = sum(abs(x) for x in xi)
-    return np.array(xi, dtype=_exact((s + n) ** 2 << (n + 2)))
+    xs = [[int(v) for v in xi] for xi in modes]
+    s = max(sum(abs(v) for v in xi) for xi in xs)
+    return np.array(xs, dtype=_exact((s + n) ** 2 << (n + 2)))
 
 
 @lru_cache(maxsize=None)
@@ -246,19 +322,29 @@ def _row_blocks(n: int, k: int) -> dict[str, np.ndarray]:
 
 
 def box_matrix(n: int, k: int, xi: tuple[int, ...]) -> np.ndarray:
-    """S (box) S^-1 = |xi|^2 + 2 sum xi_p Gamma_p + sum Gamma_p^2 on tractor k-forms (J = 0)."""
-    x = _mode_vector(n, xi)
-    rows, signs, square = _connection(n, k)
-    box = square.astype(x.dtype)
-    np.add.at(box, (rows, np.arange(box.shape[1])), 2 * x[:, None] * signs)
-    box[np.diag_indices_from(box)] += int(x @ x)
+    """S (box) S^-1 = |xi|^2 + 2 sum xi_p Gamma_p + sum Gamma_p^2 on tractor k-forms (J = 0).
+
+    The dense box of one mode, a reference for the tests: the oracle
+    applies the same maps without forming it.
+    """
+    x = _mode_block(n, [xi])[0]
+    gammas, square = _connection(n, k)
+    dim = math.comb(n + 2, k)
+    box = np.zeros((dim, dim), dtype=x.dtype)
+    for x_p, (src, dst, sign) in zip(x, gammas):
+        box[dst, src] += 2 * x_p * sign
+    src, dst, sign = square
+    box[dst, src] += sign
+    box[np.diag_indices(dim)] += int(x @ x)
     return box
 
 
-def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> np.ndarray:
-    """2k S times the splitting operator's mode matrix, k-forms to tractor k-forms.
+def splitting_matrix(n: int, k: int, w: Fraction, x: np.ndarray) -> np.ndarray:
+    """2k S times the splitting operator's mode matrix, k-forms to tractor k-forms, per mode.
 
-    The splitting is (n + w - 2k)/k Z_k + (1/k) eps(e_X) Z_(k-1) delta with
+    x is a (modes, n) block from ``_mode_block``; the result is
+    (modes, C(n+2, k), C(n, k)) in its dtype.  The splitting is
+    (n + w - 2k)/k Z_k + (1/k) eps(e_X) Z_(k-1) delta with
     delta = -i iota(xi); S is -i on the e_X rows, so the result is
     2(n + w - 2k) Z_k - 2 eps(e_X) Z_(k-1) iota(xi).  Z_k puts the form
     basis on the middle row block; eps(e_X) Z_(k-1) sends row i of
@@ -267,74 +353,122 @@ def splitting_matrix(n: int, k: int, w: Fraction, xi: tuple[int, ...]) -> np.nda
     top = 2 * (n + Fraction(w) - 2 * k)
     if top.denominator != 1:
         raise InternalConsistencyError(f"weight {w} is not a half-integer")
-    x = _mode_vector(n, xi)
     middle, lower = _row_blocks(n, k)["z"], _row_blocks(n, k - 1)["z"]
     rows, signs = _insertion(n + 2, k - 1)
-    out = np.zeros((math.comb(n + 2, k), len(middle)), dtype=x.dtype)
-    out[middle, np.arange(len(middle))] = int(top)
-    out[rows[n + 1, lower]] = -2 * signs[n + 1, lower, None] * _eps(x, k - 1).T
+    out = np.zeros((len(x), math.comb(n + 2, k), len(middle)), dtype=x.dtype)
+    out[:, middle, np.arange(len(middle))] = int(top)
+    out[:, rows[n + 1, lower]] = -2 * signs[n + 1, lower, None] * np.swapaxes(_eps(x, k - 1), 1, 2)
     return out
 
 
-def pipeline_matrix(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
-    """2k S box^ell split at the operator weight: the flat pipeline as an integer matrix.
+@lru_cache(maxsize=None)
+def _box_pattern(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """One mode's S (box) S^-1 on tractor k-forms in CSR order: (indptr, indices, feature, sign).
 
-    The ell products run in int64 when ||S box S^-1||_inf^ell * max|entry
-    of the splitting| < 2^62, which bounds every entry and partial sum;
-    otherwise on Python ints.
+    Entry i is sign[i] * f[feature[i]] for the mode's features
+    f = (|xi|^2, 2 xi_1, ..., 2 xi_n, 1): the diagonal, then the maps
+    Gamma_1..Gamma_n and Q of ``_connection``.  Every row holds its
+    diagonal entry, so none is empty.
+    """
+    gammas, square = _connection(n, k)
+    diagonal = np.arange(math.comb(n + 2, k))
+    maps = [(diagonal, diagonal, np.ones_like(diagonal)), *gammas, square]
+    rows = np.concatenate([dst for _, dst, _ in maps])
+    order = np.argsort(rows, kind="stable")
+    return (_int(np.searchsorted(rows[order], np.arange(len(diagonal) + 1))),
+            _int(np.concatenate([src for src, _, _ in maps])[order]),
+            _int(np.repeat(np.arange(n + 2), [len(src) for src, _, _ in maps])[order]),
+            _int(np.concatenate([sign for _, _, sign in maps])[order]))
+
+
+def pipeline_matrix(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) -> np.ndarray:
+    """2k S box^ell split at the operator weight for each mode: (modes, C(n+2, k), C(n, k)).
+
+    Each box step is one product with the block-diagonal sparse matrix of
+    the modes' boxes (``_box_pattern``): in int64 when the cell's bound
+    (module docstring) is below 2^62, else as sums of gathered rows on
+    Python ints.
     """
     from .factory import operator_weight
 
-    out = splitting_matrix(n, k, operator_weight(n, k, ell), xi)
-    box = box_matrix(n, k, xi)
-    row_norm = int(np.abs(box).sum(axis=1).max(initial=0))
-    if row_norm ** ell * _absmax(out) >= _LIMIT:
-        box, out = box.astype(object), out.astype(object)
-    for _ in range(ell):
-        out = box @ out
-    return out
+    x = _mode_block(n, modes)
+    out = splitting_matrix(n, k, operator_weight(n, k, ell), x)
+    indptr, cols, feature, sign = _box_pattern(n, k)
+    features = np.column_stack([(x * x).sum(axis=1), 2 * x, np.ones_like(x[:, 0])])
+    row_norm = max(sum(v * v + 2 * abs(v) for v in xi) for xi in x.tolist())
+    if (row_norm + _absmax(sign)) ** ell * _absmax(out) >= _LIMIT:
+        features, out = features.astype(object), out.astype(object)
+    count, dim, width = out.shape
+    shift = np.arange(count)[:, None]
+    data = (features[:, feature] * sign).ravel()
+    indices = (cols + dim * shift).ravel()
+    starts = np.append(indptr[:-1] + len(cols) * shift, count * len(cols))
+    flat = out.reshape(count * dim, width)
+    if flat.dtype == object:
+        for _ in range(ell):
+            flat = np.add.reduceat(data[:, None] * flat[indices], starts[:-1], axis=0)
+    else:
+        box = scipy.sparse.csr_matrix((data, indices, starts), shape=(count * dim,) * 2)
+        for _ in range(ell):
+            flat = box @ flat
+    return flat.reshape(count, dim, width)
 
 
-def pipeline_L_numeric(n: int, k: int, ell: int, xi: tuple[int, ...]) -> np.ndarray:
-    """Twice the exact mode matrix of the operator, from the flat pipeline.
+def pipeline_L_numeric(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) -> np.ndarray:
+    """Twice the exact mode matrix of the operator for each mode, from the flat pipeline.
 
     It is the middle block of ``pipeline_matrix``, where S is the
-    identity.  Raises unless the top and second slot blocks vanish.
+    identity: (modes, C(n, k), C(n, k)).  Raises unless the top and second
+    slot blocks vanish for every mode.
     """
-    full = pipeline_matrix(n, k, ell, xi)
+    full = pipeline_matrix(n, k, ell, modes)
     blocks = _row_blocks(n, k)
     for name in ("y", "w"):
-        if np.any(full[blocks[name]] != 0):
-            raise InternalConsistencyError(f"nonvanishing {name!r} slot block at xi = {xi}")
-    return full[blocks["z"]]
+        leaks = np.any(full[:, blocks[name]] != 0, axis=(1, 2))
+        if np.any(leaks):
+            raise InternalConsistencyError(
+                f"nonvanishing {name!r} slot block at xi = {tuple(modes[int(np.argmax(leaks))])}")
+    return full[:, blocks["z"]]
 
 
 def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int,
-                         xi: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Mode matrix of an expanded operator at J = 0, as (M, D): it is M / D.
+                         modes: list[tuple[int, ...]]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Mode matrices of an expanded operator at J = 0, as (M, D): mode i's is M[i] / D[i].
 
     With E = eps(xi) iota(xi), F = iota(xi) eps(xi) and
-    (a, b, c) = op.at(0, |xi|^2), the matrix is a I + b E + c F; D is the
-    common denominator of a, b and c, so M = D (a I + b E + c F) is an
-    integer matrix.
+    (a, b, c) = op.at(0, |xi|^2), the matrix is a I + b E + c F; D[i] is
+    the common denominator of a, b and c, so M[i] = D[i] (a I + b E + c F)
+    is an integer matrix.
     """
-    x = _mode_vector(n, xi)
-    coeffs = op.at(Fraction(0), int(x @ x))
-    den = math.lcm(*(v.denominator for v in coeffs))
-    a, b, c = (int(v * den) for v in coeffs)
-    lower, upper = _eps(x, k - 1), _eps(x, k)
-    e_mat, f_mat = lower @ lower.T, upper.T @ upper
-    dtype = _exact(abs(a) + abs(b) * _absmax(e_mat) + abs(c) * _absmax(f_mat))
-    out = e_mat.astype(dtype) * b + f_mat.astype(dtype) * c
-    out[np.diag_indices_from(out)] += a
-    return out, den
+    x = _mode_block(n, modes)
+    norm2 = [int(v) for v in (x * x).sum(axis=1)]
+    scaled = {}  # |xi|^2 -> (D, D a, D b, D c)
+    for q in set(norm2):
+        coeffs = op.at(Fraction(0), q)
+        den = math.lcm(*(v.denominator for v in coeffs))
+        scaled[q] = (den, *(v.numerator * (den // v.denominator) for v in coeffs))
+    dens, *abc = zip(*(scaled[q] for q in norm2))
+    e_mat, f_mat = _gram(x, k - 1, "source"), _gram(x, k, "target")
+    e_max, f_max = _absmax(e_mat), _absmax(f_mat)
+    dtype = _exact(max(abs(a) + abs(b) * e_max + abs(c) * f_max for a, b, c in zip(*abc)))
+    a, b, c = (np.array(col, dtype=dtype) for col in abc)
+    out = e_mat.astype(dtype) * b[:, None, None] + f_mat.astype(dtype) * c[:, None, None]
+    diag = np.arange(out.shape[1])
+    out[:, diag, diag] += a[:, None]
+    return out, dens
 
 
-def _times(mat: np.ndarray, c: int) -> np.ndarray:
-    """mat * c exactly: int64 when the product fits, else Python ints."""
-    if _absmax(mat) * abs(c) >= _LIMIT:
+def _times(mat: np.ndarray, c) -> np.ndarray:
+    """mat * c exactly, for an int c or one int per mode (mat's leading axis).
+
+    int64 when the product fits, else Python ints.
+    """
+    per_mode = not isinstance(c, int)
+    scale = np.array(c if per_mode else [c], dtype=object)
+    if max(_absmax(mat), 1) * _absmax(scale) >= _LIMIT:
         mat = mat.astype(object)
-    return mat * c
+    scale = scale.astype(mat.dtype)
+    return mat * (scale.reshape((-1,) + (1,) * (mat.ndim - 1)) if per_mode else scale[0])
 
 
 def random_modes(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -344,7 +478,7 @@ def random_modes(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) -> dict:
-    """Exact per-mode comparison of the two pipelines at J = 0.
+    """Exact per-mode comparison of the two pipelines at J = 0, all modes in one block.
 
     The discrepancy entry is the number of differing matrix entries,
     which must be 0 on pass.
@@ -352,13 +486,10 @@ def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) ->
     from .factory import build_L_definition
 
     op = build_L_definition(n, k, ell)
-    per_mode = []
-    worst = 0
-    for xi in modes:
-        numeric = pipeline_L_numeric(n, k, ell, xi)  # twice the operator's mode matrix
-        symbolic, den = symbolic_mode_matrix(op, n, k, xi)
-        mismatches = int(np.sum(_times(numeric, den) != _times(symbolic, 2)))
-        worst = max(worst, mismatches)
-        per_mode.append({"xi": list(xi), "mismatched_entries": mismatches})
+    numeric = pipeline_L_numeric(n, k, ell, modes)  # twice the operators' mode matrices
+    symbolic, dens = symbolic_mode_matrix(op, n, k, modes)
+    counts = np.sum(_times(numeric, dens) != _times(symbolic, 2), axis=(1, 2))
+    per_mode = [{"xi": list(xi), "mismatched_entries": int(c)} for xi, c in zip(modes, counts)]
+    worst = max(m["mismatched_entries"] for m in per_mode)
     return {"n": n, "k": k, "ell": ell, "modes": per_mode,
             "max_discrepancy": worst, "status": "pass" if worst == 0 else "fail"}

@@ -377,8 +377,12 @@ def run_sweep(theorems: list[str], n_range=range(3, 13), ell_max: int = 6,
     """The checks of the selected ``THEOREMS`` entries, cell by cell in table order.
 
     Each report carries its check's wall seconds; a kernel check's include
-    building its synthetic model.
+    building its synthetic model.  A name that is not a key of the table
+    raises UsageError before any check runs.
     """
+    unknown = [name for name in theorems if name not in THEOREMS]
+    if unknown:
+        raise UsageError(f"unknown theorem {unknown[0]!r}: the theorems are {', '.join(THEOREMS)}")
     reports: list[VerificationReport] = []
     for n, k, ell in default_grid(n_range, ell_max):
         # listing the cell's checks first lets an input rule raise before one runs

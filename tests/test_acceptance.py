@@ -115,9 +115,8 @@ def test_criterion_06_slot_vanishing_numeric(capfd):
     for n in (3, 4, 5):
         for k in range(1, n // 2 + 1):
             for ell in (1, 2):
-                for xi in random_modes(n, 4, seed=11):
-                    full = pipeline_matrix(n, k, ell, xi)
-                    blocks = _row_blocks(n, k)
+                blocks = _row_blocks(n, k)
+                for full in pipeline_matrix(n, k, ell, random_modes(n, 4, seed=11)):
                     checked += 1
                     for name in ("y", "w"):
                         if np.any(full[blocks[name]] != 0):
@@ -183,17 +182,19 @@ def test_criterion_09_torus_oracle(capfd):
 
     t0 = time.time()
     worst = 0
-    cells = 0
-    for n in range(3, 9):
+    cells = {}  # modes per cell -> cells
+    for n in range(3, 11):
+        modes = 50 if n <= 8 else 10
         for k in range(1, n // 2 + 1):
             for ell in range(1, 7):
-                rep = compare_pipelines(n, k, ell, random_modes(n, 50, seed=1))
+                rep = compare_pipelines(n, k, ell, random_modes(n, modes, seed=1))
                 worst = max(worst, rep["max_discrepancy"])
-                cells += 1
+                cells[modes] = cells.get(modes, 0) + 1
     elapsed = time.time() - t0
     report(capfd, "9 flat-torus oracle, exact agreement at J = 0",
            worst == 0 and elapsed < 30,
-           f"{cells} cells x 50 modes, max discrepancy {worst}, {elapsed:.1f}s (< 30s)")
+           " + ".join(f"{count} cells x {modes} modes" for modes, count in cells.items())
+           + f", max discrepancy {worst}, {elapsed:.1f}s (< 30s)")
 
 
 def test_criterion_10_dec_oracle(capfd):

@@ -228,6 +228,34 @@ def test_sparse_solve_matches_dense(monkeypatch, c600, grid5):
             assert solved["sparse"] == pytest.approx(solved["dense"], rel=1e-9, abs=0), (mesh.name, j)
 
 
+# every pencil with a diagonal mass that a workload or test solves densely:
+# the circumcentric stars of the 600-cell and the 5-cell, and the lumped M0
+# of the Galerkin vertex pencil on the benchmark's 6x6x6 torus grid
+DIAGONAL_PENCILS = [("cell600", None, j) for j in (0, 1, 2)] + [
+    ("boundary-4-simplex", None, j) for j in (0, 1, 2)] + [("torus3-grid", 6, 0)]
+
+
+@pytest.mark.parametrize("preset,size,j", DIAGONAL_PENCILS)
+def test_diagonal_mass_pencils_solve_as_standard_problems(preset, size, j):
+    mesh = build_mesh(preset, size)
+    masses = _masses(mesh, 1)
+    a, m, kernel, _ = dec._coexact_pencil(mesh, j, masses)
+    assert a.shape[0] <= dec.DENSE_MAX and dec._diagonal_mass(m) is not None
+    count = min(40, a.shape[0] - kernel)
+    want = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True,
+                             subset_by_index=[kernel, kernel + count - 1])
+    assert coexact_spectrum(mesh, j, masses, 40) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_galerkin_masses_stay_generalized(grid5):
+    # the choice follows the mass's structure: consistent Whitney masses are
+    # not diagonal, the lumped vertex mass is
+    masses = whitney_masses(grid5)
+    assert dec._diagonal_mass(masses["M0"]) is None and dec._diagonal_mass(masses["M1"]) is None
+    assert np.array_equal(dec._diagonal_mass(masses["M0_lumped"]), masses["M0_lumped"].diagonal())
+    assert dec._diagonal_mass(-masses["M0_lumped"]) is None  # not a mass: eigh(a, m) decides
+
+
 def test_dense_max_dispatch(monkeypatch, c600, grid5):
     # at the module threshold the 720-row 600-cell pencil is solved dense
     # and the 875-row Whitney pencil of the 5x5x5 grid sparse

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 import formlap.factory
+import formlap.torus
 from formlap.cli import main
 from formlap.coeffring import ZERO
 from formlap.factory import build_L_definition, operator_weight
 from formlap.forms import OperatorPoly
 from formlap.torus import (CMat, box_matrix, compare_pipelines, mode_matrices, pipeline_L_numeric,
-                           pipeline_matrix, random_modes, symbolic_mode_matrix, wedge_basis,
-                           _connection, _eps, _row_blocks)
+                           pipeline_matrix, random_modes, splitting_matrix, symbolic_mode_matrix,
+                           wedge_basis, _connection, _eps, _gram, _mode_block, _row_blocks)
 from exterior_reference import derivation_matrix, eps_matrix, iota_matrix, tractor_gammas, z_embed
 
 
@@ -59,7 +61,7 @@ def test_squares_vanish():
 
 def test_pipeline_example():
     # order-one operator at (4, 1): twice the delta-d piece
-    got = pipeline_L_numeric(4, 1, 1, (1, 0, 0, 0))
+    got = pipeline_L_numeric(4, 1, 1, [(1, 0, 0, 0)])[0]
     want = np.zeros((4, 4), dtype=np.int64)
     for i in (1, 2, 3):
         want[i, i] = 2
@@ -67,12 +69,12 @@ def test_pipeline_example():
 
 
 def test_pipeline_zero_mode():
-    got = pipeline_L_numeric(4, 1, 1, (0, 0, 0, 0))
+    got = pipeline_L_numeric(4, 1, 1, [(0, 0, 0, 0)])[0]
     assert not np.any(got != 0)
 
 
 def test_top_slots_vanish_numerically():
-    full = pipeline_matrix(5, 2, 2, (1, -2, 0, 3, 1))
+    full = pipeline_matrix(5, 2, 2, [(1, -2, 0, 3, 1)])[0]
     blocks = _row_blocks(5, 2)
     for name in ("y", "w"):
         assert not np.any(full[blocks[name]] != 0)
@@ -90,7 +92,7 @@ def test_companion_slot_matches_symbolic():
 
     n, k, ell = 4, 2, 2
     xi = (1, -1, 2, 0)
-    full = pipeline_matrix(n, k, ell, xi)
+    full = pipeline_matrix(n, k, ell, [xi])[0]
     tractor_basis = wedge_basis(n + 2, k)
     form_km1 = wedge_basis(n, k - 1)
     # bottom-slot read: rho = k (-1)^(k-1) times the coefficients on tuples (T, n+1)
@@ -130,7 +132,8 @@ def test_symbolic_mode_matrix_is_real():
     # sum c_p E^p + sum d_q F^q with E = d delta, F = delta d
     n, k, xi = 4, 2, (1, 2, -1, 0)
     op = build_L_definition(n, k, 2)
-    mat, den = symbolic_mode_matrix(op, n, k, xi)
+    mats, dens = symbolic_mode_matrix(op, n, k, [xi])
+    mat, den = mats[0], dens[0]
     assert mat.dtype == np.int64 and isinstance(den, int) and den > 0
     e, f = compose_EF(n, k, xi)
     dim = len(wedge_basis(n, k))
@@ -149,7 +152,7 @@ def test_box_mixes_slots_at_zero_mode():
     box = box_matrix(4, 1, (0, 0, 0, 0))
     assert np.any(box != 0)
     # ... yet the composed pipeline still annihilates it (cancellation)
-    assert not np.any(pipeline_L_numeric(4, 1, 2, (0, 0, 0, 0)) != 0)
+    assert not np.any(pipeline_L_numeric(4, 1, 2, [(0, 0, 0, 0)]) != 0)
 
 
 # -- the signed insertion primitive ----------------------------------------------
@@ -177,12 +180,21 @@ def test_insertion_satisfies_the_exterior_relations(m):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_connection_is_the_derivation_of_the_tractor_gammas(n):
     for k in range(n + 3):
-        rows, signs, _ = _connection(n, k)
-        dim = rows.shape[1]
-        for p, gamma in enumerate(tractor_gammas(n)):
-            mat = np.zeros((dim, dim), dtype=object)
-            np.add.at(mat, (rows[p], np.arange(dim)), signs[p])
-            assert np.array_equal(mat, derivation_matrix(gamma, n + 2, k)), (k, p)
+        gammas, square = _connection(n, k)
+        dim = len(wedge_basis(n + 2, k))
+        total = np.zeros((dim, dim), dtype=np.int64)
+        for (src, dst, sign), gamma in zip(gammas, tractor_gammas(n), strict=True):
+            assert len(set(dst.tolist())) == len(dst)
+            mat = np.zeros((dim, dim), dtype=np.int64)
+            mat[dst, src] = sign
+            assert np.array_equal(mat, derivation_matrix(gamma, n + 2, k)), k
+            total += mat @ mat
+        # sum_p Gamma_p^2 is one signed index map too
+        src, dst, sign = square
+        assert len(set(dst.tolist())) == len(dst)
+        mat = np.zeros((dim, dim), dtype=np.int64)
+        mat[dst, src] = sign
+        assert np.array_equal(mat, total), k
 
 
 # -- the i^grading similarity ---------------------------------------------------
@@ -241,7 +253,7 @@ def test_integer_pipeline_is_the_complex_pipeline(n, xi):
     for k in range(1, n // 2 + 1):
         _, s_inv = _similarity(n, k)
         for ell in (1, 2):
-            full = CMat.real(pipeline_matrix(n, k, ell, xi).astype(object))
+            full = CMat.real(pipeline_matrix(n, k, ell, [xi])[0].astype(object))
             unscaled = (s_inv @ full).scale(Fraction(1, 2 * k))
             assert unscaled == _complex_pipeline(n, k, ell, xi), (k, ell, xi)
 
@@ -262,11 +274,12 @@ def test_wrong_operator_is_caught(wrong, monkeypatch, tmp_path):
     orig = formlap.factory.build_L_definition
     monkeypatch.setattr(formlap.factory, "build_L_definition",
                         lambda n, k, ell: wrong(orig, n, k, ell))
-    rep = compare_pipelines(3, 1, 2, random_modes(3, 5, seed=7))
-    assert rep["status"] == "fail" and rep["max_discrepancy"] > 0
-    code = main(["oracle", "torus", "--n", "3", "--ell-max", "2", "--modes", "3",
-                 "--output", str(tmp_path / "torus.json")])
-    assert code == 1
+    for n in (3, 10):
+        rep = compare_pipelines(n, 1, 2, random_modes(n, 5, seed=7))
+        assert rep["status"] == "fail" and rep["max_discrepancy"] > 0, n
+        code = main(["oracle", "torus", "--n", str(n), "--ell-max", "2", "--modes", "3",
+                     "--output", str(tmp_path / "torus.json")])
+        assert code == 1, n
 
 
 def test_overflow_falls_back_to_python_ints():
@@ -274,7 +287,7 @@ def test_overflow_falls_back_to_python_ints():
     box = box_matrix(n, k, xi)
     assert box.dtype == np.int64
     assert int(np.abs(box).sum(axis=1).max()) ** ell > 2 ** 62
-    assert pipeline_matrix(n, k, ell, xi).dtype == object
+    assert pipeline_matrix(n, k, ell, [xi]).dtype == object
     assert compare_pipelines(n, k, ell, [xi])["status"] == "pass"
     # the int64 power wraps around: an unguarded int64 path would be wrong
     exact = np.linalg.matrix_power(box.astype(object), ell)
@@ -294,3 +307,75 @@ def test_huge_mode_builds_in_python_ints():
     xi = (2 ** 40, -3, 1)
     assert box_matrix(3, 1, xi).dtype == object
     assert compare_pipelines(3, 1, 2, [xi])["status"] == "pass"
+
+
+def test_a_batch_with_an_overflow_mode_stays_exact():
+    # one mode of the cell breaks the int64 bound, so the whole cell runs on
+    # Python ints, and the int64-safe mode's block is unchanged by it
+    n, k, ell, small, big = 3, 1, 6, (1, 0, -1), (40, -37, 25)
+    alone = pipeline_matrix(n, k, ell, [small])
+    both = pipeline_matrix(n, k, ell, [small, big])
+    assert alone.dtype == np.int64 and both.dtype == object
+    assert np.array_equal(both[0], alone[0])
+    assert np.array_equal(both[1], _dense_pipeline(n, k, ell, big))
+    rep = compare_pipelines(n, k, ell, [small, big])
+    assert rep["status"] == "pass"
+    assert [mode["mismatched_entries"] for mode in rep["modes"]] == [0, 0]
+
+
+# -- the batched structured pipeline against the dense references -----------------
+
+
+def _dense_pipeline(n, k, ell, xi):
+    """2k S box^ell split for one mode, by dense products of box_matrix in Python ints."""
+    out = splitting_matrix(n, k, operator_weight(n, k, ell), _mode_block(n, [xi]))[0]
+    box = box_matrix(n, k, xi).astype(object)
+    out = out.astype(object)
+    for _ in range(ell):
+        out = box @ out
+    return out
+
+
+def _random_cells(count, seed):
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        cells.append((n, rng.randint(1, n // 2), rng.randint(1, 4)))
+    return cells
+
+
+@pytest.mark.parametrize("n,k,ell", _random_cells(8, seed=28))
+def test_batched_pipeline_is_the_dense_box_product(n, k, ell):
+    modes = random_modes(n, 6, seed=ell) + [(0,) * n]
+    got = pipeline_matrix(n, k, ell, modes)
+    assert got.dtype == np.int64 and got.shape[0] == len(modes)
+    for xi, block in zip(modes, got):
+        assert np.array_equal(block, _dense_pipeline(n, k, ell, xi)), xi
+
+
+@pytest.mark.parametrize("n,k,ell", _random_cells(8, seed=29))
+def test_batched_E_and_F_are_the_dense_products(n, k, ell):
+    x = _mode_block(n, random_modes(n, 6, seed=ell) + [(0,) * n])
+    e_mat, f_mat = _gram(x, k - 1, "source"), _gram(x, k, "target")
+    for i, xi in enumerate(x):
+        lower, upper = _eps(xi, k - 1), _eps(xi, k)
+        assert np.array_equal(e_mat[i], lower @ lower.T), xi
+        assert np.array_equal(f_mat[i], upper.T @ upper), xi
+    # and the symbolic block is a I + b E + c F, mode by mode
+    op = build_L_definition(n, k, ell)
+    mats, dens = symbolic_mode_matrix(op, n, k, [tuple(xi) for xi in x.tolist()])
+    for i, xi in enumerate(x):
+        a, b, c = op.at(Fraction(0), int(xi @ xi))
+        dim = e_mat.shape[1]
+        want = np.eye(dim, dtype=object) * a + e_mat[i].astype(object) * b + f_mat[i].astype(object) * c
+        assert np.array_equal(mats[i], want * dens[i]), xi
+
+
+def test_the_oracle_never_builds_the_dense_box(monkeypatch, tmp_path):
+    def forbidden(*args):
+        raise AssertionError("the oracle built a dense box")
+
+    monkeypatch.setattr(formlap.torus, "box_matrix", forbidden)
+    assert compare_pipelines(5, 2, 3, random_modes(5, 20, seed=1))["status"] == "pass"
+    assert main(["oracle", "torus", "--output", str(tmp_path / "torus.json")]) == 0

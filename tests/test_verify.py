@@ -436,3 +436,15 @@ def test_sweep_rejects_j_zero_for_the_kernel_before_any_check(monkeypatch):
     with pytest.raises(UsageError, match="Ricci flat"):
         verify.run_sweep(list(verify.THEOREMS), j_value=Fraction(0))
     assert ran == []
+
+
+def test_sweep_rejects_an_unknown_theorem_before_any_check(monkeypatch):
+    # the kernel's table key is "kernel"; its reports say "kernel-decomposition"
+    ran = []
+    monkeypatch.setattr(verify, "verify_factorization", lambda *args: ran.append(args))
+    with pytest.raises(UsageError, match="'kernel-decomposition'.*factorization, MMstar, LG, "
+                                         "bezout, kernel"):
+        verify.run_sweep(["kernel-decomposition"], range(4, 5), 1)
+    with pytest.raises(UsageError, match="'kernel-decomposition'"):
+        verify.run_sweep(["factorization", "kernel-decomposition"], range(4, 5), 1)
+    assert ran == []
