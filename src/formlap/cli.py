@@ -95,13 +95,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .forms import UsageError
-    from .verify import run_sweep
+    from .verify import THEOREMS, run_sweep
 
     try:
         j_value = Fraction(args.j_value)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--j-value {args.j_value!r} is not a rational number") from None
-    reports = run_sweep(args.theorems, range(args.n_min, args.n_max + 1), args.ell_max, j_value)
+    theorems = list(THEOREMS) if args.theorems is None else args.theorems
+    reports = run_sweep(theorems, range(args.n_min, args.n_max + 1), args.ell_max, j_value)
     if not reports:
         raise UsageError("the selected theorems and grid give no checks")
     failures = [r for r in reports if not r.passed]
@@ -110,7 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "config": {
             "n_range": [args.n_min, args.n_max],
             "ell_max": args.ell_max,
-            "theorems": sorted(set(args.theorems)),
+            "theorems": sorted(set(theorems)),
             "j_value": str(j_value),
         },
         "results": [r.as_json() for r in reports],
@@ -133,9 +134,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_torus(args: argparse.Namespace) -> int:
+    from .factory import default_grid
     from .forms import UsageError
     from .torus import compare_pipelines, random_modes
-    from .verify import default_grid
 
     if min(args.n) < 3:
         raise UsageError(f"--n {min(args.n)} < 3")
@@ -231,8 +232,6 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .verify import THEOREMS
-
     ap = argparse.ArgumentParser(prog="formlap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -248,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--ell-max", type=int, default=6)
-    p.add_argument("--theorems", nargs="+", default=list(THEOREMS), choices=THEOREMS)
+    p.add_argument("--theorems", nargs="+", default=None,
+                   help="names from verify.THEOREMS (default: all of them)")
     p.add_argument("--j-value", default="1")
     p.add_argument("--output", type=Path, default=None)
     p.set_defaults(func=cmd_verify)

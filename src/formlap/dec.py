@@ -458,6 +458,13 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
     followed by the m-orthogonal projection off im d_0 (Arbenz-Geus 2005),
     so only the harmonic part of the kernel is left, and dropped.  ARPACK
     gets ARPACK_MAXITER restarts; non-convergence raises.
+
+    ARPACK runs at its default tol = 0 (machine precision) on purpose.
+    Single-vector Lanczos finds the extra copies of a degenerate
+    eigenvalue only through rounding, so a looser tolerance stops before
+    they appear: with tol = 1e-8 the 6-fold shells of torus3-grid(6) at
+    j = 1 (count 6) come back 4.7 % off, and the sparse and dense 600-cell
+    spectra at j = 0 disagree.
     """
     # symmetric orderings: SuperLU's default COLAMD fills in badly on these pencils
     splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",

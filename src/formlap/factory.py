@@ -35,8 +35,8 @@ from .tractor import TractorFormExpr, apply_Mstar, apply_box, make_M
 
 
 def operator_weight(n: int, k: int, ell: int) -> Fraction:
-    """Domain weight w = k + ell - n/2 of the order-2*ell operator."""
-    return Fraction(k) + ell - Fraction(n, 2)
+    """Domain weight w = k + ell - n/2 = (2(k+ell) - n)/2 of the order-2*ell operator."""
+    return Fraction(2 * (k + ell) - n, 2)
 
 
 def _check_params(n: int, k: int, ell: int) -> None:
@@ -44,6 +44,14 @@ def _check_params(n: int, k: int, ell: int) -> None:
     FormContext(n, k, operator_weight(n, k, ell))
     if ell < 1:
         raise UsageError(f"ell = {ell} < 1")
+
+
+def default_grid(n_range=range(3, 13), ell_max: int = 6):
+    """The cells (n, k, ell) of a sweep: every n of n_range, k = 1..n/2, ell = 1..ell_max."""
+    for n in n_range:
+        for k in range(1, n // 2 + 1):
+            for ell in range(1, ell_max + 1):
+                yield n, k, ell
 
 
 # -- definition engine ----------------------------------------------------
@@ -117,21 +125,29 @@ def yam_factor(n: int, k: int, w: Fraction, i: int) -> OperatorPoly:
 
 @lru_cache(maxsize=None)
 def _generic_factor(n: int, k: int, s: Fraction) -> OperatorPoly:
-    """The generic factor through s = w - i, the one shift it depends on; built once per key."""
-    a = (s + 1) * (s + n - 2 * k)
-    b = s * (s + n - 2 * k + 1)
-    c = Fraction(-2, n) * a * b
-    return OperatorPoly.graded(n, k, 1, c, [a], [b])
+    """The generic factor through s = w - i, the one shift it depends on; built once per key.
+
+    With s = u/v and h = n - 2k: (s+1)(s+h) = A/v^2 and s(s+h+1) = B/v^2
+    for A = (u+v)(u+hv) and B = u(u+(h+1)v), so the factor is
+    (n v^2 A E + n v^2 B F - 2AB J) / (n v^4).
+    """
+    u, v = s.numerator, s.denominator
+    h = n - 2 * k
+    a = (u + v) * (u + h * v)
+    b = u * (u + (h + 1) * v)
+    nvv = n * v * v
+    return OperatorPoly.from_numerators(n, k, 1, -2 * a * b, [nvv * a], [nvv * b], nvv * v * v)
 
 
 def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
     """The two factors replacing the degenerate indices when w >= 1 and k < n/2.
 
-    [(n/2-k-1/2) E + (n/2-k+1/2) F] and [E - F + (4/n)(n/2-k) J].
+    [(n/2-k-1/2) E + (n/2-k+1/2) F] and [E - F + (4/n)(n/2-k) J], that is
+    ((n-2k-1) E + (n-2k+1) F) / 2 and (n E - n F + 2(n-2k) J) / n.
     """
-    h = Fraction(n, 2) - k
-    first = OperatorPoly.graded(n, k, 1, 0, [h - Fraction(1, 2)], [h + Fraction(1, 2)])
-    second = OperatorPoly.graded(n, k, 1, Fraction(4, n) * h, [1], [-1])
+    h = n - 2 * k
+    first = OperatorPoly.from_numerators(n, k, 1, 0, [h - 1], [h + 1], 2)
+    second = OperatorPoly.from_numerators(n, k, 1, 2 * h, [n], [-n], n)
     return first, second
 
 

@@ -21,18 +21,20 @@ structural equality is value equality.  Only the constructor writes
 the fields; that is kept by the source, not checked at run time.  Every
 sum and scaling is one multiply-accumulate, ``OperatorPoly.combine``:
 sum_i c_i J^(a_i) x_i over one lcm of the denominators, with integer
-accumulation and one gcd (``+``, ``-``, ``scale`` and ``times_J`` are
-its one- and two-term cases).  A product is one integer convolution
-over den1 * den2 and one gcd.  ``Fraction`` appears only at the edges.
-Values enter one way: ``OperatorPoly.graded`` takes an order and
-rational coefficients (``from_numerators`` is the integer normaliser
-beneath it and beneath ``combine``).  They leave as ``RatJ``
+accumulation and one gcd (``+`` and ``scale`` are its two- and
+one-term cases).  A product is one integer convolution over
+den1 * den2 and one gcd.  ``Fraction`` appears only at the edges.
+Values enter as rational coefficients (``OperatorPoly.graded``, given an
+order) or as integer numerators over one denominator
+(``from_numerators``, the normaliser beneath ``graded`` and
+``combine``, which closed forms with integer coefficients call
+directly).  They leave as ``RatJ``
 coefficients (``monomials``, ``proportionality``), as scalars (``at``,
 ``on_eigenspace``) or as text (``render``).
 
 An element of R reaches an eigenspace only through one reducer, an
-integer Horner sum over the numerators with one Fraction built per
-call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and F^q =
+integer Horner sum over the numerators with at most one Fraction built
+per call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and F^q =
 lam^(q-1) F, so the element acts there as a + b E + c F
 (``OperatorPoly.at``), and on an exact, coexact or harmonic eigenform
 as the scalar a + b lam, a + c lam or a (``OperatorPoly.on_eigenspace``,
@@ -75,7 +77,8 @@ class FormContext:
             raise UsageError(f"dimension n = {self.n} < 3")
         if not 1 <= self.k <= self.n // 2:
             raise UsageError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
-        object.__setattr__(self, "w", Fraction(self.w))
+        if type(self.w) is not Fraction:
+            object.__setattr__(self, "w", Fraction(self.w))
 
 
 class OperatorPoly:
@@ -197,16 +200,9 @@ class OperatorPoly:
                             tuple(-x for x in self.e_nums), tuple(-x for x in self.f_nums),
                             self.den)
 
-    def __sub__(self, other: OperatorPoly) -> OperatorPoly:
-        return OperatorPoly.combine(((1, 0, self), (-1, 0, other)))
-
     def scale(self, c: Fraction | int) -> OperatorPoly:
         """Multiply by the rational c; the order is unchanged."""
         return OperatorPoly.combine(((c, 0, self),))
-
-    def times_J(self, power: int, c: Fraction | int = 1) -> OperatorPoly:
-        """Multiply by c * J**power; the order rises by power."""
-        return OperatorPoly.combine(((c, power, self),))
 
     def e_part(self) -> OperatorPoly:
         """The constant and E terms: the operator with its F part dropped."""
@@ -299,7 +295,7 @@ def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
     J = p/q != 0 and lam = r/s, with d = len(nums) - 1, this is
     J**(top - d) / (den (qs)**d) times the integer Horner sum
     sum_i nums[i] (rq)**i (sp)**(d - i), and one Fraction is built at
-    the end.  At J = 0 only the term of J power 0 survives, and a
+    the end (or the shared zero, when the sum vanishes).  At J = 0 only the term of J power 0 survives, and a
     nonzero coefficient of negative J power is a pole (CoefficientError).
     """
     if not nums:
@@ -313,6 +309,8 @@ def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
         for c in reversed(nums[:d]):
             y_pow *= y
             acc = acc * x + c * y_pow
+        if not acc:
+            return _ZERO
         num, dnm = acc, den * (q * s) ** d
         e = top - d
         if e > 0:

@@ -4,10 +4,10 @@ A model is a finite list of (kind, eigenvalue, multiplicity) points and
 a fixed rational value of J.  An expanded operator acts on a point as
 the scalar ``OperatorPoly.on_eigenspace`` gives, which reduces only the
 side the point's kind needs: E -> lam on exact points, F -> lam on
-coexact points, neither on harmonic points.  ``factor_kernel_content``
-reads a degree-one factor's (a, b, c) from ``OperatorPoly.at``.  Both
-come from the one reducer in ``forms``.  Null-space dimensions are sums
-of multiplicities over points where the scalar vanishes.
+coexact points, neither on harmonic points; that is the one reducer in
+``forms``.  ``factor_kernel_content`` reads the roots of an order-one
+factor from its integer numerators.  Null-space dimensions are sums of
+multiplicities over points where the scalar vanishes.
 
 ``content_covers`` is the one rule for whether a kernel content (a set
 of (kind, eigenvalue), None for every point of the kind) holds a point;
@@ -32,6 +32,7 @@ from pathlib import Path
 from .forms import OperatorPoly
 
 KINDS = ("exact", "coexact", "harmonic")
+_ZERO = Fraction(0)
 
 
 class SpectralDataError(ValueError):
@@ -102,22 +103,27 @@ def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
 
 
 def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str, Fraction | None]]:
-    """Null-space content of a degree-one factor a E + b F + c at fixed J.
+    """Null-space content of an order-one factor a E + b F + c J at fixed J.
 
     Entries (kind, eigenvalue); eigenvalue None means every point of the
     kind (a degenerate factor whose scalar vanishes identically there).
+    The roots -cJ/a and -cJ/b are read from the integer numerators: with
+    J = p/q, -cJ/a = -(c_num p) / (q e_nums[0]), likewise with f_nums[0],
+    one Fraction each.
     """
-    c, a, b = op.at(j_value, Fraction(0))
+    cj, q = op.c_num * j_value.numerator, j_value.denominator  # cJ = cj / (q den)
+    a = op.e_nums[0] if op.e_nums else 0
+    b = op.f_nums[0] if op.f_nums else 0
     out: set[tuple[str, Fraction | None]] = set()
-    if c == 0:
+    if not cj:
         out.add(("harmonic", None))
-        out.add(("exact", Fraction(0)) if a != 0 else ("exact", None))
-        out.add(("coexact", Fraction(0)) if b != 0 else ("coexact", None))
+        out.add(("exact", _ZERO) if a else ("exact", None))
+        out.add(("coexact", _ZERO) if b else ("coexact", None))
     else:
-        if a != 0:
-            out.add(("exact", -c / a))
-        if b != 0:
-            out.add(("coexact", -c / b))
+        if a:
+            out.add(("exact", Fraction(-cj, q * a)))
+        if b:
+            out.add(("coexact", Fraction(-cj, q * b)))
     return out
 
 
@@ -208,7 +214,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     points: list[SpectralPoint] = []
     seen: set[tuple[str, Fraction]] = set()
 
-    if killers("harmonic", Fraction(0)) <= 1:
+    if killers("harmonic", _ZERO) <= 1:
         points.append(SpectralPoint("harmonic", Fraction(0), rng.randint(1, 4)))
 
     for content in contents:
@@ -224,7 +230,8 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     while noise < 3 and step < 200:
         step += 1
         kind = rng.choice(("exact", "coexact"))
-        lam = j_value * Fraction(rng.randint(1, 60), rng.randint(1, 7)) + step
+        a, b = rng.randint(1, 60), rng.randint(1, 7)  # lam = J a/b + step
+        lam = Fraction(j_value.numerator * a + step * j_value.denominator * b, j_value.denominator * b)
         if lam == 0 or (kind, lam) in seen:
             continue
         if killers(kind, lam) <= 1:

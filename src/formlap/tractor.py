@@ -76,8 +76,9 @@ class TractorFormExpr:
 
     @property
     def wt(self) -> Fraction:
-        """Overall tractor weight w - k - p."""
-        return self.ctx.w - self.ctx.k - self.p
+        """Overall tractor weight w - k - p, over the denominator of w."""
+        w = self.ctx.w
+        return Fraction(w.numerator - (self.ctx.k + self.p) * w.denominator, w.denominator)
 
     def render(self) -> str:
         return (f"[Y] δ({self.slot_y.render()})\n[Z] {self.slot_z.render()}\n"
@@ -90,7 +91,8 @@ def make_M(ctx: FormContext) -> TractorFormExpr:
     return TractorFormExpr(
         ctx, 0,
         OperatorPoly(n, k, -1),
-        OperatorPoly.graded(n, k, 0, Fraction(n + w - 2 * k, k), [], []),
+        OperatorPoly.from_numerators(n, k, 0, w.numerator + (n - 2 * k) * w.denominator, (), (),
+                                     k * w.denominator),
         OperatorPoly(n, k, 0, 1),
     )
 
@@ -108,24 +110,29 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
         Z' = (E + F) Z + (D - 2k(n-k-1)/n) J Z - (2/(nk)) J E Y - (2/k) E X
         X' = E X + (j_y + D) J X + ((n-2k+2)/n^2) J^2 Y - (2k/n) J e(Z)
 
-    where j_y = 1 - 2(k-1)(n-k+1)/n.  The ring products E Y, E X and
-    (E + F) Z are taken once, and each output slot is one
-    multiply-accumulate (``OperatorPoly.combine``).
+    where j_y = 1 - 2(k-1)(n-k+1)/n.  In integers, with wt = a/b in lowest
+    terms (any rational weight), D = -2a(nb + a - b) / (nb^2) and j_y =
+    (n - 2(k-1)(n-k+1)) / n, so j_y + D and D - 2k(n-k-1)/n are each one
+    Fraction over nb^2.  The ring products E Y, E X and (E + F) Z are
+    taken once, and each output slot is one multiply-accumulate
+    (``OperatorPoly.combine``).
     """
     ctx = t.ctx
     n, k = ctx.n, ctx.k
     wt = t.wt
+    a, b = wt.numerator, wt.denominator
     y, z, x = t.slot_y, t.slot_z, t.slot_x
 
     e = OperatorPoly(n, k, 1, 0, (1,))
-    diag = Fraction(-2) * wt * (n + wt - 1) / n
-    j_y = 1 - Fraction(2 * (k - 1) * (n - k + 1), n) + diag
+    bb = b * b
+    diag = -2 * a * (n * b + a - b)  # n b^2 D
+    j_y = Fraction((n - 2 * (k - 1) * (n - k + 1)) * bb + diag, n * bb)  # j_y + D
+    j_z = Fraction(diag - 2 * k * (n - k - 1) * bb, n * bb)  # D - 2k(n-k-1)/n
     ey, ex, ez = e * y, e * x, z.e_part()
 
     combine = OperatorPoly.combine
     out_y = combine(((1, 0, ey), (j_y, 1, y), (-2 * k, 0, ez), (n - 2 * k + 2, 0, x)))
-    out_z = combine(((1, 0, OperatorPoly(n, k, 1, 0, (1,), (1,)) * z),
-                     (diag - Fraction(2 * k * (n - k - 1), n), 1, z),
+    out_z = combine(((1, 0, OperatorPoly(n, k, 1, 0, (1,), (1,)) * z), (j_z, 1, z),
                      (Fraction(-2, n * k), 1, ey), (Fraction(-2, k), 0, ex)))
     out_x = combine(((1, 0, ex), (j_y, 1, x), (Fraction(n - 2 * k + 2, n * n), 2, y),
                      (Fraction(-2 * k, n), 1, ez)))
@@ -138,6 +145,8 @@ def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
     Here d slot_y = d delta Y = E Y, so the result is an element of R.
     """
     k = t.ctx.k
+    wt = t.wt
     e = OperatorPoly(t.ctx.n, k, 1, 0, (1,))
-    return OperatorPoly.combine(((-(t.wt + k), 0, t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
+    return OperatorPoly.combine(((Fraction(-wt.numerator - k * wt.denominator, wt.denominator), 0,
+                                  t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
 

@@ -28,10 +28,13 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .coeffring import RatJ, ZERO
-from .factory import (build_L_definition, build_tmodbox, closed_factors, operator_weight,
-                      run_pipeline)
+from .factory import (build_L_definition, build_tmodbox, closed_factors, default_grid,
+                      operator_weight, run_pipeline)
 from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
 from .spectral import SpectralModel, content_covers, synthetic_model
+
+
+_ZERO = Fraction(0)
 
 
 class BezoutError(ArithmeticError):
@@ -95,7 +98,8 @@ def verify_MMstar(n: int, k: int, ell: int, p: int) -> VerificationReport:
     if not 1 <= p <= ell - 1:
         raise UsageError(f"p = {p} outside 1..ell-1 = 1..{ell - 1}")
     w = operator_weight(n, k, ell)
-    scalar = Fraction(1, k) * (k + (ell - p) - Fraction(n, 2)) * (k - (ell - p) - Fraction(n, 2))
+    m = ell - p
+    scalar = Fraction((2 * (k + m) - n) * (2 * (k - m) - n), 4 * k)
     lhs = build_L_definition(n, k, ell).scale(scalar)
     rhs = build_L_definition(n, k, ell - p) * build_tmodbox(n, k, w, p)
     if lhs == rhs:
@@ -108,9 +112,11 @@ def verify_MMstar(n: int, k: int, ell: int, p: int) -> VerificationReport:
 
 
 def lg_second_scalar(n: int, k: int, ell: int) -> Fraction:
-    """Engine-calibrated scalar of the second companion relation, 1/(n+w-2k+1)."""
-    w = operator_weight(n, k, ell)
-    return 1 / Fraction(n + w - 2 * k + 1)
+    """Engine-calibrated scalar of the second companion relation, 1/(n+w-2k+1).
+
+    With w = k + ell - n/2 that is 2/(n - 2k + 2 ell + 2).
+    """
+    return Fraction(2, n - 2 * k + 2 * ell + 2)
 
 
 def through_codifferential(q: OperatorPoly, k: int) -> OperatorPoly:
@@ -249,7 +255,7 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
             except BezoutError as exc:
                 raised[i + 1, j + 1] = str(exc)
     expected = ({(1, j) for j in range(2, len(factors) + 1)}
-                if operator_weight(n, k, ell) == 0 else set())
+                if 2 * (k + ell) == n else set())
     wrong = min(set(raised) ^ expected, default=None)
     if wrong is not None:
         reason = raised.get(wrong, "solver succeeded where obstruction predicted")
@@ -275,24 +281,31 @@ def predicted_kernel_content(n: int, k: int, ell: int, j_value: Fraction) -> set
     leading factor is the pure-F one, whose null space is the whole
     closed-plus-harmonic part.  Each case gives its special content and
     the generic indices i whose lam_bar_i and lam_til_i it carries.
+
+    In integers: with s = 2(w-i), m = 2(n-2k) and J = p/q, lam_bar_i =
+    s(s+m+2)p / (2nq), lam_til_i = (s+2)(s+m)p / (2nq) and mu = 2mp / (2nq),
+    each built as one Fraction.
     """
-    w = operator_weight(n, k, ell)
-    at_zero = {("harmonic", None), ("exact", Fraction(0)), ("coexact", Fraction(0))}
+    w2 = 2 * (k + ell) - n  # 2w
+    m = 2 * (n - 2 * k)
+    p, den = j_value.numerator, 2 * n * j_value.denominator
+    at_zero = {("harmonic", None), ("exact", _ZERO), ("coexact", _ZERO)}
     if n % 2 == 0 and 2 * k == n:
         special, generic = at_zero, range(1, ell)
-    elif n % 2 == 1 or w < 0:
+    elif n % 2 == 1 or w2 < 0:
         special, generic = set(), range(1, ell + 1)
-    elif w == 0:  # every exact point: the factor is pure F
-        special = {("harmonic", None), ("exact", None), ("coexact", Fraction(0))}
+    elif w2 == 0:  # every exact point: the factor is pure F
+        special = {("harmonic", None), ("exact", None), ("coexact", _ZERO)}
         generic = range(2, ell + 1)
     else:
-        mu = Fraction(4, n) * (Fraction(n, 2) - k) * j_value
-        special = at_zero | {("exact", -mu), ("coexact", mu)}
-        generic = [i for i in range(1, ell + 1) if i not in (w, w + 1)]
+        mu = 2 * m * p
+        special = at_zero | {("exact", Fraction(-mu, den)), ("coexact", Fraction(mu, den))}
+        generic = [i for i in range(1, ell + 1) if 2 * i not in (w2, w2 + 2)]
     out = set(special)
     for i in generic:
-        out.add(("exact", Fraction(2, n) * (w - i) * (w - i + n - 2 * k + 1) * j_value))
-        out.add(("coexact", Fraction(2, n) * (w - i + 1) * (w - i + n - 2 * k) * j_value))
+        s = w2 - 2 * i
+        out.add(("exact", Fraction(s * (s + m + 2) * p, den)))
+        out.add(("coexact", Fraction((s + 2) * (s + m) * p, den)))
     return out
 
 
@@ -342,13 +355,6 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
 
 
 # -- sweeps -------------------------------------------------------------------
-
-
-def default_grid(n_range=range(3, 13), ell_max: int = 6):
-    for n in n_range:
-        for k in range(1, n // 2 + 1):
-            for ell in range(1, ell_max + 1):
-                yield n, k, ell
 
 
 def _kernel_checks(n: int, k: int, ell: int, j: Fraction) -> list[Callable[[], VerificationReport]]:

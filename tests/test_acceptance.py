@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from formlap.factory import (box_iterate, build_L_definition, build_tmodbox, closed_factors,
-                             closed_L1, closed_tmodbox1, closed_tmodbox2_w1, operator_weight)
+                             closed_L1, closed_tmodbox1, closed_tmodbox2_w1, default_grid,
+                             operator_weight)
 from formlap.forms import proportionality
-from formlap.verify import (default_grid, verify_LG, verify_MMstar, verify_bezout_pairs,
-                            verify_factorization, verify_kernel_decomposition)
+from formlap.verify import (verify_LG, verify_MMstar, verify_bezout_pairs, verify_factorization,
+                            verify_kernel_decomposition)
 
 GRID = list(default_grid(range(3, 13), 6))
 

@@ -71,6 +71,20 @@ def test_importing_the_oracles_loads_neither_engine_module():
     assert not loaded & {"formlap.tractor", "formlap.factory"}
 
 
+def test_the_oracle_commands_never_load_verify(tmp_path):
+    # the torus oracle takes its grid from factory, and the parser names no
+    # theorem, so only `formlap verify` pays for importing verify
+    code = ("import sys; from formlap.cli import main; "
+            f"rc = main(['oracle', 'torus', '--n', '3', '--ell-max', '1', '--modes', '2', "
+            f"'--output', {str(tmp_path / 'torus.json')!r}]); "
+            "print(rc, ' '.join(sorted(m for m in sys.modules if m.startswith('formlap'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0" and "formlap.torus" in loaded
+    assert "formlap.verify" not in loaded
+
+
 def test_raises_name_package_errors_and_only_main_catches_usage_errors():
     from formlap.forms import UsageError
 

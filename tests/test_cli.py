@@ -57,7 +57,8 @@ def test_expand_ring_fault_is_not_a_usage_error(monkeypatch):
     from formlap.forms import InternalConsistencyError, OperatorPoly
 
     real = OperatorPoly.__mul__
-    monkeypatch.setattr(OperatorPoly, "__mul__", lambda a, b: real(a, b).times_J(1))
+    monkeypatch.setattr(OperatorPoly, "__mul__",
+                        lambda a, b: OperatorPoly.combine(((1, 1, real(a, b)),)))
     caches = (factory.box_chains, factory.run_pipeline)
     for cached in caches:
         cached.cache_clear()
@@ -126,6 +127,29 @@ def test_verify_kernel_at_negative_j_golden_payload(tmp_path):
     assert run_cli(["verify", "--theorems", "kernel", "--j-value=-2/3",
                     "--output", str(out)]) == 0
     assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == KERNEL_J_PAYLOAD_SHA256
+
+
+# sha256 of the deterministic payload of `formlap verify --n-min 13 --n-max 16
+# --ell-max 8` (1652 checks): past the default grid's n <= 12 and ell <= 6,
+# where the weights, scalars and eigenvalues have larger numerators
+WIDE_VERIFY_PAYLOAD_SHA256 = "96f9fbf4dc3b9d4114103ae5b1e621a695dc41476fc8730d095349b523c36f8c"
+
+
+def test_verify_past_the_default_grid_golden_payload(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--n-min", "13", "--n-max", "16", "--ell-max", "8",
+                    "--output", str(out)]) == 0
+    assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == WIDE_VERIFY_PAYLOAD_SHA256
+    stages = json.loads(out.read_text())["meta"]["stages"]
+    assert sum(stage["checks"] for stage in stages.values()) == 1652
+
+
+def test_verify_unknown_theorem_is_a_usage_error(capsys):
+    # the sweep checks the names against verify.THEOREMS; the parser lists none
+    assert run_cli(["verify", "--n-max", "3", "--ell-max", "1", "--theorems", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: unknown theorem 'nope'")
+    assert captured.out == ""
 
 
 # sha256 of `formlap expand --format json` payloads: the degenerate weight

@@ -81,7 +81,7 @@ def test_operator_sum_of_different_degrees_raises():
     c = OperatorPoly.graded(6, 2, 2, 0, [1], [])    # J E
     assert (a.order, c.order) == (1, 2)
     with pytest.raises(InternalConsistencyError):
-        a - c
+        a + (-c)
     assert (a + a).monomials() == {"1": J * 4, "E": RatJ(2), "F": RatJ(6)}
 
 

@@ -7,9 +7,9 @@ import formlap.factory as factory
 from formlap.coeffring import RatJ
 from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_G1,
                              closed_L1, closed_tmodbox1, closed_tmodbox2, closed_tmodbox2_w1,
-                             operator_weight, run_pipeline, sqyam_factors, yam_factor)
+                             default_grid, operator_weight, run_pipeline, sqyam_factors,
+                             yam_factor)
 from formlap.forms import OperatorPoly, UsageError, proportionality
-from formlap.verify import default_grid
 
 
 def test_closed_L1_examples():
@@ -160,10 +160,13 @@ def test_tmodbox_p2_closed_form(n, k, w):
                          ids=["p1", "p2"])
 def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p, closed):
     # the reductions at generator weights off the operator grid too:
-    # every w in {-8, -15/2, ..., 8} for every (n, k) with n = 3..12
-    cases = [(n, k, Fraction(h, 2)) for n in range(3, 13) for k in range(1, n // 2 + 1)
-             for h in range(-16, 17)]
-    assert len(cases) == 1155
+    # every w in {-8, -15/2, ..., 8} for every (n, k) with n = 3..12, and
+    # weights of denominators 3, 7, 9, 6 and 12, since the box builds its
+    # scalars over the denominator of the tractor weight, whatever it is
+    weights = [Fraction(h, 2) for h in range(-16, 17)] + [
+        Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9), Fraction(-13, 6), Fraction(41, 12)]
+    cases = [(n, k, w) for n in range(3, 13) for k in range(1, n // 2 + 1) for w in weights]
+    assert len(cases) == 1330
     for n, k, w in cases:
         assert build_tmodbox(n, k, w, p).monomials() == closed(n, k, w).monomials(), (n, k, w)
 
@@ -194,7 +197,7 @@ def test_sweep_builds_each_box_state_once(monkeypatch):
     # read the same box states: one apply_box per state (n, k, w, p >= 1),
     # for each theorem alone and for all together.  At ell = 10 one chain
     # holds 11 states.  The relative inverses read only the closed forms.
-    from formlap.verify import THEOREMS, default_grid, run_sweep
+    from formlap.verify import THEOREMS, run_sweep
 
     calls = []
     apply_box = factory.apply_box

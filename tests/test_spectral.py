@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
-from formlap.factory import build_L_definition
+from formlap.factory import build_L_definition, default_grid
 from formlap.forms import InternalConsistencyError, OperatorPoly
 from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, kernel_dim,
                               sphere_preset, synthetic_model, torus_preset)
-from formlap.verify import default_grid
 from strategies import operators
 from weyl_reference import casimir, harmonic_polynomials, weyl_dimension
 

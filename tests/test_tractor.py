@@ -190,8 +190,8 @@ def test_box_on_pure_z_slot():
     assert out.wt == -1
     assert out.slot_y == mu.scale(-2)
     lap = OperatorPoly.graded(4, 1, 1, 0, [1], [1])
-    assert out.slot_z == lap * mu + mu.times_J(1, -1)
-    assert out.slot_x == mu.times_J(1, Fraction(-1, 2))
+    assert out.slot_z == lap * mu + OperatorPoly.combine(((-1, 1, mu),))
+    assert out.slot_x == OperatorPoly.combine(((Fraction(-1, 2), 1, mu),))
 
 
 def _slots(t):
@@ -213,10 +213,11 @@ def test_Mstar_contractions():
     c = FormContext(6, 2, Fraction(1))
     f = unit(6, 2)
     # one box above the generator: tractor weight -2, slot orders 0, 1, 1
-    pure_z = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), f.times_J(1), OperatorPoly(6, 2, 1))
+    fj = OperatorPoly.combine(((1, 1, f),))  # J f
+    pure_z = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), fj, OperatorPoly(6, 2, 1))
     assert pure_z.wt == -2
     assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(pure_z.wt + 2))
-    pure_x = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), OperatorPoly(6, 2, 1), f.times_J(1))
+    pure_x = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), OperatorPoly(6, 2, 1), fj)
     assert apply_Mstar(pure_x).is_zero
     # d (delta f) = E f, over k
     pure_y = TractorFormExpr(c, 1, f, OperatorPoly(6, 2, 1), OperatorPoly(6, 2, 1))
@@ -240,8 +241,9 @@ def test_calibration_identity_grid(n):
 def test_box_linearity(a, b):
     c = FormContext(6, 2, Fraction(1))
     f = unit(6, 2)
-    s = TractorFormExpr(c, 1, f, OperatorPoly.graded(6, 2, 1, 3, [2], [-1]), f.times_J(1))
-    t = TractorFormExpr(c, 1, f.scale(-5), f.times_J(1), OperatorPoly.graded(6, 2, 1, 1, [1], []))
+    fj = OperatorPoly.combine(((1, 1, f),))  # J f
+    s = TractorFormExpr(c, 1, f, OperatorPoly.graded(6, 2, 1, 3, [2], [-1]), fj)
+    t = TractorFormExpr(c, 1, f.scale(-5), fj, OperatorPoly.graded(6, 2, 1, 1, [1], []))
 
     def combine(u, v):  # the slots of a*u + b*v
         return [x.scale(a) + y.scale(b) for x, y in zip(_slots(u), _slots(v))]

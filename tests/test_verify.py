@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from formlap import verify
 from formlap.coeffring import RatJ, ZERO
-from formlap.factory import build_L_definition, closed_factors, operator_weight
+from formlap.factory import build_L_definition, closed_factors, default_grid, operator_weight
 from formlap.forms import OperatorPoly, UsageError
 from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
                               synthetic_model)
-from formlap.verify import (BezoutError, bezout, default_grid, lg_second_scalar,
+from formlap.verify import (BezoutError, bezout, lg_second_scalar,
                             predicted_kernel_content, verify_LG,
                             verify_MMstar, verify_bezout_pairs, verify_factorization,
                             verify_kernel_decomposition)
