@@ -295,8 +295,9 @@ def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
     J = p/q != 0 and lam = r/s, with d = len(nums) - 1, this is
     J**(top - d) / (den (qs)**d) times the integer Horner sum
     sum_i nums[i] (rq)**i (sp)**(d - i), and one Fraction is built at
-    the end (or the shared zero, when the sum vanishes).  At J = 0 only the term of J power 0 survives, and a
-    nonzero coefficient of negative J power is a pole (CoefficientError).
+    the end, or none when the sum vanishes (the shared zero is returned).
+    At J = 0 only the term of J power 0 survives, and a nonzero
+    coefficient of negative J power is a pole (CoefficientError).
     """
     if not nums:
         return _ZERO

@@ -230,8 +230,9 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     while noise < 3 and step < 200:
         step += 1
         kind = rng.choice(("exact", "coexact"))
-        a, b = rng.randint(1, 60), rng.randint(1, 7)  # lam = J a/b + step
-        lam = Fraction(j_value.numerator * a + step * j_value.denominator * b, j_value.denominator * b)
+        a, b = rng.randint(1, 60), rng.randint(1, 7)
+        q = j_value.denominator * b  # lam = J a/b + step, over q
+        lam = Fraction(j_value.numerator * a + step * q, q)
         if lam == 0 or (kind, lam) in seen:
             continue
         if killers(kind, lam) <= 1:

@@ -144,9 +144,8 @@ def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
 
     Here d slot_y = d delta Y = E Y, so the result is an element of R.
     """
-    k = t.ctx.k
-    wt = t.wt
+    k, w = t.ctx.k, t.ctx.w
     e = OperatorPoly(t.ctx.n, k, 1, 0, (1,))
-    return OperatorPoly.combine(((Fraction(-wt.numerator - k * wt.denominator, wt.denominator), 0,
-                                  t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
+    scalar = Fraction(t.p * w.denominator - w.numerator, w.denominator)  # -(wt + k) = p - w
+    return OperatorPoly.combine(((scalar, 0, t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
 

@@ -255,7 +255,7 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
             except BezoutError as exc:
                 raised[i + 1, j + 1] = str(exc)
     expected = ({(1, j) for j in range(2, len(factors) + 1)}
-                if 2 * (k + ell) == n else set())
+                if 2 * (k + ell) == n else set())  # w = 0
     wrong = min(set(raised) ^ expected, default=None)
     if wrong is not None:
         reason = raised.get(wrong, "solver succeeded where obstruction predicted")
