@@ -146,11 +146,12 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
         raise UsageError(f"--ell-max {args.ell_max} < 1: no cells")
     if args.modes < 1:
         raise UsageError(f"--modes {args.modes} < 1: nothing to compare")
+    dims = sorted(set(args.n))
     cells = [compare_pipelines(n, k, ell, random_modes(n, args.modes, args.seed))
-             for n, k, ell in default_grid(args.n, args.ell_max)]
+             for n, k, ell in default_grid(dims, args.ell_max)]
     payload = {
         "schema": REPORT_SCHEMA,
-        "config": {"n": list(args.n), "ell_max": args.ell_max,
+        "config": {"n": dims, "ell_max": args.ell_max,
                    "modes": args.modes, "seed": args.seed},
         "results": cells,
         "summary": {"cells": len(cells),

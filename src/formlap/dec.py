@@ -678,5 +678,5 @@ def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
                 f"{e['reference']:g} (x{e['multiplicity']})")
         shell = _shells(reference, kind)[e["shell"] - 1]
         points.append(SpectralPoint(kind, shell.eigenvalue, shell.multiplicity))
-    return SpectralModel(reference.n, comparison["k"], reference.j_value, tuple(points), "dec-import", True)
+    return SpectralModel(reference.n, comparison["k"], reference.j_value, tuple(points), "dec-import")
 

@@ -29,15 +29,14 @@ order) or as integer numerators over one denominator
 (``from_numerators``, the normaliser beneath ``graded`` and
 ``combine``, which closed forms with integer coefficients call
 directly).  They leave as ``RatJ``
-coefficients (``monomials``, ``proportionality``), as scalars (``at``,
-``on_eigenspace``) or as text (``render``).
+coefficients (``monomials``, ``proportionality``), as scalars
+(``on_eigenspace``) or as text (``render``).
 
 An element of R reaches an eigenspace only through one reducer, an
 integer Horner sum over the numerators with at most one Fraction built
-per call: on an eigenform of eigenvalue lam, E^p = lam^(p-1) E and F^q =
-lam^(q-1) F, so the element acts there as a + b E + c F
-(``OperatorPoly.at``), and on an exact, coexact or harmonic eigenform
-as the scalar a + b lam, a + c lam or a (``OperatorPoly.on_eigenspace``,
+per call: on an exact eigenform of eigenvalue lam, E = lam and F = 0,
+on a coexact one E = 0 and F = lam, and on a harmonic one E = F = 0, so
+the element acts there as a scalar (``OperatorPoly.on_eigenspace``,
 which reduces only the side it needs).
 
 Forms of degree k - 1 built from a generator of degree k are all delta
@@ -229,17 +228,6 @@ class OperatorPoly:
         """Nonzero monomials keyed "1", "E^p", "F^q" (exponent 1 written E/F)."""
         return {name: RatJ(Fraction(x, self.den), m) for name, m, x in self._terms()}
 
-    def at(self, j_value: Fraction, lam: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
-        """(a, b, c) with self = a + b E + c F once J = j_value, E^2 = lam E, F^2 = lam F.
-
-        On an eigenform of eigenvalue lam the operator is the scalar
-        a + b lam (exact), a + c lam (coexact) or a (harmonic); use
-        ``on_eigenspace`` for that scalar alone.
-        """
-        return (_reduce((self.c_num,), self.den, self.order, j_value, lam),
-                _reduce(self.e_nums, self.den, self.order - 1, j_value, lam),
-                _reduce(self.f_nums, self.den, self.order - 1, j_value, lam))
-
     def on_eigenspace(self, kind: str, j_value: Fraction, lam: Fraction | int) -> Fraction:
         """The scalar by which the operator acts on a kind eigenform of eigenvalue lam.
 
@@ -299,8 +287,6 @@ def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
     At J = 0 only the term of J power 0 survives, and a nonzero
     coefficient of negative J power is a pole (CoefficientError).
     """
-    if not nums:
-        return _ZERO
     p, q = j_value.numerator, j_value.denominator
     r, s = lam.numerator, lam.denominator
     d = len(nums) - 1

@@ -61,7 +61,6 @@ class SpectralModel:
     j_value: Fraction
     points: tuple[SpectralPoint, ...]
     source: str = "synthetic"  # synthetic | sphere-preset | torus-preset | dec-import
-    trusted: bool = True
 
     def as_json(self) -> dict:
         return {
@@ -74,7 +73,6 @@ class SpectralModel:
                 for p in self.points
             ],
             "source": self.source,
-            "trusted": self.trusted,
         }
 
     @staticmethod
@@ -86,7 +84,7 @@ class SpectralModel:
             for p in data["points"]
         )
         return SpectralModel(int(data["n"]), int(data["k"]), Fraction(data["j_value"]),
-                             pts, data.get("source", "synthetic"), bool(data.get("trusted", False)))
+                             pts, data.get("source", "synthetic"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.as_json(), indent=2, sort_keys=True) + "\n")
@@ -167,7 +165,7 @@ def sphere_preset(n: int, k: int, j_max: int) -> SpectralModel:
     if k <= n - 1:
         points += [SpectralPoint("coexact", Fraction((j + k) * (j + n - k - 1)),
                                  _coexact_multiplicity(n, k, j)) for j in levels]
-    return SpectralModel(n, k, Fraction(n, 2), tuple(points), "sphere-preset", True)
+    return SpectralModel(n, k, Fraction(n, 2), tuple(points), "sphere-preset")
 
 
 def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
@@ -187,7 +185,7 @@ def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
             points.append(SpectralPoint("exact", Fraction(m), r * math.comb(n - 1, k - 1)))
         if k <= n - 1:
             points.append(SpectralPoint("coexact", Fraction(m), r * math.comb(n - 1, k)))
-    return SpectralModel(n, k, Fraction(0), tuple(points), "torus-preset", True)
+    return SpectralModel(n, k, Fraction(0), tuple(points), "torus-preset")
 
 
 def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralModel:
@@ -239,4 +237,4 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
             points.append(SpectralPoint(kind, lam, rng.randint(1, 3)))
             seen.add((kind, lam))
             noise += 1
-    return SpectralModel(n, k, j_value, tuple(points), "synthetic", True)
+    return SpectralModel(n, k, j_value, tuple(points), "synthetic")

@@ -42,22 +42,24 @@ the valence-normalised projector convention (it drops out of every
 observable comparison), so 2k S split is an integer matrix.  S is the
 identity on the middle block (g = 0), where the rows of
 2k S box^ell split are twice the operator's mode matrix.  On the
-symbolic side E = eps(xi) iota(xi) and F = iota(xi) eps(xi) are integer
-matrices with E^2 = |xi|^2 E and F^2 = |xi|^2 F, so the expanded
-operator is a + b E + c F with (a, b, c) = ``OperatorPoly.at(0, |xi|^2)``,
-and D times it is an integer matrix for D the common denominator of
-a, b and c.  The comparison is D times those middle rows against 2 times
-D times the expanded operator, entry by entry.
+symbolic side E = eps(xi) iota(xi) is an integer matrix, q = |xi|^2
+times the projection onto the mode's exact forms, and F = q - E
+(eps iota + iota eps = q).  So the expanded operator acts as its
+exact scalar s_ex = ``OperatorPoly.on_eigenspace("exact", 0, q)`` on
+E's image and as its coexact scalar s_co on E's kernel: it is
+s_co + ((s_ex - s_co) / q) E, and s_co at xi = 0, where E = 0.  D times
+it is an integer matrix M for D the common denominator of the two
+coefficients.  The comparison is exact division, entry by entry: D
+must divide 2M, and 2M / D must equal those middle rows.
 
 The oracle never forms a dense box.  A cell's modes run as one
 (modes, rows, columns) integer block, and each box step multiplies it
 by the block-diagonal sparse matrix of the cell's boxes
 |xi|^2 + 2 sum_p xi_p Gamma_p + Q, assembled from the index maps: at
 most n + 2 products per entry where a dense product takes C(n+2, k).
-E and F are Gram products of eps(xi), so each is a sum of
-sign * xi_a * xi_b over the pairs of insertions that share their source
-(E) or their target (F); those pairs are tabulated once per (n, k) and
-evaluated for all modes together.
+E is a Gram product of eps(xi), a sum of sign * xi_a * xi_b over the
+pairs of insertions that share their source; those pairs are tabulated
+once per (n, k) and evaluated for all modes together.
 
 Each row of Gamma_p and of Q holds at most one entry, so the box's
 absolute row sums are at most |xi|^2 + 2 sum |xi_p| + max |Q| for every
@@ -66,10 +68,12 @@ all its modes, to the power ell times the largest splitting entry is
 below 2^62, which bounds every entry and partial sum; otherwise the
 whole cell runs on numpy object arrays of Python ints (the sparse
 product then runs as row sums of gathered rows), so nothing wraps
-around.  The insertion tables, the Gamma_p and Q maps, the box's sparse
-pattern, the E and F pair tables and the slot row blocks are built once
-per (n, k); the similarity S is never formed, since it is folded into
-the box and the splitting.  ``box_matrix`` (the dense box of one mode),
+around.  M runs in int64 when its entries and partial sums are below
+2^62, so 2M fits too, and D when it is below 2^62.  The insertion
+tables, the Gamma_p and Q maps, the box's sparse pattern, the E pair
+table and the slot row blocks are built once per (n, k); the
+similarity S is never formed, since it is folded into the box and the
+splitting.  ``box_matrix`` (the dense box of one mode),
 ``CMat`` and ``mode_matrices`` are references for the tests; the oracle
 does not use them.
 """
@@ -200,39 +204,37 @@ def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
 
 
 @lru_cache(maxsize=None)
-def _gram_pairs(m: int, k: int, shared: str) -> tuple[np.ndarray, ...]:
-    """Where a Gram product of eps(x): Lambda^k(R^m) -> Lambda^(k+1) picks up x_a x_b.
+def _gram_pairs(m: int, k: int) -> tuple[np.ndarray, ...]:
+    """Where eps(x) iota(x) on Lambda^(k+1)(R^m) picks up x_a x_b.
 
-    eps(x) has the entry x_a * sign at (rows[a, t], t) for each insertion
-    (a, t) of ``_insertion(m, k)``.  So eps(x) iota(x) on (k+1)-forms
-    (shared="source") sums x_a x_b sign_1 sign_2 at (row_1, row_2) over
-    the pairs of insertions with the same source t, and iota(x) eps(x) on
-    k-forms (shared="target") at (t_1, t_2) over the pairs with the same
-    target row.  Returns (positions, starts, a, b, signs): the flat
-    positions each pair adds to, without repeats, where each position's
-    run of pairs starts, and the pairs sorted by position.
+    eps(x): Lambda^k -> Lambda^(k+1) has the entry x_a * sign at
+    (rows[a, t], t) for each insertion (a, t) of ``_insertion(m, k)``, so
+    eps(x) iota(x) sums x_a x_b sign_1 sign_2 at (row_1, row_2) over the
+    pairs of insertions with the same source t.  Returns (positions,
+    starts, a, b, signs): the flat positions each pair adds to, without
+    repeats, where each position's run of pairs starts, and the pairs
+    sorted by position.
     """
     rows, signs = _insertion(m, k)
     a, t = np.nonzero(signs)
     target, sign = rows[a, t], signs[a, t]
-    key, end, side, size = ((t, target, math.comb(m, k + 1), m - k) if shared == "source"
-                            else (target, t, math.comb(m, k), k + 1))
-    group = np.argsort(key, kind="stable").reshape(-1, size)  # every key has size insertions
+    group = np.argsort(t, kind="stable").reshape(-1, m - k)  # every source has m - k insertions
     one, two = (pair.ravel() for pair in np.broadcast_arrays(group[:, :, None], group[:, None, :]))
-    flat = end[one] * side + end[two]
+    flat = target[one] * math.comb(m, k + 1) + target[two]
     order = np.argsort(flat, kind="stable")
     one, two = one[order], two[order]
     positions, starts = np.unique(flat[order], return_index=True)
     return (_int(positions), _int(starts), _int(a[one]), _int(a[two]), _int(sign[one] * sign[two]))
 
 
-def _gram(x: np.ndarray, k: int, shared: str) -> np.ndarray:
-    """eps(xi) iota(xi) on (k+1)-forms or iota(xi) eps(xi) on k-forms for each row xi of x.
+def _gram(x: np.ndarray, k: int) -> np.ndarray:
+    """eps(xi) iota(xi) on (k+1)-forms for each row xi of x.
 
-    x is a (modes, m) block; the result is (modes, side, side), in x's dtype.
+    x is a (modes, m) block; the result is (modes, side, side) with
+    side = C(m, k+1), in x's dtype.
     """
-    positions, starts, a, b, signs = _gram_pairs(x.shape[1], k, shared)
-    side = math.comb(x.shape[1], k + 1 if shared == "source" else k)
+    positions, starts, a, b, signs = _gram_pairs(x.shape[1], k)
+    side = math.comb(x.shape[1], k + 1)
     out = np.zeros((len(x), side * side), dtype=x.dtype)
     out[:, positions] = np.add.reduceat(x[:, a] * x[:, b] * signs, starts, axis=1)
     return out.reshape(len(x), side, side)
@@ -297,8 +299,8 @@ def _mode_block(n: int, modes: list[tuple[int, ...]]) -> np.ndarray:
     """The modes as a (modes, n) block: int64, or Python ints when the mode-linear blocks might not fit.
 
     With s the largest sum |xi_p| of a mode, every entry and partial sum
-    of the box's mode-linear part, its row sums, E, F and the
-    bottom-slot part of the splitting is at most (s + n)^2 * 2^(n+2).
+    of the box's mode-linear part, its row sums, E and the bottom-slot
+    part of the splitting is at most (s + n)^2 * 2^(n+2).
     """
     xs = [[int(v) for v in xi] for xi in modes]
     s = max(sum(abs(v) for v in xi) for xi in xs)
@@ -435,40 +437,29 @@ def symbolic_mode_matrix(op: OperatorPoly, n: int, k: int,
                          modes: list[tuple[int, ...]]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Mode matrices of an expanded operator at J = 0, as (M, D): mode i's is M[i] / D[i].
 
-    With E = eps(xi) iota(xi), F = iota(xi) eps(xi) and
-    (a, b, c) = op.at(0, |xi|^2), the matrix is a I + b E + c F; D[i] is
-    the common denominator of a, b and c, so M[i] = D[i] (a I + b E + c F)
-    is an integer matrix.
+    With q = |xi|^2, E = eps(xi) iota(xi) and the scalars s_ex and s_co
+    of ``op.on_eigenspace`` on exact and coexact forms of eigenvalue q,
+    the matrix is s_co I + ((s_ex - s_co) / q) E, and s_co I at xi = 0;
+    D[i] is the common denominator of the two coefficients, so M[i] is
+    an integer matrix.
     """
     x = _mode_block(n, modes)
     norm2 = [int(v) for v in (x * x).sum(axis=1)]
-    scaled = {}  # |xi|^2 -> (D, D a, D b, D c)
+    scaled = {}  # |xi|^2 -> (D, D s_co, D (s_ex - s_co) / q)
+    zero = Fraction(0)
     for q in set(norm2):
-        coeffs = op.at(Fraction(0), q)
-        den = math.lcm(*(v.denominator for v in coeffs))
-        scaled[q] = (den, *(v.numerator * (den // v.denominator) for v in coeffs))
-    dens, *abc = zip(*(scaled[q] for q in norm2))
-    e_mat, f_mat = _gram(x, k - 1, "source"), _gram(x, k, "target")
-    e_max, f_max = _absmax(e_mat), _absmax(f_mat)
-    dtype = _exact(max(abs(a) + abs(b) * e_max + abs(c) * f_max for a, b, c in zip(*abc)))
-    a, b, c = (np.array(col, dtype=dtype) for col in abc)
-    out = e_mat.astype(dtype) * b[:, None, None] + f_mat.astype(dtype) * c[:, None, None]
+        coexact = op.on_eigenspace("coexact", zero, q)
+        slope = (op.on_eigenspace("exact", zero, q) - coexact) / q if q else zero
+        den = math.lcm(coexact.denominator, slope.denominator)
+        scaled[q] = (den, *(v.numerator * (den // v.denominator) for v in (coexact, slope)))
+    dens, diagonal, slopes = zip(*(scaled[q] for q in norm2))
+    e_mat = _gram(x, k - 1)
+    e_max = _absmax(e_mat)
+    dtype = _exact(max(abs(a) + abs(b) * e_max for a, b in zip(diagonal, slopes)))
+    out = e_mat.astype(dtype) * np.array(slopes, dtype=dtype)[:, None, None]
     diag = np.arange(out.shape[1])
-    out[:, diag, diag] += a[:, None]
+    out[:, diag, diag] += np.array(diagonal, dtype=dtype)[:, None]
     return out, dens
-
-
-def _times(mat: np.ndarray, c) -> np.ndarray:
-    """mat * c exactly, for an int c or one int per mode (mat's leading axis).
-
-    int64 when the product fits, else Python ints.
-    """
-    per_mode = not isinstance(c, int)
-    scale = np.array(c if per_mode else [c], dtype=object)
-    if max(_absmax(mat), 1) * _absmax(scale) >= _LIMIT:
-        mat = mat.astype(object)
-    scale = scale.astype(mat.dtype)
-    return mat * (scale.reshape((-1,) + (1,) * (mat.ndim - 1)) if per_mode else scale[0])
 
 
 def random_modes(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -481,14 +472,16 @@ def compare_pipelines(n: int, k: int, ell: int, modes: list[tuple[int, ...]]) ->
     """Exact per-mode comparison of the two pipelines at J = 0, all modes in one block.
 
     The discrepancy entry is the number of differing matrix entries,
-    which must be 0 on pass.
+    which must be 0 on pass: an entry differs unless D divides 2M there
+    and 2M / D is the pipeline's entry.
     """
     from .factory import build_L_definition
 
     op = build_L_definition(n, k, ell)
     numeric = pipeline_L_numeric(n, k, ell, modes)  # twice the operators' mode matrices
     symbolic, dens = symbolic_mode_matrix(op, n, k, modes)
-    counts = np.sum(_times(numeric, dens) != _times(symbolic, 2), axis=(1, 2))
+    twice, den = 2 * symbolic, np.array(dens, dtype=_exact(max(dens)))[:, None, None]
+    counts = np.sum((twice % den != 0) | (twice // den != numeric), axis=(1, 2))
     per_mode = [{"xi": list(xi), "mismatched_entries": int(c)} for xi, c in zip(modes, counts)]
     worst = max(m["mismatched_entries"] for m in per_mode)
     return {"n": n, "k": k, "ell": ell, "modes": per_mode,

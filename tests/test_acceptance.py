@@ -184,7 +184,7 @@ def test_criterion_09_torus_oracle(capfd):
     t0 = time.time()
     worst = 0
     cells = {}  # modes per cell -> cells
-    for n in range(3, 11):
+    for n in range(3, 13):
         modes = 50 if n <= 8 else 10
         for k in range(1, n // 2 + 1):
             for ell in range(1, 7):

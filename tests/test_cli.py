@@ -182,6 +182,18 @@ def test_oracle_torus_default_golden_payload(tmp_path):
     assert hashlib.sha256(report_payload_bytes(out)).hexdigest() == DEFAULT_TORUS_PAYLOAD_SHA256
 
 
+def test_oracle_torus_runs_each_dimension_once_in_order(tmp_path):
+    payloads = []
+    for dims in (["4", "3", "4"], ["3", "4"]):
+        out = tmp_path / f"torus-{'-'.join(dims)}.json"
+        assert run_cli(["oracle", "torus", "--n", *dims, "--ell-max", "2", "--modes", "3",
+                        "--output", str(out)]) == 0
+        payloads.append(report_payload_bytes(out))
+    assert payloads[0] == payloads[1]
+    doc = json.loads(payloads[0])
+    assert doc["config"]["n"] == [3, 4] and doc["summary"]["cells"] == 2 * 1 + 2 * 2
+
+
 @pytest.mark.parametrize("args, needle", [
     (["--n-min", "2"], "n = 2"),
     (["--j-value", "abc"], "--j-value"),
@@ -402,7 +414,7 @@ def test_oracle_dec_construction_defect_is_not_a_usage_error(monkeypatch, tmp_pa
 ORACLE_DEC_SHA256 = {
     "torus": "553ad1a4cb0cc204445ebbe1cc7e3555c2c20c2940da03c3f52e0cab4cb2293c",
     "cell600": "19809b7ccb4b1cf7cf734edbf1c0244670e158e9e46624fde5bf511d361347cd",
-    "model": "ead1c7d4064be3dc31e42f24e7a3ae8dd46448e3ce00a02580c9fc9dbf68794f",
+    "model": "73d8016332db978dca0ae773af85864f174f0ae41efa90bc65276e02211fde2a",
 }
 
 

@@ -164,10 +164,3 @@ def test_operator_evaluation_matches_reference(op, j, lam):
             continue
         value = op.on_eigenspace(kind, j, lam)
         assert type(value) is Fraction and value == values[kind]
-    if len(values) < 3:
-        with pytest.raises(CoefficientError):
-            op.at(j, lam)
-        return
-    a, b, c = op.at(j, lam)
-    assert all(type(v) is Fraction for v in (a, b, c))
-    assert (a + b * lam, a + c * lam, a) == (values["exact"], values["coexact"], values["harmonic"])

@@ -60,39 +60,31 @@ def _power_sum(terms, j, lam):
 
 @given(operators(), j_values, eigenvalues)
 @settings(max_examples=80)
-def test_at_matches_direct_power_sums(op, j, lam):
-    # op.at reduces E^p to lam^(p-1) E: on an exact point it acts as
-    # const J^m + sum e_p J^(m-p) lam^p, on a coexact one as
-    # const J^m + sum f_q J^(m-q) lam^q, on a harmonic one as const J^m
+def test_on_eigenspace_matches_direct_power_sums(op, j, lam):
+    # on an exact point the operator acts as const J^m + sum e_p J^(m-p) lam^p,
+    # on a coexact one as const J^m + sum f_q J^(m-q) lam^q, on a harmonic
+    # one as const J^m
     m = op.order
-    sums = {}
     const, e, f = _coeffs(op)
     for kind, side in (("harmonic", ()), ("exact", e), ("coexact", f)):
         terms = [(const, m, 0), *((x, m - p, p) for p, x in enumerate(side, start=1))]
+        point_lam = Fraction(0) if kind == "harmonic" else lam
         try:
-            sums[kind] = _power_sum(terms, j, lam)
+            expected = _power_sum(terms, j, lam)
         except ZeroDivisionError:
             with pytest.raises(CoefficientError):
-                op.on_eigenspace(kind, j, Fraction(0) if kind == "harmonic" else lam)
-    if len(sums) < 3:
-        with pytest.raises(CoefficientError):
-            op.at(j, lam)
-        return
-    a, b, c = op.at(j, lam)
-    base, exact, coexact = sums["harmonic"], sums["exact"], sums["coexact"]
-    assert (a, a + b * lam, a + c * lam) == (base, exact, coexact)
-    assert op.on_eigenspace("exact", j, lam) == exact
-    assert op.on_eigenspace("coexact", j, lam) == coexact
-    assert op.on_eigenspace("harmonic", j, Fraction(0)) == base
+                op.on_eigenspace(kind, j, point_lam)
+            continue
+        assert op.on_eigenspace(kind, j, point_lam) == expected
 
 
 @given(operators(), j_values, eigenvalues)
 @settings(max_examples=150)
-def test_on_eigenspace_matches_at(op, j, lam):
-    # the one-sided scalar equals a, a + b lam or a + c lam from at, read
-    # off an operator that keeps only the constant and the side the kind
-    # uses; at J = 0 a nonzero coefficient of negative J power on that
-    # side is a pole, and the other side is never read
+def test_on_eigenspace_reads_only_its_side(op, j, lam):
+    # the one-sided scalar is that of an operator that keeps only the
+    # constant and the side the kind uses; at J = 0 a nonzero coefficient
+    # of negative J power on that side is a pole, and the other side is
+    # never read
     const, e_all, f_all = _coeffs(op)
     kept = {"exact": (e_all, ()), "coexact": ((), f_all), "harmonic": ((), ())}
     for kind, (e, f) in kept.items():
@@ -103,15 +95,13 @@ def test_on_eigenspace_matches_at(op, j, lam):
             with pytest.raises(CoefficientError):
                 op.on_eigenspace(kind, j, lam)
             with pytest.raises(CoefficientError):
-                side.at(j, lam)
+                side.on_eigenspace(kind, j, lam)
             continue
-        a, b, c = side.at(j, lam)
-        expected = {"exact": a + b * lam, "coexact": a + c * lam, "harmonic": a}[kind]
-        assert expected == sum(x * j ** m * lam ** p
-                               for p, (x, m) in enumerate(zip(read, powers)) if x)
+        expected = sum(x * j ** m * lam ** p for p, (x, m) in enumerate(zip(read, powers)) if x)
         # a harmonic point's eigenvalue is 0, and the scalar ignores lam there
         point_lam = Fraction(0) if kind == "harmonic" else lam
-        assert op.on_eigenspace(kind, j, lam) == op.on_eigenspace(kind, j, point_lam) == expected
+        assert (op.on_eigenspace(kind, j, lam) == op.on_eigenspace(kind, j, point_lam)
+                == side.on_eigenspace(kind, j, lam) == expected)
 
 
 def test_on_eigenspace_rejects_unknown_kind():
@@ -172,13 +162,15 @@ def test_kernel_dim_additive_when_distinct():
 
 def test_model_json_round_trip(tmp_path):
     model = SpectralModel(3, 1, Fraction(3, 2), (
-        pt("harmonic", 0, 1), pt("exact", 3, 4), pt("coexact", 4, 6)), "synthetic", True)
+        pt("harmonic", 0, 1), pt("exact", 3, 4), pt("coexact", 4, 6)), "synthetic")
     path = tmp_path / "model.json"
     model.save(path)
     loaded = SpectralModel.load(path)
     assert loaded == model
     data = path.read_text()
-    assert '"3/2"' in data and '"schema": 1' in data
+    assert '"3/2"' in data and '"schema": 1' in data and "trusted" not in data
+    # files written with the former "trusted" flag still load
+    assert SpectralModel.from_json({**model.as_json(), "trusted": False}) == model
 
 
 def test_sphere_preset():
@@ -208,7 +200,7 @@ def test_sphere_preset_errors():
 
 # sha256 of the JSON list of sphere_preset(3, k, 8).as_json() over k = 0..3:
 # the S^3 models that the simplicial oracle compares with and promotes from
-SPHERE_S3_PRESETS_SHA256 = "b0df512de4e7c21c3a390842e32d4efc8f5bb322bbda200f0af636472d7efe49"
+SPHERE_S3_PRESETS_SHA256 = "9a263dc5cc2c59d3ec23b3a658ccf9e1ff762af6ebc76fda6b0c3a52c697af2a"
 
 
 def test_sphere_presets_on_s3_are_pinned():
@@ -316,7 +308,7 @@ def test_torus_preset():
 
 # sha256 of the JSON list of torus_preset(n, k, N).as_json() over
 # n = 3..5, k = 0..n, N in (0, 1, 2, 5), in that loop order
-TORUS_PRESETS_SHA256 = "0f5eaaee942855a3dc820d6d03aba6f2d2970f72a363efba3eaf5fe1b227e8bd"
+TORUS_PRESETS_SHA256 = "af085ca1aa9e9cf76f6a686a8d904e7c0488cc1a2c70a8ade4b7b2c7f7a1201a"
 
 
 def test_torus_presets_are_pinned():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -282,6 +284,44 @@ def test_wrong_operator_is_caught(wrong, monkeypatch, tmp_path):
         assert code == 1, n
 
 
+def _rescaled(orig, n, k, ell):
+    return orig(n, k, ell).scale(Fraction(2 ** 61 + 1, 2 ** 61))
+
+
+# (total, sha256 of the JSON list of per-mode counts) of compare_pipelines'
+# mismatched entries for n = 3..6, k = 1..n/2, ell = 1..3 on five seeded
+# modes and the zero mode, with build_L_definition replaced by a wrong operator
+WRONG_OPERATORS = {"order-below": _order_below, "e-bumped": _top_e_bumped, "rescaled": _rescaled}
+MISMATCH_GOLDEN = {
+    "order-below": (3330, "58687f5f35b1211a498da163fc6caade83dcad658eff0ac5e9fb42b2f7420bde"),
+    "e-bumped": (4932, "ad267b199d67a0e2cf5dfea3f1acdc8c3669f3b511a286fc1d62239c537d1e75"),
+    "rescaled": (4991, "e6826fcbd0c54488e123917280cfd54bead5e48dd7253a1a433eaf69e8e41e24"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_OPERATORS)
+def test_mismatch_counts_of_wrong_operators_are_pinned(name, monkeypatch):
+    wrong, orig = WRONG_OPERATORS[name], formlap.factory.build_L_definition
+    monkeypatch.setattr(formlap.factory, "build_L_definition",
+                        lambda n, k, ell: wrong(orig, n, k, ell))
+    counts, past_int64 = [], False
+    for n in range(3, 7):
+        modes = random_modes(n, 5, seed=7) + [(0,) * n]
+        for k in range(1, n // 2 + 1):
+            for ell in range(1, 4):
+                rep = compare_pipelines(n, k, ell, modes)
+                counts.append([mode["mismatched_entries"] for mode in rep["modes"]])
+                _, dens = symbolic_mode_matrix(wrong(orig, n, k, ell), n, k, modes)
+                numeric = pipeline_L_numeric(n, k, ell, modes)
+                past_int64 |= any(int(np.abs(block).max()) * den >= 2 ** 63
+                                  for block, den in zip(numeric, dens))
+    total, digest = MISMATCH_GOLDEN[name]
+    assert sum(map(sum, counts)) == total
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == digest
+    # the rescaled operator's D times the pipeline side leaves int64
+    assert past_int64 == (wrong is _rescaled)
+
+
 def test_overflow_falls_back_to_python_ints():
     n, k, ell, xi = 3, 1, 6, (40, -37, 25)
     box = box_matrix(n, k, xi)
@@ -292,15 +332,6 @@ def test_overflow_falls_back_to_python_ints():
     # the int64 power wraps around: an unguarded int64 path would be wrong
     exact = np.linalg.matrix_power(box.astype(object), ell)
     assert not np.array_equal(np.linalg.matrix_power(box, ell), exact)
-
-
-def test_comparison_scales_leave_int64_when_needed():
-    from formlap.torus import _times
-
-    big = np.array([[2 ** 61, -3]], dtype=np.int64)
-    scaled = _times(big, 4)
-    assert scaled.dtype == object and scaled.tolist() == [[2 ** 63, -12]]
-    assert _times(big, 1).dtype == np.int64
 
 
 def test_huge_mode_builds_in_python_ints():
@@ -356,19 +387,25 @@ def test_batched_pipeline_is_the_dense_box_product(n, k, ell):
 
 @pytest.mark.parametrize("n,k,ell", _random_cells(8, seed=29))
 def test_batched_E_and_F_are_the_dense_products(n, k, ell):
+    # E is the Gram table's product, and F = |xi|^2 - E
     x = _mode_block(n, random_modes(n, 6, seed=ell) + [(0,) * n])
-    e_mat, f_mat = _gram(x, k - 1, "source"), _gram(x, k, "target")
+    e_mat = _gram(x, k - 1)
+    eye = np.eye(e_mat.shape[1], dtype=np.int64)
     for i, xi in enumerate(x):
         lower, upper = _eps(xi, k - 1), _eps(xi, k)
         assert np.array_equal(e_mat[i], lower @ lower.T), xi
-        assert np.array_equal(f_mat[i], upper.T @ upper), xi
-    # and the symbolic block is a I + b E + c F, mode by mode
+        assert np.array_equal(eye * int(xi @ xi) - e_mat[i], upper.T @ upper), xi
+    # and the symbolic block is the operator's monomials at J = 0, with
+    # E^p = q^(p-1) E and F^p = q^(p-1) F for q = |xi|^2
     op = build_L_definition(n, k, ell)
     mats, dens = symbolic_mode_matrix(op, n, k, [tuple(xi) for xi in x.tolist()])
     for i, xi in enumerate(x):
-        a, b, c = op.at(Fraction(0), int(xi @ xi))
-        dim = e_mat.shape[1]
-        want = np.eye(dim, dtype=object) * a + e_mat[i].astype(object) * b + f_mat[i].astype(object) * c
+        q = int(xi @ xi)
+        powers = {"1": eye, "E": e_mat[i], "F": eye * q - e_mat[i]}
+        want = np.zeros(eye.shape, dtype=object)
+        for name, c in op.monomials().items():
+            p = 1 if len(name) == 1 else int(name[2:])
+            want = want + powers[name[0]].astype(object) * (c.eval_at(0) * q ** (p - 1))
         assert np.array_equal(mats[i], want * dens[i]), xi
 
 
