@@ -1,7 +1,7 @@
-"""Discrete exterior calculus on triangulated 3-manifolds.
+"""Discrete exterior calculus on triangulated manifolds of any dimension.
 
 Supplies the numerical side of the spectral checks: simplicial meshes
-of the flat 3-torus and of the 3-sphere, the up Laplacian pencils,
+(presets: the flat 3-torus and two 3-spheres), the up Laplacian pencils,
 exact Betti numbers by one column reduction of the integer coboundary
 matrices, lowest degree first with clearing, and approximate exact and
 coexact eigenvalues for comparison against the closed-form sphere
@@ -10,9 +10,10 @@ The two sphere meshes (the boundary of the 4-simplex and the 600-cell)
 have unit vertices, and their tets are the 4-cliques of an edge rule:
 every pair for the first, inner product phi/2 for the second.
 
-A mesh is stored as arrays over its tets: the coordinates of each tet's
-four vertices, (T, 4, E), and a (T, 16) table that maps each local face
-bitmask of a tet to the global index of that simplex.  Every metric
+An n-complex is stored as arrays over its top simplices ("tets"): the
+n + 1 vertex coordinates of each, (T, n+1, E), and a (T, 2^(n+1)) table
+that maps each local face bitmask of a tet to the global index of that
+simplex; n is the width of the tets, read nowhere else.  Every metric
 quantity (circumcenters, flag dual volumes, primal volumes,
 barycenters, edge chords, Whitney element blocks) is one batched numpy
 pass over the tets, scattered to the simplices through that table.
@@ -73,21 +74,23 @@ DENSE_MAX = 800
 # 17,040-row j = 1 pencil, 12 eigenvalues)
 ARPACK_MAXITER = 300
 
-# The faces of one tet: its vertex subsets of each dimension d, in
-# itertools.combinations order, and their bitmasks (the tet_faces columns).
-LOCAL_SUBSETS = [list(itertools.combinations(range(4), d + 1)) for d in range(4)]
-LOCAL_MASKS = [[sum(1 << i for i in s) for s in subsets] for subsets in LOCAL_SUBSETS]
+
+@functools.cache
+def local_faces(dim: int) -> tuple[tuple, tuple]:
+    """A tet's vertex subsets of each dimension (combinations order) and their tet_faces masks."""
+    subsets = tuple(tuple(itertools.combinations(range(dim + 1), d + 1)) for d in range(dim + 1))
+    return subsets, tuple(tuple(sum(1 << i for i in s) for s in subs) for subs in subsets)
 
 
 @dataclass
 class SimplicialMesh:
-    """Simplicial 3-complex stored as arrays over its tets.
+    """Simplicial n-complex stored as arrays over its tets, its n-simplices.
 
     ``simplices[d]`` is an (N_d, d+1) integer array, one increasing
     row of vertex indices per d-simplex, and ``boundaries[d]`` is the
     integer matrix of the boundary operator from dimension d to d-1
-    (d >= 1).  Tet t is ``simplices[3][t]``; ``tet_points[t]`` holds its
-    four vertices as a (4, E) array, rows aligned with that row.  For
+    (d >= 1).  Tet t is ``simplices[n][t]``; ``tet_points[t]`` holds its
+    vertices as an (n+1, E) array, rows aligned with that row.  For
     periodic meshes the coordinates are unwrapped inside the tet, which
     is enough for every metric quantity.  ``tet_faces[t, mask]`` is the
     global index of the face of tet t spanned by the local vertices set
@@ -99,8 +102,8 @@ class SimplicialMesh:
     simplices: list[np.ndarray]  # (N_d, d+1) int
     boundaries: list[scipy.sparse.csr_matrix | None]
     embedded: bool
-    tet_points: np.ndarray  # (T, 4, E) float
-    tet_faces: np.ndarray  # (T, 16) int
+    tet_points: np.ndarray  # (T, n+1, E) float
+    tet_faces: np.ndarray  # (T, 2^(n+1)) int
 
     @property
     def dim(self) -> int:
@@ -110,10 +113,10 @@ class SimplicialMesh:
         return tuple(len(s) for s in self.simplices)
 
     @functools.cached_property
-    def betti(self) -> tuple[int, int, int, int]:
+    def betti(self) -> tuple[int, ...]:
         """Exact Betti numbers over Q: b_d = N_d - rank B_d - rank B_{d+1}, computed once.
 
-        B_d is ``boundaries[d]`` (B_0 = B_4 = 0).  The coboundary matrices
+        B_d is ``boundaries[d]`` (B_0 = B_{n+1} = 0).  The coboundary matrices
         B_d^T are reduced lowest degree first (see _reduce), with clearing
         (Chen-Kerber 2011): a column of B_{d+1}^T whose index is a low of
         the reduced B_d^T is skipped.  This is exact.  Say a reduced
@@ -128,24 +131,24 @@ class SimplicialMesh:
             lows = _reduce(boundary.T, lows)
             ranks.append(len(lows))
         ranks.append(0)
-        return tuple(n - ranks[d] - ranks[d + 1] for d, n in enumerate(self.counts()))  # type: ignore[return-value]
+        return tuple(n - ranks[d] - ranks[d + 1] for d, n in enumerate(self.counts()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices))
 
     def faces(self, d: int) -> np.ndarray:
-        """Global indices of the d-faces of every tet, (T, C(4, d+1)), in LOCAL_SUBSETS order."""
-        return self.tet_faces[:, LOCAL_MASKS[d]]
+        """Global indices of the d-faces of every tet, (T, C(n+1, d+1)), in local_faces order."""
+        return self.tet_faces[:, local_faces(self.dim)[1][d]]
 
     def face_points(self, d: int) -> np.ndarray:
-        """Coordinates of the d-faces of every tet, (T, C(4, d+1), d+1, E)."""
-        return self.tet_points[:, LOCAL_SUBSETS[d]]
+        """Coordinates of the d-faces of every tet, (T, C(n+1, d+1), d+1, E)."""
+        return self.tet_points[:, local_faces(self.dim)[0][d]]
 
 
 def _per_simplex(mesh: SimplicialMesh, d: int, per_face: np.ndarray) -> np.ndarray:
     """Per-simplex values of dimension d, each read in the first tet that holds it.
 
-    per_face has the (T, C(4, d+1), ...) layout of ``mesh.faces(d)``.
+    per_face has the (T, C(n+1, d+1), ...) layout of ``mesh.faces(d)``.
     """
     _, first = np.unique(mesh.faces(d).ravel(), return_index=True)
     return per_face.reshape(-1, *per_face.shape[2:])[first]
@@ -171,19 +174,21 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
                      embedded: bool) -> SimplicialMesh:
     """Assemble the full complex from tets given as arrays.
 
-    ids is (T, 4), each row increasing; points is (T, 4, E), rows aligned
-    with the ids.  Vertices are numbered in ascending id order, higher
-    simplices in order of first appearance (tet by tet, faces in
-    LOCAL_SUBSETS order).  Only the presets and subdivision call it.
+    ids is (T, n+1), each row increasing, its width the dimension n;
+    points is (T, n+1, E), rows aligned with the ids.  Vertices are
+    numbered in ascending id order, higher simplices in order of first
+    appearance (tet by tet, faces in local_faces order).  Only the
+    presets and subdivision call it.
     """
     if np.any(np.diff(ids, axis=1) <= 0):
         raise InternalConsistencyError("tet vertex ids must increase along each tet")
-    n_tets = len(ids)
-    tet_faces = np.full((n_tets, 16), -1, dtype=np.int64)
+    n_tets, dim = len(ids), ids.shape[1] - 1
+    subsets, masks = local_faces(dim)
+    tet_faces = np.full((n_tets, 1 << (dim + 1)), -1, dtype=np.int64)
     simplices: list[np.ndarray] = []
     boundaries: list[scipy.sparse.csr_matrix | None] = [None]
-    for d in range(4):
-        keys = ids[:, LOCAL_SUBSETS[d]].reshape(-1, d + 1)
+    for d in range(dim + 1):
+        keys = ids[:, subsets[d]].reshape(-1, d + 1)
         # one stable sort of the rows: each run of equal rows starts at
         # the row's first appearance and numbers it in sorted order
         order = np.lexsort(keys.T[::-1])
@@ -197,22 +202,22 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
             rank = np.empty_like(by_appearance)
             rank[by_appearance] = np.arange(len(first))
             first, inverse = first[by_appearance], rank[inverse]
-        tet_faces[:, LOCAL_MASKS[d]] = inverse.reshape(n_tets, -1)
+        tet_faces[:, masks[d]] = inverse.reshape(n_tets, -1)
         simplices.append(keys[first])
         if d == 0:
             continue
         # the faces of each simplex, read in the tet where it first appears:
         # dropping vertex i of the sorted row gives sign (-1)^i
-        tet, local = np.divmod(first, len(LOCAL_SUBSETS[d]))
+        tet, local = np.divmod(first, len(subsets[d]))
         drop = np.array([[mask & ~(1 << v) for v in subset]
-                         for subset, mask in zip(LOCAL_SUBSETS[d], LOCAL_MASKS[d])])
+                         for subset, mask in zip(subsets[d], masks[d])])
         rows = tet_faces[tet[:, None], drop[local]]
         cols = np.broadcast_to(np.arange(len(first))[:, None], rows.shape)
         vals = np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)
         boundaries.append(scipy.sparse.csr_matrix(
             (vals.ravel(), (rows.ravel(), cols.ravel())),
             shape=(len(simplices[d - 1]), len(first)), dtype=np.int64))
-    if len(simplices[3]) != n_tets:
+    if len(simplices[dim]) != n_tets:
         raise InternalConsistencyError("a tet is listed twice")
     return SimplicialMesh(name, simplices, boundaries, embedded, points, tet_faces)
 
@@ -310,16 +315,16 @@ def subdivide_barycentric(mesh: SimplicialMesh, project_radius: float | None = N
     """
     if not mesh.embedded:
         raise UsageError("barycentric subdivision is only supported for embedded meshes")
-    # new vertex ids: the old simplices, dimension by dimension
-    offsets = np.cumsum((0,) + mesh.counts()[:3])
+    dim = mesh.dim  # new vertex ids: the old simplices, dimension by dimension
+    offsets = np.cumsum((0,) + mesh.counts()[:dim])
     bary = np.concatenate([_per_simplex(mesh, d, mesh.face_points(d).mean(axis=2))
-                           for d in range(4)])
+                           for d in range(dim + 1)])
     if project_radius is not None:
         bary *= project_radius / np.linalg.norm(bary, axis=1, keepdims=True)
-    # each flag vertex < edge < face < tet of an old tet spans one new tet
-    # on the barycenters of its four simplices
-    flags = np.cumsum([[1 << v for v in perm] for perm in itertools.permutations(range(4))], axis=1)
-    ids = np.sort((mesh.tet_faces[:, flags] + offsets).reshape(-1, 4), axis=1)
+    # each flag vertex < edge < ... < tet of an old tet spans one new tet
+    # on the barycenters of its dim + 1 simplices
+    flags = np.cumsum([[1 << v for v in p] for p in itertools.permutations(range(dim + 1))], axis=1)
+    ids = np.sort((mesh.tet_faces[:, flags] + offsets).reshape(-1, dim + 1), axis=1)
     return _build_from_tets(mesh.name + "+bary", ids, bary[ids], embedded=True)
 
 
@@ -336,36 +341,36 @@ def _flag_dual_volumes(mesh: SimplicialMesh) -> list[np.ndarray] | None:
     zero (the threshold is relative, so the answer does not depend on
     units).
     """
-    pts = mesh.tet_points
-    n_tets = len(pts)
-    centers = np.empty((n_tets, 16, pts.shape[2]))
-    centers[:, LOCAL_MASKS[0]] = pts
-    for d in range(1, 4):
-        centers[:, LOCAL_MASKS[d]] = _circumcenters(mesh.face_points(d))
+    pts, dim = mesh.tet_points, mesh.dim
+    n_tets, (subsets, masks) = len(pts), local_faces(dim)
+    centers = np.empty((n_tets, 2 << dim, pts.shape[2]))
+    centers[:, masks[0]] = pts
+    for d in range(1, dim + 1):
+        centers[:, masks[d]] = _circumcenters(mesh.face_points(d))
     # signed height of each step from face mask a to a | 1 << v: the
     # distance between the two circumcenters, negative when the step
     # points away from the added vertex v
-    a, v = np.array([(a, v) for a in range(1, 15) for v in range(4) if not a >> v & 1]).T
+    a, v = np.array([(a, v) for a in range(1, 2 << dim) for v in range(dim + 1) if not a >> v & 1]).T
     step = centers[:, a | (1 << v)] - centers[:, a]
     toward = np.einsum("tse,tse->ts", step, pts[:, v] - centers[:, a])
-    heights = np.zeros((n_tets, 16, 4))
+    heights = np.zeros((n_tets, 2 << dim, dim + 1))
     heights[:, a, v] = np.where(toward >= 0, 1.0, -1.0) * np.linalg.norm(step, axis=2)
 
     duals = []
-    for d in range(3):
+    for d in range(dim):
         # every flag from a d-face up to the tet: the face mask before each
         # step and the vertex the step adds
         before, added = [], []
-        for subset, mask in zip(LOCAL_SUBSETS[d], LOCAL_MASKS[d]):
-            for chain in itertools.permutations([u for u in range(4) if u not in subset]):
+        for subset, mask in zip(subsets[d], masks[d]):
+            for chain in itertools.permutations([u for u in range(dim + 1) if u not in subset]):
                 before.append(mask + np.cumsum([0] + [1 << u for u in chain[:-1]]))
                 added.append(chain)
         flag_vols = heights[:, np.array(before), np.array(added)].prod(axis=2)
-        per_face = flag_vols.reshape(n_tets, len(LOCAL_MASKS[d]), -1).sum(axis=2)
-        per_face /= math.factorial(3 - d)
+        per_face = flag_vols.reshape(n_tets, len(masks[d]), -1).sum(axis=2)
+        per_face /= math.factorial(dim - d)
         duals.append(np.bincount(mesh.faces(d).ravel(), per_face.ravel(),
                                  minlength=len(mesh.simplices[d])))
-    for d in range(3):
+    for d in range(dim):
         if np.any(duals[d] <= 1e-12 * np.abs(duals[d]).max()):
             return None
     return duals
@@ -377,9 +382,9 @@ def hodge_stars(mesh: SimplicialMesh) -> list[scipy.sparse.dia_matrix] | None:
     if duals is None:
         return None
     stars = []
-    for d in range(4):
+    for d in range(mesh.dim + 1):
         primal = _per_simplex(mesh, d, simplex_volumes(mesh.face_points(d)))
-        dual = duals[d] if d < 3 else np.ones(len(primal))
+        dual = duals[d] if d < mesh.dim else np.ones(len(primal))
         stars.append(scipy.sparse.diags(dual / primal))
     return stars
 
@@ -464,7 +469,8 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
     eigenvalue only through rounding, so a looser tolerance stops before
     they appear: with tol = 1e-8 the 6-fold shells of torus3-grid(6) at
     j = 1 (count 6) come back 4.7 % off, and the sparse and dense 600-cell
-    spectra at j = 0 disagree.
+    spectra at j = 0 disagree.  Even tol = 0 misses a copy at j = 0 on torus3-grid(4),
+    counts 20 and 22, and (5), count 12, with or without two eigenvalues more.
     """
     # symmetric orderings: SuperLU's default COLAMD fills in badly on these pencils
     splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
@@ -501,21 +507,21 @@ def _sparse_lowest(a, m, harmonic: int, count: int, gradients) -> np.ndarray:
 def _coexact_pencil(mesh: SimplicialMesh, j: int, masses: list) -> tuple:
     """The pencil whose nonzero spectrum is the coexact one on j-cochains: (a, m, kernel, harmonic).
 
-    kernel is the dimension of the pencil's kernel, b_j + rank d_{j-1}
-    (ranks from the Betti numbers and the f-vector), and harmonic its
-    harmonic part.
+    kernel is the dimension of the pencil's kernel, b_j + rank d_{j-1},
+    with rank d_{j-1} = sum_{i<j} (-1)^(j-1-i) (N_i - b_i) from the
+    f-vector and the Betti numbers, and harmonic its harmonic part.
     """
-    betti = mesh.betti
-    if j == 2:
-        # the star-dual pencil (d_2 M_2^-1 d_2^T, M_3^-1) on tets has the same nonzero
-        # eigenvalues (substitute z = M_3 d_2 x) and only b_3 zeros; M_2 is diagonal
-        d_2 = mesh.boundaries[3].T.astype(float)
-        a = (d_2 @ scipy.sparse.diags(1.0 / masses[2].diagonal()) @ d_2.T).tocsr()
-        m = scipy.sparse.diags(1.0 / masses[3].diagonal()).tocsr()
-        return a, m, betti[3], betti[3]
+    betti, counts, top = mesh.betti, mesh.counts(), mesh.dim
+    if j == top - 1:
+        # the star-dual pencil (d M_j^-1 d^T, M_top^-1) on tets, d = d_j, has the same
+        # nonzero eigenvalues (substitute z = M_top d x) and only b_top zeros; M_j is diagonal
+        d = mesh.boundaries[top].T.astype(float)
+        a = (d @ scipy.sparse.diags(1.0 / masses[j].diagonal()) @ d.T).tocsr()
+        m = scipy.sparse.diags(1.0 / masses[top].diagonal()).tocsr()
+        return a, m, betti[top], betti[top]
     a, m = laplacian_pencil(mesh, j, masses)
-    kernel = betti[j] + (mesh.counts()[0] - betti[0] if j == 1 else 0)  # + rank d_{j-1}
-    return a, m, kernel, betti[j]
+    rank = sum((-1) ** (j - 1 - i) * (counts[i] - betti[i]) for i in range(j))  # rank d_{j-1}
+    return a, m, betti[j] + rank, betti[j]
 
 
 def _diagonal_mass(m: scipy.sparse.spmatrix) -> np.ndarray | None:
@@ -548,7 +554,7 @@ def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int) -> 
     any other (a Whitney-Galerkin mass) keeps the generalized problem.
     Pencils of more than DENSE_MAX = 800 rows go to _sparse_lowest, which
     overtakes dense eigh on Galerkin pencils between 720 and 875 rows (the
-    table at DENSE_MAX).
+    table at DENSE_MAX); it removes the kernel at j = 0, 1 and dim - 1 only.
     """
     a, m, kernel, harmonic = _coexact_pencil(mesh, j, masses)
     count = min(count, a.shape[0] - kernel)
@@ -556,6 +562,8 @@ def coexact_spectrum(mesh: SimplicialMesh, j: int, masses: list, count: int) -> 
         return np.empty(0)
     if a.shape[0] <= DENSE_MAX:
         return _dense_lowest(a, m, kernel, count)
+    if 2 <= j <= mesh.dim - 2:
+        raise UsageError(f"no sparse solve on {j}-cochains: nothing projects off im d_{j - 1}")
     gradients = mesh.boundaries[1].T.astype(float) if j == 1 else None
     return _sparse_lowest(a, m, harmonic, count, gradients)
 

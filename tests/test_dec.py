@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from formlap import dec
+from formlap import dec, whitney
 from formlap.dec import (_build_from_tets, build_mesh, coexact_spectrum,
                          compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
                          is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
@@ -40,31 +40,47 @@ def grid5():
     return build_mesh("torus3-grid", 5)
 
 
-def test_f_vectors(five_cell, torus3, c600):
+@pytest.fixture(scope="module")
+def orthoplex4():
+    """The boundary of the 5-orthoplex, a 4-sphere: unit vertices +-e_i (ids 2i
+    and 2i + 1), one 4-simplex for each choice of a sign per axis."""
+    verts = np.stack([np.eye(5), -np.eye(5)], axis=1).reshape(10, 5)
+    ids = 2 * np.arange(5) + np.array(list(itertools.product((0, 1), repeat=5)))
+    return _build_from_tets("orthoplex4", ids, verts[ids], embedded=True)
+
+
+@pytest.fixture(scope="module")
+def orthoplex4_refined(orthoplex4):
+    return subdivide_barycentric(orthoplex4, project_radius=1.0)
+
+
+def test_f_vectors(five_cell, torus3, c600, orthoplex4):
     assert five_cell.counts() == (5, 10, 10, 5)
     assert c600.counts() == (120, 720, 1200, 600)
     assert torus3.counts()[3] == 27 * 6
+    assert orthoplex4.counts() == (10, 40, 80, 80, 32)
 
 
-def test_euler_characteristics(five_cell, torus3, c600):
+def test_euler_characteristics(five_cell, torus3, c600, orthoplex4):
     assert five_cell.euler_characteristic() == 0
     assert torus3.euler_characteristic() == 0
     assert c600.euler_characteristic() == 0
+    assert orthoplex4.euler_characteristic() == 2
 
 
-def test_boundary_of_boundary(five_cell, torus3, c600):
-    for mesh in (five_cell, torus3, c600):
-        for d in (1, 2):
+def test_boundary_of_boundary(five_cell, torus3, c600, orthoplex4):
+    for mesh in (five_cell, torus3, c600, orthoplex4):
+        for d in range(1, mesh.dim):
             prod = mesh.boundaries[d] @ mesh.boundaries[d + 1]
             assert prod.nnz == 0 or not np.any(prod.toarray())
 
 
-def test_simplex_numbering(five_cell, torus3, c600):
+def test_simplex_numbering(five_cell, torus3, c600, orthoplex4):
     # vertices in ascending order, higher simplices in order of first
     # appearance tet by tet; tet_faces points at the matching rows
-    for mesh in (five_cell, torus3, c600, subdivide_barycentric(five_cell)):
-        for d in range(4):
-            keys = mesh.simplices[3][:, dec.LOCAL_SUBSETS[d]]
+    for mesh in (five_cell, torus3, c600, subdivide_barycentric(five_cell), orthoplex4):
+        for d in range(mesh.dim + 1):
+            keys = mesh.simplices[mesh.dim][:, dec.local_faces(mesh.dim)[0][d]]
             unique, first = np.unique(keys.reshape(-1, d + 1), axis=0, return_index=True)
             expected = unique if d == 0 else keys.reshape(-1, d + 1)[np.sort(first)]
             assert np.array_equal(mesh.simplices[d], expected)
@@ -102,16 +118,17 @@ def test_invalid_preset():
 
 def _rank_betti(mesh):
     """Reference Betti numbers: reference_rank of the full boundary matrices."""
-    ranks = [0] + [reference_rank(mesh.boundaries[d]) for d in range(1, 4)] + [0]
+    ranks = [0] + [reference_rank(mesh.boundaries[d]) for d in range(1, mesh.dim + 1)] + [0]
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(mesh.counts()))
 
 
-def test_betti_numbers_exact(five_cell, torus3, c600):
+def test_betti_numbers_exact(five_cell, torus3, c600, orthoplex4):
     assert five_cell.betti == (1, 0, 0, 1)
     assert c600.betti == (1, 0, 0, 1)
     assert torus3.betti == (1, 3, 3, 1)
+    assert orthoplex4.betti == (1, 0, 0, 0, 1)
     refined = subdivide_barycentric(five_cell, project_radius=1.0)
-    for mesh in (five_cell, torus3, c600, refined):
+    for mesh in (five_cell, torus3, c600, refined, orthoplex4):
         assert mesh.betti == _rank_betti(mesh), mesh.name
 
 
@@ -190,14 +207,17 @@ def test_hodge_operator_structure(five_cell, torus3):
             assert abs(up @ mesh.boundaries[j].T).max() <= 1e-12 * abs(up).max()
 
 
-def test_up_pencil_nullity(five_cell, torus3):
+def test_up_pencil_nullity(five_cell, torus3, orthoplex4):
     # the dense nullity of each up pencil is b_j + rank d_{j-1}: the kernel
-    # the dense solve skips by index, without testing any eigenvalue against zero
-    for mesh, j in ((five_cell, 0), (five_cell, 1), (torus3, 0), (torus3, 1)):
-        up, mass = laplacian_pencil(mesh, j, _masses(mesh, j))
+    # the dense solve skips by index, without testing any eigenvalue against
+    # zero, and the count _coexact_pencil takes from the f-vector and the Betti numbers
+    for mesh, j in ((five_cell, 0), (five_cell, 1), (torus3, 0), (torus3, 1), (orthoplex4, 2)):
+        masses = _masses(mesh, j)
+        up, mass = laplacian_pencil(mesh, j, masses)
         vals = scipy.linalg.eigh(up.toarray(), mass.toarray(), eigvals_only=True)
         kernel = mesh.betti[j] + (integer_rank(mesh.boundaries[j]) if j else 0)
         assert int(np.sum(np.abs(vals) < 1e-9 * vals.max())) == kernel
+        assert dec._coexact_pencil(mesh, j, masses)[2] == kernel
 
 
 def _count_sparse_solves(monkeypatch) -> list[int]:
@@ -285,15 +305,43 @@ def test_refined_sphere_two_form_multiplets():
         assert max(vals) - min(vals) < 1e-8 * min(vals)
 
 
+def test_refined_orthoplex_spectrum(orthoplex4_refined):
+    # S^4 through the dimension-generic code: one projected subdivision of the
+    # orthoplex is well-centered, and its circumcentric stars give the lowest
+    # function and 1-form shells within 10 % (measured -5.3 % and +5.1 %)
+    from formlap.spectral import sphere_preset
+
+    mesh = orthoplex4_refined
+    assert mesh.counts() == (242, 2640, 8160, 9600, 3840)
+    assert mesh.betti == (1, 0, 0, 0, 1)
+    # at k = 1 the 2640-row pencil goes to ARPACK; 30 = 10 + 20 ends the request
+    # at a shell boundary, where counts that split the 20-fold shell may not converge
+    for k, count, kinds in ((0, 16, {"coexact"}), (1, 30, {"exact", "coexact"})):
+        cmp = compare_sphere_spectrum(mesh, k, spectrum(mesh, k, count), sphere_preset(4, k, 2))
+        assert {e["kind"] for e in cmp["entries"]} == kinds
+        assert cmp["max_rel_error"] <= 0.10
+        for entry in cmp["entries"]:
+            assert entry["cluster_size"] == entry["multiplicity"]
+
+
+def test_sparse_solve_refuses_an_unprojected_kernel(orthoplex4_refined):
+    # exact 3-forms on a 4-complex come from the 8160-row pencil on 2-cochains,
+    # whose kernel holds im d_1: nothing projects it off, so its zeros would
+    # come back as eigenvalues
+    with pytest.raises(UsageError, match="no sparse solve on 2-cochains"):
+        spectrum(orthoplex4_refined, 3, 12)
+
+
 def _scaled(mesh, factor):
     return dataclasses.replace(mesh, tet_points=mesh.tet_points * factor)
 
 
-def test_well_centered_detection(five_cell, torus3, c600):
+def test_well_centered_detection(five_cell, torus3, c600, orthoplex4):
     # the decision is scale-free: only the shape of the mesh matters
     for factor in (1e-5, 1.0, 1e3):
         assert is_well_centered(_scaled(five_cell, factor))
         assert is_well_centered(_scaled(c600, factor))
+        assert is_well_centered(_scaled(orthoplex4, factor))
         # grid tets have boundary circumcenters: no stars, the Whitney path
         assert not is_well_centered(_scaled(torus3, factor))
         assert hodge_stars(_scaled(torus3, factor)) is None
@@ -323,29 +371,29 @@ def test_spectrum_needs_at_least_one_eigenvalue(five_cell, c600, count):
 def _vertex_coords(mesh):
     """One coordinate row per vertex of an embedded mesh, read off the tets."""
     coords = np.empty((len(mesh.simplices[0]), mesh.tet_points.shape[2]))
-    for t in range(len(mesh.simplices[3])):
-        for i in range(4):
+    for t in range(len(mesh.simplices[mesh.dim])):
+        for i in range(mesh.dim + 1):
             coords[mesh.tet_faces[t, 1 << i]] = mesh.tet_points[t, i]
     return coords
 
 
-def test_hodge_star_volume_identity(five_cell, c600):
-    # each simplex and its dual span |s| * |*s| / C(3, d) of volume, so
-    # sum |s|^2 * star_d(s) = C(3, d) * Vol(M) in every degree
-    for mesh in (five_cell, c600):
+def test_hodge_star_volume_identity(five_cell, c600, orthoplex4):
+    # each simplex and its dual span |s| * |*s| / C(n, d) of volume, so
+    # sum |s|^2 * star_d(s) = C(n, d) * Vol(M) in every degree
+    for mesh in (five_cell, c600, orthoplex4):
         coords = _vertex_coords(mesh)
         primal = []
-        for d in range(4):
+        for d in range(mesh.dim + 1):
             vols = []
             for simplex in mesh.simplices[d]:
                 edges = coords[list(simplex[1:])] - coords[simplex[0]]
                 vols.append(math.sqrt(abs(np.linalg.det(edges @ edges.T))) / math.factorial(d))
             primal.append(np.array(vols))
-        total = primal[3].sum()
+        total = primal[mesh.dim].sum()
         stars = hodge_stars(mesh)
-        for d in range(4):
+        for d in range(mesh.dim + 1):
             lhs = float(np.sum(primal[d] ** 2 * stars[d].diagonal()))
-            assert abs(lhs - math.comb(3, d) * total) <= 1e-12 * total
+            assert abs(lhs - math.comb(mesh.dim, d) * total) <= 1e-12 * total
 
 
 def test_whitney_masses_integrate_constant_forms(torus3):
@@ -371,6 +419,42 @@ def test_whitney_masses_integrate_constant_forms(torus3):
     for j, k in ((0, 1), (0, 2), (1, 2)):
         cochain = (u[:, j] * w[:, k] - u[:, k] * w[:, j]) / 2  # dx_j ^ dx_k over the face
         assert abs(cochain @ masses["M2"] @ cochain - vol) <= 1e-12 * vol
+
+
+def _whitney_reference(mesh):
+    """M0, M1, M2 of a 3-complex from hand-expanded element formulas: M1 term
+    by term, M2 through cross products of gradients and the Lagrange identity."""
+    pts = mesh.tet_points
+    edges = pts[:, 1:] - pts[:, :1]
+    h = np.linalg.solve(edges @ edges.transpose(0, 2, 1), edges)
+    g = np.concatenate([-h.sum(axis=1, keepdims=True), h], axis=1)
+    gdot = g @ g.transpose(0, 2, 1)
+    scale = (dec.simplex_volumes(pts) / 20)[:, None, None]
+    m0 = scale * (1 + np.eye(4))
+    e = np.array(dec.local_faces(3)[0][1])
+    i, j = e[:, 0, None], e[:, 1, None]
+    k, l = e[None, :, 0], e[None, :, 1]
+    m1 = scale * ((1 + (i == k)) * gdot[:, j, l] - (1 + (i == l)) * gdot[:, j, k]
+                  - (1 + (j == k)) * gdot[:, i, l] + (1 + (j == l)) * gdot[:, i, k])
+    # X_a = grad(next) x grad(next2), cyclically within the sorted face;
+    # (x x y).(z x w) = (x.z)(y.w) - (x.w)(y.z)
+    f = np.array(dec.local_faces(3)[0][2])
+    nxt, nxt2 = np.roll(f, -1, axis=1), np.roll(f, -2, axis=1)
+    a, p, q = (x[:, :, None, None] for x in (f, nxt, nxt2))
+    b, r, s = (x[None, None] for x in (f, nxt, nxt2))
+    cross = gdot[:, p, r] * gdot[:, q, s] - gdot[:, p, s] * gdot[:, q, r]
+    m2 = 4 * scale * ((1 + (a == b)) * cross).sum(axis=(2, 4))
+    return [whitney._assemble(mesh.faces(d), block, len(mesh.simplices[d]))
+            for d, block in enumerate((m0, m1, m2))]
+
+
+def test_whitney_masses_match_the_hand_expansions(five_cell, torus3, c600):
+    # the one element formula of every degree against the three expansions it replaced
+    for mesh in (five_cell, torus3, c600):
+        masses = whitney_masses(mesh)
+        for d, want in enumerate(_whitney_reference(mesh)):
+            got = masses[f"M{d}"]
+            assert abs(got - want).max() <= 1e-14 * abs(want).max(), (mesh.name, d)
 
 
 def test_sphere_function_spectrum(c600):
