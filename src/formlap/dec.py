@@ -73,6 +73,8 @@ DENSE_MAX = 800
 # slowest tested or benchmarked pencil takes (the refined 600-cell's
 # 17,040-row j = 1 pencil, 12 eigenvalues)
 ARPACK_MAXITER = 300
+# The one relative tolerance of the sphere comparison (sphere_mismatch)
+SPHERE_RTOL = 0.10
 
 
 @functools.cache
@@ -659,32 +661,50 @@ def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float
     return result
 
 
-def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
-                     reference: SpectralModel, rtol: float = 0.10) -> SpectralModel:
-    """Promote the shells a sphere comparison compared into an exact model.
+def sphere_mismatch(comparison: dict, spec: list[tuple[float, str]],
+                    reference: SpectralModel) -> str | None:
+    """Why a sphere comparison fails, or None: the one rule of `oracle dec` and promotion.
 
-    comparison is compare_sphere_spectrum(mesh, k, spec, reference), spec
-    is spectrum(mesh, k, ...) and reference the closed-form sphere model.
-    Each compared shell becomes a point at the exact reference
-    eigenvalue and multiplicity, provided the cluster mean lies within
-    rtol of that eigenvalue and the cluster has exactly that many
-    members.  Anything else aborts the import (SpectralDataError): a
-    model with unexplained spectral content must not feed the kernel
-    checks.  Higher shells are discarded as mesh-unresolved.
+    The arguments are those of ``dec_import_model``.  A pass needs the
+    reference's harmonic count and, for each kind with a reference shell,
+    a computed cluster within SPHERE_RTOL of the lowest shell of that kind
+    and exactly as large as its multiplicity.
     """
     b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     measured_b = sum(1 for lam, kd in spec if kd == "harmonic")
     if measured_b != b_k:
-        raise SpectralDataError(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
+        return f"harmonic dimension {measured_b} disagrees with reference {b_k}"
+    entries = {e["kind"]: e for e in comparison["entries"]}
+    for kind in ("exact", "coexact"):
+        shells, e = _shells(reference, kind), entries.get(kind)
+        if shells and e is None:
+            return (f"no computed {kind} eigenvalue: the lowest {kind} shell is "
+                    f"{shells[0].eigenvalue} (x{shells[0].multiplicity})")
+        if e is not None and (e["rel_error"] > SPHERE_RTOL
+                              or e["cluster_size"] != e["multiplicity"]):
+            return (f"computed {kind} shell {e['computed']:.4f} (x{e['cluster_size']}) matches "
+                    f"no reference value within {SPHERE_RTOL:.0%}: the lowest {kind} shell is "
+                    f"{e['reference']:g} (x{e['multiplicity']}), {e['rel_error']:.1%} off")
+    return None
+
+
+def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
+                     reference: SpectralModel) -> SpectralModel:
+    """Promote the shells a sphere comparison compared into an exact model.
+
+    comparison is compare_sphere_spectrum(mesh, k, spec, reference), spec
+    is spectrum(mesh, k, ...) and reference the closed-form sphere model.
+    Each compared shell becomes a point at the exact reference eigenvalue
+    and multiplicity; higher shells are discarded as mesh-unresolved.  A
+    comparison that fails ``sphere_mismatch`` raises SpectralDataError: a
+    model with unexplained spectral content must not feed the kernel checks.
+    """
+    failure = sphere_mismatch(comparison, spec, reference)
+    if failure is not None:
+        raise SpectralDataError(failure)
+    b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     points = [SpectralPoint("harmonic", Fraction(0), b_k)] if b_k else []
     for e in comparison["entries"]:
-        kind = e["kind"]
-        if e["rel_error"] > rtol or e["cluster_size"] != e["multiplicity"]:
-            raise SpectralDataError(
-                f"computed {kind} shell {e['computed']:.4f} (x{e['cluster_size']}) matches no "
-                f"reference value within {rtol:.0%}: the lowest {kind} shell is "
-                f"{e['reference']:g} (x{e['multiplicity']})")
-        shell = _shells(reference, kind)[e["shell"] - 1]
-        points.append(SpectralPoint(kind, shell.eigenvalue, shell.multiplicity))
+        shell = _shells(reference, e["kind"])[e["shell"] - 1]
+        points.append(SpectralPoint(e["kind"], shell.eigenvalue, shell.multiplicity))
     return SpectralModel(reference.n, comparison["k"], reference.j_value, tuple(points), "dec-import")
-

@@ -357,29 +357,24 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
 # -- sweeps -------------------------------------------------------------------
 
 
-def _kernel_checks(n: int, k: int, ell: int, j: Fraction) -> list[Callable[[], VerificationReport]]:
-    if j == 0:
-        raise UsageError("--j-value 0: the kernel decomposition needs J != 0 "
-                         "(a manifold that is not Ricci flat)")
-    return [lambda: verify_kernel_decomposition(n, k, ell, synthetic_model(n, k, ell, j))]
-
-
 # The theorem table: each selectable name, in the order a grid cell runs
-# its checks, gives the checks of one cell (n, k, ell) at J = j, each a call
-# returning one report; an input rule raises UsageError as they are listed.
+# its checks, gives the checks of one cell (n, k, ell), each a call
+# returning one report.  Models are built at J = 1, which stands for every
+# J != 0: L is weight-homogeneous, so its scalar on (kind, J lam) at J is
+# J^ell times that on (kind, lam) at 1, and the case-table roots scale alike.
 # A check names verify_* and synthetic_model when it runs, so a patched
 # module attribute (the benchmark's tracer, a mutant) is the one called.
-THEOREMS: dict[str, Callable[[int, int, int, Fraction], list[Callable[[], VerificationReport]]]] = {
-    "factorization": lambda n, k, ell, j: [lambda: verify_factorization(n, k, ell)],
-    "MMstar": lambda n, k, ell, j: [lambda p=p: verify_MMstar(n, k, ell, p) for p in range(1, ell)],
-    "LG": lambda n, k, ell, j: [lambda: verify_LG(n, k, ell)],
-    "bezout": lambda n, k, ell, j: [lambda: verify_bezout_pairs(n, k, ell)] if ell >= 2 else [],
-    "kernel": _kernel_checks,
+THEOREMS: dict[str, Callable[[int, int, int], list[Callable[[], VerificationReport]]]] = {
+    "factorization": lambda n, k, ell: [lambda: verify_factorization(n, k, ell)],
+    "MMstar": lambda n, k, ell: [lambda p=p: verify_MMstar(n, k, ell, p) for p in range(1, ell)],
+    "LG": lambda n, k, ell: [lambda: verify_LG(n, k, ell)],
+    "bezout": lambda n, k, ell: [lambda: verify_bezout_pairs(n, k, ell)] if ell >= 2 else [],
+    "kernel": lambda n, k, ell: [lambda: verify_kernel_decomposition(
+        n, k, ell, synthetic_model(n, k, ell, Fraction(1)))],
 }
 
 
-def run_sweep(theorems: list[str], n_range=range(3, 13), ell_max: int = 6,
-              j_value: Fraction = Fraction(1)) -> list[VerificationReport]:
+def run_sweep(theorems: list[str], n_range=range(3, 13), ell_max: int = 6) -> list[VerificationReport]:
     """The checks of the selected ``THEOREMS`` entries, cell by cell in table order.
 
     Each report carries its check's wall seconds; a kernel check's include
@@ -391,9 +386,8 @@ def run_sweep(theorems: list[str], n_range=range(3, 13), ell_max: int = 6,
         raise UsageError(f"unknown theorem {unknown[0]!r}: the theorems are {', '.join(THEOREMS)}")
     reports: list[VerificationReport] = []
     for n, k, ell in default_grid(n_range, ell_max):
-        # listing the cell's checks first lets an input rule raise before one runs
         for check in [check for name, cell in THEOREMS.items() if name in theorems
-                      for check in cell(n, k, ell, j_value)]:
+                      for check in cell(n, k, ell)]:
             start = time.perf_counter()
             report = check()
             report.seconds = time.perf_counter() - start

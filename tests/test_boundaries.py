@@ -136,6 +136,34 @@ def test_cli_names_no_theorem():
     assert [f"cli.py:{node.lineno} {node.value!r}" for node in constants] == []
 
 
+# every subcommand's options, help aside: a new option, one that could
+# loosen a verdict included, shows up as a diff of this table
+OPTIONS = {
+    "expand": {"--n", "--k", "--ell", "--format", "--output"},
+    "verify": {"--n-min", "--n-max", "--ell-max", "--theorems", "--output"},
+    "oracle torus": {"--n", "--ell-max", "--modes", "--seed", "--output"},
+    "oracle dec": {"--mesh", "--size", "--k", "--eigs", "--subdivide", "--promote", "--output"},
+}
+
+
+def test_option_census():
+    import argparse
+
+    from formlap.cli import build_parser
+
+    def commands(parser, prefix=""):
+        """(command path, option strings) of each leaf parser under parser."""
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield prefix.strip(), {o for a in parser._actions for o in a.option_strings
+                                   if not isinstance(a, argparse._HelpAction)}
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from commands(child, f"{prefix} {name}")
+
+    assert dict(commands(build_parser())) == OPTIONS
+
+
 def _attribute_writes(tree):
     """(node, attribute name) of each attribute store or delete, and each setattr/delattr by name."""
     for node in ast.walk(tree):

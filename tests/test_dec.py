@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ import scipy.sparse
 from formlap import dec, whitney
 from formlap.dec import (_build_from_tets, build_mesh, coexact_spectrum,
                          compare_sphere_spectrum, dec_import_model, hodge_stars, integer_rank,
-                         is_well_centered, laplacian_pencil, spectrum, subdivide_barycentric,
-                         unit_sphere_edge_scale)
+                         is_well_centered, laplacian_pencil, spectrum, sphere_mismatch,
+                         subdivide_barycentric, unit_sphere_edge_scale)
 from formlap.forms import InternalConsistencyError, UsageError
 from formlap.spectral import SpectralDataError
 from formlap.whitney import galerkin_laplacian, whitney_masses
@@ -506,6 +507,33 @@ def test_dec_import_promotes_only_compared_shells(c600, exact_shell, needle):
     with pytest.raises(SpectralDataError, match="matches no reference value") as info:
         dec_import_model(cmp, spec, reference)
     assert needle in str(info.value) and "the lowest exact shell is 3 (x4)" in str(info.value)
+
+
+@pytest.mark.parametrize("harmonic, exact, coexact, needle", [
+    (0, [3.0] * 4, [4.0] * 6, None),
+    (0, [3.29] * 4, [4.0] * 6, None),  # 9.7 % off
+    (0, [3.33] * 4, [4.0] * 6, "lowest exact shell is 3 (x4), 11.0% off"),
+    (1, [3.0] * 4, [4.0] * 6, "harmonic dimension 1 disagrees with reference 0"),
+], ids=["whole-shells", "within", "eleven-percent", "harmonic"])
+def test_sphere_mismatch_is_the_one_rule(c600, harmonic, exact, coexact, needle):
+    # hand-built 1-form spectra, on the unit sphere once scaled: the rule
+    # passes whole shells within 10 %, and dec_import_model promotes exactly
+    # what it passes (partial and missing shells: test_cli.py)
+    from formlap.spectral import sphere_preset
+
+    reference = sphere_preset(3, 1, 4)
+    scale = unit_sphere_edge_scale(c600)
+    spec = [(0.0, "harmonic")] * harmonic + sorted(
+        [(lam / scale, "exact") for lam in exact] + [(lam / scale, "coexact") for lam in coexact])
+    cmp = compare_sphere_spectrum(c600, 1, spec, reference)
+    verdict = sphere_mismatch(cmp, spec, reference)
+    if needle is None:
+        assert verdict is None
+        assert dec_import_model(cmp, spec, reference).source == "dec-import"
+    else:
+        assert needle in verdict
+        with pytest.raises(SpectralDataError, match="^" + re.escape(verdict) + "$"):
+            dec_import_model(cmp, spec, reference)
 
 
 def test_torus_function_eigenvalue_converges():

@@ -426,16 +426,40 @@ def test_sweep_builds_models_through_the_patched_name(monkeypatch):
     calls = []
     real = verify.synthetic_model
     monkeypatch.setattr(verify, "synthetic_model", lambda *args: calls.append(args) or real(*args))
-    assert all(r.passed for r in verify.run_sweep(["kernel"], range(4, 5), 2, Fraction(3)))
-    assert calls == [(4, k, ell, Fraction(3)) for k in (1, 2) for ell in (1, 2)]
+    assert all(r.passed for r in verify.run_sweep(["kernel"], range(4, 5), 2))
+    assert calls == [(4, k, ell, Fraction(1)) for k in (1, 2) for ell in (1, 2)]
 
 
-def test_sweep_rejects_j_zero_for_the_kernel_before_any_check(monkeypatch):
-    ran = []
-    monkeypatch.setattr(verify, "verify_factorization", lambda *args: ran.append(args))
-    with pytest.raises(UsageError, match="Ricci flat"):
-        verify.run_sweep(list(verify.THEOREMS), j_value=Fraction(0))
-    assert ran == []
+@pytest.mark.parametrize("j_value", [Fraction(-3), Fraction(-2, 3), Fraction(1, 3), Fraction(3)],
+                         ids=str)
+def test_j_one_stands_for_every_nonzero_j(j_value):
+    # L^ell_k lowers weight by 2 ell and J has weight -2: on the default grid
+    # L acts on (kind, J lam) at J as J^ell times on (kind, lam) at J = 1, and
+    # the case table's kernel content at J is J times its content at J = 1.
+    # That is why the sweep checks at J = 1 only.
+    lams = [Fraction(0), Fraction(1), Fraction(-5, 2), Fraction(7, 3), Fraction(12)]
+    for n, k, ell in default_grid(range(3, 13), 6):
+        L = build_L_definition(n, k, ell)
+        content = predicted_kernel_content(n, k, ell, Fraction(1))
+        points = [("harmonic", Fraction(0))] + [(kind, lam) for kind in ("exact", "coexact")
+                                                for lam in lams]
+        points += [(kind, lam) for kind, lam in content if lam is not None]
+        for kind, lam in points:
+            assert (L.on_eigenspace(kind, j_value, j_value * lam)
+                    == j_value ** ell * L.on_eigenspace(kind, Fraction(1), lam)), (n, k, ell, kind)
+        scaled = {(kind, None if lam is None else j_value * lam) for kind, lam in content}
+        assert predicted_kernel_content(n, k, ell, j_value) == scaled, (n, k, ell)
+
+
+def test_kernel_theorem_holds_at_a_negative_non_integer_j():
+    # the sweep's J = 1 kernel checks, rebuilt at J = -2/3 on the default
+    # grid: a negative, non-integer J reaches every J power of the scalars
+    j_value = Fraction(-2, 3)
+    cells = list(default_grid(range(3, 13), 6))
+    assert len(cells) == 210
+    for n, k, ell in cells:
+        r = verify_kernel_decomposition(n, k, ell, synthetic_model(n, k, ell, j_value))
+        assert r.passed and r.params["model"] == "synthetic", (n, k, ell, r.witness)
 
 
 def test_sweep_rejects_an_unknown_theorem_before_any_check(monkeypatch):
