@@ -11,11 +11,12 @@ The float fields of ``oracle dec``'s sphere comparison are written to
 
 No option loosens a verdict: ``verify`` checks at J = 1, which weight
 homogeneity makes stand for every J != 0, and ``oracle dec`` passes and
-promotes by one rule with one fixed tolerance, ``dec.sphere_mismatch``.
+promotes by one rule with one fixed tolerance, which
+``dec.compare_sphere_spectrum`` applies.
 
-Exit codes: 0 all checks passed; 1 a check, comparison or promotion
-failed; 2 bad input, one ``usage error:`` line, or an I/O error.  A
-broken invariant raises ``InternalConsistencyError`` and never exits 2.
+Exit codes: 0 all checks passed; 1 a check or comparison failed; 2 bad
+input, one ``usage error:`` line, or an I/O error.  A broken invariant
+raises ``InternalConsistencyError`` and never exits 2.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ def _emit_report(payload: dict, output: Path | None, stages: dict | None = None)
 def _since(start: float) -> float:
     """Wall seconds since a perf_counter reading, rounded as every stage time is."""
     return round(time.perf_counter() - start, 6)
-
-
-def _sig10(x: float) -> float:
-    return float(f"{x:.10g}")
 
 
 def report_payload_bytes(path: Path) -> bytes:
@@ -166,7 +163,7 @@ def cmd_oracle_torus(args: argparse.Namespace) -> int:
 
 def cmd_oracle_dec(args: argparse.Namespace) -> int:
     from .dec import (build_mesh, compare_sphere_spectrum, dec_import_model, spectrum,
-                      sphere_mismatch, subdivide_barycentric)
+                      subdivide_barycentric)
     from .forms import UsageError
     from .spectral import sphere_preset
 
@@ -201,19 +198,13 @@ def cmd_oracle_dec(args: argparse.Namespace) -> int:
         spec = spectrum(mesh, k, eigs)
         stages["spectrum"] = {"seconds": _since(start)}
         reference = sphere_preset(mesh.dim, k, j_max=4)
-        cmp = compare_sphere_spectrum(mesh, k, spec, reference)
-        payload["sphere_comparison"] = {
-            **cmp, "scale": _sig10(cmp["scale"]), "max_rel_error": _sig10(cmp["max_rel_error"]),
-            "entries": [{**e, "computed": _sig10(e["computed"]), "rel_error": _sig10(e["rel_error"])}
-                        for e in cmp["entries"]]}
-        failure = sphere_mismatch(cmp, spec, reference)
+        payload["sphere_comparison"], failure = compare_sphere_spectrum(mesh, k, spec, reference)
         if failure is None and args.promote is not None:
-            dec_import_model(cmp, spec, reference).save(args.promote)
+            dec_import_model(reference).save(args.promote)
             payload["promoted_to"] = str(args.promote)
     _emit_report(payload, args.output, stages)
     if failure is not None:
-        what = "sphere spectrum mismatch" if args.promote is None else "promotion failed"
-        print(f"{what}: {failure}", file=sys.stderr)
+        print(f"sphere spectrum mismatch: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -51,7 +51,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .forms import InternalConsistencyError, UsageError
-from .spectral import SpectralDataError, SpectralModel, SpectralPoint
+from .spectral import SpectralModel, SpectralPoint
 
 PHI = (1 + math.sqrt(5)) / 2
 # Rows of the largest pencil solved by dense eigh; larger ones go to
@@ -73,7 +73,7 @@ DENSE_MAX = 800
 # slowest tested or benchmarked pencil takes (the refined 600-cell's
 # 17,040-row j = 1 pencil, 12 eigenvalues)
 ARPACK_MAXITER = 300
-# The one relative tolerance of the sphere comparison (sphere_mismatch)
+# The one relative tolerance of the sphere comparison (compare_sphere_spectrum)
 SPHERE_RTOL = 0.10
 
 
@@ -206,6 +206,9 @@ def _build_from_tets(name: str, ids: np.ndarray, points: np.ndarray,
             first, inverse = first[by_appearance], rank[inverse]
         tet_faces[:, masks[d]] = inverse.reshape(n_tets, -1)
         simplices.append(keys[first])
+        # the sort's work arrays, else alive through the boundary build
+        # (2.2 MB of the refined 600-cell's 12.6 MB peak)
+        del keys, order, start, inverse
         if d == 0:
             continue
         # the faces of each simplex, read in the tet where it first appears:
@@ -631,80 +634,73 @@ def _cluster(values: list[float]) -> list[tuple[float, int]]:
     return clusters
 
 
-def _shells(reference: SpectralModel, kind: str) -> list[SpectralPoint]:
-    """The reference points of one kind, lowest eigenvalue first."""
-    return sorted((p for p in reference.points if p.kind == kind), key=lambda p: p.eigenvalue)
+def _lowest_shell(reference: SpectralModel, kind: str) -> SpectralPoint | None:
+    """The reference point of one kind with the lowest eigenvalue, or None."""
+    return min((p for p in reference.points if p.kind == kind), key=lambda p: p.eigenvalue,
+               default=None)
+
+
+def _sig10(x: float) -> float:
+    """x to 10 significant digits: its last bits follow the BLAS thread count."""
+    return float(f"{x:.10g}")
 
 
 def compare_sphere_spectrum(mesh: SimplicialMesh, k: int, spec: list[tuple[float, str]],
-                            reference: SpectralModel) -> dict:
-    """Relative discrepancy of the lowest eigenvalue shell of each kind.
+                            reference: SpectralModel) -> tuple[dict, str | None]:
+    """The lowest eigenvalue shell of each kind against the sphere, and why it fails, or None.
 
     spec is spectrum(mesh, k, ...) and reference the closed-form sphere
     model (``sphere_preset``).  Computed eigenvalues are scaled onto the unit
     sphere by the edge-geodesic factor and clustered into approximate
     multiplets; the lowest cluster of each kind is paired with the
-    lowest reference shell of that kind.
+    lowest reference shell of that kind.  The failure is the first broken
+    condition of the one rule of `oracle dec`: the reference's harmonic
+    count, and for each kind with a reference shell a computed cluster,
+    within SPHERE_RTOL of that shell and exactly as large as its
+    multiplicity.  The rule judges the unrounded values; the comparison
+    holds them to 10 significant digits.
     """
     scale = unit_sphere_edge_scale(mesh)
-    result: dict = {"mesh": mesh.name, "k": k, "scale": scale, "entries": []}
-    for kind in ("exact", "coexact"):
-        shells = _shells(reference, kind)
-        clusters = _cluster(sorted(lam * scale for lam, kd in spec if kd == kind))
-        if shells and clusters:
-            ref, (mean, size) = float(shells[0].eigenvalue), clusters[0]
-            result["entries"].append(
-                {"kind": kind, "shell": 1, "reference": ref, "computed": mean,
-                 "rel_error": abs(mean - ref) / ref,
-                 "multiplicity": shells[0].multiplicity, "cluster_size": size})
-    result["max_rel_error"] = max((e["rel_error"] for e in result["entries"]), default=math.inf)
-    return result
-
-
-def sphere_mismatch(comparison: dict, spec: list[tuple[float, str]],
-                    reference: SpectralModel) -> str | None:
-    """Why a sphere comparison fails, or None: the one rule of `oracle dec` and promotion.
-
-    The arguments are those of ``dec_import_model``.  A pass needs the
-    reference's harmonic count and, for each kind with a reference shell,
-    a computed cluster within SPHERE_RTOL of the lowest shell of that kind
-    and exactly as large as its multiplicity.
-    """
+    failures = []
     b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
     measured_b = sum(1 for lam, kd in spec if kd == "harmonic")
     if measured_b != b_k:
-        return f"harmonic dimension {measured_b} disagrees with reference {b_k}"
-    entries = {e["kind"]: e for e in comparison["entries"]}
+        failures.append(f"harmonic dimension {measured_b} disagrees with reference {b_k}")
+    entries = []
     for kind in ("exact", "coexact"):
-        shells, e = _shells(reference, kind), entries.get(kind)
-        if shells and e is None:
-            return (f"no computed {kind} eigenvalue: the lowest {kind} shell is "
-                    f"{shells[0].eigenvalue} (x{shells[0].multiplicity})")
-        if e is not None and (e["rel_error"] > SPHERE_RTOL
-                              or e["cluster_size"] != e["multiplicity"]):
-            return (f"computed {kind} shell {e['computed']:.4f} (x{e['cluster_size']}) matches "
-                    f"no reference value within {SPHERE_RTOL:.0%}: the lowest {kind} shell is "
-                    f"{e['reference']:g} (x{e['multiplicity']}), {e['rel_error']:.1%} off")
-    return None
+        shell = _lowest_shell(reference, kind)
+        if shell is None:
+            continue
+        clusters = _cluster(sorted(lam * scale for lam, kd in spec if kd == kind))
+        if not clusters:
+            failures.append(f"no computed {kind} eigenvalue: the lowest {kind} shell is "
+                            f"{shell.eigenvalue} (x{shell.multiplicity})")
+            continue
+        (mean, size), ref = clusters[0], float(shell.eigenvalue)
+        error = abs(mean - ref) / ref
+        entries.append({"kind": kind, "shell": 1, "reference": ref, "computed": _sig10(mean),
+                        "rel_error": _sig10(error), "multiplicity": shell.multiplicity,
+                        "cluster_size": size})
+        against = (f"computed {kind} shell {mean:.4f} (x{size}) against the lowest {kind} "
+                   f"shell {shell.eigenvalue} (x{shell.multiplicity})")
+        if error > SPHERE_RTOL:
+            failures.append(f"{against}: {error:.1%} off, beyond {SPHERE_RTOL:.0%}")
+        elif size != shell.multiplicity:
+            failures.append(f"{against}: cluster size {size}, not {shell.multiplicity}")
+    comparison = {"mesh": mesh.name, "k": k, "scale": _sig10(scale), "entries": entries,
+                  "max_rel_error": max((e["rel_error"] for e in entries), default=math.inf)}
+    return comparison, (failures[0] if failures else None)
 
 
-def dec_import_model(comparison: dict, spec: list[tuple[float, str]],
-                     reference: SpectralModel) -> SpectralModel:
-    """Promote the shells a sphere comparison compared into an exact model.
+def dec_import_model(reference: SpectralModel) -> SpectralModel:
+    """The exact model a passing sphere comparison promotes: what it compared, from the reference.
 
-    comparison is compare_sphere_spectrum(mesh, k, spec, reference), spec
-    is spectrum(mesh, k, ...) and reference the closed-form sphere model.
-    Each compared shell becomes a point at the exact reference eigenvalue
-    and multiplicity; higher shells are discarded as mesh-unresolved.  A
-    comparison that fails ``sphere_mismatch`` raises SpectralDataError: a
-    model with unexplained spectral content must not feed the kernel checks.
+    A pass (``compare_sphere_spectrum``) matches the lowest shell of each
+    kind that has one, so the model is the reference's harmonic points
+    and those shells, at their exact eigenvalues and multiplicities;
+    higher shells are discarded as mesh-unresolved.
     """
-    failure = sphere_mismatch(comparison, spec, reference)
-    if failure is not None:
-        raise SpectralDataError(failure)
-    b_k = sum(p.multiplicity for p in reference.points if p.kind == "harmonic")
-    points = [SpectralPoint("harmonic", Fraction(0), b_k)] if b_k else []
-    for e in comparison["entries"]:
-        shell = _shells(reference, e["kind"])[e["shell"] - 1]
-        points.append(SpectralPoint(e["kind"], shell.eigenvalue, shell.multiplicity))
-    return SpectralModel(reference.n, comparison["k"], reference.j_value, tuple(points), "dec-import")
+    lowest = (_lowest_shell(reference, kind) for kind in ("exact", "coexact"))
+    points = [p for p in reference.points if p.kind == "harmonic"]
+    points += [shell for shell in lowest if shell is not None]
+    return SpectralModel(reference.n, reference.k, reference.j_value, tuple(points), "dec-import")

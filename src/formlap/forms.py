@@ -56,7 +56,7 @@ _ZERO = Fraction(0)
 
 
 class UsageError(ValueError):
-    """Bad input: a parameter outside the package's domain (n >= 3, 1 <= k <= n/2, ell >= 1, ...)."""
+    """Bad input: a parameter outside the package's domain (n >= 3, ...), or bad spectral data."""
 
 
 class InternalConsistencyError(AssertionError):

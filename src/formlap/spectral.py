@@ -29,14 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .forms import OperatorPoly
+from .forms import OperatorPoly, UsageError
 
 KINDS = ("exact", "coexact", "harmonic")
 _ZERO = Fraction(0)
-
-
-class SpectralDataError(ValueError):
-    """Malformed spectral data, or a sphere model asked for outside its range."""
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,11 @@ class SpectralPoint:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise SpectralDataError(f"unknown point kind {self.kind!r}")
+            raise UsageError(f"unknown point kind {self.kind!r}")
         if self.kind == "harmonic" and self.eigenvalue != 0:
-            raise SpectralDataError("harmonic points carry eigenvalue 0")
+            raise UsageError("harmonic points carry eigenvalue 0")
         if self.multiplicity < 0:
-            raise SpectralDataError("negative multiplicity")
+            raise UsageError("negative multiplicity")
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ class SpectralModel:
     @staticmethod
     def from_json(data: dict) -> SpectralModel:
         if data.get("schema") != 1:
-            raise SpectralDataError(f"unsupported spectral model schema {data.get('schema')!r}")
+            raise UsageError(f"unsupported spectral model schema {data.get('schema')!r}")
         pts = tuple(
             SpectralPoint(p["kind"], Fraction(p["eigenvalue"]), int(p["multiplicity"]))
             for p in data["points"]
@@ -155,8 +151,7 @@ def sphere_preset(n: int, k: int, j_max: int) -> SpectralModel:
     each lowest level first.
     """
     if n < 2 or not 0 <= k <= n:
-        raise SpectralDataError(f"no sphere model for n = {n}, k = {k}: "
-                                "needs n >= 2 and 0 <= k <= n")
+        raise UsageError(f"no sphere model for n = {n}, k = {k}: needs n >= 2 and 0 <= k <= n")
     levels = range(1, j_max + 1)
     points = [SpectralPoint("harmonic", Fraction(0), 1)] if k in (0, n) else []
     if k >= 1:

@@ -263,7 +263,6 @@ def _index_map(src: np.ndarray, dst: np.ndarray, sign: np.ndarray) -> tuple[np.n
     return _int(src[keep]), _int(dst[keep]), _int(sign[keep])
 
 
-@lru_cache(maxsize=None)
 def _connection(n: int, k: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]:
     """Gamma_p (one map per p) and Q = sum_p Gamma_p^2 on tractor k-forms, as signed index maps.
 

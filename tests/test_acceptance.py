@@ -169,8 +169,9 @@ def test_criterion_08_kernel_decomposition(capfd):
     # the imported sphere model
     mesh = build_mesh("cell600")
     reference, spec = sphere_preset(3, 1, 4), spectrum(mesh, 1, 40)
-    sphere = dec_import_model(compare_sphere_spectrum(mesh, 1, spec, reference), spec, reference)
-    sphere_ok = all(verify_kernel_decomposition(3, 1, ell, sphere).passed for ell in (1, 2, 3))
+    sphere = dec_import_model(reference)
+    sphere_ok = compare_sphere_spectrum(mesh, 1, spec, reference)[1] is None and all(
+        verify_kernel_decomposition(3, 1, ell, sphere).passed for ell in (1, 2, 3))
     report(capfd, "8 kernel decomposition on synthetic and imported sphere models",
            not failures and distinct_ok and sphere_ok,
            f"{len(GRID)} synthetic models, {len(failures)} failures; "
@@ -210,8 +211,8 @@ def test_criterion_10_dec_oracle(capfd):
                 and refined_mesh.betti == (1, 0, 0, 1))
 
     reference = sphere_preset(3, 1, 2)
-    coarse = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)
-    refined = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12), reference)
+    coarse, _ = compare_sphere_spectrum(sphere, 1, spectrum(sphere, 1, 40), reference)
+    refined, _ = compare_sphere_spectrum(refined_mesh, 1, spectrum(refined_mesh, 1, 12), reference)
     elapsed = time.time() - t0
     ok = (betti_ok and coarse["max_rel_error"] <= 0.10
           and refined["max_rel_error"] < coarse["max_rel_error"]

@@ -346,9 +346,9 @@ def test_oracle_dec_spectrum_mismatch_prints_one_line(capsys, tmp_path):
                     "--output", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sphere spectrum mismatch:")
-    assert "within 10%: the lowest coexact shell is 3 (x4)" in lines[0]
     error = json.loads(out.read_text())["report"]["sphere_comparison"]["max_rel_error"]
-    assert f"{error:.1%} off" in lines[0]
+    assert f"{error:.1%}" == "24.8%"
+    assert lines[0].endswith("against the lowest coexact shell 3 (x4): 24.8% off, beyond 10%")
 
 
 @pytest.mark.parametrize("eigs, needle", [
@@ -358,24 +358,30 @@ def test_oracle_dec_spectrum_mismatch_prints_one_line(capsys, tmp_path):
 ])
 def test_oracle_dec_fails_a_partial_or_missing_shell(capsys, tmp_path, eigs, needle):
     # the 600-cell's 1-form shells lie within 10%, but too few eigenvalues
-    # compare part of a shell (1 of 4 exact, 1 of 6 coexact) or none of one
+    # compare part of a shell (1 of 4 exact, 1 of 6 coexact) or none of one,
+    # and the line names that cause, not the distance (3.2 % and 7.0 % off)
     assert run_cli(["oracle", "dec", "--mesh", "cell600", "--k", "1", "--eigs", eigs,
                     "--output", str(tmp_path / "dec.json")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sphere spectrum mismatch:")
-    assert needle in lines[0]
+    assert needle in lines[0] and "% off" not in lines[0]
+    cause = {"1": "against the lowest exact shell 3 (x4): cluster size 1, not 4",
+             "4": "the lowest coexact shell is 4 (x6)",
+             "5": "against the lowest coexact shell 4 (x6): cluster size 1, not 6"}[eigs]
+    assert lines[0].endswith(cause)
 
 
 def test_oracle_dec_exit_code_and_promotion_read_one_rule(monkeypatch, capsys, tmp_path):
-    # dec.sphere_mismatch decides both: a stub verdict fails the run and
-    # withholds the model that the real one would promote
+    # dec.compare_sphere_spectrum's verdict decides both: a stub failure
+    # fails the run and withholds the model that the real verdict would promote
     import formlap.dec as dec
 
-    model = tmp_path / "m.json"
-    monkeypatch.setattr(dec, "sphere_mismatch", lambda *args: "stub verdict")
+    model, real = tmp_path / "m.json", dec.compare_sphere_spectrum
+    monkeypatch.setattr(dec, "compare_sphere_spectrum",
+                        lambda *args: (real(*args)[0], "stub verdict"))
     assert run_cli(["oracle", "dec", "--mesh", "cell600", "--k", "1", "--promote", str(model),
                     "--output", str(tmp_path / "dec.json")]) == 1
-    assert capsys.readouterr().err == "promotion failed: stub verdict\n"
+    assert capsys.readouterr().err == "sphere spectrum mismatch: stub verdict\n"
     assert not model.exists()
 
 
@@ -499,7 +505,8 @@ def test_oracle_dec_subdivided_sphere(capsys, tmp_path):
                      for e in report["sphere_comparison"]["entries"]}
     assert errors == {0: {"coexact": (0.09, 4)}, 1: {"exact": (0.09, 4), "coexact": (0.159, 6)}}
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and "the lowest coexact shell is 4 (x6), 15.9% off" in lines[0]
+    assert len(lines) == 1 and lines[0].endswith(
+        "against the lowest coexact shell 4 (x6): 15.9% off, beyond 10%")
 
 
 def test_oracle_dec_unwritable_promote(capsys, tmp_path):
@@ -511,13 +518,12 @@ def test_oracle_dec_unwritable_promote(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("i/o error:")
 
 
-def _assert_failed_promotion(capsys, tmp_path, k):
+def _assert_failed_promotion(capsys, tmp_path, k, cause):
     out, model = tmp_path / "dec.json", tmp_path / "m.json"
     assert run_cli(["oracle", "dec", "--mesh", "boundary-4-simplex", "--k", str(k), "--eigs", "4",
                     "--promote", str(model), "--output", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("promotion failed:")
-    assert "matches no reference value" in lines[0]
+    assert lines == [f"sphere spectrum mismatch: {cause}"]
     report = json.loads(out.read_text())["report"]
     assert report["betti"] == [1, 0, 0, 1] and "promoted_to" not in report
     assert report["sphere_comparison"]["max_rel_error"] > 0.1
@@ -526,14 +532,16 @@ def _assert_failed_promotion(capsys, tmp_path, k):
 
 def test_oracle_dec_failed_promotion(capsys, tmp_path):
     # no computed 1-form shell of the 5-cell lies within 10% of a reference value
-    _assert_failed_promotion(capsys, tmp_path, 1)
+    _assert_failed_promotion(capsys, tmp_path, 1, "computed exact shell 2.2556 (x4) against the "
+                             "lowest exact shell 3 (x4): 24.8% off, beyond 10%")
 
 
 def test_oracle_dec_failed_promotion_higher_shell(capsys, tmp_path):
     # the lowest computed 3-form cluster of the 5-cell is compared with the
     # lowest shell (3) and fails; it lies within 10% of the third (15), which
     # must not make it promotable
-    _assert_failed_promotion(capsys, tmp_path, 3)
+    _assert_failed_promotion(capsys, tmp_path, 3, "computed exact shell 13.5336 (x4) against the "
+                             "lowest exact shell 3 (x4): 351.1% off, beyond 10%")
 
 
 def test_console_entry_point():

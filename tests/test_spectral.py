@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
 from formlap.factory import build_L_definition, default_grid
-from formlap.forms import InternalConsistencyError, OperatorPoly
-from formlap.spectral import (SpectralDataError, SpectralModel, SpectralPoint, kernel_dim,
+from formlap.forms import InternalConsistencyError, OperatorPoly, UsageError
+from formlap.spectral import (SpectralModel, SpectralPoint, kernel_dim,
                               sphere_preset, synthetic_model, torus_preset)
 from strategies import operators
 from weyl_reference import casimir, harmonic_polynomials, weyl_dimension
@@ -194,7 +194,7 @@ def test_sphere_preset_function_case():
 
 def test_sphere_preset_errors():
     for n, k in ((3, 4), (3, -1), (1, 0), (0, 0)):
-        with pytest.raises(SpectralDataError, match="needs n >= 2 and 0 <= k <= n"):
+        with pytest.raises(UsageError, match="needs n >= 2 and 0 <= k <= n"):
             sphere_preset(n, k, 2)
 
 
@@ -325,7 +325,7 @@ def test_synthetic_model_deterministic():
 
 
 def test_harmonic_point_validation():
-    with pytest.raises(SpectralDataError):
+    with pytest.raises(UsageError):
         SpectralPoint("harmonic", Fraction(2), 1)
-    with pytest.raises(SpectralDataError):
+    with pytest.raises(UsageError):
         SpectralPoint("mystery", Fraction(0), 1)
