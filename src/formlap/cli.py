@@ -6,6 +6,9 @@ count, for ``oracle dec`` the wall seconds of the mesh (build plus
 subdivision), the Betti numbers and the spectrum, and the mesh
 f-vector) and a deterministic report payload: identical configurations
 produce byte-identical payloads, so reports can be diffed across runs.
+A report file is compact JSON with sorted keys, one line written by
+the C encoder; ``report_payload_bytes`` reads its payload back in the
+canonical indented form, so payload digests do not depend on the layout.
 The float fields of ``oracle dec``'s sphere comparison are written to
 10 significant digits: their last bits follow the BLAS thread count.
 
@@ -36,7 +39,7 @@ def _emit_report(payload: dict, output: Path | None, stages: dict | None = None)
     if stages is not None:
         meta["stages"] = stages
     doc = {"meta": meta, "report": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, sort_keys=True) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -49,7 +52,7 @@ def _since(start: float) -> float:
 
 
 def report_payload_bytes(path: Path) -> bytes:
-    """The deterministic payload of a written report (for diffing)."""
+    """The deterministic payload of a written report (for diffing), indented canonically."""
     doc = json.loads(path.read_text())
     return (json.dumps(doc["report"], indent=2, sort_keys=True) + "\n").encode()
 

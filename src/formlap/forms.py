@@ -30,14 +30,15 @@ order) or as integer numerators over one denominator
 ``combine``, which closed forms with integer coefficients call
 directly).  They leave as ``RatJ``
 coefficients (``monomials``, ``proportionality``), as scalars
-(``on_eigenspace``) or as text (``render``).
+(``on_eigenspace``), as zero tests (``kills``) or as text (``render``).
 
 An element of R reaches an eigenspace only through one reducer, an
-integer Horner sum over the numerators with at most one Fraction built
-per call: on an exact eigenform of eigenvalue lam, E = lam and F = 0,
-on a coexact one E = 0 and F = lam, and on a harmonic one E = F = 0, so
-the element acts there as a scalar (``OperatorPoly.on_eigenspace``,
-which reduces only the side it needs).
+integer Horner sum over the numerators: on an exact eigenform of
+eigenvalue lam, E = lam and F = 0, on a coexact one E = 0 and F = lam,
+and on a harmonic one E = F = 0, so the element acts there as a scalar.
+One reducer, two reads, each of only the side it needs:
+``OperatorPoly.on_eigenspace`` builds that scalar as one Fraction, and
+``OperatorPoly.kills`` only asks whether it vanishes, and builds none.
 
 Forms of degree k - 1 built from a generator of degree k are all delta
 of an operator with no F part (delta F = delta delta d = 0), and
@@ -235,12 +236,26 @@ class OperatorPoly:
         on exact forms (E -> lam, F -> 0), the same with the f_q on coexact
         forms, and const J^m on harmonic forms.
         """
+        num, dnm = _reduce(self._side(kind), self.order, j_value, lam)
+        return Fraction(num, self.den * dnm) if num else _ZERO
+
+    def kills(self, kind: str, j_value: Fraction, lam: Fraction | int) -> bool:
+        """Whether the operator vanishes on a kind eigenform of eigenvalue lam.
+
+        ``on_eigenspace(kind, j_value, lam) == 0``, read from the same
+        reducer without building the Fraction; at J = 0 it raises on the
+        same poles.
+        """
+        return not _reduce(self._side(kind), self.order, j_value, lam)[0]
+
+    def _side(self, kind: str) -> tuple[int, ...]:
+        """The numerators a kind reads: the constant, then the E or F side (neither if harmonic)."""
         if kind == "exact":
-            return _reduce((self.c_num, *self.e_nums), self.den, self.order, j_value, lam)
+            return (self.c_num, *self.e_nums)
         if kind == "coexact":
-            return _reduce((self.c_num, *self.f_nums), self.den, self.order, j_value, lam)
+            return (self.c_num, *self.f_nums)
         if kind == "harmonic":
-            return _reduce((self.c_num,), self.den, self.order, j_value, lam)
+            return (self.c_num,)
         raise InternalConsistencyError(f"unknown eigenspace kind {kind!r}")
 
     def render(self, latex: bool = False) -> str:
@@ -275,17 +290,16 @@ def _wrap(c: str) -> str:
     return c
 
 
-def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
-            lam: Fraction | int) -> Fraction:
-    """sum_i nums[i] * J**(top - i) * lam**i / den at J = j_value.
+def _reduce(nums: tuple[int, ...], top: int, j_value: Fraction,
+            lam: Fraction | int) -> tuple[int, int]:
+    """Integers (num, dnm) with sum_i nums[i] * J**(top - i) * lam**i = num / dnm at J = j_value.
 
-    The one place where powers of E and F meet an eigenvalue.  For
-    J = p/q != 0 and lam = r/s, with d = len(nums) - 1, this is
-    J**(top - d) / (den (qs)**d) times the integer Horner sum
-    sum_i nums[i] (rq)**i (sp)**(d - i), and one Fraction is built at
-    the end, or none when the sum vanishes (the shared zero is returned).
-    At J = 0 only the term of J power 0 survives, and a nonzero
-    coefficient of negative J power is a pole (CoefficientError).
+    The one place where powers of E and F meet an eigenvalue; num is 0
+    exactly when the sum vanishes.  For J = p/q != 0 and lam = r/s, with
+    d = len(nums) - 1, the sum is J**(top - d) / (qs)**d times the
+    integer Horner sum sum_i nums[i] (rq)**i (sp)**(d - i).  At J = 0
+    only the term of J power 0 survives, and a nonzero coefficient of
+    negative J power is a pole (CoefficientError).
     """
     p, q = j_value.numerator, j_value.denominator
     r, s = lam.numerator, lam.denominator
@@ -297,17 +311,17 @@ def _reduce(nums: tuple[int, ...], den: int, top: int, j_value: Fraction,
             y_pow *= y
             acc = acc * x + c * y_pow
         if not acc:
-            return _ZERO
-        num, dnm = acc, den * (q * s) ** d
+            return 0, 1
+        num, dnm = acc, (q * s) ** d
         e = top - d
         if e > 0:
             num, dnm = num * p ** e, dnm * q ** e
         elif e < 0:
             num, dnm = num * q ** -e, dnm * p ** -e
-        return Fraction(num, dnm)
+        return num, dnm
     if any(nums[max(top + 1, 0):]):
         raise CoefficientError("pole at J = 0")
-    return Fraction(nums[top] * r ** top, den * s ** top) if 0 <= top <= d else _ZERO
+    return (nums[top] * r ** top, s ** top) if 0 <= top <= d else (0, 1)
 
 
 def _trim(nums: list[int] | tuple[int, ...]) -> tuple[int, ...]:

@@ -7,11 +7,14 @@ side the point's kind needs: E -> lam on exact points, F -> lam on
 coexact points, neither on harmonic points; that is the one reducer in
 ``forms``.  ``factor_kernel_content`` reads the roots of an order-one
 factor from its integer numerators.  Null-space dimensions are sums of
-multiplicities over points where the scalar vanishes.
+multiplicities over points where the scalar vanishes, which
+``OperatorPoly.kills`` reads from the same reducer without building it.
 
 ``content_covers`` is the one rule for whether a kernel content (a set
 of (kind, eigenvalue), None for every point of the kind) holds a point;
 a degree-one factor kills exactly the points its content covers.
+``synthetic_model`` applies that rule to all factor contents at once,
+by counting their entries.
 
 Presets: the unit round n-sphere (from its closed-form spectrum, J =
 n/2) and the flat torus (computed from lattice modes, J = 0).  Models
@@ -93,7 +96,7 @@ class SpectralModel:
 def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
     """Sum of multiplicities over model points annihilated by the operator."""
     return sum(pt.multiplicity for pt in model.points
-               if op.on_eigenspace(pt.kind, model.j_value, pt.eigenvalue) == 0)
+               if op.kills(pt.kind, model.j_value, pt.eigenvalue))
 
 
 def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str, Fraction | None]]:
@@ -191,8 +194,9 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
     omitted: the decomposition theorems presume per-kind distinctness,
     and the verifier reports coincidences rather than asserting an
     outcome), plus harmonic content and three off-kernel noise points.
-    Which factors kill a point is read from their kernel contents by
-    ``content_covers``; no operator is evaluated.
+    Which factors kill a point is read from their kernel contents, by
+    ``content_covers``'s rule counted over all of them at once; no
+    operator is evaluated.
     """
     import random
 
@@ -200,9 +204,12 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
 
     rng = random.Random((n * 1009 + k * 101 + ell * 11) & 0x7FFFFFFF)
     contents = [factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)]
+    # a content holds each kind at most once, so the factors that kill a
+    # point are those holding (kind, None) plus those holding (kind, lam)
+    held = collections.Counter(entry for content in contents for entry in content)
 
     def killers(kind: str, lam: Fraction) -> int:
-        return sum(content_covers(c, kind, lam) for c in contents)
+        return held[kind, None] + held[kind, lam]
 
     points: list[SpectralPoint] = []
     seen: set[tuple[str, Fraction]] = set()

@@ -64,11 +64,18 @@ def whitney_masses(mesh: SimplicialMesh) -> dict:
 
     masses = {"M0_lumped": scipy.sparse.diags(np.bincount(
         mesh.faces(0).ravel(), np.repeat(vol / (dim + 1), dim + 1))).tocsr()}
+    subsets = local_faces(dim)[0]
     for k in range(dim):
-        # face s without its vertex i, for every k-face s and position i
-        faces, i = np.array(local_faces(dim)[0][k]), np.arange(k + 1)
-        rest = faces[:, [[v for v in i if v != u] for u in i]]
-        det = _gram_det(gdot, rest[:, :, None, None], rest[None, None])
+        # face s without its vertex i is a (k-1)-face: one Gram determinant per pair
+        # of (k-1)-faces, gathered to every pair of (face, position) pairs
+        faces, i = np.array(subsets[k]), np.arange(k + 1)
+        lower = subsets[k - 1] if k else ((),)
+        index = {face: a for a, face in enumerate(lower)}
+        rest = np.array([[index[tuple(v for v in s if v != u)] for u in s] for s in subsets[k]])
+        rows = np.array(lower, dtype=int).reshape(len(lower), k)
+        det = _gram_det(gdot, rows[:, None], rows[None])
+        if k:  # at k = 0 the one empty Gram block has determinant 1
+            det = det[:, rest[:, :, None, None], rest[None, None]]
         weight = (-1) ** (i[:, None, None] + i) * (1 + (faces[:, :, None, None] == faces[None, None]))
         block = math.factorial(k) ** 2 * scale * (weight * det).sum(axis=(-3, -1))
         masses[f"M{k}"] = _assemble(mesh.faces(k), block, len(mesh.simplices[k]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from formlap.cli import main, report_payload_bytes
+from formlap.cli import _emit_report, main, report_payload_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -97,6 +97,24 @@ def test_verify_deterministic_payload(tmp_path):
     assert run_cli(args + ["--output", str(a)]) == 0
     assert run_cli(args + ["--output", str(b)]) == 0
     assert report_payload_bytes(a) == report_payload_bytes(b)
+
+
+def test_report_file_is_compact_and_reads_back_to_the_emitted_document(tmp_path):
+    out, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    payload = {"schema": 1, "results": [{"witness": {"monomial": "δ∘E^2", "lhs": "-3/2*J"},
+                                         "error": 0.1 + 0.2, "status": "pass"}]}
+    stages = {"kernel": {"checks": 2, "seconds": 0.012345}}
+    _emit_report(payload, out, stages)
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["report"] == payload and doc["meta"]["stages"] == stages
+    # one line, sorted keys, no indentation
+    assert text == json.dumps(doc, sort_keys=True) + "\n" and text.count("\n") == 1
+    # the payload bytes are the canonical indented form, whatever the file's layout
+    indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert report_payload_bytes(out) == report_payload_bytes(indented)
+    assert report_payload_bytes(out) == (json.dumps(payload, indent=2, sort_keys=True)
+                                         + "\n").encode()
 
 
 # sha256 of the deterministic payload of the default-grid `formlap verify`

@@ -33,6 +33,8 @@ def test_on_eigenspace_pole():
     op = OperatorPoly(4, 2, -1, 1)  # 1/J
     with pytest.raises(CoefficientError):
         op.on_eigenspace("exact", Fraction(0), Fraction(1))
+    with pytest.raises(CoefficientError):
+        op.kills("exact", Fraction(0), Fraction(1))
 
 
 # J off 1, zero included, and eigenvalues of either sign with non-unit
@@ -102,6 +104,21 @@ def test_on_eigenspace_reads_only_its_side(op, j, lam):
         point_lam = Fraction(0) if kind == "harmonic" else lam
         assert (op.on_eigenspace(kind, j, lam) == op.on_eigenspace(kind, j, point_lam)
                 == side.on_eigenspace(kind, j, lam) == expected)
+
+
+@given(operators(), j_values, eigenvalues)
+@settings(max_examples=150)
+def test_kills_reads_whether_on_eigenspace_vanishes(op, j, lam):
+    # one reducer, two reads: the zero test agrees with the scalar, and at
+    # J = 0 both raise on the same poles
+    for kind in ("exact", "coexact", "harmonic"):
+        try:
+            value = op.on_eigenspace(kind, j, lam)
+        except CoefficientError:
+            with pytest.raises(CoefficientError):
+                op.kills(kind, j, lam)
+            continue
+        assert op.kills(kind, j, lam) is (value == 0)
 
 
 def test_on_eigenspace_rejects_unknown_kind():

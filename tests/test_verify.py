@@ -271,6 +271,37 @@ def test_bezout_sweep_samples():
         assert r.witness["pairs_solved"] >= 1
 
 
+def test_bezout_solves_each_pair_once_per_n_k(monkeypatch):
+    # 1,225 pairs over the default grid, 545 of them distinct within their
+    # (n, k); the 20 obstructed pairs at w = 0 are among the 545
+    solve, real = verify._solve_bezout, verify.bezout
+    solves, calls = [], []
+    monkeypatch.setattr(verify, "_solve_bezout", lambda s, t: solves.append((s, t)) or solve(s, t))
+    monkeypatch.setattr(verify, "bezout", lambda s, t: calls.append((s, t)) or real(s, t))
+    verify._solved_pairs.cache_clear()
+    assert all(r.passed for r in verify.run_sweep(["bezout"]))
+    assert (len(calls), len(solves)) == (1225, 545)
+
+
+def test_bezout_keeps_only_solved_pairs_and_a_swapped_solver_sees_every_pair(monkeypatch):
+    # w = 0 at (6, 1, 2): the one pair raises, and is solved again on every call
+    solve, solves = verify._solve_bezout, []
+    monkeypatch.setattr(verify, "_solve_bezout", lambda s, t: solves.append((s, t)) or solve(s, t))
+    s, t = closed_factors(6, 1, 2)
+    for _ in range(2):
+        with pytest.raises(BezoutError):
+            bezout(s, t)
+    assert len(solves) == 2
+    # after a cell has run for real, a solver that replaces bezout is still
+    # called on each of its pairs: the memo lives inside bezout
+    assert verify_bezout_pairs(8, 2, 3).passed
+    factors = closed_factors(8, 2, 3)
+    swapped = []
+    monkeypatch.setattr(verify, "bezout", lambda s, t: swapped.append((s, t)) or (s, t))
+    verify_bezout_pairs(8, 2, 3)
+    assert swapped == [(factors[i], factors[j]) for i in range(3) for j in range(i + 1, 3)]
+
+
 def test_kernel_decomposition_example():
     model = SpectralModel(4, 2, Fraction(1), (
         SpectralPoint("harmonic", Fraction(0), 3),
@@ -320,20 +351,38 @@ def test_synthetic_models_pass():
 
 
 def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch):
-    real, calls = OperatorPoly.on_eigenspace, []
+    real, reads, values = OperatorPoly.kills, [], []
 
     def counting(op, kind, j_value, lam):
-        calls.append((kind, lam))
+        reads.append((kind, lam))
         return real(op, kind, j_value, lam)
 
     # on the class: every caller, spectral helpers such as kernel_dim too
-    monkeypatch.setattr(OperatorPoly, "on_eigenspace", counting)
+    monkeypatch.setattr(OperatorPoly, "kills", counting)
+    monkeypatch.setattr(OperatorPoly, "on_eigenspace", lambda *args: values.append(args))
     # the model is read from the factors' kernel contents, not evaluated
     model = synthetic_model(6, 2, 3, Fraction(1))
-    assert calls == []
+    assert reads == []
     assert verify_kernel_decomposition(6, 2, 3, model).passed
     factors = closed_factors(6, 2, 3)
-    assert len(calls) == (len(factors) + 1) * len(model.points) == 32
+    # one zero test per (operator, point), and no scalar is built
+    assert len(reads) == (len(factors) + 1) * len(model.points) == 32
+    assert values == []
+
+
+def test_kills_is_the_zero_test_of_on_eigenspace_on_the_kernel_sweep():
+    # every (operator, point) the default grid's kernel sweep reads: L and
+    # each closed factor on each point of the cell's synthetic model
+    pairs = zeros = 0
+    for n, k, ell in default_grid():
+        model = synthetic_model(n, k, ell, Fraction(1))
+        for op in (build_L_definition(n, k, ell), *closed_factors(n, k, ell)):
+            for pt in model.points:
+                killed = op.kills(pt.kind, model.j_value, pt.eigenvalue)
+                assert killed == (op.on_eigenspace(pt.kind, model.j_value, pt.eigenvalue) == 0)
+                pairs += 1
+                zeros += killed
+    assert (pairs, zeros) == (10560, 2752)
 
 
 def test_kernel_decomposition_reports_coincidences():
