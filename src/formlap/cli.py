@@ -98,7 +98,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .forms import UsageError
-    from .verify import THEOREMS, run_sweep
+    from .verify import SWEEP_J, THEOREMS, run_sweep
 
     theorems = list(THEOREMS) if args.theorems is None else args.theorems
     reports = run_sweep(theorems, range(args.n_min, args.n_max + 1), args.ell_max)
@@ -111,7 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "n_range": [args.n_min, args.n_max],
             "ell_max": args.ell_max,
             "theorems": sorted(set(theorems)),
-            "j_value": "1",  # the sweep's J, which stands for every J != 0 (weight grading)
+            "j_value": str(SWEEP_J),  # stands for every J != 0 (weight grading)
         },
         "results": [r.as_json() for r in reports],
         "summary": {"checks": len(reports), "failed": len(failures)},

@@ -5,13 +5,12 @@ and carries conformal weight -2.  Operators store integer numerators
 over one denominator and one J order each (see ``forms``), so weight
 homogeneity holds by construction there.  ``RatJ`` is the read-out
 type: one coefficient c * J**m of an operator, as a payload, a witness
-or text, with ``c`` a
-``Fraction`` and ``m`` an ``int``, and zero as (0, 0).  ``eval_at``
-substitutes a value for J.  The symbolic core does no arithmetic in
-``RatJ``; its ring operations stay because the benchmark tracer patches
-them by name.  Adding two nonzero values of different J degree raises
-``CoefficientError``; products and quotients of nonzero values are
-nonzero monomials again, so equality is structural.
+or text, with ``c`` a ``Fraction`` and ``m`` an ``int``, and zero as
+(0, 0), read through ``is_zero``.  The symbolic core does no arithmetic
+in ``RatJ``; its ring operations stay because the benchmark tracer
+patches them by name.  Adding two nonzero values of different J degree
+raises ``CoefficientError``; products and quotients of nonzero values
+are nonzero monomials again, so equality is structural.
 
 There is no floating point anywhere in this module.
 """
@@ -32,6 +31,7 @@ class RatJ:
     """The graded monomial c * J**m; zero is c = 0, m = 0.
 
     Instances are immutable values: no method changes ``c`` or ``m``.
+    Equality compares both, and instances are unhashable.
     """
 
     __slots__ = ("c", "m")
@@ -90,24 +90,12 @@ class RatJ:
             raise CoefficientError("inverse of zero")
         return RatJ(1 / self.c, -self.m)
 
-    def eval_at(self, j0: Fraction | int) -> Fraction:
-        """Exact substitution J -> j0; raises at the pole J = 0 when m < 0."""
-        if self.m < 0 and j0 == 0:
-            raise CoefficientError(f"pole at J = {j0}")
-        return self.c * Fraction(j0) ** self.m if self.m else self.c
-
     # -- value semantics ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatJ):
             return NotImplemented
         return self.c == other.c and self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.m))
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
 
     def __repr__(self) -> str:
         return f"RatJ({self.c!r}, {self.m})"

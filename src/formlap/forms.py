@@ -77,8 +77,6 @@ class FormContext:
             raise UsageError(f"dimension n = {self.n} < 3")
         if not 1 <= self.k <= self.n // 2:
             raise UsageError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
-        if type(self.w) is not Fraction:
-            object.__setattr__(self, "w", Fraction(self.w))
 
 
 class OperatorPoly:

@@ -73,9 +73,8 @@ around.  M runs in int64 when its entries and partial sums are below
 tables, the Gamma_p and Q maps, the box's sparse pattern, the E pair
 table and the slot row blocks are built once per (n, k); the
 similarity S is never formed, since it is folded into the box and the
-splitting.  ``box_matrix`` (the dense box of one mode),
-``CMat`` and ``mode_matrices`` are references for the tests; the oracle
-does not use them.
+splitting.  ``box_matrix`` (the dense box of one mode) and ``CMat`` are
+references for the tests; the oracle does not use them.
 """
 
 from __future__ import annotations
@@ -194,13 +193,6 @@ def _eps(x: np.ndarray, k: int) -> np.ndarray:
     a, col = np.nonzero(signs)
     out[..., rows[a, col], col] = x[..., a] * signs[a, col]
     return out
-
-
-def mode_matrices(n: int, k: int, xi: tuple[int, ...]) -> tuple[CMat, CMat]:
-    """d = i eps(xi) on k-forms and codifferential = -i iota(xi) on k-forms."""
-    x = np.array([int(v) for v in xi], dtype=object)
-    d, lower = _eps(x, k), _eps(x, k - 1)
-    return CMat(_obj(d.shape), d), CMat(_obj(lower.T.shape), -lower.T)
 
 
 @lru_cache(maxsize=None)

@@ -385,20 +385,23 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
 # -- sweeps -------------------------------------------------------------------
 
 
+# The sweep's J: models are built at J = 1, which stands for every J != 0.
+# L is weight-homogeneous, so its scalar on (kind, J lam) at J is J^ell
+# times that on (kind, lam) at 1, and the case-table roots scale alike.
+SWEEP_J = Fraction(1)
+
 # The theorem table: each selectable name, in the order a grid cell runs
 # its checks, gives the checks of one cell (n, k, ell), each a call
-# returning one report.  Models are built at J = 1, which stands for every
-# J != 0: L is weight-homogeneous, so its scalar on (kind, J lam) at J is
-# J^ell times that on (kind, lam) at 1, and the case-table roots scale alike.
-# A check names verify_* and synthetic_model when it runs, so a patched
-# module attribute (the benchmark's tracer, a mutant) is the one called.
+# returning one report.  A check names verify_* and synthetic_model when
+# it runs, so a patched module attribute (the benchmark's tracer, a
+# mutant) is the one called.
 THEOREMS: dict[str, Callable[[int, int, int], list[Callable[[], VerificationReport]]]] = {
     "factorization": lambda n, k, ell: [lambda: verify_factorization(n, k, ell)],
     "MMstar": lambda n, k, ell: [lambda p=p: verify_MMstar(n, k, ell, p) for p in range(1, ell)],
     "LG": lambda n, k, ell: [lambda: verify_LG(n, k, ell)],
     "bezout": lambda n, k, ell: [lambda: verify_bezout_pairs(n, k, ell)] if ell >= 2 else [],
     "kernel": lambda n, k, ell: [lambda: verify_kernel_decomposition(
-        n, k, ell, synthetic_model(n, k, ell, Fraction(1)))],
+        n, k, ell, synthetic_model(n, k, ell, SWEEP_J))],
 }
 
 

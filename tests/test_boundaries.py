@@ -128,6 +128,58 @@ def test_raises_name_package_errors_and_only_main_catches_usage_errors():
     assert main_catches
 
 
+def _spectrum_above_the_top_degree():
+    from formlap.dec import build_mesh, spectrum
+
+    mesh = build_mesh("boundary-4-simplex")
+    spectrum(mesh, mesh.dim + 1, 1)
+
+
+def _galerkin_at_degree_two():
+    from formlap.dec import build_mesh
+    from formlap.whitney import galerkin_laplacian
+
+    galerkin_laplacian(build_mesh("boundary-4-simplex"), 2)
+
+
+def _tmodbox_at_p_zero():
+    from fractions import Fraction
+
+    from formlap.factory import build_tmodbox
+
+    build_tmodbox(6, 2, Fraction(1), 0)
+
+
+def _negative_multiplicity():
+    from fractions import Fraction
+
+    from formlap.spectral import SpectralPoint
+
+    SpectralPoint("exact", Fraction(1), -1)
+
+
+def _unknown_model_schema():
+    from formlap.spectral import SpectralModel
+
+    SpectralModel.from_json({"schema": 2, "n": 4, "k": 1, "j_value": "1", "points": []})
+
+
+@pytest.mark.parametrize("rule, message", [
+    (_spectrum_above_the_top_degree, "degree 4 outside 0..3"),
+    (_galerkin_at_degree_two, "degrees 0 and 1 only"),
+    (_tmodbox_at_p_zero, "p = 0 < 1"),
+    (_negative_multiplicity, "negative multiplicity"),
+    (_unknown_model_schema, "schema 2"),
+], ids=["spectrum-degree", "galerkin-degree", "tmodbox-p", "multiplicity", "model-schema"])
+def test_input_rules_behind_the_commands_raise_usage_errors(rule, message):
+    # rules that no command fires: the CLI checks --k itself, and no
+    # command reaches the others with bad input
+    from formlap.forms import UsageError
+
+    with pytest.raises(UsageError, match=message):
+        rule()
+
+
 def test_cli_names_no_theorem():
     # what a theorem is, its grid and its input rules, lives in verify.THEOREMS
     from formlap.verify import THEOREMS

@@ -257,6 +257,55 @@ def test_verify_unwritable_output(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mutant", ["closed-factor", "tmodbox"])
+def test_verify_exits_1_on_failing_checks_with_their_witnesses(monkeypatch, capsys, tmp_path,
+                                                               mutant):
+    # a closed factor with its constant moved by one breaks the factorization,
+    # and a doubled second-order reduction breaks MMstar, on the whole default grid
+    import functools
+    import operator
+
+    from formlap import verify
+    from formlap.coeffring import ZERO
+    from formlap.forms import OperatorPoly
+
+    real_factors, real_tmodbox = verify.closed_factors, verify.build_tmodbox
+
+    def bumped_factors(n, k, ell):
+        first, *rest = real_factors(n, k, ell)
+        return (OperatorPoly.from_numerators(n, k, first.order, first.c_num + first.den,
+                                             first.e_nums, first.f_nums, first.den), *rest)
+
+    if mutant == "closed-factor":
+        monkeypatch.setattr(verify, "closed_factors", bumped_factors)
+        theorem = "factorization"
+    else:
+        monkeypatch.setattr(verify, "build_tmodbox", lambda *args: real_tmodbox(*args).scale(2))
+        theorem = "MMstar"
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", "--theorems", theorem, "--output", str(out)]) == 1
+    report = json.loads(out.read_text())["report"]
+    failed = [r for r in report["results"] if r["status"] == "fail"]
+    assert report["summary"]["failed"] == len(failed) > 10
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 10 and all(line.startswith(f"FAIL {theorem} {{") for line in lines)
+    # each witness names a monomial where the two sides differ, with both coefficients
+    for r in failed:
+        n, k, ell = (r["params"][key] for key in ("n", "k", "ell"))
+        if mutant == "closed-factor":
+            lhs = functools.reduce(operator.mul, bumped_factors(n, k, ell))
+            rhs = verify.build_L_definition(n, k, ell)
+        else:  # the unmutated reduction route, which equals the scaled L, and twice it
+            p = r["params"]["p"]
+            lhs = verify.build_L_definition(n, k, ell - p) * real_tmodbox(
+                n, k, verify.operator_weight(n, k, ell), p)
+            rhs = lhs.scale(2)
+        sides = [op.monomials().get(r["witness"]["monomial"], ZERO) for op in (lhs, rhs)]
+        assert sides[0] != sides[1], r
+        assert r["witness"] == {"monomial": r["witness"]["monomial"],
+                                "lhs": str(sides[0]), "rhs": str(sides[1])}
+
+
 def test_oracle_torus_small(tmp_path):
     out = tmp_path / "torus.json"
     code = run_cli(["oracle", "torus", "--n", "3", "--ell-max", "1",

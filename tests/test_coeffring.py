@@ -42,17 +42,6 @@ def test_basic_examples():
     assert sum([J, J * Fraction(1, 2)]) == jpow(1, Fraction(3, 2))
 
 
-def test_eval_examples():
-    assert (J * 3).eval_at(2) == 6
-    assert (RatJ(4) / (J * J)).eval_at(Fraction(1, 2)) == 16
-    assert jpow(2, 5).eval_at(0) == 0
-    assert jpow(-2, 3).eval_at(2) == Fraction(3, 4)  # exact at an int J, no float power
-    assert type(jpow(-2, 3).eval_at(2)) is Fraction
-    assert ONE.eval_at(0) == 1
-    with pytest.raises(CoefficientError):
-        (1 / J).eval_at(0)
-
-
 def test_division_by_zero():
     with pytest.raises(CoefficientError):
         ONE / ZERO
@@ -94,23 +83,16 @@ def test_round_trip_product_cancellation(a, b):
     assert b * b.inv() == ONE
 
 
-@given(same_degree_pairs(), ratjs(), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+@given(same_degree_pairs(), ratjs())
 @settings(max_examples=80)
-def test_eval_is_ring_homomorphism(pair, b2, j0):
+def test_arithmetic_acts_on_the_coefficient_and_adds_degrees(pair, b2):
     a, b = pair
-    if j0 == 0 and min(a.m, b.m, b2.m) < 0:
-        # the pole at J = 0: every nonzero value of negative degree raises
-        for x in (a, b, b2):
-            if x.m < 0:
-                with pytest.raises(CoefficientError):
-                    x.eval_at(j0)
-        return
-    ea, eb, eb2 = a.eval_at(j0), b.eval_at(j0), b2.eval_at(j0)
-    assert (a + b).eval_at(j0) == ea + eb
-    assert (a - b).eval_at(j0) == ea - eb
-    assert (a * b2).eval_at(j0) == ea * eb2
-    if not b2.is_zero and j0 != 0:
-        assert (a / b2).eval_at(j0) == ea / eb2
+    degree = a.m if not a.is_zero else b.m
+    assert a + b == RatJ(a.c + b.c, degree)
+    assert a - b == RatJ(a.c - b.c, degree)
+    assert a * b2 == RatJ(a.c * b2.c, a.m + b2.m)
+    if not b2.is_zero:
+        assert a / b2 == RatJ(a.c / b2.c, a.m - b2.m)
 
 
 def test_render_format():
@@ -126,9 +108,10 @@ def test_normal_form_invariants():
     x = (J * 0) * (1 / J)
     assert x == ZERO and x.c == 0 and x.m == 0
     assert RatJ(0, 5) == ZERO
-    assert hash(jpow(1, 2)) == hash(J * 2)
     assert isinstance((J * 2).c, Fraction)
-    assert not ZERO and bool(J)
+    assert ZERO.is_zero and not J.is_zero
+    with pytest.raises(TypeError):
+        hash(J)
 
 
 def test_monomial_degree():
