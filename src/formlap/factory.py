@@ -11,22 +11,28 @@ companion G = delta X, so operators of other (n, k) come from there;
 `build_tmodbox` memoises the second-order reductions M* box**p M.
 Every slot is an element of R or the codifferential of one (see
 ``tractor``), so L, X and the reductions are all elements of R.  The
-closed-form builders write down the order-one operator, the tuple of
-commuting second-order factors whose product is the operator, and the
-second-order reductions directly from their explicit formulas.
-The two routes share nothing but the ring R (``forms``), so their
-agreement is evidence rather than tautology.
+closed forms write down the tuple of commuting second-order factors
+whose product is the operator, the operator and its companion, and the
+second-order reductions, all from two root lists.  The two routes
+share nothing but the ring R (``forms``), so their agreement is
+evidence rather than tautology.
 
 Conventions: the operator of order 2*ell acts on k-forms of weight
-w = k + ell - n/2, its factor tuple multiplies left to right, and the
-generic second-order factor with index i is
-
-    (w-i+1)(w-i+n-2k) E + (w-i)(w-i+n-2k+1) F
-        - (2/n)(w-i)(w-i+1)(w-i+n-2k)(w-i+n-2k+1) J.
+w = k + ell - n/2 = ell - a, a = n/2 - k, and its factor tuple
+multiplies left to right.  At J = 1 its exact and coexact roots are
+lam_m = (2/n)(m+a)(m-a-1) and mu_m = (2/n)(m-a)(m+a-1), m = 1..ell
+(Branson, Trans. AMS 347, 1995).  The pairing rule: for m = ell..1 the
+factor of root m is (n/2)(mu_m E + lam_m F - lam_m mu_m J), which kills
+the exact forms of eigenvalue lam_m J and the coexact ones of mu_m J.
+Where a is an integer with a + 1 <= ell, lam_(a+1) = mu_a = 0 and the
+roots a and a + 1 pair across, first: the zeros into
+((2a-1) E + (2a+1) F)/2 when a >= 1, then lam_a = -mu_(a+1) with
+mu_(a+1) into E - F + mu_(a+1) J.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -101,83 +107,74 @@ def build_L_definition(n: int, k: int, ell: int) -> OperatorPoly:
 # -- closed forms ----------------------------------------------------------
 
 
-def closed_L1(n: int, k: int) -> OperatorPoly:
-    """Order-one closed form at w = k + 1 - n/2.
-
-    (n/2-k-1) E + (n/2-k+1) F + (2/n)(n/2-k-1)(n/2-k+1)(n/2-k) J.
-    """
-    _check_params(n, k, 1)
-    h = Fraction(n, 2) - k
-    return OperatorPoly.graded(n, k, 1, Fraction(2, n) * (h - 1) * (h + 1) * h, [h - 1], [h + 1])
+def exact_root(n: int, k: int, m: Fraction | int) -> Fraction | int:
+    """2n lam_m = (2m+h)(2m-h-2) with h = n - 2k: an integer at integer m, else rational."""
+    h = n - 2 * k
+    return (2 * m + h) * (2 * m - h - 2)
 
 
-def closed_G1(n: int, k: int) -> OperatorPoly:
-    """Order-one closed form of the companion G = delta X: X = E + (2/n)(n/2-k+1)(n/2-k) J."""
-    _check_params(n, k, 1)
-    h = Fraction(n, 2) - k
-    return OperatorPoly.graded(n, k, 1, Fraction(2, n) * (h + 1) * h, [1], [])
-
-
-def yam_factor(n: int, k: int, w: Fraction, i: int) -> OperatorPoly:
-    """Generic second-order factor with index i at operator weight w."""
-    return _generic_factor(n, k, w - i)
+def coexact_root(n: int, k: int, m: Fraction | int) -> Fraction | int:
+    """2n mu_m = (2m-h)(2m+h-2) with h = n - 2k."""
+    h = n - 2 * k
+    return (2 * m - h) * (2 * m + h - 2)
 
 
 @lru_cache(maxsize=None)
-def _generic_factor(n: int, k: int, s: Fraction) -> OperatorPoly:
-    """The generic factor through s = w - i, the one shift it depends on; built once per key.
+def _root_factor(n: int, k: int, m: int) -> OperatorPoly:
+    """The factor pairing the m-th roots, (n/2)(mu_m E + lam_m F - lam_m mu_m J); built once.
 
-    With s = u/v and h = n - 2k: (s+1)(s+h) = A/v^2 and s(s+h+1) = B/v^2
-    for A = (u+v)(u+hv) and B = u(u+(h+1)v), so the factor is
-    (n v^2 A E + n v^2 B F - 2AB J) / (n v^4).
+    With Lam = 2n lam_m and M = 2n mu_m it is (2n M E + 2n Lam F - Lam M J) / (8n).
     """
-    u, v = s.numerator, s.denominator
-    h = n - 2 * k
-    a = (u + v) * (u + h * v)
-    b = u * (u + (h + 1) * v)
-    nvv = n * v * v
-    return OperatorPoly.from_numerators(n, k, 1, -2 * a * b, [nvv * a], [nvv * b], nvv * v * v)
-
-
-def sqyam_factors(n: int, k: int) -> tuple[OperatorPoly, OperatorPoly]:
-    """The two factors replacing the degenerate indices when w >= 1 and k < n/2.
-
-    [(n/2-k-1/2) E + (n/2-k+1/2) F] and [E - F + (4/n)(n/2-k) J], that is
-    ((n-2k-1) E + (n-2k+1) F) / 2 and (n E - n F + 2(n-2k) J) / n.
-    """
-    h = n - 2 * k
-    first = OperatorPoly.from_numerators(n, k, 1, 0, [h - 1], [h + 1], 2)
-    second = OperatorPoly.from_numerators(n, k, 1, 2 * h, [n], [-n], n)
-    return first, second
+    lam, mu = exact_root(n, k, m), coexact_root(n, k, m)
+    return OperatorPoly.from_numerators(n, k, 1, -lam * mu, [2 * n * mu], [2 * n * lam], 8 * n)
 
 
 @lru_cache(maxsize=None)
 def closed_factors(n: int, k: int, ell: int) -> tuple[OperatorPoly, ...]:
-    """Factor tuple of the order-2*ell operator, by the four-case closed form.
+    """Factor tuple of the order-2*ell operator, by the pairing rule (module docstring).
 
-    Every factor is built at order 1 with one E and one F coefficient.
-
-    Even n, k = n/2:        (E - F) then generic factors i = 1..ell-1.
-    Even n, w <= 0, k<n/2:  generic factors i = 1..ell.
-    Even n, w >= 1, k<n/2:  the two degenerate-weight factors, then the
-                            generic factors with i = w, w+1 removed.
-    Odd n:                  generic factors i = 1..ell.
+    Each factor has order 1; lam_m = 0 exactly at m = a + 1, as a >= 0.
     """
     _check_params(n, k, ell)
-    w = operator_weight(n, k, ell)
-    phi = range(1, ell + 1)
-    if n % 2 == 0 and 2 * k == n:
-        factors = [OperatorPoly.graded(n, k, 1, 0, [1], [-1])]
-        factors += [yam_factor(n, k, w, i) for i in phi if i != ell]
-    elif n % 2 == 1 or w <= 0:
-        factors = [yam_factor(n, k, w, i) for i in phi]
-    else:
-        skip = {int(w), int(w) + 1}
-        factors = list(sqyam_factors(n, k))
-        factors += [yam_factor(n, k, w, i) for i in phi if i not in skip]
-    if len(factors) != ell:
-        raise InternalConsistencyError(f"{len(factors)} factors for order parameter {ell}")
-    return tuple(factors)
+    ms = range(ell, 0, -1)
+    factors: list[OperatorPoly] = []
+    zero = next((m for m in ms if not exact_root(n, k, m)), None)
+    if zero is not None:  # m = a + 1: the pairs m - 1 and m cross
+        h = 2 * zero - 2  # 2a
+        if h:
+            factors.append(OperatorPoly.from_numerators(n, k, 1, 0, [h - 1], [h + 1], 2))
+        factors.append(OperatorPoly.from_numerators(n, k, 1, coexact_root(n, k, zero),
+                                                    [2 * n], [-2 * n], 2 * n))
+        ms = [m for m in ms if m not in (zero - 1, zero)]
+    return (*factors, *(_root_factor(n, k, m) for m in ms))
+
+
+def closed_operator(n: int, k: int, ell: int) -> tuple[OperatorPoly, OperatorPoly]:
+    """L, with exact side (a-ell) prod (E - lam_m J) and coexact side (a+ell) prod (F - mu_m J),
+    and the X of its companion G = delta X, prod (E - lam_m J) with no F part."""
+    _check_params(n, k, ell)
+    a = Fraction(n - 2 * k, 2)
+    lams = [Fraction(exact_root(n, k, m), 2 * n) for m in range(1, ell + 1)]
+    mus = [Fraction(coexact_root(n, k, m), 2 * n) for m in range(1, ell + 1)]
+    x_const = math.prod(-lam for lam in lams)
+    return _expand(n, k, (a - ell, lams), (a + ell, mus)), _expand(n, k, (1, lams), (x_const, ()))
+
+
+def _expand(n: int, k: int, exact: tuple, coexact: tuple) -> OperatorPoly:
+    """The element of R with sides (lead, roots), lead * prod (x - r J), x = E then F.
+
+    Its order is the exact side's degree; the sides must agree at x = 0.
+    """
+    sides = []
+    for lead, roots in (exact, coexact):
+        coeffs = [Fraction(lead)]  # lowest degree first
+        for r in roots:
+            coeffs = [prev - r * cur for prev, cur in zip([0, *coeffs], [*coeffs, 0])]
+        sides.append(coeffs)
+    (c, *e), (c_f, *f) = sides
+    if c != c_f:
+        raise InternalConsistencyError(f"the sides disagree at E = F = 0: {c} and {c_f}")
+    return OperatorPoly.graded(n, k, len(e), c, e, f)
 
 
 # -- second-order reductions ------------------------------------------------
@@ -191,32 +188,11 @@ def build_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
     return apply_Mstar(box_iterate(n, k, w, p))
 
 
-def closed_tmodbox1(n: int, k: int, w: Fraction | int) -> OperatorPoly:
-    """Closed form of the p = 1 reduction, -(1/k) times the generic factor with index 1:
-
-    -(1/k) [ w(n+w-2k-1) E + (w-1)(n+w-2k) F
-             - (2/n) w(w-1)(n+w-2k)(n+w-2k-1) J ].
-    """
-    return yam_factor(n, k, Fraction(w), 1).scale(Fraction(-1, k))
-
-
-def closed_tmodbox2(n: int, k: int, w: Fraction | int) -> OperatorPoly:
-    """Closed form of the p = 2 reduction at arbitrary weight."""
+def closed_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
+    """M* box**p M at generator weight w: over m = w + a - q, q = 0..p-1, its exact side is
+    (p-w-n+2k)(w/k) prod (E - lam_m J) and its coexact side (p-w)(n+w-2k)/k prod (F - mu_m J)."""
     w = Fraction(w)
-    m = n + w - 2 * k
-    s = Fraction(-1, k)
-    e2 = w * (m - 2)
-    f2 = (w - 2) * m
-    e1 = Fraction(-2, n) * w * (m - 2) * ((w - 1) * m + (w - 2) * (m - 1))
-    f1 = Fraction(-2, n) * (w - 2) * m * ((w - 1) * (m - 2) + w * (m - 1))
-    c0 = Fraction(4, n * n) * w * (w - 1) * (w - 2) * m * (m - 1) * (m - 2)
-    return OperatorPoly.graded(n, k, 2, s * c0, [s * e1, s * e2], [s * f1, s * f2])
-
-
-def closed_tmodbox2_w1(n: int, k: int) -> OperatorPoly:
-    """Factored closed form of the p = 2 reduction on weight-1 forms:
-
-    -(2/k) [ (n/2-k-1/2) E + (n/2-k+1/2) F ] [ E - F + (4/n)(n/2-k) J ].
-    """
-    first, second = sqyam_factors(n, k)
-    return (first * second).scale(Fraction(-2, k))
+    ms = [w + Fraction(n - 2 * k, 2) - q for q in range(p)]
+    lams = [Fraction(exact_root(n, k, m), 2 * n) for m in ms]
+    mus = [Fraction(coexact_root(n, k, m), 2 * n) for m in ms]
+    return _expand(n, k, ((p - w - n + 2 * k) * w / k, lams), ((p - w) * (n + w - 2 * k) / k, mus))

@@ -28,13 +28,10 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .coeffring import RatJ, ZERO
-from .factory import (build_L_definition, build_tmodbox, closed_factors, default_grid,
-                      operator_weight, run_pipeline)
+from .factory import (build_L_definition, build_tmodbox, closed_factors, coexact_root,
+                      default_grid, exact_root, operator_weight, run_pipeline)
 from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
 from .spectral import SpectralModel, content_covers, synthetic_model
-
-
-_ZERO = Fraction(0)
 
 
 class BezoutError(ArithmeticError):
@@ -298,42 +295,24 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
 
 
 def predicted_kernel_content(n: int, k: int, ell: int, j_value: Fraction) -> set[tuple[str, Fraction | None]]:
-    """Kernel content per the spectral decomposition case table.
+    """Kernel content from the two root lists, by one rule.
 
-    lam_bar_i = (2/n)(w-i)(w-i+n-2k+1) J carried by exact points,
-    lam_til_i = (2/n)(w-i+1)(w-i+n-2k) J by coexact points; the two
-    extra eigenvalues of the degenerate-weight pair are -mu on the exact
-    side and +mu on the coexact side with mu = (4/n)(n/2-k) J.  (The
-    printed case table swaps the mu labels; the factor computation above
-    fixes the orientation, see the repository notes.)  At w = 0 the
-    leading factor is the pure-F one, whose null space is the whole
-    closed-plus-harmonic part.  Each case gives its special content and
-    the generic indices i whose lam_bar_i and lam_til_i it carries.
-
-    In integers: with s = 2(w-i), m = 2(n-2k) and J = p/q, lam_bar_i =
-    s(s+m+2)p / (2nq), lam_til_i = (s+2)(s+m)p / (2nq) and mu = 2mp / (2nq),
-    each built as one Fraction.
+    Every exact root lam_m J and coexact root mu_m J, m = 1..ell (the
+    printed case table swaps the labels of its degenerate-weight pair);
+    every exact point where a = n/2 - k equals ell (w = 0, where the
+    leading factor is pure F); and the harmonic forms where some mu_m is
+    0.  With J = p/q each root is one Fraction over 2nq.
     """
-    w2 = 2 * (k + ell) - n  # 2w
-    m = 2 * (n - 2 * k)
     p, den = j_value.numerator, 2 * n * j_value.denominator
-    at_zero = {("harmonic", None), ("exact", _ZERO), ("coexact", _ZERO)}
-    if n % 2 == 0 and 2 * k == n:
-        special, generic = at_zero, range(1, ell)
-    elif n % 2 == 1 or w2 < 0:
-        special, generic = set(), range(1, ell + 1)
-    elif w2 == 0:  # every exact point: the factor is pure F
-        special = {("harmonic", None), ("exact", None), ("coexact", _ZERO)}
-        generic = range(2, ell + 1)
-    else:
-        mu = 2 * m * p
-        special = at_zero | {("exact", Fraction(-mu, den)), ("coexact", Fraction(mu, den))}
-        generic = [i for i in range(1, ell + 1) if 2 * i not in (w2, w2 + 2)]
-    out = set(special)
-    for i in generic:
-        s = w2 - 2 * i
-        out.add(("exact", Fraction(s * (s + m + 2) * p, den)))
-        out.add(("coexact", Fraction((s + 2) * (s + m) * p, den)))
+    out: set[tuple[str, Fraction | None]] = set()
+    for m in range(1, ell + 1):
+        mu = coexact_root(n, k, m)
+        out.add(("exact", Fraction(exact_root(n, k, m) * p, den)))
+        out.add(("coexact", Fraction(mu * p, den)))
+        if not mu:
+            out.add(("harmonic", None))
+    if n - 2 * k == 2 * ell:
+        out.add(("exact", None))
     return out
 
 
@@ -343,7 +322,7 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     L is the definition engine's operator, not the product of the closed
     factors, so the check ties the two together.  Checks (1) dim N(L)
     equals the sum of the factor kernel dimensions, (2) the set of
-    kernel-carrying model points matches the case-table prediction under
+    kernel-carrying model points matches the root-list prediction under
     ``content_covers``, and (3) reports any point killed by two different
     factors (a spectral coincidence; additivity is then not expected and
     the report fails with that witness).
@@ -387,7 +366,7 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
 
 # The sweep's J: models are built at J = 1, which stands for every J != 0.
 # L is weight-homogeneous, so its scalar on (kind, J lam) at J is J^ell
-# times that on (kind, lam) at 1, and the case-table roots scale alike.
+# times that on (kind, lam) at 1, and the roots scale alike.
 SWEEP_J = Fraction(1)
 
 # The theorem table: each selectable name, in the order a grid cell runs

@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from formlap.factory import (box_iterate, build_L_definition, build_tmodbox, closed_factors,
-                             closed_L1, closed_tmodbox1, closed_tmodbox2_w1, default_grid,
-                             operator_weight)
+                             closed_operator, closed_tmodbox, default_grid, operator_weight)
 from formlap.forms import proportionality
 from formlap.verify import (verify_LG, verify_MMstar, verify_bezout_pairs, verify_factorization,
                             verify_kernel_decomposition)
@@ -51,7 +50,7 @@ def test_criterion_01_factorization(capfd):
 
 def test_criterion_02_order_one_equality(capfd):
     bad = [(n, k) for n in range(3, 13) for k in range(1, n // 2 + 1)
-           if build_L_definition(n, k, 1).monomials() != closed_L1(n, k).monomials()]
+           if build_L_definition(n, k, 1).monomials() != closed_operator(n, k, 1)[0].monomials()]
     report(capfd, "2 order-one closed form with constant exactly 1",
            not bad, f"{sum(n // 2 for n in range(3, 13))} pairs, {len(bad)} failures")
 
@@ -77,15 +76,18 @@ def test_criterion_04_second_order_reductions(capfd):
     bad = []
     for n, k, ell in GRID:
         w = operator_weight(n, k, ell)
-        if build_tmodbox(n, k, w, 1).monomials() != closed_tmodbox1(n, k, w).monomials():
+        if build_tmodbox(n, k, w, 1).monomials() != closed_tmodbox(n, k, w, 1).monomials():
             bad.append(("p1", n, k, ell))
         lhs = build_tmodbox(n, k, w - 1, 1) * build_tmodbox(n, k, w, 1)
         scalar = Fraction(-1, k) * (w - 1) * (n + w - 2 * k - 1)
         if lhs.monomials() != build_tmodbox(n, k, w, 2).scale(scalar).monomials():
             bad.append(("square", n, k, ell))
+    # on weight-1 forms, -(2/k) times the two leading factors at ell = n/2 - k + 1,
+    # [(n/2-k-1/2) E + (n/2-k+1/2) F] [E - F + (4/n)(n/2-k) J]
     for n in range(4, 13, 2):
         for k in range(1, n // 2):
-            if build_tmodbox(n, k, 1, 2).monomials() != closed_tmodbox2_w1(n, k).monomials():
+            first, second = closed_factors(n, k, n // 2 - k + 1)[:2]
+            if build_tmodbox(n, k, 1, 2) != (first * second).scale(Fraction(-2, k)):
                 bad.append(("p2w1", n, k))
     report(capfd, "4 second-order reduction closed forms and square relation",
            not bad, f"{len(bad)} failures")

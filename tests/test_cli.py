@@ -257,15 +257,17 @@ def test_verify_unwritable_output(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("mutant", ["closed-factor", "tmodbox"])
+@pytest.mark.parametrize("mutant", ["closed-factor", "root", "tmodbox"])
 def test_verify_exits_1_on_failing_checks_with_their_witnesses(monkeypatch, capsys, tmp_path,
-                                                               mutant):
+                                                               request, mutant):
     # a closed factor with its constant moved by one breaks the factorization,
-    # and a doubled second-order reduction breaks MMstar, on the whole default grid
+    # and so do doubled exact roots, read where closed_factors reads them: the
+    # root lists carry the verdict.  A doubled second-order reduction breaks
+    # MMstar.  Each on the whole default grid
     import functools
     import operator
 
-    from formlap import verify
+    from formlap import factory, verify
     from formlap.coeffring import ZERO
     from formlap.forms import OperatorPoly
 
@@ -276,8 +278,18 @@ def test_verify_exits_1_on_failing_checks_with_their_witnesses(monkeypatch, caps
         return (OperatorPoly.from_numerators(n, k, first.order, first.c_num + first.den,
                                              first.e_nums, first.f_nums, first.den), *rest)
 
+    def clear_factor_caches():
+        for cached in (factory.closed_factors, factory._root_factor):
+            cached.cache_clear()
+
     if mutant == "closed-factor":
         monkeypatch.setattr(verify, "closed_factors", bumped_factors)
+        theorem = "factorization"
+    elif mutant == "root":
+        real_root = factory.exact_root
+        monkeypatch.setattr(factory, "exact_root", lambda n, k, m: 2 * real_root(n, k, m))
+        clear_factor_caches()  # built from the real roots
+        request.addfinalizer(clear_factor_caches)  # and now from the doubled ones
         theorem = "factorization"
     else:
         monkeypatch.setattr(verify, "build_tmodbox", lambda *args: real_tmodbox(*args).scale(2))
@@ -292,8 +304,8 @@ def test_verify_exits_1_on_failing_checks_with_their_witnesses(monkeypatch, caps
     # each witness names a monomial where the two sides differ, with both coefficients
     for r in failed:
         n, k, ell = (r["params"][key] for key in ("n", "k", "ell"))
-        if mutant == "closed-factor":
-            lhs = functools.reduce(operator.mul, bumped_factors(n, k, ell))
+        if theorem == "factorization":
+            lhs = functools.reduce(operator.mul, verify.closed_factors(n, k, ell))
             rhs = verify.build_L_definition(n, k, ell)
         else:  # the unmutated reduction route, which equals the scaled L, and twice it
             p = r["params"]["p"]

@@ -5,42 +5,49 @@ import pytest
 
 import formlap.factory as factory
 from formlap.coeffring import RatJ
-from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_G1,
-                             closed_L1, closed_tmodbox1, closed_tmodbox2, closed_tmodbox2_w1,
-                             default_grid, operator_weight, run_pipeline, sqyam_factors,
-                             yam_factor)
+from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_operator,
+                             closed_tmodbox, default_grid, operator_weight, run_pipeline)
 from formlap.forms import OperatorPoly, UsageError, proportionality
 
 
+def closed_L(n, k, ell):
+    return closed_operator(n, k, ell)[0]
+
+
 def test_closed_L1_examples():
-    assert closed_L1(8, 2).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(Fraction(3, 2), 1)}
-    assert closed_L1(4, 2).monomials() == {"E": RatJ(-1), "F": RatJ(1)}
-    assert closed_L1(6, 1).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(2, 1)}
+    assert closed_L(8, 2, 1).monomials() == {"E": RatJ(1), "F": RatJ(3),
+                                             "1": RatJ(Fraction(3, 2), 1)}
+    assert closed_L(4, 2, 1).monomials() == {"E": RatJ(-1), "F": RatJ(1)}
+    assert closed_L(6, 1, 1).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(2, 1)}
 
 
 def test_definition_examples():
     assert proportionality(build_L_definition(4, 2, 1),
                            OperatorPoly.graded(4, 2, 1, 0, [1], [-1])) is not None
-    assert build_L_definition(8, 2, 1).monomials() == closed_L1(8, 2).monomials()
+    assert build_L_definition(8, 2, 1).monomials() == closed_L(8, 2, 1).monomials()
     assert build_L_definition(4, 1, 1).monomials() == {"F": RatJ(2)}
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_order_one_equality_grid(n):
-    for k in range(1, n // 2 + 1):
-        assert build_L_definition(n, k, 1).monomials() == closed_L1(n, k).monomials(), (n, k)
+    # the engine's (L, X) equals the closed form from the root lists at
+    # every ell of the default grid, with constant exactly 1
+    for _, k, ell in default_grid(range(n, n + 1)):
+        assert run_pipeline(n, k, ell) == closed_operator(n, k, ell), (k, ell)
 
 
 def test_build_G_examples():
     # G = delta X with X = E + J at (n, k) = (4, 1)
     x = run_pipeline(4, 1, 1)[1]
     assert x.monomials() == {"E": RatJ(1), "1": RatJ(1, 1)}
-    assert x == closed_G1(4, 1)
+    assert x == closed_operator(4, 1, 1)[1]
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3), (5, 1), (9, 4)])
 def test_G_closed_form_order_one(n, k):
-    assert run_pipeline(n, k, 1)[1] == closed_G1(n, k)
+    # X = prod (E - lam_m J) at every ell of the default grid, not only ell = 1
+    for ell in range(1, 7):
+        assert run_pipeline(n, k, ell)[1] == closed_operator(n, k, ell)[1], ell
 
 
 def test_closed_factors_examples():
@@ -68,19 +75,27 @@ def _render_delta(x):
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def tmodbox2_w1(n, k):
+    """M* box**2 M on weight-1 forms, factored: -(2/k) times the two leading factors at
+    ell = n/2 - k + 1, [(n/2-k-1/2) E + (n/2-k+1/2) F] [E - F + (4/n)(n/2-k) J]."""
+    first, second = closed_factors(n, k, n // 2 - k + 1)[:2]
+    return (first * second).scale(Fraction(-2, k))
+
+
 def _closed_form_lines():
     """The rendering of every closed form on the default grid, one line each."""
     for n, k, ell in default_grid():
         w = operator_weight(n, k, ell)
         if ell == 1:
-            yield f"L1 {n} {k}: {closed_L1(n, k).render()}"
-            yield f"G1 {n} {k}: {_render_delta(closed_G1(n, k))}"
+            L, X = closed_operator(n, k, 1)
+            yield f"L1 {n} {k}: {L.render()}"
+            yield f"G1 {n} {k}: {_render_delta(X)}"
         yield (f"factors {n} {k} {ell}: "
                + "; ".join(f.render() for f in closed_factors(n, k, ell)))
-        yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox1(n, k, w).render()}"
-        yield f"tmodbox2 {n} {k} {w}: {closed_tmodbox2(n, k, w).render()}"
+        yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox(n, k, w, 1).render()}"
+        yield f"tmodbox2 {n} {k} {w}: {closed_tmodbox(n, k, w, 2).render()}"
         if w == 1 and 2 * k < n:
-            yield f"tmodbox2_w1 {n} {k}: {closed_tmodbox2_w1(n, k).render()}"
+            yield f"tmodbox2_w1 {n} {k}: {tmodbox2_w1(n, k).render()}"
 
 
 # sha256 of the rendered closed forms on the default grid (715 lines): each
@@ -137,28 +152,28 @@ def test_tmodbox_examples():
     assert build_tmodbox(6, 1, 0, 1).monomials() == {"F": RatJ(4)}
     assert build_tmodbox(8, 2, 0, 1).monomials() == {"F": RatJ(2)}
     got = build_tmodbox(6, 1, 1, 2)
-    want = closed_tmodbox2_w1(6, 1)
-    assert got.monomials() == want.monomials()
+    assert got.monomials() == closed_tmodbox(6, 1, 1, 2).monomials()
     # -2 [ (3/2)E + (5/2)F ][ E - F + (4/3)J ]
-    first, second = sqyam_factors(6, 1)
-    assert (first * second).scale(-2).monomials() == got.monomials()
+    first = OperatorPoly.graded(6, 1, 1, 0, [Fraction(3, 2)], [Fraction(5, 2)])
+    second = OperatorPoly.graded(6, 1, 1, Fraction(4, 3), [1], [-1])
+    assert closed_factors(6, 1, 3)[:2] == (first, second)
+    assert (first * second).scale(-2) == got == tmodbox2_w1(6, 1)
 
 
 @pytest.mark.parametrize("n,k,w", [(6, 2, 1), (6, 2, 0), (5, 1, Fraction(1, 2)),
                                    (8, 3, 2), (4, 1, -1), (12, 4, 3)])
 def test_tmodbox_p1_closed_form(n, k, w):
-    assert build_tmodbox(n, k, w, 1).monomials() == closed_tmodbox1(n, k, w).monomials()
+    assert build_tmodbox(n, k, w, 1).monomials() == closed_tmodbox(n, k, w, 1).monomials()
 
 
 @pytest.mark.parametrize("n,k,w", [(6, 2, 1), (6, 1, 1), (8, 3, 2),
                                    (5, 1, Fraction(1, 2)), (7, 3, Fraction(-3, 2))])
 def test_tmodbox_p2_closed_form(n, k, w):
-    assert build_tmodbox(n, k, w, 2).monomials() == closed_tmodbox2(n, k, w).monomials()
+    assert build_tmodbox(n, k, w, 2).monomials() == closed_tmodbox(n, k, w, 2).monomials()
 
 
-@pytest.mark.parametrize("p, closed", [(1, closed_tmodbox1), (2, closed_tmodbox2)],
-                         ids=["p1", "p2"])
-def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p, closed):
+@pytest.mark.parametrize("p", range(1, 7), ids=lambda p: f"p{p}")
+def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p):
     # the reductions at generator weights off the operator grid too:
     # every w in {-8, -15/2, ..., 8} for every (n, k) with n = 3..12, and
     # weights of denominators 3, 7, 9, 6 and 12, since the box builds its
@@ -168,7 +183,7 @@ def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p, closed):
     cases = [(n, k, w) for n in range(3, 13) for k in range(1, n // 2 + 1) for w in weights]
     assert len(cases) == 1330
     for n, k, w in cases:
-        assert build_tmodbox(n, k, w, p).monomials() == closed(n, k, w).monomials(), (n, k, w)
+        assert build_tmodbox(n, k, w, p) == closed_tmodbox(n, k, w, p), (n, k, w)
 
 
 @pytest.mark.parametrize("n,k,w", [(6, 2, 1), (8, 2, 2), (5, 2, Fraction(1, 2)), (9, 3, -1)])
@@ -182,13 +197,14 @@ def test_square_relation(n, k, w):
     assert lhs.monomials() == rhs.monomials()
 
 
-def test_yam_factor_matches_tmodbox1():
-    # the generic factor with index i is -k times the order-one reduction
-    # at weight w - i + 1
-    for (n, k, ell, i) in [(8, 2, 3, 2), (7, 1, 4, 3), (10, 3, 5, 1)]:
-        w = operator_weight(n, k, ell)
-        lhs = yam_factor(n, k, w, i)
-        rhs = closed_tmodbox1(n, k, w - i + 1).scale(-k)
+def test_root_factor_matches_tmodbox1():
+    # the factor of the m-th roots is -k times the order-one reduction at
+    # weight m - a, a = n/2 - k: the i-th generic factor at operator weight
+    # w, m = ell + 1 - i, is that at weight w - i + 1, and m = a at (8, 2),
+    # where the tuple crosses that pair, still holds
+    for (n, k, m) in [(8, 2, 2), (7, 1, 2), (10, 3, 5)]:
+        lhs = factory._root_factor(n, k, m)
+        rhs = closed_tmodbox(n, k, m - Fraction(n - 2 * k, 2), 1).scale(-k)
         assert lhs.monomials() == rhs.monomials()
 
 

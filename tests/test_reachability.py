@@ -100,8 +100,8 @@ ALLOWED = {
     "spectral.SpectralModel.save": PROMOTION,
     "spectral.SpectralModel.as_json": PROMOTION,
     **{f"factory.{name}": THEOREM
-       for name in ("closed_L1", "closed_G1", "closed_tmodbox1", "closed_tmodbox2",
-                    "closed_tmodbox2_w1")},
+       for name in ("closed_operator", "closed_tmodbox", "_expand")},
+    "forms.OperatorPoly.graded": THEOREM,
     "verify._diff_witness": FAILURE,
     "verify._delta_witness": FAILURE,
     "tractor.TractorFormExpr.render": FAILURE,
