@@ -5,16 +5,10 @@ a fixed rational value of J.  An expanded operator acts on a point as
 the scalar ``OperatorPoly.on_eigenspace`` gives, which reduces only the
 side the point's kind needs: E -> lam on exact points, F -> lam on
 coexact points, neither on harmonic points; that is the one reducer in
-``forms``.  ``factor_kernel_content`` reads the roots of an order-one
-factor from its integer numerators.  Null-space dimensions are sums of
-multiplicities over points where the scalar vanishes, which
-``OperatorPoly.kills`` reads from the same reducer without building it.
-
-``content_covers`` is the one rule for whether a kernel content (a set
-of (kind, eigenvalue), None for every point of the kind) holds a point;
-a degree-one factor kills exactly the points its content covers.
-``synthetic_model`` applies that rule to all factor contents at once,
-by counting their entries.
+``forms``.  Null-space dimensions are sums of multiplicities over points
+where the scalar vanishes, which ``OperatorPoly.kills`` reads from the
+same reducer without building it; ``synthetic_model`` asks it which
+factors kill each point it places.
 
 Presets: the unit round n-sphere (from its closed-form spectrum, J =
 n/2) and the flat torus (computed from lattice modes, J = 0).  Models
@@ -35,7 +29,6 @@ from pathlib import Path
 from .forms import OperatorPoly, UsageError
 
 KINDS = ("exact", "coexact", "harmonic")
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -99,40 +92,6 @@ def kernel_dim(op: OperatorPoly, model: SpectralModel) -> int:
                if op.kills(pt.kind, model.j_value, pt.eigenvalue))
 
 
-def factor_kernel_content(op: OperatorPoly, j_value: Fraction) -> set[tuple[str, Fraction | None]]:
-    """Null-space content of an order-one factor a E + b F + c J at fixed J.
-
-    Entries (kind, eigenvalue); eigenvalue None means every point of the
-    kind (a degenerate factor whose scalar vanishes identically there).
-    The roots -cJ/a and -cJ/b are read from the integer numerators: with
-    J = p/q, -cJ/a = -(c_num p) / (q e_nums[0]), likewise with f_nums[0],
-    one Fraction each.
-    """
-    cj, q = op.c_num * j_value.numerator, j_value.denominator  # cJ = cj / (q den)
-    a = op.e_nums[0] if op.e_nums else 0
-    b = op.f_nums[0] if op.f_nums else 0
-    out: set[tuple[str, Fraction | None]] = set()
-    if not cj:
-        out.add(("harmonic", None))
-        out.add(("exact", _ZERO) if a else ("exact", None))
-        out.add(("coexact", _ZERO) if b else ("coexact", None))
-    else:
-        if a:
-            out.add(("exact", Fraction(-cj, q * a)))
-        if b:
-            out.add(("coexact", Fraction(-cj, q * b)))
-    return out
-
-
-def content_covers(content: set[tuple[str, Fraction | None]], kind: str, lam: Fraction) -> bool:
-    """Whether a kernel content holds the point (kind, lam).
-
-    Harmonic points need no case of their own: their eigenvalue is 0 and
-    a content holds them only as ("harmonic", None).
-    """
-    return (kind, None) in content or (kind, lam) in content
-
-
 # -- presets -----------------------------------------------------------------
 
 
@@ -189,41 +148,39 @@ def torus_preset(n: int, k: int, max_norm_sq: int) -> SpectralModel:
 def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralModel:
     """Deterministic synthetic model adapted to one operator's factor list.
 
-    Includes every factor kernel eigenvalue that is annihilated by
-    exactly one factor (spectral coincidences between factors are
-    omitted: the decomposition theorems presume per-kind distinctness,
-    and the verifier reports coincidences rather than asserting an
-    outcome), plus harmonic content and three off-kernel noise points.
-    Which factors kill a point is read from their kernel contents, by
-    ``content_covers``'s rule counted over all of them at once; no
-    operator is evaluated.
+    Includes every nonzero factor root that exactly one factor kills
+    (spectral coincidences between factors are omitted: the
+    decomposition theorems presume per-kind distinctness, and the
+    verifier reports coincidences rather than asserting an outcome),
+    plus harmonic content and three off-kernel noise points.  A factor
+    a E + b F + c J with c != 0 has the roots -cJ/b (coexact) and -cJ/a
+    (exact), placed in that order and read from its numerators: with
+    J = p/q, -cJ/b = -(c_num p) / (q f_nums[0]).  Which factors kill a
+    point is asked of each factor, ``OperatorPoly.kills``.
     """
     import random
 
     from .factory import closed_factors
 
     rng = random.Random((n * 1009 + k * 101 + ell * 11) & 0x7FFFFFFF)
-    contents = [factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)]
-    # a content holds each kind at most once, so the factors that kill a
-    # point are those holding (kind, None) plus those holding (kind, lam)
-    held = collections.Counter(entry for content in contents for entry in content)
+    factors = closed_factors(n, k, ell)
 
     def killers(kind: str, lam: Fraction) -> int:
-        return held[kind, None] + held[kind, lam]
+        return sum(f.kills(kind, j_value, lam) for f in factors)
 
     points: list[SpectralPoint] = []
     seen: set[tuple[str, Fraction]] = set()
 
-    if killers("harmonic", _ZERO) <= 1:
+    if killers("harmonic", Fraction(0)) <= 1:
         points.append(SpectralPoint("harmonic", Fraction(0), rng.randint(1, 4)))
 
-    for content in contents:
-        for kind, lam in sorted(content, key=lambda t: (t[0], str(t[1]))):
-            if lam is None or lam == 0 or (kind, lam) in seen:
-                continue
-            if killers(kind, lam) == 1:
-                points.append(SpectralPoint(kind, lam, rng.randint(1, 5)))
-                seen.add((kind, lam))
+    roots = [(kind, Fraction(-f.c_num * j_value.numerator, j_value.denominator * side[0]))
+             for f in factors if f.c_num and j_value
+             for kind, side in (("coexact", f.f_nums), ("exact", f.e_nums)) if side]
+    for kind, lam in roots:
+        if (kind, lam) not in seen and killers(kind, lam) == 1:
+            points.append(SpectralPoint(kind, lam, rng.randint(1, 5)))
+            seen.add((kind, lam))
 
     noise = 0
     step = 0

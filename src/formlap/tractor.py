@@ -110,12 +110,23 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
         Z' = (E + F) Z + (D - 2k(n-k-1)/n) J Z - (2/(nk)) J E Y - (2/k) E X
         X' = E X + (j_y + D) J X + ((n-2k+2)/n^2) J^2 Y - (2k/n) J e(Z)
 
-    where j_y = 1 - 2(k-1)(n-k+1)/n.  In integers, with wt = a/b in lowest
-    terms (any rational weight), D = -2a(nb + a - b) / (nb^2) and j_y =
-    (n - 2(k-1)(n-k+1)) / n, so j_y + D and D - 2k(n-k-1)/n are each one
-    Fraction over nb^2.  The ring products E Y, E X and (E + F) Z are
-    taken once, and each output slot is one multiply-accumulate
-    (``OperatorPoly.combine``).
+    where j_y = 1 - 2(k-1)(n-k+1)/n.  Lemma: the weight enters only
+    through D, and D only as D J times each slot, so
+
+        box_wt = box_0 + D(wt) J Id
+
+    on the three-slot module, box_0 being the step with D = 0 (at
+    wt = 0).  The ell steps at the weights wt_p are then
+    prod (box_0 + D(wt_p) J), a polynomial in one operator, and they
+    commute.  In the order-2*ell pipeline wt_p = m - n/2 with m = ell - p,
+    and there -(D - 2k(n-k-1)/n) = (2m-h)(2m+h-2)/(2n), h = n - 2k: the
+    coexact root mu_m of the closed forms.
+
+    In integers, with wt = a/b in lowest terms (any rational weight),
+    D = -2a(nb + a - b) / (nb^2) and j_y = (n - 2(k-1)(n-k+1)) / n, so
+    j_y + D and D - 2k(n-k-1)/n are each one Fraction over nb^2.  The
+    ring products E Y, E X and (E + F) Z are taken once, and each output
+    slot is one multiply-accumulate (``OperatorPoly.combine``).
     """
     ctx = t.ctx
     n, k = ctx.n, ctx.k

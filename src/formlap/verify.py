@@ -31,7 +31,7 @@ from .coeffring import RatJ, ZERO
 from .factory import (build_L_definition, build_tmodbox, closed_factors, coexact_root,
                       default_grid, exact_root, operator_weight, run_pipeline)
 from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
-from .spectral import SpectralModel, content_covers, synthetic_model
+from .spectral import SpectralModel, synthetic_model
 
 
 class BezoutError(ArithmeticError):
@@ -294,26 +294,25 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
 # -- kernel decomposition ----------------------------------------------------
 
 
-def predicted_kernel_content(n: int, k: int, ell: int, j_value: Fraction) -> set[tuple[str, Fraction | None]]:
-    """Kernel content from the two root lists, by one rule.
+def predicted_in_kernel(n: int, k: int, ell: int, kind: str, j_value: Fraction,
+                        lam: Fraction) -> bool:
+    """Whether the two root lists put a kind eigenform of eigenvalue lam in L's kernel.
 
-    Every exact root lam_m J and coexact root mu_m J, m = 1..ell (the
-    printed case table swaps the labels of its degenerate-weight pair);
-    every exact point where a = n/2 - k equals ell (w = 0, where the
-    leading factor is pure F); and the harmonic forms where some mu_m is
-    0.  With J = p/q each root is one Fraction over 2nq.
+    L's exact side is (a-ell) prod (E - lam_m J) and its coexact side
+    (a+ell) prod (F - mu_m J), m = 1..ell, a = n/2 - k >= 0; a harmonic
+    form sees the sides' common constant, the coexact side at F = 0.  So
+    the rule holds on every exact point where a = ell (w = 0, where the
+    leading factor is pure F), and on a point whose eigenvalue is a root
+    of its side: with J = p/q and lam = r/s, 2n q r = R p s for some root
+    numerator R = 2n lam_m (exact) or 2n mu_m (coexact and harmonic, so
+    a harmonic point is killed where some mu_m is 0).
     """
-    p, den = j_value.numerator, 2 * n * j_value.denominator
-    out: set[tuple[str, Fraction | None]] = set()
-    for m in range(1, ell + 1):
-        mu = coexact_root(n, k, m)
-        out.add(("exact", Fraction(exact_root(n, k, m) * p, den)))
-        out.add(("coexact", Fraction(mu * p, den)))
-        if not mu:
-            out.add(("harmonic", None))
-    if n - 2 * k == 2 * ell:
-        out.add(("exact", None))
-    return out
+    if kind == "exact" and n - 2 * k == 2 * ell:
+        return True
+    root = exact_root if kind == "exact" else coexact_root
+    lhs = 2 * n * j_value.denominator * lam.numerator
+    ps = j_value.numerator * lam.denominator
+    return any(lhs == root(n, k, m) * ps for m in range(1, ell + 1))
 
 
 def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) -> VerificationReport:
@@ -322,10 +321,11 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
     L is the definition engine's operator, not the product of the closed
     factors, so the check ties the two together.  Checks (1) dim N(L)
     equals the sum of the factor kernel dimensions, (2) the set of
-    kernel-carrying model points matches the root-list prediction under
-    ``content_covers``, and (3) reports any point killed by two different
-    factors (a spectral coincidence; additivity is then not expected and
-    the report fails with that witness).
+    kernel-carrying model points matches the root-list prediction,
+    ``predicted_in_kernel`` asked point by point, and (3) reports any
+    point killed by two different factors (a spectral coincidence;
+    additivity is then not expected and the report fails with that
+    witness).
     """
     params = {"n": n, "k": k, "ell": ell, "model": model.source}
     if model.j_value == 0:
@@ -341,14 +341,13 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
              for pt in model.points]
     dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])
                     for col in range(len(ops)))
-    predicted = predicted_kernel_content(n, k, ell, model.j_value)
     coincidences = []
     mismatch = []
     for pt, (in_kernel, *killed) in zip(model.points, zeros):
         killers = [f for f, z in enumerate(killed, start=1) if z]
         if len(killers) > 1:
             coincidences.append({"point": [pt.kind, str(pt.eigenvalue)], "factors": killers})
-        pred = content_covers(predicted, pt.kind, pt.eigenvalue)
+        pred = predicted_in_kernel(n, k, ell, pt.kind, model.j_value, pt.eigenvalue)
         if in_kernel != pred:
             mismatch.append({"point": [pt.kind, str(pt.eigenvalue)], "in_kernel": in_kernel,
                              "predicted": pred})

@@ -280,3 +280,55 @@ def test_each_box_step_normalises_seven_times(monkeypatch):
         calls.clear()
         apply_Mstar(t)
         assert len(calls) == 2  # the product E Y and one multiply-accumulate
+
+
+def _diag(n, wt):
+    """D(wt) = -2 (wt/n)(n + wt - 1), the box's one weight-dependent coefficient."""
+    return -2 * wt * (n + wt - 1) / n
+
+
+def test_box_depends_on_the_weight_only_through_a_multiple_of_the_identity():
+    # the lemma of apply_box, box_wt = box_0 + D(wt) J Id: every box step of
+    # the default grid, its slots relabelled at three other weights (half a
+    # unit up, one down, and wt = 0 where D = 0), differs after one box by
+    # exactly (D - D') J times the state, slot by slot
+    from formlap.factory import default_grid, operator_weight
+
+    compared = 0
+    for n, k, ell in default_grid():
+        t = make_M(FormContext(n, k, operator_weight(n, k, ell)))
+        for _ in range(ell):
+            out, w = apply_box(t), t.ctx.w
+            for w2 in (w + Fraction(1, 2), w - 1, Fraction(k + t.p)):
+                t2 = TractorFormExpr(FormContext(n, k, w2), t.p, t.slot_y, t.slot_z, t.slot_x)
+                out2, shift = apply_box(t2), _diag(n, t.wt) - _diag(n, t2.wt)
+                for name in ("slot_y", "slot_z", "slot_x"):
+                    diff = OperatorPoly.combine(((1, 0, getattr(out, name)),
+                                                 (-1, 0, getattr(out2, name))))
+                    assert diff == OperatorPoly.combine(((shift, 1, getattr(t, name)),)), (
+                        n, k, ell, t.p, w2, name)
+                    compared += 1
+            t = out
+    assert compared == 6615
+
+
+def test_box_z_coefficient_is_the_coexact_root():
+    # -j_z(wt_p) = 2n mu_m / 2n with m = ell - p, read as the J coefficient of
+    # Z' from a state whose only slot is Z = 1: every box step of the cells
+    # n = 3..30, k <= n/2, ell <= 10.  Times n both sides are polynomials of
+    # degree 2 in each of n, k and m, and the steps hold the product grid
+    # {6, 7, 8} x {1, 2, 3} x {1, 2, 3}, so by the grid lemma they agree for
+    # every (n, k, m)
+    from formlap.factory import coexact_root, default_grid, operator_weight
+
+    steps = 0
+    for n, k, ell in default_grid(range(3, 31), 10):
+        for p in range(ell):
+            wt = operator_weight(n, k, ell) - k - p
+            t = TractorFormExpr(FormContext(n, k, wt + k), 0, OperatorPoly(n, k, -1), unit(n, k),
+                                OperatorPoly(n, k, 0))
+            z = apply_box(t).slot_z
+            assert Fraction(-z.c_num, z.den) == Fraction(coexact_root(n, k, ell - p), 2 * n), (
+                n, k, ell, p)
+            steps += 1
+    assert steps == 12320

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from formlap import verify
 from formlap.coeffring import RatJ, ZERO
-from formlap.factory import build_L_definition, closed_factors, default_grid, operator_weight
+from formlap.factory import (build_L_definition, closed_factors, coexact_root, default_grid,
+                             exact_root, operator_weight)
 from formlap.forms import OperatorPoly, UsageError
-from formlap.spectral import (SpectralModel, SpectralPoint, factor_kernel_content,
-                              synthetic_model)
+from formlap.spectral import SpectralModel, SpectralPoint, synthetic_model
 from formlap.verify import (BezoutError, bezout, lg_second_scalar,
-                            predicted_kernel_content, verify_LG,
+                            predicted_in_kernel, verify_LG,
                             verify_MMstar, verify_bezout_pairs, verify_factorization,
                             verify_kernel_decomposition)
 
@@ -360,9 +360,9 @@ def test_kernel_decomposition_evaluates_each_operator_once_per_point(monkeypatch
     # on the class: every caller, spectral helpers such as kernel_dim too
     monkeypatch.setattr(OperatorPoly, "kills", counting)
     monkeypatch.setattr(OperatorPoly, "on_eigenspace", lambda *args: values.append(args))
-    # the model is read from the factors' kernel contents, not evaluated
+    # the model asks the factors which of them kill each point it places
     model = synthetic_model(6, 2, 3, Fraction(1))
-    assert reads == []
+    reads.clear()
     assert verify_kernel_decomposition(6, 2, 3, model).passed
     factors = closed_factors(6, 2, 3)
     # one zero test per (operator, point), and no scalar is built
@@ -402,8 +402,10 @@ def test_kernel_decomposition_reports_content_mismatch(monkeypatch):
     import formlap.verify as verify
 
     full = closed_factors(5, 1, 2)
-    [(kind, lam)] = [c for c in factor_kernel_content(full[-1], Fraction(1))
-                     if c[0] == "exact"]
+    # the last factor pairs the roots m = 1: its exact root is lam_1
+    kind, lam = "exact", Fraction(exact_root(5, 1, 1), 10)
+    assert full[-1].kills(kind, Fraction(1), lam) and not full[0].kills(kind, Fraction(1), lam)
+    assert predicted_in_kernel(5, 1, 2, kind, Fraction(1), lam)
     monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: full[0])
     model = SpectralModel(5, 1, Fraction(1), (SpectralPoint(kind, lam, 2),))
     r = verify_kernel_decomposition(5, 1, 2, model)
@@ -427,36 +429,91 @@ def test_kernel_decomposition_fails_on_a_wrong_engine_operator(monkeypatch):
 
 
 def test_predicted_content_cases():
+    one = Fraction(1)
     # top degree: harmonic plus ell-1 eigenvalue pairs
-    content = predicted_kernel_content(4, 2, 2, Fraction(1))
-    assert ("harmonic", None) in content
-    assert ("exact", Fraction(1)) in content and ("coexact", Fraction(1)) in content
+    assert predicted_in_kernel(4, 2, 2, "harmonic", one, Fraction(0))
+    assert predicted_in_kernel(4, 2, 2, "exact", one, one)
+    assert predicted_in_kernel(4, 2, 2, "coexact", one, one)
+    assert not predicted_in_kernel(4, 2, 2, "exact", one, Fraction(2))
     # weight zero: the whole closed-plus-harmonic part
-    content0 = predicted_kernel_content(6, 1, 2, Fraction(1))
-    assert ("exact", None) in content0 and ("harmonic", None) in content0
+    assert operator_weight(6, 1, 2) == 0
+    assert all(predicted_in_kernel(6, 1, 2, "exact", one, lam)
+               for lam in (Fraction(0), Fraction(-5, 2), Fraction(7, 3), Fraction(12)))
+    assert predicted_in_kernel(6, 1, 2, "harmonic", one, Fraction(0))
+    assert not predicted_in_kernel(6, 1, 2, "coexact", one, Fraction(7, 3))
     # positive weight: the degenerate pair contributes -mu on the exact side
     w = operator_weight(6, 2, 2)
     assert w == 1
     mu = Fraction(4, 6) * (3 - 2) * 1
-    content1 = predicted_kernel_content(6, 2, 2, Fraction(1))
-    assert ("exact", -mu) in content1 and ("coexact", mu) in content1
+    assert predicted_in_kernel(6, 2, 2, "exact", one, -mu)
+    assert predicted_in_kernel(6, 2, 2, "coexact", one, mu)
+    assert not predicted_in_kernel(6, 2, 2, "exact", one, mu)
+    # harmonic forms where some mu_m is 0: mu_1 = 0 at a = 1, none at (8, 2, 1)
+    assert predicted_in_kernel(6, 2, 2, "harmonic", one, Fraction(0))
+    assert not predicted_in_kernel(8, 2, 1, "harmonic", one, Fraction(0))
+
+
+def _root_list(n, k, ell, j_value):
+    """The root-list eigenvalues of one cell at J: (kind, lam_m J) and (kind, mu_m J)."""
+    return [(kind, Fraction(root(n, k, m), 2 * n) * j_value)
+            for kind, root in (("exact", exact_root), ("coexact", coexact_root))
+            for m in range(1, ell + 1)]
 
 
 @pytest.mark.parametrize("j_value", [Fraction(1), Fraction(-2, 3)], ids=str)
 def test_predicted_content_is_the_union_of_factor_contents(j_value):
     # the root-list rule against the factors it summarises, past the default
-    # grid: n = 3..20, ell <= 10, 990 cells per J.  Entries that a (kind, None)
-    # entry covers are dropped from both sides: at w = 0 the rule lists
-    # lam_ell, which the pure-F factor's ("exact", None) already holds
-    def uncovered(content):
-        return {(kind, lam) for kind, lam in content if lam is None or (kind, None) not in content}
-
+    # grid: n = 3..20, ell <= 10, 990 cells per J.  Every nonzero root of every
+    # closed factor satisfies the rule, and every root-list eigenvalue is
+    # killed by some factor; on these points, the harmonic point and one point
+    # of each kind that is no root, the rule holds exactly where some factor
+    # kills the point
     cells = list(default_grid(range(3, 21), 10))
     assert len(cells) == 990
     for n, k, ell in cells:
-        union = set().union(*(factor_kernel_content(f, j_value) for f in closed_factors(n, k, ell)))
-        predicted = predicted_kernel_content(n, k, ell, j_value)
-        assert uncovered(predicted) == uncovered(union), (n, k, ell)
+        factors = closed_factors(n, k, ell)
+        roots = [(kind, Fraction(-f.c_num * j_value.numerator, j_value.denominator * side[0]))
+                 for f in factors if f.c_num
+                 for kind, side in (("exact", f.e_nums), ("coexact", f.f_nums)) if side]
+        assert all(predicted_in_kernel(n, k, ell, kind, j_value, lam) for kind, lam in roots)
+        listed = _root_list(n, k, ell, j_value)
+        assert all(any(f.kills(kind, j_value, lam) for f in factors) for kind, lam in listed)
+        generic = j_value / (4 * n + 1)  # lam_m and mu_m are integers over 2n
+        for kind, lam in [*roots, *listed, ("harmonic", Fraction(0)),
+                          ("exact", generic), ("coexact", generic)]:
+            assert (predicted_in_kernel(n, k, ell, kind, j_value, lam)
+                    == any(f.kills(kind, j_value, lam) for f in factors)), (n, k, ell, kind, lam)
+
+
+def _kernel_failures(monkeypatch, **names):
+    """The failed reports of the default kernel sweep with verify's names replaced."""
+    for name, value in names.items():
+        monkeypatch.setattr(verify, name, value)
+    reports = verify.run_sweep(["kernel"])
+    assert len(reports) == 210
+    failed = [r for r in reports if not r.passed]
+    assert all("content_mismatch" in r.witness for r in failed)
+    return failed
+
+
+def test_kernel_sweep_fails_without_the_weight_zero_clause(monkeypatch):
+    # a rule that forgets that L's exact side vanishes identically at a = ell
+    # keeps only its roots there: 14 of the 15 weight-zero cells fail
+    real = verify.predicted_in_kernel
+
+    def rule(n, k, ell, kind, j_value, lam):
+        if kind == "exact" and n - 2 * k == 2 * ell:
+            return (kind, lam) in _root_list(n, k, ell, j_value)
+        return real(n, k, ell, kind, j_value, lam)
+
+    failed = _kernel_failures(monkeypatch, predicted_in_kernel=rule)
+    assert len(failed) == 14
+    assert all(operator_weight(*(r.params[x] for x in ("n", "k", "ell"))) == 0 for r in failed)
+
+
+def test_kernel_sweep_fails_with_the_root_lists_swapped(monkeypatch):
+    failed = _kernel_failures(monkeypatch, exact_root=coexact_root, coexact_root=exact_root)
+    assert len(failed) == 180
 
 
 # the checks of one sweep on n = 4..5, ell <= 2: 8 cells, MMstar and
@@ -490,20 +547,19 @@ def test_sweep_builds_models_through_the_patched_name(monkeypatch):
 def test_j_one_stands_for_every_nonzero_j(j_value):
     # L^ell_k lowers weight by 2 ell and J has weight -2: on the default grid
     # L acts on (kind, J lam) at J as J^ell times on (kind, lam) at J = 1, and
-    # the predicted kernel content at J is J times its content at J = 1.
-    # That is why the sweep checks at J = 1 only.
+    # the kernel rule holds on (kind, J lam) at J exactly where it holds on
+    # (kind, lam) at J = 1.  That is why the sweep checks at J = 1 only.
     lams = [Fraction(0), Fraction(1), Fraction(-5, 2), Fraction(7, 3), Fraction(12)]
     for n, k, ell in default_grid(range(3, 13), 6):
         L = build_L_definition(n, k, ell)
-        content = predicted_kernel_content(n, k, ell, Fraction(1))
         points = [("harmonic", Fraction(0))] + [(kind, lam) for kind in ("exact", "coexact")
                                                 for lam in lams]
-        points += [(kind, lam) for kind, lam in content if lam is not None]
+        points += _root_list(n, k, ell, Fraction(1))
         for kind, lam in points:
             assert (L.on_eigenspace(kind, j_value, j_value * lam)
                     == j_value ** ell * L.on_eigenspace(kind, Fraction(1), lam)), (n, k, ell, kind)
-        scaled = {(kind, None if lam is None else j_value * lam) for kind, lam in content}
-        assert predicted_kernel_content(n, k, ell, j_value) == scaled, (n, k, ell)
+            assert (predicted_in_kernel(n, k, ell, kind, j_value, j_value * lam)
+                    == predicted_in_kernel(n, k, ell, kind, Fraction(1), lam)), (n, k, ell, kind)
 
 
 def test_kernel_theorem_holds_at_a_negative_non_integer_j():
