@@ -21,9 +21,12 @@ structural equality is value equality.  Only the constructor writes
 the fields; that is kept by the source, not checked at run time.  Every
 sum and scaling is one multiply-accumulate, ``OperatorPoly.combine``:
 sum_i c_i J^(a_i) x_i over one lcm of the denominators, with integer
-accumulation and one gcd (``+`` and ``scale`` are its two- and
-one-term cases).  A product is one integer convolution over
-den1 * den2 and one gcd.  ``Fraction`` appears only at the edges.
+accumulation in one pass and one gcd (``+`` and ``scale`` are its two-
+and one-term cases).  A product is one integer convolution over
+den1 * den2 and one gcd; by E or E + F it is a shift (``times_e``,
+``times_laplacian``), the same numerators one power up over the same
+den, canonical with no gcd, so a box step normalises 4 times and
+``apply_Mstar`` once.  ``Fraction`` appears only at the edges.
 Values enter as rational coefficients (``OperatorPoly.graded``, given an
 order) or as integer numerators over one denominator
 (``from_numerators``, the normaliser beneath ``graded`` and
@@ -137,7 +140,8 @@ class OperatorPoly:
 
         den is any nonzero integer; J powers follow from the order as usual.
         """
-        e, f = _trim(e), _trim(f)
+        e = tuple(e) if not e or e[-1] else _trim(e)  # a trimmed tuple is kept as it is
+        f = tuple(f) if not f or f[-1] else _trim(f)
         if not c and not e and not f:
             return OperatorPoly(n, k, order)
         g = gcd(den, c, *e, *f)
@@ -145,8 +149,8 @@ class OperatorPoly:
             g = -g
         if g != 1:
             c //= g
-            e = tuple(x // g for x in e)
-            f = tuple(x // g for x in f)
+            e = tuple([x // g for x in e])
+            f = tuple([x // g for x in f])
             den //= g
         return OperatorPoly(n, k, order, c, e, f, den)
 
@@ -159,19 +163,20 @@ class OperatorPoly:
         x_i.order + a_i must agree, and that is the result's order.  The
         numerators are accumulated over one lcm of the term denominators.
         """
-        _, a0, x0 = terms[0]
+        c, a0, x0 = terms[0]
         order = x0.order + a0
-        den = 1
-        for c, a, x in terms:
+        m, den = c.numerator, x0.den * c.denominator
+        acc_c, acc_e, acc_f = x0.c_num * m, [v * m for v in x0.e_nums], [v * m for v in x0.f_nums]
+        for c, a, x in terms[1:]:
             x0._check(x)
             if x.order + a != order:
                 raise InternalConsistencyError(f"adding operators of orders {order} and {x.order + a}")
-            d = x.den * c.denominator
-            if den % d:
-                den = lcm(den, d)
-        acc_c, acc_e, acc_f = 0, [], []
-        for c, _, x in terms:
-            m = c.numerator * (den // (x.den * c.denominator))
+            m, d = c.numerator, x.den * c.denominator
+            if den % d:  # a new denominator: bring the sum so far over lcm(den, d)
+                r = d // gcd(den, d)
+                den *= r
+                acc_c, acc_e, acc_f = acc_c * r, [v * r for v in acc_e], [v * r for v in acc_f]
+            m *= den // d
             acc_c += x.c_num * m
             for acc, nums in ((acc_e, x.e_nums), (acc_f, x.f_nums)):
                 if len(acc) < len(nums):
@@ -207,6 +212,16 @@ class OperatorPoly:
         return OperatorPoly.from_numerators(self.n, self.k, self.order, self.c_num,
                                             self.e_nums, (), self.den)
 
+    def times_e(self) -> OperatorPoly:
+        """E times the operator, E e(x) as E F = 0: with no F part, a shift of the numerators."""
+        x = self.e_part() if self.f_nums else self
+        return OperatorPoly(x.n, x.k, x.order + 1, 0, _shift(x.c_num, x.e_nums), (), x.den)
+
+    def times_laplacian(self) -> OperatorPoly:
+        """(E + F) times the operator: both sides shift up one power over the same denominator."""
+        return OperatorPoly(self.n, self.k, self.order + 1, 0, _shift(self.c_num, self.e_nums),
+                            _shift(self.c_num, self.f_nums), self.den)
+
     def __mul__(self, other: OperatorPoly) -> OperatorPoly:
         """Ring product in R: orders add, and E^p F^q cross terms are annihilated."""
         self._check(other)
@@ -234,7 +249,7 @@ class OperatorPoly:
         on exact forms (E -> lam, F -> 0), the same with the f_q on coexact
         forms, and const J^m on harmonic forms.
         """
-        num, dnm = _reduce(self._side(kind), self.order, j_value, lam)
+        num, dnm = _reduce(self.c_num, self._side(kind), self.order, j_value, lam)
         return Fraction(num, self.den * dnm) if num else _ZERO
 
     def kills(self, kind: str, j_value: Fraction, lam: Fraction | int) -> bool:
@@ -244,16 +259,16 @@ class OperatorPoly:
         reducer without building the Fraction; at J = 0 it raises on the
         same poles.
         """
-        return not _reduce(self._side(kind), self.order, j_value, lam)[0]
+        return not _reduce(self.c_num, self._side(kind), self.order, j_value, lam)[0]
 
     def _side(self, kind: str) -> tuple[int, ...]:
-        """The numerators a kind reads: the constant, then the E or F side (neither if harmonic)."""
+        """The numerators a kind reads after the constant: the E or F side (neither if harmonic)."""
         if kind == "exact":
-            return (self.c_num, *self.e_nums)
+            return self.e_nums
         if kind == "coexact":
-            return (self.c_num, *self.f_nums)
+            return self.f_nums
         if kind == "harmonic":
-            return (self.c_num,)
+            return ()
         raise InternalConsistencyError(f"unknown eigenspace kind {kind!r}")
 
     def render(self, latex: bool = False) -> str:
@@ -288,26 +303,26 @@ def _wrap(c: str) -> str:
     return c
 
 
-def _reduce(nums: tuple[int, ...], top: int, j_value: Fraction,
+def _reduce(c: int, nums: tuple[int, ...], top: int, j_value: Fraction,
             lam: Fraction | int) -> tuple[int, int]:
-    """Integers (num, dnm) with sum_i nums[i] * J**(top - i) * lam**i = num / dnm at J = j_value.
+    """Integers (num, dnm) with c J**top + sum_i nums[i-1] J**(top-i) lam**i = num/dnm at J = j_value.
 
     The one place where powers of E and F meet an eigenvalue; num is 0
     exactly when the sum vanishes.  For J = p/q != 0 and lam = r/s, with
-    d = len(nums) - 1, the sum is J**(top - d) / (qs)**d times the
-    integer Horner sum sum_i nums[i] (rq)**i (sp)**(d - i).  At J = 0
-    only the term of J power 0 survives, and a nonzero coefficient of
-    negative J power is a pole (CoefficientError).
+    d = len(nums), the sum is J**(top - d) / (qs)**d times the integer
+    Horner sum c (sp)**d + sum_i nums[i-1] (rq)**i (sp)**(d - i).  At
+    J = 0 only the term of J power 0 survives, and a nonzero coefficient
+    of negative J power is a pole (CoefficientError).
     """
     p, q = j_value.numerator, j_value.denominator
     r, s = lam.numerator, lam.denominator
-    d = len(nums) - 1
+    d = len(nums)
     if p:
         x, y = r * q, s * p
-        acc, y_pow = nums[d], 1
-        for c in reversed(nums[:d]):
-            y_pow *= y
-            acc = acc * x + c * y_pow
+        acc, x_pow = c, 1
+        for v in nums:
+            x_pow *= x
+            acc = acc * y + v * x_pow
         if not acc:
             return 0, 1
         num, dnm = acc, (q * s) ** d
@@ -317,9 +332,9 @@ def _reduce(nums: tuple[int, ...], top: int, j_value: Fraction,
         elif e < 0:
             num, dnm = num * q ** -e, dnm * p ** -e
         return num, dnm
-    if any(nums[max(top + 1, 0):]):
+    if top < 0 and c or any(nums[max(top, 0):]):
         raise CoefficientError("pole at J = 0")
-    return (nums[top] * r ** top, s ** top) if 0 <= top <= d else (0, 1)
+    return ((nums[top - 1] if top else c) * r ** top, s ** top) if 0 <= top <= d else (0, 1)
 
 
 def _trim(nums: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -327,6 +342,10 @@ def _trim(nums: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     while end and not nums[end - 1]:
         end -= 1
     return tuple(nums[:end])
+
+
+def _shift(c: int, nums: tuple[int, ...]) -> tuple[int, ...]:
+    return (c, *nums) if c or nums else ()
 
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

@@ -169,7 +169,7 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
         return sum(f.kills(kind, j_value, lam) for f in factors)
 
     points: list[SpectralPoint] = []
-    seen: set[tuple[str, Fraction]] = set()
+    seen: set[tuple[str, int, int]] = set()  # (kind, lam) by integers: a Fraction hashes slowly
 
     if killers("harmonic", Fraction(0)) <= 1:
         points.append(SpectralPoint("harmonic", Fraction(0), rng.randint(1, 4)))
@@ -178,9 +178,9 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
              for f in factors if f.c_num and j_value
              for kind, side in (("coexact", f.f_nums), ("exact", f.e_nums)) if side]
     for kind, lam in roots:
-        if (kind, lam) not in seen and killers(kind, lam) == 1:
+        if (kind, lam.numerator, lam.denominator) not in seen and killers(kind, lam) == 1:
             points.append(SpectralPoint(kind, lam, rng.randint(1, 5)))
-            seen.add((kind, lam))
+            seen.add((kind, lam.numerator, lam.denominator))
 
     noise = 0
     step = 0
@@ -190,10 +190,10 @@ def synthetic_model(n: int, k: int, ell: int, j_value: Fraction) -> SpectralMode
         a, b = rng.randint(1, 60), rng.randint(1, 7)
         q = j_value.denominator * b  # lam = J a/b + step, over q
         lam = Fraction(j_value.numerator * a + step * q, q)
-        if lam == 0 or (kind, lam) in seen:
+        if lam == 0 or (kind, lam.numerator, lam.denominator) in seen:
             continue
         if killers(kind, lam) <= 1:
             points.append(SpectralPoint(kind, lam, rng.randint(1, 3)))
-            seen.add((kind, lam))
+            seen.add((kind, lam.numerator, lam.denominator))
             noise += 1
     return SpectralModel(n, k, j_value, tuple(points), "synthetic")

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .forms import FormContext, InternalConsistencyError, OperatorPoly
 
@@ -73,12 +74,6 @@ class TractorFormExpr:
                 )
             if name != "slot_z" and slot.f_nums:
                 raise InternalConsistencyError(f"{name} = delta of an operator with an F part")
-
-    @property
-    def wt(self) -> Fraction:
-        """Overall tractor weight w - k - p, over the denominator of w."""
-        w = self.ctx.w
-        return Fraction(w.numerator - (self.ctx.k + self.p) * w.denominator, w.denominator)
 
     def render(self) -> str:
         return (f"[Y] δ({self.slot_y.render()})\n[Z] {self.slot_z.render()}\n"
@@ -122,32 +117,39 @@ def apply_box(t: TractorFormExpr) -> TractorFormExpr:
     and there -(D - 2k(n-k-1)/n) = (2m-h)(2m+h-2)/(2n), h = n - 2k: the
     coexact root mu_m of the closed forms.
 
+    Theorem: on coexact forms only Z survives, and L's coexact side is
+    (n+w-2k) prod_p (mu + j_z(wt_p) J), j_z = D - 2k(n-k-1)/n.  Proof: the
+    coexact read E -> 0, F -> mu is a ring map on R; it sends E Y and E X
+    to 0, so Z' reads as (mu + j_z J) Z, from M's Z = (n+w-2k)/k to L = k Z.
+    And delta Y f = c_Y delta f = 0 on coexact f (Y has no F part, E f = 0).
+
     In integers, with wt = a/b in lowest terms (any rational weight),
     D = -2a(nb + a - b) / (nb^2) and j_y = (n - 2(k-1)(n-k+1)) / n, so
-    j_y + D and D - 2k(n-k-1)/n are each one Fraction over nb^2.  The
-    ring products E Y, E X and (E + F) Z are taken once, and each output
-    slot is one multiply-accumulate (``OperatorPoly.combine``).
+    j_y + D and D - 2k(n-k-1)/n are each one Fraction over nb^2, built
+    once per (n, k, wt) with the four others.  E Y, E X and (E + F) Z are
+    numerator shifts, and e(Z) and each output slot (one
+    ``OperatorPoly.combine``) normalise once: 4 times per step.
     """
-    ctx = t.ctx
-    n, k = ctx.n, ctx.k
-    wt = t.wt
-    a, b = wt.numerator, wt.denominator
+    n, k, w = t.ctx.n, t.ctx.k, t.ctx.w
+    a = w.numerator - (k + t.p) * w.denominator  # wt = a / w.denominator, in lowest terms
+    j_y, j_z, c_zy, c_zx, c_xy, c_xz = _box_coefficients(n, k, a, w.denominator)
     y, z, x = t.slot_y, t.slot_z, t.slot_x
-
-    e = OperatorPoly(n, k, 1, 0, (1,))
-    bb = b * b
-    diag = -2 * a * (n * b + a - b)  # n b^2 D
-    j_y = Fraction((n - 2 * (k - 1) * (n - k + 1)) * bb + diag, n * bb)  # j_y + D
-    j_z = Fraction(diag - 2 * k * (n - k - 1) * bb, n * bb)  # D - 2k(n-k-1)/n
-    ey, ex, ez = e * y, e * x, z.e_part()
+    ey, ex, ez = y.times_e(), x.times_e(), z.e_part()
 
     combine = OperatorPoly.combine
     out_y = combine(((1, 0, ey), (j_y, 1, y), (-2 * k, 0, ez), (n - 2 * k + 2, 0, x)))
-    out_z = combine(((1, 0, OperatorPoly(n, k, 1, 0, (1,), (1,)) * z), (j_z, 1, z),
-                     (Fraction(-2, n * k), 1, ey), (Fraction(-2, k), 0, ex)))
-    out_x = combine(((1, 0, ex), (j_y, 1, x), (Fraction(n - 2 * k + 2, n * n), 2, y),
-                     (Fraction(-2 * k, n), 1, ez)))
-    return TractorFormExpr(ctx, t.p + 1, out_y, out_z, out_x)
+    out_z = combine(((1, 0, z.times_laplacian()), (j_z, 1, z), (c_zy, 1, ey), (c_zx, 0, ex)))
+    out_x = combine(((1, 0, ex), (j_y, 1, x), (c_xy, 2, y), (c_xz, 1, ez)))
+    return TractorFormExpr(t.ctx, t.p + 1, out_y, out_z, out_x)
+
+
+@lru_cache(maxsize=None)
+def _box_coefficients(n: int, k: int, a: int, b: int) -> tuple[Fraction, ...]:
+    """The six Fraction coefficients of a box step at wt = a/b: j_y + D, j_z, then (n, k)-only."""
+    diag = -2 * a * (n * b + a - b)  # n b^2 D
+    return (Fraction((n - 2 * (k - 1) * (n - k + 1)) * b * b + diag, n * b * b),  # j_y + D
+            Fraction(diag - 2 * k * (n - k - 1) * b * b, n * b * b),  # j_z = D - 2k(n-k-1)/n
+            Fraction(-2, n * k), Fraction(-2, k), Fraction(n - 2 * k + 2, n * n), Fraction(-2 * k, n))
 
 
 def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
@@ -156,7 +158,6 @@ def apply_Mstar(t: TractorFormExpr) -> OperatorPoly:
     Here d slot_y = d delta Y = E Y, so the result is an element of R.
     """
     k, w = t.ctx.k, t.ctx.w
-    e = OperatorPoly(t.ctx.n, k, 1, 0, (1,))
     scalar = Fraction(t.p * w.denominator - w.numerator, w.denominator)  # -(wt + k) = p - w
-    return OperatorPoly.combine(((scalar, 0, t.slot_z), (Fraction(1, k), 0, e * t.slot_y)))
+    return OperatorPoly.combine(((scalar, 0, t.slot_z), (Fraction(1, k), 0, t.slot_y.times_e())))
 

@@ -14,3 +14,22 @@ def operators(draw, n=6, k=2, order=None):
     if order is None:
         order = draw(st.integers(min_value=-2, max_value=3))
     return OperatorPoly.graded(n, k, order, draw(small_fracs), draw(coeffs), draw(coeffs))
+
+
+@st.composite
+def shaped_operators(draw, n=6, k=2, order=None):
+    """An operator of one of five shapes: general, zero, constant only, E only or F only."""
+    if order is None:
+        order = draw(st.integers(min_value=-2, max_value=3))
+    nonzero = small_fracs.filter(bool)
+    side = st.lists(small_fracs, min_size=1, max_size=4)
+    shape = draw(st.sampled_from(("general", "zero", "constant", "e", "f")))
+    if shape == "general":
+        return draw(operators(n, k, order))
+    if shape == "zero":
+        return OperatorPoly(n, k, order)
+    if shape == "constant":
+        return OperatorPoly.graded(n, k, order, draw(nonzero), [], [])
+    if shape == "e":
+        return OperatorPoly.graded(n, k, order, 0, draw(side), [])
+    return OperatorPoly.graded(n, k, order, 0, [], draw(side))

@@ -52,13 +52,17 @@ def test_expand_usage_error(capsys, tmp_path):
 
 
 def test_expand_ring_fault_is_not_a_usage_error(monkeypatch):
-    # a product of the wrong order breaks an identity of R: a fault, not bad input
+    # a product of the wrong order breaks an identity of R: a fault, not bad input.
+    # Both products are raised one order: the ring product and E times a slot,
+    # which the box step takes as a shift
     from formlap import factory
     from formlap.forms import InternalConsistencyError, OperatorPoly
 
-    real = OperatorPoly.__mul__
+    real_mul, real_times_e = OperatorPoly.__mul__, OperatorPoly.times_e
     monkeypatch.setattr(OperatorPoly, "__mul__",
-                        lambda a, b: OperatorPoly.combine(((1, 1, real(a, b)),)))
+                        lambda a, b: OperatorPoly.combine(((1, 1, real_mul(a, b)),)))
+    monkeypatch.setattr(OperatorPoly, "times_e",
+                        lambda a: OperatorPoly.combine(((1, 1, real_times_e(a)),)))
     caches = (factory.box_chains, factory.run_pipeline)
     for cached in caches:
         cached.cache_clear()

@@ -219,7 +219,7 @@ def test_sweep_builds_each_box_state_once(monkeypatch):
     apply_box = factory.apply_box
 
     def counting_apply_box(t):
-        calls.append(t.wt)
+        calls.append(t.p)
         return apply_box(t)
 
     monkeypatch.setattr(factory, "apply_box", counting_apply_box)

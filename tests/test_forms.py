@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formlap.coeffring import RatJ, ZERO
+from formlap.coeffring import CoefficientError, RatJ, ZERO
 from formlap.factory import box_iterate, closed_factors, operator_weight, run_pipeline
 from formlap.forms import (FormContext, InternalConsistencyError, OperatorPoly, UsageError,
                            proportionality, to_operator_poly)
-from strategies import operators
+from strategies import operators, shaped_operators, small_fracs
 
 J = RatJ(1, 1)
 
@@ -159,3 +161,81 @@ def test_combine_checks_order_and_context():
         OperatorPoly.combine(((1, 0, e), (1, 0, f)))
     with pytest.raises(InternalConsistencyError, match="context mismatch"):
         OperatorPoly.combine(((1, 0, e), (1, 1, OperatorPoly(6, 1, 0, 1))))
+
+
+def assert_canonical(op):
+    """Tuples of integers over a positive den, no common factor, no trailing zero, zero over 1."""
+    assert type(op.e_nums) is tuple and type(op.f_nums) is tuple
+    assert op.den > 0 and gcd(op.den, op.c_num, *op.e_nums, *op.f_nums) == 1
+    assert not op.e_nums or op.e_nums[-1]
+    assert not op.f_nums or op.f_nums[-1]
+    assert not op.is_zero or op.den == 1
+
+
+@given(shaped_operators())
+@settings(max_examples=150)
+def test_shifts_are_the_products_by_E_and_E_plus_F(x):
+    # E x and (E + F) x move numerators up one power over the same denominator;
+    # E x drops the F part (E F = 0), so an F-only operator goes to zero
+    e = OperatorPoly(x.n, x.k, 1, 0, (1,))
+    laplacian = OperatorPoly(x.n, x.k, 1, 0, (1,), (1,))
+    assert_canonical(x)
+    for shifted, product in ((x.times_e(), e * x), (x.times_laplacian(), laplacian * x)):
+        assert_canonical(shifted)
+        assert shifted == product and shifted.order == x.order + 1
+
+
+def _fraction_sides(x):
+    """The constant and the E and F coefficients of x as Fractions."""
+    return (Fraction(x.c_num, x.den), [Fraction(v, x.den) for v in x.e_nums],
+            [Fraction(v, x.den) for v in x.f_nums])
+
+
+def _trimmed(values):
+    while values and not values[-1]:
+        values = values[:-1]
+    return values
+
+
+def _fraction_sum(terms):
+    """(const, E, F) of sum_i c_i J**a_i x_i in Fractions; a J shift only relabels powers."""
+    const, e, f = Fraction(0), [], []
+    for c, _, x in terms:
+        xc, xe, xf = _fraction_sides(x)
+        const += c * xc
+        e = [u + c * v for u, v in zip_longest(e, xe, fillvalue=0)]
+        f = [u + c * v for u, v in zip_longest(f, xf, fillvalue=0)]
+    return const, _trimmed(e), _trimmed(f)
+
+
+@given(st.integers(min_value=-1, max_value=3),
+       st.lists(st.tuples(st.one_of(st.integers(min_value=-6, max_value=6), small_fracs),
+                          st.integers(min_value=0, max_value=2)), min_size=1, max_size=4),
+       st.data())
+@settings(max_examples=150)
+def test_combine_is_the_fraction_sum(order, coeffs, data):
+    # int and Fraction coefficients, summands of every shape and of mixed lengths
+    terms = [(c, a, data.draw(shaped_operators(order=order - a))) for c, a in coeffs]
+    out = OperatorPoly.combine(terms)
+    assert_canonical(out)
+    assert out.order == order
+    assert _fraction_sides(out) == _fraction_sum(terms)
+
+
+@given(shaped_operators(), st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(0)]),
+       st.one_of(st.integers(min_value=-9, max_value=9), small_fracs))
+@settings(max_examples=200)
+def test_kills_is_the_zero_test_of_on_eigenspace(op, j, lam):
+    # the reducer takes the constant apart from the side it reads: every
+    # operator shape, negative and non-integer eigenvalues; at J = 0 kills
+    # raises exactly where on_eigenspace raises (a nonzero coefficient of
+    # negative J power)
+    for kind in ("exact", "coexact", "harmonic"):
+        try:
+            value = op.on_eigenspace(kind, j, lam)
+        except CoefficientError:
+            assert j == 0
+            with pytest.raises(CoefficientError):
+                op.kills(kind, j, lam)
+            continue
+        assert op.kills(kind, j, lam) is (value == 0)

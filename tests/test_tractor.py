@@ -17,6 +17,11 @@ def unit(n, k):
     return OperatorPoly(n, k, 0, 1)
 
 
+def weight(t):
+    """The overall weight w - k - p of a tractor state."""
+    return t.ctx.w - t.ctx.k - t.p
+
+
 # -- word-level reference ---------------------------------------------------------
 # A form built from the generator f is a dict {(word, J power): Fraction}.  A word
 # lists its letters outermost first, "d" for d and "c" for the codifferential;
@@ -79,7 +84,7 @@ def w_slots(t):
 
 def w_box(t):
     """The coupled box on word slots, component formula by component formula."""
-    n, k, wt = t.ctx.n, t.ctx.k, t.wt
+    n, k, wt = t.ctx.n, t.ctx.k, weight(t)
     kappa, mu, rho = w_slots(t)
     j_y = 1 - Fraction(2 * (k - 1) * (n - k + 1), n)
     diag = Fraction(-2) * wt * (n + wt - 1) / n
@@ -143,11 +148,12 @@ def test_box_rules_match_words(nk, data):
 @settings(max_examples=60, deadline=None)
 def test_box_and_Mstar_match_words(t):
     out = apply_box(t)
-    assert out.p == t.p + 1 and out.wt == t.wt - 1
+    assert out.p == t.p + 1 and weight(out) == weight(t) - 1
     assert w_slots(out) == w_box(t)
     # M* = -(wt+k) slot_z + (1/k) d slot_y
     kappa, mu, _ = w_slots(t)
-    expect = w_add(w_J(mu, 0, -(t.wt + t.ctx.k)), w_J(w_apply(kappa, "d"), 0, Fraction(1, t.ctx.k)))
+    expect = w_add(w_J(mu, 0, -(weight(t) + t.ctx.k)),
+                   w_J(w_apply(kappa, "d"), 0, Fraction(1, t.ctx.k)))
     assert w_of(apply_Mstar(t)) == expect
 
 
@@ -159,7 +165,7 @@ def test_make_M_examples():
     assert m.slot_z == unit(6, 2).scale(Fraction(3, 2))
     assert m.slot_x == unit(6, 2)                            # delta f
     assert m.slot_y.is_zero and m.slot_y.order == -1
-    assert m.p == 0 and m.wt == -1
+    assert m.p == 0 and weight(m) == -1
 
     m2 = make_M(FormContext(4, 2, Fraction(0)))
     assert m2.slot_z.is_zero  # n + w - 2k = 0
@@ -185,9 +191,9 @@ def test_box_on_pure_z_slot():
     c = FormContext(4, 1, Fraction(1))
     mu = unit(4, 1)
     t = TractorFormExpr(c, 0, OperatorPoly(4, 1, -1), mu, OperatorPoly(4, 1, 0))
-    assert t.wt == 0
+    assert weight(t) == 0
     out = apply_box(t)
-    assert out.wt == -1
+    assert weight(out) == -1
     assert out.slot_y == mu.scale(-2)
     lap = OperatorPoly.graded(4, 1, 1, 0, [1], [1])
     assert out.slot_z == lap * mu + OperatorPoly.combine(((-1, 1, mu),))
@@ -215,8 +221,8 @@ def test_Mstar_contractions():
     # one box above the generator: tractor weight -2, slot orders 0, 1, 1
     fj = OperatorPoly.combine(((1, 1, f),))  # J f
     pure_z = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), fj, OperatorPoly(6, 2, 1))
-    assert pure_z.wt == -2
-    assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(pure_z.wt + 2))
+    assert weight(pure_z) == -2
+    assert apply_Mstar(pure_z) == pure_z.slot_z.scale(-(weight(pure_z) + 2))
     pure_x = TractorFormExpr(c, 1, OperatorPoly(6, 2, 0), OperatorPoly(6, 2, 1), fj)
     assert apply_Mstar(pure_x).is_zero
     # d (delta f) = E f, over k
@@ -261,9 +267,11 @@ def test_slot_vanishing_at_operator_weight(n, k, ell):
     assert not t.slot_z.is_zero
 
 
-def test_each_box_step_normalises_seven_times(monkeypatch):
-    # three ring products, the e(Z) read and one multiply-accumulate per output slot;
-    # a box that summed its slots pairwise would normalise 24 times per step
+def test_each_box_step_normalises_four_times(monkeypatch):
+    # the e(Z) read and one multiply-accumulate per output slot; E Y, E X and
+    # (E + F) Z are numerator shifts that keep the canonical form and normalise
+    # nothing.  A box that summed its slots pairwise would normalise 24 times
+    # per step, one that multiplied by E and E + F in the ring 7 times
     real = OperatorPoly.from_numerators
     calls = []
 
@@ -276,10 +284,10 @@ def test_each_box_step_normalises_seven_times(monkeypatch):
     for p in range(1, 5):
         calls.clear()
         t = apply_box(t)
-        assert (t.p, len(calls)) == (p, 7)
+        assert (t.p, len(calls)) == (p, 4)
         calls.clear()
         apply_Mstar(t)
-        assert len(calls) == 2  # the product E Y and one multiply-accumulate
+        assert len(calls) == 1  # one multiply-accumulate; E Y is a shift
 
 
 def _diag(n, wt):
@@ -301,7 +309,7 @@ def test_box_depends_on_the_weight_only_through_a_multiple_of_the_identity():
             out, w = apply_box(t), t.ctx.w
             for w2 in (w + Fraction(1, 2), w - 1, Fraction(k + t.p)):
                 t2 = TractorFormExpr(FormContext(n, k, w2), t.p, t.slot_y, t.slot_z, t.slot_x)
-                out2, shift = apply_box(t2), _diag(n, t.wt) - _diag(n, t2.wt)
+                out2, shift = apply_box(t2), _diag(n, weight(t)) - _diag(n, weight(t2))
                 for name in ("slot_y", "slot_z", "slot_x"):
                     diff = OperatorPoly.combine(((1, 0, getattr(out, name)),
                                                  (-1, 0, getattr(out2, name))))
@@ -332,3 +340,22 @@ def test_box_z_coefficient_is_the_coexact_root():
                 n, k, ell, p)
             steps += 1
     assert steps == 12320
+
+
+def test_coexact_side_of_L_is_the_product_over_the_box_steps():
+    # apply_box's proof: on coexact forms only the Z slot survives, so L's
+    # coexact side (E -> 0, F -> mu) is (n+w-2k) prod_p (mu + j_z(wt_p) J),
+    # wt_p = w - k - p, j_z(wt) = D(wt) - 2k(n-k-1)/n.  Compared coefficient by
+    # coefficient in mu (J = 1 reads each, by weight homogeneity) on every
+    # default-grid cell
+    from formlap.factory import default_grid, operator_weight, run_pipeline
+
+    for n, k, ell in default_grid():
+        w = operator_weight(n, k, ell)
+        poly = [n + w - 2 * k]  # coefficients of mu**0, mu**1, ...
+        for p in range(ell):
+            j_z = _diag(n, w - k - p) - Fraction(2 * k * (n - k - 1), n)
+            poly = [j_z * lo + hi for lo, hi in zip([*poly, 0], [0, *poly])]
+        L = run_pipeline(n, k, ell)[0]
+        coexact = [Fraction(v, L.den) for v in (L.c_num, *L.f_nums)]
+        assert coexact + [0] * (len(poly) - len(coexact)) == poly, (n, k, ell)
