@@ -6,11 +6,11 @@ over one denominator and one J order each (see ``forms``), so weight
 homogeneity holds by construction there.  ``RatJ`` is the read-out
 type: one coefficient c * J**m of an operator, as a payload, a witness
 or text, with ``c`` a ``Fraction`` and ``m`` an ``int``, and zero as
-(0, 0), read through ``is_zero``.  The symbolic core does no arithmetic
-in ``RatJ``; its ring operations stay because the benchmark tracer
-patches them by name.  Adding two nonzero values of different J degree
-raises ``CoefficientError``; products and quotients of nonzero values
-are nonzero monomials again, so equality is structural.
+(0, 0).  The symbolic core does no arithmetic in ``RatJ``; its ring
+operations stay because the benchmark tracer patches them by name.
+Adding two nonzero values of different J degree raises
+``CoefficientError``; products and quotients of nonzero values are
+nonzero monomials again, so equality is structural.
 
 There is no floating point anywhere in this module.
 """
@@ -43,10 +43,6 @@ class RatJ:
         self.m = m if c else 0
 
     # -- ring operations ------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.c
 
     def __add__(self, other: Coercible) -> RatJ:
         o = other if isinstance(other, RatJ) else RatJ(other)

@@ -149,32 +149,44 @@ def closed_factors(n: int, k: int, ell: int) -> tuple[OperatorPoly, ...]:
     return (*factors, *(_root_factor(n, k, m) for m in ms))
 
 
-def closed_operator(n: int, k: int, ell: int) -> tuple[OperatorPoly, OperatorPoly]:
-    """L, with exact side (a-ell) prod (E - lam_m J) and coexact side (a+ell) prod (F - mu_m J),
-    and the X of its companion G = delta X, prod (E - lam_m J) with no F part."""
+def closed_operator(n: int, k: int, ell: int) -> OperatorPoly:
+    """L, with exact side (a-ell) prod (E - lam_m J) and coexact side (a+ell) prod (F - mu_m J)."""
     _check_params(n, k, ell)
-    a = Fraction(n - 2 * k, 2)
-    lams = [Fraction(exact_root(n, k, m), 2 * n) for m in range(1, ell + 1)]
-    mus = [Fraction(coexact_root(n, k, m), 2 * n) for m in range(1, ell + 1)]
-    x_const = math.prod(-lam for lam in lams)
-    return _expand(n, k, (a - ell, lams), (a + ell, mus)), _expand(n, k, (1, lams), (x_const, ()))
+    ms = range(1, ell + 1)
+    return _expand(n, k, (Fraction(n - 2 * k - 2 * ell, 2), [exact_root(n, k, m) for m in ms]),
+                   (Fraction(n - 2 * k + 2 * ell, 2), [coexact_root(n, k, m) for m in ms]))
+
+
+def closed_companion(n: int, k: int, ell: int) -> OperatorPoly:
+    """The X of L's companion G = delta X: prod (E - lam_m J), with no F part."""
+    _check_params(n, k, ell)
+    roots = [exact_root(n, k, m) for m in range(1, ell + 1)]
+    return _expand(n, k, (1, roots), (Fraction(math.prod(-r for r in roots), (2 * n) ** ell), ()))
 
 
 def _expand(n: int, k: int, exact: tuple, coexact: tuple) -> OperatorPoly:
-    """The element of R with sides (lead, roots), lead * prod (x - r J), x = E then F.
+    """The element of R whose sides, given as (lead, root numerators R), are
+    lead * prod (x - R/(2n) J), x = E then F.
 
-    Its order is the exact side's degree; the sides must agree at x = 0.
+    In integers: with lead = u/v and each R = p/q, a factor x - (p/q)/(2n) J
+    is (2nq x - p J) / (2nq), so a side is an integer polynomial over
+    v * prod 2nq.  Its order is the exact side's degree; the sides must
+    agree at x = 0.
     """
     sides = []
     for lead, roots in (exact, coexact):
-        coeffs = [Fraction(lead)]  # lowest degree first
+        coeffs, den = [lead.numerator], lead.denominator  # lowest degree first
         for r in roots:
-            coeffs = [prev - r * cur for prev, cur in zip([0, *coeffs], [*coeffs, 0])]
-        sides.append(coeffs)
-    (c, *e), (c_f, *f) = sides
-    if c != c_f:
-        raise InternalConsistencyError(f"the sides disagree at E = F = 0: {c} and {c_f}")
-    return OperatorPoly.graded(n, k, len(e), c, e, f)
+            p, q = r.numerator, 2 * n * r.denominator
+            coeffs = [q * prev - p * cur for prev, cur in zip([0, *coeffs], [*coeffs, 0])]
+            den *= q
+        sides.append((coeffs, den))
+    ((c, *e), den_e), ((c_f, *f), den_f) = sides
+    if c * den_f != c_f * den_e:
+        raise InternalConsistencyError(
+            f"the sides disagree at E = F = 0: {c}/{den_e} and {c_f}/{den_f}")
+    return OperatorPoly.from_numerators(n, k, len(e), c * den_f, [x * den_f for x in e],
+                                        [x * den_e for x in f], den_e * den_f)
 
 
 # -- second-order reductions ------------------------------------------------
@@ -193,6 +205,5 @@ def closed_tmodbox(n: int, k: int, w: Fraction | int, p: int) -> OperatorPoly:
     (p-w-n+2k)(w/k) prod (E - lam_m J) and its coexact side (p-w)(n+w-2k)/k prod (F - mu_m J)."""
     w = Fraction(w)
     ms = [w + Fraction(n - 2 * k, 2) - q for q in range(p)]
-    lams = [Fraction(exact_root(n, k, m), 2 * n) for m in ms]
-    mus = [Fraction(coexact_root(n, k, m), 2 * n) for m in ms]
-    return _expand(n, k, ((p - w - n + 2 * k) * w / k, lams), ((p - w) * (n + w - 2 * k) / k, mus))
+    return _expand(n, k, ((p - w - n + 2 * k) * w / k, [exact_root(n, k, m) for m in ms]),
+                   ((p - w) * (n + w - 2 * k) / k, [coexact_root(n, k, m) for m in ms]))

@@ -27,13 +27,11 @@ den1 * den2 and one gcd; by E or E + F it is a shift (``times_e``,
 ``times_laplacian``), the same numerators one power up over the same
 den, canonical with no gcd, so a box step normalises 4 times and
 ``apply_Mstar`` once.  ``Fraction`` appears only at the edges.
-Values enter as rational coefficients (``OperatorPoly.graded``, given an
-order) or as integer numerators over one denominator
-(``from_numerators``, the normaliser beneath ``graded`` and
-``combine``, which closed forms with integer coefficients call
-directly).  They leave as ``RatJ``
-coefficients (``monomials``, ``proportionality``), as scalars
-(``on_eigenspace``), as zero tests (``kills``) or as text (``render``).
+Values enter as integer numerators over one denominator
+(``from_numerators``, the normaliser beneath ``combine``).  They leave
+as ``RatJ`` coefficients (``monomials``), as a rational constant
+(``proportionality``), as scalars (``on_eigenspace``), as zero tests
+(``kills``) or as text (``render``).
 
 An element of R reaches an eigenspace only through one reducer, an
 integer Horner sum over the numerators: on an exact eigenform of
@@ -52,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .coeffring import CoefficientError, RatJ
 
@@ -119,19 +117,6 @@ class OperatorPoly:
     def __repr__(self) -> str:
         return (f"OperatorPoly(n={self.n}, k={self.k}, order={self.order}, c_num={self.c_num}, "
                 f"e_nums={self.e_nums}, f_nums={self.f_nums}, den={self.den})")
-
-    @staticmethod
-    def graded(n: int, k: int, order: int, const: Fraction | int,
-               e: list, f: list) -> OperatorPoly:
-        """The operator const J^order + sum e_p J^(order-p) E^p + sum f_q J^(order-q) F^q.
-
-        The one rational entry: the coefficients go over their common
-        denominator.
-        """
-        values = (const, *e, *f)
-        den = lcm(*(v.denominator for v in values))
-        c, *nums = (v.numerator * (den // v.denominator) for v in values)
-        return OperatorPoly.from_numerators(n, k, order, c, nums[:len(e)], nums[len(e):], den)
 
     @staticmethod
     def from_numerators(n: int, k: int, order: int, c: int, e: list[int] | tuple[int, ...],
@@ -368,24 +353,25 @@ def to_operator_poly(op: OperatorPoly) -> OperatorPoly:
     return op
 
 
-def proportionality(a: OperatorPoly, b: OperatorPoly) -> RatJ | None:
-    """The exact constant c with a = c * b, if one exists.
+def proportionality(a: OperatorPoly, b: OperatorPoly) -> Fraction | None:
+    """The exact rational constant c with a = c * b, if one exists.
 
-    Returns the zero coefficient when a = 0 (a is proportional to anything),
-    and None when no constant works.  b must be nonzero.
+    Returns 0 when a = 0 (a is proportional to anything), and None when
+    no constant works: a nonzero a of another order than b would need a
+    power of J.  b must be nonzero.
     """
     a._check(b)
     if b.is_zero:
         raise InternalConsistencyError("proportionality against the zero operator")
     if a.is_zero:
-        return RatJ(0)
+        return _ZERO
     nums_a = {name: x for name, _, x in a._terms()}
     nums_b = {name: x for name, _, x in b._terms()}
-    if set(nums_a) != set(nums_b):
+    if a.order != b.order or set(nums_a) != set(nums_b):
         return None
     first = min(nums_b)
     xa, xb = nums_a[first], nums_b[first]
     # a_i / a.den = c b_i / b.den for every monomial, by cross-multiplication
     if any(nums_a[name] * xb != y * xa for name, y in nums_b.items()):
         return None
-    return RatJ(Fraction(xa * b.den, xb * a.den), a.order - b.order)
+    return Fraction(xa * b.den, xb * a.den)

@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .coeffring import RatJ, ZERO
-from .factory import (build_L_definition, build_tmodbox, closed_factors, coexact_root,
-                      default_grid, exact_root, operator_weight, run_pipeline)
+from .factory import (build_L_definition, build_tmodbox, closed_factors, closed_operator,
+                      default_grid, operator_weight, run_pipeline)
 from .forms import InternalConsistencyError, OperatorPoly, UsageError, proportionality
 from .spectral import SpectralModel, synthetic_model
 
@@ -69,12 +69,12 @@ def _diff_witness(lhs: dict[str, RatJ], rhs: dict[str, RatJ],
 
 
 def verify_factorization(n: int, k: int, ell: int) -> VerificationReport:
-    """Factored closed form against the definition engine: proportional, nonzero constant."""
+    """Factored closed form against the definition engine: a nonzero rational multiple."""
     params = {"n": n, "k": k, "ell": ell}
     left = functools.reduce(operator.mul, closed_factors(n, k, ell))
     right = build_L_definition(n, k, ell)
     c = proportionality(left, right)
-    if c is None or c.is_zero:
+    if not c:
         witness = ({"constant": "0"} if c is not None
                    else _diff_witness(left.monomials(), right.monomials()))
         return VerificationReport("factorization", params, "fail", witness)
@@ -294,38 +294,20 @@ def verify_bezout_pairs(n: int, k: int, ell: int) -> VerificationReport:
 # -- kernel decomposition ----------------------------------------------------
 
 
-def predicted_in_kernel(n: int, k: int, ell: int, kind: str, j_value: Fraction,
-                        lam: Fraction) -> bool:
-    """Whether the two root lists put a kind eigenform of eigenvalue lam in L's kernel.
-
-    L's exact side is (a-ell) prod (E - lam_m J) and its coexact side
-    (a+ell) prod (F - mu_m J), m = 1..ell, a = n/2 - k >= 0; a harmonic
-    form sees the sides' common constant, the coexact side at F = 0.  So
-    the rule holds on every exact point where a = ell (w = 0, where the
-    leading factor is pure F), and on a point whose eigenvalue is a root
-    of its side: with J = p/q and lam = r/s, 2n q r = R p s for some root
-    numerator R = 2n lam_m (exact) or 2n mu_m (coexact and harmonic, so
-    a harmonic point is killed where some mu_m is 0).
-    """
-    if kind == "exact" and n - 2 * k == 2 * ell:
-        return True
-    root = exact_root if kind == "exact" else coexact_root
-    lhs = 2 * n * j_value.denominator * lam.numerator
-    ps = j_value.numerator * lam.denominator
-    return any(lhs == root(n, k, m) * ps for m in range(1, ell + 1))
-
-
 def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) -> VerificationReport:
     """Null-space dimension additivity and eigenvalue content on a model.
 
     L is the definition engine's operator, not the product of the closed
     factors, so the check ties the two together.  Checks (1) dim N(L)
-    equals the sum of the factor kernel dimensions, (2) the set of
-    kernel-carrying model points matches the root-list prediction,
-    ``predicted_in_kernel`` asked point by point, and (3) reports any
-    point killed by two different factors (a spectral coincidence;
-    additivity is then not expected and the report fails with that
-    witness).
+    equals the sum of the factor kernel dimensions, (2) L kills exactly
+    the model points that the closed-form L of the two root lists
+    (``closed_operator``) kills, and (3) reports any point killed by two
+    different factors (a spectral coincidence; additivity is then not
+    expected and the report fails with that witness).  Each operator is
+    read only through ``kills``; where the closed L equals the engine's
+    L in R the two kill the same points, so the closed L is read only on
+    a cell where they differ, and each point where their reads differ is
+    a content mismatch.
     """
     params = {"n": n, "k": k, "ell": ell, "model": model.source}
     if model.j_value == 0:
@@ -341,14 +323,15 @@ def verify_kernel_decomposition(n: int, k: int, ell: int, model: SpectralModel) 
              for pt in model.points]
     dim_l, *dims = (sum(pt.multiplicity for pt, row in zip(model.points, zeros) if row[col])
                     for col in range(len(ops)))
+    closed = closed_operator(n, k, ell)
+    same = closed == ops[0]  # then the two kill the same points
     coincidences = []
     mismatch = []
     for pt, (in_kernel, *killed) in zip(model.points, zeros):
         killers = [f for f, z in enumerate(killed, start=1) if z]
         if len(killers) > 1:
             coincidences.append({"point": [pt.kind, str(pt.eigenvalue)], "factors": killers})
-        pred = predicted_in_kernel(n, k, ell, pt.kind, model.j_value, pt.eigenvalue)
-        if in_kernel != pred:
+        if not same and in_kernel != (pred := closed.kills(pt.kind, model.j_value, pt.eigenvalue)):
             mismatch.append({"point": [pt.kind, str(pt.eigenvalue)], "in_kernel": in_kernel,
                              "predicted": pred})
     ok = dim_l == sum(dims) and not coincidences and not mismatch

@@ -1,4 +1,7 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies shared by the test modules, and ``graded``, which builds an operator
+from rational coefficients."""
+
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -7,13 +10,24 @@ from formlap.forms import OperatorPoly
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
+def graded(n, k, order, const, e, f):
+    """The operator const J^order + sum e_p J^(order-p) E^p + sum f_q J^(order-q) F^q.
+
+    The coefficients are ints or Fractions; they go over their common denominator.
+    """
+    values = (const, *e, *f)
+    den = lcm(*(v.denominator for v in values))
+    c, *nums = (v.numerator * (den // v.denominator) for v in values)
+    return OperatorPoly.from_numerators(n, k, order, c, nums[:len(e)], nums[len(e):], den)
+
+
 @st.composite
 def operators(draw, n=6, k=2, order=None):
     """A weight-homogeneous operator on k-forms of M^n: order -2..3 unless given, small rational coefficients."""
     coeffs = st.lists(small_fracs, max_size=4)
     if order is None:
         order = draw(st.integers(min_value=-2, max_value=3))
-    return OperatorPoly.graded(n, k, order, draw(small_fracs), draw(coeffs), draw(coeffs))
+    return graded(n, k, order, draw(small_fracs), draw(coeffs), draw(coeffs))
 
 
 @st.composite
@@ -29,7 +43,7 @@ def shaped_operators(draw, n=6, k=2, order=None):
     if shape == "zero":
         return OperatorPoly(n, k, order)
     if shape == "constant":
-        return OperatorPoly.graded(n, k, order, draw(nonzero), [], [])
+        return graded(n, k, order, draw(nonzero), [], [])
     if shape == "e":
-        return OperatorPoly.graded(n, k, order, 0, draw(side), [])
-    return OperatorPoly.graded(n, k, order, 0, [], draw(side))
+        return graded(n, k, order, 0, draw(side), [])
+    return graded(n, k, order, 0, [], draw(side))

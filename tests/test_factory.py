@@ -5,26 +5,24 @@ import pytest
 
 import formlap.factory as factory
 from formlap.coeffring import RatJ
-from formlap.factory import (build_L_definition, build_tmodbox, closed_factors, closed_operator,
-                             closed_tmodbox, default_grid, operator_weight, run_pipeline)
+from formlap.factory import (build_L_definition, build_tmodbox, closed_companion, closed_factors,
+                             closed_operator, closed_tmodbox, coexact_root, default_grid,
+                             exact_root, operator_weight, run_pipeline)
 from formlap.forms import OperatorPoly, UsageError, proportionality
-
-
-def closed_L(n, k, ell):
-    return closed_operator(n, k, ell)[0]
+from strategies import graded
 
 
 def test_closed_L1_examples():
-    assert closed_L(8, 2, 1).monomials() == {"E": RatJ(1), "F": RatJ(3),
+    assert closed_operator(8, 2, 1).monomials() == {"E": RatJ(1), "F": RatJ(3),
                                              "1": RatJ(Fraction(3, 2), 1)}
-    assert closed_L(4, 2, 1).monomials() == {"E": RatJ(-1), "F": RatJ(1)}
-    assert closed_L(6, 1, 1).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(2, 1)}
+    assert closed_operator(4, 2, 1).monomials() == {"E": RatJ(-1), "F": RatJ(1)}
+    assert closed_operator(6, 1, 1).monomials() == {"E": RatJ(1), "F": RatJ(3), "1": RatJ(2, 1)}
 
 
 def test_definition_examples():
     assert proportionality(build_L_definition(4, 2, 1),
-                           OperatorPoly.graded(4, 2, 1, 0, [1], [-1])) is not None
-    assert build_L_definition(8, 2, 1).monomials() == closed_L(8, 2, 1).monomials()
+                           graded(4, 2, 1, 0, [1], [-1])) is not None
+    assert build_L_definition(8, 2, 1).monomials() == closed_operator(8, 2, 1).monomials()
     assert build_L_definition(4, 1, 1).monomials() == {"F": RatJ(2)}
 
 
@@ -33,21 +31,22 @@ def test_order_one_equality_grid(n):
     # the engine's (L, X) equals the closed form from the root lists at
     # every ell of the default grid, with constant exactly 1
     for _, k, ell in default_grid(range(n, n + 1)):
-        assert run_pipeline(n, k, ell) == closed_operator(n, k, ell), (k, ell)
+        assert run_pipeline(n, k, ell) == (closed_operator(n, k, ell),
+                                           closed_companion(n, k, ell)), (k, ell)
 
 
 def test_build_G_examples():
     # G = delta X with X = E + J at (n, k) = (4, 1)
     x = run_pipeline(4, 1, 1)[1]
     assert x.monomials() == {"E": RatJ(1), "1": RatJ(1, 1)}
-    assert x == closed_operator(4, 1, 1)[1]
+    assert x == closed_companion(4, 1, 1)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (6, 2), (8, 3), (5, 1), (9, 4)])
 def test_G_closed_form_order_one(n, k):
     # X = prod (E - lam_m J) at every ell of the default grid, not only ell = 1
     for ell in range(1, 7):
-        assert run_pipeline(n, k, ell)[1] == closed_operator(n, k, ell)[1], ell
+        assert run_pipeline(n, k, ell)[1] == closed_companion(n, k, ell), ell
 
 
 def test_closed_factors_examples():
@@ -87,9 +86,8 @@ def _closed_form_lines():
     for n, k, ell in default_grid():
         w = operator_weight(n, k, ell)
         if ell == 1:
-            L, X = closed_operator(n, k, 1)
-            yield f"L1 {n} {k}: {L.render()}"
-            yield f"G1 {n} {k}: {_render_delta(X)}"
+            yield f"L1 {n} {k}: {closed_operator(n, k, 1).render()}"
+            yield f"G1 {n} {k}: {_render_delta(closed_companion(n, k, 1))}"
         yield (f"factors {n} {k} {ell}: "
                + "; ".join(f.render() for f in closed_factors(n, k, ell)))
         yield f"tmodbox1 {n} {k} {w}: {closed_tmodbox(n, k, w, 1).render()}"
@@ -154,8 +152,8 @@ def test_tmodbox_examples():
     got = build_tmodbox(6, 1, 1, 2)
     assert got.monomials() == closed_tmodbox(6, 1, 1, 2).monomials()
     # -2 [ (3/2)E + (5/2)F ][ E - F + (4/3)J ]
-    first = OperatorPoly.graded(6, 1, 1, 0, [Fraction(3, 2)], [Fraction(5, 2)])
-    second = OperatorPoly.graded(6, 1, 1, Fraction(4, 3), [1], [-1])
+    first = graded(6, 1, 1, 0, [Fraction(3, 2)], [Fraction(5, 2)])
+    second = graded(6, 1, 1, Fraction(4, 3), [1], [-1])
     assert closed_factors(6, 1, 3)[:2] == (first, second)
     assert (first * second).scale(-2) == got == tmodbox2_w1(6, 1)
 
@@ -182,6 +180,11 @@ def test_tmodbox_closed_forms_on_a_half_integer_weight_sweep(p):
         Fraction(1, 3), Fraction(-5, 7), Fraction(22, 9), Fraction(-13, 6), Fraction(41, 12)]
     cases = [(n, k, w) for n in range(3, 13) for k in range(1, n // 2 + 1) for w in weights]
     assert len(cases) == 1330
+    # at 1/3 and -5/7 every root numerator 2n lam_m, 2n mu_m is rational and not an
+    # integer, so the closed form's integer expansion reads each as p/q
+    assert all(root(n, k, w + Fraction(n - 2 * k, 2) - q).denominator > 1
+               for n, k, w in cases if w in (Fraction(1, 3), Fraction(-5, 7))
+               for root in (exact_root, coexact_root) for q in range(p))
     for n, k, w in cases:
         assert build_tmodbox(n, k, w, p) == closed_tmodbox(n, k, w, p), (n, k, w)
 

@@ -10,7 +10,7 @@ from formlap.coeffring import CoefficientError, RatJ, ZERO
 from formlap.factory import box_iterate, closed_factors, operator_weight, run_pipeline
 from formlap.forms import (FormContext, InternalConsistencyError, OperatorPoly, UsageError,
                            proportionality, to_operator_poly)
-from strategies import operators, shaped_operators, small_fracs
+from strategies import graded, operators, shaped_operators, small_fracs
 
 J = RatJ(1, 1)
 
@@ -24,7 +24,7 @@ def test_context_validation():
 
 def test_homogeneity_add_error():
     # E and J f lower weights by 2, f itself does not
-    f, e = OperatorPoly(6, 2, 0, 1), OperatorPoly.graded(6, 2, 1, 0, [1], [])
+    f, e = OperatorPoly(6, 2, 0, 1), graded(6, 2, 1, 0, [1], [])
     with pytest.raises(InternalConsistencyError):
         f + e
     assert (OperatorPoly.combine(((1, 1, f),)) + e).monomials() == {"E": RatJ(1), "1": J}
@@ -48,49 +48,52 @@ def test_to_operator_poly_examples():
 
 def test_poly_mul_examples():
     # (E + J)(F + J) = J E + J F + J^2, since EF = 0
-    p = OperatorPoly.graded(6, 2, 1, 1, [1], []) * OperatorPoly.graded(6, 2, 1, 1, [], [1])
+    p = graded(6, 2, 1, 1, [1], []) * graded(6, 2, 1, 1, [], [1])
     assert p.order == 2
     assert p.monomials() == {"E": J, "F": J, "1": J * J}
-    q = OperatorPoly.graded(6, 2, 1, 0, [1], [-1]) * OperatorPoly.graded(6, 2, 1, 0, [1], [1])
+    q = graded(6, 2, 1, 0, [1], [-1]) * graded(6, 2, 1, 0, [1], [1])
     assert q.monomials() == {"E^2": RatJ(1), "F^2": RatJ(-1)}
 
 
 def test_bezout_ring_identity_n4():
     # hand expansion in R of the weight-two relative-inverse pair at n = 4
-    phi_t = OperatorPoly.graded(4, 2, -1, 2, [-4], [-4])   # 2/J - 4/J^2 (E + F)
-    s = OperatorPoly.graded(4, 2, 1, Fraction(1, 2), [1], [1])
-    phi_u = OperatorPoly.graded(4, 2, -1, 0, [4], [-4])
-    t = OperatorPoly.graded(4, 2, 1, 0, [1], [-1])
+    phi_t = graded(4, 2, -1, 2, [-4], [-4])   # 2/J - 4/J^2 (E + F)
+    s = graded(4, 2, 1, Fraction(1, 2), [1], [1])
+    phi_u = graded(4, 2, -1, 0, [4], [-4])
+    t = graded(4, 2, 1, 0, [1], [-1])
     assert (phi_t * s + phi_u * t).monomials() == {"1": RatJ(1)}
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
 def test_ring_relations_exhaustive(p, q):
-    e_mono = OperatorPoly.graded(6, 2, p, 0, [0] * (p - 1) + [1], [])
-    f_mono = OperatorPoly.graded(6, 2, q, 0, [], [0] * (q - 1) + [1])
+    e_mono = graded(6, 2, p, 0, [0] * (p - 1) + [1], [])
+    f_mono = graded(6, 2, q, 0, [], [0] * (q - 1) + [1])
     assert (e_mono * f_mono).is_zero
     assert (f_mono * e_mono).is_zero
 
 
 def test_context_mismatch():
     with pytest.raises(InternalConsistencyError):
-        OperatorPoly.graded(6, 2, 1, 0, [1], []) * OperatorPoly.graded(6, 1, 1, 0, [1], [])
+        graded(6, 2, 1, 0, [1], []) * graded(6, 1, 1, 0, [1], [])
 
 
 def test_proportionality_examples():
-    a = OperatorPoly.graded(6, 2, 1, 3, [2], [6])
-    b = OperatorPoly.graded(6, 2, 1, Fraction(3, 2), [1], [3])
-    assert proportionality(a, b) == RatJ(2)
-    e, f, zero = (OperatorPoly.graded(6, 2, 1, 0, [1], []), OperatorPoly.graded(6, 2, 1, 0, [], [1]),
+    a = graded(6, 2, 1, 3, [2], [6])
+    b = graded(6, 2, 1, Fraction(3, 2), [1], [3])
+    c = proportionality(a, b)
+    assert c == 2 and isinstance(c, Fraction)
+    e, f, zero = (graded(6, 2, 1, 0, [1], []), graded(6, 2, 1, 0, [], [1]),
                   OperatorPoly(6, 2, 0))
     assert proportionality(e, f) is None
-    assert proportionality(zero, e) == RatJ(0)
+    assert proportionality(zero, e) == 0
+    # J E = J * E: no rational constant, and a J power is no constant
+    assert proportionality(OperatorPoly.combine(((1, 1, e),)), e) is None
     with pytest.raises(InternalConsistencyError):
         proportionality(e, zero)
 
 
 def test_normal_form_idempotent():
-    e = OperatorPoly.graded(6, 2, 1, 0, [1], [])
+    e = graded(6, 2, 1, 0, [1], [])
     zero = e + e.scale(-1)
     assert zero.is_zero and zero == OperatorPoly(6, 2, 1) and zero.den == 1
     # a common factor of the numerators goes into the denominator
@@ -98,7 +101,7 @@ def test_normal_form_idempotent():
 
 
 def test_render():
-    p = OperatorPoly.graded(6, 2, 1, Fraction(3, 2), [1], [3])
+    p = graded(6, 2, 1, Fraction(3, 2), [1], [3])
     assert p.render() == "E + 3F + (3/2*J)"
     assert "d\\delta" in p.render(latex=True)
 
@@ -139,7 +142,7 @@ def test_product_monomials_match_ratj_expansion(a, b):
                 expected[name] = expected.get(name, ZERO) + cx * cy
     product = a * b
     assert product.order == a.order + b.order
-    assert product.monomials() == {name: c for name, c in expected.items() if not c.is_zero}
+    assert product.monomials() == {name: c for name, c in expected.items() if c.c}
 
 
 @pytest.mark.parametrize("n,k,ell", [(8, 2, 3), (6, 3, 2), (7, 2, 4), (10, 2, 3)])

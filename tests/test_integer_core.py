@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from formlap.coeffring import CoefficientError
 from formlap.forms import OperatorPoly
-from strategies import operators, small_fracs
+from strategies import graded, operators, small_fracs
 
 J_VALUES = [Fraction(-3), Fraction(-2, 3), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
             Fraction(3)]
@@ -111,7 +111,7 @@ def test_operator_arithmetic_matches_reference(a, b, data):
                              (a.scale(s), ref_scale(ref_op(a), s)),
                              (a.scale(s.numerator), ref_scale(ref_op(a), s.numerator)),
                              # times s J^power, an operator of order power
-                             (a * OperatorPoly.graded(6, 2, power, s, [], []),
+                             (a * graded(6, 2, power, s, [], []),
                               ref_scale(ref_op(a), s, power)),
                              (OperatorPoly.combine(((s, power, a),)),
                               ref_scale(ref_op(a), s, power)),

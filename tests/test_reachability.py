@@ -99,9 +99,7 @@ ALLOWED = {
     "dec.dec_import_model": PROMOTION,
     "spectral.SpectralModel.save": PROMOTION,
     "spectral.SpectralModel.as_json": PROMOTION,
-    **{f"factory.{name}": THEOREM
-       for name in ("closed_operator", "closed_tmodbox", "_expand")},
-    "forms.OperatorPoly.graded": THEOREM,
+    **{f"factory.{name}": THEOREM for name in ("closed_companion", "closed_tmodbox")},
     "verify._diff_witness": FAILURE,
     "verify._delta_witness": FAILURE,
     "tractor.TractorFormExpr.render": FAILURE,

@@ -12,7 +12,7 @@ from formlap.factory import build_L_definition, default_grid
 from formlap.forms import InternalConsistencyError, OperatorPoly, UsageError
 from formlap.spectral import (SpectralModel, SpectralPoint, kernel_dim,
                               sphere_preset, synthetic_model, torus_preset)
-from strategies import operators
+from strategies import graded, operators
 from weyl_reference import casimir, harmonic_polynomials, weyl_dimension
 
 
@@ -21,11 +21,11 @@ def pt(kind, lam, mult=1):
 
 
 def test_on_eigenspace_examples():
-    op = OperatorPoly.graded(4, 2, 1, -2, [2], [2])
+    op = graded(4, 2, 1, -2, [2], [2])
     assert op.on_eigenspace("coexact", Fraction(1), Fraction(1)) == 0
-    assert OperatorPoly.graded(4, 2, 1, 0, [1], [-1]).on_eigenspace(
+    assert graded(4, 2, 1, 0, [1], [-1]).on_eigenspace(
         "harmonic", Fraction(1), Fraction(0)) == 0
-    e2 = OperatorPoly.graded(4, 2, 2, 0, [0, 1], [])
+    e2 = graded(4, 2, 2, 0, [0, 1], [])
     assert e2.on_eigenspace("exact", Fraction(1), Fraction(3)) == 9
 
 
@@ -90,7 +90,7 @@ def test_on_eigenspace_reads_only_its_side(op, j, lam):
     const, e_all, f_all = _coeffs(op)
     kept = {"exact": (e_all, ()), "coexact": ((), f_all), "harmonic": ((), ())}
     for kind, (e, f) in kept.items():
-        side = OperatorPoly.graded(op.n, op.k, op.order, const, list(e), list(f))
+        side = graded(op.n, op.k, op.order, const, list(e), list(f))
         read = (const, *e, *f)
         powers = (op.order, *(op.order - p for p in range(1, len(e + f) + 1)))
         if j == 0 and any(c and m < 0 for c, m in zip(read, powers)):
@@ -123,14 +123,14 @@ def test_kills_reads_whether_on_eigenspace_vanishes(op, j, lam):
 
 def test_on_eigenspace_rejects_unknown_kind():
     with pytest.raises(InternalConsistencyError):
-        OperatorPoly.graded(4, 2, 1, 0, [1], [1]).on_eigenspace("closed", Fraction(1), Fraction(1))
+        graded(4, 2, 1, 0, [1], [1]).on_eigenspace("closed", Fraction(1), Fraction(1))
 
 
 def test_kernel_dim_examples():
-    op = OperatorPoly.graded(4, 2, 1, -2, [2], [2])
+    op = graded(4, 2, 1, -2, [2], [2])
     model = SpectralModel(4, 2, Fraction(1), (pt("coexact", 1, 5),))
     assert kernel_dim(op, model) == 5
-    assert kernel_dim(OperatorPoly.graded(4, 2, 1, 0, [1], [-1]),
+    assert kernel_dim(graded(4, 2, 1, 0, [1], [-1]),
                       SpectralModel(4, 2, Fraction(1), (pt("harmonic", 0, 7),))) == 7
     assert kernel_dim(op, SpectralModel(4, 2, Fraction(1), ())) == 0
 
@@ -148,9 +148,9 @@ point_strategy = st.builds(
        st.fractions(min_value=-2, max_value=2, max_denominator=3))
 @settings(max_examples=60)
 def test_eval_multiplicative_over_product(points, a, b, c):
-    p = OperatorPoly.graded(6, 2, 1, c, [a], [b])
+    p = graded(6, 2, 1, c, [a], [b])
     # q = J^2 + b J E + a J F + F^2, of order 2
-    q = OperatorPoly.graded(6, 2, 2, 1, [b], [a, 1])
+    q = graded(6, 2, 2, 1, [b], [a, 1])
     prod = p * q
     for point in points:
         p_at, q_at, prod_at = (op.on_eigenspace(point.kind, Fraction(2), point.eigenvalue)
@@ -162,15 +162,15 @@ def test_eval_multiplicative_over_product(points, a, b, c):
 @settings(max_examples=40)
 def test_kernel_dim_subadditive(points):
     model = SpectralModel(6, 2, Fraction(1), tuple(points))
-    p = OperatorPoly.graded(6, 2, 1, -1, [1], [1])
-    q = OperatorPoly.graded(6, 2, 1, -4, [1], [2])
+    p = graded(6, 2, 1, -1, [1], [1])
+    q = graded(6, 2, 1, -4, [1], [2])
     assert kernel_dim(p * q, model) <= kernel_dim(p, model) + kernel_dim(q, model)
 
 
 def test_kernel_dim_additive_when_distinct():
     # factor kernel eigenvalues pairwise distinct per kind: equality holds
-    p = OperatorPoly.graded(6, 2, 1, -1, [1], [1])
-    q = OperatorPoly.graded(6, 2, 1, -4, [1], [2])
+    p = graded(6, 2, 1, -1, [1], [1])
+    q = graded(6, 2, 1, -4, [1], [2])
     model = SpectralModel(6, 2, Fraction(1), (
         pt("exact", 1, 2), pt("coexact", 1, 3), pt("exact", 4, 5), pt("coexact", 2, 7),
         pt("exact", 9, 1), pt("coexact", 5, 1)))

@@ -12,11 +12,11 @@ import formlap.torus
 from formlap.cli import main
 from formlap.coeffring import ZERO
 from formlap.factory import build_L_definition, operator_weight
-from formlap.forms import OperatorPoly
 from formlap.torus import (CMat, box_matrix, compare_pipelines, pipeline_L_numeric, pipeline_matrix,
                            random_modes, splitting_matrix, symbolic_mode_matrix, wedge_basis,
                            _connection, _eps, _gram, _mode_block, _row_blocks)
 from exterior_reference import derivation_matrix, eps_matrix, iota_matrix, tractor_gammas, z_embed
+from strategies import graded
 
 
 def mode_matrices(n, k, xi):
@@ -281,7 +281,7 @@ def _order_below(orig, n, k, ell):
 
 
 def _top_e_bumped(orig, n, k, ell):
-    return orig(n, k, ell) + OperatorPoly.graded(n, k, ell, 0, [0] * (ell - 1) + [1], [])
+    return orig(n, k, ell) + graded(n, k, ell, 0, [0] * (ell - 1) + [1], [])
 
 
 @pytest.mark.parametrize("wrong", [_order_below, _top_e_bumped], ids=["order-below", "e-bumped"])

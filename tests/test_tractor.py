@@ -8,7 +8,7 @@ from formlap.forms import FormContext, OperatorPoly
 from formlap.tractor import (InternalConsistencyError, TractorFormExpr, apply_Mstar,
                              apply_box, make_M)
 from formlap.verify import through_codifferential
-from strategies import operators, small_fracs
+from strategies import graded, operators, small_fracs
 
 CONTEXTS_NK = [(3, 1), (4, 1), (4, 2), (6, 2), (7, 3), (8, 4), (12, 5)]
 
@@ -132,8 +132,8 @@ def test_generator_words_have_two_shapes(nk, letters):
 @settings(max_examples=60, deadline=None)
 def test_box_rules_match_words(nk, data):
     n, k = nk
-    e = OperatorPoly.graded(n, k, 1, 0, [1], [])
-    lap = OperatorPoly.graded(n, k, 1, 0, [1], [1])
+    e = graded(n, k, 1, 0, [1], [])
+    lap = graded(n, k, 1, 0, [1], [1])
     y, z = data.draw(operators(n, k)).e_part(), data.draw(operators(n, k))
     assert w_apply(w_delta(y), "d") == w_of(e * y)           # d (delta Y) = E Y
     assert w_lap(w_delta(y)) == w_delta(e * y)              # Laplacian (delta Y) = delta (E Y)
@@ -180,7 +180,7 @@ def test_slot_invariants_enforced():
     with pytest.raises(InternalConsistencyError):
         TractorFormExpr(c, good.p + 1, good.slot_y, good.slot_z, good.slot_x)
     with pytest.raises(InternalConsistencyError):  # delta F = 0 is never stored
-        TractorFormExpr(c, 0, good.slot_y, good.slot_z, OperatorPoly.graded(6, 2, 0, 1, [], [1]))
+        TractorFormExpr(c, 0, good.slot_y, good.slot_z, graded(6, 2, 0, 1, [], [1]))
     with pytest.raises(InternalConsistencyError):
         TractorFormExpr(c, 0, good.slot_y, unit(6, 1), good.slot_x)
 
@@ -195,7 +195,7 @@ def test_box_on_pure_z_slot():
     out = apply_box(t)
     assert weight(out) == -1
     assert out.slot_y == mu.scale(-2)
-    lap = OperatorPoly.graded(4, 1, 1, 0, [1], [1])
+    lap = graded(4, 1, 1, 0, [1], [1])
     assert out.slot_z == lap * mu + OperatorPoly.combine(((-1, 1, mu),))
     assert out.slot_x == OperatorPoly.combine(((Fraction(-1, 2), 1, mu),))
 
@@ -227,7 +227,7 @@ def test_Mstar_contractions():
     assert apply_Mstar(pure_x).is_zero
     # d (delta f) = E f, over k
     pure_y = TractorFormExpr(c, 1, f, OperatorPoly(6, 2, 1), OperatorPoly(6, 2, 1))
-    assert apply_Mstar(pure_y) == OperatorPoly.graded(6, 2, 1, 0, [Fraction(1, 2)], [])
+    assert apply_Mstar(pure_y) == graded(6, 2, 1, 0, [Fraction(1, 2)], [])
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -248,8 +248,8 @@ def test_box_linearity(a, b):
     c = FormContext(6, 2, Fraction(1))
     f = unit(6, 2)
     fj = OperatorPoly.combine(((1, 1, f),))  # J f
-    s = TractorFormExpr(c, 1, f, OperatorPoly.graded(6, 2, 1, 3, [2], [-1]), fj)
-    t = TractorFormExpr(c, 1, f.scale(-5), fj, OperatorPoly.graded(6, 2, 1, 1, [1], []))
+    s = TractorFormExpr(c, 1, f, graded(6, 2, 1, 3, [2], [-1]), fj)
+    t = TractorFormExpr(c, 1, f.scale(-5), fj, graded(6, 2, 1, 1, [1], []))
 
     def combine(u, v):  # the slots of a*u + b*v
         return [x.scale(a) + y.scale(b) for x, y in zip(_slots(u), _slots(v))]

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from formlap import verify
 from formlap.coeffring import RatJ, ZERO
-from formlap.factory import (build_L_definition, closed_factors, coexact_root, default_grid,
-                             exact_root, operator_weight)
+from formlap.factory import (build_L_definition, closed_factors, closed_operator, coexact_root,
+                             default_grid, exact_root, operator_weight)
 from formlap.forms import OperatorPoly, UsageError
 from formlap.spectral import SpectralModel, SpectralPoint, synthetic_model
-from formlap.verify import (BezoutError, bezout, lg_second_scalar,
-                            predicted_in_kernel, verify_LG,
+from formlap.verify import (BezoutError, bezout, lg_second_scalar, verify_LG,
                             verify_MMstar, verify_bezout_pairs, verify_factorization,
                             verify_kernel_decomposition)
+from strategies import graded
 
 
 def test_factorization_examples():
@@ -23,6 +23,19 @@ def test_factorization_examples():
     assert r.passed and r.witness["constant"] not in ("0", None)
     r = verify_factorization(4, 2, 1)
     assert r.passed and r.witness == {"constant": "-1"}
+
+
+def test_factorization_fails_on_a_product_of_the_wrong_order(monkeypatch):
+    # every ring product raised one order: the factor product is then a power
+    # of J times the definition, and a J power is no constant.  The ell = 1
+    # cells form no product, so the other 175 of the 210 fail
+    real_mul = OperatorPoly.__mul__
+    monkeypatch.setattr(OperatorPoly, "__mul__",
+                        lambda a, b: OperatorPoly.combine(((1, 1, real_mul(a, b)),)))
+    reports = verify.run_sweep(["factorization"])
+    failed = [r for r in reports if not r.passed]
+    assert len(reports) == 210 and len(failed) == 175
+    assert {r.params["ell"] for r in failed} == set(range(2, 7))
 
 
 def test_MMstar_examples():
@@ -84,8 +97,8 @@ def test_LG_second_scalar_value():
 
 
 def test_bezout_weight_two_pair():
-    s = OperatorPoly.graded(4, 2, 1, Fraction(1, 2), [1], [1])
-    t = OperatorPoly.graded(4, 2, 1, 0, [1], [-1])
+    s = graded(4, 2, 1, Fraction(1, 2), [1], [1])
+    t = graded(4, 2, 1, 0, [1], [-1])
     phi_s, phi_t = bezout(s, t)
     combined = phi_s * s + phi_t * t
     assert combined.monomials() == {"1": RatJ(1)}
@@ -155,8 +168,8 @@ sparse_coeffs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
 @settings(max_examples=300)
 def test_bezout_matches_gaussian_elimination(coeffs, order_s, order_t):
     a1, b1, c1, a2, b2, c2 = coeffs
-    s = OperatorPoly.graded(5, 2, order_s, c1, [a1], [b1])
-    t = OperatorPoly.graded(5, 2, order_t, c2, [a2], [b2])
+    s = graded(5, 2, order_s, c1, [a1], [b1])
+    t = graded(5, 2, order_t, c2, [a2], [b2])
     if s == t:
         with pytest.raises(BezoutError):
             bezout(s, t)
@@ -197,7 +210,7 @@ def test_bezout_default_grid_raises_only_at_weight_zero():
 
 
 def test_bezout_singular_cases():
-    s = OperatorPoly.graded(4, 2, 1, Fraction(1, 2), [1], [1])
+    s = graded(4, 2, 1, Fraction(1, 2), [1], [1])
     with pytest.raises(BezoutError):
         bezout(s, s)
     unit = OperatorPoly(4, 2, 1, 1)  # J
@@ -205,8 +218,8 @@ def test_bezout_singular_cases():
         bezout(unit, unit)  # identical factors raise, even a unit
     # specialising J to zero removes the constants and the system turns
     # inconsistent
-    s0 = OperatorPoly.graded(4, 2, 1, 0, [1], [1])
-    t0 = OperatorPoly.graded(4, 2, 1, 0, [1], [-1])
+    s0 = graded(4, 2, 1, 0, [1], [1])
+    t0 = graded(4, 2, 1, 0, [1], [-1])
     with pytest.raises(BezoutError):
         bezout(s0, t0)
 
@@ -315,7 +328,7 @@ def test_kernel_decomposition_example():
 
 def test_kernel_constant_obstructs_harmonics():
     # a factor with nonzero constant contributes nothing on harmonic points
-    op = OperatorPoly.graded(6, 2, 1, 2, [1], [1])
+    op = graded(6, 2, 1, 2, [1], [1])
     assert op.on_eigenspace("harmonic", Fraction(1), Fraction(0)) != 0
 
 
@@ -398,14 +411,14 @@ def test_kernel_decomposition_reports_coincidences():
 
 def test_kernel_decomposition_reports_content_mismatch(monkeypatch):
     # an engine L that lost the last factor: it no longer kills that
-    # factor's kernel point, which the factor and the root lists still do
+    # factor's kernel point, which the factor and the closed L still do
     import formlap.verify as verify
 
     full = closed_factors(5, 1, 2)
     # the last factor pairs the roots m = 1: its exact root is lam_1
     kind, lam = "exact", Fraction(exact_root(5, 1, 1), 10)
     assert full[-1].kills(kind, Fraction(1), lam) and not full[0].kills(kind, Fraction(1), lam)
-    assert predicted_in_kernel(5, 1, 2, kind, Fraction(1), lam)
+    assert closed_operator(5, 1, 2).kills(kind, Fraction(1), lam)
     monkeypatch.setattr(verify, "build_L_definition", lambda n, k, ell: full[0])
     model = SpectralModel(5, 1, Fraction(1), (SpectralPoint(kind, lam, 2),))
     r = verify_kernel_decomposition(5, 1, 2, model)
@@ -429,28 +442,32 @@ def test_kernel_decomposition_fails_on_a_wrong_engine_operator(monkeypatch):
 
 
 def test_predicted_content_cases():
+    # the closed L, the kernel theorem's prediction, on points of known content
     one = Fraction(1)
     # top degree: harmonic plus ell-1 eigenvalue pairs
-    assert predicted_in_kernel(4, 2, 2, "harmonic", one, Fraction(0))
-    assert predicted_in_kernel(4, 2, 2, "exact", one, one)
-    assert predicted_in_kernel(4, 2, 2, "coexact", one, one)
-    assert not predicted_in_kernel(4, 2, 2, "exact", one, Fraction(2))
+    top = closed_operator(4, 2, 2)
+    assert top.kills("harmonic", one, Fraction(0))
+    assert top.kills("exact", one, one)
+    assert top.kills("coexact", one, one)
+    assert not top.kills("exact", one, Fraction(2))
     # weight zero: the whole closed-plus-harmonic part
     assert operator_weight(6, 1, 2) == 0
-    assert all(predicted_in_kernel(6, 1, 2, "exact", one, lam)
+    w0 = closed_operator(6, 1, 2)
+    assert all(w0.kills("exact", one, lam)
                for lam in (Fraction(0), Fraction(-5, 2), Fraction(7, 3), Fraction(12)))
-    assert predicted_in_kernel(6, 1, 2, "harmonic", one, Fraction(0))
-    assert not predicted_in_kernel(6, 1, 2, "coexact", one, Fraction(7, 3))
+    assert w0.kills("harmonic", one, Fraction(0))
+    assert not w0.kills("coexact", one, Fraction(7, 3))
     # positive weight: the degenerate pair contributes -mu on the exact side
     w = operator_weight(6, 2, 2)
     assert w == 1
     mu = Fraction(4, 6) * (3 - 2) * 1
-    assert predicted_in_kernel(6, 2, 2, "exact", one, -mu)
-    assert predicted_in_kernel(6, 2, 2, "coexact", one, mu)
-    assert not predicted_in_kernel(6, 2, 2, "exact", one, mu)
+    pos = closed_operator(6, 2, 2)
+    assert pos.kills("exact", one, -mu)
+    assert pos.kills("coexact", one, mu)
+    assert not pos.kills("exact", one, mu)
     # harmonic forms where some mu_m is 0: mu_1 = 0 at a = 1, none at (8, 2, 1)
-    assert predicted_in_kernel(6, 2, 2, "harmonic", one, Fraction(0))
-    assert not predicted_in_kernel(8, 2, 1, "harmonic", one, Fraction(0))
+    assert pos.kills("harmonic", one, Fraction(0))
+    assert not closed_operator(8, 2, 1).kills("harmonic", one, Fraction(0))
 
 
 def _root_list(n, k, ell, j_value):
@@ -462,26 +479,24 @@ def _root_list(n, k, ell, j_value):
 
 @pytest.mark.parametrize("j_value", [Fraction(1), Fraction(-2, 3)], ids=str)
 def test_predicted_content_is_the_union_of_factor_contents(j_value):
-    # the root-list rule against the factors it summarises, past the default
-    # grid: n = 3..20, ell <= 10, 990 cells per J.  Every nonzero root of every
-    # closed factor satisfies the rule, and every root-list eigenvalue is
-    # killed by some factor; on these points, the harmonic point and one point
-    # of each kind that is no root, the rule holds exactly where some factor
-    # kills the point
+    # the closed L against its factors, past the default grid: n = 3..20,
+    # ell <= 10, 990 cells per J.  Every root-list eigenvalue is killed by
+    # some factor; on the nonzero roots of every closed factor, the root-list
+    # eigenvalues, the harmonic point and one point of each kind that is no
+    # root, the closed L kills a point exactly where some factor kills it
     cells = list(default_grid(range(3, 21), 10))
     assert len(cells) == 990
     for n, k, ell in cells:
-        factors = closed_factors(n, k, ell)
+        closed, factors = closed_operator(n, k, ell), closed_factors(n, k, ell)
         roots = [(kind, Fraction(-f.c_num * j_value.numerator, j_value.denominator * side[0]))
                  for f in factors if f.c_num
                  for kind, side in (("exact", f.e_nums), ("coexact", f.f_nums)) if side]
-        assert all(predicted_in_kernel(n, k, ell, kind, j_value, lam) for kind, lam in roots)
         listed = _root_list(n, k, ell, j_value)
         assert all(any(f.kills(kind, j_value, lam) for f in factors) for kind, lam in listed)
         generic = j_value / (4 * n + 1)  # lam_m and mu_m are integers over 2n
         for kind, lam in [*roots, *listed, ("harmonic", Fraction(0)),
                           ("exact", generic), ("coexact", generic)]:
-            assert (predicted_in_kernel(n, k, ell, kind, j_value, lam)
+            assert (closed.kills(kind, j_value, lam)
                     == any(f.kills(kind, j_value, lam) for f in factors)), (n, k, ell, kind, lam)
 
 
@@ -497,22 +512,28 @@ def _kernel_failures(monkeypatch, **names):
 
 
 def test_kernel_sweep_fails_without_the_weight_zero_clause(monkeypatch):
-    # a rule that forgets that L's exact side vanishes identically at a = ell
-    # keeps only its roots there: 14 of the 15 weight-zero cells fail
-    real = verify.predicted_in_kernel
+    # a closed L that forgets that its exact side vanishes identically at
+    # a = ell, by an E^ell term there: 14 of the 15 weight-zero cells fail
+    real = verify.closed_operator
 
-    def rule(n, k, ell, kind, j_value, lam):
-        if kind == "exact" and n - 2 * k == 2 * ell:
-            return (kind, lam) in _root_list(n, k, ell, j_value)
-        return real(n, k, ell, kind, j_value, lam)
+    def closed(n, k, ell):
+        L = real(n, k, ell)
+        return L + graded(n, k, ell, 0, [0] * (ell - 1) + [1], []) if n - 2 * k == 2 * ell else L
 
-    failed = _kernel_failures(monkeypatch, predicted_in_kernel=rule)
+    failed = _kernel_failures(monkeypatch, closed_operator=closed)
     assert len(failed) == 14
     assert all(operator_weight(*(r.params[x] for x in ("n", "k", "ell"))) == 0 for r in failed)
 
 
 def test_kernel_sweep_fails_with_the_root_lists_swapped(monkeypatch):
-    failed = _kernel_failures(monkeypatch, exact_root=coexact_root, coexact_root=exact_root)
+    # a closed L whose exact and coexact sides trade places over the same constant
+    real = verify.closed_operator
+
+    def closed(n, k, ell):
+        L = real(n, k, ell)
+        return OperatorPoly(L.n, L.k, L.order, L.c_num, L.f_nums, L.e_nums, L.den)
+
+    failed = _kernel_failures(monkeypatch, closed_operator=closed)
     assert len(failed) == 180
 
 
@@ -547,19 +568,20 @@ def test_sweep_builds_models_through_the_patched_name(monkeypatch):
 def test_j_one_stands_for_every_nonzero_j(j_value):
     # L^ell_k lowers weight by 2 ell and J has weight -2: on the default grid
     # L acts on (kind, J lam) at J as J^ell times on (kind, lam) at J = 1, and
-    # the kernel rule holds on (kind, J lam) at J exactly where it holds on
-    # (kind, lam) at J = 1.  That is why the sweep checks at J = 1 only.
+    # the closed L, the kernel theorem's prediction, kills (kind, J lam) at J
+    # exactly where it kills (kind, lam) at J = 1.  That is why the sweep
+    # checks at J = 1 only.
     lams = [Fraction(0), Fraction(1), Fraction(-5, 2), Fraction(7, 3), Fraction(12)]
     for n, k, ell in default_grid(range(3, 13), 6):
-        L = build_L_definition(n, k, ell)
+        L, closed = build_L_definition(n, k, ell), closed_operator(n, k, ell)
         points = [("harmonic", Fraction(0))] + [(kind, lam) for kind in ("exact", "coexact")
                                                 for lam in lams]
         points += _root_list(n, k, ell, Fraction(1))
         for kind, lam in points:
             assert (L.on_eigenspace(kind, j_value, j_value * lam)
                     == j_value ** ell * L.on_eigenspace(kind, Fraction(1), lam)), (n, k, ell, kind)
-            assert (predicted_in_kernel(n, k, ell, kind, j_value, j_value * lam)
-                    == predicted_in_kernel(n, k, ell, kind, Fraction(1), lam)), (n, k, ell, kind)
+            assert (closed.kills(kind, j_value, j_value * lam)
+                    == closed.kills(kind, Fraction(1), lam)), (n, k, ell, kind)
 
 
 def test_kernel_theorem_holds_at_a_negative_non_integer_j():
