@@ -48,7 +48,6 @@ of an operator with no F part (delta F = delta delta d = 0), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -65,19 +64,19 @@ class InternalConsistencyError(AssertionError):
     """A structural identity the pipeline guarantees failed to hold: a fault, never bad input."""
 
 
-@dataclass(frozen=True)
 class FormContext:
     """Dimension n, generator degree k and generator conformal weight w."""
 
-    n: int
-    k: int
-    w: Fraction
+    __slots__ = ("n", "k", "w")
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise UsageError(f"dimension n = {self.n} < 3")
-        if not 1 <= self.k <= self.n // 2:
-            raise UsageError(f"degree k = {self.k} outside 1..floor(n/2) for n = {self.n}")
+    def __init__(self, n: int, k: int, w: Fraction) -> None:
+        if n < 3:
+            raise UsageError(f"dimension n = {n} < 3")
+        if not 1 <= k <= n // 2:
+            raise UsageError(f"degree k = {k} outside 1..floor(n/2) for n = {n}")
+        self.n = n
+        self.k = k
+        self.w = w
 
 
 class OperatorPoly:

@@ -22,7 +22,6 @@ import collections
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,28 +30,31 @@ from .forms import OperatorPoly, UsageError
 KINDS = ("exact", "coexact", "harmonic")
 
 
-@dataclass(frozen=True)
 class SpectralPoint:
-    kind: str
-    eigenvalue: Fraction
-    multiplicity: int
+    __slots__ = ("kind", "eigenvalue", "multiplicity")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise UsageError(f"unknown point kind {self.kind!r}")
-        if self.kind == "harmonic" and self.eigenvalue != 0:
+    def __init__(self, kind: str, eigenvalue: Fraction, multiplicity: int) -> None:
+        if kind not in KINDS:
+            raise UsageError(f"unknown point kind {kind!r}")
+        if kind == "harmonic" and eigenvalue != 0:
             raise UsageError("harmonic points carry eigenvalue 0")
-        if self.multiplicity < 0:
+        if multiplicity < 0:
             raise UsageError("negative multiplicity")
+        self.kind = kind
+        self.eigenvalue = eigenvalue
+        self.multiplicity = multiplicity
 
 
-@dataclass(frozen=True)
 class SpectralModel:
-    n: int
-    k: int
-    j_value: Fraction
-    points: tuple[SpectralPoint, ...]
-    source: str = "synthetic"  # synthetic | sphere-preset | torus-preset | dec-import
+    __slots__ = ("n", "k", "j_value", "points", "source")
+
+    def __init__(self, n: int, k: int, j_value: Fraction, points: tuple[SpectralPoint, ...],
+                 source: str = "synthetic") -> None:
+        self.n = n
+        self.k = k
+        self.j_value = j_value
+        self.points = points
+        self.source = source  # synthetic | sphere-preset | torus-preset | dec-import
 
     def as_json(self) -> dict:
         return {

@@ -42,38 +42,36 @@ the second-order closed form exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .forms import FormContext, InternalConsistencyError, OperatorPoly
 
 
-@dataclass(frozen=True)
 class TractorFormExpr:
     """Three-slot weighted tractor form, p boxes above the embedded generator.
 
     ``slot_y`` and ``slot_x`` hold the Y and X of delta Y and delta X.
     """
 
-    ctx: FormContext
-    p: int
-    slot_y: OperatorPoly
-    slot_z: OperatorPoly
-    slot_x: OperatorPoly
+    __slots__ = ("ctx", "p", "slot_y", "slot_z", "slot_x")
 
-    def __post_init__(self) -> None:
-        p = self.p
-        expected = {"slot_y": p - 1, "slot_z": p, "slot_x": p}
-        for name, order in expected.items():
-            slot: OperatorPoly = getattr(self, name)
-            if (slot.n, slot.k, slot.order) != (self.ctx.n, self.ctx.k, order):
+    def __init__(self, ctx: FormContext, p: int, slot_y: OperatorPoly, slot_z: OperatorPoly,
+                 slot_x: OperatorPoly) -> None:
+        for name, slot, order in (("slot_y", slot_y, p - 1), ("slot_z", slot_z, p),
+                                  ("slot_x", slot_x, p)):
+            if (slot.n, slot.k, slot.order) != (ctx.n, ctx.k, order):
                 raise InternalConsistencyError(
                     f"{name} carries (n, k, order) = ({slot.n}, {slot.k}, {slot.order}), "
-                    f"expected ({self.ctx.n}, {self.ctx.k}, {order})"
+                    f"expected ({ctx.n}, {ctx.k}, {order})"
                 )
             if name != "slot_z" and slot.f_nums:
                 raise InternalConsistencyError(f"{name} = delta of an operator with an F part")
+        self.ctx = ctx
+        self.p = p
+        self.slot_y = slot_y
+        self.slot_z = slot_z
+        self.slot_x = slot_x
 
     def render(self) -> str:
         return (f"[Y] δ({self.slot_y.render()})\n[Z] {self.slot_z.render()}\n"

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -38,13 +37,15 @@ class BezoutError(ArithmeticError):
     """No relative-inverse pair exists for the given factor pair."""
 
 
-@dataclass
 class VerificationReport:
-    theorem: str
-    params: dict[str, Any]
-    status: str  # "pass" | "fail"
-    witness: Any = None
-    seconds: float = field(default=0.0, compare=False)  # wall time; not in as_json
+    __slots__ = ("theorem", "params", "status", "witness", "seconds")
+
+    def __init__(self, theorem: str, params: dict[str, Any], status: str, witness: Any = None) -> None:
+        self.theorem = theorem
+        self.params = params
+        self.status = status  # "pass" | "fail"
+        self.witness = witness
+        self.seconds = 0.0  # wall time, set by run_sweep; not in as_json
 
     @property
     def passed(self) -> bool:

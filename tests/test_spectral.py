@@ -20,6 +20,12 @@ def pt(kind, lam, mult=1):
     return SpectralPoint(kind, Fraction(lam), mult)
 
 
+def fields(model):
+    """A model's fields and its points' fields: two models are equal when these are."""
+    return (model.n, model.k, model.j_value, model.source,
+            [(p.kind, p.eigenvalue, p.multiplicity) for p in model.points])
+
+
 def test_on_eigenspace_examples():
     op = graded(4, 2, 1, -2, [2], [2])
     assert op.on_eigenspace("coexact", Fraction(1), Fraction(1)) == 0
@@ -183,11 +189,11 @@ def test_model_json_round_trip(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     loaded = SpectralModel.load(path)
-    assert loaded == model
+    assert fields(loaded) == fields(model)
     data = path.read_text()
     assert '"3/2"' in data and '"schema": 1' in data and "trusted" not in data
     # files written with the former "trusted" flag still load
-    assert SpectralModel.from_json({**model.as_json(), "trusted": False}) == model
+    assert fields(SpectralModel.from_json({**model.as_json(), "trusted": False})) == fields(model)
 
 
 def test_sphere_preset():
@@ -338,7 +344,7 @@ def test_torus_presets_are_pinned():
 def test_synthetic_model_deterministic():
     a = synthetic_model(6, 2, 3, Fraction(1))
     b = synthetic_model(6, 2, 3, Fraction(1))
-    assert a == b
+    assert fields(a) == fields(b)
 
 
 def test_harmonic_point_validation():
